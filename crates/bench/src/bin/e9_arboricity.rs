@@ -1,5 +1,6 @@
 //! Experiment harness binary. Run with `cargo run -p wx-bench --release --bin e9_arboricity [--quick] [--seed N]`.
-//! See `DESIGN.md` §4 and `EXPERIMENTS.md` for what this experiment reproduces.
+//! The crate docs map it to the paper statement it reproduces; `wx sweep --all`
+//! runs it alongside the others (see the README's scenario-lab section).
 
 fn main() {
     let opts = wx_bench::ExperimentOptions::from_args();

@@ -1,5 +1,5 @@
-//! Regenerates every experiment report in one go (the source of the numbers
-//! recorded in `EXPERIMENTS.md`). Run with
+//! Regenerates every experiment report in one go (`wx sweep --all` runs the
+//! same experiments into one JSON sweep report; see the README). Run with
 //! `cargo run -p wx-bench --release --bin run_all_experiments [--quick]`.
 //!
 //! Every experiment runs even if an earlier one fails; the process prints a

@@ -1,5 +1,6 @@
 //! One module per reproduced paper statement. See the crate docs for the
-//! index and `DESIGN.md` §4 for the full experiment table.
+//! experiment table and `wx sweep --all` (README, scenario-lab section) for
+//! running them all.
 
 pub mod e1;
 pub mod e10;

@@ -5,8 +5,7 @@
 //! The paper is a theory paper: its "evaluation" is a collection of theorems,
 //! explicit constructions and worked examples rather than measured tables.
 //! Each module in [`experiments`] therefore regenerates the empirical content
-//! of one paper statement (the mapping is recorded in `DESIGN.md` §4 and the
-//! outputs in `EXPERIMENTS.md`):
+//! of one paper statement:
 //!
 //! | Module | Paper statement |
 //! |--------|-----------------|
@@ -23,9 +22,10 @@
 //! | [`experiments::e11`] | Introduction — the `C⁺` example end to end |
 //!
 //! Every experiment has a `run(quick)` entry point returning the printed
-//! report; the `e*` binaries are thin wrappers, `run_all_experiments`
-//! regenerates everything for `EXPERIMENTS.md`, and the Criterion benches in
-//! `benches/` measure the runtime of the underlying algorithms.
+//! report; the `e*` binaries are thin wrappers, `run_all_experiments` and
+//! `wx sweep --all` (see the README) regenerate everything, and the
+//! Criterion benches in `benches/` measure the runtime of the underlying
+//! algorithms.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -39,7 +39,6 @@
 //!   file-based graph sources).
 //! * [`random`] — reproducible random number utilities shared by the
 //!   workspace (every randomized routine takes an explicit `u64` seed).
-//! * [`petgraph_compat`] — conversions to and from [`petgraph`] for interop.
 //!
 //! The representation is deliberately simple: vertices are dense indices
 //! `0..n`, edges are undirected and stored once per endpoint in a CSR layout.
@@ -61,7 +60,6 @@ pub mod io;
 pub mod mmap;
 pub mod neighborhood;
 pub mod parallel;
-pub mod petgraph_compat;
 pub mod random;
 pub mod scratch;
 pub mod traversal;

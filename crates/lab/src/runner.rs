@@ -11,20 +11,39 @@
 //! `BTreeMap`s — so two runs of the same spec produce byte-identical JSON
 //! reports regardless of thread scheduling.
 //!
-//! # Performance
+//! # Execution
 //!
-//! The hot paths reuse the workspace's fast inner loops: expansion tasks run
-//! through the [`MeasurementEngine`]'s per-rayon-worker
+//! [`Runner::run_ctx`] has one execution path in two pieces:
+//!
+//! * **The instance provider** yields, for each trial, the graph instance
+//!   it runs on plus the build seed that content-addresses it. A
+//!   deterministic source is built once at seed 0 and shared by every
+//!   trial. A randomized source is built per trial at
+//!   `derive_seed(trial.seed, 0)`. An `Induced { size }` source over a
+//!   deterministic base builds the base once and draws only the per-trial
+//!   subset, which [`GraphSource::build_backend`] draws through the same
+//!   function, so both give the same instance. Builds go through the
+//!   context's graph store when one is attached.
+//! * **The task executor** runs a group of trials that share one instance:
+//!   the graph metadata (and for radio the completion-target BFS) are
+//!   computed once per group. Radio groups hold up to [`MAX_LANES`] trials
+//!   on a shared instance and one trial otherwise, and every radio trial
+//!   simulates as a lane of the bit-sliced engine (`run_lanes_in`), lane
+//!   `l` bit-exact with a scalar run under its trial's task seed. Every
+//!   other task runs in groups of one.
+//!
+//! The executor reuses the workspace's fast inner loops: expansion tasks
+//! run through the [`MeasurementEngine`]'s per-rayon-worker
 //! `NeighborhoodScratch` pool, the spokesman task extracts its bipartite
-//! views through [`with_thread_scratch`], and the radio simulator resolves
-//! per-round receivers through one scratch reused across rounds.
-//! Deterministic graph sources are built once and shared across trials;
-//! randomized sources draw one instance per trial from the trial seed.
+//! views through [`with_thread_scratch`], and radio batches run in the
+//! per-thread lane workspace. Backends stay in their native form: implicit
+//! sources stay implicit and induced sources run on a zero-copy
+//! `SubgraphView`.
 
-use crate::cache::{RunContext, SolutionEntry, SolutionStore};
+use crate::cache::{GraphStore, RunContext, SolutionEntry, SolutionStore};
 use crate::canon;
 use crate::error::{LabError, Result};
-use crate::source::{BuiltGraph, GraphSource};
+use crate::source::{with_graph_view, BuiltGraph, GraphSource};
 use crate::spec::{ScenarioSpec, Task};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
@@ -32,10 +51,11 @@ use std::sync::Arc;
 use wx_core::expansion::engine::{MeasurementEngine, Wireless};
 use wx_core::graph::random::{derive_seed, random_subset_of_size, rng_from_seed};
 use wx_core::graph::scratch::with_thread_scratch;
-use wx_core::graph::{BipartiteGraph, GraphView, SubgraphView};
+use wx_core::graph::{BipartiteGraph, GraphView};
+use wx_core::radio::protocols::ProtocolKind;
 use wx_core::radio::{
-    run_lanes_in, with_thread_lane_workspace, with_thread_workspace, LaneWorkspace, RadioSimulator,
-    SimulatorConfig, MAX_LANES,
+    run_lanes_in, with_thread_lane_workspace, LaneWorkspace, RadioSimulator, SimulatorConfig,
+    MAX_LANES,
 };
 use wx_core::report::{
     fmt_f64, render_table, to_json_pretty, AggregateStats, StatsAccumulator, TableRow,
@@ -223,237 +243,43 @@ impl Runner {
     pub fn run_ctx(&self, spec: &ScenarioSpec, ctx: &RunContext<'_>) -> Result<ScenarioReport> {
         spec.validate()?;
         let plan = self.plan(spec);
-
-        // The content address of the source, mixed with a build seed per
-        // instance; also the graph half of solution keys.
-        let source_fp = canon::source_fingerprint(&spec.source)?;
-
-        let shared_build = |source: &GraphSource, fp: u64| -> Result<Arc<BuiltGraph>> {
-            let _span = wx_trace::span("lab.build_graph");
-            match ctx.graphs {
-                Some(store) => store.get_or_build(canon::graph_instance_key(fp, 0), &mut || {
-                    Ok(source.build_backend(0)?)
-                }),
-                None => Ok(Arc::new(source.build_backend(0)?)),
-            }
+        let instances = Instances::new(&spec.source, ctx)?;
+        // Radio trials on one shared instance batch into the lanes of one
+        // word; every other group is a single trial.
+        let group = match (&instances.kind, &spec.task) {
+            (InstanceKind::Shared(_), Task::Radio { .. }) => MAX_LANES,
+            _ => 1,
         };
-
-        // Deterministic sources are built once and shared by every trial;
-        // randomized sources draw a per-trial instance from the trial seed.
-        // The backend form is preserved: implicit sources stay implicit,
-        // induced sources stay a base-plus-subset pair that each task wraps
-        // in a zero-copy `SubgraphView`.
-        let shared: Option<Arc<BuiltGraph>> = if spec.source.is_randomized() {
-            None
-        } else {
-            Some(shared_build(&spec.source, source_fp)?)
-        };
-
-        // An `Induced` source with a deterministic base and a seeded random
-        // subset is "randomized" only in its subset: build the base once and
-        // redraw just the O(size) subset per trial, instead of regenerating
-        // the whole base graph every trial.
-        let shared_induced: Option<(Arc<BuiltGraph>, usize)> = match &spec.source {
-            crate::source::GraphSource::Induced {
-                base,
-                size: Some(k),
-                vertices: None,
-            } if shared.is_none() && !base.is_randomized() => {
-                Some((shared_build(base, canon::source_fingerprint(base)?)?, *k))
-            }
-            _ => None,
-        };
-
-        // Graph metadata is constant when the graph is shared; compute the
-        // n/m/Δ metrics once here (on induced views they cost a pass over
-        // the whole subgraph volume) instead of once per trial.
-        let shared_meta: Option<GraphMeta> = shared
-            .as_ref()
-            .map(|bg| with_graph_view!(bg.as_ref(), g => graph_meta(g)));
-
-        // For a shared graph with a radio task, the completion target (one
-        // BFS) is computed once here instead of once per trial.
-        let radio_reachable: Option<usize> = match (&shared, &spec.task) {
-            (Some(bg), Task::Radio { source_vertex, .. }) => {
-                let source = source_vertex.unwrap_or(0);
-                with_graph_view!(bg.as_ref(), g => {
-                    (source < g.num_vertices())
-                        .then(|| wx_core::radio::reachable_from(g, source))
-                })
-            }
-            _ => None,
-        };
-
-        // The bit-sliced lane fast path: when the graph is shared across
-        // trials, radio ensembles run through the word-parallel engine in
-        // `wx_core::radio::bitslice` — batches of up to 64 trials simulate
-        // simultaneously as bit-lanes of one `u64` word per vertex, with
-        // per-lane RNG streams keeping every trial bit-exact against the
-        // scalar `run_in` it replaces (deterministic protocols compute one
-        // scalar transmitter mask per round and broadcast it to every lane).
-        // Reports are byte-identical to the per-trial scalar path's.
-        if let (
-            Some(bg),
-            Task::Radio {
-                protocol,
-                source_vertex,
-                max_rounds,
-            },
-            Some(reachable),
-        ) = (&shared, &spec.task, radio_reachable)
-        {
-            let source = source_vertex.unwrap_or(0);
-            return with_graph_view!(bg.as_ref(), g => {
-                // always `Some` when the graph is shared; the recompute arm
-                // only exists to keep this path panic-free
-                let meta = shared_meta.unwrap_or_else(|| graph_meta(g));
-                let config = SimulatorConfig {
-                    max_rounds: max_rounds.unwrap_or(10 * g.num_vertices() + 100),
-                    stop_when_complete: true,
-                };
-                let sim = RadioSimulator::with_reachable(g, source, config, reachable);
-                // The counter scope lives *inside* the closure, so counts
-                // land on whichever thread rayon runs the batch on and are
-                // summed in deterministic batch order by `aggregate`.
-                let run_batch = |batch: &[TrialSpec]| -> WorkUnit {
-                    wx_trace::with_counters(|| {
-                        let _span = wx_trace::span("lab.simulate");
-                        // One footprint sample per trial, matching what the
-                        // generic path records — lane and scalar telemetry
-                        // stay byte-identical.
-                        wx_trace::count(
-                            wx_trace::CounterId::GraphMemoryBytes,
-                            (batch.len() as u64) * g.memory_bytes() as u64,
-                        );
-                        let mut proto = protocol.build_lanes();
-                        let mut seeds = [0u64; MAX_LANES];
-                        for (j, trial) in batch.iter().enumerate() {
-                            seeds[j] = derive_seed(trial.seed, 1);
-                        }
-                        with_thread_lane_workspace(|ws| {
-                            run_lanes_in(&sim, &mut *proto, &seeds[..batch.len()], ws);
-                            batch
-                                .iter()
-                                .enumerate()
-                                .map(|(lane, trial)| {
-                                    Ok(TrialRecord {
-                                        trial: trial.index,
-                                        seed: trial.seed,
-                                        metrics: lane_metrics(ws, lane, meta),
-                                    })
-                                })
-                                .collect()
-                        })
-                    })
-                };
-                let chunks = plan.trials.chunks(TRIAL_CHUNK).map(|chunk| {
-                    let lanes: Vec<&[TrialSpec]> = chunk.chunks(MAX_LANES).collect();
-                    if self.parallel {
-                        lanes.par_iter().map(|batch| run_batch(batch)).collect()
-                    } else {
-                        lanes.iter().map(|batch| run_batch(batch)).collect()
-                    }
-                });
-                self.aggregate(spec, chunks)
-            });
-        }
-
         // The counter scope lives *inside* the closure, so counts land on
-        // whichever thread rayon runs the trial on and are summed in
-        // deterministic trial order by `aggregate`.
-        let run_one = |trial: &TrialSpec| -> WorkUnit {
-            let (record, counters) = wx_trace::with_counters(|| -> Result<TrialRecord> {
+        // whichever thread rayon runs the group on and are summed in
+        // deterministic group order by `aggregate`.
+        let run_group = |trials: &[TrialSpec]| -> WorkUnit {
+            let (records, counters) = wx_trace::with_counters(|| {
                 let _span = wx_trace::span("lab.trial");
-                let task_seed = derive_seed(trial.seed, 1);
-                // The content address of the instance this trial runs on:
-                // shared graphs build with seed 0, everything else (per-trial
-                // randomized builds *and* the shared-base induced fast path,
-                // which emulates a full per-trial build) with the trial's
-                // build seed. Solution keys hang off this address.
-                let instance_seed = if shared.is_some() {
-                    0
-                } else {
-                    derive_seed(trial.seed, 0)
-                };
-                let solve_ctx = ctx.solutions.map(|store| SolveCtx {
-                    store,
-                    graph_key: canon::graph_instance_key(source_fp, instance_seed),
-                });
-                let metrics = if let Some((base_backend, size)) = &shared_induced {
-                    // Fast path: shared deterministic base, per-trial subset —
-                    // the subset draw is byte-identical to what
-                    // `build_backend(derive_seed(trial.seed, 0))` would produce.
-                    with_graph_view!(base_backend.as_ref(), base => {
-                        let set = crate::source::induced_subset_for_seed(
-                            base.num_vertices(),
-                            *size,
-                            derive_seed(trial.seed, 0),
-                        )?;
-                        let view = SubgraphView::new(base, &set);
-                        run_task_with_meta(
-                            &view,
-                            &spec.task,
-                            task_seed,
-                            radio_reachable,
-                            None,
-                            solve_ctx.as_ref(),
-                        )
-                    })?
-                } else {
-                    let built: Arc<BuiltGraph>;
-                    let backend = match &shared {
-                        Some(bg) => bg.as_ref(),
-                        None => {
-                            let _span = wx_trace::span("lab.build_graph");
-                            let build_seed = derive_seed(trial.seed, 0);
-                            built = match ctx.graphs {
-                                Some(store) => store.get_or_build(
-                                    canon::graph_instance_key(source_fp, build_seed),
-                                    &mut || Ok(spec.source.build_backend(build_seed)?),
-                                )?,
-                                None => Arc::new(spec.source.build_backend(build_seed)?),
-                            };
-                            built.as_ref()
-                        }
-                    };
-                    with_graph_view!(backend, g => {
-                        run_task_with_meta(
-                            g,
-                            &spec.task,
-                            task_seed,
-                            radio_reachable,
-                            shared_meta,
-                            solve_ctx.as_ref(),
-                        )
-                    })?
-                };
-                Ok(TrialRecord {
-                    trial: trial.index,
-                    seed: trial.seed,
-                    metrics,
-                })
+                execute_group(&instances, &spec.task, trials, ctx)
             });
-            (vec![record], counters)
+            let results = match records {
+                Ok(records) => records.into_iter().map(Ok).collect(),
+                Err(e) => vec![Err(e)],
+            };
+            (results, counters)
         };
+        let chunks = plan.trials.chunks(TRIAL_CHUNK).map(|chunk| {
+            let groups: Vec<&[TrialSpec]> = chunk.chunks(group).collect();
+            if self.parallel {
+                groups.par_iter().map(|g| run_group(g)).collect()
+            } else {
+                groups.iter().map(|g| run_group(g)).collect()
+            }
+        });
 
-        self.aggregate(
-            spec,
-            plan.trials.chunks(TRIAL_CHUNK).map(|chunk| {
-                if self.parallel {
-                    chunk.par_iter().map(run_one).collect()
-                } else {
-                    chunk.iter().map(run_one).collect()
-                }
-            }),
-        )
+        self.aggregate(spec, chunks)
     }
 
-    /// Streams chunked trial results into per-metric accumulators **in trial
-    /// order** and assembles the report — shared by the generic per-trial
-    /// path and the bit-sliced radio lane path, so both produce identical
-    /// report structure (and identical JSON when the metrics agree). Each
-    /// [`WorkUnit`]'s deterministic counters are summed in the same fixed
-    /// order into the report's `telemetry` section.
+    /// Streams chunked group results into per-metric accumulators **in
+    /// trial order** and assembles the report. Each [`WorkUnit`]'s
+    /// deterministic counters are summed in the same fixed order into the
+    /// report's `telemetry` section.
     fn aggregate<I>(&self, spec: &ScenarioSpec, chunks: I) -> Result<ScenarioReport>
     where
         I: Iterator<Item = Vec<WorkUnit>>,
@@ -511,59 +337,142 @@ impl Runner {
     }
 }
 
-/// Dispatches a [`BuiltGraph`] to a generic closure body: each backend kind
-/// binds `$g` to a concrete `&impl GraphView` (induced variants construct
-/// the zero-copy [`SubgraphView`] here), so the body monomorphizes per
-/// backend and the hot paths stay static-dispatch.
-macro_rules! with_graph_view {
-    ($built:expr, $g:ident => $body:expr) => {
-        match $built {
-            BuiltGraph::Csr(base) => {
-                let $g = base;
-                $body
-            }
-            BuiltGraph::Implicit(base) => {
-                let $g = base;
-                $body
-            }
-            BuiltGraph::Mmap(base) => {
-                let $g = &**base;
-                $body
-            }
-            BuiltGraph::InducedCsr { base, set } => {
-                let view = SubgraphView::new(base, set);
-                let $g = &view;
-                $body
-            }
-            BuiltGraph::InducedImplicit { base, set } => {
-                let view = SubgraphView::new(base, set);
-                let $g = &view;
-                $body
-            }
-            BuiltGraph::InducedMmap { base, set } => {
-                let view = SubgraphView::new(&**base, set);
-                let $g = &view;
-                $body
-            }
-        }
-    };
-}
-use with_graph_view;
-
-/// One unit of executed work: its trial records plus the deterministic
-/// counters captured while they ran (one unit per trial on the generic
-/// path, one per lane batch on the bit-sliced radio path).
+/// One unit of executed work: a group's trial records plus the
+/// deterministic counters captured while they ran.
 type WorkUnit = (Vec<Result<TrialRecord>>, wx_trace::CounterSet);
 
-/// The constant per-graph metadata metrics every trial records.
-type GraphMeta = (f64, f64, f64);
+/// One trial's metric map.
+type Metrics = BTreeMap<String, f64>;
 
-fn graph_meta<G: GraphView + ?Sized>(g: &G) -> GraphMeta {
-    (
-        g.num_vertices() as f64,
-        g.num_edges() as f64,
-        g.max_degree() as f64,
-    )
+/// The graph-instance provider: where each trial's graph comes from.
+struct Instances<'a> {
+    source: &'a GraphSource,
+    /// The content address of the source; mixed with a build seed it keys
+    /// each instance in the graph store and the solutions solved on it.
+    fingerprint: u64,
+    graphs: Option<&'a dyn GraphStore>,
+    kind: InstanceKind,
+}
+
+enum InstanceKind {
+    /// A deterministic source: one instance, built at seed 0, shared by
+    /// every trial.
+    Shared(Arc<BuiltGraph>),
+    /// An `Induced { size }` source over a deterministic base: the base is
+    /// built once at seed 0 and each trial draws only its O(size) subset,
+    /// exactly the subset a full build at the trial's build seed draws.
+    SharedBase(Arc<BuiltGraph>),
+    /// A randomized source: each trial builds its own instance at
+    /// `derive_seed(trial.seed, 0)`.
+    PerTrial,
+}
+
+impl<'a> Instances<'a> {
+    fn new(source: &'a GraphSource, ctx: &RunContext<'a>) -> Result<Instances<'a>> {
+        let fingerprint = canon::source_fingerprint(source)?;
+        let kind = match source {
+            _ if !source.is_randomized() => {
+                InstanceKind::Shared(fetch(ctx.graphs, source, fingerprint, 0)?)
+            }
+            GraphSource::Induced {
+                base,
+                size: Some(_),
+                vertices: None,
+            } if !base.is_randomized() => {
+                let base_fp = canon::source_fingerprint(base)?;
+                InstanceKind::SharedBase(fetch(ctx.graphs, base, base_fp, 0)?)
+            }
+            _ => InstanceKind::PerTrial,
+        };
+        Ok(Instances {
+            source,
+            fingerprint,
+            graphs: ctx.graphs,
+            kind,
+        })
+    }
+
+    /// The instance `trial` runs on, and the build seed that addresses it
+    /// (0 for a shared instance).
+    fn instance(&self, trial: &TrialSpec) -> Result<(Arc<BuiltGraph>, u64)> {
+        let seed = derive_seed(trial.seed, 0);
+        match &self.kind {
+            InstanceKind::Shared(graph) => Ok((Arc::clone(graph), 0)),
+            InstanceKind::SharedBase(base) => {
+                Ok((Arc::new(self.source.induce(Arc::clone(base), seed)?), seed))
+            }
+            InstanceKind::PerTrial => {
+                let graph = fetch(self.graphs, self.source, self.fingerprint, seed)?;
+                Ok((graph, seed))
+            }
+        }
+    }
+}
+
+/// Builds `source` at `seed`, through the graph store (keyed by the
+/// source's `fingerprint` and `seed`) when one is attached.
+fn fetch(
+    graphs: Option<&dyn GraphStore>,
+    source: &GraphSource,
+    fingerprint: u64,
+    seed: u64,
+) -> Result<Arc<BuiltGraph>> {
+    let _span = wx_trace::span("lab.build_graph");
+    match graphs {
+        Some(store) => store
+            .get_or_build(canon::graph_instance_key(fingerprint, seed), &mut || {
+                Ok(source.build_backend(seed)?)
+            }),
+        None => Ok(Arc::new(source.build_backend(seed)?)),
+    }
+}
+
+/// Executes a group of trials that share one graph instance (the first
+/// trial's) and returns their records in trial order. The graph metadata,
+/// and for radio the completion-target BFS, are computed once per group.
+fn execute_group(
+    instances: &Instances<'_>,
+    task: &Task,
+    trials: &[TrialSpec],
+    ctx: &RunContext<'_>,
+) -> Result<Vec<TrialRecord>> {
+    let Some(first) = trials.first() else {
+        return Ok(Vec::new());
+    };
+    let (graph, instance_seed) = instances.instance(first)?;
+    let solve_ctx = ctx.solutions.map(|store| SolveCtx {
+        store,
+        graph_key: canon::graph_instance_key(instances.fingerprint, instance_seed),
+    });
+    with_graph_view!(graph.as_ref(), g => {
+        // One resident-footprint sample per trial: O(1) on every backend
+        // (CSR and mmap know their sizes; views report their own state), so
+        // telemetry shows what the chosen backend actually keeps in memory.
+        wx_trace::count(
+            wx_trace::CounterId::GraphMemoryBytes,
+            (trials.len() * g.memory_bytes()) as u64,
+        );
+        let metrics = execute_task(g, task, trials, solve_ctx.as_ref())?;
+        let (n, m, max_degree) = (
+            g.num_vertices() as f64,
+            g.num_edges() as f64,
+            g.max_degree() as f64,
+        );
+        Ok(trials
+            .iter()
+            .zip(metrics)
+            .map(|(trial, mut metrics)| {
+                metrics.insert("graph_n".to_string(), n);
+                metrics.insert("graph_m".to_string(), m);
+                metrics.insert("graph_max_degree".to_string(), max_degree);
+                TrialRecord {
+                    trial: trial.index,
+                    seed: trial.seed,
+                    metrics,
+                }
+            })
+            .collect())
+    })
 }
 
 /// The solution-cache hook threaded into the spokesman arm of
@@ -616,40 +525,46 @@ fn solve_spokesman(
     result
 }
 
-/// [`execute_task`] plus the metadata metrics. `meta` carries the
-/// once-computed values when the graph is shared across trials (on induced
-/// views recomputing them costs a pass over the whole subgraph volume).
-fn run_task_with_meta<G: GraphView + Sync + ?Sized>(
+/// Simulates one radio trial per lane of one bit-sliced batch (at most
+/// [`MAX_LANES`] trials) through the lane engine; lane `l` runs with
+/// `derive_seed(trials[l].seed, 1)` and is bit-exact with the scalar
+/// engine under that seed.
+fn simulate_radio<G: GraphView + Sync + ?Sized>(
     g: &G,
-    task: &Task,
-    seed: u64,
-    radio_reachable: Option<usize>,
-    meta: Option<GraphMeta>,
-    solve: Option<&SolveCtx<'_>>,
-) -> Result<BTreeMap<String, f64>> {
-    // One resident-footprint sample per trial: O(1) on every backend
-    // (CSR and mmap know their sizes; views report their own state), so
-    // telemetry shows what the chosen backend actually keeps in memory.
-    wx_trace::count(
-        wx_trace::CounterId::GraphMemoryBytes,
-        g.memory_bytes() as u64,
-    );
-    let mut metrics = execute_task(g, task, seed, radio_reachable, solve)?;
-    let (n, m, max_degree) = meta.unwrap_or_else(|| graph_meta(g));
-    metrics.insert("graph_n".to_string(), n);
-    metrics.insert("graph_m".to_string(), m);
-    metrics.insert("graph_max_degree".to_string(), max_degree);
-    Ok(metrics)
+    protocol: ProtocolKind,
+    source: usize,
+    max_rounds: Option<usize>,
+    trials: &[TrialSpec],
+) -> Result<Vec<Metrics>> {
+    let n = g.num_vertices();
+    if source >= n {
+        return Err(LabError::invalid(format!(
+            "radio source vertex {source} out of range for {n} vertices"
+        )));
+    }
+    let config = SimulatorConfig {
+        max_rounds: max_rounds.unwrap_or(10 * n + 100),
+        stop_when_complete: true,
+    };
+    let sim = RadioSimulator::new(g, source, config);
+    let _span = wx_trace::span("lab.simulate");
+    let mut seeds = [0u64; MAX_LANES];
+    for (seed, trial) in seeds.iter_mut().zip(trials) {
+        *seed = derive_seed(trial.seed, 1);
+    }
+    let mut lanes = protocol.build_lanes();
+    Ok(with_thread_lane_workspace(|ws| {
+        run_lanes_in(&sim, &mut *lanes, &seeds[..trials.len()], ws);
+        (0..trials.len())
+            .map(|lane| lane_metrics(ws, lane))
+            .collect()
+    }))
 }
 
-/// The metric map of one finished lane — key-for-key and value-for-value
-/// identical to what the scalar radio arm of [`execute_task`] plus
-/// [`run_task_with_meta`] records for the same trial seed, which is what
-/// keeps lane-path reports byte-identical to scalar-path reports.
-fn lane_metrics(ws: &LaneWorkspace, lane: usize, meta: GraphMeta) -> BTreeMap<String, f64> {
+/// The radio metric map of one finished lane.
+fn lane_metrics(ws: &LaneWorkspace, lane: usize) -> Metrics {
     let outcome = ws.lane_outcome(lane);
-    let half = ws.lane_rounds_to_reach_fraction(lane, 0.5, outcome.reachable);
-    let mut metrics = BTreeMap::new();
+    let mut metrics = Metrics::new();
     metrics.insert(
         "completed".to_string(),
         if outcome.completed() { 1.0 } else { 0.0 },
@@ -658,35 +573,40 @@ fn lane_metrics(ws: &LaneWorkspace, lane: usize, meta: GraphMeta) -> BTreeMap<St
     if let Some(rounds) = outcome.completed_at {
         metrics.insert("rounds".to_string(), rounds as f64);
     }
-    if let Some(half) = half {
+    if let Some(half) = ws.lane_rounds_to_reach_fraction(lane, 0.5, outcome.reachable) {
         metrics.insert("rounds_to_half".to_string(), half as f64);
     }
-    let (n, m, max_degree) = meta;
-    metrics.insert("graph_n".to_string(), n);
-    metrics.insert("graph_m".to_string(), m);
-    metrics.insert("graph_max_degree".to_string(), max_degree);
     metrics
 }
 
-/// Executes one task on one graph instance (any [`GraphView`] backend),
-/// returning its metric map. `radio_reachable` carries the once-computed
-/// completion target when the graph is shared across trials (radio tasks
-/// only).
+/// Executes `task` for every trial of a group on one graph instance (any
+/// [`GraphView`] backend), returning one metric map per trial in trial
+/// order. Radio trials simulate together as the lanes of one bit-sliced
+/// batch; every other task runs trial by trial under the trial's task
+/// seed.
 fn execute_task<G: GraphView + Sync + ?Sized>(
     g: &G,
     task: &Task,
-    seed: u64,
-    radio_reachable: Option<usize>,
+    trials: &[TrialSpec],
     solve: Option<&SolveCtx<'_>>,
-) -> Result<BTreeMap<String, f64>> {
-    let mut metrics = BTreeMap::new();
+) -> Result<Vec<Metrics>> {
+    let each = |run: &dyn Fn(u64, &mut Metrics) -> Result<()>| {
+        trials
+            .iter()
+            .map(|trial| {
+                let mut metrics = Metrics::new();
+                run(derive_seed(trial.seed, 1), &mut metrics)?;
+                Ok(metrics)
+            })
+            .collect()
+    };
     match task {
         Task::Measure {
             notion,
             alpha,
             exact_up_to,
             fast,
-        } => {
+        } => each(&|seed, metrics| {
             let _span = wx_trace::span("lab.measure");
             let engine = engine_for(*alpha, *exact_up_to, seed);
             let measure = notion.measure(fast.unwrap_or(false));
@@ -699,12 +619,13 @@ fn execute_task<G: GraphView + Sync + ?Sized>(
             if let Some(cert) = &m.certificate {
                 metrics.insert("certificate_size".to_string(), cert.len() as f64);
             }
-        }
+            Ok(())
+        }),
         Task::Profile {
             alpha,
             exact_up_to,
             fast,
-        } => {
+        } => each(&|seed, metrics| {
             let _span = wx_trace::span("lab.measure");
             let engine = engine_for(*alpha, *exact_up_to, seed);
             let wireless = if fast.unwrap_or(false) {
@@ -728,8 +649,9 @@ fn execute_task<G: GraphView + Sync + ?Sized>(
                 "gap_wireless_minus_unique".to_string(),
                 t.wireless.value - t.unique.value,
             );
-        }
-        Task::Spokesman { set_size, solvers } => {
+            Ok(())
+        }),
+        Task::Spokesman { set_size, solvers } => each(&|seed, metrics| {
             let n = g.num_vertices();
             if *set_size > n {
                 return Err(LabError::invalid(format!(
@@ -760,51 +682,20 @@ fn execute_task<G: GraphView + Sync + ?Sized>(
             }
             metrics.insert("best_certificate".to_string(), best);
             metrics.insert("right_side".to_string(), view.num_right() as f64);
-        }
+            Ok(())
+        }),
         Task::Radio {
             protocol,
             source_vertex,
             max_rounds,
-        } => {
-            let n = g.num_vertices();
-            let source = source_vertex.unwrap_or(0);
-            if source >= n {
-                return Err(LabError::invalid(format!(
-                    "radio source vertex {source} out of range for {n} vertices"
-                )));
-            }
-            let config = SimulatorConfig {
-                max_rounds: max_rounds.unwrap_or(10 * n + 100),
-                stop_when_complete: true,
-            };
-            // Shared graphs reuse the completion target computed once by the
-            // runner; per-trial (randomized) graphs pay their one BFS here.
-            let sim = match radio_reachable {
-                Some(reachable) => RadioSimulator::with_reachable(g, source, config, reachable),
-                None => RadioSimulator::new(g, source, config),
-            };
-            let mut proto = protocol.build();
-            // Constant-size summary through the per-worker trial workspace —
-            // no n-sized allocation per trial.
-            let (outcome, half) = with_thread_workspace(|ws| {
-                let _span = wx_trace::span("lab.simulate");
-                let outcome = sim.run_in(&mut proto, seed, ws);
-                (outcome, ws.rounds_to_reach_fraction(0.5, outcome.reachable))
-            });
-            metrics.insert(
-                "completed".to_string(),
-                if outcome.completed() { 1.0 } else { 0.0 },
-            );
-            metrics.insert("reachable".to_string(), outcome.reachable as f64);
-            if let Some(rounds) = outcome.completed_at {
-                metrics.insert("rounds".to_string(), rounds as f64);
-            }
-            if let Some(half) = half {
-                metrics.insert("rounds_to_half".to_string(), half as f64);
-            }
-        }
+        } => simulate_radio(
+            g,
+            *protocol,
+            source_vertex.unwrap_or(0),
+            *max_rounds,
+            trials,
+        ),
     }
-    Ok(metrics)
 }
 
 fn engine_for(alpha: Option<f64>, exact_up_to: Option<usize>, seed: u64) -> MeasurementEngine {
@@ -923,26 +814,42 @@ mod tests {
 
     #[test]
     fn induced_fast_path_draws_the_same_subsets_as_build_backend() {
-        // The runner's shared-base fast path redraws only the subset per
-        // trial; its draw must equal what a full build_backend for the same
-        // trial seed produces, or reports would silently change.
+        // A shared deterministic base redraws only the subset per trial;
+        // each draw must equal what a full build_backend for the same trial
+        // seed produces, or reports would silently change.
         let src = GraphSource::Induced {
             base: Box::new(GraphSource::Hypercube { dim: 5 }),
             size: Some(7),
             vertices: None,
         };
-        for trial_seed in [derive_seed(2, 0), derive_seed(2, 1), derive_seed(99, 4)] {
-            let build_seed = derive_seed(trial_seed, 0);
-            let crate::source::BuiltGraph::InducedCsr { set, .. } =
-                src.build_backend(build_seed).unwrap()
+        let instances = Instances::new(&src, &RunContext::default()).unwrap();
+        assert!(matches!(instances.kind, InstanceKind::SharedBase(_)));
+        for trial in Runner::new()
+            .plan(&ScenarioSpec {
+                source: src.clone(),
+                ..measure_spec(3)
+            })
+            .trials
+        {
+            let (instance, seed) = instances.instance(&trial).unwrap();
+            assert_eq!(seed, derive_seed(trial.seed, 0));
+            let (BuiltGraph::Induced { set: shared, .. }, BuiltGraph::Induced { set: full, .. }) =
+                (instance.as_ref(), &src.build_backend(seed).unwrap())
             else {
-                panic!("expected an induced-of-csr backend");
+                panic!("expected induced backends");
             };
-            let fast = crate::source::induced_subset_for_seed(32, 7, build_seed).unwrap();
-            assert_eq!(set.to_vec(), fast.to_vec());
+            assert_eq!(shared.to_vec(), full.to_vec());
         }
         // out-of-range sizes fail identically on both paths
-        assert!(crate::source::induced_subset_for_seed(4, 7, 0).is_err());
+        let too_big = GraphSource::Induced {
+            base: Box::new(GraphSource::Hypercube { dim: 2 }),
+            size: Some(7),
+            vertices: None,
+        };
+        let instances = Instances::new(&too_big, &RunContext::default()).unwrap();
+        let trial = TrialSpec { index: 0, seed: 5 };
+        assert!(instances.instance(&trial).is_err());
+        assert!(too_big.build_backend(derive_seed(5, 0)).is_err());
     }
 
     #[test]

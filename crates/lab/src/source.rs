@@ -132,11 +132,8 @@ pub enum GraphSource {
 
 /// The seeded random subset an `Induced { size }` source draws for a given
 /// build seed: Floyd's O(size) sampler, so redrawing over a million-vertex
-/// implicit base never touches O(n) state. This is the single
-/// implementation behind both [`GraphSource::build_backend`] and the
-/// runner's shared-base fast path, which keeps the two byte-identical by
-/// construction (and a runner test pins it).
-pub(crate) fn induced_subset_for_seed(
+/// implicit base never touches O(n) state.
+fn induced_subset_for_seed(
     n: usize,
     size: usize,
     build_seed: u64,
@@ -148,6 +145,11 @@ pub(crate) fn induced_subset_for_seed(
     }
     let mut rng = rng_from_seed(wx_core::graph::random::derive_seed(build_seed, 0x1D0CED));
     Ok(random_subset_of_size_sparse(&mut rng, n, size))
+}
+
+/// The typed error for an `Induced` source over another `Induced` source.
+pub(crate) fn nested_induced() -> GraphError {
+    GraphError::invalid("induced sources cannot nest another induced source")
 }
 
 /// A graph built by [`GraphSource::build_backend`]: the CSR default, the
@@ -164,49 +166,84 @@ pub enum BuiltGraph {
     /// cache behind a read-only memory mapping. The `Arc` keeps
     /// [`BuiltGraph`] cheaply cloneable without remapping the file.
     Mmap(Arc<MmapGraph>),
-    /// An induced view over a materialized base.
-    InducedCsr {
-        /// The base graph.
-        base: Graph,
-        /// The inducing subset (universe = base's vertex count).
-        set: VertexSet,
-    },
-    /// An induced view over an implicit base.
-    InducedImplicit {
-        /// The base backend.
-        base: ImplicitGraph,
-        /// The inducing subset (universe = base's vertex count).
-        set: VertexSet,
-    },
-    /// An induced view over a memory-mapped base.
-    InducedMmap {
-        /// The base backend.
-        base: Arc<MmapGraph>,
+    /// An induced view over a non-induced base. The base is shared, so
+    /// trials that redraw only the subset reuse one built base.
+    Induced {
+        /// The base backend (never itself `Induced`).
+        base: Arc<BuiltGraph>,
         /// The inducing subset (universe = base's vertex count).
         set: VertexSet,
     },
 }
 
+/// Dispatches a [`BuiltGraph`] to a generic body: each backend kind binds
+/// `$g` to a concrete `&impl GraphView` (the `Induced` arm constructs the
+/// zero-copy [`SubgraphView`](wx_core::graph::SubgraphView) over its
+/// base), so the body monomorphizes per backend and the hot paths stay
+/// static-dispatch. The body must evaluate to a `Result` whose error type
+/// converts from [`GraphError`]: an `Induced` base that is itself `Induced`
+/// yields the nested-induced error.
+macro_rules! with_graph_view {
+    ($built:expr, $g:ident => $body:expr) => {
+        $crate::source::with_base_view!($built, $g => $body,
+            $crate::source::BuiltGraph::Induced { base, set } => {
+                $crate::source::with_base_view!(base.as_ref(), base => {
+                    let view = wx_core::graph::SubgraphView::new(base, set);
+                    let $g = &view;
+                    $body
+                }, $crate::source::BuiltGraph::Induced { .. } => {
+                    Err($crate::source::nested_induced().into())
+                })
+            })
+    };
+}
+pub(crate) use with_graph_view;
+
+/// The non-induced arms of [`with_graph_view`]; `$induced` handles the
+/// `Induced` variant.
+macro_rules! with_base_view {
+    ($built:expr, $g:ident => $body:expr, $induced:pat => $other:expr) => {
+        match $built {
+            $crate::source::BuiltGraph::Csr(g) => {
+                let $g = g;
+                $body
+            }
+            $crate::source::BuiltGraph::Implicit(g) => {
+                let $g = g;
+                $body
+            }
+            $crate::source::BuiltGraph::Mmap(g) => {
+                let $g = &**g;
+                $body
+            }
+            $induced => $other,
+        }
+    };
+}
+pub(crate) use with_base_view;
+
 impl BuiltGraph {
+    /// The number of vertices of the graph this backend presents (the
+    /// subset size for `Induced`).
+    #[must_use]
+    pub fn num_vertices(&self) -> usize {
+        use wx_core::graph::GraphView;
+        with_base_view!(self, g => g.num_vertices(), BuiltGraph::Induced { set, .. } => set.len())
+    }
+
     /// The resident-memory footprint of this backend, used by the artifact
     /// cache's byte-budget accounting. Mirrors each backend's
     /// `GraphView::memory_bytes` (so mmap-backed graphs report only their
     /// header/metadata residency, not the page-cached file), plus the
-    /// inducing subset's storage for induced variants.
+    /// inducing subset's storage for `Induced`.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         use wx_core::graph::GraphView;
-        fn set_bytes(set: &VertexSet) -> usize {
-            std::mem::size_of_val(set.as_words()) + std::mem::size_of_val(set.as_slice())
-        }
-        match self {
-            BuiltGraph::Csr(g) => g.memory_bytes(),
-            BuiltGraph::Implicit(g) => g.memory_bytes(),
-            BuiltGraph::Mmap(g) => g.memory_bytes(),
-            BuiltGraph::InducedCsr { base, set } => base.memory_bytes() + set_bytes(set),
-            BuiltGraph::InducedImplicit { base, set } => base.memory_bytes() + set_bytes(set),
-            BuiltGraph::InducedMmap { base, set } => base.memory_bytes() + set_bytes(set),
-        }
+        with_base_view!(self, g => g.memory_bytes(), BuiltGraph::Induced { base, set } => {
+            base.memory_bytes()
+                + std::mem::size_of_val(set.as_words())
+                + std::mem::size_of_val(set.as_slice())
+        })
     }
 }
 
@@ -219,15 +256,7 @@ impl GraphSource {
     pub fn build(&self, seed: u64) -> wx_core::graph::Result<Graph> {
         match self.build_backend(seed)? {
             BuiltGraph::Csr(g) => Ok(g),
-            BuiltGraph::Implicit(g) => Ok(materialize(&g)),
-            BuiltGraph::Mmap(g) => Ok(materialize(&*g)),
-            BuiltGraph::InducedCsr { base, set } => Ok(base.induced_subgraph(&set).0),
-            BuiltGraph::InducedImplicit { base, set } => {
-                Ok(materialize(&base).induced_subgraph(&set).0)
-            }
-            BuiltGraph::InducedMmap { base, set } => {
-                Ok(materialize(&*base).induced_subgraph(&set).0)
-            }
+            other => with_graph_view!(&other, g => Ok(materialize(g))),
         }
     }
 
@@ -262,65 +291,52 @@ impl GraphSource {
             GraphSource::Implicit { family } => {
                 ImplicitGraph::new(*family).map(BuiltGraph::Implicit)
             }
-            GraphSource::Induced {
-                base,
-                size,
-                vertices,
-            } => {
-                let built = base.build_backend(seed)?;
-                let n = match &built {
-                    BuiltGraph::Csr(g) => g.num_vertices(),
-                    BuiltGraph::Implicit(g) => {
-                        use wx_core::graph::GraphView;
-                        g.num_vertices()
-                    }
-                    BuiltGraph::Mmap(g) => {
-                        use wx_core::graph::GraphView;
-                        g.num_vertices()
-                    }
-                    BuiltGraph::InducedCsr { .. }
-                    | BuiltGraph::InducedImplicit { .. }
-                    | BuiltGraph::InducedMmap { .. } => {
-                        return Err(GraphError::invalid(
-                            "induced sources cannot nest another induced source",
-                        ))
-                    }
-                };
-                let set = match (size, vertices) {
-                    (Some(k), None) => induced_subset_for_seed(n, *k, seed)?,
-                    (None, Some(vs)) => {
-                        for &v in vs {
-                            if v >= n {
-                                return Err(GraphError::invalid(format!(
-                                    "induced vertex {v} out of range for base with {n} vertices"
-                                )));
-                            }
-                        }
-                        VertexSet::from_iter(n, vs.iter().copied())
-                    }
-                    _ => {
-                        return Err(GraphError::invalid(
-                            "induced source needs exactly one of `size` or `vertices`",
-                        ))
-                    }
-                };
-                if set.is_empty() {
-                    return Err(GraphError::invalid("induced subset must be non-empty"));
-                }
-                match built {
-                    BuiltGraph::Csr(base) => Ok(BuiltGraph::InducedCsr { base, set }),
-                    BuiltGraph::Implicit(base) => Ok(BuiltGraph::InducedImplicit { base, set }),
-                    BuiltGraph::Mmap(base) => Ok(BuiltGraph::InducedMmap { base, set }),
-                    // Nested induced bases were rejected when `n` was taken
-                    // above; propagate rather than panic if that ever drifts.
-                    BuiltGraph::InducedCsr { .. }
-                    | BuiltGraph::InducedImplicit { .. }
-                    | BuiltGraph::InducedMmap { .. } => Err(GraphError::invalid(
-                        "induced sources cannot nest another induced source",
-                    )),
-                }
+            GraphSource::Induced { base, .. } => {
+                self.induce(Arc::new(base.build_backend(seed)?), seed)
             }
         }
+    }
+
+    /// Cuts this `Induced` source's subset out of an already built `base`:
+    /// the seeded random subset for `size` (drawn from `seed`, the build
+    /// seed), or the explicit `vertices`. [`GraphSource::build_backend`]
+    /// and the runner's shared-base instances both draw through here, so a
+    /// shared base yields exactly the subsets a full per-trial build would.
+    pub(crate) fn induce(
+        &self,
+        base: Arc<BuiltGraph>,
+        seed: u64,
+    ) -> wx_core::graph::Result<BuiltGraph> {
+        let GraphSource::Induced { size, vertices, .. } = self else {
+            return Err(GraphError::invalid(format!(
+                "{} is not an induced source",
+                self.label()
+            )));
+        };
+        if matches!(*base, BuiltGraph::Induced { .. }) {
+            return Err(nested_induced());
+        }
+        let n = base.num_vertices();
+        let set = match (size, vertices) {
+            (Some(k), None) => induced_subset_for_seed(n, *k, seed)?,
+            (None, Some(vs)) => {
+                if let Some(v) = vs.iter().find(|&&v| v >= n) {
+                    return Err(GraphError::invalid(format!(
+                        "induced vertex {v} out of range for base with {n} vertices"
+                    )));
+                }
+                VertexSet::from_iter(n, vs.iter().copied())
+            }
+            _ => {
+                return Err(GraphError::invalid(
+                    "induced source needs exactly one of `size` or `vertices`",
+                ))
+            }
+        };
+        if set.is_empty() {
+            return Err(GraphError::invalid("induced subset must be non-empty"));
+        }
+        Ok(BuiltGraph::Induced { base, set })
     }
 
     /// `true` when the built instance depends on the seed, in which case the
@@ -378,9 +394,7 @@ impl GraphSource {
                 vertices,
             } => {
                 if matches!(**base, GraphSource::Induced { .. }) {
-                    return Err(GraphError::invalid(
-                        "induced sources cannot nest another induced source",
-                    ));
+                    return Err(nested_induced());
                 }
                 match (size, vertices) {
                     (Some(0), None) => Err(GraphError::invalid(
@@ -515,13 +529,17 @@ mod tests {
         };
         assert!(src.is_randomized(), "random subsets are redrawn per trial");
         assert!(src.validate().is_ok());
-        let BuiltGraph::InducedCsr { base, set } = src.build_backend(3).unwrap() else {
-            panic!("induced-of-csr must keep the base materialized only once");
+        let BuiltGraph::Induced { base, set } = src.build_backend(3).unwrap() else {
+            panic!("induced sources must build the induced backend");
         };
+        assert!(
+            matches!(*base, BuiltGraph::Csr(_)),
+            "induced-of-csr must keep the base materialized only once"
+        );
         assert_eq!(base.num_vertices(), 16);
         assert_eq!(set.len(), 6);
         // equal seeds draw equal subsets; different seeds differ
-        let BuiltGraph::InducedCsr { set: again, .. } = src.build_backend(3).unwrap() else {
+        let BuiltGraph::Induced { set: again, .. } = src.build_backend(3).unwrap() else {
             unreachable!()
         };
         assert_eq!(set.to_vec(), again.to_vec());
@@ -535,9 +553,13 @@ mod tests {
             vertices: Some(vec![0, 1, 2, 3, 19]),
         };
         assert!(!explicit.is_randomized());
-        let BuiltGraph::InducedImplicit { set, .. } = explicit.build_backend(7).unwrap() else {
-            panic!("induced-of-implicit must keep the base implicit");
+        let BuiltGraph::Induced { base, set } = explicit.build_backend(7).unwrap() else {
+            panic!("induced sources must build the induced backend");
         };
+        assert!(
+            matches!(*base, BuiltGraph::Implicit(_)),
+            "induced-of-implicit must keep the base implicit"
+        );
         assert_eq!(set.to_vec(), vec![0, 1, 2, 3, 19]);
         // materialized fallback equals the classic induced_subgraph path
         let mat = explicit.build(7).unwrap();
@@ -655,9 +677,13 @@ mod tests {
             size: None,
             vertices: Some(vec![0, 1, 2, 3, 4, 5]),
         };
-        let BuiltGraph::InducedMmap { set, .. } = induced.build_backend(0).unwrap() else {
-            panic!("induced-of-mmap must keep the base mapped");
+        let BuiltGraph::Induced { base, set } = induced.build_backend(0).unwrap() else {
+            panic!("induced sources must build the induced backend");
         };
+        assert!(
+            matches!(*base, BuiltGraph::Mmap(_)),
+            "induced-of-mmap must keep the base mapped"
+        );
         assert_eq!(set.len(), 6);
         assert_eq!(
             induced.build(0).unwrap(),

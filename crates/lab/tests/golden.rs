@@ -1,0 +1,74 @@
+//! Golden report fixtures: every `golden/<name>.spec.json` must reproduce
+//! `golden/<name>.report.json` byte for byte.
+//!
+//! The fixtures cover the in-memory source kinds (shared CSR, implicit,
+//! per-trial randomized, `Induced` by `size` over a deterministic base,
+//! `Induced` by `vertices`, `Induced` over a randomized base) crossed with
+//! all four task kinds, plus every radio protocol on a per-trial source.
+//! Radio reports compare with the two lane-occupancy counters
+//! (`radio.lane_rounds`, `radio.lanes_completed`) stripped, since the
+//! fixtures for per-trial radio scenarios predate them; every radio report
+//! must carry `radio.lane_rounds`, and `radio.lanes_completed` whenever a
+//! trial completed.
+
+use std::path::{Path, PathBuf};
+use wx_lab::runner::Runner;
+use wx_lab::spec::{ScenarioSpec, Task};
+
+const LANE_COUNTERS: [&str; 2] = ["\"radio.lane_rounds\"", "\"radio.lanes_completed\""];
+
+fn golden_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
+}
+
+fn strip_lane_counters(json: &str) -> String {
+    json.lines()
+        .filter(|line| !LANE_COUNTERS.iter().any(|key| line.contains(key)))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+#[test]
+fn reports_match_the_golden_fixtures() {
+    let mut specs: Vec<PathBuf> = std::fs::read_dir(golden_dir())
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.to_string_lossy().ends_with(".spec.json"))
+        .collect();
+    specs.sort();
+    assert!(specs.len() >= 27, "golden fixtures missing: {specs:?}");
+    for spec_path in specs {
+        let name = spec_path.to_string_lossy().replace(".spec.json", "");
+        let spec_text = std::fs::read_to_string(&spec_path).unwrap();
+        let expected = std::fs::read_to_string(format!("{name}.report.json")).unwrap();
+        let spec = ScenarioSpec::from_json(&spec_text, &name).unwrap();
+        let report = Runner::new().run(&spec).unwrap();
+        let json = report.to_json();
+        assert_eq!(
+            strip_lane_counters(&json),
+            strip_lane_counters(&expected),
+            "{name}: report differs from its golden fixture"
+        );
+        if matches!(spec.task, Task::Radio { .. }) {
+            // Telemetry lists nonzero counters only, so `lanes_completed`
+            // is absent exactly when no trial completed.
+            let completed = report
+                .per_trial
+                .iter()
+                .filter(|t| t.metrics["completed"] == 1.0);
+            assert_eq!(
+                report.telemetry.get("radio.lanes_completed").copied(),
+                Some(completed.count() as u64).filter(|&c| c > 0),
+                "{name}: radio.lanes_completed must count the completed trials"
+            );
+            assert!(
+                report.telemetry.get("radio.lane_rounds")
+                    >= report.telemetry.get("radio.rounds_simulated")
+                    && report.telemetry.contains_key("radio.lane_rounds"),
+                "{name}: radio report lacks radio.lane_rounds"
+            );
+        }
+        let sequential = Runner::new().sequential().run(&spec).unwrap().to_json();
+        assert_eq!(json, sequential, "{name}: sequential run differs");
+    }
+}

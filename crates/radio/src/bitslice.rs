@@ -133,8 +133,9 @@ pub struct LaneWorkspace {
     newly_list: Vec<usize>,
     /// Vertices with a nonzero `fresh` word.
     fresh_list: Vec<usize>,
-    /// `first_informed[v * 64 + l]` = round lane `l` first informed vertex
-    /// `v`, or `u32::MAX` if it never did.
+    /// `first_informed[v * lanes + l]` = round lane `l` first informed
+    /// vertex `v`, or `u32::MAX` if it never did. Sized by the batch's lane
+    /// count, so a 1-lane batch holds and clears 4 bytes per vertex.
     first_informed: Vec<u32>,
     /// Per-lane informed counts.
     informed_count: [usize; MAX_LANES],
@@ -151,7 +152,8 @@ impl Default for LaneWorkspace {
 }
 
 impl LaneWorkspace {
-    /// Creates a workspace pre-sized for graphs of `n` vertices.
+    /// Creates a workspace pre-sized for graphs of `n` vertices (the
+    /// per-lane first-informed rounds are sized per batch).
     pub fn new(n: usize) -> Self {
         LaneWorkspace {
             n,
@@ -166,7 +168,7 @@ impl LaneWorkspace {
             touched: Vec::new(),
             newly_list: Vec::new(),
             fresh_list: Vec::new(),
-            first_informed: vec![u32::MAX; n * MAX_LANES],
+            first_informed: Vec::new(),
             informed_count: [0; MAX_LANES],
             informed_per_round: (0..MAX_LANES).map(|_| Vec::new()).collect(),
             completed_at: [None; MAX_LANES],
@@ -188,10 +190,8 @@ impl LaneWorkspace {
             buf.resize(n, 0);
             buf[..n].iter_mut().for_each(|w| *w = 0);
         }
-        self.first_informed.resize(n * MAX_LANES, u32::MAX);
-        self.first_informed[..n * MAX_LANES]
-            .iter_mut()
-            .for_each(|x| *x = u32::MAX);
+        self.first_informed.clear();
+        self.first_informed.resize(n * lanes, u32::MAX);
         self.touched.clear();
         self.newly_list.clear();
         self.fresh_list.clear();
@@ -203,7 +203,7 @@ impl LaneWorkspace {
             self.informed_count[l] = usize::from(l < lanes);
             self.informed_per_round[l].clear();
             if l < lanes {
-                self.first_informed[source * MAX_LANES + l] = 0;
+                self.first_informed[source * lanes + l] = 0;
                 self.informed_per_round[l].push(1);
             }
             self.completed_at[l] = None;
@@ -237,7 +237,7 @@ impl LaneWorkspace {
     /// if it never did.
     pub fn lane_first_informed_round(&self, lane: usize, v: Vertex) -> Option<usize> {
         assert!(lane < self.lanes, "lane {lane} out of range");
-        let r = self.first_informed[v * MAX_LANES + lane];
+        let r = self.first_informed[v * self.lanes + lane];
         (r != u32::MAX).then_some(r as usize)
     }
 
@@ -351,7 +351,7 @@ pub fn run_lanes_in<G: GraphView + ?Sized>(
                 let mut b = new_bits;
                 while b != 0 {
                     let l = b.trailing_zeros() as usize;
-                    ws.first_informed[u * MAX_LANES + l] = (round + 1) as u32;
+                    ws.first_informed[u * lanes + l] = (round + 1) as u32;
                     ws.informed_count[l] += 1;
                     b &= b - 1;
                 }
@@ -877,6 +877,31 @@ mod tests {
             let seeds: Vec<u64> = (0..10).map(|t| derive_seed(4, t)).collect();
             let mut proto = LaneDecay::default();
             run_lanes_in(&sim, &mut proto, &seeds, &mut ws);
+            for (lane, &seed) in seeds.iter().enumerate() {
+                assert_lane_matches_scalar(&sim, &ws, lane, seed, DecayProtocol::default());
+            }
+        }
+    }
+
+    #[test]
+    fn workspace_reuse_across_lane_counts_is_clean() {
+        // `first_informed` is strided by the batch's lane count: a 1-lane
+        // batch between two full ones must neither read stale rounds nor
+        // leave any behind. A short horizon leaves vertices uninformed, so
+        // stale entries would show.
+        let g = wx_constructions::families::random_regular_graph(90, 4, 6).unwrap();
+        let config = SimulatorConfig {
+            max_rounds: 4,
+            stop_when_complete: true,
+        };
+        let sim = RadioSimulator::new(&g, 2, config);
+        let mut ws = LaneWorkspace::new(0);
+        for (batch, lanes) in [64u64, 1, 64].into_iter().enumerate() {
+            let seeds: Vec<u64> = (0..lanes)
+                .map(|t| derive_seed(31 + batch as u64, t))
+                .collect();
+            run_lanes_in(&sim, &mut LaneDecay::default(), &seeds, &mut ws);
+            assert_eq!(ws.lanes(), seeds.len());
             for (lane, &seed) in seeds.iter().enumerate() {
                 assert_lane_matches_scalar(&sim, &ws, lane, seed, DecayProtocol::default());
             }

@@ -58,14 +58,18 @@
 //! all live lanes. Lanes retire individually on completion, so a batch
 //! costs rounds proportional to its slowest lane, not 64× the mean.
 //!
-//! **Tradeoffs.** Bit-slicing pays off when trials on one shared graph are
-//! plentiful (Monte-Carlo ensembles): a partial final batch still sweeps
-//! full words, and per-lane trajectory bookkeeping adds a small constant
-//! overhead per round, so single-trial or per-trial-graph workloads should
-//! stay on the scalar engine. [`trials::map_trials_lanes`] makes the choice
-//! transparent: same seed derivation and summaries as
-//! [`trials::map_trials`], batched 64 trials per workspace. `wx bench`
-//! reports both engines (`engine`/`lanes` fields, labels
+//! **Tradeoffs.** Bit-slicing pays off most when trials on one shared
+//! graph are plentiful (Monte-Carlo ensembles), but a 1-lane batch is
+//! bit-exact with scalar `run_in` too, so the scenario runner sends every
+//! radio trial through the lane engine, per-trial graphs included. Measured
+//! for per-trial decay broadcast as 1-lane batches against scalar `run_in`
+//! (bit-exact on all 4 400 trials): at n = 3000, d = 8 the lane engine is
+//! 1.13–1.24× faster; at n = 128, d = 4 it is 0.62–0.79× as fast, about
+//! 20–50 µs slower per trial, since a partial batch still sweeps full words
+//! and per-lane trajectory bookkeeping adds a constant per round.
+//! [`trials::map_trials_lanes`] offers the same seed derivation and
+//! summaries as [`trials::map_trials`], batched 64 trials per workspace.
+//! `wx bench` reports both engines (`engine`/`lanes` fields, labels
 //! `radio_throughput/<protocol>/lanes<L>/<n>`) so the speedup is tracked in
 //! the perf trajectory.
 
