@@ -4,7 +4,7 @@
 //! drive the real binary (`CARGO_BIN_EXE_wx-analyze`) through the
 //! bless → check → regress → ratchet-down lifecycle, asserting on exit
 //! codes and on the `file:line` coordinates in the output — the
-//! acceptance criterion for the linter as a CI gate.
+//! acceptance test for the linter as a CI gate.
 
 use std::fs;
 use std::path::PathBuf;

@@ -2,8 +2,9 @@
 //!
 //! Runs every solver on a battery of bipartite instances (random
 //! left-regular, skewed-degree, the Lemma 3.3 gadget, core graphs), reporting
-//! achieved coverage, the fraction of `N` covered, wall-clock time, and —
-//! when the instance is small enough — the exact optimum.
+//! achieved coverage, the fraction of `N` covered, and — when the instance
+//! is small enough — the exact optimum. Per-solver time is a benchmark
+//! metric (`spokesman.<solver>_s` in `wxbench`), never report bytes.
 
 use crate::ExperimentOptions;
 use wx_core::prelude::*;
@@ -65,9 +66,7 @@ pub fn run(opts: &ExperimentOptions) -> String {
             None
         };
         for (label, solver) in solvers {
-            let clock = wx_core::trace::Clock::start();
             let r = solver.solve(g, opts.seed);
-            let elapsed = clock.elapsed();
             rows.push(TableRow::new(
                 format!("{name} / {label}"),
                 vec![
@@ -77,21 +76,14 @@ pub fn run(opts: &ExperimentOptions) -> String {
                         Some(o) => o.to_string(),
                         None => "-".to_string(),
                     },
-                    format!("{:.2}ms", elapsed.as_secs_f64() * 1e3),
                 ],
             ));
         }
     }
 
     let mut out = render_table(
-        "E7: Spokesman Election solvers (coverage, fraction of N, optimum, time)",
-        &[
-            "instance / solver",
-            "covered",
-            "fraction",
-            "exact opt",
-            "time",
-        ],
+        "E7: Spokesman Election solvers (coverage, fraction of N, optimum)",
+        &["instance / solver", "covered", "fraction", "exact opt"],
         &rows,
     );
     out.push_str(

@@ -20,9 +20,9 @@ use crate::ExperimentOptions;
 pub type ExperimentEntry = (&'static str, &'static str, fn(&ExperimentOptions) -> String);
 
 /// The experiment table: `(id, title, entry point)` for every reproduced
-/// paper statement, in E1..E11 order. This is the registry front-ends
-/// (`run_all_experiments`, the `wx sweep` scenario lab) iterate, so adding
-/// an experiment here is all it takes to appear everywhere.
+/// paper statement, in E1..E11 order. This is the registry the `wx sweep`
+/// scenario lab iterates, so adding an experiment here is all it takes to
+/// appear in the sweep.
 pub const ALL: &[ExperimentEntry] = &[
     ("e1", "E1 (Theorem 1.1)", e1::run),
     ("e2", "E2 (Lemmas 3.2-3.3)", e2::run),
@@ -38,8 +38,8 @@ pub const ALL: &[ExperimentEntry] = &[
 ];
 
 /// Runs every experiment and returns `(name, report)` pairs in order.
-/// Panics propagate; use [`run_all_checked`] for a harness that must keep
-/// going and report failures.
+/// Panics propagate; use [`run_checked`] per entry for a harness that must
+/// keep going and report failures.
 pub fn run_all(opts: &ExperimentOptions) -> Vec<(&'static str, String)> {
     ALL.iter()
         .map(|&(_, title, run)| (title, run(opts)))
@@ -100,13 +100,4 @@ pub fn run_checked(
             }
         }
     }
-}
-
-/// Runs every experiment with per-experiment pass/fail accounting: a
-/// panicking experiment is recorded as failed and the sweep continues, so
-/// callers see the complete picture before deciding the exit code.
-pub fn run_all_checked(opts: &ExperimentOptions) -> Vec<ExperimentOutcome> {
-    ALL.iter()
-        .map(|&(id, title, run)| run_checked(id, title, run, opts))
-        .collect()
 }

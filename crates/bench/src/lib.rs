@@ -21,18 +21,16 @@
 //! | [`experiments::e10`] | Appendix A — deterministic bounds and the MG(δ) profile |
 //! | [`experiments::e11`] | Introduction — the `C⁺` example end to end |
 //!
-//! Every experiment has a `run(quick)` entry point returning the printed
-//! report; the `e*` binaries are thin wrappers, `run_all_experiments` and
-//! `wx sweep --all` (see the README) regenerate everything, and the
-//! Criterion benches in `benches/` measure the runtime of the underlying
-//! algorithms.
+//! Every experiment has a `run(&ExperimentOptions)` entry point returning
+//! the printed report, and [`experiments::ALL`] lists them in order.
+//! `wx sweep --all` (see the README) runs the whole table through
+//! [`experiments::run_checked`] into one JSON sweep report. Timing lives
+//! in the `wxbench` benchmark, not here: reports are byte-deterministic.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod materialize;
-pub mod throughput;
 
 /// Common options for experiment harnesses.
 #[derive(Clone, Copy, Debug)]
@@ -48,30 +46,6 @@ impl Default for ExperimentOptions {
         ExperimentOptions {
             quick: false,
             seed: 0xE0,
-        }
-    }
-}
-
-impl ExperimentOptions {
-    /// Parses options from command-line arguments: `--quick` and
-    /// `--seed <u64>` are recognized.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let quick = args.iter().any(|a| a == "--quick");
-        let seed = args
-            .iter()
-            .position(|a| a == "--seed")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0xE0);
-        ExperimentOptions { quick, seed }
-    }
-
-    /// The quick variant of these options.
-    pub fn quick(self) -> Self {
-        ExperimentOptions {
-            quick: true,
-            ..self
         }
     }
 }

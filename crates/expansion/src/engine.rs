@@ -82,8 +82,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use wx_graph::random::derive_seed;
 use wx_graph::scratch::with_thread_scratch;
-use wx_graph::view::materialize;
-use wx_graph::{Graph, GraphView, NeighborhoodScratch, SubgraphView, VertexSet};
+use wx_graph::{Graph, GraphView, NeighborhoodScratch, VertexSet};
 use wx_spokesman::PortfolioSolver;
 use wx_trace::CounterId;
 
@@ -107,54 +106,6 @@ pub enum MeasureStrategy {
 impl Default for MeasureStrategy {
     fn default() -> Self {
         MeasureStrategy::Auto { exact_up_to: 14 }
-    }
-}
-
-/// How [`MeasurementEngine::measure_induced`] represents an induced
-/// subgraph while measuring it.
-///
-/// Both representations produce **identical measurements** (the zero-copy
-/// [`SubgraphView`] uses the exact labelling of
-/// [`Graph::induced_subgraph`]); the policy is purely a time/space
-/// trade-off. The `crates/bench` `materialize` sweep (committed as
-/// `BENCH_materialize_policy.json`) measures it: small subsets are cheaper
-/// through the view (materialization is pure overhead), large subsets are
-/// cheaper materialized (the candidate loop's many neighborhood traversals
-/// amortize the one-time CSR copy's locality win).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MaterializePolicy {
-    /// Always copy the induced subgraph into a fresh CSR first.
-    Always,
-    /// Always measure through the zero-copy [`SubgraphView`].
-    Never,
-    /// Materialize iff the subset has at least `threshold` vertices.
-    Auto {
-        /// Subset size at which materialization starts to pay off.
-        threshold: usize,
-    },
-}
-
-/// Default [`MaterializePolicy::Auto`] threshold, taken from the measured
-/// crossover in `BENCH_materialize_policy.json` (view wins below, CSR copy
-/// wins at and above).
-pub const DEFAULT_MATERIALIZE_THRESHOLD: usize = 1024;
-
-impl Default for MaterializePolicy {
-    fn default() -> Self {
-        MaterializePolicy::Auto {
-            threshold: DEFAULT_MATERIALIZE_THRESHOLD,
-        }
-    }
-}
-
-impl MaterializePolicy {
-    /// Resolves the policy for a subset of `subset_len` vertices.
-    pub fn materialize_for(self, subset_len: usize) -> bool {
-        match self {
-            MaterializePolicy::Always => true,
-            MaterializePolicy::Never => false,
-            MaterializePolicy::Auto { threshold } => subset_len >= threshold,
-        }
     }
 }
 
@@ -414,7 +365,6 @@ pub struct MeasurementEngineBuilder {
     sampler: Option<SamplerConfig>,
     parallel: bool,
     seed: u64,
-    materialize: MaterializePolicy,
 }
 
 impl MeasurementEngineBuilder {
@@ -459,14 +409,6 @@ impl MeasurementEngineBuilder {
         self
     }
 
-    /// Sets the induced-subgraph materialization policy used by
-    /// [`MeasurementEngine::measure_induced`] (default:
-    /// [`MaterializePolicy::Auto`] at the benchmarked threshold).
-    pub fn materialize(mut self, policy: MaterializePolicy) -> Self {
-        self.materialize = policy;
-        self
-    }
-
     /// Finishes the builder.
     pub fn build(self) -> MeasurementEngine {
         // the engine's alpha is authoritative: sync the sampler so the
@@ -479,7 +421,6 @@ impl MeasurementEngineBuilder {
             sampler,
             parallel: self.parallel,
             seed: self.seed,
-            materialize: self.materialize,
         }
     }
 }
@@ -493,7 +434,6 @@ pub struct MeasurementEngine {
     sampler: SamplerConfig,
     parallel: bool,
     seed: u64,
-    materialize: MaterializePolicy,
 }
 
 impl Default for MeasurementEngine {
@@ -524,7 +464,6 @@ impl MeasurementEngine {
             sampler: None,
             parallel: true,
             seed: 0xC0FFEE,
-            materialize: MaterializePolicy::default(),
         }
     }
 
@@ -546,42 +485,6 @@ impl MeasurementEngine {
     /// The base seed.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// The induced-subgraph materialization policy.
-    pub fn materialize_policy(&self) -> MaterializePolicy {
-        self.materialize
-    }
-
-    /// `true` when the configured policy materializes a subset of
-    /// `subset_len` vertices (see [`MaterializePolicy::materialize_for`]).
-    pub fn should_materialize(&self, subset_len: usize) -> bool {
-        self.materialize.materialize_for(subset_len)
-    }
-
-    /// Measures one notion on the subgraph of `base` induced by `subset`,
-    /// letting the engine's [`MaterializePolicy`] pick the representation:
-    /// a zero-copy [`SubgraphView`] or a materialized CSR copy. The two
-    /// paths share the [`Graph::induced_subgraph`] labelling, so the result
-    /// is **identical** either way — only the time/space profile differs.
-    /// `fast` selects the cheap wireless portfolio, as in
-    /// [`NotionKind::measure`].
-    pub fn measure_induced<G: GraphView + Sync + ?Sized>(
-        &self,
-        base: &G,
-        subset: &VertexSet,
-        notion: NotionKind,
-        fast: bool,
-    ) -> Option<Measurement> {
-        let view = SubgraphView::new(base, subset);
-        if self.should_materialize(subset.len()) {
-            wx_trace::count(CounterId::EngineInducedMaterialized, 1);
-            let g = materialize(&view);
-            self.measure(&g, notion.measure(fast).as_ref())
-        } else {
-            wx_trace::count(CounterId::EngineInducedViewed, 1);
-            self.measure(&view, notion.measure(fast).as_ref())
-        }
     }
 
     /// Resolves the strategy for a graph on `n` vertices.
@@ -1031,78 +934,6 @@ mod tests {
         // spot-check against the per-set primitive
         for (s, e) in pool.sets.iter().zip(evals.iter()).take(10) {
             assert_eq!(e.value, crate::ordinary::of_set(&g, s));
-        }
-    }
-
-    #[test]
-    fn materialize_policy_picks_the_cheaper_mode_on_both_sides() {
-        // Decision test (not a timing test): the benchmarked default must
-        // measure small subsets through the zero-copy view and large ones
-        // through a materialized CSR — the cheaper mode on each side of the
-        // crossover recorded in BENCH_materialize_policy.json.
-        let engine = MeasurementEngine::builder().build();
-        assert_eq!(
-            engine.materialize_policy(),
-            MaterializePolicy::Auto {
-                threshold: DEFAULT_MATERIALIZE_THRESHOLD
-            }
-        );
-        assert!(
-            !engine.should_materialize(16),
-            "below the crossover the view is cheaper"
-        );
-        assert!(
-            !engine.should_materialize(DEFAULT_MATERIALIZE_THRESHOLD - 1),
-            "still view-side just under the threshold"
-        );
-        assert!(
-            engine.should_materialize(DEFAULT_MATERIALIZE_THRESHOLD),
-            "at the crossover the CSR copy is cheaper"
-        );
-        assert!(engine.should_materialize(4096));
-
-        let always = MeasurementEngine::builder()
-            .materialize(MaterializePolicy::Always)
-            .build();
-        let never = MeasurementEngine::builder()
-            .materialize(MaterializePolicy::Never)
-            .build();
-        assert!(always.should_materialize(1) && !never.should_materialize(1 << 20));
-    }
-
-    #[test]
-    fn measure_induced_is_identical_under_every_policy() {
-        // C30 with chords; subset = the even vertices.
-        let mut b = GraphBuilder::new(30);
-        for i in 0..30 {
-            b.add_edge(i, (i + 1) % 30).unwrap();
-            b.add_edge(i, (i + 7) % 30).unwrap();
-        }
-        let g = b.build();
-        let subset = g.vertex_set((0..30).filter(|v| v % 2 == 0));
-
-        for notion in NotionKind::ALL {
-            let mut results = Vec::new();
-            for policy in [
-                MaterializePolicy::Always,
-                MaterializePolicy::Never,
-                MaterializePolicy::default(),
-            ] {
-                let engine = MeasurementEngine::builder()
-                    .alpha(0.5)
-                    .seed(11)
-                    .materialize(policy)
-                    .build();
-                let m = engine
-                    .measure_induced(&g, &subset, notion, true)
-                    .expect("non-empty induced subgraph");
-                results.push((m.value, m.witness.to_vec(), m.exact));
-            }
-            assert_eq!(
-                results[0], results[1],
-                "{notion}: materialized and view paths must agree exactly"
-            );
-            assert_eq!(results[1], results[2], "{notion}: auto must match both");
         }
     }
 

@@ -71,9 +71,7 @@
 //! slice walk as before. Neighbor iteration order is **unspecified** (the
 //! CSR backend yields sorted neighbors, implicit families may not); every
 //! kernel in the workspace is order-insensitive. All consumers are generic
-//! (monomorphized), so the abstraction costs nothing on the hot paths — see
-//! the `subgraph_view` bench for the measured effect of replacing
-//! materialized induced subgraphs with [`SubgraphView`].
+//! (monomorphized), so the abstraction costs nothing on the hot paths.
 
 use crate::{Graph, GraphBuilder, GraphError, Result, Vertex, VertexSet};
 use serde::{Deserialize, Serialize};
@@ -294,8 +292,7 @@ impl GraphView for Graph {
 /// so `neighbors_iter` costs `O(deg_base(v) · log |U|)` and `degree` costs
 /// `O(deg_base(v))`. For one-shot and few-shot subgraph computations (the
 /// per-candidate bipartite views of the wireless measure, per-subset
-/// expansion measurements) this decisively beats the `O(n + m)`
-/// materialization — see the `subgraph_view` bench.
+/// expansion measurements) this beats the `O(n + m)` materialization.
 #[derive(Debug)]
 pub struct SubgraphView<'g, G: GraphView + ?Sized> {
     base: &'g G,

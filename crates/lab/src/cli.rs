@@ -10,9 +10,6 @@
 //! wx radio     --source SRC --protocol NAME [--source-vertex V]
 //!              [--max-rounds N] [...]
 //! wx sweep     (--all | NAME...) [--quick] [--seed N] [--out PATH]
-//! wx bench     [--smoke] [--n N] [--d D] [--trials N] [--seed N]
-//!              [--max-rounds N] [--protocols a,b] [--lanes 1,8,64]
-//!              [--materialize] [--out PATH]
 //! wx convert   <input.edges|.col> <output.wxg> [--chunk-capacity EDGES]
 //! wx list
 //! wx validate <report.json | trace.json>
@@ -70,7 +67,6 @@ fn dispatch(args: &[String]) -> Result<i32> {
         "run" => cmd_run(rest),
         "measure" | "profile" | "spokesman" | "radio" => cmd_adhoc(command, rest),
         "sweep" => cmd_sweep(rest),
-        "bench" => cmd_bench(rest),
         "convert" => cmd_convert(rest),
         "list" => cmd_list(),
         "validate" => cmd_validate(rest),
@@ -98,9 +94,6 @@ USAGE:
   wx radio     --source SRC --protocol NAME [--source-vertex V]
                [--max-rounds N] [...]
   wx sweep     (--all | NAME...) [--quick] [--seed N] [--out PATH]
-  wx bench     [--smoke] [--n N] [--d D] [--trials N] [--seed N]
-               [--max-rounds N] [--protocols a,b] [--lanes 1,8,64]
-               [--materialize] [--out PATH]
   wx convert   <input.edges|.col> <output.wxg> [--chunk-capacity EDGES]
   wx list
   wx validate <report.json | trace.json>
@@ -112,12 +105,7 @@ graph file path (.edges/.txt = edge list, .col/.dimacs/.clq = DIMACS,
 bounded-memory external sort, so SNAP-scale corpora convert without
 materializing in RAM (--chunk-capacity caps the in-memory run size, in
 edges). `wx sweep --all` reproduces every registered paper experiment
-(e1..e11) plus the demo scenarios; `wx bench` races broadcast protocols
-on a production-scale random regular graph and records trials/sec into
-BENCH_radio_throughput.json (--smoke for the CI-sized variant);
-`wx bench --materialize` instead sweeps the zero-copy-view vs
-materialized-subgraph crossover into BENCH_materialize_policy.json;
-`wx list` shows everything available. `--trace PATH` writes a Chrome
+(e1..e11) plus the demo scenarios; `wx list` shows everything available. `--trace PATH` writes a Chrome
 trace-event JSON (load in Perfetto); `wx profile` prints a phase-time
 table and `--folded PATH` emits folded stacks for flamegraphs. Tracing
 never changes report bytes. `wx validate` checks reports and traces."
@@ -455,125 +443,6 @@ fn cmd_sweep(args: &[String]) -> Result<i32> {
         None => println!("{json}"),
     }
     Ok(if report.all_passed() { 0 } else { 1 })
-}
-
-/// Default output path for `wx bench` reports (next to the criterion shim's
-/// `BENCH_*.json` trajectory files).
-const BENCH_DEFAULT_OUT: &str = "BENCH_radio_throughput.json";
-
-/// Default output path for `wx bench --materialize` reports.
-const BENCH_MATERIALIZE_OUT: &str = "BENCH_materialize_policy.json";
-
-/// `wx bench --materialize`: sweeps the zero-copy-view vs
-/// materialized-subgraph crossover that backs the measurement engine's
-/// `MaterializePolicy::Auto` default. Shares `--smoke`, `--n`, `--d`,
-/// `--seed`, `--trials` (timed repeats per cell) and `--out` with the
-/// throughput bench.
-fn cmd_bench_materialize(mut flags: Flags) -> Result<i32> {
-    let smoke = flags.take_flag("--smoke");
-    let mut config = if smoke {
-        wx_bench::materialize::MaterializeConfig::smoke()
-    } else {
-        wx_bench::materialize::MaterializeConfig::full()
-    };
-    if let Some(n) = flags.take_parsed::<usize>("--n")? {
-        config.n = n;
-    }
-    if let Some(d) = flags.take_parsed::<usize>("--d")? {
-        config.d = d;
-    }
-    if let Some(repeats) = flags.take_parsed::<usize>("--trials")? {
-        config.repeats = repeats;
-    }
-    if let Some(seed) = flags.take_parsed::<u64>("--seed")? {
-        config.seed = seed;
-    }
-    let out = flags
-        .take_value("--out")?
-        .unwrap_or_else(|| BENCH_MATERIALIZE_OUT.to_string());
-    flags.finish_no_positionals()?;
-
-    eprintln!(
-        "wx bench --materialize: random_regular({}, {}), |U| sweep {:?} ...",
-        config.n, config.d, config.subset_sizes
-    );
-    let report = wx_bench::materialize::run(&config)?;
-    std::fs::write(&out, report.to_json())
-        .map_err(|e| LabError::Io(format!("writing {out}: {e}")))?;
-    eprintln!("bench report written to {out}");
-    eprintln!("{}", report.summary_table());
-    Ok(0)
-}
-
-fn cmd_bench(args: &[String]) -> Result<i32> {
-    let mut flags = Flags::new(args);
-    if flags.take_flag("--materialize") {
-        return cmd_bench_materialize(flags);
-    }
-    let smoke = flags.take_flag("--smoke");
-    let mut config = if smoke {
-        wx_bench::throughput::ThroughputConfig::smoke()
-    } else {
-        wx_bench::throughput::ThroughputConfig::full()
-    };
-    if let Some(n) = flags.take_parsed::<usize>("--n")? {
-        config.n = n;
-    }
-    if let Some(d) = flags.take_parsed::<usize>("--d")? {
-        config.d = d;
-    }
-    if let Some(trials) = flags.take_parsed::<usize>("--trials")? {
-        config.trials = trials;
-    }
-    if let Some(seed) = flags.take_parsed::<u64>("--seed")? {
-        config.seed = seed;
-    }
-    if let Some(max_rounds) = flags.take_parsed::<usize>("--max-rounds")? {
-        config.max_rounds = max_rounds;
-    }
-    if let Some(raw) = flags.take_value("--protocols")? {
-        config.protocols = raw
-            .split(',')
-            .map(|s| {
-                ProtocolKind::parse(s.trim())
-                    .ok_or_else(|| LabError::invalid(format!("unknown protocol `{s}`")))
-            })
-            .collect::<Result<Vec<_>>>()?;
-    }
-    if let Some(raw) = flags.take_value("--lanes")? {
-        config.lanes = raw
-            .split(',')
-            .map(|s| {
-                let width: usize = s
-                    .trim()
-                    .parse()
-                    .map_err(|_| LabError::invalid(format!("invalid lane width `{s}`")))?;
-                if width == 0 || width > wx_core::radio::MAX_LANES {
-                    return Err(LabError::invalid(format!(
-                        "lane width {width} outside 1..={}",
-                        wx_core::radio::MAX_LANES
-                    )));
-                }
-                Ok(width)
-            })
-            .collect::<Result<Vec<_>>>()?;
-    }
-    let out = flags
-        .take_value("--out")?
-        .unwrap_or_else(|| BENCH_DEFAULT_OUT.to_string());
-    flags.finish_no_positionals()?;
-
-    eprintln!(
-        "wx bench: random_regular({}, {}), {} trial(s) per randomized protocol ...",
-        config.n, config.d, config.trials
-    );
-    let report = wx_bench::throughput::run(&config)
-        .map_err(|e| LabError::invalid(format!("bench configuration: {e}")))?;
-    std::fs::write(&out, report.to_json())
-        .map_err(|e| LabError::Io(format!("writing {out}: {e}")))?;
-    eprintln!("bench report written to {out}");
-    eprintln!("{}", report.summary_table());
-    Ok(0)
 }
 
 /// `wx convert`: streams a text graph file into the `.wxg` on-disk CSR
@@ -1051,49 +920,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_smoke_writes_a_validatable_report() {
-        let dir = std::env::temp_dir().join("wx-lab-cli-bench-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("BENCH_radio_throughput.json");
-        let code = main_with_args(&strs(&[
-            "bench",
-            "--smoke",
-            "--n",
-            "256",
-            "--d",
-            "4",
-            "--trials",
-            "2",
-            "--lanes",
-            "8,64",
-            "--out",
-            out.to_str().unwrap(),
-        ]));
-        assert_eq!(code, 0);
-        // the lane sweep's records are present in the written report
-        let json = std::fs::read_to_string(&out).unwrap();
-        assert!(json.contains("\"radio_throughput/decay/lanes8/256\""));
-        assert!(json.contains("\"radio_throughput/decay/lanes64/256\""));
-        assert!(json.contains("\"bitsliced\""));
-        assert_eq!(
-            main_with_args(&strs(&["validate", out.to_str().unwrap()])),
-            0
-        );
-        let text = std::fs::read_to_string(&out).unwrap();
-        assert!(text.contains("\"trials_per_sec\""), "{text}");
-        assert!(text.contains("radio_throughput/decay/256"), "{text}");
-        // unknown protocols are rejected as usage errors
-        assert_eq!(
-            main_with_args(&strs(&["bench", "--protocols", "carrier-pigeon"])),
-            2
-        );
-        // lane widths outside 1..=64 (and non-numeric ones) are refused
-        assert_eq!(main_with_args(&strs(&["bench", "--lanes", "0"])), 2);
-        assert_eq!(main_with_args(&strs(&["bench", "--lanes", "65"])), 2);
-        assert_eq!(main_with_args(&strs(&["bench", "--lanes", "wide"])), 2);
-    }
-
-    #[test]
     fn convert_then_mmap_measure_matches_the_in_memory_path() {
         let dir = std::env::temp_dir().join("wx-lab-cli-convert-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1172,34 +998,6 @@ mod tests {
                 wxg.to_str().unwrap(),
             ])),
             1
-        );
-    }
-
-    #[test]
-    fn bench_materialize_writes_a_crossover_report() {
-        let dir = std::env::temp_dir().join("wx-lab-cli-bench-materialize-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("BENCH_materialize_policy.json");
-        let code = main_with_args(&strs(&[
-            "bench",
-            "--materialize",
-            "--smoke",
-            "--n",
-            "256",
-            "--d",
-            "4",
-            "--trials",
-            "1",
-            "--out",
-            out.to_str().unwrap(),
-        ]));
-        assert_eq!(code, 0);
-        let json = std::fs::read_to_string(&out).unwrap();
-        assert!(json.contains("\"bench\": \"materialize_policy\""), "{json}");
-        assert!(json.contains("\"crossover_threshold\""), "{json}");
-        assert_eq!(
-            main_with_args(&strs(&["validate", out.to_str().unwrap()])),
-            0
         );
     }
 

@@ -7,9 +7,9 @@
 //!   from a JSON file.
 //! * **Paper experiments** — the eleven `e1`..`e11` harnesses from
 //!   `wx-bench`, re-registered here so `wx sweep --all` reproduces the whole
-//!   paper through one command. They run through the same checked entry
-//!   point the `run_all_experiments` binary uses (panics become failed
-//!   entries, never aborts).
+//!   paper through one command. They run through
+//!   [`wx_bench::experiments::run_checked`] (panics become failed entries,
+//!   never aborts).
 //!
 //! [`run_sweep`] executes any selection of entries and produces one
 //! serializable [`SweepReport`] whose exit status callers can trust: an
@@ -399,6 +399,19 @@ mod tests {
         let metrics = &report.entries[0].scenario.as_ref().unwrap().metrics;
         assert_eq!(metrics["unique"].mean, 0.0);
         assert!(metrics["wireless"].mean > 0.0);
+    }
+
+    #[test]
+    fn quick_sweep_json_is_byte_identical_across_runs() {
+        // the sweep report is report bytes: no wall-clock may reach it
+        let opts = SweepOptions {
+            quick: true,
+            seed: 0xE0,
+        };
+        let sweep = || run_sweep(&[], &Runner::new(), opts).unwrap().to_json();
+        let first = sweep();
+        assert!(first.contains("\"e7\""), "{first}");
+        assert_eq!(first, sweep());
     }
 
     #[test]

@@ -69,9 +69,8 @@
 //! and per-lane trajectory bookkeeping adds a constant per round.
 //! [`trials::map_trials_lanes`] offers the same seed derivation and
 //! summaries as [`trials::map_trials`], batched 64 trials per workspace.
-//! `wx bench` reports both engines (`engine`/`lanes` fields, labels
-//! `radio_throughput/<protocol>/lanes<L>/<n>`) so the speedup is tracked in
-//! the perf trajectory.
+//! The `wxbench` benchmark's per-layer replay times both engines
+//! (`radio.lanes_s`, `radio.scalar_s`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -15,15 +15,12 @@
 //!   (`POST /run`, `GET /healthz`, `GET /stats`).
 //! - [`cli`] — the `wx` front end; serving subcommands here, batch
 //!   subcommands delegated to [`wx_lab::cli`].
-//! - [`mod@bench`] — `wx bench --serve`, the cold/warm/coalesced-burst
-//!   latency benchmark behind `BENCH_serve_cache.json`.
 //!
 //! The contract throughout: report bytes are exactly what `wx run`
 //! prints — invariant under worker count, cache state, coalescing, and
 //! trial parallelism. Everything wall-clock-dependent (queue/run time,
 //! hit counts) travels in envelopes or headers, never in reports.
 
-pub mod bench;
 pub mod cli;
 pub mod http;
 pub mod jsonl;

@@ -3,7 +3,7 @@
 //! The wx-analyze determinism rule bans `Instant::now`/`SystemTime`
 //! everywhere except this file: ambient clock reads that leak into
 //! reports, sort keys, or RNG streams destroy byte-reproducibility.
-//! Code that legitimately needs wall-clock — the bench harness, the
+//! Code that legitimately needs wall-clock — the benchmark, the
 //! tracer's span timestamps, `wx profile` — goes through [`Clock`]
 //! (a started stopwatch) or the crate-internal `raw_now`, and the
 //! results are only ever used for timing fields that are understood

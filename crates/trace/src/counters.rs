@@ -39,11 +39,6 @@ pub enum CounterId {
     EnginePoolSets,
     /// Candidate sets submitted for evaluation by `minimize`/`evaluate_pool`.
     EngineSetsEvaluated,
-    /// Induced-subgraph measurements that materialized a CSR copy
-    /// (`measure_induced` under its `MaterializePolicy`).
-    EngineInducedMaterialized,
-    /// Induced-subgraph measurements served through the zero-copy view.
-    EngineInducedViewed,
     /// Candidate sets drawn by the sampler (`CandidateSets::generate`).
     SamplerDraws,
     /// Vertices promoted by the greedy spokesman solver.
@@ -70,7 +65,7 @@ pub enum CounterId {
 }
 
 /// Number of distinct counters (the length of [`CounterId::ALL`]).
-pub const NUM_COUNTERS: usize = 15;
+pub const NUM_COUNTERS: usize = 13;
 
 impl CounterId {
     /// Every counter, in `repr` order.
@@ -79,8 +74,6 @@ impl CounterId {
         CounterId::EngineStrategySampled,
         CounterId::EnginePoolSets,
         CounterId::EngineSetsEvaluated,
-        CounterId::EngineInducedMaterialized,
-        CounterId::EngineInducedViewed,
         CounterId::SamplerDraws,
         CounterId::SpokesmanGreedyPicks,
         CounterId::SpokesmanFlipsAccepted,
@@ -100,8 +93,6 @@ impl CounterId {
             CounterId::EngineStrategySampled => "engine.strategy_sampled",
             CounterId::EnginePoolSets => "engine.pool_sets",
             CounterId::EngineSetsEvaluated => "engine.sets_evaluated",
-            CounterId::EngineInducedMaterialized => "engine.induced_materialized",
-            CounterId::EngineInducedViewed => "engine.induced_viewed",
             CounterId::SamplerDraws => "sampler.draws",
             CounterId::SpokesmanGreedyPicks => "spokesman.greedy_picks",
             CounterId::SpokesmanFlipsAccepted => "spokesman.flips_accepted",

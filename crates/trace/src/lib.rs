@@ -79,8 +79,8 @@ pub fn take_trace() -> Trace {
 /// Serializes whole traced sections against each other.
 ///
 /// The tracer is process-global, so a component that [`enable`]s it,
-/// records, and then drains with [`take_trace`] (the bench harness,
-/// the `--trace` CLI path, tests) must hold this lock for the full
+/// records, and then drains with [`take_trace`] (the `--trace` CLI
+/// path, `wx profile`, tests) must hold this lock for the full
 /// window — otherwise a concurrent drain steals its spans mid-run.
 /// Pure recording ([`span`], [`event_value`], [`count`]) never needs
 /// the lock.

@@ -6,8 +6,7 @@
 //! overwrite their oldest entry on overflow (counting what they drop).
 //! Alongside the rings each thread keeps *phase totals* — `(name,
 //! count, total_nanos)` per span name — which are immune to ring
-//! overflow and power `wx profile --phase-times` and the bench
-//! harness's solve-time accounting.
+//! overflow and power `wx profile`'s phase-time table.
 
 use crate::clock;
 use std::cell::Cell;
@@ -18,7 +17,7 @@ use std::time::Instant;
 /// A completed span as drained by [`take_trace`](crate::take_trace).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Static span name, e.g. `"bench.solve"`.
+    /// Static span name, e.g. `"lab.trial"`.
     pub name: &'static str,
     /// Registration index of the recording thread.
     pub tid: u32,
