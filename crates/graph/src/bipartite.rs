@@ -257,6 +257,7 @@ impl BipartiteGraph {
         s: &VertexSet,
         scratch: &mut NeighborhoodScratch,
     ) -> (BipartiteGraph, Vec<Vertex>, Vec<Vertex>) {
+        let _span = wx_trace::span("graph.bipartite_view");
         let left_vertices: Vec<Vertex> = s.to_vec();
         let right_vertices: Vec<Vertex> = scratch.external_neighborhood_ranked(g, s).to_vec();
         let mut b = BipartiteBuilder::new(left_vertices.len(), right_vertices.len());

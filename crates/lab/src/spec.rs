@@ -23,7 +23,7 @@ use crate::source::GraphSource;
 use serde::{Deserialize, Serialize};
 use wx_core::expansion::engine::NotionKind;
 use wx_core::radio::protocols::ProtocolKind;
-use wx_core::spokesman::SolverKind;
+use wx_core::spokesman::{ExactSolver, SolverKind};
 
 /// What a scenario does with each graph instance.
 ///
@@ -153,9 +153,16 @@ impl ScenarioSpec {
                     }
                 }
             }
-            Task::Spokesman { set_size, .. } => {
+            Task::Spokesman { set_size, solvers } => {
                 if *set_size == 0 {
                     return Err(LabError::invalid("spokesman set_size must be at least 1"));
+                }
+                let exact = solvers.iter().flatten().any(|&k| k == SolverKind::Exact);
+                if exact && *set_size > ExactSolver::MAX_LEFT {
+                    return Err(LabError::invalid(format!(
+                        "the Exact solver accepts set_size ≤ ExactSolver::MAX_LEFT = {}, got {set_size}",
+                        ExactSolver::MAX_LEFT
+                    )));
                 }
             }
             Task::Radio { max_rounds, .. } => {
@@ -247,6 +254,25 @@ mod tests {
         let zero_set = r#"{"name": "a", "source": {"Hypercube": {"dim": 3}},
             "task": {"Spokesman": {"set_size": 0}}}"#;
         assert!(ScenarioSpec::from_json(zero_set, "test").is_err());
+    }
+
+    #[test]
+    fn exact_solver_is_rejected_beyond_its_left_side_cap() {
+        let spec = |set_size: usize| {
+            format!(
+                r#"{{"name": "x", "source": {{"RandomRegular": {{"n": 64, "d": 4}}}},
+                    "task": {{"Spokesman": {{"set_size": {set_size},
+                                             "solvers": ["Partition", "Exact"]}}}}}}"#
+            )
+        };
+        let cap = ExactSolver::MAX_LEFT;
+        assert!(ScenarioSpec::from_json(&spec(cap), "test").is_ok());
+        let err = ScenarioSpec::from_json(&spec(cap + 1), "test").unwrap_err();
+        assert!(matches!(err, LabError::InvalidSpec(_)), "{err:?}");
+        assert!(err.to_string().contains("ExactSolver::MAX_LEFT"), "{err}");
+        // without Exact, large sets stay valid
+        let no_exact = spec(cap + 1).replace(r#", "Exact""#, "");
+        assert!(ScenarioSpec::from_json(&no_exact, "test").is_ok());
     }
 
     #[test]

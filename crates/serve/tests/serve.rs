@@ -193,6 +193,51 @@ fn jsonl_session_answers_in_order_and_writes_raw_reports() {
 }
 
 #[test]
+fn jsonl_rejects_an_oversized_exact_solve_and_serves_the_next_line() {
+    // `Exact` on |S| = 30 used to trip the solver's MAX_LEFT assertion
+    // inside a worker, which never answered; validation now rejects it.
+    let mut oversized = spokesman_spec("jsonl-exact", 120, 3);
+    oversized.task = Task::Spokesman {
+        set_size: 30,
+        solvers: Some(vec![SolverKind::Exact]),
+    };
+    let next = measure_spec("jsonl-after-exact", 4);
+    let input = format!(
+        "{{\"id\": 1, \"spec\": {}}}\n{{\"id\": 2, \"spec\": {}}}\n",
+        serde_json::to_string(&oversized).unwrap(),
+        serde_json::to_string(&next).unwrap(),
+    );
+    let service = Service::start(&ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let mut output = Vec::new();
+    let failures = jsonl::run_session(
+        &service,
+        &mut Cursor::new(input.into_bytes()),
+        &mut output,
+        None,
+    )
+    .unwrap();
+    service.stop();
+    assert_eq!(failures, 1);
+
+    let text = String::from_utf8(output).unwrap();
+    let envelopes: Vec<serde::Value> = text
+        .lines()
+        .map(|line| serde_json::from_str(line).unwrap())
+        .collect();
+    assert_eq!(envelopes.len(), 2);
+    let rejected = &envelopes[0];
+    assert_eq!(rejected.get("id").and_then(|v| v.as_u64()), Some(1));
+    assert_eq!(rejected.get("ok").and_then(|v| v.as_bool()), Some(false));
+    let error = rejected.get("error").and_then(|v| v.as_str()).unwrap();
+    assert!(error.contains("ExactSolver::MAX_LEFT"), "{error}");
+    assert_eq!(envelopes[1].get("id").and_then(|v| v.as_u64()), Some(2));
+    assert_eq!(envelopes[1].get("ok").and_then(|v| v.as_bool()), Some(true));
+}
+
+#[test]
 fn http_round_trip_serves_batch_bytes_and_telemetry_headers() {
     let spec = measure_spec("http", 21);
     let batch = Runner::new().run(&spec).unwrap().to_json();

@@ -53,6 +53,7 @@ impl SpokesmanSolver for ChlamtacWeinsteinSolver {
     }
 
     fn solve(&self, g: &BipartiteGraph, seed: u64) -> SpokesmanResult {
+        let _span = wx_trace::span("spokesman.chlamtac_weinstein");
         if g.num_left() == 0 || g.num_edges() == 0 {
             return SpokesmanResult::from_subset(
                 SolverKind::ChlamtacWeinstein,

@@ -78,6 +78,7 @@ impl SpokesmanSolver for DegreeClassSolver {
     }
 
     fn solve(&self, g: &BipartiteGraph, seed: u64) -> SpokesmanResult {
+        let _span = wx_trace::span("spokesman.degree_class");
         if g.num_edges() == 0 {
             return SpokesmanResult::from_subset(
                 SolverKind::DegreeClass,
@@ -119,7 +120,6 @@ impl SpokesmanSolver for DegreeClassSolver {
                 }
             }
         }
-        let _ = best_cov;
         SpokesmanResult::from_subset(SolverKind::DegreeClass, g, best_subset)
     }
 }

@@ -10,8 +10,18 @@
 //! Lemma A.1 shows the resulting `S_uni` uniquely covers at least
 //! `|N| / Δ_S` right vertices, where `Δ_S` is the maximum degree of a left
 //! vertex.
+//!
+//! Picks come from a min-heap keyed by `(|Γ(v, S_tmp)|, index)`, so ties
+//! go to the lowest index. The remaining degrees only shrink; a pick
+//! lowers them only on `Q_v`, so after each pick the vertices of `Q_v`
+//! that stay in `N_tmp` are pushed again under their new count, and the
+//! superseded entries are skipped when popped. Membership lives in plain state arrays and the
+//! per-pick scratch (`Γ(v, S_tmp)` marks, an epoch stamp for `Q_v`) is
+//! reused, so the procedure costs `O(m log m)` for `m` edges.
 
 use crate::solver::{SolverKind, SpokesmanResult, SpokesmanSolver};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use wx_graph::{BipartiteGraph, VertexSet};
 
 /// Deterministic greedy solver implementing the procedure from Lemma A.1.
@@ -20,7 +30,7 @@ pub struct GreedyMinDegreeSolver;
 
 /// The internal outcome of the Lemma A.1 procedure, exposed for tests and for
 /// the experiment harnesses that want to inspect the certified set `N_uni`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GreedyOutcome {
     /// The chosen spokesman set `S_uni` (left indices).
     pub s_uni: VertexSet,
@@ -29,10 +39,214 @@ pub struct GreedyOutcome {
     pub n_uni: VertexSet,
 }
 
+impl GreedyOutcome {
+    /// Verifies invariant (I3): every vertex of `n_uni` has exactly one
+    /// neighbor in `s_uni`. [`GreedyMinDegreeSolver::run`] debug-asserts it
+    /// on every outcome it returns.
+    pub(crate) fn check_certificate(&self, g: &BipartiteGraph) -> Result<(), String> {
+        for w in self.n_uni.iter() {
+            let cnt = g
+                .right_neighbors(w)
+                .iter()
+                .filter(|&&u| self.s_uni.contains(u))
+                .count();
+            if cnt != 1 {
+                return Err(format!(
+                    "(I3) violated: vertex {w} of N_uni has {cnt} neighbors in S_uni"
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The part a right vertex sits in during the Lemma A.1 procedure.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Right {
+    /// Isolated, or discarded from `N_tmp` as a neighbor of a promoted
+    /// vertex.
+    Out,
+    /// In `N_tmp`.
+    Tmp,
+    /// In `N_uni`.
+    Uni,
+}
+
 impl GreedyMinDegreeSolver {
     /// Runs the Lemma A.1 procedure and returns the full outcome.
     pub fn run(g: &BipartiteGraph) -> GreedyOutcome {
         let _span = wx_trace::span("spokesman.greedy");
+        let num_left = g.num_left();
+        let num_right = g.num_right();
+
+        let mut in_s_tmp = vec![true; num_left];
+        let mut s_uni: Vec<usize> = Vec::new();
+        // N_tmp starts as the right vertices with at least one neighbor
+        // (isolated right vertices can never be covered).
+        let mut right: Vec<Right> = (0..num_right)
+            .map(|w| {
+                if g.right_degree(w) > 0 {
+                    Right::Tmp
+                } else {
+                    Right::Out
+                }
+            })
+            .collect();
+        // remaining[w] = |Γ(w, S_tmp)|, maintained incrementally: when a left
+        // vertex leaves S_tmp, each of its right neighbors loses one
+        // remaining neighbor (O(deg) per removal).
+        let mut remaining: Vec<u32> = (0..num_right).map(|w| g.right_degree(w) as u32).collect();
+        let mut queue: BinaryHeap<Reverse<(u32, usize)>> = (0..num_right)
+            .filter(|&w| right[w] == Right::Tmp)
+            .map(|w| Reverse((remaining[w], w)))
+            .collect();
+        // Per-pick scratch: `in_gamma_v` marks Γ(v, S_tmp) and is cleared
+        // after the pick; `seen[w] == pick` marks Q_v membership.
+        let mut in_gamma_v = vec![false; num_left];
+        let mut seen = vec![0u32; num_right];
+        let mut pick = 0u32;
+        let mut gamma_v: Vec<usize> = Vec::new();
+        let mut q_prime: Vec<usize> = Vec::new();
+        let mut q_double: Vec<usize> = Vec::new();
+
+        // Pick v in N_tmp minimizing |Γ(v, S_tmp)|, lowest index first
+        // (invariant I4 ensures the minimum is at least 1).
+        while let Some(Reverse((rv, v))) = queue.pop() {
+            if right[v] != Right::Tmp || remaining[v] != rv {
+                continue; // stale entry
+            }
+            pick += 1;
+            gamma_v.clear();
+            gamma_v.extend(
+                g.right_neighbors(v)
+                    .iter()
+                    .copied()
+                    .filter(|&u| in_s_tmp[u]),
+            );
+            debug_assert_eq!(gamma_v.len(), rv as usize);
+            debug_assert!(
+                !gamma_v.is_empty(),
+                "invariant I4 violated: a vertex of N_tmp lost all its S_tmp neighbors"
+            );
+            for &u in &gamma_v {
+                in_gamma_v[u] = true;
+            }
+
+            // Q_v: right vertices of N_tmp incident on at least one vertex of
+            // Γ(v, S_tmp); split into Q'_v (identical remaining neighborhood)
+            // and Q''_v (the rest). `Γ(w, S_tmp) = Γ(v, S_tmp)` iff the two
+            // sets have equal size (the maintained counter) and
+            // `Γ(w, S_tmp) ⊆ Γ(v, S_tmp)` — checked without materializing
+            // `Γ(w, S_tmp)`.
+            q_prime.clear();
+            q_double.clear();
+            for &u in &gamma_v {
+                for &w in g.left_neighbors(u) {
+                    if right[w] == Right::Tmp && seen[w] != pick {
+                        seen[w] = pick;
+                        let identical = remaining[w] as usize == gamma_v.len()
+                            && g.right_neighbors(w)
+                                .iter()
+                                .all(|&x| !in_s_tmp[x] || in_gamma_v[x]);
+                        if identical {
+                            q_prime.push(w);
+                        } else {
+                            q_double.push(w);
+                        }
+                    }
+                }
+            }
+            debug_assert!(q_prime.contains(&v));
+
+            // Promote an arbitrary vertex w of Γ(v, S_tmp) (we take the
+            // smallest index for determinism), drop all of Γ(v, S_tmp) from
+            // S_tmp.
+            let w_star = gamma_v[0];
+            s_uni.push(w_star);
+            for &u in &gamma_v {
+                in_gamma_v[u] = false;
+                in_s_tmp[u] = false;
+                for &w in g.left_neighbors(u) {
+                    remaining[w] -= 1;
+                }
+            }
+
+            // Move Q'_v into N_uni; they all neighbor w_star and, because the
+            // rest of Γ(v, S_tmp) was discarded, w_star stays their unique
+            // neighbor in S_uni forever.
+            for &w in &q_prime {
+                right[w] = Right::Uni;
+            }
+            // Remove neighbors of w_star that sit in Q''_v from N_tmp: they
+            // are adjacent to the newly promoted w_star, so leaving them in
+            // N_tmp would break invariants (I3)/(I4) later. The rest of
+            // Q''_v are the only vertices still in N_tmp whose remaining
+            // count fell, so they alone are queued again.
+            for &w in &q_double {
+                if g.has_edge(w_star, w) {
+                    right[w] = Right::Out;
+                } else {
+                    queue.push(Reverse((remaining[w], w)));
+                }
+            }
+        }
+
+        // One promotion per pick, so |S_uni| *is* the number of greedy
+        // picks — a scheduling-independent work count.
+        wx_trace::count(
+            wx_trace::CounterId::SpokesmanGreedyPicks,
+            s_uni.len() as u64,
+        );
+        s_uni.sort_unstable();
+        let outcome = GreedyOutcome {
+            s_uni: VertexSet::from_sorted(num_left, s_uni),
+            n_uni: VertexSet::from_sorted(
+                num_right,
+                (0..num_right).filter(|&w| right[w] == Right::Uni).collect(),
+            ),
+        };
+        debug_assert_eq!(outcome.check_certificate(g), Ok(()));
+        outcome
+    }
+
+    /// The Lemma A.1 guarantee for an instance: `⌈|N⁺| / Δ_S⌉ / |N|` of the
+    /// right side is uniquely covered, where `N⁺` is the set of
+    /// non-isolated right vertices. Returns the guaranteed *count*.
+    pub fn guaranteed_coverage(g: &BipartiteGraph) -> usize {
+        let covered_candidates = (0..g.num_right())
+            .filter(|&w| g.right_degree(w) > 0)
+            .count();
+        let delta_s = g.max_left_degree();
+        if delta_s == 0 {
+            0
+        } else {
+            covered_candidates.div_ceil(delta_s)
+        }
+    }
+}
+
+impl SpokesmanSolver for GreedyMinDegreeSolver {
+    fn kind(&self) -> SolverKind {
+        SolverKind::GreedyMinDegree
+    }
+
+    fn solve(&self, g: &BipartiteGraph, _seed: u64) -> SpokesmanResult {
+        let outcome = Self::run(g);
+        SpokesmanResult::from_subset(SolverKind::GreedyMinDegree, g, outcome.s_uni)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::test_instances;
+    use proptest::prelude::*;
+
+    /// The selection scan [`GreedyMinDegreeSolver::run`] replaced: every
+    /// pick rescans all of `N_tmp` for the first vertex of minimal
+    /// remaining degree. Kept unchanged, minus its telemetry, as the oracle
+    /// the queue must reproduce set for set.
+    fn run_scan(g: &BipartiteGraph) -> GreedyOutcome {
         let num_left = g.num_left();
         let num_right = g.num_right();
 
@@ -128,57 +342,19 @@ impl GreedyMinDegreeSolver {
                 }
             }
         }
-
-        // One promotion per loop iteration, so |S_uni| *is* the number of
-        // greedy picks — a scheduling-independent work count.
-        wx_trace::count(
-            wx_trace::CounterId::SpokesmanGreedyPicks,
-            s_uni.len() as u64,
-        );
         GreedyOutcome { s_uni, n_uni }
     }
 
-    /// The Lemma A.1 guarantee for an instance: `⌈|N⁺| / Δ_S⌉ / |N|` of the
-    /// right side is uniquely covered, where `N⁺` is the set of
-    /// non-isolated right vertices. Returns the guaranteed *count*.
-    pub fn guaranteed_coverage(g: &BipartiteGraph) -> usize {
-        let covered_candidates = (0..g.num_right())
-            .filter(|&w| g.right_degree(w) > 0)
-            .count();
-        let delta_s = g.max_left_degree();
-        if delta_s == 0 {
-            0
-        } else {
-            covered_candidates.div_ceil(delta_s)
-        }
-    }
-}
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
 
-impl SpokesmanSolver for GreedyMinDegreeSolver {
-    fn kind(&self) -> SolverKind {
-        SolverKind::GreedyMinDegree
-    }
-
-    fn solve(&self, g: &BipartiteGraph, _seed: u64) -> SpokesmanResult {
-        let outcome = Self::run(g);
-        SpokesmanResult::from_subset(SolverKind::GreedyMinDegree, g, outcome.s_uni)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn check_certificate(g: &BipartiteGraph, outcome: &GreedyOutcome) {
-        // Every vertex of N_uni must have exactly one neighbor in S_uni
-        // (invariant I3 of Lemma A.1).
-        for w in outcome.n_uni.iter() {
-            let cnt = g
-                .right_neighbors(w)
-                .iter()
-                .filter(|&&u| outcome.s_uni.contains(u))
-                .count();
-            assert_eq!(cnt, 1, "vertex {w} of N_uni has {cnt} neighbors in S_uni");
+        /// The min-queue picks exactly the vertices the scan picks, so
+        /// `S_uni` and the certified `N_uni` agree.
+        #[test]
+        fn min_queue_matches_the_scan_oracle(g in test_instances::instances()) {
+            let outcome = GreedyMinDegreeSolver::run(&g);
+            prop_assert_eq!(&outcome, &run_scan(&g));
+            prop_assert_eq!(outcome.check_certificate(&g), Ok(()));
         }
     }
 
@@ -186,7 +362,7 @@ mod tests {
     fn star_is_fully_covered() {
         let g = BipartiteGraph::from_edges(1, 6, (0..6).map(|w| (0, w))).unwrap();
         let out = GreedyMinDegreeSolver::run(&g);
-        check_certificate(&g, &out);
+        out.check_certificate(&g).unwrap();
         assert_eq!(out.n_uni.len(), 6);
         let r = GreedyMinDegreeSolver.solve(&g, 0);
         assert_eq!(r.unique_coverage, 6);
@@ -199,7 +375,7 @@ mod tests {
         let g = BipartiteGraph::from_edges(2, 3, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)])
             .unwrap();
         let out = GreedyMinDegreeSolver::run(&g);
-        check_certificate(&g, &out);
+        out.check_certificate(&g).unwrap();
         assert_eq!(out.s_uni.len(), 1);
         assert_eq!(out.n_uni.len(), 3);
     }
@@ -224,7 +400,7 @@ mod tests {
             }
             let g = BipartiteGraph::from_edges(s, n, edges).unwrap();
             let out = GreedyMinDegreeSolver::run(&g);
-            check_certificate(&g, &out);
+            out.check_certificate(&g).unwrap();
             let guarantee = GreedyMinDegreeSolver::guaranteed_coverage(&g);
             assert!(
                 out.n_uni.len() >= guarantee,
@@ -250,7 +426,7 @@ mod tests {
     fn isolated_right_vertices_are_ignored() {
         let g = BipartiteGraph::from_edges(1, 3, [(0, 0)]).unwrap();
         let out = GreedyMinDegreeSolver::run(&g);
-        check_certificate(&g, &out);
+        out.check_certificate(&g).unwrap();
         assert_eq!(out.n_uni.len(), 1);
     }
 
@@ -266,7 +442,7 @@ mod tests {
         }
         let g = BipartiteGraph::from_edges(s, s + 1, edges).unwrap();
         let out = GreedyMinDegreeSolver::run(&g);
-        check_certificate(&g, &out);
+        out.check_certificate(&g).unwrap();
         assert!(out.n_uni.len() >= GreedyMinDegreeSolver::guaranteed_coverage(&g));
         assert!(out.n_uni.len() >= s.div_ceil(2));
     }

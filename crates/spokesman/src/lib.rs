@@ -38,6 +38,8 @@ pub mod local_search;
 pub mod partition;
 pub mod random_decay;
 pub mod solver;
+#[cfg(test)]
+mod test_instances;
 
 pub use artifact::SolutionArtifact;
 pub use solver::{PortfolioSolver, SolverKind, SpokesmanResult, SpokesmanSolver};

@@ -12,6 +12,19 @@
 //!   (resp. `E_tmp`) are the edges between `S_tmp` and `N_uni` (resp.
 //!   `N_tmp`).
 //!
+//! Each round promotes the vertex of `S_tmp` with the largest gain
+//! `|N_tmp(v)| − 2·|N_uni(v)|`, breaking ties toward the lowest index, and
+//! the procedure stops once the best gain is `≤ 0`. [`procedure_partition`]
+//! keeps the gains in an array and a max-heap keyed by
+//! `(gain, Reverse(index))` that it updates lazily: a promotion moves only
+//! the promoted vertex's right neighbors between parts, and each such move
+//! shifts the gains of their unpromoted left neighbors by `+2`
+//! (`N_uni → N_many`) or `−3` (`N_tmp → N_uni`). A raised gain is pushed at
+//! once; a lowered one stays queued as an over-estimate and is requeued at
+//! its current value when it reaches the top. A right vertex moves at most
+//! twice, so the whole procedure costs `O(m log m)` for `m` edges, and it
+//! promotes exactly the vertices a full rescan per round would.
+//!
 //! On top of the procedure we implement:
 //!
 //! * [`PartitionSolver`] in *low-degree* mode — the Lemma A.3 argument:
@@ -24,10 +37,12 @@
 //!   deterministic bound `|Γ¹_S(S')| ≥ |N|/(9·log 2δ_N)`.
 
 use crate::solver::{SolverKind, SpokesmanResult, SpokesmanSolver};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use wx_graph::{BipartiteGraph, VertexSet};
 
 /// The outcome of one run of Procedure Partition.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PartitionOutcome {
     /// Left vertices promoted to the spokesman set.
     pub s_uni: VertexSet,
@@ -43,26 +58,26 @@ pub struct PartitionOutcome {
 
 impl PartitionOutcome {
     /// Verifies the four partition conditions; returns an error message for
-    /// the first violated condition. Used by tests and by debug assertions in
-    /// the experiment harnesses.
+    /// the first violated condition. [`procedure_partition`] debug-asserts
+    /// it on every outcome it returns.
     pub fn check_conditions(
         &self,
         g: &BipartiteGraph,
         candidates: &VertexSet,
     ) -> Result<(), String> {
         // The three right-side parts partition the candidate set.
-        let mut seen = VertexSet::empty(g.num_right());
+        let mut seen = vec![false; g.num_right()];
         for part in [&self.n_uni, &self.n_many, &self.n_tmp] {
             for w in part.iter() {
                 if !candidates.contains(w) {
                     return Err(format!("right vertex {w} not among candidates"));
                 }
-                if !seen.insert(w) {
+                if std::mem::replace(&mut seen[w], true) {
                     return Err(format!("right vertex {w} appears in two parts"));
                 }
             }
         }
-        if seen.len() != candidates.len() {
+        if self.n_uni.len() + self.n_many.len() + self.n_tmp.len() != candidates.len() {
             return Err("right parts do not cover all candidates".to_string());
         }
         // (P1)
@@ -143,66 +158,109 @@ impl PartitionOutcome {
 /// Runs Procedure Partition on the bipartite graph `g`, considering only the
 /// right vertices in `candidates` (Lemma A.3 and A.13 both run the procedure
 /// on a degree-restricted subset of `N`). Left side is all of `0..num_left`.
+///
+/// Every candidate must have a neighbor, as every vertex of `N = Γ(S)` does:
+/// an isolated candidate never leaves `N_tmp`, which (P2) forbids. The gain
+/// queue is described in the [module docs](self); it never holds more than
+/// `|S| + m` entries.
 pub fn procedure_partition(g: &BipartiteGraph, candidates: &VertexSet) -> PartitionOutcome {
     let num_left = g.num_left();
     let num_right = g.num_right();
 
-    let mut s_tmp = VertexSet::full(num_left);
-    let mut s_uni = VertexSet::empty(num_left);
-    let mut n_tmp = candidates.clone();
-    let mut n_uni = VertexSet::empty(num_right);
-    let mut n_many = VertexSet::empty(num_right);
+    let mut right = vec![Right::Out; num_right];
+    for w in candidates.iter() {
+        right[w] = Right::Tmp;
+    }
+    let mut promoted = vec![false; num_left];
+    let mut gain: Vec<i64> = (0..num_left)
+        .map(|u| {
+            g.left_neighbors(u)
+                .iter()
+                .filter(|&&w| right[w] == Right::Tmp)
+                .count() as i64
+        })
+        .collect();
+    let mut heap: BinaryHeap<(i64, Reverse<usize>)> = gain
+        .iter()
+        .enumerate()
+        .map(|(u, &gu)| (gu, Reverse(u)))
+        .collect();
 
-    loop {
-        if s_tmp.is_empty() {
+    // Every unpromoted vertex keeps an entry whose key is at least its
+    // gain: a gain that rises is pushed at once, one that falls is requeued
+    // only when its over-estimate reaches the top.
+    while let Some((gv, Reverse(v))) = heap.pop() {
+        if promoted[v] || gv < gain[v] {
+            continue; // superseded by a later push
+        }
+        if gv > gain[v] {
+            heap.push((gain[v], Reverse(v)));
+            continue;
+        }
+        if gv <= 0 {
             break;
         }
-        // Pick v ∈ S_tmp maximizing gain(v) = |N_tmp(v)| − 2·|N_uni(v)|.
-        let mut best: Option<(usize, i64)> = None;
-        for u in s_tmp.iter() {
-            let mut tmp_cnt = 0i64;
-            let mut uni_cnt = 0i64;
-            for &w in g.left_neighbors(u) {
-                if n_tmp.contains(w) {
-                    tmp_cnt += 1;
-                } else if n_uni.contains(w) {
-                    uni_cnt += 1;
+        // Promote v: S_tmp → S_uni. Its neighbors in N_uni lose uniqueness
+        // (→ N_many: +2 to each unpromoted left neighbor's gain); its
+        // neighbors in N_tmp become uniquely covered (→ N_uni: −3).
+        promoted[v] = true;
+        for &w in g.left_neighbors(v) {
+            let delta = match right[w] {
+                Right::Uni => {
+                    right[w] = Right::Many;
+                    2
+                }
+                Right::Tmp => {
+                    right[w] = Right::Uni;
+                    -3
+                }
+                Right::Many | Right::Out => continue,
+            };
+            for &u in g.right_neighbors(w) {
+                if !promoted[u] {
+                    gain[u] += delta;
+                    if delta > 0 {
+                        heap.push((gain[u], Reverse(u)));
+                    }
                 }
             }
-            let gain = tmp_cnt - 2 * uni_cnt;
-            match best {
-                None => best = Some((u, gain)),
-                Some((_, bg)) if gain > bg => best = Some((u, gain)),
-                _ => {}
-            }
-        }
-        let (v, gain) = best.expect("s_tmp is non-empty");
-        if gain <= 0 {
-            break;
-        }
-        // Promote v: S_tmp → S_uni.
-        s_tmp.remove(v);
-        s_uni.insert(v);
-        // Neighbors of v previously in N_uni lose uniqueness → N_many.
-        // Neighbors of v in N_tmp become uniquely covered → N_uni.
-        for &w in g.left_neighbors(v) {
-            if n_uni.contains(w) {
-                n_uni.remove(w);
-                n_many.insert(w);
-            } else if n_tmp.contains(w) {
-                n_tmp.remove(w);
-                n_uni.insert(w);
-            }
         }
     }
 
-    PartitionOutcome {
-        s_uni,
-        s_tmp,
-        n_uni,
-        n_many,
-        n_tmp,
-    }
+    let left_part = |want: bool| {
+        VertexSet::from_sorted(
+            num_left,
+            (0..num_left).filter(|&u| promoted[u] == want).collect(),
+        )
+    };
+    let right_part = |want: Right| {
+        VertexSet::from_sorted(
+            num_right,
+            (0..num_right).filter(|&w| right[w] == want).collect(),
+        )
+    };
+    let outcome = PartitionOutcome {
+        s_uni: left_part(true),
+        s_tmp: left_part(false),
+        n_uni: right_part(Right::Uni),
+        n_many: right_part(Right::Many),
+        n_tmp: right_part(Right::Tmp),
+    };
+    debug_assert_eq!(outcome.check_conditions(g, candidates), Ok(()));
+    outcome
+}
+
+/// The part a right vertex sits in during Procedure Partition.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Right {
+    /// Not a candidate: never touched and never counted.
+    Out,
+    /// In `N_tmp`.
+    Tmp,
+    /// In `N_uni`.
+    Uni,
+    /// In `N_many`.
+    Many,
 }
 
 /// Which variant of the partition-based argument to run.
@@ -255,7 +313,7 @@ impl PartitionSolver {
         }
         let outcome = procedure_partition(g, &candidates);
         let mut best_subset = outcome.s_uni.clone();
-        let mut best_cov = g.unique_coverage(&best_subset);
+        let best_cov = g.unique_coverage(&best_subset);
 
         if self.mode == PartitionMode::Recursive
             && depth < self.max_depth
@@ -285,13 +343,10 @@ impl PartitionSolver {
             let rec_local = self.solve_recursive(&sub, depth + 1);
             let rec_subset =
                 VertexSet::from_iter(g.num_left(), rec_local.iter().map(|i| s_tmp_vertices[i]));
-            let rec_cov = g.unique_coverage(&rec_subset);
-            if rec_cov > best_cov {
-                best_cov = rec_cov;
+            if g.unique_coverage(&rec_subset) > best_cov {
                 best_subset = rec_subset;
             }
         }
-        let _ = best_cov;
         best_subset
     }
 
@@ -318,6 +373,7 @@ impl SpokesmanSolver for PartitionSolver {
     }
 
     fn solve(&self, g: &BipartiteGraph, _seed: u64) -> SpokesmanResult {
+        let _span = wx_trace::span("spokesman.partition");
         let subset = match self.mode {
             PartitionMode::LowDegreeOnce => self.solve_low_degree(g),
             PartitionMode::Recursive => self.solve_recursive(g, 0),
@@ -329,7 +385,117 @@ impl SpokesmanSolver for PartitionSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_instances;
+    use proptest::prelude::*;
     use rand::Rng;
+    use wx_graph::degree::degree_class_buckets;
+
+    /// The selection scan [`procedure_partition`] replaced: every round
+    /// rescans all of `S_tmp` for the first vertex of maximal gain. Kept
+    /// unchanged as the oracle the gain queue must reproduce set for set.
+    fn procedure_partition_scan(g: &BipartiteGraph, candidates: &VertexSet) -> PartitionOutcome {
+        let num_left = g.num_left();
+        let num_right = g.num_right();
+
+        let mut s_tmp = VertexSet::full(num_left);
+        let mut s_uni = VertexSet::empty(num_left);
+        let mut n_tmp = candidates.clone();
+        let mut n_uni = VertexSet::empty(num_right);
+        let mut n_many = VertexSet::empty(num_right);
+
+        loop {
+            if s_tmp.is_empty() {
+                break;
+            }
+            // Pick v ∈ S_tmp maximizing gain(v) = |N_tmp(v)| − 2·|N_uni(v)|.
+            let mut best: Option<(usize, i64)> = None;
+            for u in s_tmp.iter() {
+                let mut tmp_cnt = 0i64;
+                let mut uni_cnt = 0i64;
+                for &w in g.left_neighbors(u) {
+                    if n_tmp.contains(w) {
+                        tmp_cnt += 1;
+                    } else if n_uni.contains(w) {
+                        uni_cnt += 1;
+                    }
+                }
+                let gain = tmp_cnt - 2 * uni_cnt;
+                match best {
+                    None => best = Some((u, gain)),
+                    Some((_, bg)) if gain > bg => best = Some((u, gain)),
+                    _ => {}
+                }
+            }
+            let (v, gain) = best.expect("s_tmp is non-empty");
+            if gain <= 0 {
+                break;
+            }
+            // Promote v: S_tmp → S_uni.
+            s_tmp.remove(v);
+            s_uni.insert(v);
+            // Neighbors of v previously in N_uni lose uniqueness → N_many.
+            // Neighbors of v in N_tmp become uniquely covered → N_uni.
+            for &w in g.left_neighbors(v) {
+                if n_uni.contains(w) {
+                    n_uni.remove(w);
+                    n_many.insert(w);
+                } else if n_tmp.contains(w) {
+                    n_tmp.remove(w);
+                    n_uni.insert(w);
+                }
+            }
+        }
+
+        PartitionOutcome {
+            s_uni,
+            s_tmp,
+            n_uni,
+            n_many,
+            n_tmp,
+        }
+    }
+
+    /// The candidate sets the solvers pass (all non-isolated right
+    /// vertices, and each degree class under two bases) plus arbitrary
+    /// subsets of the non-isolated right vertices. An isolated candidate
+    /// could never leave `N_tmp`, which (P2) forbids.
+    fn candidate_sets(g: &BipartiteGraph, seed: u64) -> Vec<VertexSet> {
+        let n = g.num_right();
+        let coverable: Vec<usize> = (0..n).filter(|&w| g.right_degree(w) > 0).collect();
+        let mut sets = vec![VertexSet::from_sorted(n, coverable.clone())];
+        for base in [2.0, crate::degree_class::OPTIMAL_BASE] {
+            sets.extend(
+                degree_class_buckets(g, base)
+                    .into_iter()
+                    .map(|bucket| VertexSet::from_sorted(n, bucket)),
+            );
+        }
+        let mut rng = wx_graph::random::rng_from_seed(seed);
+        for _ in 0..3 {
+            let p: f64 = rng.gen();
+            let subset = coverable.iter().copied().filter(|_| rng.gen_bool(p));
+            sets.push(VertexSet::from_sorted(n, subset.collect()));
+        }
+        sets
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The gain queue promotes exactly the vertices the scan promotes,
+        /// so all five parts of the outcome agree, on every candidate set.
+        #[test]
+        fn gain_queue_matches_the_scan_oracle(
+            g in test_instances::instances(),
+            seed in any::<u64>(),
+        ) {
+            for candidates in candidate_sets(&g, seed) {
+                let outcome = procedure_partition(&g, &candidates);
+                prop_assert_eq!(&outcome, &procedure_partition_scan(&g, &candidates));
+                prop_assert_eq!(outcome.check_conditions(&g, &candidates), Ok(()));
+            }
+        }
+    }
 
     fn random_instance(seed: u64, s: usize, n: usize, p: f64) -> BipartiteGraph {
         let mut rng = wx_graph::random::rng_from_seed(seed);
@@ -365,6 +531,7 @@ mod tests {
         let candidates = VertexSet::full(5);
         let outcome = procedure_partition(&g, &candidates);
         outcome.check_conditions(&g, &candidates).unwrap();
+        assert_eq!(outcome, procedure_partition_scan(&g, &candidates));
         assert_eq!(outcome.n_uni.len(), 5);
         assert_eq!(outcome.s_uni.len(), 1);
         assert!(outcome.n_tmp.is_empty());
@@ -452,5 +619,9 @@ mod tests {
         let g = BipartiteGraph::from_edges(6, 4, edges).unwrap();
         let r = PartitionSolver::default().solve(&g, 0);
         assert_eq!(r.unique_coverage, 4);
+        let candidates = VertexSet::full(4);
+        let outcome = procedure_partition(&g, &candidates);
+        assert_eq!(outcome, procedure_partition_scan(&g, &candidates));
+        assert_eq!(outcome.s_uni.to_vec(), vec![0]);
     }
 }

@@ -126,6 +126,7 @@ impl SpokesmanSolver for RandomDecaySolver {
     }
 
     fn solve(&self, g: &BipartiteGraph, seed: u64) -> SpokesmanResult {
+        let _span = wx_trace::span("spokesman.random_decay");
         if g.num_left() == 0 || g.num_right() == 0 || g.num_edges() == 0 {
             return SpokesmanResult::from_subset(
                 SolverKind::RandomDecay,

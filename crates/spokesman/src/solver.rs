@@ -254,6 +254,7 @@ impl SpokesmanSolver for PortfolioSolver {
     }
 
     fn solve(&self, g: &BipartiteGraph, seed: u64) -> SpokesmanResult {
+        let _span = wx_trace::span("spokesman.portfolio");
         let mut best: Option<SpokesmanResult> = None;
         for r in self.solve_all(g, seed) {
             best = Some(match best {
@@ -334,6 +335,37 @@ mod tests {
         assert_eq!(SolverKind::parse("exact"), Some(SolverKind::Exact));
         assert_eq!(SolverKind::Exact.build().solve(&g, 0).unique_coverage, 4);
         assert!(SolverKind::parse("simulated-annealing").is_none());
+    }
+
+    #[test]
+    fn traced_solves_record_one_span_per_solver() {
+        // Own the process-global tracer for the whole record+drain window.
+        let _session = wx_trace::exclusive();
+        let _ = wx_trace::take_trace();
+        wx_trace::enable();
+        let g = star_instance();
+        for kind in SolverKind::POLYNOMIAL {
+            kind.build().solve(&g, 5);
+        }
+        let s = VertexSet::from_iter(4, [0, 1]);
+        let path = wx_graph::Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
+        crate::greedy::GreedyMinDegreeSolver.solve_in_graph(&path, &s, 5);
+        wx_trace::disable();
+        let trace = wx_trace::take_trace();
+        for (kind, span) in [
+            (SolverKind::RandomDecay, "spokesman.random_decay"),
+            (SolverKind::Partition, "spokesman.partition"),
+            (SolverKind::GreedyMinDegree, "spokesman.greedy"),
+            (SolverKind::DegreeClass, "spokesman.degree_class"),
+            (
+                SolverKind::ChlamtacWeinstein,
+                "spokesman.chlamtac_weinstein",
+            ),
+            (SolverKind::Portfolio, "spokesman.portfolio"),
+        ] {
+            assert!(trace.phase_count(span) >= 1, "{kind} recorded no `{span}`");
+        }
+        assert!(trace.phase_count("graph.bipartite_view") >= 1);
     }
 
     #[test]
