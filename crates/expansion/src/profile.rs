@@ -41,8 +41,8 @@ pub struct ProfileConfig {
     pub ball_centers: usize,
     /// Number of adversarial greedy growths in the sampler.
     pub greedy_growths: usize,
-    /// Compute the dense spectral gap when the graph is regular and at most
-    /// this large.
+    /// Compute `λ₂` (and so the spectral gap) when the graph is regular and
+    /// has at most this many vertices.
     pub spectral_up_to: usize,
     /// Evaluate candidate sets in parallel via rayon. Defaults to `true`
     /// when absent from serialized configs (the field post-dates the wire
@@ -104,7 +104,7 @@ impl ProfileConfigBuilder {
         self.cfg.greedy_growths = n;
         self
     }
-    /// Sets the dense-spectrum size cap.
+    /// Sets the size cap for computing `λ₂`.
     pub fn spectral_up_to(mut self, n: usize) -> Self {
         self.cfg.spectral_up_to = n;
         self

@@ -147,15 +147,21 @@ fn write_string(s: &str, out: &mut String) {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Maximum nesting depth of arrays and objects, serde_json's default
+/// recursion limit. Deeper input is an error rather than a stack overflow.
+const RECURSION_LIMIT: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 fn parse(s: &str) -> Result<Value> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.parse_value()?;
@@ -200,14 +206,28 @@ impl<'a> Parser<'a> {
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_seq(),
-            Some(b'{') => self.parse_map(),
+            Some(b'[') => self.nested(Self::parse_seq),
+            Some(b'{') => self.nested(Self::parse_map),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             other => Err(Error::custom(format!(
                 "unexpected input {other:?} at byte {}",
                 self.pos
             ))),
         }
+    }
+
+    /// Parses one array or object one nesting level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == RECURSION_LIMIT {
+            return Err(Error::custom(format!(
+                "recursion limit exceeded at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_keyword(&mut self, kw: &str, value: Value) -> Result<Value> {
@@ -267,12 +287,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // advance by one UTF-8 character
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // copy the whole run up to the next quote or escape
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| Error::custom("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -399,5 +421,27 @@ mod tests {
         assert!(from_str::<Value>("{oops}").is_err());
         assert!(from_str::<Value>("[1,]").is_err());
         assert!(from_str::<Value>("1 2").is_err());
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_recursion_limit_is_an_error() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(from_str::<Value>(&nested(RECURSION_LIMIT)).is_ok());
+        let err = from_str::<Value>(&nested(RECURSION_LIMIT + 1)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        // deep enough to overflow the stack without the limit
+        assert!(from_str::<Value>(&"[".repeat(200_000)).is_err());
+        assert!(from_str::<Value>(&r#"{"a":"#.repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn long_strings_round_trip() {
+        let s: String = "a\u{e9}\u{1F600}\"\\\n"
+            .chars()
+            .cycle()
+            .take(4 << 20)
+            .collect();
+        let json = to_string(&s).unwrap();
+        assert_eq!(from_str::<String>(&json).unwrap(), s);
     }
 }
