@@ -397,6 +397,42 @@ mod tests {
     }
 
     #[test]
+    fn spectrum_of_complete_graph() {
+        // K_n has eigenvalues n-1 (once) and -1 (n-1 times).
+        let g = complete(6);
+        let (l1, l2) = top_two_eigenvalues(&g, 0);
+        assert!((l1 - 5.0).abs() < 1e-9, "λ₁ = {l1}");
+        assert!((l2 + 1.0).abs() < 1e-9, "λ₂ = {l2}");
+    }
+
+    /// The iterative top two agree with the leading entries of the full
+    /// spectrum, listed in closed form and sorted.
+    #[test]
+    fn power_iteration_agrees_with_dense() {
+        let dense_top_two = |mut vals: Vec<f64>| {
+            vals.sort_by(|a, b| b.total_cmp(a));
+            (vals[0], vals[1])
+        };
+
+        let g = complete(10);
+        let (l1d, l2d) = dense_top_two((0..10).map(|i| if i == 0 { 9.0 } else { -1.0 }).collect());
+        let (l1, l2) = top_two_eigenvalues(&g, 3);
+        assert!((l1d - l1).abs() < 1e-6, "λ₁ dense {l1d} vs Lanczos {l1}");
+        assert!((l2d - l2).abs() < 1e-4, "λ₂ dense {l2d} vs Lanczos {l2}");
+
+        let n = 16;
+        let g = cycle(n);
+        let (l1d, l2d) = dense_top_two(
+            (0..n)
+                .map(|k| 2.0 * (2.0 * std::f64::consts::PI * k as f64 / n as f64).cos())
+                .collect(),
+        );
+        let (l1, l2) = top_two_eigenvalues(&g, 5);
+        assert!((l1d - l1).abs() < 1e-4, "λ₁ dense {l1d} vs Lanczos {l1}");
+        assert!((l2d - l2).abs() < 1e-3, "λ₂ dense {l2d} vs Lanczos {l2}");
+    }
+
+    #[test]
     fn spectrum_of_cycle() {
         // C_n eigenvalues are 2cos(2πk/n); λ₁ = 2, λ₂ = 2cos(2π/n).
         let n = 8;
@@ -445,5 +481,15 @@ mod tests {
     fn empty_graph_spectrum() {
         let g = Graph::empty(0);
         assert_eq!(top_two_eigenvalues(&g, 0), (0.0, 0.0));
+    }
+
+    #[test]
+    fn bipartite_negative_eigenvalue_does_not_confuse_lambda2() {
+        // Complete bipartite K_{3,3}: eigenvalues 3, 0 (x4), -3. The -3 has
+        // the largest magnitude after λ₁ but must not be reported as λ₂.
+        let g = complete_bipartite(3, 3);
+        let (l1, l2) = top_two_eigenvalues(&g, 11);
+        assert!((l1 - 3.0).abs() < 1e-9, "λ₁ = {l1}");
+        assert!(l2.abs() < 1e-3, "λ₂ = {l2}, expected ≈ 0");
     }
 }
