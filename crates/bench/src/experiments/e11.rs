@@ -7,7 +7,9 @@
 //! stalls while a spokesman schedule finishes immediately.
 
 use crate::ExperimentOptions;
+use wx_core::graph::random::derive_seed;
 use wx_core::prelude::*;
+use wx_core::radio::{run_lanes, ProtocolKind};
 use wx_core::report::{fmt_f64, fmt_opt, render_table, TableRow};
 
 /// Runs the experiment and returns the report text.
@@ -20,28 +22,42 @@ pub fn run(opts: &ExperimentOptions) -> String {
     let mut rows = Vec::new();
     for &k in sizes {
         let (g, source) = complete_plus_graph(k).expect("valid");
-        let analysis = GraphAnalysis::run(
+        let config = if g.num_vertices() <= 14 {
+            ProfileConfig::default()
+        } else {
+            ProfileConfig::light(0.5)
+        };
+        let profile = ExpansionProfile::measure(&g, &config);
+        let sim = RadioSimulator::new(
             &g,
-            &AnalysisConfig::builder()
-                .profile(if g.num_vertices() <= 14 {
-                    ProfileConfig::default()
-                } else {
-                    ProfileConfig::light(0.5)
-                })
-                .broadcast_source(Some(source))
-                .seed(opts.seed)
-                .build(),
+            source,
+            SimulatorConfig {
+                max_rounds: 5_000,
+                stop_when_complete: true,
+            },
         );
-        let b = analysis.broadcast.as_ref().expect("broadcast ran");
+        let race = |kind: ProtocolKind, seeds: &[u64]| -> Vec<Option<usize>> {
+            run_lanes(&sim, &mut *kind.build_lanes(), seeds)
+                .iter()
+                .map(|o| o.completed_at)
+                .collect()
+        };
+        // decay: the median completion round over three seeds
+        let decay_seeds: Vec<u64> = (0..3).map(|i| derive_seed(opts.seed, i)).collect();
+        let mut decay: Vec<usize> = race(ProtocolKind::Decay, &decay_seeds)
+            .into_iter()
+            .flatten()
+            .collect();
+        decay.sort_unstable();
         rows.push(TableRow::new(
             format!("C⁺ clique={k}"),
             vec![
-                fmt_f64(analysis.profile.ordinary.value),
-                fmt_f64(analysis.profile.unique.value),
-                fmt_f64(analysis.profile.wireless.value),
-                fmt_opt(b.naive_flooding),
-                fmt_opt(b.decay),
-                fmt_opt(b.spokesman),
+                fmt_f64(profile.ordinary.value),
+                fmt_f64(profile.unique.value),
+                fmt_f64(profile.wireless.value),
+                fmt_opt(race(ProtocolKind::NaiveFlooding, &[opts.seed])[0]),
+                fmt_opt(decay.get(decay.len() / 2).copied()),
+                fmt_opt(race(ProtocolKind::Spokesman, &[opts.seed])[0]),
             ],
         ));
     }

@@ -8,6 +8,7 @@
 use crate::ExperimentOptions;
 use wx_core::prelude::*;
 use wx_core::radio::lower_bound::{reference_curve, ChainExperiment};
+use wx_core::radio::ProtocolKind;
 use wx_core::report::{fmt_f64, fmt_opt, render_table, TableRow};
 
 /// Runs the experiment and returns the report text.
@@ -35,8 +36,8 @@ pub fn run(opts: &ExperimentOptions) -> String {
         let chain = BroadcastChain::new(s, stages, opts.seed ^ (s as u64) ^ (stages as u64))
             .expect("valid");
         let exp = ChainExperiment::new(&chain, sim_cfg.clone());
-        let decay_run = exp.run(&mut DecayProtocol::default(), opts.seed);
-        let spokesman_run = exp.run(&mut SpokesmanBroadcast::default(), opts.seed);
+        let decay_run = exp.run(ProtocolKind::Decay, opts.seed);
+        let spokesman_run = exp.run(ProtocolKind::Spokesman, opts.seed);
         let log2s = (s as f64).log2() + 1.0;
         rows.push(TableRow::new(
             format!("s={s} stages={stages}"),

@@ -6,9 +6,6 @@
 //! * [`prelude`] — the `use wx_core::prelude::*` import that brings the
 //!   common types (graphs, expansion profiles, solvers, protocols,
 //!   constructions) into scope;
-//! * [`analysis`] — an end-to-end [`analysis::GraphAnalysis`] pipeline that
-//!   measures a graph's three expansions, checks the paper's inequalities,
-//!   and optionally runs a quick broadcast comparison;
 //! * [`report`] — plain-text table rendering and JSON export for experiment
 //!   harnesses.
 //!
@@ -17,20 +14,18 @@
 //! ```
 //! use wx_core::prelude::*;
 //!
-//! // Build the paper's motivating example C⁺₈ and analyze it end to end.
+//! // Build the paper's motivating example C⁺₈ and profile it.
 //! let (graph, _source) = complete_plus_graph(8).unwrap();
-//! let config = AnalysisConfig::builder()
-//!     .profile(ProfileConfig::builder().alpha(0.5).exact_up_to(14).build())
-//!     .build();
-//! let analysis = GraphAnalysis::run(&graph, &config);
+//! let config = ProfileConfig::builder().alpha(0.5).exact_up_to(14).build();
+//! let profile = ExpansionProfile::measure(&graph, &config);
 //! // The headline βu < βw phenomenon: unique-neighbor expansion collapses
 //! // to 0 on C⁺ while wireless expansion stays positive.
-//! assert_eq!(analysis.profile.unique.value, 0.0);
-//! assert!(analysis.profile.unique.value < analysis.profile.wireless.value);
-//! assert!(analysis.observation_2_1_holds);
+//! assert_eq!(profile.unique.value, 0.0);
+//! assert!(profile.unique.value < profile.wireless.value);
+//! assert!(profile.satisfies_observation_2_1());
 //!
 //! // The same three quantities through the measurement engine directly:
-//! let engine = config.profile.engine();
+//! let engine = config.engine();
 //! let triple = engine.measure_all(&graph, &Wireless::default()).unwrap();
 //! assert!(triple.unique.value < triple.wireless.value);
 //! ```
@@ -38,11 +33,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod prelude;
 pub mod report;
-
-pub use analysis::{AnalysisConfig, AnalysisConfigBuilder, GraphAnalysis};
 
 /// The workspace README's code examples, compiled as doc-tests so the
 /// quickstart can never drift from the real API.

@@ -1,6 +1,5 @@
 //! The convenience prelude: `use wx_core::prelude::*;`.
 
-pub use crate::analysis::{AnalysisConfig, AnalysisConfigBuilder, GraphAnalysis};
 pub use crate::report::{render_table, TableRow};
 
 pub use wx_graph::{

@@ -77,7 +77,7 @@
 //! assert!(beta_w.value + 1e-9 >= beta_u.value);
 //! ```
 
-use crate::sampling::{all_small_sets, CandidateSets, SamplerConfig};
+use crate::sampling::{all_small_sets, exact_enumeration_fits, CandidateSets, SamplerConfig};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use wx_graph::random::derive_seed;
@@ -501,6 +501,14 @@ impl MeasurementEngine {
         }
     }
 
+    /// `false` if measuring a graph on `n` vertices would resolve to an exact
+    /// enumeration larger than [`crate::sampling::EXACT_ENUMERATION_BUDGET`]
+    /// (which [`MeasurementEngine::measure`] and friends panic on).
+    pub fn exact_within_budget(&self, n: usize) -> bool {
+        self.resolved_strategy(n) != MeasureStrategy::Exact
+            || exact_enumeration_fits(n, self.max_set_size(n))
+    }
+
     /// Generates the engine's sampled candidate pool for `g` (shared across
     /// measures so their results are comparable set-by-set).
     pub fn candidate_pool<G: GraphView + ?Sized>(&self, g: &G) -> CandidateSets {
@@ -868,16 +876,23 @@ mod tests {
             assert_eq!(par.value, seq.value);
             assert_eq!(par.witness.to_vec(), seq.witness.to_vec());
         }
+        // wireless, and all three notions over one shared pool (the
+        // profile's path)
         let w = Wireless::default();
-        let par = base.clone().parallel(true).build().measure(&g, &w).unwrap();
-        let seq = base
-            .clone()
-            .parallel(false)
-            .build()
-            .measure(&g, &w)
-            .unwrap();
-        assert_eq!(par.value, seq.value);
-        assert_eq!(par.witness.to_vec(), seq.witness.to_vec());
+        let par = base.clone().parallel(true).build();
+        let seq = base.parallel(false).build();
+        let (par, seq) = (
+            par.measure_all(&g, &w).unwrap(),
+            seq.measure_all(&g, &w).unwrap(),
+        );
+        for (p, s) in [
+            (&par.ordinary, &seq.ordinary),
+            (&par.unique, &seq.unique),
+            (&par.wireless, &seq.wireless),
+        ] {
+            assert_eq!(p.value, s.value);
+            assert_eq!(p.witness.to_vec(), s.witness.to_vec());
+        }
     }
 
     #[test]

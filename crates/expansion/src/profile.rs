@@ -44,17 +44,8 @@ pub struct ProfileConfig {
     /// Compute `λ₂` (and so the spectral gap) when the graph is regular and
     /// has at most this many vertices.
     pub spectral_up_to: usize,
-    /// Evaluate candidate sets in parallel via rayon. Defaults to `true`
-    /// when absent from serialized configs (the field post-dates the wire
-    /// format).
-    #[serde(default = "default_parallel")]
-    pub parallel: bool,
     /// Seed for all randomized components.
     pub seed: u64,
-}
-
-fn default_parallel() -> bool {
-    true
 }
 
 impl Default for ProfileConfig {
@@ -66,7 +57,6 @@ impl Default for ProfileConfig {
             ball_centers: 8,
             greedy_growths: 4,
             spectral_up_to: 1024,
-            parallel: true,
             seed: 0xC0FFEE,
         }
     }
@@ -107,11 +97,6 @@ impl ProfileConfigBuilder {
     /// Sets the size cap for computing `λ₂`.
     pub fn spectral_up_to(mut self, n: usize) -> Self {
         self.cfg.spectral_up_to = n;
-        self
-    }
-    /// Enables or disables rayon-parallel candidate evaluation.
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.cfg.parallel = parallel;
         self
     }
     /// Sets the base seed.
@@ -173,7 +158,6 @@ impl ProfileConfig {
                 exact_up_to: self.exact_up_to,
             })
             .sampler(self.sampler())
-            .parallel(self.parallel)
             .seed(self.seed)
             .build()
     }
@@ -370,24 +354,27 @@ mod tests {
 
     #[test]
     fn sequential_profile_matches_parallel() {
+        // the profile always evaluates candidates in parallel; a sequential
+        // engine with the same configuration finds the same three minima
         let g = cycle(24);
-        let par = ExpansionProfile::measure(
-            &g,
-            &ProfileConfig::builder()
-                .exact_up_to(10)
-                .parallel(true)
-                .build(),
-        );
-        let seq = ExpansionProfile::measure(
-            &g,
-            &ProfileConfig::builder()
-                .exact_up_to(10)
-                .parallel(false)
-                .build(),
-        );
+        let cfg = ProfileConfig::builder().exact_up_to(10).build();
+        assert!(cfg.engine().parallel());
+        let par = ExpansionProfile::measure(&g, &cfg);
+        let seq = MeasurementEngine::builder()
+            .alpha(cfg.alpha)
+            .strategy(MeasureStrategy::Auto {
+                exact_up_to: cfg.exact_up_to,
+            })
+            .sampler(cfg.sampler())
+            .seed(cfg.seed)
+            .parallel(false)
+            .build()
+            .measure_all(&g, &Wireless::default())
+            .unwrap();
         assert_eq!(par.ordinary.value, seq.ordinary.value);
         assert_eq!(par.unique.value, seq.unique.value);
         assert_eq!(par.wireless.value, seq.wireless.value);
+        assert_eq!(par.wireless.witness_size, seq.wireless.witness.len());
     }
 
     #[test]
@@ -410,18 +397,6 @@ mod tests {
         assert!(json.contains("wireless"));
         let back: ExpansionProfile = serde_json::from_str(&json).unwrap();
         assert_eq!(back.num_vertices, 8);
-    }
-
-    #[test]
-    fn config_json_without_parallel_field_still_deserializes() {
-        // configs serialized before the `parallel` knob existed must load,
-        // defaulting to parallel-on
-        let mut json = serde_json::to_string(&ProfileConfig::default()).unwrap();
-        json = json.replace("\"parallel\":true,", "");
-        assert!(!json.contains("parallel"));
-        let cfg: ProfileConfig = serde_json::from_str(&json).unwrap();
-        assert!(cfg.parallel);
-        assert_eq!(cfg.exact_up_to, ProfileConfig::default().exact_up_to);
     }
 
     #[test]

@@ -309,6 +309,12 @@ fn count_small_sets(n: usize, max_size: usize) -> usize {
     total
 }
 
+/// `true` if [`all_small_sets`]`(n, max_size)` stays within
+/// [`EXACT_ENUMERATION_BUDGET`] sets.
+pub(crate) fn exact_enumeration_fits(n: usize, max_size: usize) -> bool {
+    count_small_sets(n, max_size) <= EXACT_ENUMERATION_BUDGET
+}
+
 /// Enumerates *every* non-empty subset of `0..n` with size at most
 /// `max_size`, for exact expansion computation.
 ///
@@ -320,7 +326,9 @@ fn count_small_sets(n: usize, max_size: usize) -> usize {
 /// `⌊α·n⌋ = 3` is ~2.3k sets, not `2^24`.
 ///
 /// # Panics
-/// Panics if the enumeration would exceed [`EXACT_ENUMERATION_BUDGET`] sets.
+/// Panics if the enumeration would exceed [`EXACT_ENUMERATION_BUDGET`] sets
+/// (callers check first with
+/// [`MeasurementEngine::exact_within_budget`](crate::engine::MeasurementEngine::exact_within_budget)).
 pub fn all_small_sets(n: usize, max_size: usize) -> Vec<VertexSet> {
     let max_size = max_size.min(n);
     if n <= 22 {
@@ -337,13 +345,12 @@ pub fn all_small_sets(n: usize, max_size: usize) -> Vec<VertexSet> {
         }
         return sets;
     }
-    let total = count_small_sets(n, max_size);
     assert!(
-        total <= EXACT_ENUMERATION_BUDGET,
+        exact_enumeration_fits(n, max_size),
         "exact enumeration of sets up to size {max_size} over {n} vertices exceeds \
          the budget of {EXACT_ENUMERATION_BUDGET} sets; reduce alpha or sample instead"
     );
-    let mut sets = Vec::with_capacity(total);
+    let mut sets = Vec::with_capacity(count_small_sets(n, max_size));
     for k in 1..=max_size {
         let mut comb: Vec<usize> = (0..k).collect();
         loop {

@@ -33,7 +33,6 @@
 //! * [`arboricity`] — arboricity / maximum-average-degree estimation
 //!   (Section 2.1), used for the low-arboricity corollary.
 //! * [`traversal`] — BFS, connected components, distances, diameter.
-//! * [`parallel`] — rayon-parallel sweeps over vertices and vertex sets.
 //! * [`io`] — edge-list and DIMACS file readers/writers with precise
 //!   per-line parse errors (the loaders behind the scenario lab's
 //!   file-based graph sources).
@@ -59,7 +58,6 @@ pub mod error;
 pub mod io;
 pub mod mmap;
 pub mod neighborhood;
-pub mod parallel;
 pub mod random;
 pub mod scratch;
 pub mod traversal;

@@ -392,7 +392,15 @@ impl GraphStore for ArtifactCache {
         inner.graphs.insert(key, GraphSlot::Building);
         drop(inner);
 
-        let built = build();
+        let built = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(build)) {
+            Ok(built) => built,
+            Err(panic) => {
+                // Withdraw the claim, so waiters retry rather than hang.
+                self.lock().graphs.remove(&key);
+                self.build_done.notify_all();
+                std::panic::resume_unwind(panic);
+            }
+        };
 
         let mut inner = self.lock();
         match built {
@@ -529,6 +537,14 @@ mod tests {
         assert!(cache.get_or_build(7, &mut fail).is_err());
         let mut ok = || Ok(csr(8));
         assert!(cache.get_or_build(7, &mut ok).is_ok());
+        // a panicking build withdraws its claim too
+        let panicked = std::panic::catch_unwind(|| {
+            cache.get_or_build(9, &mut || -> crate::error::Result<BuiltGraph> {
+                panic!("boom")
+            })
+        });
+        assert!(panicked.is_err());
+        assert!(cache.get_or_build(9, &mut ok).is_ok());
     }
 
     #[test]

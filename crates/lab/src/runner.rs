@@ -49,6 +49,7 @@ use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use wx_core::expansion::engine::{MeasurementEngine, Wireless};
+use wx_core::expansion::sampling::EXACT_ENUMERATION_BUDGET;
 use wx_core::graph::random::{derive_seed, random_subset_of_size, rng_from_seed};
 use wx_core::graph::scratch::with_thread_scratch;
 use wx_core::graph::{BipartiteGraph, GraphView};
@@ -608,7 +609,7 @@ fn execute_task<G: GraphView + Sync + ?Sized>(
             fast,
         } => each(&|seed, metrics| {
             let _span = wx_trace::span("lab.measure");
-            let engine = engine_for(*alpha, *exact_up_to, seed);
+            let engine = engine_for(*alpha, *exact_up_to, seed, g.num_vertices())?;
             let measure = notion.measure(fast.unwrap_or(false));
             let m = engine
                 .measure(g, measure.as_ref())
@@ -627,7 +628,7 @@ fn execute_task<G: GraphView + Sync + ?Sized>(
             fast,
         } => each(&|seed, metrics| {
             let _span = wx_trace::span("lab.measure");
-            let engine = engine_for(*alpha, *exact_up_to, seed);
+            let engine = engine_for(*alpha, *exact_up_to, seed, g.num_vertices())?;
             let wireless = if fast.unwrap_or(false) {
                 Wireless::fast()
             } else {
@@ -698,12 +699,26 @@ fn execute_task<G: GraphView + Sync + ?Sized>(
     }
 }
 
-fn engine_for(alpha: Option<f64>, exact_up_to: Option<usize>, seed: u64) -> MeasurementEngine {
-    MeasurementEngine::builder()
+/// The engine a Measure/Profile task runs on a graph of `n` vertices; an
+/// exact enumeration over the engine's budget is an invalid spec.
+fn engine_for(
+    alpha: Option<f64>,
+    exact_up_to: Option<usize>,
+    seed: u64,
+    n: usize,
+) -> Result<MeasurementEngine> {
+    let engine = MeasurementEngine::builder()
         .alpha(alpha.unwrap_or(0.5))
         .exact_up_to(exact_up_to.unwrap_or(14))
         .seed(seed)
-        .build()
+        .build();
+    if !engine.exact_within_budget(n) {
+        return Err(LabError::invalid(format!(
+            "exact enumeration over {n} vertices exceeds the budget of \
+             {EXACT_ENUMERATION_BUDGET} candidate sets; lower exact_up_to or alpha"
+        )));
+    }
+    Ok(engine)
 }
 
 #[cfg(test)]
@@ -1043,6 +1058,19 @@ mod tests {
         };
         let err = Runner::new().run(&bad_source).unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
+
+        let over_budget = ScenarioSpec {
+            source: GraphSource::RandomRegular { n: 40, d: 4 },
+            task: Task::Profile {
+                alpha: None,
+                exact_up_to: Some(40),
+                fast: None,
+            },
+            ..measure_spec(1)
+        };
+        let err = Runner::new().run(&over_budget).unwrap_err();
+        assert!(matches!(err, LabError::InvalidSpec(_)), "{err}");
+        assert!(err.to_string().contains("budget"), "{err}");
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //!   for each of the informed / newly-informed / transmitter / collision
 //!   masks; bit `l` of word `v` is trial `l`'s bit for vertex `v`.
 //! * Each lane runs under its own RNG stream, seeded from the caller's
-//!   per-lane seed slice (batch drivers derive these with
-//!   `derive_seed(base_seed, trial)`, the same convention as the scalar
-//!   [`crate::trials::map_trials`]) — so lane `k` of a bit-sliced run
-//!   reproduces the scalar `run_in(seed_k)` **bit for bit**: same completion
-//!   round, same per-vertex first-informed rounds, same per-round counts.
+//!   per-lane seed slice (the scenario runner derives these with
+//!   `derive_seed(trial_seed, 1)`) — so lane `k` of a bit-sliced run
+//!   reproduces the scalar [`RadioSimulator::run_in`] with `seeds[k]`
+//!   **bit for bit**: same completion round, same per-vertex first-informed
+//!   rounds, same per-round counts.
 //! * Lanes retire independently: when a trial completes (and the simulator
 //!   is configured to stop on completion) its bit leaves the `live` mask,
 //!   its trajectory stops growing, and its RNG stream stops being consumed —
@@ -693,8 +693,8 @@ thread_local! {
     static THREAD_LANE_WORKSPACE: RefCell<LaneWorkspace> = RefCell::new(LaneWorkspace::new(0));
 }
 
-/// Runs `f` with this thread's shared [`LaneWorkspace`] — the pool behind
-/// the batched trial runner in [`crate::trials`].
+/// Runs `f` with this thread's shared [`LaneWorkspace`], so every batch a
+/// thread runs reuses one workspace.
 ///
 /// # Panics
 /// Panics if `f` re-enters `with_thread_lane_workspace` on the same thread.

@@ -16,31 +16,23 @@
 //! flooding, deterministic round-robin, the Bar-Yehuda–Goldreich–Itai decay
 //! protocol, and a centralized spokesman-schedule broadcast that transmits
 //! from the subset `S' ⊆ S` a Spokesman-Election solver selects (the
-//! algorithmic content of wireless expansion). [`trials`] runs Monte-Carlo
-//! ensembles in parallel, and [`lower_bound`] packages the Section-5
-//! experiment measuring broadcast time on the chain of core graphs.
+//! algorithmic content of wireless expansion). [`lower_bound`] packages the
+//! Section-5 experiment measuring broadcast time on the chain of core
+//! graphs.
 //!
-//! # The streaming trial engine
+//! # The scalar engine
 //!
-//! Large ensembles run through a buffer-reusing fast path:
-//!
-//! * [`RadioSimulator::new`] runs **one** BFS and caches the completion
-//!   target, so a 10k-trial ensemble on a fixed simulator does one BFS, not
-//!   10k;
-//! * [`TrialWorkspace`] ([`workspace`]) owns every n-sized buffer a trial
-//!   needs (informed/newly-informed bitsets, the transmitter buffer the
-//!   protocols fill via [`BroadcastProtocol::transmitters_into`], the
-//!   first-informed array, per-round counts, and the receiver-resolution
-//!   scratch); [`RadioSimulator::run_in`] reuses it across trials with a
-//!   targeted reset proportional to the previous trial's work;
-//! * [`trials::map_trials`] shares one simulator across all trials, pulls
-//!   one workspace per rayon worker from the [`with_thread_workspace`] pool,
-//!   and reduces each trial to a caller-chosen constant-size summary, so
-//!   ensemble memory never grows with `trials × n`.
+//! [`RadioSimulator::new`] runs **one** BFS and caches the completion
+//! target, so every trial on a fixed simulator shares it.
+//! [`RadioSimulator::run_in`] simulates one trial in a [`TrialWorkspace`]
+//! ([`workspace`]), which owns every n-sized buffer a trial needs and is
+//! reset in time proportional to the previous trial's work;
+//! [`with_thread_workspace`] keeps one per thread. The scalar engine is the
+//! reference the lane engine is tested against bit for bit.
 //!
 //! # The bit-sliced lane engine
 //!
-//! [`bitslice`] multiplies the streaming engine by the machine word width:
+//! [`bitslice`] multiplies the scalar engine by the machine word width:
 //! one `u64` per vertex holds the informed/transmitting state of up to
 //! [`MAX_LANES`] (64) **independent trials** in its bit-lanes, and every
 //! round of the collision kernel resolves all lanes with word-parallel
@@ -66,10 +58,9 @@
 //! (bit-exact on all 4 400 trials): at n = 3000, d = 8 the lane engine is
 //! 1.13–1.24× faster; at n = 128, d = 4 it is 0.62–0.79× as fast, about
 //! 20–50 µs slower per trial, since a partial batch still sweeps full words
-//! and per-lane trajectory bookkeeping adds a constant per round.
-//! [`trials::map_trials_lanes`] offers the same seed derivation and
-//! summaries as [`trials::map_trials`], batched 64 trials per workspace.
-//! The `wxbench` benchmark's per-layer replay times both engines
+//! and per-lane trajectory bookkeeping adds a constant per round. The
+//! scenario runner, E8's chain experiment and E11's broadcast race all run
+//! on [`run_lanes_in`]. The `wxbench` benchmark's per-layer replay times both engines
 //! (`radio.lanes_s`, `radio.scalar_s`).
 
 #![forbid(unsafe_code)]
@@ -80,7 +71,6 @@ pub mod lower_bound;
 pub mod metrics;
 pub mod protocols;
 pub mod simulator;
-pub mod trials;
 pub mod workspace;
 
 pub use bitslice::{
@@ -91,3 +81,11 @@ pub use metrics::BroadcastOutcome;
 pub use protocols::{BroadcastProtocol, ProtocolKind};
 pub use simulator::{reachable_from, RadioSimulator, RoundView, SimulatorConfig, TrialOutcome};
 pub use workspace::{with_thread_workspace, TrialWorkspace};
+
+/// Trial ensembles — many seeded trials of one protocol on one shared
+/// simulator, as the scenario runner and the sweep experiments drive the
+/// engines — checked end to end on both engines.
+#[cfg(test)]
+mod trials {
+    mod tests;
+}

@@ -8,15 +8,15 @@
 //! stage to be hit, in expectation and with high probability over the relay
 //! placement.
 //!
-//! [`ChainExperiment`] runs any protocol on a [`BroadcastChain`], records
-//! when each relay is first informed, and compares the total against the
-//! `Ω(D·log(n/D))` reference. The point of the reproduction is the *shape*:
-//! the measured per-relay delays should grow with `log s` and the total
-//! should scale like `num_stages · log s`, for every protocol (including the
-//! centralized spokesman schedule).
+//! [`ChainExperiment`] runs any protocol on a [`BroadcastChain`] through the
+//! lane engine, records when each relay is first informed, and compares the
+//! total against the `Ω(D·log(n/D))` reference. The point of the
+//! reproduction is the *shape*: the measured per-relay delays should grow
+//! with `log s` and the total should scale like `num_stages · log s`, for
+//! every protocol (including the centralized spokesman schedule).
 
-use crate::metrics::BroadcastOutcome;
-use crate::protocols::BroadcastProtocol;
+use crate::bitslice::{run_lanes_in, with_thread_lane_workspace};
+use crate::protocols::ProtocolKind;
 use crate::simulator::{RadioSimulator, SimulatorConfig};
 use serde::{Deserialize, Serialize};
 use wx_constructions::BroadcastChain;
@@ -77,16 +77,21 @@ impl<'a> ChainExperiment<'a> {
         ChainExperiment { chain, config }
     }
 
-    /// Runs `protocol` once with `seed` and extracts the relay timings.
-    pub fn run(&self, protocol: &mut dyn BroadcastProtocol, seed: u64) -> ChainRun {
+    /// Runs `protocol` once with `seed`, as a one-lane batch of the lane
+    /// engine, and extracts the relay timings.
+    pub fn run(&self, protocol: ProtocolKind, seed: u64) -> ChainRun {
         let sim = RadioSimulator::new(&self.chain.graph, self.chain.root, self.config.clone());
-        let outcome: BroadcastOutcome = sim.run(protocol, seed);
-        let relay_rounds: Vec<Option<usize>> = self
-            .chain
-            .relays()
-            .iter()
-            .map(|&r| outcome.first_round_of(r))
-            .collect();
+        let mut lanes = protocol.build_lanes();
+        let (relay_rounds, completed_at) = with_thread_lane_workspace(|ws| {
+            run_lanes_in(&sim, &mut *lanes, &[seed], ws);
+            let relay_rounds: Vec<Option<usize>> = self
+                .chain
+                .relays()
+                .iter()
+                .map(|&r| ws.lane_first_informed_round(0, r))
+                .collect();
+            (relay_rounds, ws.lane_outcome(0).completed_at)
+        });
         let mut relay_gaps = Vec::new();
         let mut prev = 0usize;
         for r in relay_rounds.iter().flatten() {
@@ -94,13 +99,13 @@ impl<'a> ChainExperiment<'a> {
             prev = *r;
         }
         ChainRun {
-            protocol: outcome.protocol.clone(),
+            protocol: lanes.name().to_string(),
             s: self.chain.s,
             num_stages: self.chain.num_stages,
             num_vertices: self.chain.num_vertices(),
             relay_rounds,
             relay_gaps,
-            completed_at: outcome.completed_at,
+            completed_at,
             reference_lower_bound: self.chain.reference_lower_bound(),
         }
     }
@@ -118,14 +123,12 @@ pub fn reference_curve(num_stages: usize, s: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocols::decay::DecayProtocol;
-    use crate::protocols::spokesman::SpokesmanBroadcast;
 
     #[test]
     fn relays_are_informed_in_order() {
         let chain = BroadcastChain::new(8, 3, 1).unwrap();
         let exp = ChainExperiment::new(&chain, SimulatorConfig::default());
-        let run = exp.run(&mut SpokesmanBroadcast::default(), 2);
+        let run = exp.run(ProtocolKind::Spokesman, 2);
         assert!(run.completed_at.is_some());
         let rounds: Vec<usize> = run.relay_rounds.iter().map(|r| r.unwrap()).collect();
         for w in rounds.windows(2) {
@@ -146,7 +149,7 @@ mod tests {
         // constant) for the randomized decay protocol.
         let chain = BroadcastChain::new(16, 3, 5).unwrap();
         let exp = ChainExperiment::new(&chain, SimulatorConfig::default());
-        let run = exp.run(&mut DecayProtocol::default(), 7);
+        let run = exp.run(ProtocolKind::Decay, 7);
         assert!(run.completed_at.is_some());
         assert!(
             run.completed_at.unwrap() as f64 >= run.reference_lower_bound,
@@ -161,9 +164,8 @@ mod tests {
         let short = BroadcastChain::new(8, 2, 3).unwrap();
         let long = BroadcastChain::new(8, 6, 3).unwrap();
         let cfg = SimulatorConfig::default();
-        let short_run =
-            ChainExperiment::new(&short, cfg.clone()).run(&mut SpokesmanBroadcast::default(), 1);
-        let long_run = ChainExperiment::new(&long, cfg).run(&mut SpokesmanBroadcast::default(), 1);
+        let short_run = ChainExperiment::new(&short, cfg.clone()).run(ProtocolKind::Spokesman, 1);
+        let long_run = ChainExperiment::new(&long, cfg).run(ProtocolKind::Spokesman, 1);
         assert!(short_run.completed_at.is_some() && long_run.completed_at.is_some());
         assert!(
             long_run.completed_at.unwrap() >= 2 * short_run.completed_at.unwrap(),

@@ -65,16 +65,8 @@ pub struct EnsembleStats {
 impl EnsembleStats {
     /// Aggregates an ensemble of outcomes.
     pub fn from_outcomes(outcomes: &[BroadcastOutcome]) -> Self {
-        let completions: Vec<Option<usize>> = outcomes.iter().map(|o| o.completed_at).collect();
-        EnsembleStats::from_completion_rounds(&completions)
-    }
-
-    /// Aggregates per-trial completion rounds directly (`None` = the trial
-    /// did not complete) — the streaming path used by
-    /// [`crate::trials::run_trials_stats`], which never materializes full
-    /// outcomes.
-    pub fn from_completion_rounds(completions: &[Option<usize>]) -> Self {
-        let mut completion_rounds: Vec<usize> = completions.iter().copied().flatten().collect();
+        let mut completion_rounds: Vec<usize> =
+            outcomes.iter().filter_map(|o| o.completed_at).collect();
         completion_rounds.sort_unstable();
         let completed = completion_rounds.len();
         let (mean, median, max, min) = if completed == 0 {
@@ -89,7 +81,7 @@ impl EnsembleStats {
             )
         };
         EnsembleStats {
-            trials: completions.len(),
+            trials: outcomes.len(),
             completed,
             mean_rounds: mean,
             median_rounds: median,

@@ -138,7 +138,7 @@ pub trait BroadcastProtocol<G: GraphView + ?Sized = Graph> {
 }
 
 // A boxed protocol is a protocol, so by-name factories ([`ProtocolKind::build`])
-// compose with the generic trial runner in `crate::trials`.
+// compose with generic callers such as `LaneMirror`.
 impl<G: GraphView + ?Sized, P: BroadcastProtocol<G> + ?Sized> BroadcastProtocol<G> for Box<P> {
     fn name(&self) -> &'static str {
         (**self).name()

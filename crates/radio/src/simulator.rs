@@ -139,8 +139,7 @@ impl<'a, G: GraphView + ?Sized> RadioSimulator<'a, G> {
     /// else (the simulator itself is deterministic).
     ///
     /// Allocates a fresh [`TrialWorkspace`] per call; ensembles should use
-    /// [`RadioSimulator::run_in`] (or the runners in [`crate::trials`]) to
-    /// reuse one workspace across trials.
+    /// [`RadioSimulator::run_in`] to reuse one workspace across trials.
     pub fn run(&self, protocol: &mut dyn BroadcastProtocol<G>, seed: u64) -> BroadcastOutcome {
         let mut ws = TrialWorkspace::new(self.graph.num_vertices());
         let trial = self.run_in(protocol, seed, &mut ws);

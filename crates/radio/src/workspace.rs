@@ -14,10 +14,9 @@
 //! not to `n`: the informed member list records exactly which
 //! `first_informed_round` entries were written, so only those are cleared.
 //!
-//! Use [`crate::RadioSimulator::run_in`] with an explicit workspace, or let
-//! the parallel trial runner in [`crate::trials`] pull one workspace per
-//! rayon worker from the thread-local pool via [`with_thread_workspace`]
-//! (mirroring the `with_thread_scratch` pool in `wx_graph`).
+//! Use [`crate::RadioSimulator::run_in`] with an explicit workspace, or
+//! borrow the thread-local one via [`with_thread_workspace`] (mirroring the
+//! `with_thread_scratch` pool in `wx_graph`).
 
 use std::cell::RefCell;
 use wx_graph::{NeighborhoodScratch, Vertex, VertexSet};
@@ -144,10 +143,9 @@ thread_local! {
 
 /// Runs `f` with this thread's shared [`TrialWorkspace`].
 ///
-/// This is the pool behind the parallel trial runner in [`crate::trials`]:
-/// each rayon worker thread reuses one workspace across all trials it
-/// executes, so a 10k-trial ensemble performs O(#workers) workspace
-/// allocations instead of 10k.
+/// Each thread reuses one workspace across all trials it executes, so a
+/// 10k-trial ensemble performs O(#threads) workspace allocations instead
+/// of 10k.
 ///
 /// # Panics
 /// Panics if `f` re-enters `with_thread_workspace` on the same thread (the

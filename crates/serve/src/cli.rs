@@ -119,9 +119,10 @@ fn cmd_serve(args: &[String]) -> Result<i32> {
             )?;
             let stats = service.cache_stats();
             eprintln!(
-                "wx serve: {} executed, {} coalesced, graph hits {}, solution hits {} ({} from disk)",
+                "wx serve: {} executed, {} coalesced, {} panicked, graph hits {}, solution hits {} ({} from disk)",
                 service.executed(),
                 service.coalesced(),
+                service.panics(),
                 stats.graph_hits,
                 stats.solution_hits,
                 stats.solution_disk_hits,

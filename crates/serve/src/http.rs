@@ -106,6 +106,7 @@ fn stats_body(service: &Service) -> Vec<u8> {
     let doc = Value::Map(vec![
         ("executed".to_string(), num(service.executed())),
         ("coalesced".to_string(), num(service.coalesced())),
+        ("panics".to_string(), num(service.panics())),
         ("cache".to_string(), cache),
     ]);
     let mut body = serde_json::to_string_pretty(&doc).unwrap_or_default();

@@ -23,6 +23,13 @@
 //! deltas) lives in the response *envelope*, never in the report — that
 //! is what keeps the report byte-deterministic while still exposing
 //! per-request metrics.
+//!
+//! # Panics
+//!
+//! A job that panics answers with an error response like any failed
+//! request: the panic is caught around the job's execution, counted in
+//! [`Service::panics`], and its key leaves the in-flight table, so neither
+//! its waiters nor later identical requests hang on it.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -102,10 +109,23 @@ struct ServiceInner {
     shutdown: AtomicBool,
     executed: AtomicU64,
     coalesced: AtomicU64,
+    panics: AtomicU64,
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs `f`, turning a panic into `Err` carrying the panic message.
+fn catch_panic<T>(f: impl FnOnce() -> T) -> std::result::Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        format!("internal error: the request panicked: {message}")
+    })
 }
 
 impl ServiceInner {
@@ -122,10 +142,16 @@ impl ServiceInner {
             graphs: Some(&self.cache),
             solutions: Some(&self.cache),
         };
-        let outcome = runner
-            .run_ctx(&job.spec, &ctx)
-            .map(|report| report.to_json())
-            .map_err(|e| e.to_string());
+        let outcome = catch_panic(|| {
+            runner
+                .run_ctx(&job.spec, &ctx)
+                .map(|report| report.to_json())
+                .map_err(|e| e.to_string())
+        })
+        .unwrap_or_else(|panic| {
+            self.panics.fetch_add(1, Ordering::SeqCst);
+            Err(panic)
+        });
         let response = Arc::new(Response {
             name: job.spec.name.clone(),
             outcome,
@@ -188,6 +214,7 @@ impl Service {
                 shutdown: AtomicBool::new(false),
                 executed: AtomicU64::new(0),
                 coalesced: AtomicU64::new(0),
+                panics: AtomicU64::new(0),
             }),
         }
     }
@@ -276,5 +303,25 @@ impl Service {
     #[must_use]
     pub fn coalesced(&self) -> u64 {
         self.inner.coalesced.load(Ordering::SeqCst)
+    }
+
+    /// Executed requests that panicked (each answered with an error).
+    #[must_use]
+    pub fn panics(&self) -> u64 {
+        self.inner.panics.load(Ordering::SeqCst)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::catch_panic;
+
+    #[test]
+    fn catch_panic_turns_a_panic_into_an_error() {
+        assert_eq!(catch_panic(|| 7), Ok(7));
+        let err = catch_panic(|| -> u32 { panic!("boom {}", 3) }).unwrap_err();
+        assert!(err.contains("boom 3"), "{err}");
+        let err = catch_panic(|| -> u32 { panic!("static message") }).unwrap_err();
+        assert!(err.contains("static message"), "{err}");
     }
 }

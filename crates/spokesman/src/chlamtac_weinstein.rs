@@ -7,7 +7,9 @@
 //! `i = 0, 1, …, ⌈log₂|S|⌉` sample each left vertex with probability `2^{-i}`
 //! and keep the best sample. For any set `S` there is a level at which the
 //! expected number of sampled vertices adjacent to a fixed right vertex is
-//! `Θ(1)`, giving the `|N|/log|S|` guarantee in expectation.
+//! `Θ(1)`, giving the `|N|/log|S|` guarantee in expectation. The sweep is
+//! Random Decay's, over the whole left side, with the level count set by
+//! `|S|` instead of the degree.
 //!
 //! This solver exists as the *comparison point* for experiment E7: the
 //! paper's refined solvers ([`crate::RandomDecaySolver`],
@@ -15,9 +17,8 @@
 //! `log(2·min{δ_N, δ_S})`, which is never worse and is much better on
 //! low-average-degree instances with a large left side.
 
+use crate::random_decay::dyadic_sweep;
 use crate::solver::{SolverKind, SpokesmanResult, SpokesmanSolver};
-use rand::Rng;
-use wx_graph::random::{derive_seed, rng_from_seed};
 use wx_graph::{BipartiteGraph, VertexSet};
 
 /// Size-based halving baseline in the spirit of Chlamtac–Weinstein \[7\].
@@ -62,24 +63,8 @@ impl SpokesmanSolver for ChlamtacWeinsteinSolver {
             );
         }
         let levels = (2.0 * g.num_left() as f64).log2().ceil().max(1.0) as u32;
-        let mut best_cov = 0usize;
-        let mut best_subset = VertexSet::empty(g.num_left());
-        for i in 0..=levels {
-            let p = 0.5f64.powi(i as i32);
-            for t in 0..self.trials_per_level {
-                let mut rng = rng_from_seed(derive_seed(seed, ((i as u64) << 32) | t as u64));
-                let sample = VertexSet::from_iter(
-                    g.num_left(),
-                    (0..g.num_left()).filter(|_| rng.gen_bool(p)),
-                );
-                let cov = g.unique_coverage(&sample);
-                if cov > best_cov {
-                    best_cov = cov;
-                    best_subset = sample;
-                }
-            }
-        }
-        let _ = best_cov;
+        let (_, best_subset) =
+            dyadic_sweep(g, 0..g.num_left(), levels, self.trials_per_level, seed);
         SpokesmanResult::from_subset(SolverKind::ChlamtacWeinstein, g, best_subset)
     }
 }
@@ -87,6 +72,8 @@ impl SpokesmanSolver for ChlamtacWeinsteinSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
+    use wx_graph::random::rng_from_seed;
 
     fn random_instance(seed: u64, s: usize, n: usize, p: f64) -> BipartiteGraph {
         let mut rng = rng_from_seed(seed);

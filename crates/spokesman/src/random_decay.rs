@@ -54,37 +54,6 @@ impl RandomDecaySolver {
         }
     }
 
-    /// The dyadic decay sweep of Lemma 4.2 applied to an explicit candidate
-    /// set of right vertices: for each level `j` sample left vertices with
-    /// probability `2^{-j}` and keep the subset with the best unique coverage
-    /// over the *whole* graph.
-    fn decay_sweep(
-        &self,
-        g: &BipartiteGraph,
-        left_pool: &VertexSet,
-        max_level: u32,
-        seed: u64,
-    ) -> (usize, VertexSet) {
-        let mut best_cov = 0usize;
-        let mut best_subset = VertexSet::empty(g.num_left());
-        for j in 0..=max_level {
-            let p = 0.5f64.powi(j as i32);
-            for t in 0..self.trials_per_level {
-                let mut rng = rng_from_seed(derive_seed(seed, (j as u64) << 32 | t as u64));
-                let sample = VertexSet::from_iter(
-                    g.num_left(),
-                    left_pool.iter().filter(|_| rng.gen_bool(p)),
-                );
-                let cov = g.unique_coverage(&sample);
-                if cov > best_cov {
-                    best_cov = cov;
-                    best_subset = sample;
-                }
-            }
-        }
-        (best_cov, best_subset)
-    }
-
     /// Number of dyadic levels to sweep: enough to reach sampling probability
     /// `1/(2·max_degree)`, the lowest level the proof of Lemma 4.2 ever needs.
     fn levels_for(&self, g: &BipartiteGraph) -> u32 {
@@ -120,6 +89,38 @@ impl RandomDecaySolver {
     }
 }
 
+/// The dyadic sampling sweep of Lemma 4.2, shared with
+/// [`crate::ChlamtacWeinsteinSolver`]: for each level `j ≤ max_level` draw
+/// `trials_per_level` samples that keep each vertex of `left_pool` (left
+/// vertices in ascending order) with probability `2^{-j}` (sample `t`
+/// seeded by `derive_seed(seed, j << 32 | t)`, one draw per pool vertex),
+/// and return the first sample with the best unique coverage over the
+/// *whole* graph, with that coverage.
+pub(crate) fn dyadic_sweep(
+    g: &BipartiteGraph,
+    left_pool: impl Iterator<Item = usize> + Clone,
+    max_level: u32,
+    trials_per_level: usize,
+    seed: u64,
+) -> (usize, VertexSet) {
+    let mut best_cov = 0usize;
+    let mut best_subset = VertexSet::empty(g.num_left());
+    for j in 0..=max_level {
+        let p = 0.5f64.powi(j as i32);
+        for t in 0..trials_per_level {
+            let mut rng = rng_from_seed(derive_seed(seed, (j as u64) << 32 | t as u64));
+            let sample =
+                VertexSet::from_iter(g.num_left(), left_pool.clone().filter(|_| rng.gen_bool(p)));
+            let cov = g.unique_coverage(&sample);
+            if cov > best_cov {
+                best_cov = cov;
+                best_subset = sample;
+            }
+        }
+    }
+    (best_cov, best_subset)
+}
+
 impl SpokesmanSolver for RandomDecaySolver {
     fn kind(&self) -> SolverKind {
         SolverKind::RandomDecay
@@ -137,8 +138,13 @@ impl SpokesmanSolver for RandomDecaySolver {
         let levels = self.levels_for(g);
 
         // Pipeline A (Lemma 4.2): all left vertices participate.
-        let all_left = VertexSet::full(g.num_left());
-        let (cov_a, sub_a) = self.decay_sweep(g, &all_left, levels, derive_seed(seed, 0xA));
+        let (cov_a, sub_a) = dyadic_sweep(
+            g,
+            0..g.num_left(),
+            levels,
+            self.trials_per_level,
+            derive_seed(seed, 0xA),
+        );
 
         let (best_cov, best_sub) = if self.use_left_restriction {
             // Pipeline B (Lemma 4.3): restrict + thin the left side first.
@@ -146,7 +152,13 @@ impl SpokesmanSolver for RandomDecaySolver {
             if pool.is_empty() {
                 (cov_a, sub_a)
             } else {
-                let (cov_b, sub_b) = self.decay_sweep(g, &pool, levels, derive_seed(seed, 0xB));
+                let (cov_b, sub_b) = dyadic_sweep(
+                    g,
+                    pool.as_slice().iter().copied(),
+                    levels,
+                    self.trials_per_level,
+                    derive_seed(seed, 0xB),
+                );
                 if cov_b > cov_a {
                     (cov_b, sub_b)
                 } else {

@@ -9,6 +9,8 @@
 //! Run with `cargo run -p wx-examples --bin quickstart [seed]`.
 
 use wx_core::prelude::*;
+use wx_core::radio::{run_lanes, ProtocolKind};
+use wx_core::report::fmt_opt;
 use wx_examples::{section, seed_from_args};
 
 fn main() {
@@ -24,17 +26,15 @@ fn main() {
     );
 
     section("Expansion profile (exact for this size)");
-    let analysis = GraphAnalysis::run(
-        &graph,
-        &AnalysisConfig::builder()
-            .broadcast_source(Some(source))
-            .seed(seed)
-            .build(),
+    let profile = ExpansionProfile::measure(&graph, &ProfileConfig::default());
+    println!("{}", profile.summary());
+    println!(
+        "observation 2.1 (β ≥ βw ≥ βu): {}",
+        profile.satisfies_observation_2_1()
     );
-    println!("{}", analysis.summary());
     println!(
         "unique expansion collapses to {:.3} while wireless expansion stays at {:.3}",
-        analysis.profile.unique.value, analysis.profile.wireless.value
+        profile.unique.value, profile.wireless.value
     );
 
     section("Backends: the same engine on an unmaterialized hypercube");
@@ -58,16 +58,23 @@ fn main() {
     );
 
     section("Broadcast race from the pendant source");
-    let b = analysis.broadcast.expect("broadcast comparison enabled");
-    println!(
-        "naive flooding     : {}",
-        wx_core::report::fmt_opt(b.naive_flooding)
+    // Each protocol runs as a one-lane batch of the bit-sliced lane engine.
+    let sim = RadioSimulator::new(
+        &graph,
+        source,
+        SimulatorConfig {
+            max_rounds: 5_000,
+            stop_when_complete: true,
+        },
     );
-    println!("decay protocol     : {}", wx_core::report::fmt_opt(b.decay));
-    println!(
-        "spokesman schedule : {}",
-        wx_core::report::fmt_opt(b.spokesman)
-    );
+    for (label, kind) in [
+        ("naive flooding    ", ProtocolKind::NaiveFlooding),
+        ("decay protocol    ", ProtocolKind::Decay),
+        ("spokesman schedule", ProtocolKind::Spokesman),
+    ] {
+        let outcome = run_lanes(&sim, &mut *kind.build_lanes(), &[seed])[0];
+        println!("{label} : {}", fmt_opt(outcome.completed_at));
+    }
     println!();
     println!("(naive flooding '-' means it never completed: after the first round");
     println!(" the informed set {{source, x, y}} has no unique neighbors, exactly the");

@@ -9,6 +9,7 @@
 //! Run with `cargo run -p wx-examples --bin radio_broadcast_race [seed]`.
 
 use wx_core::prelude::*;
+use wx_core::radio::{run_lanes, ProtocolKind};
 use wx_core::report::{fmt_opt, render_table, TableRow};
 use wx_examples::{section, seed_from_args};
 
@@ -18,22 +19,13 @@ fn race(name: &str, graph: &Graph, source: Vertex, seed: u64, rows: &mut Vec<Tab
         stop_when_complete: true,
     };
     let sim = RadioSimulator::new(graph, source, cfg);
-    let naive = sim.run(&mut NaiveFlooding, seed).completed_at;
-    let rr = sim.run(&mut RoundRobin::default(), seed).completed_at;
-    let decay = sim.run(&mut DecayProtocol::default(), seed).completed_at;
-    let spk = sim
-        .run(&mut SpokesmanBroadcast::default(), seed)
-        .completed_at;
-    rows.push(TableRow::new(
-        name,
-        vec![
-            graph.num_vertices().to_string(),
-            fmt_opt(naive),
-            fmt_opt(rr),
-            fmt_opt(decay),
-            fmt_opt(spk),
-        ],
-    ));
+    let mut cells = vec![graph.num_vertices().to_string()];
+    // each protocol runs as a one-lane batch of the bit-sliced lane engine
+    for kind in ProtocolKind::ALL {
+        let outcome = run_lanes(&sim, &mut *kind.build_lanes(), &[seed])[0];
+        cells.push(fmt_opt(outcome.completed_at));
+    }
+    rows.push(TableRow::new(name, cells));
 }
 
 fn main() {
@@ -84,7 +76,7 @@ fn main() {
             stop_when_complete: true,
         },
     );
-    let run = exp.run(&mut SpokesmanBroadcast::default(), seed);
+    let run = exp.run(ProtocolKind::Spokesman, seed);
     println!("relay informed at rounds: {:?}", run.relay_rounds);
     println!(
         "mean per-stage gap {:.1} rounds vs log2(2s) = {:.1}",

@@ -7,7 +7,7 @@ use wx_radio::protocols::decay::DecayProtocol;
 use wx_radio::protocols::naive::NaiveFlooding;
 use wx_radio::protocols::round_robin::RoundRobin;
 use wx_radio::protocols::spokesman::SpokesmanBroadcast;
-use wx_radio::{BroadcastProtocol, RadioSimulator, SimulatorConfig};
+use wx_radio::{BroadcastProtocol, ProtocolKind, RadioSimulator, SimulatorConfig};
 
 fn run(
     graph: &wx_graph::Graph,
@@ -113,7 +113,7 @@ fn broadcast_time_on_chain_grows_with_number_of_stages() {
     for stages in [1usize, 3, 6] {
         let chain = BroadcastChain::new(16, stages, 11).unwrap();
         let exp = ChainExperiment::new(&chain, cfg.clone());
-        let run = exp.run(&mut SpokesmanBroadcast::default(), 3);
+        let run = exp.run(ProtocolKind::Spokesman, 3);
         let completed = run.completed_at.expect("spokesman completes");
         assert!(
             completed > prev,
@@ -140,7 +140,7 @@ fn broadcast_time_on_chain_grows_with_log_of_stage_size() {
         // one run is noisy, so compare medians over several seeds
         let mut completions: Vec<usize> = (0..7u64)
             .map(|seed| {
-                exp.run(&mut DecayProtocol::default(), 5 + seed)
+                exp.run(ProtocolKind::Decay, 5 + seed)
                     .completed_at
                     .expect("decay completes")
             })
@@ -162,11 +162,11 @@ fn relay_gaps_reflect_the_log_factor() {
     let small = BroadcastChain::new(8, 4, 17).unwrap();
     let large = BroadcastChain::new(128, 4, 17).unwrap();
     let small_gap = ChainExperiment::new(&small, cfg.clone())
-        .run(&mut DecayProtocol::default(), 23)
+        .run(ProtocolKind::Decay, 23)
         .mean_gap()
         .unwrap();
     let large_gap = ChainExperiment::new(&large, cfg)
-        .run(&mut DecayProtocol::default(), 23)
+        .run(ProtocolKind::Decay, 23)
         .mean_gap()
         .unwrap();
     assert!(

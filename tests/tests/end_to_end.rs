@@ -1,8 +1,9 @@
-//! End-to-end pipeline tests: the facade analysis on every graph family,
+//! End-to-end pipeline tests: the expansion profile on every graph family,
 //! serde round-trips of the report types, and reproducibility of the whole
 //! stack under a fixed seed.
 
 use wx_core::prelude::*;
+use wx_core::radio::{run_lanes, ProtocolKind};
 
 #[test]
 fn analysis_runs_on_every_family_and_observation_2_1_always_holds() {
@@ -26,16 +27,16 @@ fn analysis_runs_on_every_family_and_observation_2_1_always_holds() {
         ),
     ];
     for (name, g) in graphs {
-        let analysis = GraphAnalysis::run(&g, &AnalysisConfig::light());
+        let p = ExpansionProfile::measure(&g, &ProfileConfig::light(0.5));
         assert!(
-            analysis.observation_2_1_holds,
+            p.satisfies_observation_2_1(),
             "{name}: Observation 2.1 violated: {}",
-            analysis.summary()
+            p.summary()
         );
         assert!(
-            analysis.profile.wireless.value >= 0.0 && analysis.profile.ordinary.value.is_finite(),
+            p.wireless.value >= 0.0 && p.ordinary.value.is_finite(),
             "{name}: nonsensical profile {}",
-            analysis.summary()
+            p.summary()
         );
     }
 }
@@ -43,22 +44,58 @@ fn analysis_runs_on_every_family_and_observation_2_1_always_holds() {
 #[test]
 fn analysis_is_reproducible_for_a_fixed_seed() {
     let g = random_regular_graph(60, 4, 5).unwrap();
-    let cfg = AnalysisConfig::light();
-    let a = GraphAnalysis::run(&g, &cfg);
-    let b = GraphAnalysis::run(&g, &cfg);
-    assert_eq!(a.profile.ordinary.value, b.profile.ordinary.value);
-    assert_eq!(a.profile.unique.value, b.profile.unique.value);
-    assert_eq!(a.profile.wireless.value, b.profile.wireless.value);
+    let cfg = ProfileConfig::light(0.5);
+    let a = ExpansionProfile::measure(&g, &cfg);
+    let b = ExpansionProfile::measure(&g, &cfg);
+    assert_eq!(a.ordinary.value, b.ordinary.value);
+    assert_eq!(a.unique.value, b.unique.value);
+    assert_eq!(a.wireless.value, b.wireless.value);
 }
 
 #[test]
 fn analysis_json_roundtrips() {
     let (g, _) = complete_plus_graph(6).unwrap();
-    let a = GraphAnalysis::run(&g, &AnalysisConfig::default());
-    let json = a.to_json();
+    let p = ExpansionProfile::measure(&g, &ProfileConfig::default());
+    let json = serde_json::to_string_pretty(&p).unwrap();
     let back: serde_json::Value = serde_json::from_str(&json).unwrap();
-    assert_eq!(back["profile"]["num_vertices"], 7);
-    assert!(back["observation_2_1_holds"].as_bool().unwrap());
+    assert_eq!(back["num_vertices"], 7);
+    let back: ExpansionProfile = serde_json::from_str(&json).unwrap();
+    assert!(back.satisfies_observation_2_1());
+}
+
+#[test]
+fn analysis_of_c_plus_shows_the_headline_phenomenon() {
+    let (g, _) = complete_plus_graph(8).unwrap();
+    let p = ExpansionProfile::measure(&g, &ProfileConfig::default());
+    assert!(p.wireless.exact);
+    assert!(p.satisfies_observation_2_1());
+    // exact mode: Theorem 1.1 with constant 1 and Lemma 3.2's βu ≥ 2β − Δ
+    assert!(p.satisfies_theorem_1_1(1.0), "{}", p.summary());
+    assert!(p.unique.value + 1e-9 >= p.lemma_3_2_reference);
+    // βu = 0 < βw
+    assert_eq!(p.unique.value, 0.0);
+    assert!(p.wireless.value > 0.0);
+    // from a clique vertex the spokesman schedule completes
+    let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
+    let outcome = run_lanes(&sim, &mut *ProtocolKind::Spokesman.build_lanes(), &[0xABCD])[0];
+    assert!(outcome.completed());
+}
+
+#[test]
+fn analysis_of_regular_expander_sampled_mode() {
+    let g = random_regular_graph(64, 4, 3).unwrap();
+    let p = ExpansionProfile::measure(&g, &ProfileConfig::light(0.5));
+    assert!(!p.ordinary.exact);
+    assert!(p.satisfies_observation_2_1());
+}
+
+#[test]
+fn analysis_of_grid_low_arboricity() {
+    let g = grid_graph(6, 6).unwrap();
+    let p = ExpansionProfile::measure(&g, &ProfileConfig::light(0.5));
+    // grids are planar: arboricity bound small, wireless loss bounded
+    assert!(p.arboricity.upper <= 3);
+    assert!(p.satisfies_observation_2_1());
 }
 
 #[test]
