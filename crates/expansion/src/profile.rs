@@ -144,7 +144,6 @@ impl ProfileConfig {
             ball_centers: self.ball_centers,
             greedy_growths: self.greedy_growths,
             include_singletons: true,
-            large_graph_threshold: crate::sampling::LARGE_N_THRESHOLD,
         }
     }
 

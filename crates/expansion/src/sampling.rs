@@ -39,12 +39,6 @@ pub struct SamplerConfig {
     pub greedy_growths: usize,
     /// Include every singleton set (cheap, catches degree-based minima).
     pub include_singletons: bool,
-    /// Vertex count above which the sampler switches to its memory-bounded
-    /// large-graph regime (see [`CandidateSets::generate`]). Defaults to
-    /// [`LARGE_N_THRESHOLD`]; raise it (up to `usize::MAX` to disable) when
-    /// a graph comfortably fits in RAM and the exhaustive singleton pool's
-    /// witness guarantees matter more than memory.
-    pub large_graph_threshold: usize,
 }
 
 impl Default for SamplerConfig {
@@ -56,7 +50,6 @@ impl Default for SamplerConfig {
             ball_centers: 8,
             greedy_growths: 4,
             include_singletons: true,
-            large_graph_threshold: LARGE_N_THRESHOLD,
         }
     }
 }
@@ -71,7 +64,6 @@ impl SamplerConfig {
             ball_centers: 3,
             greedy_growths: 2,
             include_singletons: true,
-            large_graph_threshold: LARGE_N_THRESHOLD,
         }
     }
 
@@ -91,8 +83,7 @@ pub struct CandidateSets {
     pub alpha: f64,
 }
 
-/// Default for [`SamplerConfig::large_graph_threshold`]: above this vertex
-/// count the sampler switches to its large-graph regime
+/// Above this vertex count the sampler switches to its large-graph regime
 /// (see [`CandidateSets::generate`]): candidate sizes are clamped to
 /// [`LARGE_N_SET_CAP`], singletons are sampled instead of exhaustive, and
 /// greedy growths stop at [`LARGE_N_GROWTH_CAP`]. Pools for graphs at or
@@ -131,7 +122,7 @@ impl CandidateSets {
                 alpha: config.alpha,
             };
         }
-        let large = n > config.large_graph_threshold;
+        let large = n > LARGE_N_THRESHOLD;
         let max_size = if large {
             config.max_set_size(n).min(LARGE_N_SET_CAP)
         } else {
@@ -236,19 +227,16 @@ impl CandidateSets {
             let mut boundary = wx_graph::neighborhood::external_neighborhood(g, &current);
             sets.push(current.clone());
             while current.len() < growth_cap && !boundary.is_empty() {
-                let mut best: Option<(usize, usize)> = None;
-                for v in boundary.iter() {
-                    let fresh = g
-                        .neighbors_iter(v)
+                // the first boundary vertex with the fewest fresh neighbors
+                let fresh = |v: usize| {
+                    g.neighbors_iter(v)
                         .filter(|&u| !current.contains(u) && !boundary.contains(u))
-                        .count();
-                    match best {
-                        None => best = Some((v, fresh)),
-                        Some((_, bb)) if fresh < bb => best = Some((v, fresh)),
-                        _ => {}
-                    }
-                }
-                let (v, _) = best.expect("non-empty boundary");
+                        .count()
+                };
+                let v = boundary
+                    .iter()
+                    .min_by_key(|&v| fresh(v))
+                    .expect("non-empty boundary");
                 current.insert(v);
                 boundary.remove(v);
                 for u in g.neighbors_iter(v) {
@@ -265,11 +253,11 @@ impl CandidateSets {
             }
         }
 
-        // Drop any accidental empties or over-cap sets, dedup by member list
-        // (compared in place; no per-set clones).
+        // Drop any accidental empties or over-cap sets, then sort by member
+        // list and dedup.
         sets.retain(|s| !s.is_empty() && s.len() <= max_size);
-        sets.sort_by(|a, b| a.as_slice().cmp(b.as_slice()));
-        sets.dedup_by(|a, b| a.as_slice() == b.as_slice());
+        sets.sort_by(|a, b| a.iter().cmp(b.iter()));
+        sets.dedup();
         wx_trace::count(wx_trace::CounterId::SamplerDraws, sets.len() as u64);
 
         CandidateSets {
@@ -354,7 +342,7 @@ pub fn all_small_sets(n: usize, max_size: usize) -> Vec<VertexSet> {
     for k in 1..=max_size {
         let mut comb: Vec<usize> = (0..k).collect();
         loop {
-            sets.push(VertexSet::from_sorted(n, comb.clone()));
+            sets.push(VertexSet::from_iter(n, comb.iter().copied()));
             // advance to the next k-combination in lexicographic order
             let Some(i) = (0..k).rev().find(|&i| comb[i] < n - k + i) else {
                 break;
@@ -455,7 +443,6 @@ mod tests {
             ball_centers: 0,
             greedy_growths: 0,
             include_singletons: false,
-            large_graph_threshold: LARGE_N_THRESHOLD,
         };
         let pool = CandidateSets::generate(&g, &cfg, 9);
         assert_eq!(pool.len(), 280, "candidate sets were lost to seed reuse");
@@ -527,7 +514,6 @@ mod tests {
             ball_centers: 0,
             greedy_growths: 0,
             include_singletons: true,
-            large_graph_threshold: LARGE_N_THRESHOLD,
         };
         let at = ImplicitGraph::cycle_power(LARGE_N_THRESHOLD, 1).unwrap();
         let pool = CandidateSets::generate(&at, &cfg, 1);

@@ -126,12 +126,12 @@ proptest! {
         keep_raw in prop::collection::btree_set(0usize..14, 2..11),
     ) {
         use wx_expansion::engine::{MeasureStrategy, MeasurementEngine, Wireless};
-        use wx_graph::SubgraphView;
+        use wx_graph::{SubgraphView, SubsetIndex};
 
         let g = Graph::from_edges(14, edges).unwrap();
-        let keep = VertexSet::from_iter(14, keep_raw.iter().copied());
+        let keep = SubsetIndex::new(VertexSet::from_iter(14, keep_raw.iter().copied()));
         let view = SubgraphView::new(&g, &keep);
-        let (mat, _) = g.induced_subgraph(&keep);
+        let (mat, _) = g.induced_subgraph(keep.set());
         let engine = MeasurementEngine::builder()
             .alpha(0.5)
             .strategy(MeasureStrategy::Exact)

@@ -21,8 +21,8 @@
 //!   self-loop handling.
 //! * [`BipartiteGraph`] — an explicit two-sided graph `G_S = (S, N, E_S)` as
 //!   used throughout Section 4 and Appendix A of the paper.
-//! * [`VertexSet`] — a hybrid bitset + list representation of vertex subsets,
-//!   the object all expansion notions quantify over.
+//! * [`VertexSet`] — a bitset over `0..n` with O(1) membership, insert and
+//!   remove: the vertex subsets all expansion notions quantify over.
 //! * [`neighborhood`] — the neighborhood operators `Γ(S)`, `Γ⁻(S)`, `Γ¹(S)`
 //!   and the `S`-excluding unique neighborhood `Γ¹_S(S')` (Section 2.1).
 //! * [`scratch`] — the epoch-stamped [`NeighborhoodScratch`] counting kernel
@@ -67,19 +67,12 @@ pub mod view;
 pub use bipartite::{BipartiteBuilder, BipartiteGraph, Side};
 pub use builder::GraphBuilder;
 pub use csr::Graph;
-/// Explicit name for the CSR backend behind the default [`Graph`] spelling.
-///
-/// Code that wants to be explicit about which [`GraphView`] backend it
-/// holds (now that [`SubgraphView`] and [`ImplicitGraph`] exist) can say
-/// `CsrGraph`; both names are the same type, so downstream diffs against
-/// either spelling stay mechanical.
-pub type CsrGraph = csr::Graph;
 pub use disk::{convert_to_wxg, ConvertOptions, ConvertStats};
 pub use error::{GraphError, WxgDefect};
 pub use mmap::MmapGraph;
 pub use scratch::NeighborhoodScratch;
 pub use vertex_set::VertexSet;
-pub use view::{GraphView, ImplicitFamily, ImplicitGraph, SubgraphView};
+pub use view::{GraphView, ImplicitFamily, ImplicitGraph, SubgraphView, SubsetIndex};
 
 /// A vertex identifier. Vertices of a [`Graph`] with `n` vertices are the
 /// dense range `0..n`.

@@ -31,7 +31,8 @@ pub fn derive_seed(parent: u64, stream: u64) -> u64 {
 }
 
 /// Samples a uniformly random subset of `{0..universe}` of exactly `k`
-/// elements (Floyd's algorithm via shuffling a prefix).
+/// elements (a partial Fisher–Yates shuffle of `0..universe`, keeping the
+/// first `k` entries).
 ///
 /// # Panics
 /// Panics if `k > universe`.
@@ -42,24 +43,25 @@ pub fn random_subset_of_size(rng: &mut impl Rng, universe: usize, k: usize) -> V
     VertexSet::from_iter(universe, all.into_iter().take(k))
 }
 
-/// Samples a uniform random `k`-subset of `{0, …, universe-1}` in O(k log k)
-/// time and O(k) working memory (Floyd's algorithm) — the draw for huge
-/// implicit-backend universes, where the O(universe) shuffle behind
-/// [`random_subset_of_size`] would dominate the whole computation.
+/// Samples a uniform random `k`-subset of `{0, …, universe-1}` with `k`
+/// draws (Floyd's algorithm) straight into the output bitset, in
+/// O(k + universe/64) — the draw for huge implicit-backend universes, where
+/// the O(universe) shuffle behind [`random_subset_of_size`] would dominate
+/// the whole computation.
 ///
 /// The two samplers consume the rng differently, so they are **not**
 /// interchangeable under a fixed seed; callers pick one per use site and
 /// stick with it.
 pub fn random_subset_of_size_sparse(rng: &mut impl Rng, universe: usize, k: usize) -> VertexSet {
     assert!(k <= universe, "cannot sample {k} elements from {universe}");
-    let mut chosen = std::collections::BTreeSet::new();
+    let mut chosen = VertexSet::empty(universe);
     for j in (universe - k)..universe {
         let t = rng.gen_range(0..j + 1);
         if !chosen.insert(t) {
             chosen.insert(j);
         }
     }
-    VertexSet::from_sorted(universe, chosen.into_iter().collect())
+    chosen
 }
 
 /// Samples each element of `{0..universe}` independently with probability

@@ -5,7 +5,7 @@
 //! neighbor in `S`, `|Γ¹(S)|` those with exactly one, and the wireless inner
 //! maximization repeats the same count for many subsets `S' ⊆ S`. The
 //! original operators in [`crate::neighborhood`] materialized a fresh
-//! [`VertexSet`] (bitset + sorted member vector) — or a fresh `vec![0; n]`
+//! [`VertexSet`] (an n-bit bitset) — or a fresh `vec![0; n]`
 //! counter array — per evaluation, so the measurement engine's hot loop was
 //! dominated by allocator churn rather than graph traversal.
 //!
@@ -320,18 +320,16 @@ impl NeighborhoodScratch {
         self.touched_sorted(true)
     }
 
-    /// Materializes the touched vertices satisfying `keep(count)` as a sorted
+    /// Materializes the touched vertices satisfying `keep(count)` as a
     /// [`VertexSet`] over `universe`.
-    fn materialize(&mut self, universe: usize, keep: impl Fn(u32) -> bool) -> VertexSet {
-        let mut members: Vec<usize> = self
-            .touched
-            .iter()
-            .copied()
-            .filter(|&u| keep(self.count[u]))
-            // wx-allow(hot-path-alloc): materializing variant allocates by contract; hot loops use the count_* kernels
-            .collect();
-        members.sort_unstable();
-        VertexSet::from_sorted(universe, members)
+    fn materialize(&self, universe: usize, keep: impl Fn(u32) -> bool) -> VertexSet {
+        VertexSet::from_iter(
+            universe,
+            self.touched
+                .iter()
+                .copied()
+                .filter(|&u| keep(self.count[u])),
+        )
     }
 
     /// `Γ(S)` as a set (materializing variant of

@@ -4,22 +4,24 @@
 //! `S ⊆ V`: ordinary expansion looks at `Γ⁻(S)`, unique-neighbor expansion at
 //! `Γ¹(S)`, and wireless expansion additionally quantifies over subsets
 //! `S' ⊆ S`. [`VertexSet`] is the workhorse representation for these sets: a
-//! bitset (for O(1) membership tests) paired with a sorted member list (for
-//! fast iteration proportional to `|S|` rather than `n`).
+//! bitset over the universe with its member count, so membership tests,
+//! inserts and removals are O(1) and iteration walks the words in ascending
+//! vertex order.
 
 use std::fmt;
 
 /// A subset of the vertices `0..n` of a graph.
 ///
-/// Internally a `VertexSet` stores both a bitset over the universe and a
-/// sorted vector of members, so membership queries are O(1) and iteration is
-/// O(|S|). The universe size is fixed at construction; all vertices passed to
-/// mutating methods must lie in `0..universe`.
+/// Internally a `VertexSet` is a bitset over the universe plus the number of
+/// set bits: membership queries, inserts and removals are O(1), set algebra
+/// runs word by word, and iteration costs O(n/64 + |S|) and yields members in
+/// increasing order. The universe size is fixed at construction; all vertices
+/// passed to mutating methods must lie in `0..universe`.
 #[derive(Clone, PartialEq, Eq)]
 pub struct VertexSet {
     universe: usize,
     words: Vec<u64>,
-    members: Vec<usize>,
+    len: usize,
 }
 
 const WORD_BITS: usize = 64;
@@ -30,59 +32,24 @@ impl VertexSet {
         VertexSet {
             universe,
             words: vec![0u64; universe.div_ceil(WORD_BITS)],
-            members: Vec::new(),
+            len: 0,
         }
     }
 
     /// Creates the full set `{0, 1, …, universe-1}` by filling whole words
-    /// directly (O(n/64) for the bitset plus O(n) for the member list, with
-    /// no per-bit insertion).
+    /// directly (O(n/64), with no per-bit insertion).
     pub fn full(universe: usize) -> Self {
-        let mut words = vec![!0u64; universe.div_ceil(WORD_BITS)];
-        let tail = universe % WORD_BITS;
-        if tail != 0 {
-            *words
-                .last_mut()
-                .expect("non-empty words for non-empty tail") = (1u64 << tail) - 1;
-        }
-        VertexSet {
+        let mut set = VertexSet {
             universe,
-            words,
-            members: (0..universe).collect(),
-        }
+            words: vec![!0u64; universe.div_ceil(WORD_BITS)],
+            len: universe,
+        };
+        set.mask_tail();
+        set
     }
 
-    /// Creates a set from an already sorted, duplicate-free member list,
-    /// setting bits directly instead of going through [`VertexSet::insert`].
-    /// This is the fast path used by the neighborhood kernels in
-    /// [`crate::scratch`] when materializing witness sets.
-    ///
-    /// # Panics
-    /// Panics if the members are not strictly increasing or any member is
-    /// `>= universe`.
-    pub fn from_sorted(universe: usize, members: Vec<usize>) -> Self {
-        let mut words = vec![0u64; universe.div_ceil(WORD_BITS)];
-        let mut prev: Option<usize> = None;
-        for &v in &members {
-            assert!(
-                prev.is_none_or(|p| p < v),
-                "members must be strictly increasing"
-            );
-            assert!(
-                v < universe,
-                "vertex {v} out of range for universe {universe}"
-            );
-            words[v / WORD_BITS] |= 1u64 << (v % WORD_BITS);
-            prev = Some(v);
-        }
-        VertexSet {
-            universe,
-            words,
-            members,
-        }
-    }
-
-    /// Creates a set from an iterator of vertices. Duplicates are ignored.
+    /// Creates a set from an iterator of vertices in any order, in
+    /// O(k + n/64). Duplicates are ignored.
     ///
     /// # Panics
     /// Panics if any vertex is `>= universe`.
@@ -94,6 +61,21 @@ impl VertexSet {
         s
     }
 
+    /// Clears the bits at positions `>= universe` in the final word.
+    fn mask_tail(&mut self) {
+        let tail = self.universe % WORD_BITS;
+        if tail != 0 {
+            if let Some(last) = self.words.last_mut() {
+                *last &= (1u64 << tail) - 1;
+            }
+        }
+    }
+
+    /// Recomputes the member count by popcount over the words.
+    fn recount(&mut self) {
+        self.len = self.words.iter().map(|w| w.count_ones() as usize).sum();
+    }
+
     /// The size of the underlying universe (the graph's vertex count).
     pub fn universe(&self) -> usize {
         self.universe
@@ -101,12 +83,12 @@ impl VertexSet {
 
     /// The number of vertices in the set.
     pub fn len(&self) -> usize {
-        self.members.len()
+        self.len
     }
 
     /// `true` if the set contains no vertices.
     pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+        self.len == 0
     }
 
     /// Membership test in O(1).
@@ -118,76 +100,69 @@ impl VertexSet {
         (self.words[v / WORD_BITS] >> (v % WORD_BITS)) & 1 == 1
     }
 
-    /// Inserts a vertex. Returns `true` if it was newly inserted.
+    /// Inserts a vertex in O(1). Returns `true` if it was newly inserted.
     ///
     /// # Panics
     /// Panics if `v >= universe`.
+    #[inline]
     pub fn insert(&mut self, v: usize) -> bool {
         assert!(
             v < self.universe,
             "vertex {v} out of range for universe {}",
             self.universe
         );
-        if self.contains(v) {
+        let word = &mut self.words[v / WORD_BITS];
+        let bit = 1u64 << (v % WORD_BITS);
+        if *word & bit != 0 {
             return false;
         }
-        self.words[v / WORD_BITS] |= 1u64 << (v % WORD_BITS);
-        // keep members sorted by inserting at the right position
-        let pos = self.members.partition_point(|&m| m < v);
-        self.members.insert(pos, v);
+        *word |= bit;
+        self.len += 1;
         true
     }
 
-    /// Removes a vertex. Returns `true` if it was present.
+    /// Removes a vertex in O(1). Returns `true` if it was present.
+    #[inline]
     pub fn remove(&mut self, v: usize) -> bool {
         if !self.contains(v) {
             return false;
         }
         self.words[v / WORD_BITS] &= !(1u64 << (v % WORD_BITS));
-        if let Ok(pos) = self.members.binary_search(&v) {
-            self.members.remove(pos);
-        }
+        self.len -= 1;
         true
     }
 
-    /// Removes all vertices, keeping the allocated bitset words and member
-    /// capacity for reuse (no reallocation on subsequent inserts up to the
-    /// previous size). Costs O(|S|), not O(universe): only the words that
-    /// actually contain members are zeroed, so clearing a sparse set reused
-    /// as a per-round buffer (the radio simulator's transmitter set) stays
-    /// proportional to the work already done.
+    /// Removes all vertices, keeping the allocated words for reuse. Costs
+    /// O(n/64): every word is zeroed.
     pub fn clear(&mut self) {
-        for &v in &self.members {
-            self.words[v / WORD_BITS] = 0;
-        }
-        self.members.clear();
+        self.words.fill(0);
+        self.len = 0;
     }
 
     /// Makes `self` an exact copy of `other`, reusing `self`'s existing
-    /// allocations where possible (the buffer-reuse path behind
+    /// allocation where possible (the buffer-reuse path behind
     /// allocation-free protocol loops, e.g. naive flooding transmitting the
     /// whole informed set each round).
     pub fn copy_from(&mut self, other: &VertexSet) {
         self.universe = other.universe;
-        self.words.clear();
-        self.words.extend_from_slice(&other.words);
-        self.members.clear();
-        self.members.extend_from_slice(&other.members);
+        self.words.clone_from(&other.words);
+        self.len = other.len;
     }
 
     /// Iterates over the members in increasing order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.members.iter().copied()
-    }
-
-    /// Returns the members as a sorted slice.
-    pub fn as_slice(&self) -> &[usize] {
-        &self.members
+    pub fn iter(&self) -> Iter<'_> {
+        Iter {
+            rest: &self.words,
+            base: 0usize.wrapping_sub(WORD_BITS),
+            bits: 0,
+        }
     }
 
     /// Returns the members as a sorted `Vec`.
     pub fn to_vec(&self) -> Vec<usize> {
-        self.members.clone()
+        let mut members = Vec::with_capacity(self.len);
+        self.iter().for_each(|v| members.push(v));
+        members
     }
 
     /// Returns the underlying bitset words. Bit `v % 64` of word `v / 64` is
@@ -200,76 +175,67 @@ impl VertexSet {
         &self.words
     }
 
-    /// The number of members, recomputed by popcount over the words.
-    ///
-    /// Always equals [`VertexSet::len`]; exists so word-level callers can
-    /// cross-check a bulk update (and as the natural popcount spelling next
-    /// to [`VertexSet::as_words`]).
-    pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
     /// Grants mutable word-level access to the bitset via a guard.
     ///
     /// The guard dereferences to `&mut [u64]`; callers may rewrite whole
     /// words (bulk union from a lane mask, scatter from a kernel, …). When
     /// the guard drops it restores the set's invariants: bits beyond
-    /// `universe` in the final word are masked off and the sorted member
-    /// list is rebuilt from the words in O(universe / 64 + |S|).
+    /// `universe` in the final word are masked off and the member count is
+    /// recomputed in O(n/64).
     pub fn as_words_mut(&mut self) -> WordsMut<'_> {
         WordsMut { set: self }
     }
 
+    /// The set over `self`'s universe whose words are `op` applied to the
+    /// word pairs of `self` and `other`.
+    fn zip_words(&self, other: &VertexSet, op: impl Fn(u64, u64) -> u64) -> VertexSet {
+        assert_eq!(self.universe, other.universe, "universe mismatch");
+        let words = self.words.iter().zip(&other.words);
+        let mut out = VertexSet {
+            universe: self.universe,
+            words: words.map(|(&a, &b)| op(a, b)).collect(),
+            len: 0,
+        };
+        out.recount();
+        out
+    }
+
     /// Set union (both operands must share the same universe).
     pub fn union(&self, other: &VertexSet) -> VertexSet {
-        assert_eq!(self.universe, other.universe, "universe mismatch");
-        let mut out = self.clone();
-        for v in other.iter() {
-            out.insert(v);
-        }
-        out
+        self.zip_words(other, |a, b| a | b)
     }
 
     /// Set intersection (both operands must share the same universe).
     pub fn intersection(&self, other: &VertexSet) -> VertexSet {
-        assert_eq!(self.universe, other.universe, "universe mismatch");
-        let (small, big) = if self.len() <= other.len() {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        VertexSet::from_iter(self.universe, small.iter().filter(|&v| big.contains(v)))
+        self.zip_words(other, |a, b| a & b)
     }
 
     /// Set difference `self \ other`.
     pub fn difference(&self, other: &VertexSet) -> VertexSet {
-        assert_eq!(self.universe, other.universe, "universe mismatch");
-        VertexSet::from_iter(self.universe, self.iter().filter(|&v| !other.contains(v)))
+        self.zip_words(other, |a, b| a & !b)
     }
 
     /// Complement with respect to the universe.
     pub fn complement(&self) -> VertexSet {
-        VertexSet::from_iter(
-            self.universe,
-            (0..self.universe).filter(|&v| !self.contains(v)),
-        )
+        VertexSet::full(self.universe).difference(self)
     }
 
     /// `true` if `self ⊆ other`.
     pub fn is_subset_of(&self, other: &VertexSet) -> bool {
         assert_eq!(self.universe, other.universe, "universe mismatch");
-        self.iter().all(|v| other.contains(v))
+        self.words
+            .iter()
+            .zip(&other.words)
+            .all(|(&a, &b)| a & !b == 0)
     }
 
     /// `true` if the two sets have no common vertex.
     pub fn is_disjoint_from(&self, other: &VertexSet) -> bool {
         assert_eq!(self.universe, other.universe, "universe mismatch");
-        let (small, big) = if self.len() <= other.len() {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        small.iter().all(|v| !big.contains(v))
+        self.words
+            .iter()
+            .zip(&other.words)
+            .all(|(&a, &b)| a & b == 0)
     }
 
     /// Enumerates all `2^|S|` subsets of this set, invoking `f` on each.
@@ -283,7 +249,7 @@ impl VertexSet {
             k <= 25,
             "subset enumeration limited to 25 elements, got {k}"
         );
-        let members = &self.members;
+        let members = self.to_vec();
         for mask in 0u64..(1u64 << k) {
             let subset = VertexSet::from_iter(
                 self.universe,
@@ -303,11 +269,59 @@ impl VertexSet {
     }
 }
 
+/// Iterator over the members of a [`VertexSet`] in increasing order,
+/// returned by [`VertexSet::iter`]: a walk over the bitset words.
+#[derive(Clone, Debug)]
+pub struct Iter<'a> {
+    /// The words not yet loaded into `bits`.
+    rest: &'a [u64],
+    /// The vertex id of bit 0 of the current word (one word below 0,
+    /// wrapped, until the first word is loaded).
+    base: usize,
+    /// The current word's members not yet yielded.
+    bits: u64,
+}
+
+impl Iterator for Iter<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            let (&word, rest) = self.rest.split_first()?;
+            self.rest = rest;
+            self.base = self.base.wrapping_add(WORD_BITS);
+            self.bits = word;
+        }
+        let b = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(self.base + b)
+    }
+
+    /// Internal iteration (`for_each`, `min_by_key`, `sum`, …) runs a tight
+    /// loop per word instead of re-entering `next` per member.
+    #[inline]
+    fn fold<B, F: FnMut(B, usize) -> B>(mut self, mut acc: B, mut f: F) -> B {
+        loop {
+            while self.bits != 0 {
+                acc = f(acc, self.base + self.bits.trailing_zeros() as usize);
+                self.bits &= self.bits - 1;
+            }
+            let Some((&word, rest)) = self.rest.split_first() else {
+                return acc;
+            };
+            self.rest = rest;
+            self.base = self.base.wrapping_add(WORD_BITS);
+            self.bits = word;
+        }
+    }
+}
+
 /// Mutable word-level view of a [`VertexSet`], returned by
 /// [`VertexSet::as_words_mut`].
 ///
-/// On drop, tail bits beyond the universe are cleared and the member list is
-/// rebuilt from the (possibly rewritten) words.
+/// On drop, tail bits beyond the universe are cleared and the member count
+/// is recomputed from the (possibly rewritten) words.
 pub struct WordsMut<'a> {
     set: &'a mut VertexSet,
 }
@@ -327,21 +341,8 @@ impl std::ops::DerefMut for WordsMut<'_> {
 
 impl Drop for WordsMut<'_> {
     fn drop(&mut self) {
-        let tail = self.set.universe % WORD_BITS;
-        if tail != 0 {
-            if let Some(last) = self.set.words.last_mut() {
-                *last &= (1u64 << tail) - 1;
-            }
-        }
-        self.set.members.clear();
-        for (wi, &w) in self.set.words.iter().enumerate() {
-            let mut bits = w;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                self.set.members.push(wi * WORD_BITS + b);
-                bits &= bits - 1;
-            }
-        }
+        self.set.mask_tail();
+        self.set.recount();
     }
 }
 
@@ -353,7 +354,7 @@ impl serde::Serialize for VertexSet {
         use serde::ser::SerializeStruct;
         let mut st = serializer.serialize_struct("VertexSet", 2)?;
         st.serialize_field("universe", &self.universe)?;
-        st.serialize_field("members", &self.members)?;
+        st.serialize_field("members", &self.to_vec())?;
         st.end()
     }
 }
@@ -388,15 +389,15 @@ impl Default for VertexSet {
 
 impl fmt::Debug for VertexSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "VertexSet{{n={}, S={:?}}}", self.universe, self.members)
+        write!(f, "VertexSet{{n={}, S={:?}}}", self.universe, self.to_vec())
     }
 }
 
 impl<'a> IntoIterator for &'a VertexSet {
     type Item = usize;
-    type IntoIter = std::iter::Copied<std::slice::Iter<'a, usize>>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.members.iter().copied()
+    type IntoIter = Iter<'a>;
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
     }
 }
 
@@ -425,26 +426,6 @@ mod tests {
             assert_eq!(fast.len(), n);
             assert!(!fast.contains(n));
         }
-    }
-
-    #[test]
-    fn from_sorted_matches_from_iter() {
-        let members = vec![0, 3, 63, 64, 99];
-        let fast = VertexSet::from_sorted(100, members.clone());
-        let slow = VertexSet::from_iter(100, members);
-        assert_eq!(fast, slow);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn from_sorted_rejects_unsorted() {
-        VertexSet::from_sorted(10, vec![3, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn from_sorted_rejects_out_of_range() {
-        VertexSet::from_sorted(4, vec![1, 4]);
     }
 
     #[test]
@@ -540,14 +521,6 @@ mod tests {
     }
 
     #[test]
-    fn count_ones_matches_len() {
-        for n in [0usize, 1, 64, 65, 200] {
-            let s = VertexSet::from_iter(n.max(1), (0..n.max(1)).step_by(3));
-            assert_eq!(s.count_ones(), s.len(), "universe {n}");
-        }
-    }
-
-    #[test]
     fn as_words_mut_rebuilds_members() {
         let mut s = VertexSet::from_iter(100, [1, 2, 3]);
         {
@@ -559,7 +532,6 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert!(s.contains(40));
         assert!(!s.contains(1));
-        assert_eq!(s.count_ones(), 2);
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! * [`Graph`] (CSR) implements it directly and stays the default backend:
 //!   existing code and reports are unchanged.
 //! * [`SubgraphView`] — a **zero-copy induced subgraph**: a borrowed base
-//!   graph plus a borrowed [`VertexSet`], exposing the induced subgraph on
-//!   that set with vertices relabelled `0..|U|` in sorted order — exactly
-//!   the labelling of [`Graph::induced_subgraph`], without building anything.
+//!   graph plus a borrowed [`SubsetIndex`] (a [`VertexSet`] with its sorted
+//!   member list), exposing the induced subgraph on that set with vertices
+//!   relabelled `0..|U|` in sorted order — exactly the labelling of
+//!   [`Graph::induced_subgraph`], without copying the graph.
 //! * [`ImplicitGraph`] — an **implicit backend** whose neighborhoods are
 //!   computed on the fly from a closed-form family rule
 //!   ([`ImplicitFamily`]): Boolean hypercubes, cycle powers and 2-D tori at
@@ -31,7 +32,7 @@
 //! | backend                  | storage                  | construction        | own state ([`GraphView::memory_bytes`]) |
 //! |--------------------------|--------------------------|---------------------|-----------------------------------------|
 //! | [`Graph`] (CSR)          | heap arrays              | build / parse       | struct + both CSR arrays                |
-//! | [`SubgraphView`]         | borrows base + set       | O(1)                | struct only (base counted elsewhere)    |
+//! | [`SubgraphView`]         | borrows base + index     | O(1)                | struct only (base counted elsewhere)    |
 //! | [`ImplicitGraph`]        | closed-form rule         | O(1)                | struct only                             |
 //! | [`crate::mmap::MmapGraph`] | memory-mapped `.wxg`   | open + validate     | struct + the mapped file                |
 //!
@@ -277,15 +278,45 @@ impl GraphView for Graph {
     }
 }
 
-/// A zero-copy induced subgraph: a borrowed base view plus a borrowed vertex
-/// subset.
+/// A vertex set together with its sorted member list: the rank/select index
+/// a [`SubgraphView`] translates ids through.
 ///
-/// The view exposes the subgraph induced on `set` with vertices relabelled
-/// `0..set.len()` in **sorted member order** — the exact labelling
+/// [`VertexSet`] is a bitset, so "the `i`-th member" and "the rank of `v`"
+/// need this list. Build the index once per induced instance (O(n/64 + |U|))
+/// and borrow it from every view over that instance.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SubsetIndex {
+    set: VertexSet,
+    members: Vec<Vertex>,
+}
+
+impl SubsetIndex {
+    /// Indexes `set`.
+    pub fn new(set: VertexSet) -> Self {
+        let members = set.to_vec();
+        SubsetIndex { set, members }
+    }
+
+    /// The indexed set.
+    pub fn set(&self) -> &VertexSet {
+        &self.set
+    }
+
+    /// The members in increasing order.
+    pub fn members(&self) -> &[Vertex] {
+        &self.members
+    }
+}
+
+/// A zero-copy induced subgraph: a borrowed base view plus a borrowed
+/// [`SubsetIndex`] of the inducing vertex set.
+///
+/// The view exposes the subgraph induced on the set with vertices relabelled
+/// `0..|U|` in **sorted member order** — the exact labelling
 /// [`Graph::induced_subgraph`] produces, so results computed on the view are
 /// interchangeable with results computed on the materialized copy (this is
 /// property-tested in `tests/view_equivalence.rs`). Construction is O(1):
-/// nothing is copied, sorted or indexed.
+/// nothing is copied; the sorted member list comes with the index.
 ///
 /// Local→original translation is a slice lookup ([`SubgraphView::original`]);
 /// original→local translation is a binary search on the sorted member list,
@@ -296,7 +327,7 @@ impl GraphView for Graph {
 #[derive(Debug)]
 pub struct SubgraphView<'g, G: GraphView + ?Sized> {
     base: &'g G,
-    set: &'g VertexSet,
+    index: &'g SubsetIndex,
 }
 
 impl<G: GraphView + ?Sized> Clone for SubgraphView<'_, G> {
@@ -307,18 +338,18 @@ impl<G: GraphView + ?Sized> Clone for SubgraphView<'_, G> {
 impl<G: GraphView + ?Sized> Copy for SubgraphView<'_, G> {}
 
 impl<'g, G: GraphView + ?Sized> SubgraphView<'g, G> {
-    /// Creates the induced view of `set` in `base`.
+    /// Creates the view of `base` induced on the set `index` indexes.
     ///
     /// # Panics
     /// Panics if the set's universe does not match the base graph's vertex
     /// count (a set from a different graph would silently alias vertices).
-    pub fn new(base: &'g G, set: &'g VertexSet) -> Self {
+    pub fn new(base: &'g G, index: &'g SubsetIndex) -> Self {
         assert_eq!(
-            set.universe(),
+            index.set.universe(),
             base.num_vertices(),
             "vertex set universe must match the base graph"
         );
-        SubgraphView { base, set }
+        SubgraphView { base, index }
     }
 
     /// The base view this subgraph is induced in.
@@ -326,21 +357,16 @@ impl<'g, G: GraphView + ?Sized> SubgraphView<'g, G> {
         self.base
     }
 
-    /// The inducing vertex set.
-    pub fn set(&self) -> &'g VertexSet {
-        self.set
-    }
-
     /// The original id of local vertex `i`.
     #[inline]
     pub fn original(&self, i: Vertex) -> Vertex {
-        self.set.as_slice()[i]
+        self.index.members[i]
     }
 
     /// The local id of original vertex `v`, if `v` is in the set.
     #[inline]
     pub fn local(&self, v: Vertex) -> Option<Vertex> {
-        self.set.as_slice().binary_search(&v).ok()
+        self.index.members.binary_search(&v).ok()
     }
 }
 
@@ -351,26 +377,25 @@ impl<G: GraphView + ?Sized> GraphView for SubgraphView<'_, G> {
         Self: 'a;
 
     fn num_vertices(&self) -> usize {
-        self.set.len()
+        self.index.members.len()
     }
 
     fn degree(&self, v: Vertex) -> usize {
         self.base
             .neighbors_iter(self.original(v))
-            .filter(|&u| self.set.contains(u))
+            .filter(|&u| self.index.set.contains(u))
             .count()
     }
 
     fn neighbors_iter(&self, v: Vertex) -> Self::Neighbors<'_> {
         SubgraphNeighbors {
             inner: self.base.neighbors_iter(self.original(v)),
-            members: self.set.as_slice(),
-            set: self.set,
+            index: self.index,
         }
     }
 
     fn has_edge(&self, u: Vertex, v: Vertex) -> bool {
-        let members = self.set.as_slice();
+        let members = &self.index.members;
         match (members.get(u), members.get(v)) {
             (Some(&ou), Some(&ov)) => self.base.has_edge(ou, ov),
             _ => false,
@@ -382,8 +407,7 @@ impl<G: GraphView + ?Sized> GraphView for SubgraphView<'_, G> {
 /// the inducing set and mapped to local ids.
 pub struct SubgraphNeighbors<'a, G: GraphView + ?Sized + 'a> {
     inner: G::Neighbors<'a>,
-    members: &'a [Vertex],
-    set: &'a VertexSet,
+    index: &'a SubsetIndex,
 }
 
 impl<G: GraphView + ?Sized> Iterator for SubgraphNeighbors<'_, G> {
@@ -391,9 +415,10 @@ impl<G: GraphView + ?Sized> Iterator for SubgraphNeighbors<'_, G> {
 
     fn next(&mut self) -> Option<Vertex> {
         for u in self.inner.by_ref() {
-            if self.set.contains(u) {
+            if self.index.set.contains(u) {
                 return Some(
-                    self.members
+                    self.index
+                        .members
                         .binary_search(&u)
                         .expect("bitset member is in the member list"),
                 );
@@ -700,11 +725,11 @@ mod tests {
     fn subgraph_view_matches_materialized_induced_subgraph() {
         let g =
             Graph::from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 4)]).unwrap();
-        let s = g.vertex_set([1, 2, 4, 6]);
+        let s = SubsetIndex::new(g.vertex_set([1, 2, 4, 6]));
         let view = SubgraphView::new(&g, &s);
-        let (mat, ids) = g.induced_subgraph(&s);
+        let (mat, ids) = g.induced_subgraph(s.set());
         assert_eq!(view.num_vertices(), mat.num_vertices());
-        assert_eq!(ids, s.to_vec());
+        assert_eq!(ids, s.members());
         for v in 0..view.num_vertices() {
             assert_eq!(view.degree(v), mat.degree(v), "degree of {v}");
             let mut ns: Vec<Vertex> = view.neighbors_iter(v).collect();
@@ -727,16 +752,16 @@ mod tests {
     #[should_panic(expected = "universe must match")]
     fn subgraph_view_rejects_foreign_sets() {
         let g = cycle(5);
-        let s = VertexSet::from_iter(4, [0, 1]);
+        let s = SubsetIndex::new(VertexSet::from_iter(4, [0, 1]));
         let _ = SubgraphView::new(&g, &s);
     }
 
     #[test]
     fn subgraph_of_subgraph_composes() {
         let g = cycle(8);
-        let outer_set = g.vertex_set([0, 1, 2, 3, 4, 5]);
+        let outer_set = SubsetIndex::new(g.vertex_set([0, 1, 2, 3, 4, 5]));
         let outer = SubgraphView::new(&g, &outer_set);
-        let inner_set = VertexSet::from_iter(outer.num_vertices(), [0, 1, 2]);
+        let inner_set = SubsetIndex::new(VertexSet::from_iter(outer.num_vertices(), [0, 1, 2]));
         let inner = SubgraphView::new(&outer, &inner_set);
         // the path 0-1-2 survives
         assert_eq!(inner.num_vertices(), 3);
@@ -831,7 +856,7 @@ mod tests {
         assert_eq!(GraphView::memory_bytes(&by_ref), expected);
 
         // views and implicit families report only their own O(1) state
-        let set = g.full_vertex_set();
+        let set = SubsetIndex::new(g.full_vertex_set());
         let view = SubgraphView::new(&g, &set);
         assert_eq!(view.memory_bytes(), std::mem::size_of_val(&view));
         let q = ImplicitGraph::hypercube(20).unwrap();

@@ -8,6 +8,28 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use wx_graph::{BipartiteGraph, Graph, NeighborhoodScratch, VertexSet};
 
+/// Universe sizes for the `VertexSet` models: one word, a word boundary on
+/// either side, and multi-word sets with a partial tail word.
+const UNIVERSES: [usize; 6] = [1, 63, 64, 65, 130, 200];
+
+/// Checks `set` against its `BTreeSet` model: size, ascending iteration
+/// (`next` and `fold`), membership (including just past the universe) and
+/// clear tail bits.
+fn assert_models(set: &VertexSet, model: &BTreeSet<usize>) -> Result<(), TestCaseError> {
+    let n = set.universe();
+    let members: Vec<usize> = model.iter().copied().collect();
+    prop_assert_eq!(set.len(), model.len());
+    prop_assert_eq!(set.iter().collect::<Vec<_>>(), members.clone());
+    prop_assert_eq!(set.to_vec(), members);
+    for v in 0..=n {
+        prop_assert_eq!(set.contains(v), model.contains(&v));
+    }
+    let words = set.as_words();
+    let tail = n % 64;
+    prop_assert!(tail == 0 || words[words.len() - 1] >> tail == 0);
+    Ok(())
+}
+
 /// Strategy: a small random edge list over `n` vertices.
 fn edge_list(n: usize) -> impl Strategy<Value = Vec<(usize, usize)>> {
     prop::collection::vec((0..n, 0..n), 0..(n * 3).max(1)).prop_map(move |pairs| {
@@ -21,41 +43,61 @@ fn edge_list(n: usize) -> impl Strategy<Value = Vec<(usize, usize)>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// VertexSet behaves exactly like a BTreeSet under insert/remove.
+    /// VertexSet behaves exactly like a BTreeSet: built from unsorted input
+    /// with duplicates, under insert/remove, after word rewrites through
+    /// `as_words_mut`, and across a serde JSON round trip, on universes that
+    /// end inside, at and just past a word boundary.
     #[test]
-    fn vertex_set_models_a_btreeset(ops in prop::collection::vec((0usize..40, prop::bool::ANY), 0..120)) {
-        let mut vs = VertexSet::empty(40);
-        let mut model: BTreeSet<usize> = BTreeSet::new();
+    fn vertex_set_models_a_btreeset(universe in 0usize..UNIVERSES.len(),
+                                    init in prop::collection::vec(0usize..400, 0..80),
+                                    ops in prop::collection::vec((0usize..400, prop::bool::ANY), 0..120),
+                                    flips in prop::collection::vec(any::<u64>(), 4)) {
+        let n = UNIVERSES[universe];
+        let mut vs = VertexSet::from_iter(n, init.iter().map(|v| v % n));
+        let mut model: BTreeSet<usize> = init.iter().map(|v| v % n).collect();
+        assert_models(&vs, &model)?;
         for (v, insert) in ops {
+            let v = v % n;
             if insert {
                 prop_assert_eq!(vs.insert(v), model.insert(v));
             } else {
                 prop_assert_eq!(vs.remove(v), model.remove(&v));
             }
         }
-        prop_assert_eq!(vs.len(), model.len());
-        prop_assert_eq!(vs.to_vec(), model.iter().copied().collect::<Vec<_>>());
-        for v in 0..40 {
-            prop_assert_eq!(vs.contains(v), model.contains(&v));
+        assert_models(&vs, &model)?;
+        for (word, flip) in vs.as_words_mut().iter_mut().zip(&flips) {
+            *word ^= flip;
         }
+        let flipped = |v: usize| (flips[v / 64] >> (v % 64)) & 1 == 1;
+        model = (0..n).filter(|&v| model.contains(&v) != flipped(v)).collect();
+        assert_models(&vs, &model)?;
+        let json = serde_json::to_string(&vs).unwrap();
+        let back: VertexSet = serde_json::from_str(&json).unwrap();
+        prop_assert_eq!(&back, &vs);
+        assert_models(&back, &model)?;
     }
 
-    /// Set algebra laws: sizes of union/intersection/difference are consistent
-    /// and complement is an involution.
+    /// Set algebra agrees with BTreeSet member for member, and complement is
+    /// an involution, on universes spanning one to four words.
     #[test]
-    fn vertex_set_algebra(a in prop::collection::btree_set(0usize..30, 0..30),
-                          b in prop::collection::btree_set(0usize..30, 0..30)) {
-        let sa = VertexSet::from_iter(30, a.iter().copied());
-        let sb = VertexSet::from_iter(30, b.iter().copied());
-        let union = sa.union(&sb);
-        let inter = sa.intersection(&sb);
-        let diff = sa.difference(&sb);
-        prop_assert_eq!(union.len() + inter.len(), sa.len() + sb.len());
-        prop_assert_eq!(diff.len(), sa.len() - inter.len());
-        prop_assert!(inter.is_subset_of(&sa) && inter.is_subset_of(&sb));
-        prop_assert!(sa.is_subset_of(&union) && sb.is_subset_of(&union));
+    fn vertex_set_algebra(universe in 0usize..UNIVERSES.len(),
+                          a in prop::collection::vec(0usize..400, 0..120),
+                          b in prop::collection::vec(0usize..400, 0..120)) {
+        let n = UNIVERSES[universe];
+        let ma: BTreeSet<usize> = a.iter().map(|v| v % n).collect();
+        let mb: BTreeSet<usize> = b.iter().map(|v| v % n).collect();
+        let sa = VertexSet::from_iter(n, a.iter().map(|v| v % n));
+        let sb = VertexSet::from_iter(n, b.iter().map(|v| v % n));
+        assert_models(&sa.union(&sb), &ma.union(&mb).copied().collect())?;
+        assert_models(&sa.intersection(&sb), &ma.intersection(&mb).copied().collect())?;
+        assert_models(&sa.difference(&sb), &ma.difference(&mb).copied().collect())?;
+        assert_models(&sa.complement(), &(0..n).filter(|v| !ma.contains(v)).collect())?;
         prop_assert_eq!(sa.complement().complement(), sa.clone());
-        prop_assert!(diff.is_disjoint_from(&sb));
+        prop_assert_eq!(sa.is_subset_of(&sb), ma.is_subset(&mb));
+        prop_assert_eq!(sa.is_disjoint_from(&sb), ma.is_disjoint(&mb));
+        let inter = sa.intersection(&sb);
+        prop_assert!(inter.is_subset_of(&sa) && inter.is_subset_of(&sb));
+        prop_assert!(sa.difference(&sb).is_disjoint_from(&sb));
     }
 
     /// Graph construction: degrees sum to 2m, adjacency is symmetric and

@@ -13,7 +13,7 @@
 //! crates (`wx-expansion/tests/properties.rs`, `wx-radio/tests/properties.rs`).
 
 use proptest::prelude::*;
-use wx_graph::view::{materialize, GraphView, ImplicitGraph, SubgraphView};
+use wx_graph::view::{materialize, GraphView, ImplicitGraph, SubgraphView, SubsetIndex};
 use wx_graph::{Graph, NeighborhoodScratch, VertexSet};
 
 /// Strategy: a small random edge list over `n` vertices.
@@ -143,11 +143,11 @@ proptest! {
             1..5),
     ) {
         let g = Graph::from_edges(18, edges).unwrap();
-        let keep = VertexSet::from_iter(18, keep_raw);
-        prop_assume!(!keep.is_empty());
+        let keep = SubsetIndex::new(VertexSet::from_iter(18, keep_raw));
+        prop_assume!(!keep.set().is_empty());
         let view = SubgraphView::new(&g, &keep);
-        let (mat, ids) = g.induced_subgraph(&keep);
-        prop_assert_eq!(ids, keep.to_vec());
+        let (mat, ids) = g.induced_subgraph(keep.set());
+        prop_assert_eq!(ids, keep.members());
         let k = view.num_vertices();
         let sets = subset_pairs(k, &raw_sets);
         assert_views_equivalent(&view, &mat, &sets);
@@ -177,10 +177,10 @@ proptest! {
         keep_raw in prop::collection::vec(0usize..64, 1..16),
     ) {
         let n = implicit.num_vertices();
-        let keep = VertexSet::from_iter(n, keep_raw.iter().map(|v| v % n));
-        prop_assume!(!keep.is_empty());
+        let keep = SubsetIndex::new(VertexSet::from_iter(n, keep_raw.iter().map(|v| v % n)));
+        prop_assume!(!keep.set().is_empty());
         let view = SubgraphView::new(&implicit, &keep);
-        let (mat, _) = materialize(&implicit).induced_subgraph(&keep);
+        let (mat, _) = materialize(&implicit).induced_subgraph(keep.set());
         prop_assert_eq!(materialize(&view), mat);
     }
 }

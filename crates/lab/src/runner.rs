@@ -848,12 +848,14 @@ mod tests {
         {
             let (instance, seed) = instances.instance(&trial).unwrap();
             assert_eq!(seed, derive_seed(trial.seed, 0));
-            let (BuiltGraph::Induced { set: shared, .. }, BuiltGraph::Induced { set: full, .. }) =
-                (instance.as_ref(), &src.build_backend(seed).unwrap())
+            let (
+                BuiltGraph::Induced { index: shared, .. },
+                BuiltGraph::Induced { index: full, .. },
+            ) = (instance.as_ref(), &src.build_backend(seed).unwrap())
             else {
                 panic!("expected induced backends");
             };
-            assert_eq!(shared.to_vec(), full.to_vec());
+            assert_eq!(shared, full);
         }
         // out-of-range sizes fail identically on both paths
         let too_big = GraphSource::Induced {

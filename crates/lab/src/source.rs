@@ -29,7 +29,8 @@ use wx_core::constructions::families;
 use wx_core::graph::random::{random_subset_of_size_sparse, rng_from_seed};
 use wx_core::graph::view::materialize;
 use wx_core::graph::{
-    io as graph_io, Graph, GraphError, ImplicitFamily, ImplicitGraph, MmapGraph, VertexSet,
+    io as graph_io, Graph, GraphError, ImplicitFamily, ImplicitGraph, MmapGraph, SubsetIndex,
+    VertexSet,
 };
 
 /// A declarative graph source: family generators, random generators and
@@ -171,8 +172,9 @@ pub enum BuiltGraph {
     Induced {
         /// The base backend (never itself `Induced`).
         base: Arc<BuiltGraph>,
-        /// The inducing subset (universe = base's vertex count).
-        set: VertexSet,
+        /// The inducing subset (universe = base's vertex count) with its
+        /// sorted member list, built once per instance.
+        index: SubsetIndex,
     },
 }
 
@@ -186,9 +188,9 @@ pub enum BuiltGraph {
 macro_rules! with_graph_view {
     ($built:expr, $g:ident => $body:expr) => {
         $crate::source::with_base_view!($built, $g => $body,
-            $crate::source::BuiltGraph::Induced { base, set } => {
+            $crate::source::BuiltGraph::Induced { base, index } => {
                 $crate::source::with_base_view!(base.as_ref(), base => {
-                    let view = wx_core::graph::SubgraphView::new(base, set);
+                    let view = wx_core::graph::SubgraphView::new(base, index);
                     let $g = &view;
                     $body
                 }, $crate::source::BuiltGraph::Induced { .. } => {
@@ -228,21 +230,21 @@ impl BuiltGraph {
     #[must_use]
     pub fn num_vertices(&self) -> usize {
         use wx_core::graph::GraphView;
-        with_base_view!(self, g => g.num_vertices(), BuiltGraph::Induced { set, .. } => set.len())
+        with_base_view!(self, g => g.num_vertices(), BuiltGraph::Induced { index, .. } => index.members().len())
     }
 
     /// The resident-memory footprint of this backend, used by the artifact
     /// cache's byte-budget accounting. Mirrors each backend's
     /// `GraphView::memory_bytes` (so mmap-backed graphs report only their
     /// header/metadata residency, not the page-cached file), plus the
-    /// inducing subset's storage for `Induced`.
+    /// inducing subset's words and sorted member list for `Induced`.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         use wx_core::graph::GraphView;
-        with_base_view!(self, g => g.memory_bytes(), BuiltGraph::Induced { base, set } => {
+        with_base_view!(self, g => g.memory_bytes(), BuiltGraph::Induced { base, index } => {
             base.memory_bytes()
-                + std::mem::size_of_val(set.as_words())
-                + std::mem::size_of_val(set.as_slice())
+                + std::mem::size_of_val(index.set().as_words())
+                + std::mem::size_of_val(index.members())
         })
     }
 }
@@ -336,7 +338,10 @@ impl GraphSource {
         if set.is_empty() {
             return Err(GraphError::invalid("induced subset must be non-empty"));
         }
-        Ok(BuiltGraph::Induced { base, set })
+        Ok(BuiltGraph::Induced {
+            base,
+            index: SubsetIndex::new(set),
+        })
     }
 
     /// `true` when the built instance depends on the seed, in which case the
@@ -529,7 +534,7 @@ mod tests {
         };
         assert!(src.is_randomized(), "random subsets are redrawn per trial");
         assert!(src.validate().is_ok());
-        let BuiltGraph::Induced { base, set } = src.build_backend(3).unwrap() else {
+        let BuiltGraph::Induced { base, index } = src.build_backend(3).unwrap() else {
             panic!("induced sources must build the induced backend");
         };
         assert!(
@@ -537,12 +542,12 @@ mod tests {
             "induced-of-csr must keep the base materialized only once"
         );
         assert_eq!(base.num_vertices(), 16);
-        assert_eq!(set.len(), 6);
+        assert_eq!(index.set().len(), 6);
         // equal seeds draw equal subsets; different seeds differ
-        let BuiltGraph::Induced { set: again, .. } = src.build_backend(3).unwrap() else {
+        let BuiltGraph::Induced { index: again, .. } = src.build_backend(3).unwrap() else {
             unreachable!()
         };
-        assert_eq!(set.to_vec(), again.to_vec());
+        assert_eq!(index.members(), again.members());
 
         // explicit vertex lists are deterministic
         let explicit = GraphSource::Induced {
@@ -553,14 +558,14 @@ mod tests {
             vertices: Some(vec![0, 1, 2, 3, 19]),
         };
         assert!(!explicit.is_randomized());
-        let BuiltGraph::Induced { base, set } = explicit.build_backend(7).unwrap() else {
+        let BuiltGraph::Induced { base, index } = explicit.build_backend(7).unwrap() else {
             panic!("induced sources must build the induced backend");
         };
         assert!(
             matches!(*base, BuiltGraph::Implicit(_)),
             "induced-of-implicit must keep the base implicit"
         );
-        assert_eq!(set.to_vec(), vec![0, 1, 2, 3, 19]);
+        assert_eq!(index.members(), [0, 1, 2, 3, 19]);
         // materialized fallback equals the classic induced_subgraph path
         let mat = explicit.build(7).unwrap();
         assert_eq!(mat.num_vertices(), 5);
@@ -677,14 +682,14 @@ mod tests {
             size: None,
             vertices: Some(vec![0, 1, 2, 3, 4, 5]),
         };
-        let BuiltGraph::Induced { base, set } = induced.build_backend(0).unwrap() else {
+        let BuiltGraph::Induced { base, index } = induced.build_backend(0).unwrap() else {
             panic!("induced sources must build the induced backend");
         };
         assert!(
             matches!(*base, BuiltGraph::Mmap(_)),
             "induced-of-mmap must keep the base mapped"
         );
-        assert_eq!(set.len(), 6);
+        assert_eq!(index.set().len(), 6);
         assert_eq!(
             induced.build(0).unwrap(),
             g.induced_subgraph(&g.vertex_set(vec![0, 1, 2, 3, 4, 5])).0

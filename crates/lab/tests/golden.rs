@@ -10,8 +10,15 @@
 //! fixtures for per-trial radio scenarios predate them; every radio report
 //! must carry `radio.lane_rounds`, and `radio.lanes_completed` whenever a
 //! trial completed.
+//!
+//! The bundled `scenarios/*.json` and the `wx sweep --all --quick` report
+//! are pinned the same way: each scenario must reproduce
+//! `golden/scenario__<name>.report.json` and the quick sweep
+//! `golden/sweep_quick.json`, so their bytes are compared across commits,
+//! not just across reruns of one commit.
 
 use std::path::{Path, PathBuf};
+use wx_lab::registry::{run_sweep, SweepOptions};
 use wx_lab::runner::Runner;
 use wx_lab::spec::{ScenarioSpec, Task};
 
@@ -19,6 +26,17 @@ const LANE_COUNTERS: [&str; 2] = ["\"radio.lane_rounds\"", "\"radio.lanes_comple
 
 fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
+}
+
+/// The files in `dir` whose names end in `suffix`, sorted.
+fn files_ending(dir: PathBuf, suffix: &str) -> Vec<PathBuf> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.to_string_lossy().ends_with(suffix))
+        .collect();
+    paths.sort();
+    paths
 }
 
 fn strip_lane_counters(json: &str) -> String {
@@ -30,12 +48,7 @@ fn strip_lane_counters(json: &str) -> String {
 
 #[test]
 fn reports_match_the_golden_fixtures() {
-    let mut specs: Vec<PathBuf> = std::fs::read_dir(golden_dir())
-        .unwrap()
-        .map(|entry| entry.unwrap().path())
-        .filter(|path| path.to_string_lossy().ends_with(".spec.json"))
-        .collect();
-    specs.sort();
+    let specs = files_ending(golden_dir(), ".spec.json");
     assert!(specs.len() >= 27, "golden fixtures missing: {specs:?}");
     for spec_path in specs {
         let name = spec_path.to_string_lossy().replace(".spec.json", "");
@@ -71,4 +84,36 @@ fn reports_match_the_golden_fixtures() {
         let sequential = Runner::new().sequential().run(&spec).unwrap().to_json();
         assert_eq!(json, sequential, "{name}: sequential run differs");
     }
+}
+
+#[test]
+fn bundled_scenarios_match_their_golden_reports() {
+    let scenarios = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+    let specs = files_ending(scenarios, ".json");
+    assert!(specs.len() >= 4, "bundled scenarios missing: {specs:?}");
+    for spec_path in specs {
+        let name = spec_path.file_stem().unwrap().to_string_lossy();
+        let golden = golden_dir().join(format!("scenario__{name}.report.json"));
+        let spec = ScenarioSpec::from_file(&spec_path).unwrap();
+        let json = Runner::new().run(&spec).unwrap().to_json();
+        let expected = std::fs::read_to_string(golden).unwrap();
+        assert_eq!(
+            json, expected,
+            "{name}: report differs from its golden fixture"
+        );
+    }
+}
+
+#[test]
+fn quick_sweep_matches_its_golden_report() {
+    let expected = std::fs::read_to_string(golden_dir().join("sweep_quick.json")).unwrap();
+    let opts = SweepOptions {
+        quick: true,
+        ..SweepOptions::default()
+    };
+    let json = run_sweep(&[], &Runner::new(), opts).unwrap().to_json();
+    assert_eq!(
+        json, expected,
+        "`wx sweep --all --quick` differs from its golden report"
+    );
 }

@@ -599,8 +599,6 @@ pub struct LaneMirror<P> {
     transmitters: VertexSet,
     scratch: NeighborhoodScratch,
     rng: WxRng,
-    /// Vertices whose transmit words were written last round.
-    prev: Vec<usize>,
     source: Vertex,
 }
 
@@ -615,7 +613,6 @@ impl<P> LaneMirror<P> {
             transmitters: VertexSet::empty(0),
             scratch: NeighborhoodScratch::new(0),
             rng: rng_from_seed(0),
-            prev: Vec::new(),
             source: 0,
         }
     }
@@ -642,7 +639,6 @@ impl<G: GraphView + ?Sized, P: BroadcastProtocol<G>> LaneProtocol<G> for LaneMir
         }
         self.informed.insert(source);
         self.newly.insert(source);
-        self.prev.clear();
         // Deterministic protocols ignore the RNG; seed from lane 0 so even a
         // (misused) randomized inner protocol stays reproducible.
         self.rng = rng_from_seed(seeds[0]);
@@ -650,7 +646,11 @@ impl<G: GraphView + ?Sized, P: BroadcastProtocol<G>> LaneProtocol<G> for LaneMir
     }
 
     fn fill_transmitters(&mut self, view: &LaneView<'_, G>, transmit: &mut [u64]) {
-        // One scalar protocol invocation against the mirrored state…
+        // Last round's transmitters stop transmitting…
+        for v in self.transmitters.iter() {
+            transmit[v] = 0;
+        }
+        // …one scalar protocol invocation against the mirrored state…
         self.transmitters.clear();
         let rv = RoundView {
             graph: view.graph,
@@ -663,13 +663,8 @@ impl<G: GraphView + ?Sized, P: BroadcastProtocol<G>> LaneProtocol<G> for LaneMir
             .transmitters_into(&rv, &mut self.rng, &mut self.transmitters);
 
         // …broadcast to every live lane…
-        for &v in &self.prev {
-            transmit[v] = 0;
-        }
-        self.prev.clear();
         for v in self.transmitters.iter() {
             transmit[v] = view.live;
-            self.prev.push(v);
         }
 
         // …and advance the mirror one round (the scalar engine's update).

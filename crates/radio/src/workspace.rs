@@ -10,9 +10,9 @@
 //! the spirit of the decay protocol's own constant-overhead-per-round design,
 //! the trial loop does zero setup work beyond reseeding.
 //!
-//! Resetting between trials is proportional to the *previous* trial's work,
-//! not to `n`: the informed member list records exactly which
-//! `first_informed_round` entries were written, so only those are cleared.
+//! Resetting between trials zeroes the bitsets word by word (O(n/64)) and
+//! clears only the `first_informed_round` entries the previous trial wrote:
+//! the informed set records exactly which ones those are.
 //!
 //! Use [`crate::RadioSimulator::run_in`] with an explicit workspace, or
 //! borrow the thread-local one via [`with_thread_workspace`] (mirroring the
@@ -80,7 +80,7 @@ impl TrialWorkspace {
 
     /// Clears all per-trial state and re-seeds it with `source` informed at
     /// round 0. Growing to a larger universe is O(n); steady-state reuse is
-    /// proportional to the previous trial's informed count.
+    /// O(n/64) for the bitsets plus the previous trial's informed count.
     pub(crate) fn reset(&mut self, n: usize, source: Vertex) {
         // Targeted clear: only informed vertices ever have a non-None entry.
         for v in self.informed.iter() {

@@ -111,9 +111,9 @@ proptest! {
         seed in 0u64..50,
     ) {
         let g = Graph::from_edges(16, edges).unwrap();
-        let keep = VertexSet::from_iter(16, keep_raw.iter().copied());
+        let keep = wx_graph::SubsetIndex::new(VertexSet::from_iter(16, keep_raw.iter().copied()));
         let view = wx_graph::SubgraphView::new(&g, &keep);
-        let (mat, _) = g.induced_subgraph(&keep);
+        let (mat, _) = g.induced_subgraph(keep.set());
         let config = SimulatorConfig { max_rounds: 300, stop_when_complete: true };
         let sim_view = RadioSimulator::new(&view, 0, config.clone());
         let sim_mat = RadioSimulator::new(&mat, 0, config);

@@ -80,7 +80,7 @@ impl GreedyMinDegreeSolver {
         let num_right = g.num_right();
 
         let mut in_s_tmp = vec![true; num_left];
-        let mut s_uni: Vec<usize> = Vec::new();
+        let mut s_uni = VertexSet::empty(num_left);
         // N_tmp starts as the right vertices with at least one neighbor
         // (isolated right vertices can never be covered).
         let mut right: Vec<Right> = (0..num_right)
@@ -162,7 +162,7 @@ impl GreedyMinDegreeSolver {
             // smallest index for determinism), drop all of Γ(v, S_tmp) from
             // S_tmp.
             let w_star = gamma_v[0];
-            s_uni.push(w_star);
+            s_uni.insert(w_star);
             for &u in &gamma_v {
                 in_gamma_v[u] = false;
                 in_s_tmp[u] = false;
@@ -197,12 +197,11 @@ impl GreedyMinDegreeSolver {
             wx_trace::CounterId::SpokesmanGreedyPicks,
             s_uni.len() as u64,
         );
-        s_uni.sort_unstable();
         let outcome = GreedyOutcome {
-            s_uni: VertexSet::from_sorted(num_left, s_uni),
-            n_uni: VertexSet::from_sorted(
+            s_uni,
+            n_uni: VertexSet::from_iter(
                 num_right,
-                (0..num_right).filter(|&w| right[w] == Right::Uni).collect(),
+                (0..num_right).filter(|&w| right[w] == Right::Uni),
             ),
         };
         debug_assert_eq!(outcome.check_certificate(g), Ok(()));

@@ -66,19 +66,12 @@ impl PartitionOutcome {
         candidates: &VertexSet,
     ) -> Result<(), String> {
         // The three right-side parts partition the candidate set.
-        let mut seen = vec![false; g.num_right()];
-        for part in [&self.n_uni, &self.n_many, &self.n_tmp] {
-            for w in part.iter() {
-                if !candidates.contains(w) {
-                    return Err(format!("right vertex {w} not among candidates"));
-                }
-                if std::mem::replace(&mut seen[w], true) {
-                    return Err(format!("right vertex {w} appears in two parts"));
-                }
-            }
+        let (uni, many, tmp) = (&self.n_uni, &self.n_many, &self.n_tmp);
+        if !uni.is_disjoint_from(many) || !tmp.is_disjoint_from(&uni.union(many)) {
+            return Err("a right vertex appears in two parts".to_string());
         }
-        if self.n_uni.len() + self.n_many.len() + self.n_tmp.len() != candidates.len() {
-            return Err("right parts do not cover all candidates".to_string());
+        if uni.union(many).union(tmp) != *candidates {
+            return Err("the right parts do not cover exactly the candidates".to_string());
         }
         // (P1)
         for w in self.n_uni.iter() {
@@ -171,7 +164,7 @@ pub fn procedure_partition(g: &BipartiteGraph, candidates: &VertexSet) -> Partit
     for w in candidates.iter() {
         right[w] = Right::Tmp;
     }
-    let mut promoted = vec![false; num_left];
+    let mut s_uni = VertexSet::empty(num_left);
     let mut gain: Vec<i64> = (0..num_left)
         .map(|u| {
             g.left_neighbors(u)
@@ -190,7 +183,7 @@ pub fn procedure_partition(g: &BipartiteGraph, candidates: &VertexSet) -> Partit
     // gain: a gain that rises is pushed at once, one that falls is requeued
     // only when its over-estimate reaches the top.
     while let Some((gv, Reverse(v))) = heap.pop() {
-        if promoted[v] || gv < gain[v] {
+        if s_uni.contains(v) || gv < gain[v] {
             continue; // superseded by a later push
         }
         if gv > gain[v] {
@@ -203,7 +196,7 @@ pub fn procedure_partition(g: &BipartiteGraph, candidates: &VertexSet) -> Partit
         // Promote v: S_tmp → S_uni. Its neighbors in N_uni lose uniqueness
         // (→ N_many: +2 to each unpromoted left neighbor's gain); its
         // neighbors in N_tmp become uniquely covered (→ N_uni: −3).
-        promoted[v] = true;
+        s_uni.insert(v);
         for &w in g.left_neighbors(v) {
             let delta = match right[w] {
                 Right::Uni => {
@@ -217,7 +210,7 @@ pub fn procedure_partition(g: &BipartiteGraph, candidates: &VertexSet) -> Partit
                 Right::Many | Right::Out => continue,
             };
             for &u in g.right_neighbors(w) {
-                if !promoted[u] {
+                if !s_uni.contains(u) {
                     gain[u] += delta;
                     if delta > 0 {
                         heap.push((gain[u], Reverse(u)));
@@ -227,21 +220,11 @@ pub fn procedure_partition(g: &BipartiteGraph, candidates: &VertexSet) -> Partit
         }
     }
 
-    let left_part = |want: bool| {
-        VertexSet::from_sorted(
-            num_left,
-            (0..num_left).filter(|&u| promoted[u] == want).collect(),
-        )
-    };
-    let right_part = |want: Right| {
-        VertexSet::from_sorted(
-            num_right,
-            (0..num_right).filter(|&w| right[w] == want).collect(),
-        )
-    };
+    let right_part =
+        |want: Right| VertexSet::from_iter(num_right, (0..num_right).filter(|&w| right[w] == want));
     let outcome = PartitionOutcome {
-        s_uni: left_part(true),
-        s_tmp: left_part(false),
+        s_tmp: s_uni.complement(),
+        s_uni,
         n_uni: right_part(Right::Uni),
         n_many: right_part(Right::Many),
         n_tmp: right_part(Right::Tmp),
@@ -462,19 +445,19 @@ mod tests {
     fn candidate_sets(g: &BipartiteGraph, seed: u64) -> Vec<VertexSet> {
         let n = g.num_right();
         let coverable: Vec<usize> = (0..n).filter(|&w| g.right_degree(w) > 0).collect();
-        let mut sets = vec![VertexSet::from_sorted(n, coverable.clone())];
+        let mut sets = vec![VertexSet::from_iter(n, coverable.iter().copied())];
         for base in [2.0, crate::degree_class::OPTIMAL_BASE] {
             sets.extend(
                 degree_class_buckets(g, base)
                     .into_iter()
-                    .map(|bucket| VertexSet::from_sorted(n, bucket)),
+                    .map(|bucket| VertexSet::from_iter(n, bucket)),
             );
         }
         let mut rng = wx_graph::random::rng_from_seed(seed);
         for _ in 0..3 {
             let p: f64 = rng.gen();
             let subset = coverable.iter().copied().filter(|_| rng.gen_bool(p));
-            sets.push(VertexSet::from_sorted(n, subset.collect()));
+            sets.push(VertexSet::from_iter(n, subset));
         }
         sets
     }

@@ -154,7 +154,7 @@ impl SpokesmanSolver for RandomDecaySolver {
             } else {
                 let (cov_b, sub_b) = dyadic_sweep(
                     g,
-                    pool.as_slice().iter().copied(),
+                    pool.iter(),
                     levels,
                     self.trials_per_level,
                     derive_seed(seed, 0xB),

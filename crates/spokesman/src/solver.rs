@@ -370,7 +370,7 @@ mod tests {
 
     #[test]
     fn solve_in_graph_accepts_any_backend() {
-        use wx_graph::view::{materialize, ImplicitGraph, SubgraphView};
+        use wx_graph::view::{materialize, ImplicitGraph, SubgraphView, SubsetIndex};
         use wx_graph::{Graph, GraphView};
 
         // C_12^2 as an implicit backend vs its CSR materialization: greedy
@@ -390,10 +390,10 @@ mod tests {
 
         // and on a zero-copy induced view of a larger graph
         let big = materialize(&ImplicitGraph::cycle_power(30, 2).unwrap());
-        let keep = VertexSet::from_iter(30, 0..15);
+        let keep = SubsetIndex::new(VertexSet::from_iter(30, 0..15));
         let view = SubgraphView::new(&big, &keep);
         let s_local = VertexSet::from_iter(view.num_vertices(), [2, 3, 4]);
-        let (mat, _) = big.induced_subgraph(&keep);
+        let (mat, _) = big.induced_subgraph(keep.set());
         let on_view = greedy.solve_in_graph(&view, &s_local, 9);
         let on_mat = greedy.solve_in_graph(&mat, &s_local, 9);
         assert_eq!(on_view.unique_coverage, on_mat.unique_coverage);
