@@ -19,6 +19,8 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use wx_graph::random::{derive_seed, rng_from_seed};
 use wx_graph::traversal::bfs;
 use wx_graph::{GraphView, VertexSet};
@@ -98,8 +100,11 @@ pub const LARGE_N_SET_CAP: usize = 4096;
 /// (exhaustive singletons would allocate an n-bit set per vertex: O(n²)
 /// bits).
 pub const LARGE_N_SINGLETON_SAMPLES: usize = 256;
-/// Step cap for adversarial greedy growth in the large-graph regime (each
-/// step scans the whole boundary, so uncapped growth is quadratic).
+/// Step cap for adversarial greedy growth in the large-graph regime. A
+/// growth costs O(vol · log vol) in the volume it touches (see
+/// [`CandidateSets::generate`]), so the cap is not a time bound; it bounds
+/// the growth's memory (its heap and recorded n-bit prefixes) and the
+/// report's shape. Lifting it changes reports.
 pub const LARGE_N_GROWTH_CAP: usize = 512;
 
 impl CandidateSets {
@@ -113,7 +118,22 @@ impl CandidateSets {
     /// million-vertex hypercube allocates megabytes, not the O(n²) bits the
     /// exhaustive singleton pool would need. Graphs at or below the
     /// threshold generate exactly the historical pool.
+    ///
+    /// Each greedy growth takes its next vertex from a lazy min-heap on
+    /// marginal boundary cost rather than a scan of the whole boundary, so
+    /// it costs O(vol · log vol) in the volume `vol` it touches.
     pub fn generate<G: GraphView + ?Sized>(g: &G, config: &SamplerConfig, seed: u64) -> Self {
+        Self::generate_with(g, config, seed, grow_greedily)
+    }
+
+    /// [`CandidateSets::generate`] with the greedy growth as a parameter,
+    /// so the tests can build the same pool with the boundary-scan oracle.
+    fn generate_with<G: GraphView + ?Sized>(
+        g: &G,
+        config: &SamplerConfig,
+        seed: u64,
+        grow: fn(&G, usize, usize, &mut Vec<VertexSet>),
+    ) -> Self {
         let n = g.num_vertices();
         let mut sets: Vec<VertexSet> = Vec::new();
         if n == 0 {
@@ -215,41 +235,14 @@ impl CandidateSets {
             }
         }
 
-        // Adversarial greedy growth: repeatedly add the boundary vertex whose
-        // inclusion minimizes the new external boundary. The marginal effect
-        // of adding `v` is computed in O(deg v): the boundary loses `v`
-        // itself and gains `v`'s neighbors that are in neither the current
-        // set nor the current boundary, so we only need to count the latter.
-        for t in 0..config.greedy_growths {
-            let mut grow_rng = rng_from_seed(derive_seed(seed, 5000 + t as u64));
-            let start = grow_rng.gen_range(0..n);
-            let mut current = VertexSet::from_iter(n, [start]);
-            let mut boundary = wx_graph::neighborhood::external_neighborhood(g, &current);
-            sets.push(current.clone());
-            while current.len() < growth_cap && !boundary.is_empty() {
-                // the first boundary vertex with the fewest fresh neighbors
-                let fresh = |v: usize| {
-                    g.neighbors_iter(v)
-                        .filter(|&u| !current.contains(u) && !boundary.contains(u))
-                        .count()
-                };
-                let v = boundary
-                    .iter()
-                    .min_by_key(|&v| fresh(v))
-                    .expect("non-empty boundary");
-                current.insert(v);
-                boundary.remove(v);
-                for u in g.neighbors_iter(v) {
-                    if !current.contains(u) {
-                        boundary.insert(u);
-                    }
-                }
-                // Record prefixes at geometrically spaced sizes (plus the
-                // final set) so the candidate pool stays small even when the
-                // growth runs to thousands of vertices.
-                if current.len().is_power_of_two() || current.len() == growth_cap {
-                    sets.push(current.clone());
-                }
+        // Adversarial greedy growth from seeded starting vertices; see
+        // `grow_greedily`. One span covers all of a pool's growths.
+        {
+            let _span = wx_trace::span("sampler.greedy_growth");
+            for t in 0..config.greedy_growths {
+                let mut grow_rng = rng_from_seed(derive_seed(seed, 5000 + t as u64));
+                let start = grow_rng.gen_range(0..n);
+                grow(g, start, growth_cap, &mut sets);
             }
         }
 
@@ -274,6 +267,100 @@ impl CandidateSets {
     /// `true` if the pool is empty.
     pub fn is_empty(&self) -> bool {
         self.sets.is_empty()
+    }
+}
+
+/// Adversarial greedy growth from `start`: repeatedly adds the boundary
+/// vertex with the fewest *fresh* neighbors (neighbors in neither the set
+/// nor its boundary), the smallest id among ties, so each step grows the
+/// external boundary as little as possible. Stops at `cap` vertices or when
+/// the boundary empties, and records the set at every power-of-two size and
+/// at `cap` (the prefixes keep the pool small even when a growth runs to
+/// thousands of vertices).
+///
+/// Each step pops a lazy min-heap instead of scanning the boundary, so a
+/// growth costs O(vol · log vol) for the volume `vol` it touches. Vertices
+/// only ever join `set ∪ boundary`, so a fresh count never increases: it
+/// drops by one for each neighbor that enters the boundary, and every drop
+/// pushes the new `(fresh, v)` key. A boundary vertex's current key is
+/// thus its smallest entry, so the first entry popped for any boundary
+/// vertex is the boundary's lexicographic minimum of `(fresh, v)`: the
+/// vertex a scan in ascending order picks first. Entries of vertices
+/// already in the set are stale and skipped.
+fn grow_greedily<G: GraphView + ?Sized>(
+    g: &G,
+    start: usize,
+    cap: usize,
+    sets: &mut Vec<VertexSet>,
+) {
+    let n = g.num_vertices();
+    let mut growth = Growth {
+        set: VertexSet::empty(n),
+        boundary: VertexSet::empty(n),
+        fresh: vec![0; n],
+        heap: BinaryHeap::new(),
+    };
+    let mut next = Some(start);
+    while let Some(v) = next {
+        growth.add(g, v);
+        let len = growth.set.len();
+        if len.is_power_of_two() || len == cap {
+            sets.push(growth.set.clone());
+        }
+        next = if len < cap { growth.pop_min() } else { None };
+    }
+}
+
+/// The state of one [`grow_greedily`] run.
+struct Growth {
+    set: VertexSet,
+    boundary: VertexSet,
+    /// For each boundary vertex, its neighbors outside `set ∪ boundary`.
+    fresh: Vec<u32>,
+    /// `(fresh, v)` keys, popped smallest first; see [`grow_greedily`].
+    heap: BinaryHeap<Reverse<(u32, usize)>>,
+}
+
+impl Growth {
+    /// Moves `v` into the set; its outside neighbors join the boundary.
+    fn add<G: GraphView + ?Sized>(&mut self, g: &G, v: usize) {
+        self.set.insert(v);
+        self.boundary.remove(v);
+        for u in g.neighbors_iter(v) {
+            if !self.set.contains(u) && !self.boundary.contains(u) {
+                self.bound(g, u);
+            }
+        }
+    }
+
+    /// Moves the outside vertex `u` into the boundary: each boundary
+    /// neighbor loses a fresh neighbor, and `u`'s own count is taken.
+    fn bound<G: GraphView + ?Sized>(&mut self, g: &G, u: usize) {
+        for w in g.neighbors_iter(u) {
+            if self.boundary.contains(w) {
+                self.fresh[w] -= 1;
+                self.heap.push(Reverse((self.fresh[w], w)));
+            }
+        }
+        self.boundary.insert(u);
+        let fresh = g
+            .neighbors_iter(u)
+            .filter(|&w| !self.set.contains(w) && !self.boundary.contains(w))
+            .count();
+        self.fresh[u] = fresh as u32;
+        self.heap.push(Reverse((self.fresh[u], u)));
+    }
+
+    /// The boundary vertex with the fewest fresh neighbors (smallest id
+    /// among ties), or `None` once the boundary is empty.
+    fn pop_min(&mut self) -> Option<usize> {
+        while let Some(Reverse((fresh, v))) = self.heap.pop() {
+            if self.boundary.contains(v) {
+                debug_assert_eq!(fresh, self.fresh[v], "a live entry carries the current key");
+                return Some(v);
+            }
+        }
+        None
     }
 }
 
@@ -359,10 +446,138 @@ pub fn all_small_sets(n: usize, max_size: usize) -> Vec<VertexSet> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wx_graph::Graph;
+    use proptest::prelude::*;
+    use wx_graph::{Graph, ImplicitGraph};
 
     fn cycle(n: usize) -> Graph {
         Graph::from_edges(n, (0..n).map(|i| (i, (i + 1) % n))).unwrap()
+    }
+
+    /// The boundary scan [`grow_greedily`] replaced: every step rescans the
+    /// whole boundary for the first vertex with the fewest fresh neighbors.
+    /// Kept unchanged as the oracle the heap must reproduce set for set.
+    fn grow_by_scan<G: GraphView + ?Sized>(
+        g: &G,
+        start: usize,
+        growth_cap: usize,
+        sets: &mut Vec<VertexSet>,
+    ) {
+        let n = g.num_vertices();
+        let mut current = VertexSet::from_iter(n, [start]);
+        let mut boundary = wx_graph::neighborhood::external_neighborhood(g, &current);
+        sets.push(current.clone());
+        while current.len() < growth_cap && !boundary.is_empty() {
+            // the first boundary vertex with the fewest fresh neighbors
+            let fresh = |v: usize| {
+                g.neighbors_iter(v)
+                    .filter(|&u| !current.contains(u) && !boundary.contains(u))
+                    .count()
+            };
+            let v = boundary
+                .iter()
+                .min_by_key(|&v| fresh(v))
+                .expect("non-empty boundary");
+            current.insert(v);
+            boundary.remove(v);
+            for u in g.neighbors_iter(v) {
+                if !current.contains(u) {
+                    boundary.insert(u);
+                }
+            }
+            if current.len().is_power_of_two() || current.len() == growth_cap {
+                sets.push(current.clone());
+            }
+        }
+    }
+
+    /// A sampler that runs greedy growths only, so the pool is exactly
+    /// their recorded prefixes (sorted and deduplicated).
+    fn growth_only(alpha: f64) -> SamplerConfig {
+        SamplerConfig {
+            alpha,
+            random_sets_per_size: 0,
+            size_fractions: vec![],
+            ball_centers: 0,
+            greedy_growths: 4,
+            include_singletons: false,
+        }
+    }
+
+    /// The heap pool and the scan-oracle pool of `g`, member lists in order.
+    fn heap_and_scan_pools<G: GraphView + ?Sized>(
+        g: &G,
+        config: &SamplerConfig,
+        seed: u64,
+    ) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+        let members = |pool: CandidateSets| pool.sets.iter().map(|s| s.to_vec()).collect();
+        (
+            members(CandidateSets::generate(g, config, seed)),
+            members(CandidateSets::generate_with(g, config, seed, grow_by_scan)),
+        )
+    }
+
+    /// A random irregular graph on `n` vertices with edges only inside the
+    /// residue classes `v % components`: several components, and isolated
+    /// vertices when sparse, so growths can exhaust their component before
+    /// the cap.
+    fn random_graph(n: usize, components: usize, edges: usize, seed: u64) -> Graph {
+        let mut rng = rng_from_seed(seed);
+        let pairs = (0..edges)
+            .map(|_| {
+                let u = rng.gen_range(0..n);
+                let class = u % components;
+                let v = class + components * rng.gen_range(0..(n - class).div_ceil(components));
+                (u, v)
+            })
+            .filter(|&(u, v)| u != v)
+            .collect::<Vec<_>>();
+        Graph::from_edges(n, pairs).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// The heap growth records exactly the scan's sets, on irregular
+        /// multi-component graphs whose universes cross 64-bit word
+        /// boundaries, for α up to 1: one growth's records before the
+        /// pool's sort and dedup, and the whole pool in order.
+        #[test]
+        fn heap_growth_matches_the_scan_oracle(
+            n in 1usize..=200,
+            shape in (1usize..=4, 0usize..=4),
+            alpha_percent in 1usize..=100,
+            seed in any::<u64>(),
+        ) {
+            let (components, edges_per_vertex) = shape;
+            let g = random_graph(n, components, edges_per_vertex * n, seed);
+            let config = growth_only(alpha_percent as f64 / 100.0);
+            let (start, cap) = ((seed % n as u64) as usize, config.max_set_size(n));
+            let (mut heap, mut scan) = (Vec::new(), Vec::new());
+            grow_greedily(&g, start, cap, &mut heap);
+            grow_by_scan(&g, start, cap, &mut scan);
+            prop_assert_eq!(heap, scan);
+            let (heap, scan) = heap_and_scan_pools(&g, &config, seed);
+            prop_assert_eq!(heap, scan);
+        }
+    }
+
+    #[test]
+    fn heap_growth_matches_the_scan_oracle_on_implicit_families() {
+        // Regular families tie often, so the id tie-break decides many
+        // steps.
+        for g in [
+            ImplicitGraph::torus(3, 50).unwrap(),
+            ImplicitGraph::cycle_power(150, 3).unwrap(),
+            ImplicitGraph::hypercube(7).unwrap(),
+        ] {
+            let (heap, scan) = heap_and_scan_pools(&g, &growth_only(1.0), 11);
+            assert_eq!(heap, scan, "{}", g.family().label());
+        }
+        // Past LARGE_N_THRESHOLD: growths stop at LARGE_N_GROWTH_CAP.
+        let g = ImplicitGraph::hypercube(14).unwrap();
+        let (heap, scan) = heap_and_scan_pools(&g, &growth_only(0.5), 5);
+        assert_eq!(heap.iter().map(Vec::len).max(), Some(LARGE_N_GROWTH_CAP));
+        assert_eq!(heap, scan);
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! (`radio.lane_rounds`, `radio.lanes_completed`) stripped, since the
 //! fixtures for per-trial radio scenarios predate them; every radio report
 //! must carry `radio.lane_rounds`, and `radio.lanes_completed` whenever a
-//! trial completed.
+//! trial completed. The `long_growth__*` fixtures pin sampled measurement
+//! where greedy growth runs long: `Measure` (ordinary and unique) on
+//! random_regular(2400, 8), whose growths reach n/2, and a sampled
+//! `Profile` on an irregular `Induced` source.
 //!
 //! The bundled `scenarios/*.json` and the `wx sweep --all --quick` report
 //! are pinned the same way: each scenario must reproduce
@@ -49,7 +52,7 @@ fn strip_lane_counters(json: &str) -> String {
 #[test]
 fn reports_match_the_golden_fixtures() {
     let specs = files_ending(golden_dir(), ".spec.json");
-    assert!(specs.len() >= 27, "golden fixtures missing: {specs:?}");
+    assert!(specs.len() >= 30, "golden fixtures missing: {specs:?}");
     for spec_path in specs {
         let name = spec_path.to_string_lossy().replace(".spec.json", "");
         let spec_text = std::fs::read_to_string(&spec_path).unwrap();

@@ -11,6 +11,10 @@
 //! | `GET /healthz`  | `200 ok`                                           |
 //! | `GET /stats`    | Cumulative service counters as JSON                |
 //!
+//! A `Content-Length` that does not parse gets `400 Bad Request`, and one
+//! over 16 MiB gets `413 Payload Too Large`, both answered from the head
+//! without reading or allocating the body.
+//!
 //! Serving telemetry rides in `X-Wx-*` response headers (queue/run
 //! microseconds, coalesced flag, cache-hit deltas), keeping the body
 //! byte-identical to the batch CLI across cache states.
@@ -34,17 +38,28 @@ pub struct HttpServer {
     service: Service,
 }
 
-struct ParsedRequest {
-    method: String,
-    path: String,
-    body: Vec<u8>,
+/// What [`read_request`] made of a connection's bytes.
+enum Request {
+    /// The client closed the connection before sending a request line.
+    Closed,
+    /// A request whose body was read in full.
+    Parsed {
+        method: String,
+        path: String,
+        body: Vec<u8>,
+    },
+    /// A request answered from its head alone; its body is never read.
+    Rejected {
+        status: &'static str,
+        message: &'static [u8],
+    },
 }
 
-fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<ParsedRequest>> {
+fn read_request(stream: &mut TcpStream) -> std::io::Result<Request> {
     let mut reader = BufReader::new(stream);
     let mut request_line = String::new();
     if reader.read_line(&mut request_line)? == 0 {
-        return Ok(None);
+        return Ok(Request::Closed);
     }
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("").to_ascii_uppercase();
@@ -61,20 +76,25 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<ParsedRequest>
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().unwrap_or(0);
+                let Ok(length) = value.trim().parse() else {
+                    return Ok(Request::Rejected {
+                        status: "400 Bad Request",
+                        message: b"invalid Content-Length\n",
+                    });
+                };
+                content_length = length;
             }
         }
     }
     if content_length > MAX_BODY_BYTES {
-        return Ok(Some(ParsedRequest {
-            method,
-            path,
-            body: Vec::new(),
-        }));
+        return Ok(Request::Rejected {
+            status: "413 Payload Too Large",
+            message: b"request body exceeds 16 MiB\n",
+        });
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
-    Ok(Some(ParsedRequest { method, path, body }))
+    Ok(Request::Parsed { method, path, body })
 }
 
 fn write_response(
@@ -189,11 +209,15 @@ fn handle_run(service: &Service, stream: &mut TcpStream, body: &[u8]) -> std::io
 }
 
 fn handle_connection(service: &Service, stream: &mut TcpStream) -> std::io::Result<()> {
-    let Some(request) = read_request(stream)? else {
-        return Ok(());
+    let (method, path, body) = match read_request(stream)? {
+        Request::Closed => return Ok(()),
+        Request::Rejected { status, message } => {
+            return write_response(stream, status, "text/plain", &[], message)
+        }
+        Request::Parsed { method, path, body } => (method, path, body),
     };
-    match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/run") => handle_run(service, stream, &request.body),
+    match (method.as_str(), path.as_str()) {
+        ("POST", "/run") => handle_run(service, stream, &body),
         ("GET", "/healthz") => write_response(stream, "200 OK", "text/plain", &[], b"ok\n"),
         ("GET", "/stats") => write_response(
             stream,

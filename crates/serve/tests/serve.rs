@@ -315,3 +315,45 @@ fn http_rejects_bad_routes_and_bodies() {
 
     handle.join().unwrap();
 }
+
+#[test]
+fn http_answers_bad_content_lengths_from_the_head() {
+    let service = Service::start(&ServeConfig::default());
+    let server = HttpServer::bind(service, "127.0.0.1:0").unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.serve_n(5).unwrap());
+
+    // Heads only: a rejected request's body is never read.
+    let request = |method: &str, content_length: &str| -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        write!(
+            stream,
+            "{method} /healthz HTTP/1.1\r\nContent-Length: {content_length}\r\n\r\n"
+        )
+        .unwrap();
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).unwrap();
+        raw
+    };
+
+    // An unparsable length used to read as 0, so this GET answered 200.
+    for length in ["twelve", "-1", "99999999999999999999999"] {
+        let raw = request("GET", length);
+        assert!(raw.starts_with("HTTP/1.1 400"), "{length:?} got: {raw}");
+        assert!(raw.ends_with("invalid Content-Length\n"), "got: {raw}");
+    }
+
+    // One byte over the 16 MiB cap: 413 without waiting for the body (an
+    // oversized body used to be served as an empty one).
+    let raw = request("POST", &((16 << 20) + 1).to_string());
+    assert!(
+        raw.starts_with("HTTP/1.1 413 Payload Too Large"),
+        "got: {raw}"
+    );
+
+    // ... and the server keeps answering.
+    let raw = request("GET", "0");
+    assert!(raw.starts_with("HTTP/1.1 200"), "got: {raw}");
+
+    handle.join().unwrap();
+}
