@@ -39,15 +39,13 @@ fn measure<G: GraphView + Sync>(
     // One shared pool, both measures evaluated on it in parallel; the
     // per-set pairing is what Theorem 1.1's "min constant" column needs.
     let pool = engine.candidate_pool(g);
-    let beta_evals = engine.evaluate_pool(g, &Ordinary, &pool);
-    let beta_w_evals = engine.evaluate_pool(g, &wireless_measure, &pool);
+    let betas = engine.evaluate_pool(g, &Ordinary, &pool);
+    let beta_ws = engine.evaluate_pool(g, &wireless_measure, &pool);
 
     let mut worst_beta = f64::INFINITY;
     let mut worst_beta_w = f64::INFINITY;
     let mut worst_constant = f64::INFINITY;
-    for (beta_eval, beta_w_eval) in beta_evals.iter().zip(beta_w_evals.iter()) {
-        let beta_s = beta_eval.value;
-        let beta_w_s = beta_w_eval.value;
+    for (&beta_s, &beta_w_s) in betas.iter().zip(beta_ws.iter()) {
         worst_beta = worst_beta.min(beta_s);
         worst_beta_w = worst_beta_w.min(beta_w_s);
         if beta_s > 0.0 {

@@ -31,11 +31,15 @@
 //!   maximization optimally (feasible for `|S| ≤ 25`). The result has
 //!   `exact = true` and is ground truth.
 //! * [`MeasureStrategy::Sampled`] evaluates the shared candidate pool
-//!   generated from the engine's [`SamplerConfig`]. For [`Ordinary`] and
-//!   [`UniqueNeighbor`] the result is an *upper bound* on the true minimum
-//!   (every evaluated set certifies one); for [`Wireless`] the inner
-//!   maximization uses the polynomial-time spokesman portfolio, so the
-//!   estimate is neither a strict upper nor lower bound (see the
+//!   generated from the engine's [`SamplerConfig`]: every singleton plus the
+//!   sampled sets of size ≥ 2. The singletons are not evaluated one by one:
+//!   `{v}` scores `deg(v)` under all three notions on a simple graph, so one
+//!   O(n) degree scan finds the first vertex of minimum degree, and only
+//!   that singleton is evaluated. For
+//!   [`Ordinary`] and [`UniqueNeighbor`] the result is an *upper bound* on
+//!   the true minimum (every evaluated set certifies one); for [`Wireless`]
+//!   the inner maximization uses the polynomial-time spokesman portfolio, so
+//!   the estimate is neither a strict upper nor lower bound (see the
 //!   [`crate::wireless`] module docs for the quantifier asymmetry).
 //! * [`MeasureStrategy::Auto`] (the default, with `exact_up_to = 14`) picks
 //!   `Exact` when `0 < n ≤ exact_up_to` and `Sampled` otherwise. This is the
@@ -442,6 +446,28 @@ impl Default for MeasurementEngine {
     }
 }
 
+/// The candidate sets one measurement minimizes over.
+enum Candidates {
+    /// Every set up to the size cap, evaluated exactly.
+    Exact(Vec<VertexSet>),
+    /// The sampled pool, evaluated with `exact = false`.
+    Sampled(CandidateSets),
+}
+
+/// One evaluated candidate: its flat index, its evaluation and its witness
+/// (a stored set's position, or the set itself once chosen).
+type Scored<W> = (usize, SetEvaluation, W);
+
+/// Keeps the smaller value, and of equal values the smaller flat index, so
+/// the minimum does not depend on the order of evaluation.
+fn keep_min<W>(a: Scored<W>, b: Scored<W>) -> Scored<W> {
+    if b.1.value < a.1.value || (b.1.value == a.1.value && b.0 < a.0) {
+        b
+    } else {
+        a
+    }
+}
+
 /// The three notions measured over one shared pool, directly comparable
 /// set-by-set (Observation 2.1 holds per candidate).
 #[derive(Clone, Debug)]
@@ -514,7 +540,7 @@ impl MeasurementEngine {
     pub fn candidate_pool<G: GraphView + ?Sized>(&self, g: &G) -> CandidateSets {
         let _span = wx_trace::span("engine.candidate_pool");
         let pool = CandidateSets::generate(g, &self.sampler, self.seed);
-        wx_trace::count(CounterId::EnginePoolSets, pool.sets.len() as u64);
+        wx_trace::count(CounterId::EnginePoolSets, pool.len() as u64);
         pool
     }
 
@@ -525,10 +551,10 @@ impl MeasurementEngine {
         self.sampler.max_set_size(n)
     }
 
-    /// Resolves the strategy for `g` and materializes the candidate sets it
-    /// implies: the exhaustive enumeration (`exact = true`) or the sampled
-    /// pool (`exact = false`). `None` for the empty graph.
-    fn candidate_sets<G: GraphView + ?Sized>(&self, g: &G) -> Option<(Vec<VertexSet>, bool)> {
+    /// Resolves the strategy for `g` and builds the candidate sets it
+    /// implies: the exhaustive enumeration or the sampled pool. `None` for
+    /// the empty graph.
+    fn candidate_sets<G: GraphView + ?Sized>(&self, g: &G) -> Option<Candidates> {
         let n = g.num_vertices();
         if n == 0 {
             return None;
@@ -536,11 +562,11 @@ impl MeasurementEngine {
         Some(match self.resolved_strategy(n) {
             MeasureStrategy::Exact => {
                 wx_trace::count(CounterId::EngineStrategyExact, 1);
-                (all_small_sets(n, self.max_set_size(n)), true)
+                Candidates::Exact(all_small_sets(n, self.max_set_size(n)))
             }
             _ => {
                 wx_trace::count(CounterId::EngineStrategySampled, 1);
-                (self.candidate_pool(g).sets, false)
+                Candidates::Sampled(self.candidate_pool(g))
             }
         })
     }
@@ -548,67 +574,55 @@ impl MeasurementEngine {
     /// Measures one expansion notion on `g`. Returns `None` only for the
     /// empty graph (or an empty candidate pool).
     ///
-    /// Each call materializes its candidate sets; when measuring several
-    /// notions on one graph, use [`MeasurementEngine::measure_all`] (or an
-    /// explicit [`MeasurementEngine::candidate_pool`] with
-    /// [`MeasurementEngine::measure_with_pool`]) so the pool is generated
-    /// once.
+    /// Each call builds its candidate sets; when measuring several notions
+    /// on one graph, use [`MeasurementEngine::measure_all`] so the pool is
+    /// generated once.
     pub fn measure<G, M>(&self, g: &G, measure: &M) -> Option<Measurement>
     where
         G: GraphView + Sync + ?Sized,
         M: ExpansionMeasure<G> + ?Sized,
     {
-        let (sets, exact) = self.candidate_sets(g)?;
-        self.minimize(g, measure, &sets, exact)
+        self.minimize(g, measure, &self.candidate_sets(g)?)
     }
 
-    /// Measures one notion over an explicit candidate pool (always sampled
-    /// semantics: `exact = false`).
-    pub fn measure_with_pool<G, M>(
-        &self,
-        g: &G,
-        measure: &M,
-        pool: &CandidateSets,
-    ) -> Option<Measurement>
-    where
-        G: GraphView + Sync + ?Sized,
-        M: ExpansionMeasure<G> + ?Sized,
-    {
-        self.minimize(g, measure, &pool.sets, false)
-    }
-
-    /// Evaluates the measure on every set of `pool` (in pool order), in
-    /// parallel when enabled. This is the escape hatch for experiment
+    /// The measure's value on every set of `pool`, in flat order (see
+    /// [`CandidateSets`]), evaluated in parallel when enabled. A singleton
+    /// `{v}` scores `deg(v)`. This is the escape hatch for experiment
     /// harnesses that need per-set statistics beyond the minimum.
-    pub fn evaluate_pool<G, M>(
-        &self,
-        g: &G,
-        measure: &M,
-        pool: &CandidateSets,
-    ) -> Vec<SetEvaluation>
+    pub fn evaluate_pool<G, M>(&self, g: &G, measure: &M, pool: &CandidateSets) -> Vec<f64>
     where
         G: GraphView + Sync + ?Sized,
         M: ExpansionMeasure<G> + ?Sized,
     {
         let seed = self.seed;
-        let eval_one = |(i, s): (usize, &VertexSet)| {
+        let eval_one = |(j, s): (usize, &VertexSet)| {
+            let i = pool.flat_index(j);
             with_thread_scratch(g.num_vertices(), |scratch| {
                 measure.evaluate(g, s, false, derive_seed(seed, i as u64), scratch)
             })
+            .value
         };
         let _span = wx_trace::span("engine.evaluate_pool");
-        wx_trace::count(CounterId::EngineSetsEvaluated, pool.sets.len() as u64);
+        wx_trace::count(CounterId::EngineSetsEvaluated, pool.len() as u64);
         // Shielded: rayon may run the evaluations on worker threads *or* on
         // this thread (one-thread pools), so per-set counts inside the
         // measures must be dropped consistently to keep telemetry identical
         // across thread counts.
-        wx_trace::shield(|| {
+        let stored: Vec<f64> = wx_trace::shield(|| {
             if self.parallel {
                 pool.sets.par_iter().enumerate().map(eval_one).collect()
             } else {
                 pool.sets.iter().enumerate().map(eval_one).collect()
             }
-        })
+        });
+        let mut values = vec![0.0; pool.len()];
+        for v in 0..pool.num_vertices() {
+            values[pool.singleton_index(v)] = g.degree(v) as f64;
+        }
+        for (j, value) in stored.into_iter().enumerate() {
+            values[pool.flat_index(j)] = value;
+        }
+        values
     }
 
     /// Measures several notions over one shared candidate enumeration/pool,
@@ -620,10 +634,10 @@ impl MeasurementEngine {
         g: &G,
         measures: &[&dyn ExpansionMeasure<G>],
     ) -> Option<Vec<Measurement>> {
-        let (sets, exact) = self.candidate_sets(g)?;
+        let candidates = self.candidate_sets(g)?;
         measures
             .iter()
-            .map(|m| self.minimize(g, *m, &sets, exact))
+            .map(|m| self.minimize(g, *m, &candidates))
             .collect()
     }
 
@@ -635,45 +649,11 @@ impl MeasurementEngine {
         g: &G,
         wireless: &Wireless,
     ) -> Option<ExpansionTriple> {
-        let (sets, exact) = self.candidate_sets(g)?;
+        let candidates = self.candidate_sets(g)?;
         Some(ExpansionTriple {
-            ordinary: self.minimize(g, &Ordinary, &sets, exact)?,
-            unique: self.minimize(g, &UniqueNeighbor, &sets, exact)?,
-            wireless: self.minimize(g, wireless, &sets, exact)?,
-        })
-    }
-
-    /// Searches the candidate sets for one whose measured value falls below
-    /// `threshold`, returning the first violating witness (pool order). A
-    /// `None` result is evidence, not proof, unless the strategy resolved to
-    /// `Exact`.
-    pub fn find_violation<G, M>(&self, g: &G, measure: &M, threshold: f64) -> Option<Measurement>
-    where
-        G: GraphView + Sync + ?Sized,
-        M: ExpansionMeasure<G> + ?Sized,
-    {
-        let _span = wx_trace::span("engine.find_violation");
-        let (sets, exact) = self.candidate_sets(g)?;
-        self.check_exact_feasible(measure, &sets, exact);
-        let seed = self.seed;
-        // Shielded like the other evaluation loops: the early-exit `find`
-        // makes the number of per-set evaluations data-dependent, so counts
-        // from inside the measures must never reach a report.
-        wx_trace::shield(|| {
-            sets.into_iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    let eval = with_thread_scratch(g.num_vertices(), |scratch| {
-                        measure.evaluate(g, &s, exact, derive_seed(seed, i as u64), scratch)
-                    });
-                    Measurement {
-                        value: eval.value,
-                        witness: s,
-                        exact,
-                        certificate: eval.certificate,
-                    }
-                })
-                .find(|m| m.value < threshold)
+            ordinary: self.minimize(g, &Ordinary, &candidates)?,
+            unique: self.minimize(g, &UniqueNeighbor, &candidates)?,
+            wireless: self.minimize(g, wireless, &candidates)?,
         })
     }
 
@@ -696,56 +676,63 @@ impl MeasurementEngine {
         }
     }
 
-    /// The core minimization: evaluate every set (in parallel when enabled)
-    /// and keep the smallest value; ties break toward the earlier set, so
-    /// results are independent of the thread schedule.
-    fn minimize<G, M>(
-        &self,
-        g: &G,
-        measure: &M,
-        sets: &[VertexSet],
-        exact: bool,
-    ) -> Option<Measurement>
+    /// The core minimization: evaluate every stored set (in parallel when
+    /// enabled) and, for a sampled pool, take the singleton block's minimum
+    /// by degree; keep the smallest value, ties breaking toward the smaller
+    /// flat index, so results are independent of the thread schedule.
+    fn minimize<G, M>(&self, g: &G, measure: &M, candidates: &Candidates) -> Option<Measurement>
     where
         G: GraphView + Sync + ?Sized,
         M: ExpansionMeasure<G> + ?Sized,
     {
         let _span = wx_trace::span("engine.minimize");
+        let (sets, pool) = match candidates {
+            Candidates::Exact(sets) => (sets.as_slice(), None),
+            Candidates::Sampled(pool) => (pool.sets.as_slice(), Some(pool)),
+        };
+        let exact = pool.is_none();
         self.check_exact_feasible(measure, sets, exact);
-        wx_trace::count(CounterId::EngineSetsEvaluated, sets.len() as u64);
-        let seed = self.seed;
-        let eval_one = |(i, s): (usize, &VertexSet)| {
-            // one scratch per rayon worker: candidate evaluation allocates
-            // nothing for the counting measures in steady state
-            let eval = with_thread_scratch(g.num_vertices(), |scratch| {
+        let evaluated = pool.map_or(sets.len(), CandidateSets::len);
+        wx_trace::count(CounterId::EngineSetsEvaluated, evaluated as u64);
+        let (seed, n) = (self.seed, g.num_vertices());
+        // one scratch per rayon worker: candidate evaluation allocates
+        // nothing for the counting measures in steady state
+        let evaluate = |i: usize, s: &VertexSet| {
+            with_thread_scratch(n, |scratch| {
                 measure.evaluate(g, s, exact, derive_seed(seed, i as u64), scratch)
-            });
-            (i, eval)
+            })
         };
-        let keep_min = |a: (usize, SetEvaluation), b: (usize, SetEvaluation)| {
-            if b.1.value < a.1.value || (b.1.value == a.1.value && b.0 < a.0) {
-                b
-            } else {
-                a
-            }
+        let eval_one = |(j, s): (usize, &VertexSet)| {
+            let i = pool.map_or(j, |pool| pool.flat_index(j));
+            (i, evaluate(i, s), j)
         };
+        // The singleton block: `{v}` scores `deg(v)`, so only the first
+        // vertex of minimum degree is evaluated, at its flat index's seed.
+        let singleton = pool.and_then(|pool| {
+            let v = (0..n).min_by_key(|&v| g.degree(v))?;
+            Some((pool.singleton_index(v), VertexSet::from_iter(n, [v])))
+        });
         // Shielded: the evaluations run on rayon workers or (one-thread
         // pools) right here; counts from inside the measures — e.g. the
         // spokesman solves driving a wireless evaluation — must be dropped
         // consistently so telemetry is identical at every thread count.
-        let best = wx_trace::shield(|| {
-            if self.parallel {
+        let (stored, singleton) = wx_trace::shield(|| {
+            let stored = if self.parallel {
                 sets.par_iter()
                     .enumerate()
                     .map(eval_one)
                     .reduce_with(keep_min)
             } else {
                 sets.iter().enumerate().map(eval_one).reduce(keep_min)
-            }
+            };
+            let singleton = singleton.map(|(i, s)| (i, evaluate(i, &s), s));
+            (stored, singleton)
         });
-        best.map(|(i, eval)| Measurement {
+        let stored = stored.map(|(i, eval, j)| (i, eval, sets[j].clone()));
+        let (_, eval, witness) = stored.into_iter().chain(singleton).reduce(keep_min)?;
+        Some(Measurement {
             value: eval.value,
-            witness: sets[i].clone(),
+            witness,
             exact,
             certificate: eval.certificate,
         })
@@ -755,6 +742,8 @@ impl MeasurementEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampling::tests::random_graph;
+    use proptest::prelude::*;
     use wx_graph::GraphBuilder;
 
     fn cycle(n: usize) -> Graph {
@@ -931,24 +920,78 @@ mod tests {
     }
 
     #[test]
-    fn find_violation_detects_low_expansion() {
-        let g = Graph::from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]).unwrap();
-        let engine = MeasurementEngine::builder().seed(5).build();
-        // a path is a terrible expander
-        assert!(engine.find_violation(&g, &Ordinary, 1.5).is_some());
-        assert!(engine.find_violation(&g, &Ordinary, 0.0).is_none());
-    }
-
-    #[test]
     fn evaluate_pool_preserves_order_and_length() {
         let g = cycle(20);
         let engine = MeasurementEngine::builder().seed(2).build();
         let pool = engine.candidate_pool(&g);
-        let evals = engine.evaluate_pool(&g, &Ordinary, &pool);
-        assert_eq!(evals.len(), pool.len());
+        let values = engine.evaluate_pool(&g, &Ordinary, &pool);
+        assert_eq!(values.len(), pool.len());
         // spot-check against the per-set primitive
-        for (s, e) in pool.sets.iter().zip(evals.iter()).take(10) {
-            assert_eq!(e.value, crate::ordinary::of_set(&g, s));
+        for (j, s) in pool.sets.iter().enumerate().take(10) {
+            assert_eq!(values[pool.flat_index(j)], crate::ordinary::of_set(&g, s));
+        }
+        assert!((0..20).all(|v| values[pool.singleton_index(v)] == 2.0));
+    }
+
+    /// The pool as the sampler used to store it: the stored sets plus every
+    /// singleton as a set, sorted by member list.
+    fn materialized(pool: &CandidateSets) -> Vec<VertexSet> {
+        let n = pool.num_vertices();
+        let mut sets = pool.sets.clone();
+        sets.extend((0..n).map(|v| VertexSet::from_iter(n, [v])));
+        sets.sort_by(|a, b| a.iter().cmp(b.iter()));
+        sets
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The singleton scan and the flat-index seeds reproduce, set for
+        /// set, the minimum over the materialized pool with each set seeded
+        /// by its position: value, witness and certificate, and
+        /// `evaluate_pool` in order. The graphs are irregular, with several
+        /// components and isolated vertices when sparse.
+        #[test]
+        fn singleton_scan_matches_the_materialized_pool(
+            n in 1usize..=200,
+            shape in (1usize..=4, 0usize..=4),
+            alpha_percent in 1usize..=100,
+            seed in any::<u64>(),
+        ) {
+            let (components, edges_per_vertex) = shape;
+            let g = random_graph(n, components, edges_per_vertex * n, seed);
+            let engine = MeasurementEngine::builder()
+                .alpha(alpha_percent as f64 / 100.0)
+                .strategy(MeasureStrategy::Sampled)
+                .sampler(SamplerConfig::light(0.5))
+                .seed(seed)
+                .build();
+            let pool = engine.candidate_pool(&g);
+            let sets = materialized(&pool);
+            prop_assert_eq!(sets.len(), pool.len());
+            let (wireless, fast) = (Wireless::default(), Wireless::fast());
+            let measures: [&dyn ExpansionMeasure; 4] = [&Ordinary, &UniqueNeighbor, &wireless, &fast];
+            for measure in measures {
+                let mut scratch = NeighborhoodScratch::new(n);
+                let evals: Vec<SetEvaluation> = sets
+                    .iter()
+                    .enumerate()
+                    .map(|(i, s)| measure.evaluate(&g, s, false, derive_seed(seed, i as u64), &mut scratch))
+                    .collect();
+                let values: Vec<f64> = evals.iter().map(|e| e.value).collect();
+                prop_assert_eq!(&engine.evaluate_pool(&g, measure, &pool), &values);
+                let mut best = 0;
+                for (i, eval) in evals.iter().enumerate() {
+                    if eval.value < evals[best].value {
+                        best = i;
+                    }
+                }
+                let m = engine.measure(&g, measure).unwrap();
+                prop_assert_eq!(m.value, evals[best].value);
+                prop_assert_eq!(m.witness.to_vec(), sets[best].to_vec());
+                let certificate = |c: &Option<VertexSet>| c.as_ref().map(VertexSet::to_vec);
+                prop_assert_eq!(certificate(&m.certificate), certificate(&evals[best].certificate));
+            }
         }
     }
 

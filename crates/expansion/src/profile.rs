@@ -143,7 +143,6 @@ impl ProfileConfig {
             size_fractions: vec![0.1, 0.25, 0.5, 0.75, 1.0],
             ball_centers: self.ball_centers,
             greedy_growths: self.greedy_growths,
-            include_singletons: true,
         }
     }
 

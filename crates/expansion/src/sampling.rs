@@ -2,16 +2,24 @@
 //!
 //! The expansion notions are minima over exponentially many sets, so on
 //! graphs too large for exact enumeration we estimate them by evaluating the
-//! per-set quantity on a pool of candidate sets. Three generators are
-//! combined:
+//! per-set quantity on a pool of candidate sets. Every pool holds all `n`
+//! singletons, and three generators add larger sets:
 //!
 //! * **uniform random** subsets of each target size — unbiased but rarely
 //!   close to the true minimizer;
 //! * **BFS balls** around each (sampled) center — localized sets that tend to
-//!   have small boundaries, a classic low-expansion family;
+//!   have small boundaries, a classic low-expansion family (the ball at each
+//!   radius where it first reaches a power of two, and the largest one);
 //! * **adversarial greedy growth** — starting from a vertex, repeatedly add
 //!   the outside vertex that *minimizes* the resulting boundary, a local
 //!   search towards the minimizing set.
+//!
+//! The singletons are never built as sets. On a simple graph `{v}` scores
+//! `deg(v)` under all three notions, so the engine takes the singleton
+//! block's minimum with one O(n) degree scan, and the pool stores only the
+//! sets of size ≥ 2. The flat index of a candidate (its position in the pool
+//! with the singletons sorted in) is given by [`CandidateSets::flat_index`]
+//! and [`CandidateSets::singleton_index`].
 //!
 //! All generators are deterministic given the seed, and the pool of candidate
 //! sets is shared by the ordinary / unique / wireless estimators so their
@@ -39,8 +47,6 @@ pub struct SamplerConfig {
     pub ball_centers: usize,
     /// Number of adversarial greedy growths to run.
     pub greedy_growths: usize,
-    /// Include every singleton set (cheap, catches degree-based minima).
-    pub include_singletons: bool,
 }
 
 impl Default for SamplerConfig {
@@ -51,7 +57,6 @@ impl Default for SamplerConfig {
             size_fractions: vec![0.1, 0.25, 0.5, 0.75, 1.0],
             ball_centers: 8,
             greedy_growths: 4,
-            include_singletons: true,
         }
     }
 }
@@ -65,7 +70,6 @@ impl SamplerConfig {
             size_fractions: vec![0.25, 0.5, 1.0],
             ball_centers: 3,
             greedy_growths: 2,
-            include_singletons: true,
         }
     }
 
@@ -76,48 +80,37 @@ impl SamplerConfig {
     }
 }
 
-/// A pool of candidate sets for expansion estimation.
+/// A pool of candidate sets for expansion estimation: the `n` singletons
+/// `{0}, …, {n−1}`, held implicitly, and the stored sets of size ≥ 2.
+///
+/// The pool's *flat order* sorts all of its sets by member list, so the
+/// singleton `{v}` comes right before the stored sets whose smallest member
+/// is `v`. Stored set `j` thus has flat index `j + min(S_j) + 1`, and the
+/// singleton `{v}` has flat index `v + #{j : min(S_j) < v}`. The engine
+/// seeds each evaluation and breaks ties by flat index.
 #[derive(Clone, Debug)]
 pub struct CandidateSets {
-    /// The candidate sets (each non-empty and of size at most `⌊α·n⌋`).
+    /// The stored candidate sets, each of size `2..=⌊α·n⌋`, sorted by
+    /// member list and free of duplicates.
     pub sets: Vec<VertexSet>,
     /// The `α` used to generate them.
     pub alpha: f64,
+    /// The vertex count `n`, one implicit singleton per vertex.
+    num_vertices: usize,
 }
-
-/// Above this vertex count the sampler switches to its large-graph regime
-/// (see [`CandidateSets::generate`]): candidate sizes are clamped to
-/// [`LARGE_N_SET_CAP`], singletons are sampled instead of exhaustive, and
-/// greedy growths stop at [`LARGE_N_GROWTH_CAP`]. Pools for graphs at or
-/// below the threshold are bit-for-bit what they always were.
-pub const LARGE_N_THRESHOLD: usize = 8192;
-/// Candidate-set size cap in the large-graph regime. An α·n-sized set over a
-/// million-vertex implicit graph would cost megabytes *per candidate*; the
-/// minimum over sets up to this cap is still an upper-bound witness search,
-/// just a memory-bounded one.
-pub const LARGE_N_SET_CAP: usize = 4096;
-/// Number of sampled singleton candidates in the large-graph regime
-/// (exhaustive singletons would allocate an n-bit set per vertex: O(n²)
-/// bits).
-pub const LARGE_N_SINGLETON_SAMPLES: usize = 256;
-/// Step cap for adversarial greedy growth in the large-graph regime. A
-/// growth costs O(vol · log vol) in the volume it touches (see
-/// [`CandidateSets::generate`]), so the cap is not a time bound; it bounds
-/// the growth's memory (its heap and recorded n-bit prefixes) and the
-/// report's shape. Lifting it changes reports.
-pub const LARGE_N_GROWTH_CAP: usize = 512;
 
 impl CandidateSets {
     /// Generates the candidate pool for `g` under `config`, seeded by `seed`.
     ///
-    /// For graphs past [`LARGE_N_THRESHOLD`] vertices (the implicit-backend
-    /// regime) the pool is memory- and time-bounded: candidate sizes clamp
-    /// to [`LARGE_N_SET_CAP`], singletons are a seeded
-    /// [`LARGE_N_SINGLETON_SAMPLES`]-vertex sample, and greedy growths stop
-    /// at [`LARGE_N_GROWTH_CAP`] vertices — so `wx measure` on a
-    /// million-vertex hypercube allocates megabytes, not the O(n²) bits the
-    /// exhaustive singleton pool would need. Graphs at or below the
-    /// threshold generate exactly the historical pool.
+    /// The singletons cost nothing here: the engine scans them by degree.
+    /// The stored sets are `random_sets_per_size` dense uniform draws per
+    /// size fraction, the BFS-ball prefixes around `ball_centers` shuffled
+    /// centers, and the greedy growths, all up to `⌊α·n⌋` vertices. Balls
+    /// and growths each keep at most `log2(α·n) + 2` prefixes, whatever the
+    /// diameter, so a pool stores O(log n) sets per generator. Each stored
+    /// set is an n-bit [`VertexSet`], so the pool takes O(n) bits per stored
+    /// set, and each random draw and each ball costs O(n) time on top of the
+    /// volume it touches.
     ///
     /// Each greedy growth takes its next vertex from a lazy min-heap on
     /// marginal boundary cost rather than a scan of the whole boundary, so
@@ -140,40 +133,11 @@ impl CandidateSets {
             return CandidateSets {
                 sets,
                 alpha: config.alpha,
+                num_vertices: 0,
             };
         }
-        let large = n > LARGE_N_THRESHOLD;
-        let max_size = if large {
-            config.max_set_size(n).min(LARGE_N_SET_CAP)
-        } else {
-            config.max_set_size(n)
-        };
-        let growth_cap = if large {
-            max_size.min(LARGE_N_GROWTH_CAP)
-        } else {
-            max_size
-        };
+        let max_size = config.max_set_size(n);
         let mut rng = rng_from_seed(derive_seed(seed, 0));
-
-        // Singletons: exhaustive below the threshold, a seeded sample above
-        // it (each singleton still carries an n-bit universe).
-        if config.include_singletons {
-            if large {
-                let mut singleton_rng = rng_from_seed(derive_seed(seed, 0x517));
-                let sample = wx_graph::random::random_subset_of_size_sparse(
-                    &mut singleton_rng,
-                    n,
-                    LARGE_N_SINGLETON_SAMPLES.min(n),
-                );
-                for v in sample.iter() {
-                    sets.push(VertexSet::from_iter(n, [v]));
-                }
-            } else {
-                for v in 0..n {
-                    sets.push(VertexSet::from_iter(n, [v]));
-                }
-            }
-        }
 
         // Uniform random sets per target size. Seeds are derived by *nested*
         // derivation — one child seed per size fraction, then one grandchild
@@ -186,27 +150,18 @@ impl CandidateSets {
             let fraction_seed = derive_seed(seed, 1 + fi as u64);
             for t in 0..config.random_sets_per_size {
                 let mut trial_rng = rng_from_seed(derive_seed(fraction_seed, t as u64));
-                // the sparse sampler keeps each draw O(k log k) in the large
-                // regime; the dense one preserves the historical stream below
-                // the threshold
-                sets.push(if large {
-                    wx_graph::random::random_subset_of_size_sparse(&mut trial_rng, n, k)
-                } else {
-                    wx_graph::random::random_subset_of_size(&mut trial_rng, n, k)
-                });
+                sets.push(wx_graph::random::random_subset_of_size(
+                    &mut trial_rng,
+                    n,
+                    k,
+                ));
             }
         }
 
         // BFS balls around sampled centers, truncated to the size cap.
-        let centers: Vec<usize> = if large {
-            wx_graph::random::random_subset_of_size_sparse(&mut rng, n, config.ball_centers.min(n))
-                .to_vec()
-        } else {
-            let mut all: Vec<usize> = (0..n).collect();
-            all.shuffle(&mut rng);
-            all.truncate(config.ball_centers);
-            all
-        };
+        let mut centers: Vec<usize> = (0..n).collect();
+        centers.shuffle(&mut rng);
+        centers.truncate(config.ball_centers);
         for &c in centers.iter() {
             let res = bfs(g, c);
             // Bucket the reachable vertices by distance in one O(n) pass
@@ -219,8 +174,10 @@ impl CandidateSets {
                     layers[d].push(v);
                 }
             }
+            // The ball in BFS order, layer by layer until the cap is hit, and
+            // the length of each whole-layer prefix.
             let mut ball: Vec<usize> = Vec::new();
-            // grow layer by layer until the cap is hit
+            let mut radius_ends: Vec<usize> = Vec::new();
             'outer: for layer in &layers {
                 for &v in layer {
                     if ball.len() >= max_size {
@@ -228,9 +185,16 @@ impl CandidateSets {
                     }
                     ball.push(v);
                 }
-                // record the prefix ball at every radius (nested candidates)
-                if !ball.is_empty() {
-                    sets.push(VertexSet::from_iter(n, ball.iter().copied()));
+                radius_ends.push(ball.len());
+            }
+            // Record the prefix balls (nested candidates) that first reach
+            // each power of two, and the largest one: at most
+            // log2(max_size) + 2 per center, whatever the diameter.
+            let mut next = 1;
+            for (r, &end) in radius_ends.iter().enumerate() {
+                if end >= next || r + 1 == radius_ends.len() {
+                    sets.push(VertexSet::from_iter(n, ball[..end].iter().copied()));
+                    next = (end + 1).next_power_of_two();
                 }
             }
         }
@@ -242,32 +206,56 @@ impl CandidateSets {
             for t in 0..config.greedy_growths {
                 let mut grow_rng = rng_from_seed(derive_seed(seed, 5000 + t as u64));
                 let start = grow_rng.gen_range(0..n);
-                grow(g, start, growth_cap, &mut sets);
+                grow(g, start, max_size, &mut sets);
             }
         }
 
-        // Drop any accidental empties or over-cap sets, then sort by member
-        // list and dedup.
-        sets.retain(|s| !s.is_empty() && s.len() <= max_size);
+        // Keep the sets of size 2..=max_size (the singleton block already
+        // holds every size-1 set), then sort by member list and dedup.
+        sets.retain(|s| s.len() >= 2 && s.len() <= max_size);
         sets.sort_by(|a, b| a.iter().cmp(b.iter()));
         sets.dedup();
-        wx_trace::count(wx_trace::CounterId::SamplerDraws, sets.len() as u64);
+        wx_trace::count(wx_trace::CounterId::SamplerDraws, (n + sets.len()) as u64);
 
         CandidateSets {
             sets,
             alpha: config.alpha,
+            num_vertices: n,
         }
     }
 
-    /// Number of candidate sets in the pool.
+    /// Number of candidate sets in the pool: `n` singletons plus the
+    /// stored sets.
     pub fn len(&self) -> usize {
-        self.sets.len()
+        self.num_vertices + self.sets.len()
     }
 
-    /// `true` if the pool is empty.
+    /// `true` if the pool is empty (the graph has no vertices).
     pub fn is_empty(&self) -> bool {
-        self.sets.is_empty()
+        self.len() == 0
     }
+
+    /// The number `n` of implicit singletons.
+    pub fn num_vertices(&self) -> usize {
+        self.num_vertices
+    }
+
+    /// The flat index of stored set `j`: `j + min(S_j) + 1`, since exactly
+    /// the singletons `{0}, …, {min(S_j)}` sort before it.
+    pub fn flat_index(&self, j: usize) -> usize {
+        j + smallest_member(&self.sets[j]) + 1
+    }
+
+    /// The flat index of the singleton `{v}`: `v` plus the number of stored
+    /// sets whose smallest member is below `v`.
+    pub fn singleton_index(&self, v: usize) -> usize {
+        v + self.sets.partition_point(|s| smallest_member(s) < v)
+    }
+}
+
+/// The smallest member of a stored (hence non-empty) candidate set.
+fn smallest_member(s: &VertexSet) -> usize {
+    s.iter().next().unwrap_or(usize::MAX)
 }
 
 /// Adversarial greedy growth from `start`: repeatedly adds the boundary
@@ -444,7 +432,7 @@ pub fn all_small_sets(n: usize, max_size: usize) -> Vec<VertexSet> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use wx_graph::{Graph, ImplicitGraph};
@@ -499,7 +487,6 @@ mod tests {
             size_fractions: vec![],
             ball_centers: 0,
             greedy_growths: 4,
-            include_singletons: false,
         }
     }
 
@@ -520,7 +507,7 @@ mod tests {
     /// residue classes `v % components`: several components, and isolated
     /// vertices when sparse, so growths can exhaust their component before
     /// the cap.
-    fn random_graph(n: usize, components: usize, edges: usize, seed: u64) -> Graph {
+    pub(crate) fn random_graph(n: usize, components: usize, edges: usize, seed: u64) -> Graph {
         let mut rng = rng_from_seed(seed);
         let pairs = (0..edges)
             .map(|_| {
@@ -573,10 +560,11 @@ mod tests {
             let (heap, scan) = heap_and_scan_pools(&g, &growth_only(1.0), 11);
             assert_eq!(heap, scan, "{}", g.family().label());
         }
-        // Past LARGE_N_THRESHOLD: growths stop at LARGE_N_GROWTH_CAP.
+        // Q_14 (16 384 vertices) at α = 1/32: growths run to 512 vertices,
+        // which keeps the scan oracle cheap.
         let g = ImplicitGraph::hypercube(14).unwrap();
-        let (heap, scan) = heap_and_scan_pools(&g, &growth_only(0.5), 5);
-        assert_eq!(heap.iter().map(Vec::len).max(), Some(LARGE_N_GROWTH_CAP));
+        let (heap, scan) = heap_and_scan_pools(&g, &growth_only(1.0 / 32.0), 5);
+        assert_eq!(heap.iter().map(Vec::len).max(), Some(512));
         assert_eq!(heap, scan);
     }
 
@@ -607,14 +595,20 @@ mod tests {
 
     #[test]
     fn includes_singletons_when_requested() {
+        // Every singleton is in the pool, implicitly: the stored sets have
+        // at least two members, and the flat indices of the singletons and
+        // the stored sets together number the pool in member-list order.
         let g = cycle(10);
         let pool = CandidateSets::generate(&g, &SamplerConfig::default(), 3);
-        for v in 0..10 {
-            assert!(
-                pool.sets.iter().any(|s| s.len() == 1 && s.contains(v)),
-                "singleton {{{v}}} missing"
-            );
-        }
+        assert!(pool.sets.iter().all(|s| s.len() >= 2));
+        assert_eq!(pool.len(), 10 + pool.sets.len());
+        let mut flat: Vec<(usize, Vec<usize>)> = (0..10)
+            .map(|v| (pool.singleton_index(v), vec![v]))
+            .chain((0..pool.sets.len()).map(|j| (pool.flat_index(j), pool.sets[j].to_vec())))
+            .collect();
+        flat.sort();
+        assert!(flat.iter().enumerate().all(|(i, (index, _))| i == *index));
+        assert!(flat.windows(2).all(|w| w[0].1 < w[1].1));
     }
 
     #[test]
@@ -657,85 +651,49 @@ mod tests {
             size_fractions: vec![0.999, 1.0],
             ball_centers: 0,
             greedy_growths: 0,
-            include_singletons: false,
         };
         let pool = CandidateSets::generate(&g, &cfg, 9);
-        assert_eq!(pool.len(), 280, "candidate sets were lost to seed reuse");
-    }
-
-    #[test]
-    fn large_graph_regime_bounds_the_pool() {
-        use wx_graph::ImplicitGraph;
-        // Q_14: 16_384 vertices — past LARGE_N_THRESHOLD. The pool must stay
-        // small and size-capped instead of allocating one n-bit set per
-        // vertex.
-        let g = ImplicitGraph::hypercube(14).unwrap();
-        let cfg = SamplerConfig::default();
-        let pool = CandidateSets::generate(&g, &cfg, 3);
-        assert!(!pool.is_empty());
-        // size-1 sets: the sampled singletons plus the radius-0 ball
-        // prefixes and greedy-growth starting points
-        let singleton_count = pool.sets.iter().filter(|s| s.len() == 1).count();
-        assert!(
-            singleton_count <= LARGE_N_SINGLETON_SAMPLES + cfg.ball_centers + cfg.greedy_growths,
-            "{singleton_count} singletons"
-        );
-        for s in &pool.sets {
-            assert!(s.len() <= LARGE_N_SET_CAP, "set of size {}", s.len());
-        }
-        assert!(
-            pool.len() <= LARGE_N_SINGLETON_SAMPLES + 200,
-            "pool of {} sets",
-            pool.len()
-        );
-        // deterministic given the seed
-        let again = CandidateSets::generate(&g, &cfg, 3);
-        assert_eq!(pool.len(), again.len());
-
-        // ... and the engine can actually measure at this size
-        let m = crate::MeasurementEngine::builder()
-            .strategy(crate::engine::MeasureStrategy::Sampled)
-            .seed(3)
-            .build()
-            .measure(&g, &crate::engine::Ordinary)
-            .unwrap();
-        assert!(m.value > 0.0 && !m.exact);
-    }
-
-    #[test]
-    fn threshold_graphs_keep_the_historical_pool_shape() {
-        // Scenario-sized graphs are untouched by the large regime.
-        let g = cycle(100);
-        let pool = CandidateSets::generate(&g, &SamplerConfig::default(), 1);
-        let singleton_count = pool.sets.iter().filter(|s| s.len() == 1).count();
-        assert_eq!(singleton_count, 100);
         assert_eq!(
-            pool.sets.iter().map(|s| s.len()).max().unwrap(),
-            SamplerConfig::default().max_set_size(100)
+            pool.sets.len(),
+            280,
+            "candidate sets were lost to seed reuse"
         );
     }
 
     #[test]
-    fn large_regime_boundary_is_exclusive() {
-        // The byte-identical-reports contract: n == LARGE_N_THRESHOLD stays
-        // in the exhaustive-singleton regime; n == LARGE_N_THRESHOLD + 1
-        // switches to the sampled one. Singleton-only config so the test
-        // stays cheap at 8k vertices.
-        use wx_graph::ImplicitGraph;
+    fn ball_prefixes_stay_logarithmic_on_high_diameter_graphs() {
+        // A cycle's ball grows by two vertices per radius, so one prefix per
+        // radius would store about n/4 sets per center. The pool keeps the
+        // balls that first reach each power of two and the largest one,
+        // 2r + 1 = 9999 ≤ ⌊n/2⌋ (the size-1 ball is an implicit singleton).
+        let g = ImplicitGraph::cycle_power(20_000, 1).unwrap();
         let cfg = SamplerConfig {
             alpha: 0.5,
             random_sets_per_size: 0,
             size_fractions: vec![],
-            ball_centers: 0,
+            ball_centers: 3,
             greedy_growths: 0,
-            include_singletons: true,
         };
-        let at = ImplicitGraph::cycle_power(LARGE_N_THRESHOLD, 1).unwrap();
-        let pool = CandidateSets::generate(&at, &cfg, 1);
-        assert_eq!(pool.len(), LARGE_N_THRESHOLD, "exhaustive at the boundary");
-        let above = ImplicitGraph::cycle_power(LARGE_N_THRESHOLD + 1, 1).unwrap();
-        let pool = CandidateSets::generate(&above, &cfg, 1);
-        assert_eq!(pool.len(), LARGE_N_SINGLETON_SAMPLES, "sampled above it");
+        let pool = CandidateSets::generate(&g, &cfg, 7);
+        let mut sizes: Vec<usize> = pool.sets.iter().map(VertexSet::len).collect();
+        sizes.sort_unstable();
+        let per_center = (1..=13).map(|k| (1 << k) + 1).chain([9999]);
+        let mut expected: Vec<usize> = per_center.flat_map(|s| [s; 3]).collect();
+        expected.sort_unstable();
+        assert_eq!(sizes, expected);
+    }
+
+    #[test]
+    fn threshold_graphs_keep_the_historical_pool_shape() {
+        // n singletons, held implicitly, and stored sets up to ⌊α·n⌋.
+        let g = cycle(100);
+        let pool = CandidateSets::generate(&g, &SamplerConfig::default(), 1);
+        assert_eq!(pool.num_vertices(), 100);
+        assert!(pool.sets.iter().all(|s| s.len() >= 2));
+        assert_eq!(
+            pool.sets.iter().map(|s| s.len()).max().unwrap(),
+            SamplerConfig::default().max_set_size(100)
+        );
     }
 
     #[test]

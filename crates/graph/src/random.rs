@@ -45,9 +45,10 @@ pub fn random_subset_of_size(rng: &mut impl Rng, universe: usize, k: usize) -> V
 
 /// Samples a uniform random `k`-subset of `{0, …, universe-1}` with `k`
 /// draws (Floyd's algorithm) straight into the output bitset, in
-/// O(k + universe/64) — the draw for huge implicit-backend universes, where
-/// the O(universe) shuffle behind [`random_subset_of_size`] would dominate
-/// the whole computation.
+/// O(k + universe/64) rather than the O(universe) shuffle behind
+/// [`random_subset_of_size`]. Its one caller is the scenario lab's
+/// `Induced { size }` source, which draws the inducing vertex set; the
+/// candidate sampler uses the dense draw at every n.
 ///
 /// The two samplers consume the rng differently, so they are **not**
 /// interchangeable under a fixed seed; callers pick one per use site and

@@ -13,24 +13,35 @@
 //!
 //! A `Content-Length` that does not parse gets `400 Bad Request`, and one
 //! over 16 MiB gets `413 Payload Too Large`, both answered from the head
-//! without reading or allocating the body.
+//! without allocating the body. After such an answer the server shuts down
+//! its write side and reads and discards what the client still sends (at
+//! most 64 MiB, for at most 2 s), so a client that is still sending its
+//! body reads the whole answer instead of a connection reset.
 //!
 //! Serving telemetry rides in `X-Wx-*` response headers (queue/run
 //! microseconds, coalesced flag, cache-hit deltas), keeping the body
 //! byte-identical to the batch CLI across cache states.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::time::Duration;
 
 use serde::Value;
 use wx_lab::spec::ScenarioSpec;
 use wx_lab::{LabError, Result};
+use wx_trace::Clock;
 
 use crate::service::Service;
 
 /// Hard cap on request bodies (16 MiB) — a local-tooling guard, not a
 /// security boundary.
 const MAX_BODY_BYTES: usize = 16 << 20;
+
+/// Most bytes read and discarded after a rejection (see [`drain`]).
+const DRAIN_MAX_BYTES: usize = 64 << 20;
+
+/// Longest time spent reading and discarding after a rejection.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(2);
 
 /// A bound listener plus the service it fronts.
 pub struct HttpServer {
@@ -48,7 +59,7 @@ enum Request {
         path: String,
         body: Vec<u8>,
     },
-    /// A request answered from its head alone; its body is never read.
+    /// A request answered from its head alone; its body is discarded.
     Rejected {
         status: &'static str,
         message: &'static [u8],
@@ -208,11 +219,38 @@ fn handle_run(service: &Service, stream: &mut TcpStream, body: &[u8]) -> std::io
     }
 }
 
+/// Ends a rejected connection without a reset: closing a socket whose
+/// unread input still holds body bytes makes the kernel send RST, and the
+/// client may lose the answer. So shut down the write side, which sends FIN
+/// after the answer, and discard input until the client closes, up to
+/// [`DRAIN_MAX_BYTES`] and [`DRAIN_DEADLINE`]. The answer is already
+/// written, so an I/O error here just ends the drain.
+fn drain(stream: &mut TcpStream) {
+    if stream.shutdown(Shutdown::Write).is_err() {
+        return;
+    }
+    let clock = Clock::start();
+    let mut buf = [0u8; 64 << 10];
+    let mut drained = 0;
+    while drained < DRAIN_MAX_BYTES {
+        let left = DRAIN_DEADLINE.saturating_sub(clock.elapsed());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(read) => drained += read,
+        }
+    }
+}
+
 fn handle_connection(service: &Service, stream: &mut TcpStream) -> std::io::Result<()> {
     let (method, path, body) = match read_request(stream)? {
         Request::Closed => return Ok(()),
         Request::Rejected { status, message } => {
-            return write_response(stream, status, "text/plain", &[], message)
+            write_response(stream, status, "text/plain", &[], message)?;
+            drain(stream);
+            return Ok(());
         }
         Request::Parsed { method, path, body } => (method, path, body),
     };

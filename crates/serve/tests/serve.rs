@@ -357,3 +357,33 @@ fn http_answers_bad_content_lengths_from_the_head() {
 
     handle.join().unwrap();
 }
+
+#[test]
+fn http_413_reaches_a_client_that_is_still_sending() {
+    let service = Service::start(&ServeConfig::default());
+    let server = HttpServer::bind(service, "127.0.0.1:0").unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.serve_n(1).unwrap());
+
+    // The head claims more than the 16 MiB cap, and 1 MiB of body follows
+    // it. The server used to close with that body unread, which reset the
+    // connection under the answer.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    write!(
+        stream,
+        "POST /run HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        (16 << 20) + 1
+    )
+    .unwrap();
+    stream.write_all(&vec![b'x'; 1 << 20]).unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).unwrap();
+    assert!(
+        raw.starts_with("HTTP/1.1 413 Payload Too Large"),
+        "got: {raw}"
+    );
+    assert!(raw.ends_with("request body exceeds 16 MiB\n"), "got: {raw}");
+    drop(stream);
+
+    handle.join().unwrap();
+}

@@ -90,6 +90,29 @@ fn analysis_of_regular_expander_sampled_mode() {
 }
 
 #[test]
+fn sampled_minimum_searches_every_size_alpha_allows_past_8192_vertices() {
+    // Two disjoint random 8-regular graphs on 5000 vertices each: either
+    // one is a set of n/2 vertices with no boundary, so β = 0 at α = 1/2.
+    // The sampler must search sets that large at n = 10 000 too.
+    let (a, b) = (
+        random_regular_graph(5000, 8, 1).unwrap(),
+        random_regular_graph(5000, 8, 2).unwrap(),
+    );
+    let edges = a
+        .edges()
+        .chain(b.edges().map(|(u, v)| (u + 5000, v + 5000)));
+    let g = Graph::from_edges(10_000, edges).unwrap();
+    let m = MeasurementEngine::builder()
+        .alpha(0.5)
+        .strategy(MeasureStrategy::Sampled)
+        .build()
+        .measure(&g, &Ordinary)
+        .unwrap();
+    assert_eq!(m.value, 0.0);
+    assert_eq!(m.witness.len(), 5000, "the witness is a whole component");
+}
+
+#[test]
 fn analysis_of_grid_low_arboricity() {
     let g = grid_graph(6, 6).unwrap();
     let p = ExpansionProfile::measure(&g, &ProfileConfig::light(0.5));
