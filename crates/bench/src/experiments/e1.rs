@@ -19,13 +19,13 @@ fn measure<G: GraphView + Sync>(
     rows: &mut Vec<TableRow>,
 ) {
     let sampler = if opts.quick {
-        SamplerConfig::light(0.5)
+        SamplerConfig::light()
     } else {
         SamplerConfig::default()
     };
     let engine = MeasurementEngine::builder()
         .alpha(0.5)
-        .strategy(MeasureStrategy::Sampled)
+        .exact_up_to(0)
         .sampler(sampler)
         .seed(opts.seed)
         .build();

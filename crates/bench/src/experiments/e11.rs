@@ -22,12 +22,17 @@ pub fn run(opts: &ExperimentOptions) -> String {
     let mut rows = Vec::new();
     for &k in sizes {
         let (g, source) = complete_plus_graph(k).expect("valid");
-        let config = if g.num_vertices() <= 14 {
-            ProfileConfig::default()
+        let engine = if g.num_vertices() <= 14 {
+            MeasurementEngine::default()
         } else {
-            ProfileConfig::light(0.5)
+            MeasurementEngine::builder()
+                .exact_up_to(10)
+                .sampler(SamplerConfig::light())
+                .build()
         };
-        let profile = ExpansionProfile::measure(&g, &config);
+        let Some(t) = engine.measure_all(&g, &Wireless::default()) else {
+            continue; // only the empty graph measures nothing
+        };
         let sim = RadioSimulator::new(
             &g,
             source,
@@ -52,9 +57,9 @@ pub fn run(opts: &ExperimentOptions) -> String {
         rows.push(TableRow::new(
             format!("C⁺ clique={k}"),
             vec![
-                fmt_f64(profile.ordinary.value),
-                fmt_f64(profile.unique.value),
-                fmt_f64(profile.wireless.value),
+                fmt_f64(t.ordinary.value),
+                fmt_f64(t.unique.value),
+                fmt_f64(t.wireless.value),
                 fmt_opt(race(ProtocolKind::NaiveFlooding, &[opts.seed])[0]),
                 fmt_opt(decay.get(decay.len() / 2).copied()),
                 fmt_opt(race(ProtocolKind::Spokesman, &[opts.seed])[0]),

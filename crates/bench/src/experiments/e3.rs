@@ -65,7 +65,7 @@ pub fn run(opts: &ExperimentOptions) -> String {
         let engine = MeasurementEngine::builder()
             .alpha(alpha)
             .exact_up_to(14)
-            .sampler(SamplerConfig::light(alpha))
+            .sampler(SamplerConfig::light())
             .seed(opts.seed)
             .build();
         let results = engine

@@ -12,26 +12,40 @@ use wx_core::prelude::*;
 use wx_core::report::{fmt_f64, render_table, TableRow};
 
 fn profile_row(name: &str, g: &Graph, opts: &ExperimentOptions, rows: &mut Vec<TableRow>) {
-    let cfg = if opts.quick {
-        ProfileConfig::light(0.5)
+    let engine = if opts.quick {
+        MeasurementEngine::builder()
+            .exact_up_to(10)
+            .sampler(SamplerConfig::light())
     } else {
-        ProfileConfig::builder().exact_up_to(12).build()
+        MeasurementEngine::builder().exact_up_to(12)
     };
-    let p = ExpansionProfile::measure(g, &cfg);
+    let Some(t) = engine.build().measure_all(g, &Wireless::default()) else {
+        return; // only the empty graph measures nothing
+    };
+    let (beta, beta_w) = (t.ordinary.value, t.wireless.value);
     let arb = wx_core::graph::arboricity::arboricity_bounds(g);
-    let min_ratio = wx_core::spokesman::bounds::min_degree_ratio(g.max_degree(), p.ordinary.value);
+    let min_ratio = wx_core::spokesman::bounds::min_degree_ratio(g.max_degree(), beta);
     rows.push(TableRow::new(
         name,
         vec![
             g.num_vertices().to_string(),
             arb.upper.to_string(),
-            fmt_f64(p.ordinary.value),
-            fmt_f64(p.wireless.value),
-            fmt_f64(p.wireless_loss),
+            fmt_f64(beta),
+            fmt_f64(beta_w),
+            fmt_f64(wireless_loss(beta, beta_w)),
             fmt_f64(min_ratio),
             fmt_f64((2.0 * min_ratio).max(2.0).log2()),
         ],
     ));
+}
+
+/// The loss `β/βw`, infinite when `βw = 0`.
+fn wireless_loss(beta: f64, beta_w: f64) -> f64 {
+    if beta_w > 0.0 {
+        beta / beta_w
+    } else {
+        f64::INFINITY
+    }
 }
 
 fn core_planted_row(s: usize, rows: &mut Vec<TableRow>, seed: u64) {
@@ -53,11 +67,7 @@ fn core_planted_row(s: usize, rows: &mut Vec<TableRow>, seed: u64) {
             arb.upper.to_string(),
             fmt_f64(beta),
             fmt_f64(beta_w),
-            fmt_f64(if beta_w > 0.0 {
-                beta / beta_w
-            } else {
-                f64::INFINITY
-            }),
+            fmt_f64(wireless_loss(beta, beta_w)),
             fmt_f64(min_ratio),
             fmt_f64((2.0 * min_ratio).max(2.0).log2()),
         ],

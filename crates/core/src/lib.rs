@@ -4,7 +4,7 @@
 //! reproduction. It re-exports the workspace crates and adds:
 //!
 //! * [`prelude`] — the `use wx_core::prelude::*` import that brings the
-//!   common types (graphs, expansion profiles, solvers, protocols,
+//!   common types (graphs, the measurement engine, solvers, protocols,
 //!   constructions) into scope;
 //! * [`report`] — plain-text table rendering and JSON export for experiment
 //!   harnesses.
@@ -14,20 +14,18 @@
 //! ```
 //! use wx_core::prelude::*;
 //!
-//! // Build the paper's motivating example C⁺₈ and profile it.
+//! // Build the paper's motivating example C⁺₈ and measure β, βu and βw
+//! // over one shared candidate enumeration (exact for n ≤ 14).
 //! let (graph, _source) = complete_plus_graph(8).unwrap();
-//! let config = ProfileConfig::builder().alpha(0.5).exact_up_to(14).build();
-//! let profile = ExpansionProfile::measure(&graph, &config);
+//! let engine = MeasurementEngine::builder().alpha(0.5).exact_up_to(14).build();
+//! let t = engine.measure_all(&graph, &Wireless::default()).unwrap();
 //! // The headline βu < βw phenomenon: unique-neighbor expansion collapses
 //! // to 0 on C⁺ while wireless expansion stays positive.
-//! assert_eq!(profile.unique.value, 0.0);
-//! assert!(profile.unique.value < profile.wireless.value);
-//! assert!(profile.satisfies_observation_2_1());
-//!
-//! // The same three quantities through the measurement engine directly:
-//! let engine = config.engine();
-//! let triple = engine.measure_all(&graph, &Wireless::default()).unwrap();
-//! assert!(triple.unique.value < triple.wireless.value);
+//! assert!(t.wireless.exact);
+//! assert_eq!(t.unique.value, 0.0);
+//! assert!(t.unique.value < t.wireless.value);
+//! // Observation 2.1: β ≥ βw ≥ βu.
+//! assert!(t.ordinary.value + 1e-9 >= t.wireless.value);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -9,10 +9,9 @@ pub use wx_graph::{
 
 pub use wx_expansion::{
     engine::{
-        ExpansionMeasure, ExpansionTriple, MeasureStrategy, Measurement, MeasurementEngine,
+        ExpansionMeasure, ExpansionTriple, Measurement, MeasurementEngine,
         MeasurementEngineBuilder, NotionKind, Ordinary, UniqueNeighbor, Wireless,
     },
-    profile::{ExpansionProfile, ProfileConfig, ProfileConfigBuilder},
     sampling::{CandidateSets, SamplerConfig},
 };
 
@@ -46,7 +45,7 @@ mod tests {
     fn prelude_compiles_and_names_resolve() {
         let g = Graph::from_edges(3, [(0, 1), (1, 2)]).unwrap();
         assert_eq!(g.num_edges(), 2);
-        let _cfg = ProfileConfig::default();
+        let _engine = MeasurementEngine::builder().sampler(SamplerConfig::light());
         let _solver = PortfolioSolver::default();
         let _proto = DecayProtocol::default();
         let core = CoreGraph::new(4).unwrap();

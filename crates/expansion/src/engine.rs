@@ -9,42 +9,41 @@
 //! * unique-neighbor `βu(G)`: `|Γ¹(S)|/|S|` ([`UniqueNeighbor`]);
 //! * wireless `βw(G)`: `max_{S' ⊆ S} |Γ¹_S(S')|/|S|` ([`Wireless`]).
 //!
-//! Historically each notion shipped its own `exact` / `estimate` /
-//! `estimate_with_config` entry points; the only blessed way to compute a
-//! graph-level expansion value is now one [`MeasurementEngine`] driving any
-//! [`ExpansionMeasure`]. The engine owns the candidate-set
-//! pool, decides between exhaustive enumeration and sampling per
-//! [`MeasureStrategy`], fans the per-set evaluations out over `rayon`
-//! (on by default — see [`MeasurementEngineBuilder::parallel`]), and returns
-//! a unified [`Measurement`]. The per-notion modules retain only *per-set*
-//! primitives (`ordinary::of_set`, `unique::of_set`, `wireless::of_set_exact`,
-//! `wireless::of_set_lower_bound`) for callers that need set-level
-//! quantities (e.g. the Observation 2.1 per-set sandwich).
+//! One [`MeasurementEngine`] computes a graph-level expansion value for any
+//! [`ExpansionMeasure`]. It owns the size bound `α` (the one cap
+//! [`max_set_size`] that exact enumeration and sampling share) and the
+//! candidate-set pool, decides between exhaustive enumeration and sampling
+//! by one threshold, `exact_up_to`, fans the per-set evaluations out over
+//! `rayon` (on by default — see [`MeasurementEngineBuilder::parallel`]), and
+//! returns a unified [`Measurement`]. The per-notion modules keep only
+//! *per-set* primitives (`ordinary::of_set`, `unique::of_set`,
+//! `wireless::of_set_exact`, `wireless::of_set_lower_bound`) for callers that
+//! need set-level quantities (e.g. the Observation 2.1 per-set sandwich).
 //!
-//! # Strategy selection rules
+//! # Exact or sampled
 //!
-//! * [`MeasureStrategy::Exact`] enumerates every non-empty `S` up to the size
-//!   cap (feasible for `n ≤ 22` with any cap, or for larger `n` whenever the
-//!   number of sets `Σ_k C(n, k)` stays under the enumeration budget — see
+//! A graph on `n` vertices is measured exactly when `n ≤ exact_up_to`
+//! (default 14; `usize::MAX` always enumerates, 0 always samples):
+//!
+//! * **exact** enumerates every non-empty `S` up to the size cap (feasible
+//!   for `n ≤ 22` with any cap, or for larger `n` whenever the number of sets
+//!   `Σ_k C(n, k)` stays under the enumeration budget — see
 //!   [`crate::sampling::all_small_sets`]; panics when the enumeration would
 //!   be astronomically large) and, for [`Wireless`], solves the inner
-//!   maximization optimally (feasible for `|S| ≤ 25`). The result has
-//!   `exact = true` and is ground truth.
-//! * [`MeasureStrategy::Sampled`] evaluates the shared candidate pool
-//!   generated from the engine's [`SamplerConfig`]: every singleton plus the
-//!   sampled sets of size ≥ 2. The singletons are not evaluated one by one:
-//!   `{v}` scores `deg(v)` under all three notions on a simple graph, so one
-//!   O(n) degree scan finds the first vertex of minimum degree, and only
-//!   that singleton is evaluated. For
-//!   [`Ordinary`] and [`UniqueNeighbor`] the result is an *upper bound* on
-//!   the true minimum (every evaluated set certifies one); for [`Wireless`]
-//!   the inner maximization uses the polynomial-time spokesman portfolio, so
-//!   the estimate is neither a strict upper nor lower bound (see the
-//!   [`crate::wireless`] module docs for the quantifier asymmetry).
-//! * [`MeasureStrategy::Auto`] (the default, with `exact_up_to = 14`) picks
-//!   `Exact` when `0 < n ≤ exact_up_to` and `Sampled` otherwise. This is the
-//!   same threshold logic `ExpansionProfile` has always used, now in one
-//!   place.
+//!   maximization optimally (feasible for `|S| ≤ ExactSolver::MAX_LEFT`,
+//!   checked once against the size cap before the enumeration is built). The
+//!   result has `exact = true` and is ground truth.
+//! * **sampled** evaluates the shared candidate pool generated from the
+//!   engine's [`SamplerConfig`]: every singleton plus the sampled sets of
+//!   size ≥ 2. The singletons are not evaluated one by one: `{v}` scores
+//!   `deg(v)` under all three notions on a simple graph, so one O(n) degree
+//!   scan finds the first vertex of minimum degree, and only that singleton
+//!   is evaluated. For [`Ordinary`] and [`UniqueNeighbor`] the result is an
+//!   *upper bound* on the true minimum (every evaluated set certifies one);
+//!   for [`Wireless`] the inner maximization uses the polynomial-time
+//!   spokesman portfolio, so the estimate is neither a strict upper nor lower
+//!   bound (see the [`crate::wireless`] module docs for the quantifier
+//!   asymmetry).
 //!
 //! Determinism: every randomized component is derived from the engine's
 //! `seed` via `derive_seed`, so measurements are reproducible regardless of
@@ -53,7 +52,7 @@
 //! # Performance: epoch-stamped scratch spaces
 //!
 //! Candidate evaluation is the engine's hot loop — an exact run visits every
-//! set under the size cap and a profile sweep evaluates three measures over a
+//! set under the size cap and `measure_all` evaluates three measures over a
 //! shared pool — so the per-set cost must be pure graph traversal. Each
 //! [`ExpansionMeasure::evaluate`] call receives a borrowed
 //! [`NeighborhoodScratch`]: the engine draws it from a per-rayon-worker pool
@@ -81,37 +80,16 @@
 //! assert!(beta_w.value + 1e-9 >= beta_u.value);
 //! ```
 
-use crate::sampling::{all_small_sets, exact_enumeration_fits, CandidateSets, SamplerConfig};
+use crate::sampling::{
+    all_small_sets, exact_enumeration_fits, max_set_size, CandidateSets, SamplerConfig,
+};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use wx_graph::random::derive_seed;
 use wx_graph::scratch::with_thread_scratch;
 use wx_graph::{Graph, GraphView, NeighborhoodScratch, VertexSet};
-use wx_spokesman::PortfolioSolver;
+use wx_spokesman::{ExactSolver, PortfolioSolver};
 use wx_trace::CounterId;
-
-/// How a [`MeasurementEngine`] chooses its candidate sets.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum MeasureStrategy {
-    /// Enumerate every non-empty set up to the size cap (ground truth;
-    /// requires the enumeration to fit the budget of
-    /// [`crate::sampling::all_small_sets`]).
-    Exact,
-    /// Evaluate the sampled candidate pool.
-    Sampled,
-    /// `Exact` when `0 < n ≤ exact_up_to`, `Sampled` otherwise.
-    Auto {
-        /// The exhaustive-enumeration threshold.
-        exact_up_to: usize,
-    },
-}
-
-impl Default for MeasureStrategy {
-    fn default() -> Self {
-        MeasureStrategy::Auto { exact_up_to: 14 }
-    }
-}
 
 /// One measured expansion quantity, with provenance.
 #[derive(Clone, Debug)]
@@ -303,23 +281,13 @@ impl<G: GraphView + ?Sized> ExpansionMeasure<G> for UniqueNeighbor {
 /// Wireless expansion `max_{S' ⊆ S} |Γ¹_S(S')|/|S|`.
 ///
 /// The inner maximization is the Spokesman Election problem: exact mode uses
-/// the exponential [`wx_spokesman::ExactSolver`] (feasible for
-/// `|S| ≤ exact_inner_up_to`), sampled mode a polynomial-time
+/// the exponential [`ExactSolver`] (feasible for
+/// `|S| ≤ ExactSolver::MAX_LEFT`), sampled mode a polynomial-time
 /// [`PortfolioSolver`] lower bound.
+#[derive(Default)]
 pub struct Wireless {
     /// The polynomial-time solver portfolio used in sampled mode.
     pub portfolio: PortfolioSolver,
-    /// Size limit for the exact inner solver.
-    pub exact_inner_up_to: usize,
-}
-
-impl Default for Wireless {
-    fn default() -> Self {
-        Wireless {
-            portfolio: PortfolioSolver::default(),
-            exact_inner_up_to: 25,
-        }
-    }
 }
 
 impl Wireless {
@@ -327,7 +295,6 @@ impl Wireless {
     pub fn fast() -> Self {
         Wireless {
             portfolio: PortfolioSolver::fast(),
-            exact_inner_up_to: 25,
         }
     }
 }
@@ -357,75 +324,54 @@ impl<G: GraphView + ?Sized> ExpansionMeasure<G> for Wireless {
     }
 
     fn exact_feasible_for(&self, set_size: usize) -> bool {
-        set_size <= self.exact_inner_up_to
+        set_size <= ExactSolver::MAX_LEFT
     }
 }
 
 /// Builder for [`MeasurementEngine`].
 #[derive(Clone, Debug)]
 pub struct MeasurementEngineBuilder {
-    alpha: f64,
-    strategy: MeasureStrategy,
-    sampler: Option<SamplerConfig>,
-    parallel: bool,
-    seed: u64,
+    engine: MeasurementEngine,
 }
 
 impl MeasurementEngineBuilder {
-    /// Sets the `α` size bound (fraction of `n`; default 0.5).
+    /// Sets the `α` size bound (fraction of `n`; default 0.5), the one cap
+    /// exact enumeration and sampling share.
     pub fn alpha(mut self, alpha: f64) -> Self {
-        self.alpha = alpha;
+        self.engine.alpha = alpha;
         self
     }
 
-    /// Sets the exact-vs-sampled strategy (default `Auto { exact_up_to: 14 }`).
-    pub fn strategy(mut self, strategy: MeasureStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Shorthand for `strategy(MeasureStrategy::Auto { exact_up_to })`.
+    /// Measures graphs on at most `exact_up_to` vertices exactly and larger
+    /// ones by sampling (default 14; `usize::MAX` always enumerates, 0
+    /// always samples).
     pub fn exact_up_to(mut self, exact_up_to: usize) -> Self {
-        self.strategy = MeasureStrategy::Auto { exact_up_to };
+        self.engine.exact_up_to = exact_up_to;
         self
     }
 
-    /// Overrides the sampler configuration (default: `SamplerConfig` with
-    /// the engine's `alpha`). The engine's `alpha` (set via
-    /// [`MeasurementEngineBuilder::alpha`], default 0.5) is authoritative:
-    /// `build()` stamps it into the sampler, so the sampler's own `alpha`
-    /// field is ignored and exact enumeration and sampling always apply the
-    /// same size cap.
+    /// Overrides the sampler configuration (default
+    /// [`SamplerConfig::default`]).
     pub fn sampler(mut self, sampler: SamplerConfig) -> Self {
-        self.sampler = Some(sampler);
+        self.engine.sampler = sampler;
         self
     }
 
     /// Enables or disables rayon-parallel candidate evaluation (default on).
     pub fn parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
+        self.engine.parallel = parallel;
         self
     }
 
     /// Sets the base seed for all randomized components.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.engine.seed = seed;
         self
     }
 
     /// Finishes the builder.
     pub fn build(self) -> MeasurementEngine {
-        // the engine's alpha is authoritative: sync the sampler so the
-        // exact and sampled paths can never apply different size caps
-        let mut sampler = self.sampler.unwrap_or_default();
-        sampler.alpha = self.alpha;
-        MeasurementEngine {
-            alpha: self.alpha,
-            strategy: self.strategy,
-            sampler,
-            parallel: self.parallel,
-            seed: self.seed,
-        }
+        self.engine
     }
 }
 
@@ -434,7 +380,7 @@ impl MeasurementEngineBuilder {
 #[derive(Clone, Debug)]
 pub struct MeasurementEngine {
     alpha: f64,
-    strategy: MeasureStrategy,
+    exact_up_to: usize,
     sampler: SamplerConfig,
     parallel: bool,
     seed: u64,
@@ -481,26 +427,23 @@ pub struct ExpansionTriple {
 }
 
 impl MeasurementEngine {
-    /// Starts a builder with the defaults (`α = 0.5`, auto strategy with
-    /// `exact_up_to = 14`, parallel evaluation on, seed `0xC0FFEE`).
+    /// Starts a builder with the defaults (`α = 0.5`, `exact_up_to = 14`,
+    /// the default sampler, parallel evaluation on, seed `0xC0FFEE`).
     pub fn builder() -> MeasurementEngineBuilder {
         MeasurementEngineBuilder {
-            alpha: 0.5,
-            strategy: MeasureStrategy::default(),
-            sampler: None,
-            parallel: true,
-            seed: 0xC0FFEE,
+            engine: MeasurementEngine {
+                alpha: 0.5,
+                exact_up_to: 14,
+                sampler: SamplerConfig::default(),
+                parallel: true,
+                seed: 0xC0FFEE,
+            },
         }
     }
 
     /// The `α` size bound.
     pub fn alpha(&self) -> f64 {
         self.alpha
-    }
-
-    /// The configured strategy.
-    pub fn strategy(&self) -> MeasureStrategy {
-        self.strategy
     }
 
     /// Whether candidate evaluation fans out over rayon.
@@ -513,61 +456,54 @@ impl MeasurementEngine {
         self.seed
     }
 
-    /// Resolves the strategy for a graph on `n` vertices.
-    pub fn resolved_strategy(&self, n: usize) -> MeasureStrategy {
-        match self.strategy {
-            MeasureStrategy::Auto { exact_up_to } => {
-                if n > 0 && n <= exact_up_to {
-                    MeasureStrategy::Exact
-                } else {
-                    MeasureStrategy::Sampled
-                }
-            }
-            other => other,
-        }
-    }
-
-    /// `false` if measuring a graph on `n` vertices would resolve to an exact
-    /// enumeration larger than [`crate::sampling::EXACT_ENUMERATION_BUDGET`]
-    /// (which [`MeasurementEngine::measure`] and friends panic on).
+    /// `false` if measuring a graph on `n` vertices would enumerate more
+    /// sets than [`crate::sampling::EXACT_ENUMERATION_BUDGET`] (which
+    /// [`MeasurementEngine::measure`] and friends panic on).
     pub fn exact_within_budget(&self, n: usize) -> bool {
-        self.resolved_strategy(n) != MeasureStrategy::Exact
-            || exact_enumeration_fits(n, self.max_set_size(n))
+        n > self.exact_up_to || exact_enumeration_fits(n, max_set_size(self.alpha, n))
     }
 
     /// Generates the engine's sampled candidate pool for `g` (shared across
     /// measures so their results are comparable set-by-set).
     pub fn candidate_pool<G: GraphView + ?Sized>(&self, g: &G) -> CandidateSets {
         let _span = wx_trace::span("engine.candidate_pool");
-        let pool = CandidateSets::generate(g, &self.sampler, self.seed);
+        let pool = CandidateSets::generate(g, &self.sampler, self.alpha, self.seed);
         wx_trace::count(CounterId::EnginePoolSets, pool.len() as u64);
         pool
     }
 
-    /// The maximum candidate-set size for a graph on `n` vertices
-    /// (delegated to the sampler, whose `alpha` is kept in sync by the
-    /// builder, so exact and sampled modes share one cap).
-    fn max_set_size(&self, n: usize) -> usize {
-        self.sampler.max_set_size(n)
+    /// Panics with an informative message when `measure` cannot evaluate
+    /// exactly the largest set an exact enumeration of `g` would hold;
+    /// checked before the enumeration is built.
+    fn check_exact_feasible<G: GraphView + ?Sized, M: ExpansionMeasure<G> + ?Sized>(
+        &self,
+        g: &G,
+        measure: &M,
+    ) {
+        let n = g.num_vertices();
+        let cap = max_set_size(self.alpha, n);
+        if n <= self.exact_up_to && !measure.exact_feasible_for(cap) {
+            panic!(
+                "exact {} measurement infeasible for candidate sets of size {cap}",
+                measure.name()
+            );
+        }
     }
 
-    /// Resolves the strategy for `g` and builds the candidate sets it
-    /// implies: the exhaustive enumeration or the sampled pool. `None` for
-    /// the empty graph.
+    /// The candidate sets for `g`: the exhaustive enumeration when
+    /// `n ≤ exact_up_to`, the sampled pool otherwise. `None` for the empty
+    /// graph.
     fn candidate_sets<G: GraphView + ?Sized>(&self, g: &G) -> Option<Candidates> {
         let n = g.num_vertices();
         if n == 0 {
             return None;
         }
-        Some(match self.resolved_strategy(n) {
-            MeasureStrategy::Exact => {
-                wx_trace::count(CounterId::EngineStrategyExact, 1);
-                Candidates::Exact(all_small_sets(n, self.max_set_size(n)))
-            }
-            _ => {
-                wx_trace::count(CounterId::EngineStrategySampled, 1);
-                Candidates::Sampled(self.candidate_pool(g))
-            }
+        Some(if n <= self.exact_up_to {
+            wx_trace::count(CounterId::EngineStrategyExact, 1);
+            Candidates::Exact(all_small_sets(n, max_set_size(self.alpha, n)))
+        } else {
+            wx_trace::count(CounterId::EngineStrategySampled, 1);
+            Candidates::Sampled(self.candidate_pool(g))
         })
     }
 
@@ -582,6 +518,7 @@ impl MeasurementEngine {
         G: GraphView + Sync + ?Sized,
         M: ExpansionMeasure<G> + ?Sized,
     {
+        self.check_exact_feasible(g, measure);
         self.minimize(g, measure, &self.candidate_sets(g)?)
     }
 
@@ -634,6 +571,9 @@ impl MeasurementEngine {
         g: &G,
         measures: &[&dyn ExpansionMeasure<G>],
     ) -> Option<Vec<Measurement>> {
+        for m in measures {
+            self.check_exact_feasible(g, *m);
+        }
         let candidates = self.candidate_sets(g)?;
         measures
             .iter()
@@ -649,31 +589,13 @@ impl MeasurementEngine {
         g: &G,
         wireless: &Wireless,
     ) -> Option<ExpansionTriple> {
+        self.check_exact_feasible(g, wireless);
         let candidates = self.candidate_sets(g)?;
         Some(ExpansionTriple {
             ordinary: self.minimize(g, &Ordinary, &candidates)?,
             unique: self.minimize(g, &UniqueNeighbor, &candidates)?,
             wireless: self.minimize(g, wireless, &candidates)?,
         })
-    }
-
-    /// Panics with an informative message when an exact evaluation would be
-    /// infeasible for some candidate set (shared by every exact code path).
-    fn check_exact_feasible<G: GraphView + ?Sized, M: ExpansionMeasure<G> + ?Sized>(
-        &self,
-        measure: &M,
-        sets: &[VertexSet],
-        exact: bool,
-    ) {
-        if exact {
-            if let Some(s) = sets.iter().find(|s| !measure.exact_feasible_for(s.len())) {
-                panic!(
-                    "exact {} measurement infeasible for candidate set of size {}",
-                    measure.name(),
-                    s.len()
-                );
-            }
-        }
     }
 
     /// The core minimization: evaluate every stored set (in parallel when
@@ -691,7 +613,6 @@ impl MeasurementEngine {
             Candidates::Sampled(pool) => (pool.sets.as_slice(), Some(pool)),
         };
         let exact = pool.is_none();
-        self.check_exact_feasible(measure, sets, exact);
         let evaluated = pool.map_or(sets.len(), CandidateSets::len);
         wx_trace::count(CounterId::EngineSetsEvaluated, evaluated as u64);
         let (seed, n) = (self.seed, g.num_vertices());
@@ -740,17 +661,18 @@ impl MeasurementEngine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::sampling::tests::random_graph;
     use proptest::prelude::*;
     use wx_graph::GraphBuilder;
 
-    fn cycle(n: usize) -> Graph {
+    pub(crate) fn cycle(n: usize) -> Graph {
         Graph::from_edges(n, (0..n).map(|i| (i, (i + 1) % n))).unwrap()
     }
 
-    fn complete_plus(k: usize) -> Graph {
+    /// `C⁺`: a clique on `k` vertices plus a source adjacent to 0 and 1.
+    pub(crate) fn complete_plus(k: usize) -> Graph {
         let mut b = GraphBuilder::new(k + 1);
         for i in 0..k {
             for j in (i + 1)..k {
@@ -825,13 +747,13 @@ mod tests {
         let g = cycle(12);
         let exact = MeasurementEngine::builder()
             .alpha(0.5)
-            .strategy(MeasureStrategy::Exact)
+            .exact_up_to(usize::MAX)
             .build()
             .measure(&g, &Ordinary)
             .unwrap();
         let sampled = MeasurementEngine::builder()
             .alpha(0.5)
-            .strategy(MeasureStrategy::Sampled)
+            .exact_up_to(0)
             .seed(3)
             .build()
             .measure(&g, &Ordinary)
@@ -847,7 +769,7 @@ mod tests {
         let g = cycle(30);
         let base = MeasurementEngine::builder()
             .alpha(0.5)
-            .strategy(MeasureStrategy::Sampled)
+            .exact_up_to(0)
             .seed(11);
         for measure in [&Ordinary as &dyn ExpansionMeasure, &UniqueNeighbor] {
             let par = base
@@ -865,8 +787,8 @@ mod tests {
             assert_eq!(par.value, seq.value);
             assert_eq!(par.witness.to_vec(), seq.witness.to_vec());
         }
-        // wireless, and all three notions over one shared pool (the
-        // profile's path)
+        // wireless, and all three notions over one shared pool
+        // (`measure_all`)
         let w = Wireless::default();
         let par = base.clone().parallel(true).build();
         let seq = base.parallel(false).build();
@@ -886,28 +808,32 @@ mod tests {
 
     #[test]
     fn builder_alpha_is_single_sourced() {
-        // the engine alpha (default 0.5) overrides the sampler's own alpha,
-        // so the exact and sampled paths can never apply different size caps
-        let engine = MeasurementEngine::builder()
-            .sampler(SamplerConfig::light(0.2))
-            .build();
-        assert!((engine.alpha() - 0.5).abs() < 1e-12);
-        assert_eq!(engine.max_set_size(10), 5);
-        // .alpha() governs both paths regardless of setter order
-        let engine = MeasurementEngine::builder()
-            .alpha(0.2)
-            .sampler(SamplerConfig::default())
-            .build();
-        assert!((engine.alpha() - 0.2).abs() < 1e-12);
-        assert_eq!(engine.max_set_size(10), 2);
+        // the engine's α is the one cap of both the exact enumeration and
+        // the sampled pool, whatever the sampler and the setter order
+        for engine in [
+            MeasurementEngine::builder()
+                .alpha(0.2)
+                .sampler(SamplerConfig::light())
+                .build(),
+            MeasurementEngine::builder()
+                .sampler(SamplerConfig::default())
+                .alpha(0.2)
+                .build(),
+        ] {
+            assert_eq!(engine.alpha(), 0.2);
+            let exact = engine.measure(&cycle(10), &Ordinary).unwrap();
+            assert!(exact.exact && exact.witness.len() == 2);
+            let pool = engine.candidate_pool(&cycle(40));
+            assert_eq!(pool.sets.iter().map(VertexSet::len).max(), Some(8));
+        }
     }
 
     #[test]
     fn auto_strategy_switches_on_size() {
         let engine = MeasurementEngine::builder().exact_up_to(10).build();
-        assert_eq!(engine.resolved_strategy(8), MeasureStrategy::Exact);
-        assert_eq!(engine.resolved_strategy(11), MeasureStrategy::Sampled);
-        assert_eq!(engine.resolved_strategy(0), MeasureStrategy::Sampled);
+        assert!(engine.measure(&cycle(10), &Ordinary).unwrap().exact);
+        assert!(!engine.measure(&cycle(11), &Ordinary).unwrap().exact);
+        assert!(engine.measure(&Graph::empty(0), &Ordinary).is_none());
     }
 
     #[test]
@@ -962,8 +888,8 @@ mod tests {
             let g = random_graph(n, components, edges_per_vertex * n, seed);
             let engine = MeasurementEngine::builder()
                 .alpha(alpha_percent as f64 / 100.0)
-                .strategy(MeasureStrategy::Sampled)
-                .sampler(SamplerConfig::light(0.5))
+                .exact_up_to(0)
+                .sampler(SamplerConfig::light())
                 .seed(seed)
                 .build();
             let pool = engine.candidate_pool(&g);
@@ -998,16 +924,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "infeasible")]
     fn exact_wireless_panics_beyond_inner_limit() {
-        let g = cycle(16);
+        // sets of up to 30 vertices exceed the exact solver's limit; the
+        // check runs before the (over-budget) enumeration is built
         let engine = MeasurementEngine::builder()
             .alpha(0.5)
-            .strategy(MeasureStrategy::Exact)
+            .exact_up_to(usize::MAX)
             .build();
-        // |S| up to 8 is fine; pretend the limit is tiny to hit the check
-        let w = Wireless {
-            portfolio: PortfolioSolver::fast(),
-            exact_inner_up_to: 2,
-        };
-        let _ = engine.measure(&g, &w);
+        let _ = engine.measure(&cycle(60), &Wireless::default());
     }
 }

@@ -21,20 +21,21 @@
 //! unified [`engine::Measurement`] with value, witness, exactness flag and —
 //! for the wireless measure — the certifying transmitter subset. The
 //! per-notion modules keep only per-set primitives; see the [`engine`] module
-//! docs for the full contract and strategy-selection rules.
+//! docs for the full contract and the exact-or-sampled rule.
+//!
+//! One engine is configured once: `α`, the exact-enumeration threshold, the
+//! [`SamplerConfig`] and the seed all live on [`MeasurementEngine`].
 //!
 //! The [`spectral`] module computes the second adjacency eigenvalue `λ₂`
 //! needed by Lemma 3.1, and [`relations`] packages the paper's inequalities
 //! (Observation 2.1, Lemmas 3.1/3.2, Theorems 1.1/1.2) as checkable
-//! predicates. [`profile`] ties everything together into a single
-//! [`profile::ExpansionProfile`] report for a graph.
+//! predicates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;
 pub mod ordinary;
-pub mod profile;
 pub mod relations;
 pub mod sampling;
 pub mod spectral;
@@ -42,8 +43,14 @@ pub mod unique;
 pub mod wireless;
 
 pub use engine::{
-    ExpansionMeasure, ExpansionTriple, MeasureStrategy, Measurement, MeasurementEngine,
-    MeasurementEngineBuilder, Ordinary, UniqueNeighbor, Wireless,
+    ExpansionMeasure, ExpansionTriple, Measurement, MeasurementEngine, MeasurementEngineBuilder,
+    Ordinary, UniqueNeighbor, Wireless,
 };
-pub use profile::{ExpansionProfile, ProfileConfig, ProfileConfigBuilder};
 pub use sampling::{CandidateSets, SamplerConfig};
+
+/// The three notions of one graph measured together, checked against the
+/// spectral and Theorem 1.1 references.
+#[cfg(test)]
+mod profile {
+    mod tests;
+}

@@ -26,7 +26,7 @@ pub fn of_set_with<G: GraphView + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{MeasureStrategy, MeasurementEngine, Ordinary};
+    use crate::engine::{MeasurementEngine, Ordinary};
     use wx_graph::Graph;
 
     fn cycle(n: usize) -> Graph {
@@ -74,13 +74,13 @@ mod tests {
         let g = cycle(12);
         let exact = MeasurementEngine::builder()
             .alpha(0.5)
-            .strategy(MeasureStrategy::Exact)
+            .exact_up_to(usize::MAX)
             .build()
             .measure(&g, &Ordinary)
             .unwrap();
         let est = MeasurementEngine::builder()
             .alpha(0.5)
-            .strategy(MeasureStrategy::Sampled)
+            .exact_up_to(0)
             .seed(3)
             .build()
             .measure(&g, &Ordinary)

@@ -3,8 +3,8 @@
 //! Each function takes *measured* quantities (per-set or per-graph) and
 //! evaluates one of the paper's relations, returning a [`RelationCheck`] with
 //! the two sides of the inequality so experiment harnesses can report how
-//! much slack there is. These are used by the integration tests (Observation
-//! 2.1, Lemma 3.2, Theorem 1.1) and by the E1–E6 experiment binaries.
+//! much slack there is. The integration tests use them (Observation 2.1,
+//! Lemma 3.2, Theorem 1.1).
 
 use serde::{Deserialize, Serialize};
 use wx_graph::{Graph, VertexSet};

@@ -33,12 +33,11 @@ use wx_graph::random::{derive_seed, rng_from_seed};
 use wx_graph::traversal::bfs;
 use wx_graph::{GraphView, VertexSet};
 
-/// Configuration for the candidate-set sampler.
+/// Configuration for the candidate-set sampler. The size bound `α` is not
+/// part of it: the engine owns `α` and passes it to
+/// [`CandidateSets::generate`].
 #[derive(Clone, Debug)]
 pub struct SamplerConfig {
-    /// Maximum fraction of vertices a candidate set may contain (the `α` of
-    /// the expansion definitions).
-    pub alpha: f64,
     /// Number of uniform random sets per target size.
     pub random_sets_per_size: usize,
     /// Target sizes as fractions of `α·n` (e.g. `[0.25, 0.5, 1.0]`).
@@ -52,7 +51,6 @@ pub struct SamplerConfig {
 impl Default for SamplerConfig {
     fn default() -> Self {
         SamplerConfig {
-            alpha: 0.5,
             random_sets_per_size: 16,
             size_fractions: vec![0.1, 0.25, 0.5, 0.75, 1.0],
             ball_centers: 8,
@@ -62,22 +60,22 @@ impl Default for SamplerConfig {
 }
 
 impl SamplerConfig {
-    /// A lighter configuration for inner loops and benches.
-    pub fn light(alpha: f64) -> Self {
+    /// A lighter configuration for inner loops and sweeps over many graphs.
+    pub fn light() -> Self {
         SamplerConfig {
-            alpha,
             random_sets_per_size: 4,
             size_fractions: vec![0.25, 0.5, 1.0],
             ball_centers: 3,
             greedy_growths: 2,
         }
     }
+}
 
-    /// The maximum candidate-set size for a graph on `n` vertices:
-    /// `⌊α·n⌋`, but at least 1 so that the estimators always have candidates.
-    pub fn max_set_size(&self, n: usize) -> usize {
-        ((self.alpha * n as f64).floor() as usize).clamp(1, n)
-    }
+/// The maximum candidate-set size for a graph on `n` vertices: `⌊α·n⌋`, but
+/// at least 1 so that a non-empty graph always has candidates (and 0 for the
+/// empty graph). Exact enumeration and sampling share this one cap.
+pub fn max_set_size(alpha: f64, n: usize) -> usize {
+    ((alpha * n as f64).floor() as usize).max(1).min(n)
 }
 
 /// A pool of candidate sets for expansion estimation: the `n` singletons
@@ -93,14 +91,13 @@ pub struct CandidateSets {
     /// The stored candidate sets, each of size `2..=⌊α·n⌋`, sorted by
     /// member list and free of duplicates.
     pub sets: Vec<VertexSet>,
-    /// The `α` used to generate them.
-    pub alpha: f64,
     /// The vertex count `n`, one implicit singleton per vertex.
     num_vertices: usize,
 }
 
 impl CandidateSets {
-    /// Generates the candidate pool for `g` under `config`, seeded by `seed`.
+    /// Generates the candidate pool for `g` under `config`, with sets of at
+    /// most [`max_set_size`]`(alpha, n)` vertices, seeded by `seed`.
     ///
     /// The singletons cost nothing here: the engine scans them by degree.
     /// The stored sets are `random_sets_per_size` dense uniform draws per
@@ -115,8 +112,13 @@ impl CandidateSets {
     /// Each greedy growth takes its next vertex from a lazy min-heap on
     /// marginal boundary cost rather than a scan of the whole boundary, so
     /// it costs O(vol · log vol) in the volume `vol` it touches.
-    pub fn generate<G: GraphView + ?Sized>(g: &G, config: &SamplerConfig, seed: u64) -> Self {
-        Self::generate_with(g, config, seed, grow_greedily)
+    pub fn generate<G: GraphView + ?Sized>(
+        g: &G,
+        config: &SamplerConfig,
+        alpha: f64,
+        seed: u64,
+    ) -> Self {
+        Self::generate_with(g, config, alpha, seed, grow_greedily)
     }
 
     /// [`CandidateSets::generate`] with the greedy growth as a parameter,
@@ -124,6 +126,7 @@ impl CandidateSets {
     fn generate_with<G: GraphView + ?Sized>(
         g: &G,
         config: &SamplerConfig,
+        alpha: f64,
         seed: u64,
         grow: fn(&G, usize, usize, &mut Vec<VertexSet>),
     ) -> Self {
@@ -132,11 +135,10 @@ impl CandidateSets {
         if n == 0 {
             return CandidateSets {
                 sets,
-                alpha: config.alpha,
                 num_vertices: 0,
             };
         }
-        let max_size = config.max_set_size(n);
+        let max_size = max_set_size(alpha, n);
         let mut rng = rng_from_seed(derive_seed(seed, 0));
 
         // Uniform random sets per target size. Seeds are derived by *nested*
@@ -219,7 +221,6 @@ impl CandidateSets {
 
         CandidateSets {
             sets,
-            alpha: config.alpha,
             num_vertices: n,
         }
     }
@@ -480,9 +481,8 @@ pub(crate) mod tests {
 
     /// A sampler that runs greedy growths only, so the pool is exactly
     /// their recorded prefixes (sorted and deduplicated).
-    fn growth_only(alpha: f64) -> SamplerConfig {
+    fn growth_only() -> SamplerConfig {
         SamplerConfig {
-            alpha,
             random_sets_per_size: 0,
             size_fractions: vec![],
             ball_centers: 0,
@@ -493,13 +493,20 @@ pub(crate) mod tests {
     /// The heap pool and the scan-oracle pool of `g`, member lists in order.
     fn heap_and_scan_pools<G: GraphView + ?Sized>(
         g: &G,
-        config: &SamplerConfig,
+        alpha: f64,
         seed: u64,
     ) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+        let config = growth_only();
         let members = |pool: CandidateSets| pool.sets.iter().map(|s| s.to_vec()).collect();
         (
-            members(CandidateSets::generate(g, config, seed)),
-            members(CandidateSets::generate_with(g, config, seed, grow_by_scan)),
+            members(CandidateSets::generate(g, &config, alpha, seed)),
+            members(CandidateSets::generate_with(
+                g,
+                &config,
+                alpha,
+                seed,
+                grow_by_scan,
+            )),
         )
     }
 
@@ -537,13 +544,13 @@ pub(crate) mod tests {
         ) {
             let (components, edges_per_vertex) = shape;
             let g = random_graph(n, components, edges_per_vertex * n, seed);
-            let config = growth_only(alpha_percent as f64 / 100.0);
-            let (start, cap) = ((seed % n as u64) as usize, config.max_set_size(n));
+            let alpha = alpha_percent as f64 / 100.0;
+            let (start, cap) = ((seed % n as u64) as usize, max_set_size(alpha, n));
             let (mut heap, mut scan) = (Vec::new(), Vec::new());
             grow_greedily(&g, start, cap, &mut heap);
             grow_by_scan(&g, start, cap, &mut scan);
             prop_assert_eq!(heap, scan);
-            let (heap, scan) = heap_and_scan_pools(&g, &config, seed);
+            let (heap, scan) = heap_and_scan_pools(&g, alpha, seed);
             prop_assert_eq!(heap, scan);
         }
     }
@@ -557,13 +564,13 @@ pub(crate) mod tests {
             ImplicitGraph::cycle_power(150, 3).unwrap(),
             ImplicitGraph::hypercube(7).unwrap(),
         ] {
-            let (heap, scan) = heap_and_scan_pools(&g, &growth_only(1.0), 11);
+            let (heap, scan) = heap_and_scan_pools(&g, 1.0, 11);
             assert_eq!(heap, scan, "{}", g.family().label());
         }
         // Q_14 (16 384 vertices) at α = 1/32: growths run to 512 vertices,
         // which keeps the scan oracle cheap.
         let g = ImplicitGraph::hypercube(14).unwrap();
-        let (heap, scan) = heap_and_scan_pools(&g, &growth_only(1.0 / 32.0), 5);
+        let (heap, scan) = heap_and_scan_pools(&g, 1.0 / 32.0, 5);
         assert_eq!(heap.iter().map(Vec::len).max(), Some(512));
         assert_eq!(heap, scan);
     }
@@ -571,9 +578,8 @@ pub(crate) mod tests {
     #[test]
     fn generated_sets_respect_size_cap() {
         let g = cycle(20);
-        let cfg = SamplerConfig::default();
-        let pool = CandidateSets::generate(&g, &cfg, 1);
-        let cap = cfg.max_set_size(20);
+        let pool = CandidateSets::generate(&g, &SamplerConfig::default(), 0.5, 1);
+        let cap = max_set_size(0.5, 20);
         assert!(!pool.is_empty());
         for s in &pool.sets {
             assert!(!s.is_empty());
@@ -584,9 +590,9 @@ pub(crate) mod tests {
     #[test]
     fn generation_is_deterministic() {
         let g = cycle(16);
-        let cfg = SamplerConfig::light(0.4);
-        let a = CandidateSets::generate(&g, &cfg, 7);
-        let b = CandidateSets::generate(&g, &cfg, 7);
+        let cfg = SamplerConfig::light();
+        let a = CandidateSets::generate(&g, &cfg, 0.4, 7);
+        let b = CandidateSets::generate(&g, &cfg, 0.4, 7);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.sets.iter().zip(b.sets.iter()) {
             assert_eq!(x.to_vec(), y.to_vec());
@@ -599,7 +605,7 @@ pub(crate) mod tests {
         // at least two members, and the flat indices of the singletons and
         // the stored sets together number the pool in member-list order.
         let g = cycle(10);
-        let pool = CandidateSets::generate(&g, &SamplerConfig::default(), 3);
+        let pool = CandidateSets::generate(&g, &SamplerConfig::default(), 0.5, 3);
         assert!(pool.sets.iter().all(|s| s.len() >= 2));
         assert_eq!(pool.len(), 10 + pool.sets.len());
         let mut flat: Vec<(usize, Vec<usize>)> = (0..10)
@@ -646,13 +652,12 @@ pub(crate) mod tests {
         // derivation every draw is independent and (overwhelmingly) distinct.
         let g = cycle(400);
         let cfg = SamplerConfig {
-            alpha: 0.5,
             random_sets_per_size: 140,
             size_fractions: vec![0.999, 1.0],
             ball_centers: 0,
             greedy_growths: 0,
         };
-        let pool = CandidateSets::generate(&g, &cfg, 9);
+        let pool = CandidateSets::generate(&g, &cfg, 0.5, 9);
         assert_eq!(
             pool.sets.len(),
             280,
@@ -668,13 +673,12 @@ pub(crate) mod tests {
         // 2r + 1 = 9999 ≤ ⌊n/2⌋ (the size-1 ball is an implicit singleton).
         let g = ImplicitGraph::cycle_power(20_000, 1).unwrap();
         let cfg = SamplerConfig {
-            alpha: 0.5,
             random_sets_per_size: 0,
             size_fractions: vec![],
             ball_centers: 3,
             greedy_growths: 0,
         };
-        let pool = CandidateSets::generate(&g, &cfg, 7);
+        let pool = CandidateSets::generate(&g, &cfg, 0.5, 7);
         let mut sizes: Vec<usize> = pool.sets.iter().map(VertexSet::len).collect();
         sizes.sort_unstable();
         let per_center = (1..=13).map(|k| (1 << k) + 1).chain([9999]);
@@ -687,30 +691,36 @@ pub(crate) mod tests {
     fn threshold_graphs_keep_the_historical_pool_shape() {
         // n singletons, held implicitly, and stored sets up to ⌊α·n⌋.
         let g = cycle(100);
-        let pool = CandidateSets::generate(&g, &SamplerConfig::default(), 1);
+        let pool = CandidateSets::generate(&g, &SamplerConfig::default(), 0.5, 1);
         assert_eq!(pool.num_vertices(), 100);
         assert!(pool.sets.iter().all(|s| s.len() >= 2));
         assert_eq!(
             pool.sets.iter().map(|s| s.len()).max().unwrap(),
-            SamplerConfig::default().max_set_size(100)
+            max_set_size(0.5, 100)
         );
     }
 
     #[test]
     fn empty_graph_yields_empty_pool() {
         let g = Graph::empty(0);
-        let pool = CandidateSets::generate(&g, &SamplerConfig::default(), 0);
+        let pool = CandidateSets::generate(&g, &SamplerConfig::default(), 0.5, 0);
         assert!(pool.is_empty());
     }
 
     #[test]
     fn max_set_size_is_at_least_one() {
-        let cfg = SamplerConfig {
-            alpha: 0.01,
-            ..SamplerConfig::default()
-        };
-        assert_eq!(cfg.max_set_size(10), 1);
-        assert_eq!(cfg.max_set_size(1000), 10);
+        assert_eq!(max_set_size(0.01, 10), 1);
+        assert_eq!(max_set_size(0.01, 1000), 10);
+    }
+
+    #[test]
+    fn max_set_size_on_tiny_graphs() {
+        // ⌊α·n⌋ clamped to 1..=n, and 0 on the empty graph (where a clamp to
+        // 1..=0 used to panic)
+        for (alpha, sizes) in [(0.1, [0, 1, 1]), (0.5, [0, 1, 5]), (1.0, [0, 1, 10])] {
+            let got = [0, 1, 10].map(|n| max_set_size(alpha, n));
+            assert_eq!(got, sizes, "alpha {alpha}");
+        }
     }
 
     #[test]

@@ -64,7 +64,7 @@ mod tests {
     fn unique_vs_ordinary_ordering_per_set() {
         // Observation 2.1 (per set): |Γ¹(S)| ≤ |Γ⁻(S)|.
         let g = complete_plus(5);
-        let pool = CandidateSets::generate(&g, &SamplerConfig::default(), 2);
+        let pool = CandidateSets::generate(&g, &SamplerConfig::default(), 0.5, 2);
         for s in &pool.sets {
             assert!(of_set(&g, s) <= crate::ordinary::of_set(&g, s) + 1e-12);
         }
@@ -96,13 +96,13 @@ mod tests {
         let g = complete_plus(5);
         let ex = MeasurementEngine::builder()
             .alpha(0.5)
-            .strategy(crate::engine::MeasureStrategy::Exact)
+            .exact_up_to(usize::MAX)
             .build()
             .measure(&g, &UniqueNeighbor)
             .unwrap();
         let est = MeasurementEngine::builder()
             .alpha(0.5)
-            .strategy(crate::engine::MeasureStrategy::Sampled)
+            .exact_up_to(0)
             .seed(9)
             .build()
             .measure(&g, &UniqueNeighbor)

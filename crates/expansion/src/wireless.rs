@@ -92,7 +92,7 @@ pub fn of_set_lower_bound_with<G: GraphView + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{MeasureStrategy, MeasurementEngine, Ordinary, Wireless};
+    use crate::engine::{MeasurementEngine, Ordinary, Wireless};
     use crate::sampling::{CandidateSets, SamplerConfig};
     use wx_graph::Graph;
     use wx_graph::GraphBuilder;
@@ -129,7 +129,7 @@ mod tests {
     fn observation_2_1_sandwich_per_set() {
         // β(S) ≥ βw(S) ≥ βu(S) for every set.
         let g = complete_plus(5);
-        let pool = CandidateSets::generate(&g, &SamplerConfig::default(), 1);
+        let pool = CandidateSets::generate(&g, &SamplerConfig::default(), 0.5, 1);
         for s in pool.sets.iter().filter(|s| s.len() <= 8) {
             let ordinary = crate::ordinary::of_set(&g, s);
             let unique = crate::unique::of_set(&g, s);
@@ -148,7 +148,7 @@ mod tests {
     #[test]
     fn portfolio_lower_bound_never_exceeds_exact() {
         let g = complete_plus(6);
-        let pool = CandidateSets::generate(&g, &SamplerConfig::light(0.5), 3);
+        let pool = CandidateSets::generate(&g, &SamplerConfig::light(), 0.5, 3);
         let portfolio = PortfolioSolver::default();
         for (i, s) in pool.sets.iter().enumerate().filter(|(_, s)| s.len() <= 10) {
             let (lb, _) = of_set_lower_bound(&g, s, &portfolio, i as u64);
@@ -177,7 +177,7 @@ mod tests {
         let ex = engine.measure(&g, &Wireless::default()).unwrap();
         let est = MeasurementEngine::builder()
             .alpha(0.5)
-            .strategy(MeasureStrategy::Sampled)
+            .exact_up_to(0)
             .seed(11)
             .build()
             .measure(&g, &Wireless::default())

@@ -49,7 +49,7 @@ proptest! {
         let max_size = ((alpha * 9.0).floor() as usize).clamp(1, 9);
         let engine = wx_expansion::MeasurementEngine::builder()
             .alpha(alpha)
-            .strategy(wx_expansion::MeasureStrategy::Exact)
+            .exact_up_to(usize::MAX)
             .build();
         let exact = engine.measure(&g, &wx_expansion::Ordinary).unwrap();
         let exact_u = engine.measure(&g, &wx_expansion::UniqueNeighbor).unwrap();
@@ -58,7 +58,8 @@ proptest! {
         // every candidate set in a generated pool dominates the exact minima
         let pool = wx_expansion::sampling::CandidateSets::generate(
             &g,
-            &wx_expansion::sampling::SamplerConfig::light(alpha),
+            &wx_expansion::sampling::SamplerConfig::light(),
+            alpha,
             3,
         );
         for s in &pool.sets {
@@ -95,25 +96,23 @@ proptest! {
         }
     }
 
-    /// The MeasuredExpansion profile is internally consistent on arbitrary
-    /// small graphs (exact mode).
+    /// The three notions measured over one shared exact enumeration are
+    /// internally consistent on arbitrary small graphs.
     #[test]
     fn profile_internal_consistency(edges in edge_list(9)) {
         let g = Graph::from_edges(9, edges).unwrap();
-        if g.num_vertices() == 0 {
-            return Ok(());
+        let t = wx_expansion::MeasurementEngine::default()
+            .measure_all(&g, &wx_expansion::Wireless::default())
+            .unwrap();
+        prop_assert!(t.ordinary.exact && t.wireless.exact);
+        // Observation 2.1: β ≥ βw ≥ βu
+        prop_assert!(t.ordinary.value + 1e-9 >= t.wireless.value);
+        prop_assert!(t.wireless.value + 1e-9 >= t.unique.value);
+        for m in [&t.ordinary, &t.unique, &t.wireless] {
+            prop_assert!((1..=4).contains(&m.witness.len()));
         }
-        let p = wx_expansion::profile::ExpansionProfile::measure(
-            &g,
-            &wx_expansion::profile::ProfileConfig::default(),
-        );
-        prop_assert!(p.ordinary.exact && p.wireless.exact);
-        prop_assert!(p.satisfies_observation_2_1());
-        prop_assert_eq!(p.max_degree, g.max_degree());
-        prop_assert_eq!(p.num_edges, g.num_edges());
-        if p.wireless.value > 0.0 {
-            prop_assert!((p.wireless_loss - p.ordinary.value / p.wireless.value).abs() < 1e-9);
-        }
+        let cert = t.wireless.certificate.as_ref().unwrap();
+        prop_assert!(cert.iter().all(|v| t.wireless.witness.contains(v)));
     }
 
     /// Backend equivalence: all three expansion notions produce identical
@@ -125,7 +124,7 @@ proptest! {
         edges in edge_list(14),
         keep_raw in prop::collection::btree_set(0usize..14, 2..11),
     ) {
-        use wx_expansion::engine::{MeasureStrategy, MeasurementEngine, Wireless};
+        use wx_expansion::engine::{MeasurementEngine, Wireless};
         use wx_graph::{SubgraphView, SubsetIndex};
 
         let g = Graph::from_edges(14, edges).unwrap();
@@ -134,7 +133,7 @@ proptest! {
         let (mat, _) = g.induced_subgraph(keep.set());
         let engine = MeasurementEngine::builder()
             .alpha(0.5)
-            .strategy(MeasureStrategy::Exact)
+            .exact_up_to(usize::MAX)
             .seed(5)
             .build();
         let on_view = engine.measure_all(&view, &Wireless::default()).unwrap();
@@ -164,19 +163,14 @@ proptest! {
         sampled in prop::bool::ANY,
         seed in 0u64..1000,
     ) {
-        use wx_expansion::engine::{MeasureStrategy, MeasurementEngine, Wireless};
+        use wx_expansion::engine::{MeasurementEngine, Wireless};
         use wx_graph::view::{materialize, ImplicitGraph};
 
         let implicit = ImplicitGraph::hypercube(dim).unwrap();
         let mat = materialize(&implicit);
-        let strategy = if sampled {
-            MeasureStrategy::Sampled
-        } else {
-            MeasureStrategy::Exact
-        };
         let engine = MeasurementEngine::builder()
             .alpha(0.5)
-            .strategy(strategy)
+            .exact_up_to(if sampled { 0 } else { usize::MAX })
             .seed(seed)
             .build();
         let on_implicit = engine.measure_all(&implicit, &Wireless::default()).unwrap();
@@ -200,7 +194,7 @@ proptest! {
         edges in edge_list(12),
         seed in 0u64..1000,
     ) {
-        use wx_expansion::engine::{MeasureStrategy, MeasurementEngine, Wireless};
+        use wx_expansion::engine::{MeasurementEngine, Wireless};
         use wx_graph::MmapGraph;
 
         let g = Graph::from_edges(12, edges).unwrap();
@@ -213,7 +207,7 @@ proptest! {
 
         let engine = MeasurementEngine::builder()
             .alpha(0.5)
-            .strategy(MeasureStrategy::Exact)
+            .exact_up_to(usize::MAX)
             .seed(seed)
             .build();
         let on_mmap = engine.measure_all(&m, &Wireless::default()).unwrap();

@@ -42,7 +42,7 @@
 //! be measured without ever materializing its edge lists:
 //!
 //! ```
-//! use wx_expansion::engine::{MeasureStrategy, MeasurementEngine, Ordinary};
+//! use wx_expansion::engine::{MeasurementEngine, Ordinary};
 //! use wx_expansion::SamplerConfig;
 //! use wx_graph::view::{GraphView, ImplicitGraph};
 //!
@@ -56,8 +56,8 @@
 //! let q10 = ImplicitGraph::hypercube(10).unwrap();
 //! let engine = MeasurementEngine::builder()
 //!     .alpha(0.5)
-//!     .strategy(MeasureStrategy::Sampled)
-//!     .sampler(SamplerConfig::light(0.5))
+//!     .exact_up_to(0) // always sample
+//!     .sampler(SamplerConfig::light())
 //!     .seed(7)
 //!     .build();
 //! let beta = engine.measure(&q10, &Ordinary).unwrap();

@@ -18,7 +18,9 @@
 //! are pinned the same way: each scenario must reproduce
 //! `golden/scenario__<name>.report.json` and the quick sweep
 //! `golden/sweep_quick.json`, so their bytes are compared across commits,
-//! not just across reruns of one commit.
+//! not just across reruns of one commit. The full `wx sweep --all` report is
+//! pinned as `golden/sweep_full.json`; it takes seconds even in a release
+//! build, so the CI full-sweep step `cmp`s it instead of a test here.
 
 use std::path::{Path, PathBuf};
 use wx_lab::registry::{run_sweep, SweepOptions};

@@ -12,19 +12,37 @@ use wx_core::prelude::*;
 use wx_core::report::{fmt_f64, render_table, TableRow};
 use wx_examples::{section, seed_from_args};
 
+/// The loss `β/βw`, infinite when `βw = 0`.
+fn wireless_loss(beta: f64, beta_w: f64) -> f64 {
+    if beta_w > 0.0 {
+        beta / beta_w
+    } else {
+        f64::INFINITY
+    }
+}
+
 fn profile_row(name: &str, g: &Graph, rows: &mut Vec<TableRow>) {
-    let cfg = ProfileConfig::light(0.5);
-    let p = ExpansionProfile::measure(g, &cfg);
-    let arb = &p.arboricity;
+    let engine = MeasurementEngine::builder()
+        .exact_up_to(10)
+        .sampler(SamplerConfig::light())
+        .build();
+    let t = engine
+        .measure_all(g, &Wireless::default())
+        .expect("non-empty graph");
+    let (beta, beta_w) = (t.ordinary.value, t.wireless.value);
+    let arb = wx_core::graph::arboricity::arboricity_bounds(g);
     rows.push(TableRow::new(
         name,
         vec![
             g.num_vertices().to_string(),
             arb.upper.to_string(),
-            fmt_f64(p.ordinary.value),
-            fmt_f64(p.wireless.value),
-            fmt_f64(p.wireless_loss),
-            fmt_f64(p.theorem_1_1_reference),
+            fmt_f64(beta),
+            fmt_f64(beta_w),
+            fmt_f64(wireless_loss(beta, beta_w)),
+            fmt_f64(wx_core::spokesman::bounds::theorem_1_1_lower_bound(
+                g.max_degree(),
+                beta,
+            )),
         ],
     ));
 }
@@ -46,11 +64,7 @@ fn core_row(s: usize, rows: &mut Vec<TableRow>) {
             arb.upper.to_string(),
             fmt_f64(beta),
             fmt_f64(beta_w),
-            fmt_f64(if beta_w > 0.0 {
-                beta / beta_w
-            } else {
-                f64::INFINITY
-            }),
+            fmt_f64(wireless_loss(beta, beta_w)),
             fmt_f64(wx_core::spokesman::bounds::theorem_1_1_lower_bound(
                 g.max_degree(),
                 beta,

@@ -26,15 +26,24 @@ fn main() {
     );
 
     section("Expansion profile (exact for this size)");
-    let profile = ExpansionProfile::measure(&graph, &ProfileConfig::default());
-    println!("{}", profile.summary());
+    let t = MeasurementEngine::default()
+        .measure_all(&graph, &Wireless::default())
+        .expect("non-empty graph");
+    let (beta, beta_u, beta_w) = (t.ordinary.value, t.unique.value, t.wireless.value);
+    let delta = graph.max_degree();
     println!(
-        "observation 2.1 (β ≥ βw ≥ βu): {}",
-        profile.satisfies_observation_2_1()
+        "n={} m={} Δ={delta} | β={beta:.3} βu={beta_u:.3} βw={beta_w:.3} (loss {:.2}x) | thm1.1 ref {:.3}",
+        graph.num_vertices(),
+        graph.num_edges(),
+        beta / beta_w,
+        wx_core::spokesman::bounds::theorem_1_1_lower_bound(delta, beta)
     );
     println!(
-        "unique expansion collapses to {:.3} while wireless expansion stays at {:.3}",
-        profile.unique.value, profile.wireless.value
+        "observation 2.1 (β ≥ βw ≥ βu): {}",
+        beta + 1e-9 >= beta_w && beta_w + 1e-9 >= beta_u
+    );
+    println!(
+        "unique expansion collapses to {beta_u:.3} while wireless expansion stays at {beta_w:.3}"
     );
 
     section("Backends: the same engine on an unmaterialized hypercube");
@@ -44,8 +53,8 @@ fn main() {
     let q12 = ImplicitGraph::hypercube(12).expect("valid dimension");
     let engine = MeasurementEngine::builder()
         .alpha(0.5)
-        .strategy(MeasureStrategy::Sampled)
-        .sampler(SamplerConfig::light(0.5))
+        .exact_up_to(0)
+        .sampler(SamplerConfig::light())
         .seed(seed)
         .build();
     let beta = engine.measure(&q12, &Ordinary).expect("non-empty graph");

@@ -1,9 +1,33 @@
-//! End-to-end pipeline tests: the expansion profile on every graph family,
-//! serde round-trips of the report types, and reproducibility of the whole
-//! stack under a fixed seed.
+//! End-to-end pipeline tests: the three expansion notions on every graph
+//! family, serde round-trips of the graph types, and reproducibility of the
+//! whole stack under a fixed seed.
 
 use wx_core::prelude::*;
 use wx_core::radio::{run_lanes, ProtocolKind};
+use wx_core::spokesman::bounds::{lemma_3_2_unique_bound, theorem_1_1_lower_bound};
+
+/// `β`, `βu` and `βw` of `g` with the light sampler (exact up to 10
+/// vertices).
+fn measure_light(g: &Graph) -> ExpansionTriple {
+    MeasurementEngine::builder()
+        .exact_up_to(10)
+        .sampler(SamplerConfig::light())
+        .build()
+        .measure_all(g, &Wireless::default())
+        .unwrap()
+}
+
+/// Observation 2.1: `β ≥ βw ≥ βu`, within a small tolerance.
+fn satisfies_observation_2_1(t: &ExpansionTriple) -> bool {
+    t.ordinary.value + 1e-9 >= t.wireless.value && t.wireless.value + 1e-9 >= t.unique.value
+}
+
+fn summary(t: &ExpansionTriple) -> String {
+    format!(
+        "β={} βu={} βw={}",
+        t.ordinary.value, t.unique.value, t.wireless.value
+    )
+}
 
 #[test]
 fn analysis_runs_on_every_family_and_observation_2_1_always_holds() {
@@ -27,16 +51,16 @@ fn analysis_runs_on_every_family_and_observation_2_1_always_holds() {
         ),
     ];
     for (name, g) in graphs {
-        let p = ExpansionProfile::measure(&g, &ProfileConfig::light(0.5));
+        let t = measure_light(&g);
         assert!(
-            p.satisfies_observation_2_1(),
+            satisfies_observation_2_1(&t),
             "{name}: Observation 2.1 violated: {}",
-            p.summary()
+            summary(&t)
         );
         assert!(
-            p.wireless.value >= 0.0 && p.ordinary.value.is_finite(),
-            "{name}: nonsensical profile {}",
-            p.summary()
+            t.wireless.value >= 0.0 && t.ordinary.value.is_finite(),
+            "{name}: nonsensical measurement {}",
+            summary(&t)
         );
     }
 }
@@ -44,37 +68,32 @@ fn analysis_runs_on_every_family_and_observation_2_1_always_holds() {
 #[test]
 fn analysis_is_reproducible_for_a_fixed_seed() {
     let g = random_regular_graph(60, 4, 5).unwrap();
-    let cfg = ProfileConfig::light(0.5);
-    let a = ExpansionProfile::measure(&g, &cfg);
-    let b = ExpansionProfile::measure(&g, &cfg);
+    let a = measure_light(&g);
+    let b = measure_light(&g);
     assert_eq!(a.ordinary.value, b.ordinary.value);
     assert_eq!(a.unique.value, b.unique.value);
     assert_eq!(a.wireless.value, b.wireless.value);
 }
 
 #[test]
-fn analysis_json_roundtrips() {
-    let (g, _) = complete_plus_graph(6).unwrap();
-    let p = ExpansionProfile::measure(&g, &ProfileConfig::default());
-    let json = serde_json::to_string_pretty(&p).unwrap();
-    let back: serde_json::Value = serde_json::from_str(&json).unwrap();
-    assert_eq!(back["num_vertices"], 7);
-    let back: ExpansionProfile = serde_json::from_str(&json).unwrap();
-    assert!(back.satisfies_observation_2_1());
-}
-
-#[test]
 fn analysis_of_c_plus_shows_the_headline_phenomenon() {
     let (g, _) = complete_plus_graph(8).unwrap();
-    let p = ExpansionProfile::measure(&g, &ProfileConfig::default());
-    assert!(p.wireless.exact);
-    assert!(p.satisfies_observation_2_1());
+    let t = MeasurementEngine::default()
+        .measure_all(&g, &Wireless::default())
+        .unwrap();
+    assert!(t.wireless.exact);
+    assert!(satisfies_observation_2_1(&t));
     // exact mode: Theorem 1.1 with constant 1 and Lemma 3.2's βu ≥ 2β − Δ
-    assert!(p.satisfies_theorem_1_1(1.0), "{}", p.summary());
-    assert!(p.unique.value + 1e-9 >= p.lemma_3_2_reference);
+    let (delta, beta) = (g.max_degree(), t.ordinary.value);
+    assert!(
+        t.wireless.value + 1e-9 >= theorem_1_1_lower_bound(delta, beta),
+        "{}",
+        summary(&t)
+    );
+    assert!(t.unique.value + 1e-9 >= lemma_3_2_unique_bound(delta, beta));
     // βu = 0 < βw
-    assert_eq!(p.unique.value, 0.0);
-    assert!(p.wireless.value > 0.0);
+    assert_eq!(t.unique.value, 0.0);
+    assert!(t.wireless.value > 0.0);
     // from a clique vertex the spokesman schedule completes
     let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
     let outcome = run_lanes(&sim, &mut *ProtocolKind::Spokesman.build_lanes(), &[0xABCD])[0];
@@ -84,9 +103,9 @@ fn analysis_of_c_plus_shows_the_headline_phenomenon() {
 #[test]
 fn analysis_of_regular_expander_sampled_mode() {
     let g = random_regular_graph(64, 4, 3).unwrap();
-    let p = ExpansionProfile::measure(&g, &ProfileConfig::light(0.5));
-    assert!(!p.ordinary.exact);
-    assert!(p.satisfies_observation_2_1());
+    let t = measure_light(&g);
+    assert!(!t.ordinary.exact);
+    assert!(satisfies_observation_2_1(&t));
 }
 
 #[test]
@@ -104,7 +123,7 @@ fn sampled_minimum_searches_every_size_alpha_allows_past_8192_vertices() {
     let g = Graph::from_edges(10_000, edges).unwrap();
     let m = MeasurementEngine::builder()
         .alpha(0.5)
-        .strategy(MeasureStrategy::Sampled)
+        .exact_up_to(0)
         .build()
         .measure(&g, &Ordinary)
         .unwrap();
@@ -115,10 +134,9 @@ fn sampled_minimum_searches_every_size_alpha_allows_past_8192_vertices() {
 #[test]
 fn analysis_of_grid_low_arboricity() {
     let g = grid_graph(6, 6).unwrap();
-    let p = ExpansionProfile::measure(&g, &ProfileConfig::light(0.5));
     // grids are planar: arboricity bound small, wireless loss bounded
-    assert!(p.arboricity.upper <= 3);
-    assert!(p.satisfies_observation_2_1());
+    assert!(wx_core::graph::arboricity::arboricity_bounds(&g).upper <= 3);
+    assert!(satisfies_observation_2_1(&measure_light(&g)));
 }
 
 #[test]
@@ -130,10 +148,10 @@ fn report_tables_render_for_experiment_style_rows() {
     ];
     let mut rows = Vec::new();
     for (name, g) in &graphs {
-        let p = ExpansionProfile::measure(g, &ProfileConfig::light(0.5));
+        let t = measure_light(g);
         rows.push(TableRow::new(
             *name,
-            vec![fmt_f64(p.ordinary.value), fmt_f64(p.wireless.value)],
+            vec![fmt_f64(t.ordinary.value), fmt_f64(t.wireless.value)],
         ));
     }
     let table = render_table("demo", &["graph", "beta", "beta_w"], &rows);

@@ -9,7 +9,7 @@ use wx_integration_tests::small_test_graphs;
 #[test]
 fn lemma_3_2_holds_on_every_sampled_set_of_the_battery() {
     for (name, g) in small_test_graphs() {
-        let pool = CandidateSets::generate(&g, &SamplerConfig::default(), 3);
+        let pool = CandidateSets::generate(&g, &SamplerConfig::default(), 0.5, 3);
         for s in &pool.sets {
             let check = lemma_3_2_for_set(&g, s);
             assert!(check.holds, "{name}: Lemma 3.2 violated: {check:?}");
@@ -42,7 +42,7 @@ fn lemma_3_1_spectral_bound_on_regular_graphs() {
         }
         let engine = wx_expansion::MeasurementEngine::builder()
             .alpha(alpha_u)
-            .strategy(wx_expansion::MeasureStrategy::Exact)
+            .exact_up_to(usize::MAX)
             .build();
         let beta_u = engine
             .measure(&g, &wx_expansion::UniqueNeighbor)

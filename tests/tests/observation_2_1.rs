@@ -9,7 +9,7 @@ use wx_integration_tests::{random_graph, small_test_graphs};
 #[test]
 fn sandwich_holds_per_set_on_the_small_battery() {
     for (name, g) in small_test_graphs() {
-        let pool = CandidateSets::generate(&g, &SamplerConfig::default(), 1);
+        let pool = CandidateSets::generate(&g, &SamplerConfig::default(), 0.5, 1);
         for s in pool.sets.iter().filter(|s| s.len() <= 10) {
             let beta = wx_expansion::ordinary::of_set(&g, s);
             let (beta_w, _) = wx_expansion::wireless::of_set_exact(&g, s);
@@ -30,7 +30,7 @@ fn sandwich_holds_for_graph_level_minima_small_graphs() {
         }
         let engine = wx_expansion::MeasurementEngine::builder()
             .alpha(0.5)
-            .strategy(wx_expansion::MeasureStrategy::Exact)
+            .exact_up_to(usize::MAX)
             .build();
         let triple = engine
             .measure_all(&g, &wx_expansion::Wireless::default())

@@ -14,7 +14,7 @@ use wx_integration_tests::small_test_graphs;
 #[test]
 fn exact_check_on_the_small_battery() {
     for (name, g) in small_test_graphs() {
-        let pool = CandidateSets::generate(&g, &SamplerConfig::default(), 7);
+        let pool = CandidateSets::generate(&g, &SamplerConfig::default(), 0.5, 7);
         for s in pool.sets.iter().filter(|s| s.len() <= 12) {
             // Theorem 1.1 is an Ω(·) statement; on tiny sets the hidden
             // constant matters (e.g. two vertices at distance 2 on a cycle
@@ -53,7 +53,7 @@ fn portfolio_check_on_expander_families() {
         ),
     ];
     for (name, g) in graphs {
-        let pool = CandidateSets::generate(&g, &SamplerConfig::light(0.5), 11);
+        let pool = CandidateSets::generate(&g, &SamplerConfig::light(), 0.5, 11);
         for (i, s) in pool.sets.iter().enumerate().filter(|(_, s)| s.len() >= 2) {
             let check = theorem_1_1_for_set_via_portfolio(&g, s, 0.35, i as u64);
             assert!(
@@ -87,14 +87,16 @@ fn arboricity_corollary_grids_and_trees_lose_only_a_constant() {
         ),
     ];
     for (name, g) in graphs {
-        let profile = wx_expansion::profile::ExpansionProfile::measure(
-            &g,
-            &wx_expansion::profile::ProfileConfig::light(0.5),
-        );
+        let t = wx_expansion::MeasurementEngine::builder()
+            .exact_up_to(10)
+            .sampler(SamplerConfig::light())
+            .build()
+            .measure_all(&g, &wx_expansion::Wireless::default())
+            .unwrap();
+        let loss = t.ordinary.value / t.wireless.value;
         assert!(
-            profile.wireless_loss < 4.0,
-            "{name}: wireless loss {} too large for a low-arboricity graph",
-            profile.wireless_loss
+            loss < 4.0,
+            "{name}: wireless loss {loss} too large for a low-arboricity graph"
         );
     }
 }
