@@ -57,9 +57,7 @@ pub fn run(opts: &ExperimentOptions) -> String {
             ),
             (
                 "degree-class (A.7)",
-                DegreeClassSolver::default()
-                    .solve(g, opts.seed)
-                    .unique_coverage,
+                DegreeClassSolver.solve(g, opts.seed).unique_coverage,
             ),
         ];
         for (label, covered) in results {

@@ -50,14 +50,11 @@ pub fn run(opts: &ExperimentOptions) -> String {
     let mut rows = Vec::new();
     for (name, g) in &instances {
         let solvers: Vec<(&str, Box<dyn SpokesmanSolver>)> = vec![
-            ("random-decay", Box::new(RandomDecaySolver::default())),
+            ("random-decay", Box::new(RandomDecaySolver)),
             ("partition", Box::new(PartitionSolver::default())),
             ("greedy", Box::new(GreedyMinDegreeSolver)),
-            ("degree-class", Box::new(DegreeClassSolver::default())),
-            (
-                "chlamtac-weinstein",
-                Box::new(ChlamtacWeinsteinSolver::default()),
-            ),
+            ("degree-class", Box::new(DegreeClassSolver)),
+            ("chlamtac-weinstein", Box::new(ChlamtacWeinsteinSolver)),
             ("portfolio", Box::new(PortfolioSolver::default())),
         ];
         let exact = if ExactSolver::is_feasible(g) && g.num_left() <= 20 {

@@ -47,7 +47,7 @@ mod tests {
         assert_eq!(g.num_edges(), 2);
         let _engine = MeasurementEngine::builder().sampler(SamplerConfig::light());
         let _solver = PortfolioSolver::default();
-        let _proto = DecayProtocol::default();
+        let _proto = DecayProtocol;
         let core = CoreGraph::new(4).unwrap();
         assert_eq!(core.graph.num_left(), 4);
     }

@@ -62,21 +62,30 @@ pub const WXG_HEADER_LEN: usize = 40;
 /// Byte offset of the checksum field inside the header.
 const CHECKSUM_OFFSET: u64 = 32;
 
-/// FNV-1a 64-bit — the `.wxg` payload checksum. Not cryptographic; it
-/// catches truncation, bit rot and mid-write crashes, which is all a local
-/// graph cache needs.
+/// FNV-1a 64-bit — the `.wxg` payload checksum, and the hash behind the
+/// lab's content-addressed cache keys. Not cryptographic; it catches
+/// truncation, bit rot and mid-write crashes, which is all a local graph
+/// cache needs. Streaming: `update(a); update(b)` hashes `a ++ b`.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Fnv1a(u64);
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a::new()
+    }
+}
 
 impl Fnv1a {
     const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
 
-    pub(crate) fn new() -> Fnv1a {
+    /// A hasher in the FNV-1a 64 initial state (the offset basis).
+    pub fn new() -> Fnv1a {
         Fnv1a(Self::OFFSET_BASIS)
     }
 
-    pub(crate) fn update(&mut self, bytes: &[u8]) {
+    /// Feeds `bytes` into the hash.
+    pub fn update(&mut self, bytes: &[u8]) {
         let mut h = self.0;
         for &b in bytes {
             h ^= b as u64;
@@ -85,7 +94,8 @@ impl Fnv1a {
         self.0 = h;
     }
 
-    pub(crate) fn finish(&self) -> u64 {
+    /// The hash of every byte fed so far.
+    pub fn finish(&self) -> u64 {
         self.0
     }
 }

@@ -67,7 +67,7 @@ pub mod view;
 pub use bipartite::{BipartiteBuilder, BipartiteGraph, Side};
 pub use builder::GraphBuilder;
 pub use csr::Graph;
-pub use disk::{convert_to_wxg, ConvertOptions, ConvertStats};
+pub use disk::{convert_to_wxg, ConvertOptions, ConvertStats, Fnv1a};
 pub use error::{GraphError, WxgDefect};
 pub use mmap::MmapGraph;
 pub use scratch::NeighborhoodScratch;

@@ -22,8 +22,8 @@
 //! is independent of field order and whitespace in the request text by
 //! construction; any *semantic* change (a different seed, size, solver,
 //! family…) changes the canonical text and therefore the hash. Hashes are
-//! FNV-1a 64 — the same function the `.wxg` container uses for payload
-//! checksums — which is ample for cache addressing (keys identify cache
+//! FNV-1a 64 ([`wx_core::graph::Fnv1a`], the `.wxg` container's payload
+//! checksum), which is ample for cache addressing (keys identify cache
 //! slots; artifacts are still validated on rehydration).
 
 use serde_json::Value;
@@ -31,10 +31,8 @@ use serde_json::Value;
 use crate::error::{LabError, Result};
 use crate::source::GraphSource;
 use crate::spec::ScenarioSpec;
+use wx_core::graph::Fnv1a;
 use wx_core::spokesman::SolverKind;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Domain-separation tags so the different key spaces (specs, graph
 /// instances, solutions) cannot collide even on identical payloads.
@@ -42,17 +40,13 @@ const TAG_SPEC: &[u8] = b"wx:spec:v1";
 const TAG_GRAPH: &[u8] = b"wx:graph:v1";
 const TAG_SOLUTION: &[u8] = b"wx:solution:v1";
 
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    let mut h = hash;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
+/// FNV-1a 64 over the concatenation of `parts`.
+fn fnv1a(parts: &[&[u8]]) -> u64 {
+    let mut h = Fnv1a::new();
+    for part in parts {
+        h.update(part);
     }
-    h
-}
-
-fn fnv1a_word(hash: u64, word: u64) -> u64 {
-    fnv1a(hash, &word.to_le_bytes())
+    h.finish()
 }
 
 /// Renders a value tree in the canonical form documented at module level.
@@ -130,7 +124,7 @@ fn canonical_value_of<T: serde::Serialize>(what: &'static str, value: &T) -> Res
 /// FNV-1a 64 over the canonical serialization of `value`.
 #[must_use]
 pub fn hash_value(value: &Value) -> u64 {
-    fnv1a(FNV_OFFSET, canonical_json(value).as_bytes())
+    fnv1a(&[canonical_json(value).as_bytes()])
 }
 
 /// The coalescing key of a whole request: every field of the spec
@@ -138,10 +132,7 @@ pub fn hash_value(value: &Value) -> u64 {
 /// byte-identical, which includes `name` and `description`).
 pub fn spec_key(spec: &ScenarioSpec) -> Result<u64> {
     let value = canonical_value_of("canonical spec", spec)?;
-    Ok(fnv1a(
-        fnv1a(FNV_OFFSET, TAG_SPEC),
-        canonical_json(&value).as_bytes(),
-    ))
+    Ok(fnv1a(&[TAG_SPEC, canonical_json(&value).as_bytes()]))
 }
 
 /// The source half of a graph-instance key: a hash of the canonical
@@ -149,10 +140,7 @@ pub fn spec_key(spec: &ScenarioSpec) -> Result<u64> {
 /// seed via [`graph_instance_key`].
 pub fn source_fingerprint(source: &GraphSource) -> Result<u64> {
     let value = canonical_value_of("canonical source", source)?;
-    Ok(fnv1a(
-        fnv1a(FNV_OFFSET, TAG_GRAPH),
-        canonical_json(&value).as_bytes(),
-    ))
+    Ok(fnv1a(&[TAG_GRAPH, canonical_json(&value).as_bytes()]))
 }
 
 /// The content address of one built graph instance: *(GraphSource, build
@@ -161,7 +149,7 @@ pub fn source_fingerprint(source: &GraphSource) -> Result<u64> {
 /// specs at equal trial indices share instances.
 #[must_use]
 pub fn graph_instance_key(source_fingerprint: u64, build_seed: u64) -> u64 {
-    fnv1a_word(fnv1a_word(FNV_OFFSET, source_fingerprint), build_seed)
+    fnv1a(&[&source_fingerprint.to_le_bytes(), &build_seed.to_le_bytes()])
 }
 
 /// The content address of one spokesman solution: *(graph key, subset
@@ -170,11 +158,13 @@ pub fn graph_instance_key(source_fingerprint: u64, build_seed: u64) -> u64 {
 /// solver saw.
 #[must_use]
 pub fn solution_key(graph_key: u64, set_size: usize, task_seed: u64, solver: SolverKind) -> u64 {
-    let mut h = fnv1a(FNV_OFFSET, TAG_SOLUTION);
-    h = fnv1a_word(h, graph_key);
-    h = fnv1a_word(h, set_size as u64);
-    h = fnv1a_word(h, task_seed);
-    fnv1a(h, solver.to_string().as_bytes())
+    fnv1a(&[
+        TAG_SOLUTION,
+        &graph_key.to_le_bytes(),
+        &(set_size as u64).to_le_bytes(),
+        &task_seed.to_le_bytes(),
+        solver.to_string().as_bytes(),
+    ])
 }
 
 #[cfg(test)]

@@ -446,19 +446,15 @@ fn transpose64(a: &mut [u64; 64]) {
 
 /// The decay protocol over bit-lanes.
 ///
-/// Per round it builds the eligibility matrix (informed ∧ live, optionally ∧
-/// has-an-uninformed-neighbor), transposes it 64×64-tile by tile into
-/// per-lane vertex masks, and asks each lane's RNG for its Bernoulli
-/// decisions in one bulk call that deposits straight into the mask positions
-/// — consuming exactly one draw per eligible vertex in ascending vertex
-/// order, the same stream the scalar [`crate::protocols::decay::DecayProtocol`]
-/// consumes, so every lane is bit-exact against the scalar run.
+/// Per round it builds the eligibility matrix (informed ∧ live), transposes
+/// it 64×64-tile by tile into per-lane vertex masks, and asks each lane's
+/// RNG for its Bernoulli decisions in one bulk call that deposits straight
+/// into the mask positions — consuming exactly one draw per eligible vertex
+/// in ascending vertex order, the same stream the scalar
+/// [`crate::protocols::decay::DecayProtocol`] consumes, so every lane is
+/// bit-exact against the scalar run.
 #[derive(Debug, Default)]
 pub struct LaneDecay {
-    /// Rounds per phase; `None` means `⌈log₂ n⌉ + 1` (the scalar default).
-    pub phase_length: Option<usize>,
-    /// Restrict transmissions to vertices with uninformed neighbors.
-    pub only_useful: bool,
     rngs: Vec<WxRng>,
     lanes: usize,
     tiles: usize,
@@ -468,22 +464,6 @@ pub struct LaneDecay {
     lane_out: Vec<u64>,
     /// Packed decision stream scratch for the bulk RNG call.
     scratch: Vec<u64>,
-}
-
-impl LaneDecay {
-    /// Lane decay with an explicit phase length.
-    pub fn with_phase_length(phase_length: usize) -> Self {
-        LaneDecay {
-            phase_length: Some(phase_length.max(1)),
-            ..LaneDecay::default()
-        }
-    }
-
-    fn effective_phase_length(&self, n: usize) -> usize {
-        self.phase_length
-            .unwrap_or_else(|| (n.max(2) as f64).log2().ceil() as usize + 1)
-            .max(1)
-    }
 }
 
 impl<G: GraphView + ?Sized> LaneProtocol<G> for LaneDecay {
@@ -504,8 +484,7 @@ impl<G: GraphView + ?Sized> LaneProtocol<G> for LaneDecay {
 
     fn fill_transmitters(&mut self, view: &LaneView<'_, G>, transmit: &mut [u64]) {
         let n = view.graph.num_vertices();
-        let k = self.effective_phase_length(n);
-        let i = view.round % k;
+        let i = view.round % crate::protocols::decay::phase_length(n);
         let p = 0.5f64.powi(i as i32);
         let tiles = self.tiles;
 
@@ -516,22 +495,9 @@ impl<G: GraphView + ?Sized> LaneProtocol<G> for LaneDecay {
             let height = (n - base).min(64);
             let mut tile = [0u64; 64];
             let mut any = 0u64;
-            for (j, word) in tile.iter_mut().enumerate().take(height) {
-                let v = base + j;
-                let mut e = view.informed[v] & view.live;
-                if self.only_useful && e != 0 {
-                    // lanes with at least one uninformed neighbor of v
-                    let mut un = 0u64;
-                    for u in view.graph.neighbors_iter(v) {
-                        un |= !view.informed[u];
-                        if un == u64::MAX {
-                            break;
-                        }
-                    }
-                    e &= un;
-                }
-                *word = e;
-                any |= e;
+            for (word, &informed) in tile.iter_mut().zip(&view.informed[base..base + height]) {
+                *word = informed & view.live;
+                any |= *word;
             }
             if any == 0 {
                 for l in 0..self.lanes {
@@ -766,7 +732,7 @@ mod tests {
         let mut proto = LaneDecay::default();
         run_lanes_in(&sim, &mut proto, &seeds, &mut ws);
         for (lane, &seed) in seeds.iter().enumerate() {
-            assert_lane_matches_scalar(&sim, &ws, lane, seed, DecayProtocol::default());
+            assert_lane_matches_scalar(&sim, &ws, lane, seed, DecayProtocol);
         }
     }
 
@@ -781,7 +747,7 @@ mod tests {
             run_lanes_in(&sim, &mut proto, &seeds, &mut ws);
             assert_eq!(ws.lanes(), lanes);
             for (lane, &seed) in seeds.iter().enumerate() {
-                assert_lane_matches_scalar(&sim, &ws, lane, seed, DecayProtocol::default());
+                assert_lane_matches_scalar(&sim, &ws, lane, seed, DecayProtocol);
             }
         }
     }
@@ -797,35 +763,10 @@ mod tests {
         for (lane, &seed) in seeds.iter().enumerate() {
             assert_lane_matches_scalar(&sim, &ws, lane, seed, NaiveFlooding);
         }
-        let mut rr = LaneMirror::new(RoundRobin::default());
+        let mut rr = LaneMirror::new(RoundRobin);
         run_lanes_in(&sim, &mut rr, &seeds, &mut ws);
         for (lane, &seed) in seeds.iter().enumerate() {
-            assert_lane_matches_scalar(&sim, &ws, lane, seed, RoundRobin::default());
-        }
-    }
-
-    #[test]
-    fn only_useful_lane_decay_matches_scalar() {
-        let g = wx_constructions::families::random_regular_graph(48, 4, 2).unwrap();
-        let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
-        let seeds: Vec<u64> = (0..16).map(|t| derive_seed(13, t)).collect();
-        let mut ws = LaneWorkspace::new(0);
-        let mut proto = LaneDecay {
-            only_useful: true,
-            ..LaneDecay::default()
-        };
-        run_lanes_in(&sim, &mut proto, &seeds, &mut ws);
-        for (lane, &seed) in seeds.iter().enumerate() {
-            assert_lane_matches_scalar(
-                &sim,
-                &ws,
-                lane,
-                seed,
-                DecayProtocol {
-                    phase_length: None,
-                    only_useful: true,
-                },
-            );
+            assert_lane_matches_scalar(&sim, &ws, lane, seed, RoundRobin);
         }
     }
 
@@ -842,7 +783,7 @@ mod tests {
         let mut proto = LaneDecay::default();
         run_lanes_in(&sim, &mut proto, &seeds, &mut ws);
         for (lane, &seed) in seeds.iter().enumerate() {
-            assert_lane_matches_scalar(&sim, &ws, lane, seed, DecayProtocol::default());
+            assert_lane_matches_scalar(&sim, &ws, lane, seed, DecayProtocol);
             // all lanes simulated the full horizon
             assert_eq!(ws.lane_outcome(lane).rounds_simulated, 40);
         }
@@ -857,7 +798,7 @@ mod tests {
         for (lane, (&seed, outcome)) in seeds.iter().zip(outcomes.iter()).enumerate() {
             assert_eq!(outcome.reachable, 3, "lane {lane}");
             let mut ws = TrialWorkspace::new(6);
-            let expect = sim.run_in(&mut DecayProtocol::default(), seed, &mut ws);
+            let expect = sim.run_in(&mut DecayProtocol, seed, &mut ws);
             assert_eq!(*outcome, expect);
         }
     }
@@ -873,7 +814,7 @@ mod tests {
             let mut proto = LaneDecay::default();
             run_lanes_in(&sim, &mut proto, &seeds, &mut ws);
             for (lane, &seed) in seeds.iter().enumerate() {
-                assert_lane_matches_scalar(&sim, &ws, lane, seed, DecayProtocol::default());
+                assert_lane_matches_scalar(&sim, &ws, lane, seed, DecayProtocol);
             }
         }
     }
@@ -898,7 +839,7 @@ mod tests {
             run_lanes_in(&sim, &mut LaneDecay::default(), &seeds, &mut ws);
             assert_eq!(ws.lanes(), seeds.len());
             for (lane, &seed) in seeds.iter().enumerate() {
-                assert_lane_matches_scalar(&sim, &ws, lane, seed, DecayProtocol::default());
+                assert_lane_matches_scalar(&sim, &ws, lane, seed, DecayProtocol);
             }
         }
     }

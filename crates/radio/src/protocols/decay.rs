@@ -13,58 +13,32 @@ use crate::protocols::BroadcastProtocol;
 use crate::simulator::RoundView;
 use rand::Rng;
 use wx_graph::random::WxRng;
-use wx_graph::{GraphView, Vertex, VertexSet};
+use wx_graph::{GraphView, VertexSet};
+
+/// The number of rounds per decay phase on an `n`-vertex graph,
+/// `⌈log₂ n⌉ + 1` (the standard choice when only `n` is known). Shared by
+/// the scalar protocol and [`crate::bitslice::LaneDecay`].
+pub(crate) fn phase_length(n: usize) -> usize {
+    (n.max(2) as f64).log2().ceil() as usize + 1
+}
 
 /// The decay protocol.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct DecayProtocol {
-    /// Number of rounds per phase; `None` means `⌈log₂ n⌉ + 1`, the standard
-    /// choice when only `n` is known.
-    pub phase_length: Option<usize>,
-    /// Restrict transmissions to vertices that still have uninformed
-    /// neighbors (requires neighborhood knowledge; defaults to `false`,
-    /// the classical fully-local protocol).
-    pub only_useful: bool,
-}
-
-impl DecayProtocol {
-    /// Decay with an explicit phase length (e.g. `⌈log₂ Δ⌉ + 1` when a degree
-    /// bound is known).
-    pub fn with_phase_length(phase_length: usize) -> Self {
-        DecayProtocol {
-            phase_length: Some(phase_length.max(1)),
-            only_useful: false,
-        }
-    }
-
-    fn effective_phase_length(&self, n: usize) -> usize {
-        self.phase_length
-            .unwrap_or_else(|| (n.max(2) as f64).log2().ceil() as usize + 1)
-            .max(1)
-    }
-}
+pub struct DecayProtocol;
 
 impl<G: GraphView + ?Sized> BroadcastProtocol<G> for DecayProtocol {
     fn name(&self) -> &'static str {
         "decay"
     }
 
-    fn reset(&mut self, _graph: &G, _source: Vertex) {}
-
     fn transmitters_into(&mut self, view: &RoundView<'_, G>, rng: &mut WxRng, out: &mut VertexSet) {
-        let n = view.graph.num_vertices();
-        let k = self.effective_phase_length(n);
-        let i = view.round % k;
+        let i = view.round % phase_length(view.graph.num_vertices());
         let p = 0.5f64.powi(i as i32);
         // Iterate the informed bitset directly (members are sorted, so the
         // inserts below append in order) — no boxed iterator, no `to_vec`,
-        // no per-round allocation. The usefulness test short-circuits before
-        // the rng draw so the random stream matches the historical
-        // materialize-then-filter implementation bit for bit.
+        // no per-round allocation.
         for v in view.informed.iter() {
-            if (!self.only_useful || crate::protocols::is_useful_transmitter(view, v))
-                && rng.gen_bool(p)
-            {
+            if rng.gen_bool(p) {
                 out.insert(v);
             }
         }
@@ -82,7 +56,7 @@ mod tests {
         let (g, src) = wx_constructions::families::complete_plus_graph(10).unwrap();
         let sim = RadioSimulator::new(&g, src, SimulatorConfig::default());
         let outcomes: Vec<_> = (0..10)
-            .map(|seed| sim.run(&mut DecayProtocol::default(), seed))
+            .map(|seed| sim.run(&mut DecayProtocol, seed))
             .collect();
         let stats = EnsembleStats::from_outcomes(&outcomes);
         assert_eq!(stats.completed, 10, "decay failed on C⁺: {stats:?}");
@@ -90,17 +64,8 @@ mod tests {
 
     #[test]
     fn phase_length_defaults_to_log_n() {
-        let d = DecayProtocol::default();
-        assert_eq!(d.effective_phase_length(16), 5);
-        assert_eq!(d.effective_phase_length(1024), 11);
-        assert_eq!(
-            DecayProtocol::with_phase_length(3).effective_phase_length(1_000_000),
-            3
-        );
-        assert_eq!(
-            DecayProtocol::with_phase_length(0).effective_phase_length(8),
-            1
-        );
+        assert_eq!(phase_length(16), 5);
+        assert_eq!(phase_length(1024), 11);
     }
 
     #[test]
@@ -118,7 +83,7 @@ mod tests {
             newly_informed: &newly,
         };
         let mut rng = wx_graph::random::rng_from_seed(5);
-        let t = DecayProtocol::default().transmitters(&view, &mut rng);
+        let t = DecayProtocol.transmitters(&view, &mut rng);
         assert_eq!(t.to_vec(), vec![0, 1]);
     }
 
@@ -127,32 +92,11 @@ mod tests {
         let g = wx_constructions::families::random_regular_graph(128, 6, 3).unwrap();
         let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
         let outcomes: Vec<_> = (0..5)
-            .map(|seed| sim.run(&mut DecayProtocol::default(), seed))
+            .map(|seed| sim.run(&mut DecayProtocol, seed))
             .collect();
         let stats = EnsembleStats::from_outcomes(&outcomes);
         assert_eq!(stats.completed, 5);
         // D = O(log n) here; decay should finish well within a few hundred rounds
         assert!(stats.max_rounds.unwrap() < 500, "{stats:?}");
-    }
-
-    #[test]
-    fn only_useful_variant_never_transmits_from_interior() {
-        let g = wx_graph::Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
-        let informed = g.vertex_set([0, 1, 2]);
-        let newly = g.vertex_set([2]);
-        let view = RoundView {
-            graph: &g,
-            round: 0,
-            source: 0,
-            informed: &informed,
-            newly_informed: &newly,
-        };
-        let mut rng = wx_graph::random::rng_from_seed(5);
-        let mut proto = DecayProtocol {
-            phase_length: None,
-            only_useful: true,
-        };
-        let t = proto.transmitters(&view, &mut rng);
-        assert_eq!(t.to_vec(), vec![2]);
     }
 }

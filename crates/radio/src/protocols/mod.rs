@@ -4,7 +4,7 @@
 //! |----------|-----------|------------|
 //! | [`naive::NaiveFlooding`] | local | the strawman the introduction rules out (stalls on `C⁺`) |
 //! | [`round_robin::RoundRobin`] | ids + `n` | slow but collision-free deterministic baseline |
-//! | [`decay::DecayProtocol`] | `n` (or a degree bound) | the Bar-Yehuda–Goldreich–Itai decay protocol \[5\], the classical `O(D·log n + log² n)`-style randomized broadcast |
+//! | [`decay::DecayProtocol`] | `n` | the Bar-Yehuda–Goldreich–Itai decay protocol \[5\], the classical `O(D·log n + log² n)`-style randomized broadcast |
 //! | [`spokesman::SpokesmanBroadcast`] | centralized | transmits from the subset a Spokesman-Election solver picks — the algorithmic content of wireless expansion (and of the Chlamtac–Weinstein broadcast framework \[7\]) |
 
 pub mod decay;
@@ -76,9 +76,9 @@ impl ProtocolKind {
     pub fn build<G: GraphView + ?Sized>(self) -> Box<dyn BroadcastProtocol<G>> {
         match self {
             ProtocolKind::NaiveFlooding => Box::new(naive::NaiveFlooding),
-            ProtocolKind::RoundRobin => Box::new(round_robin::RoundRobin::default()),
-            ProtocolKind::Decay => Box::new(decay::DecayProtocol::default()),
-            ProtocolKind::Spokesman => Box::new(spokesman::SpokesmanBroadcast::default()),
+            ProtocolKind::RoundRobin => Box::new(round_robin::RoundRobin),
+            ProtocolKind::Decay => Box::new(decay::DecayProtocol),
+            ProtocolKind::Spokesman => Box::new(spokesman::SpokesmanBroadcast),
         }
     }
 
@@ -154,26 +154,17 @@ impl<G: GraphView + ?Sized, P: BroadcastProtocol<G> + ?Sized> BroadcastProtocol<
     }
 }
 
-/// `true` if informed vertex `v` still has at least one uninformed neighbor
-/// — the per-vertex predicate behind [`useful_transmitters`], exposed so
-/// allocation-free protocol loops (decay's `only_useful` variant) can test
-/// usefulness inline while iterating the informed bitset.
-#[inline]
-pub fn is_useful_transmitter<G: GraphView + ?Sized>(view: &RoundView<'_, G>, v: usize) -> bool {
-    view.graph
-        .neighbors_iter(v)
-        .any(|u| !view.informed.contains(u))
-}
-
 /// Helper shared by protocols: the subset of informed vertices that still
 /// have at least one uninformed neighbor (transmitting from anywhere else is
 /// pointless).
 pub fn useful_transmitters<G: GraphView + ?Sized>(view: &RoundView<'_, G>) -> VertexSet {
     VertexSet::from_iter(
         view.graph.num_vertices(),
-        view.informed
-            .iter()
-            .filter(|&v| is_useful_transmitter(view, v)),
+        view.informed.iter().filter(|&v| {
+            view.graph
+                .neighbors_iter(v)
+                .any(|u| !view.informed.contains(u))
+        }),
     )
 }
 

@@ -13,21 +13,7 @@ use wx_graph::{GraphView, VertexSet};
 
 /// Round-robin single-transmitter schedule.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct RoundRobin {
-    /// Skip turns of vertices that have no uninformed neighbors (a mild,
-    /// still-deterministic optimization; defaults to `false` so the schedule
-    /// matches the textbook definition).
-    pub skip_useless_turns: bool,
-}
-
-impl RoundRobin {
-    /// A variant that skips turns of vertices with no uninformed neighbors.
-    pub fn skipping() -> Self {
-        RoundRobin {
-            skip_useless_turns: true,
-        }
-    }
-}
+pub struct RoundRobin;
 
 impl<G: GraphView + ?Sized> BroadcastProtocol<G> for RoundRobin {
     fn name(&self) -> &'static str {
@@ -46,14 +32,7 @@ impl<G: GraphView + ?Sized> BroadcastProtocol<G> for RoundRobin {
         }
         let turn = view.round % n;
         if view.informed.contains(turn) {
-            let useful = !self.skip_useless_turns
-                || view
-                    .graph
-                    .neighbors_iter(turn)
-                    .any(|u| !view.informed.contains(u));
-            if useful {
-                out.insert(turn);
-            }
+            out.insert(turn);
         }
     }
 }
@@ -78,7 +57,7 @@ mod tests {
                 informed: &informed,
                 newly_informed: &newly,
             };
-            assert!(RoundRobin::default().transmitters(&view, &mut rng).len() <= 1);
+            assert!(RoundRobin.transmitters(&view, &mut rng).len() <= 1);
         }
     }
 
@@ -86,21 +65,9 @@ mod tests {
     fn completes_on_collision_heavy_graphs() {
         let (g, src) = wx_constructions::families::complete_plus_graph(8).unwrap();
         let sim = RadioSimulator::new(&g, src, SimulatorConfig::default());
-        let outcome = sim.run(&mut RoundRobin::default(), 0);
+        let outcome = sim.run(&mut RoundRobin, 0);
         assert!(outcome.completed_at.is_some());
         // the bound is at most n rounds per BFS layer
         assert!(outcome.completed_at.unwrap() <= g.num_vertices() * 3);
-    }
-
-    #[test]
-    fn skipping_variant_is_no_slower() {
-        let (g, src) = wx_constructions::families::complete_plus_graph(8).unwrap();
-        let sim = RadioSimulator::new(&g, src, SimulatorConfig::default());
-        let plain = sim.run(&mut RoundRobin::default(), 0).completed_at.unwrap();
-        let skipping = sim
-            .run(&mut RoundRobin::skipping(), 0)
-            .completed_at
-            .unwrap();
-        assert!(skipping <= plain);
     }
 }

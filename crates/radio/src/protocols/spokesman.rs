@@ -2,9 +2,10 @@
 //!
 //! This protocol is the algorithmic payoff of wireless expansion: in every
 //! round, take the current informed set `S`, build the bipartite view
-//! `(S, Γ⁻(S))`, run a Spokesman-Election solver to pick the subset
-//! `S' ⊆ S` with (approximately) maximum unique coverage, and have exactly
-//! `S'` transmit. If the network is an `(αw, βw)`-wireless expander, every
+//! `(S, Γ⁻(S))`, run the fast spokesman portfolio
+//! ([`PortfolioSolver::fast`]: Procedure Partition and the minimum-degree
+//! greedy) to pick the subset `S' ⊆ S` with (approximately) maximum unique
+//! coverage, and have exactly `S'` transmit. If the network is an `(αw, βw)`-wireless expander, every
 //! such round informs at least `βw·|S|` new vertices while `|S| ≤ αw·n`, so
 //! the informed set grows geometrically — this is the broadcast framework of
 //! Chlamtac–Weinstein \[7\] with the paper's improved spokesman bounds plugged
@@ -22,40 +23,9 @@ use wx_graph::random::WxRng;
 use wx_graph::{BipartiteGraph, GraphView, VertexSet};
 use wx_spokesman::{PortfolioSolver, SpokesmanSolver};
 
-/// Which spokesman solver the schedule uses each round.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScheduleSolver {
-    /// The full polynomial-time portfolio (best quality, slowest).
-    Portfolio,
-    /// The fast portfolio (Procedure Partition + greedy).
-    FastPortfolio,
-    /// Greedy only (cheapest).
-    Greedy,
-}
-
 /// Centralized spokesman-schedule broadcast protocol.
-#[derive(Clone, Copy, Debug)]
-pub struct SpokesmanBroadcast {
-    /// Solver choice per round.
-    pub solver: ScheduleSolver,
-}
-
-impl Default for SpokesmanBroadcast {
-    fn default() -> Self {
-        SpokesmanBroadcast {
-            solver: ScheduleSolver::FastPortfolio,
-        }
-    }
-}
-
-impl SpokesmanBroadcast {
-    /// A schedule using the full portfolio each round.
-    pub fn thorough() -> Self {
-        SpokesmanBroadcast {
-            solver: ScheduleSolver::Portfolio,
-        }
-    }
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SpokesmanBroadcast;
 
 impl<G: GraphView + ?Sized> BroadcastProtocol<G> for SpokesmanBroadcast {
     fn name(&self) -> &'static str {
@@ -73,9 +43,9 @@ impl<G: GraphView + ?Sized> BroadcastProtocol<G> for SpokesmanBroadcast {
         // unaffected (interior vertices contribute no external edges) and the
         // spokesman instance shrinks dramatically on large graphs.
         let frontier = crate::protocols::useful_transmitters(view);
-        if frontier.is_empty() {
+        let Some(first) = frontier.iter().next() else {
             return;
-        }
+        };
         let (bip, left_ids, _right_ids) =
             BipartiteGraph::from_set_in_graph(view.graph, view.informed);
         // Map the frontier into the bipartite instance's left indices and
@@ -88,11 +58,7 @@ impl<G: GraphView + ?Sized> BroadcastProtocol<G> for SpokesmanBroadcast {
         }
         let (restricted, kept_left, _) = bip.restrict_left(&keep);
         let seed = wx_graph::random::derive_seed(0xB40ADCA57, view.round as u64);
-        let result = match self.solver {
-            ScheduleSolver::Portfolio => PortfolioSolver::default().solve(&restricted, seed),
-            ScheduleSolver::FastPortfolio => PortfolioSolver::fast().solve(&restricted, seed),
-            ScheduleSolver::Greedy => wx_spokesman::GreedyMinDegreeSolver.solve(&restricted, seed),
-        };
+        let result = PortfolioSolver::fast().solve(&restricted, seed);
         // Translate back: restricted index -> bipartite left index (via
         // `kept_left`) -> original vertex id (via `left_ids`).
         for local in result.subset.iter() {
@@ -104,8 +70,7 @@ impl<G: GraphView + ?Sized> BroadcastProtocol<G> for SpokesmanBroadcast {
         // someone... unless that someone has other informed neighbors — in
         // which case any single transmitter is still the safest fallback.
         if out.is_empty() {
-            let v = frontier.iter().next().expect("frontier non-empty");
-            out.insert(v);
+            out.insert(first);
         }
     }
 }
@@ -121,7 +86,7 @@ mod tests {
     fn completes_on_c_plus_in_a_few_rounds() {
         let (g, src) = wx_constructions::families::complete_plus_graph(12).unwrap();
         let sim = RadioSimulator::new(&g, src, SimulatorConfig::default());
-        let outcome = sim.run(&mut SpokesmanBroadcast::default(), 1);
+        let outcome = sim.run(&mut SpokesmanBroadcast, 1);
         assert!(outcome.completed_at.is_some());
         assert!(
             outcome.completed_at.unwrap() <= 4,
@@ -136,9 +101,9 @@ mod tests {
     fn beats_decay_on_expanders() {
         let g = wx_constructions::families::random_regular_graph(128, 6, 11).unwrap();
         let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
-        let spokesman = sim.run(&mut SpokesmanBroadcast::default(), 3);
+        let spokesman = sim.run(&mut SpokesmanBroadcast, 3);
         let decay_outcomes: Vec<_> = (0..5)
-            .map(|s| sim.run(&mut crate::protocols::decay::DecayProtocol::default(), s))
+            .map(|s| sim.run(&mut crate::protocols::decay::DecayProtocol, s))
             .collect();
         let decay_stats = EnsembleStats::from_outcomes(&decay_outcomes);
         assert!(spokesman.completed_at.is_some());
@@ -164,21 +129,11 @@ mod tests {
             newly_informed: &newly,
         };
         let mut rng = wx_graph::random::rng_from_seed(0);
-        let t = SpokesmanBroadcast::default().transmitters(&view, &mut rng);
+        let t = SpokesmanBroadcast.transmitters(&view, &mut rng);
         assert!(!t.is_empty());
         assert!(t.is_subset_of(&informed));
         // on C⁺ the chosen subset must be a single clique vertex ({x} or {y})
         assert_eq!(t.len(), 1);
         assert!(t.contains(0) || t.contains(1));
-    }
-
-    #[test]
-    fn greedy_variant_also_completes() {
-        let g = wx_constructions::families::grid_graph(6, 6).unwrap();
-        let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
-        let mut proto = SpokesmanBroadcast {
-            solver: ScheduleSolver::Greedy,
-        };
-        assert!(sim.run(&mut proto, 0).completed_at.is_some());
     }
 }

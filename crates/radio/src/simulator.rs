@@ -354,7 +354,7 @@ mod tests {
     fn round_robin_always_completes() {
         let (g, src) = wx_constructions::families::complete_plus_graph(6).unwrap();
         let sim = RadioSimulator::new(&g, src, SimulatorConfig::default());
-        let outcome = sim.run(&mut RoundRobin::default(), 1);
+        let outcome = sim.run(&mut RoundRobin, 1);
         assert!(outcome.completed_at.is_some());
         assert_eq!(outcome.informed_per_round.last().copied(), Some(7));
     }
@@ -384,8 +384,8 @@ mod tests {
         let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
         let mut ws = TrialWorkspace::new(0);
         for seed in 0..6u64 {
-            let mut p1 = DecayProtocol::default();
-            let mut p2 = DecayProtocol::default();
+            let mut p1 = DecayProtocol;
+            let mut p2 = DecayProtocol;
             let fresh = sim.run(&mut p1, seed);
             let trial = sim.run_in(&mut p2, seed, &mut ws);
             let reused = sim.outcome_from(BroadcastProtocol::<Graph>::name(&p2), &trial, &ws);

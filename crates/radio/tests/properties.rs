@@ -53,8 +53,8 @@ proptest! {
         });
         let mut protocol: Box<dyn BroadcastProtocol> = match proto_id {
             0 => Box::new(NaiveFlooding),
-            1 => Box::new(RoundRobin::default()),
-            _ => Box::new(DecayProtocol::default()),
+            1 => Box::new(RoundRobin),
+            _ => Box::new(DecayProtocol),
         };
         let outcome = sim.run(protocol.as_mut(), seed);
 
@@ -90,7 +90,7 @@ proptest! {
             max_rounds: 400,
             stop_when_complete: true,
         });
-        let outcome = sim.run(&mut RoundRobin::default(), seed);
+        let outcome = sim.run(&mut RoundRobin, seed);
         let delta = g.max_degree();
         for w in outcome.informed_per_round.windows(2) {
             prop_assert!(w[1] - w[0] <= delta.max(1));
@@ -118,8 +118,8 @@ proptest! {
         let sim_view = RadioSimulator::new(&view, 0, config.clone());
         let sim_mat = RadioSimulator::new(&mat, 0, config);
         prop_assert_eq!(sim_view.reachable_count(), sim_mat.reachable_count());
-        let a = sim_view.run(&mut DecayProtocol::default(), seed);
-        let b = sim_mat.run(&mut DecayProtocol::default(), seed);
+        let a = sim_view.run(&mut DecayProtocol, seed);
+        let b = sim_mat.run(&mut DecayProtocol, seed);
         prop_assert_eq!(a.completed_at, b.completed_at);
         prop_assert_eq!(a.informed_per_round, b.informed_per_round);
         prop_assert_eq!(a.first_informed_round, b.first_informed_round);
@@ -141,15 +141,15 @@ proptest! {
         let sim_implicit = RadioSimulator::new(&implicit, 0, config.clone());
         let sim_mat = RadioSimulator::new(&mat, 0, config);
         prop_assert_eq!(sim_implicit.reachable_count(), sim_mat.reachable_count());
-        let a = sim_implicit.run(&mut DecayProtocol::default(), seed);
-        let b = sim_mat.run(&mut DecayProtocol::default(), seed);
+        let a = sim_implicit.run(&mut DecayProtocol, seed);
+        let b = sim_mat.run(&mut DecayProtocol, seed);
         prop_assert_eq!(a.completed_at, b.completed_at);
         prop_assert_eq!(a.informed_per_round, b.informed_per_round);
         prop_assert_eq!(a.first_informed_round, b.first_informed_round);
         // the centralized spokesman schedule exercises the bipartite-view
         // extraction on both backends
-        let a = sim_implicit.run(&mut wx_radio::protocols::spokesman::SpokesmanBroadcast::default(), seed);
-        let b = sim_mat.run(&mut wx_radio::protocols::spokesman::SpokesmanBroadcast::default(), seed);
+        let a = sim_implicit.run(&mut wx_radio::protocols::spokesman::SpokesmanBroadcast, seed);
+        let b = sim_mat.run(&mut wx_radio::protocols::spokesman::SpokesmanBroadcast, seed);
         prop_assert_eq!(a.completed_at, b.completed_at);
         prop_assert_eq!(a.informed_per_round, b.informed_per_round);
     }

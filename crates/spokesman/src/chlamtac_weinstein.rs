@@ -22,19 +22,8 @@ use crate::solver::{SolverKind, SpokesmanResult, SpokesmanSolver};
 use wx_graph::{BipartiteGraph, VertexSet};
 
 /// Size-based halving baseline in the spirit of Chlamtac–Weinstein \[7\].
-#[derive(Clone, Copy, Debug)]
-pub struct ChlamtacWeinsteinSolver {
-    /// Independent samples per halving level.
-    pub trials_per_level: usize,
-}
-
-impl Default for ChlamtacWeinsteinSolver {
-    fn default() -> Self {
-        ChlamtacWeinsteinSolver {
-            trials_per_level: 8,
-        }
-    }
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ChlamtacWeinsteinSolver;
 
 impl ChlamtacWeinsteinSolver {
     /// The guarantee of the baseline: `|N⁺| / log₂(2|S|)` where `N⁺` counts
@@ -63,8 +52,7 @@ impl SpokesmanSolver for ChlamtacWeinsteinSolver {
             );
         }
         let levels = (2.0 * g.num_left() as f64).log2().ceil().max(1.0) as u32;
-        let (_, best_subset) =
-            dyadic_sweep(g, 0..g.num_left(), levels, self.trials_per_level, seed);
+        let (_, best_subset) = dyadic_sweep(g, 0..g.num_left(), levels, seed);
         SpokesmanResult::from_subset(SolverKind::ChlamtacWeinstein, g, best_subset)
     }
 }
@@ -91,7 +79,7 @@ mod tests {
     #[test]
     fn star_covered() {
         let g = BipartiteGraph::from_edges(1, 3, (0..3).map(|w| (0, w))).unwrap();
-        let r = ChlamtacWeinsteinSolver::default().solve(&g, 0);
+        let r = ChlamtacWeinsteinSolver.solve(&g, 0);
         assert_eq!(r.unique_coverage, 3);
     }
 
@@ -103,7 +91,7 @@ mod tests {
                 continue;
             }
             let guarantee = ChlamtacWeinsteinSolver::guarantee(&g);
-            let r = ChlamtacWeinsteinSolver::default().solve(&g, seed);
+            let r = ChlamtacWeinsteinSolver.solve(&g, seed);
             assert!(
                 r.unique_coverage as f64 >= guarantee.floor(),
                 "seed {seed}: coverage {} below |N|/log|S| guarantee {guarantee:.2}",
@@ -115,26 +103,16 @@ mod tests {
     #[test]
     fn reproducible_for_fixed_seed() {
         let g = random_instance(2, 10, 20, 0.25);
-        let a = ChlamtacWeinsteinSolver::default().solve(&g, 5);
-        let b = ChlamtacWeinsteinSolver::default().solve(&g, 5);
+        let a = ChlamtacWeinsteinSolver.solve(&g, 5);
+        let b = ChlamtacWeinsteinSolver.solve(&g, 5);
         assert_eq!(a.unique_coverage, b.unique_coverage);
     }
 
     #[test]
     fn degenerate_instances() {
         let g = BipartiteGraph::from_edges(0, 0, []).unwrap();
-        assert_eq!(
-            ChlamtacWeinsteinSolver::default()
-                .solve(&g, 0)
-                .unique_coverage,
-            0
-        );
+        assert_eq!(ChlamtacWeinsteinSolver.solve(&g, 0).unique_coverage, 0);
         let g = BipartiteGraph::from_edges(2, 2, []).unwrap();
-        assert_eq!(
-            ChlamtacWeinsteinSolver::default()
-                .solve(&g, 0)
-                .unique_coverage,
-            0
-        );
+        assert_eq!(ChlamtacWeinsteinSolver.solve(&g, 0).unique_coverage, 0);
     }
 }

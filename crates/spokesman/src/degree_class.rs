@@ -6,13 +6,14 @@
 //! base `c ≈ 3.59112` yields Corollary A.7's bound
 //! `|Γ¹_S(S')| ≥ 0.20087·|N|/log₂Δ`.
 //!
-//! Our solver follows that outline: for every degree class it builds the
-//! restricted instance and solves it with Procedure Partition (which inside a
-//! class — where degrees are within a factor `c` of one another — achieves
-//! the constant-fraction guarantee), then returns the best subset over all
-//! classes. A light Bernoulli sweep per class (probability `≈ c^{-i+1/2}`) is
-//! mixed in as a tie-breaker, mirroring the probabilistic intuition behind
-//! the lemma.
+//! Our solver follows that outline with the optimal base [`OPTIMAL_BASE`]:
+//! for every degree class it builds the restricted instance and solves it
+//! with Procedure Partition (which inside a class — where degrees are within
+//! a factor `c` of one another — achieves the constant-fraction guarantee),
+//! then returns the best subset over all classes. Two Bernoulli samples per
+//! class (probability `≈ c^{-i+1/2}`) are mixed in as a tie-breaker,
+//! mirroring the probabilistic intuition behind the lemma. The guarantee
+//! itself is [`crate::bounds::corollary_a_7_guarantee`].
 
 use crate::partition::procedure_partition;
 use crate::solver::{SolverKind, SpokesmanResult, SpokesmanSolver};
@@ -27,50 +28,12 @@ pub const OPTIMAL_BASE: f64 = 3.59112;
 /// The value `f(c*) ≈ 0.20087` attained at the optimal base.
 pub const OPTIMAL_BASE_VALUE: f64 = 0.20087;
 
+/// Bernoulli samples per degree class, the randomized tie-breaker.
+const RANDOM_TRIALS_PER_CLASS: usize = 2;
+
 /// Degree-class solver (Lemmas A.5–A.7).
-#[derive(Clone, Copy, Debug)]
-pub struct DegreeClassSolver {
-    /// The degree-class base `c > 1`.
-    pub base: f64,
-    /// Bernoulli samples per class used as a randomized tie-breaker
-    /// (0 disables the randomized sweep, keeping the solver deterministic).
-    pub random_trials_per_class: usize,
-}
-
-impl Default for DegreeClassSolver {
-    fn default() -> Self {
-        DegreeClassSolver {
-            base: OPTIMAL_BASE,
-            random_trials_per_class: 2,
-        }
-    }
-}
-
-impl DegreeClassSolver {
-    /// A fully deterministic variant (no randomized sweep).
-    pub fn deterministic(base: f64) -> Self {
-        DegreeClassSolver {
-            base,
-            random_trials_per_class: 0,
-        }
-    }
-
-    /// The per-class guarantee `1/(2(1+c))` of Lemma A.5.
-    pub fn per_class_fraction(&self) -> f64 {
-        1.0 / (2.0 * (1.0 + self.base))
-    }
-
-    /// The Corollary A.7 guarantee `log₂c/(2(1+c)) · |N| / log₂Δ` for an
-    /// instance with maximum degree `delta` and `gamma` coverable right
-    /// vertices.
-    pub fn corollary_a7_guarantee(&self, gamma: usize, delta: usize) -> f64 {
-        if delta <= 1 {
-            return gamma as f64 * self.per_class_fraction();
-        }
-        let f = self.base.log2() / (2.0 * (1.0 + self.base));
-        f * gamma as f64 / (delta as f64).log2()
-    }
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct DegreeClassSolver;
 
 impl SpokesmanSolver for DegreeClassSolver {
     fn kind(&self) -> SolverKind {
@@ -86,7 +49,7 @@ impl SpokesmanSolver for DegreeClassSolver {
                 VertexSet::empty(g.num_left()),
             );
         }
-        let buckets = degree_class_buckets(g, self.base);
+        let buckets = degree_class_buckets(g, OPTIMAL_BASE);
         let mut best_cov = 0usize;
         let mut best_subset = VertexSet::empty(g.num_left());
 
@@ -104,19 +67,17 @@ impl SpokesmanSolver for DegreeClassSolver {
             }
             // Randomized sweep: sample left vertices with probability close
             // to the reciprocal of the class's typical degree.
-            if self.random_trials_per_class > 0 {
-                let p = self.base.powf(-(i as f64 + 0.5)).clamp(1e-9, 1.0);
-                for t in 0..self.random_trials_per_class {
-                    let mut rng = rng_from_seed(derive_seed(seed, ((i as u64) << 32) | t as u64));
-                    let sample = VertexSet::from_iter(
-                        g.num_left(),
-                        (0..g.num_left()).filter(|_| rng.gen_bool(p)),
-                    );
-                    let cov = g.unique_coverage(&sample);
-                    if cov > best_cov {
-                        best_cov = cov;
-                        best_subset = sample;
-                    }
+            let p = OPTIMAL_BASE.powf(-(i as f64 + 0.5)).clamp(1e-9, 1.0);
+            for t in 0..RANDOM_TRIALS_PER_CLASS {
+                let mut rng = rng_from_seed(derive_seed(seed, ((i as u64) << 32) | t as u64));
+                let sample = VertexSet::from_iter(
+                    g.num_left(),
+                    (0..g.num_left()).filter(|_| rng.gen_bool(p)),
+                );
+                let cov = g.unique_coverage(&sample);
+                if cov > best_cov {
+                    best_cov = cov;
+                    best_subset = sample;
                 }
             }
         }
@@ -154,23 +115,12 @@ mod tests {
     #[test]
     fn star_fully_covered() {
         let g = BipartiteGraph::from_edges(1, 4, (0..4).map(|w| (0, w))).unwrap();
-        let r = DegreeClassSolver::default().solve(&g, 0);
+        let r = DegreeClassSolver.solve(&g, 0);
         assert_eq!(r.unique_coverage, 4);
     }
 
     #[test]
-    fn deterministic_variant_is_reproducible_and_seed_independent() {
-        let g = random_instance(11, 10, 24, 0.3);
-        let s = DegreeClassSolver::deterministic(OPTIMAL_BASE);
-        let a = s.solve(&g, 1);
-        let b = s.solve(&g, 999);
-        assert_eq!(a.unique_coverage, b.unique_coverage);
-        assert_eq!(a.subset.to_vec(), b.subset.to_vec());
-    }
-
-    #[test]
     fn meets_corollary_a7_guarantee_on_random_instances() {
-        let solver = DegreeClassSolver::default();
         for seed in 0..15u64 {
             let g = random_instance(seed + 70, 14, 30, 0.3);
             if g.num_edges() == 0 {
@@ -180,8 +130,8 @@ mod tests {
                 .filter(|&w| g.right_degree(w) > 0)
                 .count();
             let delta = g.max_degree();
-            let guarantee = solver.corollary_a7_guarantee(gamma, delta);
-            let r = solver.solve(&g, seed);
+            let guarantee = crate::bounds::corollary_a_7_guarantee(gamma, delta);
+            let r = DegreeClassSolver.solve(&g, seed);
             assert!(
                 r.unique_coverage as f64 >= guarantee.floor(),
                 "seed {seed}: coverage {} below Corollary A.7 guarantee {guarantee:.2}",
@@ -201,7 +151,7 @@ mod tests {
             edges.push((u, 1 + u)); // private neighbor
         }
         let g = BipartiteGraph::from_edges(s, s + 1, edges).unwrap();
-        let r = DegreeClassSolver::default().solve(&g, 0);
+        let r = DegreeClassSolver.solve(&g, 0);
         assert!(
             r.unique_coverage >= s,
             "coverage {} < {s}",
@@ -212,14 +162,8 @@ mod tests {
     #[test]
     fn edgeless_instance() {
         let g = BipartiteGraph::from_edges(3, 3, []).unwrap();
-        let r = DegreeClassSolver::default().solve(&g, 0);
+        let r = DegreeClassSolver.solve(&g, 0);
         assert_eq!(r.unique_coverage, 0);
         assert!(r.subset.is_empty());
-    }
-
-    #[test]
-    fn per_class_fraction_matches_formula() {
-        let s = DegreeClassSolver::default();
-        assert!((s.per_class_fraction() - 1.0 / (2.0 * (1.0 + OPTIMAL_BASE))).abs() < 1e-12);
     }
 }

@@ -20,19 +20,13 @@ use crate::delta::CoverageTracker;
 use crate::solver::{SolverKind, SpokesmanResult, SpokesmanSolver};
 use wx_graph::{BipartiteGraph, VertexSet};
 
-/// Greedy single-flip local search over subsets of the left side.
-#[derive(Clone, Copy, Debug)]
-pub struct LocalSearchImprover {
-    /// Upper bound on the number of improving flips (a safety valve; the
-    /// coverage strictly increases per flip so `|N|` always suffices).
-    pub max_flips: usize,
-}
+/// Upper bound on the number of improving flips (a safety valve; the
+/// coverage strictly increases per flip so `|N|` always suffices).
+const MAX_FLIPS: usize = 100_000;
 
-impl Default for LocalSearchImprover {
-    fn default() -> Self {
-        LocalSearchImprover { max_flips: 100_000 }
-    }
-}
+/// Greedy single-flip local search over subsets of the left side.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LocalSearchImprover;
 
 impl LocalSearchImprover {
     /// Improves `subset` by single-vertex flips until no flip strictly
@@ -49,7 +43,7 @@ impl LocalSearchImprover {
         let mut rejected = 0u64;
         let mut improved = true;
         wx_trace::event_value("spokesman.coverage", tracker.coverage() as u64);
-        while improved && flips < self.max_flips {
+        while improved && flips < MAX_FLIPS {
             improved = false;
             for u in 0..g.num_left() {
                 if tracker.flip_delta(u) > 0 {
@@ -60,7 +54,7 @@ impl LocalSearchImprover {
                     // accepted flip (coverage strictly increases, so this is
                     // the curve an anytime racer would race against)
                     wx_trace::event_value("spokesman.coverage", tracker.coverage() as u64);
-                    if flips >= self.max_flips {
+                    if flips >= MAX_FLIPS {
                         break;
                     }
                 } else {
@@ -84,7 +78,6 @@ impl LocalSearchImprover {
 /// points rather than a smarter neighborhood.
 pub struct LocalSearchSolver {
     starts: Vec<Box<dyn SpokesmanSolver + Send + Sync>>,
-    improver: LocalSearchImprover,
 }
 
 impl Default for LocalSearchSolver {
@@ -93,9 +86,8 @@ impl Default for LocalSearchSolver {
             starts: vec![
                 Box::new(crate::greedy::GreedyMinDegreeSolver),
                 Box::new(crate::partition::PartitionSolver::default()),
-                Box::new(crate::random_decay::RandomDecaySolver::default()),
+                Box::new(crate::random_decay::RandomDecaySolver),
             ],
-            improver: LocalSearchImprover::default(),
         }
     }
 }
@@ -105,7 +97,6 @@ impl LocalSearchSolver {
     pub fn wrapping(inner: Box<dyn SpokesmanSolver + Send + Sync>) -> Self {
         LocalSearchSolver {
             starts: vec![inner],
-            improver: LocalSearchImprover::default(),
         }
     }
 }
@@ -121,7 +112,7 @@ impl SpokesmanSolver for LocalSearchSolver {
         let mut best: Option<SpokesmanResult> = None;
         for (i, inner) in self.starts.iter().enumerate() {
             let start = inner.solve(g, wx_graph::random::derive_seed(seed, i as u64));
-            let (subset, _) = self.improver.improve(g, &start.subset);
+            let (subset, _) = LocalSearchImprover.improve(g, &start.subset);
             let polished = SpokesmanResult::from_subset(SolverKind::Portfolio, g, subset);
             best = Some(match best {
                 None => polished,
@@ -158,7 +149,7 @@ mod tests {
         for seed in 0..20u64 {
             let g = random_instance(seed, 12, 24, 0.3);
             let start = crate::greedy::GreedyMinDegreeSolver.solve(&g, seed);
-            let (improved, cov) = LocalSearchImprover::default().improve(&g, &start.subset);
+            let (improved, cov) = LocalSearchImprover.improve(&g, &start.subset);
             assert!(cov >= start.unique_coverage, "seed {seed}");
             assert_eq!(cov, g.unique_coverage(&improved));
         }
@@ -167,8 +158,7 @@ mod tests {
     #[test]
     fn local_optimum_has_no_improving_flip() {
         let g = random_instance(3, 10, 18, 0.35);
-        let (subset, cov) =
-            LocalSearchImprover::default().improve(&g, &VertexSet::empty(g.num_left()));
+        let (subset, cov) = LocalSearchImprover.improve(&g, &VertexSet::empty(g.num_left()));
         for u in 0..g.num_left() {
             let mut flipped = subset.clone();
             if !flipped.remove(u) {
@@ -206,8 +196,7 @@ mod tests {
     #[test]
     fn starting_from_empty_set_still_finds_something() {
         let g = random_instance(7, 8, 20, 0.25);
-        let (subset, cov) =
-            LocalSearchImprover::default().improve(&g, &VertexSet::empty(g.num_left()));
+        let (subset, cov) = LocalSearchImprover.improve(&g, &VertexSet::empty(g.num_left()));
         if g.num_edges() > 0 {
             assert!(cov > 0);
             assert!(!subset.is_empty());
@@ -226,8 +215,7 @@ mod tests {
         let cov = std::thread::spawn(|| {
             wx_trace::event_value("spokesman.trajectory_test", 0);
             let g = random_instance(5, 12, 30, 0.3);
-            let (_, cov) =
-                LocalSearchImprover::default().improve(&g, &VertexSet::empty(g.num_left()));
+            let (_, cov) = LocalSearchImprover.improve(&g, &VertexSet::empty(g.num_left()));
             cov
         })
         .join()
@@ -257,15 +245,5 @@ mod tests {
         assert_eq!(*trajectory.last().unwrap(), cov as u64);
         // the surrounding span was recorded too
         assert!(trace.phase_count("spokesman.local_search") >= 1);
-    }
-
-    #[test]
-    fn flip_budget_is_respected() {
-        let g = random_instance(9, 12, 30, 0.4);
-        let improver = LocalSearchImprover { max_flips: 1 };
-        let (_, cov_limited) = improver.improve(&g, &VertexSet::empty(g.num_left()));
-        let (_, cov_full) =
-            LocalSearchImprover::default().improve(&g, &VertexSet::empty(g.num_left()));
-        assert!(cov_full >= cov_limited);
     }
 }

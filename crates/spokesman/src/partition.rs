@@ -257,22 +257,22 @@ pub enum PartitionMode {
     Recursive,
 }
 
+/// Safety cap on recursion depth for [`PartitionMode::Recursive`]; the
+/// residual instance shrinks strictly so `log₂|N| + 1` always suffices, but
+/// the cap keeps adversarial inputs from deep recursion.
+const MAX_DEPTH: usize = 64;
+
 /// Deterministic solver built on Procedure Partition.
 #[derive(Clone, Copy, Debug)]
 pub struct PartitionSolver {
     /// Which argument (Lemma A.3 or Lemma A.13) to follow.
     pub mode: PartitionMode,
-    /// Safety cap on recursion depth for [`PartitionMode::Recursive`]; the
-    /// residual instance shrinks strictly so `log₂|N| + 1` always suffices,
-    /// but the cap keeps adversarial inputs from deep recursion.
-    pub max_depth: usize,
 }
 
 impl Default for PartitionSolver {
     fn default() -> Self {
         PartitionSolver {
             mode: PartitionMode::Recursive,
-            max_depth: 64,
         }
     }
 }
@@ -282,7 +282,6 @@ impl PartitionSolver {
     pub fn low_degree_once() -> Self {
         PartitionSolver {
             mode: PartitionMode::LowDegreeOnce,
-            max_depth: 1,
         }
     }
 
@@ -299,7 +298,7 @@ impl PartitionSolver {
         let best_cov = g.unique_coverage(&best_subset);
 
         if self.mode == PartitionMode::Recursive
-            && depth < self.max_depth
+            && depth < MAX_DEPTH
             && !outcome.n_tmp.is_empty()
             && !outcome.s_tmp.is_empty()
             // guard against non-shrinking recursion (possible only if the
@@ -566,13 +565,14 @@ mod tests {
     fn recursion_beats_or_matches_single_pass() {
         for seed in 0..10u64 {
             let g = random_instance(seed + 900, 10, 30, 0.4);
-            let single = PartitionSolver {
-                mode: PartitionMode::Recursive,
-                max_depth: 0,
-            }
-            .solve(&g, 0);
+            // the depth-0 result: one pass over every non-isolated right vertex
+            let candidates = VertexSet::from_iter(
+                g.num_right(),
+                (0..g.num_right()).filter(|&w| g.right_degree(w) > 0),
+            );
+            let single = g.unique_coverage(&procedure_partition(&g, &candidates).s_uni);
             let rec = PartitionSolver::default().solve(&g, 0);
-            assert!(rec.unique_coverage >= single.unique_coverage);
+            assert!(rec.unique_coverage >= single);
         }
     }
 

@@ -14,7 +14,7 @@
 //! rule), and then apply the Lemma 4.2 sampler to the induced instance.
 //!
 //! The solver runs both pipelines (they coincide when `β ≥ 1` up to the
-//! harmless left-restriction) over every dyadic level and several independent
+//! harmless left-restriction) over every dyadic level and eight independent
 //! trials per level, and returns the best subset found. It is the direct
 //! implementation of the paper's "extremely simple" randomized solution to
 //! the Spokesman Election problem (Section 4.2.1).
@@ -24,39 +24,19 @@ use rand::Rng;
 use wx_graph::random::{derive_seed, rng_from_seed};
 use wx_graph::{BipartiteGraph, VertexSet};
 
-/// Configuration for the randomized decay sampler.
-#[derive(Clone, Copy, Debug)]
-pub struct RandomDecaySolver {
-    /// Independent samples drawn per probability level (higher = better
-    /// coverage, linearly more work). The paper's existence argument needs
-    /// only the expectation; a handful of trials gets within noise of it.
-    pub trials_per_level: usize,
-    /// Also run the Lemma 4.3 left-restriction pipeline.
-    pub use_left_restriction: bool,
-}
+/// Independent samples drawn per dyadic probability level, by Random Decay
+/// and by [`crate::ChlamtacWeinsteinSolver`]. The paper's existence argument
+/// needs only the expectation; a handful of trials gets within noise of it.
+const TRIALS_PER_LEVEL: usize = 8;
 
-impl Default for RandomDecaySolver {
-    fn default() -> Self {
-        RandomDecaySolver {
-            trials_per_level: 8,
-            use_left_restriction: true,
-        }
-    }
-}
+/// The randomized decay sampler (Lemmas 4.2 and 4.3).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct RandomDecaySolver;
 
 impl RandomDecaySolver {
-    /// A cheaper configuration for inner loops (one trial per level, no
-    /// left-restriction pipeline).
-    pub fn fast() -> Self {
-        RandomDecaySolver {
-            trials_per_level: 1,
-            use_left_restriction: false,
-        }
-    }
-
     /// Number of dyadic levels to sweep: enough to reach sampling probability
     /// `1/(2·max_degree)`, the lowest level the proof of Lemma 4.2 ever needs.
-    fn levels_for(&self, g: &BipartiteGraph) -> u32 {
+    fn levels_for(g: &BipartiteGraph) -> u32 {
         let d = g.max_right_degree().max(1) as f64;
         (2.0 * d).log2().ceil().max(1.0) as u32
     }
@@ -91,7 +71,7 @@ impl RandomDecaySolver {
 
 /// The dyadic sampling sweep of Lemma 4.2, shared with
 /// [`crate::ChlamtacWeinsteinSolver`]: for each level `j ≤ max_level` draw
-/// `trials_per_level` samples that keep each vertex of `left_pool` (left
+/// `TRIALS_PER_LEVEL` samples that keep each vertex of `left_pool` (left
 /// vertices in ascending order) with probability `2^{-j}` (sample `t`
 /// seeded by `derive_seed(seed, j << 32 | t)`, one draw per pool vertex),
 /// and return the first sample with the best unique coverage over the
@@ -100,14 +80,13 @@ pub(crate) fn dyadic_sweep(
     g: &BipartiteGraph,
     left_pool: impl Iterator<Item = usize> + Clone,
     max_level: u32,
-    trials_per_level: usize,
     seed: u64,
 ) -> (usize, VertexSet) {
     let mut best_cov = 0usize;
     let mut best_subset = VertexSet::empty(g.num_left());
     for j in 0..=max_level {
         let p = 0.5f64.powi(j as i32);
-        for t in 0..trials_per_level {
+        for t in 0..TRIALS_PER_LEVEL {
             let mut rng = rng_from_seed(derive_seed(seed, (j as u64) << 32 | t as u64));
             let sample =
                 VertexSet::from_iter(g.num_left(), left_pool.clone().filter(|_| rng.gen_bool(p)));
@@ -135,41 +114,20 @@ impl SpokesmanSolver for RandomDecaySolver {
                 VertexSet::empty(g.num_left()),
             );
         }
-        let levels = self.levels_for(g);
+        let levels = Self::levels_for(g);
 
         // Pipeline A (Lemma 4.2): all left vertices participate.
-        let (cov_a, sub_a) = dyadic_sweep(
-            g,
-            0..g.num_left(),
-            levels,
-            self.trials_per_level,
-            derive_seed(seed, 0xA),
-        );
-
-        let (best_cov, best_sub) = if self.use_left_restriction {
-            // Pipeline B (Lemma 4.3): restrict + thin the left side first.
-            let pool = Self::left_restriction_pool(g);
-            if pool.is_empty() {
-                (cov_a, sub_a)
-            } else {
-                let (cov_b, sub_b) = dyadic_sweep(
-                    g,
-                    pool.iter(),
-                    levels,
-                    self.trials_per_level,
-                    derive_seed(seed, 0xB),
-                );
-                if cov_b > cov_a {
-                    (cov_b, sub_b)
-                } else {
-                    (cov_a, sub_a)
-                }
+        let (cov_a, sub_a) = dyadic_sweep(g, 0..g.num_left(), levels, derive_seed(seed, 0xA));
+        // Pipeline B (Lemma 4.3): restrict + thin the left side first.
+        let pool = Self::left_restriction_pool(g);
+        let mut best = sub_a;
+        if !pool.is_empty() {
+            let (cov_b, sub_b) = dyadic_sweep(g, pool.iter(), levels, derive_seed(seed, 0xB));
+            if cov_b > cov_a {
+                best = sub_b;
             }
-        } else {
-            (cov_a, sub_a)
-        };
-        let _ = best_cov;
-        SpokesmanResult::from_subset(SolverKind::RandomDecay, g, best_sub)
+        }
+        SpokesmanResult::from_subset(SolverKind::RandomDecay, g, best)
     }
 }
 
@@ -193,23 +151,23 @@ mod tests {
     #[test]
     fn star_fully_covered() {
         let g = BipartiteGraph::from_edges(1, 6, (0..6).map(|w| (0, w))).unwrap();
-        let r = RandomDecaySolver::default().solve(&g, 1);
+        let r = RandomDecaySolver.solve(&g, 1);
         assert_eq!(r.unique_coverage, 6);
     }
 
     #[test]
     fn empty_instances() {
         let g = BipartiteGraph::from_edges(0, 0, []).unwrap();
-        assert_eq!(RandomDecaySolver::default().solve(&g, 0).unique_coverage, 0);
+        assert_eq!(RandomDecaySolver.solve(&g, 0).unique_coverage, 0);
         let g = BipartiteGraph::from_edges(4, 4, []).unwrap();
-        assert_eq!(RandomDecaySolver::default().solve(&g, 0).unique_coverage, 0);
+        assert_eq!(RandomDecaySolver.solve(&g, 0).unique_coverage, 0);
     }
 
     #[test]
     fn deterministic_given_seed() {
         let g = random_instance(5, 12, 20, 0.3);
-        let a = RandomDecaySolver::default().solve(&g, 77);
-        let b = RandomDecaySolver::default().solve(&g, 77);
+        let a = RandomDecaySolver.solve(&g, 77);
+        let b = RandomDecaySolver.solve(&g, 77);
         assert_eq!(a.unique_coverage, b.unique_coverage);
         assert_eq!(a.subset.to_vec(), b.subset.to_vec());
     }
@@ -228,7 +186,7 @@ mod tests {
             let delta_n = g.num_edges() as f64 / gamma.max(1) as f64;
             let floor =
                 (gamma as f64 * (-3.0f64).exp() / (2.0 * (2.0 * delta_n).log2().max(1.0))).floor();
-            let r = RandomDecaySolver::default().solve(&g, seed);
+            let r = RandomDecaySolver.solve(&g, seed);
             assert!(
                 r.unique_coverage as f64 >= floor,
                 "seed {seed}: coverage {} below conservative floor {floor}",
@@ -253,15 +211,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_configuration_is_cheaper_but_valid() {
-        let g = random_instance(3, 10, 15, 0.3);
-        let r = RandomDecaySolver::fast().solve(&g, 3);
-        assert!(r.unique_coverage <= g.num_right());
-        assert!(r.subset.iter().all(|u| u < g.num_left()));
-    }
-
-    #[test]
     fn solver_reports_its_kind() {
-        assert_eq!(RandomDecaySolver::default().kind(), SolverKind::RandomDecay);
+        assert_eq!(RandomDecaySolver.kind(), SolverKind::RandomDecay);
     }
 }

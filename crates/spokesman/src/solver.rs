@@ -57,12 +57,12 @@ impl SolverKind {
     pub fn build(self) -> Box<dyn SpokesmanSolver + Send + Sync> {
         match self {
             SolverKind::Exact => Box::new(crate::exact::ExactSolver),
-            SolverKind::RandomDecay => Box::new(crate::random_decay::RandomDecaySolver::default()),
+            SolverKind::RandomDecay => Box::new(crate::random_decay::RandomDecaySolver),
             SolverKind::Partition => Box::new(crate::partition::PartitionSolver::default()),
             SolverKind::GreedyMinDegree => Box::new(crate::greedy::GreedyMinDegreeSolver),
-            SolverKind::DegreeClass => Box::new(crate::degree_class::DegreeClassSolver::default()),
+            SolverKind::DegreeClass => Box::new(crate::degree_class::DegreeClassSolver),
             SolverKind::ChlamtacWeinstein => {
-                Box::new(crate::chlamtac_weinstein::ChlamtacWeinsteinSolver::default())
+                Box::new(crate::chlamtac_weinstein::ChlamtacWeinsteinSolver)
             }
             SolverKind::Portfolio => Box::new(PortfolioSolver::default()),
         }
@@ -195,11 +195,11 @@ impl Default for PortfolioSolver {
     fn default() -> Self {
         PortfolioSolver {
             solvers: vec![
-                Box::new(crate::random_decay::RandomDecaySolver::default()),
+                Box::new(crate::random_decay::RandomDecaySolver),
                 Box::new(crate::partition::PartitionSolver::default()),
                 Box::new(crate::greedy::GreedyMinDegreeSolver),
-                Box::new(crate::degree_class::DegreeClassSolver::default()),
-                Box::new(crate::chlamtac_weinstein::ChlamtacWeinsteinSolver::default()),
+                Box::new(crate::degree_class::DegreeClassSolver),
+                Box::new(crate::chlamtac_weinstein::ChlamtacWeinsteinSolver),
                 // single-start polish: the portfolio already runs partition
                 // and decay directly, so re-running them as local-search
                 // starts (the multi-start default) would double their cost
@@ -212,11 +212,6 @@ impl Default for PortfolioSolver {
 }
 
 impl PortfolioSolver {
-    /// A portfolio with an explicit solver list.
-    pub fn new(solvers: Vec<Box<dyn SpokesmanSolver + Send + Sync>>) -> Self {
-        PortfolioSolver { solvers }
-    }
-
     /// A cheap portfolio (greedy + partition only) for inner loops where the
     /// randomized solvers would dominate runtime.
     pub fn fast() -> Self {

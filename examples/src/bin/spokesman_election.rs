@@ -22,14 +22,11 @@ fn solve_all(name: &str, g: &BipartiteGraph, seed: u64, rows: &mut Vec<TableRow>
         0.0
     };
     let solvers: Vec<(&str, Box<dyn SpokesmanSolver>)> = vec![
-        ("random-decay", Box::new(RandomDecaySolver::default())),
+        ("random-decay", Box::new(RandomDecaySolver)),
         ("partition", Box::new(PartitionSolver::default())),
         ("greedy", Box::new(GreedyMinDegreeSolver)),
-        ("degree-class", Box::new(DegreeClassSolver::default())),
-        (
-            "chlamtac-weinstein",
-            Box::new(ChlamtacWeinsteinSolver::default()),
-        ),
+        ("degree-class", Box::new(DegreeClassSolver)),
+        ("chlamtac-weinstein", Box::new(ChlamtacWeinsteinSolver)),
     ];
     for (label, solver) in solvers {
         let r = solver.solve(g, seed);

@@ -41,10 +41,10 @@ fn collision_free_protocols_complete_everywhere() {
         for (pname, mut proto) in [
             (
                 "round-robin",
-                Box::new(RoundRobin::default()) as Box<dyn BroadcastProtocol>,
+                Box::new(RoundRobin) as Box<dyn BroadcastProtocol>,
             ),
-            ("decay", Box::new(DecayProtocol::default())),
-            ("spokesman", Box::new(SpokesmanBroadcast::default())),
+            ("decay", Box::new(DecayProtocol)),
+            ("spokesman", Box::new(SpokesmanBroadcast)),
         ] {
             let outcome = run(&g, 0, proto.as_mut(), 3);
             assert!(
@@ -62,7 +62,7 @@ fn informed_counts_never_exceed_reachable() {
     let g = wx_constructions::families::random_regular_graph(64, 4, 9).unwrap();
     let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
     for seed in 0..3 {
-        let o = sim.run(&mut DecayProtocol::default(), seed);
+        let o = sim.run(&mut DecayProtocol, seed);
         assert!(o.informed_per_round.iter().all(|&c| c <= o.reachable));
         // first-informed rounds are consistent with the coverage curve
         let informed_from_rounds = o
@@ -85,9 +85,9 @@ fn corollary_5_1_per_round_coverage_on_the_first_stage() {
     for (label, mut proto) in [
         (
             "spokesman",
-            Box::new(SpokesmanBroadcast::thorough()) as Box<dyn BroadcastProtocol>,
+            Box::new(SpokesmanBroadcast) as Box<dyn BroadcastProtocol>,
         ),
-        ("decay", Box::new(DecayProtocol::default())),
+        ("decay", Box::new(DecayProtocol)),
         ("naive", Box::new(NaiveFlooding)),
     ] {
         let outcome = sim.run(proto.as_mut(), 7);

@@ -13,12 +13,12 @@ use wx_spokesman::{
 
 fn solvers() -> Vec<Box<dyn SpokesmanSolver>> {
     vec![
-        Box::new(RandomDecaySolver::default()),
+        Box::new(RandomDecaySolver),
         Box::new(PartitionSolver::default()),
         Box::new(PartitionSolver::low_degree_once()),
         Box::new(GreedyMinDegreeSolver),
-        Box::new(DegreeClassSolver::default()),
-        Box::new(ChlamtacWeinsteinSolver::default()),
+        Box::new(DegreeClassSolver),
+        Box::new(ChlamtacWeinsteinSolver),
         Box::new(PortfolioSolver::default()),
     ]
 }
@@ -117,7 +117,7 @@ fn deterministic_guarantees_hold_on_structured_instances() {
             "{name}: single-pass partition below Lemma A.3"
         );
 
-        let cw = ChlamtacWeinsteinSolver::default().solve(&g, 1);
+        let cw = ChlamtacWeinsteinSolver.solve(&g, 1);
         assert!(
             cw.unique_coverage as f64 >= ChlamtacWeinsteinSolver::guarantee(&g).floor() * 0.99,
             "{name}: baseline below |N|/log|S|"
@@ -135,9 +135,7 @@ fn paper_solvers_dominate_the_baseline_on_low_degree_wide_instances() {
         let g =
             wx_constructions::families::random_left_regular_bipartite(200, 400, 2, seed).unwrap();
         let portfolio = PortfolioSolver::default().solve(&g, seed).unique_coverage;
-        let baseline = ChlamtacWeinsteinSolver::default()
-            .solve(&g, seed)
-            .unique_coverage;
+        let baseline = ChlamtacWeinsteinSolver.solve(&g, seed).unique_coverage;
         // Both solvers are randomized (and the portfolio re-seeds its members
         // internally), so allow a small noise margin rather than demanding
         // strict dominance on every seed.
