@@ -34,7 +34,7 @@ pub use wx_radio::{
         decay::DecayProtocol, naive::NaiveFlooding, round_robin::RoundRobin,
         spokesman::SpokesmanBroadcast,
     },
-    BroadcastOutcome, BroadcastProtocol, RadioSimulator, SimulatorConfig,
+    BroadcastProtocol, RadioSimulator, SimulatorConfig,
 };
 
 #[cfg(test)]

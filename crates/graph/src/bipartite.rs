@@ -309,14 +309,6 @@ impl BipartiteBuilder {
         Ok(())
     }
 
-    /// Connects left vertex `u` to every right vertex in `ws`.
-    pub fn add_left_star(&mut self, u: Vertex, ws: impl IntoIterator<Item = Vertex>) -> Result<()> {
-        for w in ws {
-            self.add_edge(u, w)?;
-        }
-        Ok(())
-    }
-
     /// Finalizes into an immutable [`BipartiteGraph`].
     pub fn build(mut self) -> BipartiteGraph {
         let mut right_adj: Vec<Vec<Vertex>> = vec![Vec::new(); self.num_right];

@@ -1,12 +1,9 @@
 //! Error types for the graph substrate.
 
-use thiserror::Error;
-
 /// Errors produced by graph construction and graph queries.
-#[derive(Debug, Error, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphError {
     /// A vertex index was outside the range `0..n`.
-    #[error("vertex {vertex} out of range for graph with {n} vertices")]
     VertexOutOfRange {
         /// The offending vertex index.
         vertex: usize,
@@ -15,26 +12,21 @@ pub enum GraphError {
     },
 
     /// A self-loop was supplied where the construction forbids it.
-    #[error("self-loop on vertex {0} is not allowed here")]
     SelfLoop(usize),
 
     /// A parameter combination was invalid (message explains the constraint).
-    #[error("invalid parameter: {0}")]
     InvalidParameter(String),
 
     /// A construction that requires a particular structural property
     /// (e.g. bipartiteness, regularity) was given a graph without it.
-    #[error("structural requirement violated: {0}")]
     StructureViolation(String),
 
     /// A randomized construction failed to converge within its retry budget.
-    #[error("randomized construction did not converge: {0}")]
     DidNotConverge(String),
 
     /// A graph file could not be parsed. `line` is the 1-based line number
     /// of the offending input line (0 for whole-file defects such as a
     /// missing header or a truncated edge section).
-    #[error("parse error at line {line}: {msg}")]
     Parse {
         /// 1-based line number (0 when no single line is at fault).
         line: usize,
@@ -45,7 +37,6 @@ pub enum GraphError {
     /// A binary `.wxg` graph file was rejected by the on-open validation.
     /// `defect` classifies the corruption so callers (and tests) can match
     /// on the failure mode without parsing the message.
-    #[error("invalid .wxg file ({defect}): {msg}")]
     Format {
         /// Which validation step rejected the file.
         defect: WxgDefect,
@@ -55,7 +46,6 @@ pub enum GraphError {
 
     /// An underlying filesystem operation failed (message includes the
     /// path and the OS error).
-    #[error("I/O error: {0}")]
     Io(String),
 }
 
@@ -89,6 +79,32 @@ impl std::fmt::Display for WxgDefect {
     }
 }
 
+impl std::fmt::Display for GraphError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GraphError::VertexOutOfRange { vertex, n } => {
+                write!(
+                    f,
+                    "vertex {vertex} out of range for graph with {n} vertices"
+                )
+            }
+            GraphError::SelfLoop(v) => write!(f, "self-loop on vertex {v} is not allowed here"),
+            GraphError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
+            GraphError::StructureViolation(msg) => {
+                write!(f, "structural requirement violated: {msg}")
+            }
+            GraphError::DidNotConverge(msg) => {
+                write!(f, "randomized construction did not converge: {msg}")
+            }
+            GraphError::Parse { line, msg } => write!(f, "parse error at line {line}: {msg}"),
+            GraphError::Format { defect, msg } => write!(f, "invalid .wxg file ({defect}): {msg}"),
+            GraphError::Io(msg) => write!(f, "I/O error: {msg}"),
+        }
+    }
+}
+
+impl std::error::Error for GraphError {}
+
 impl From<std::io::Error> for GraphError {
     fn from(e: std::io::Error) -> Self {
         GraphError::Io(e.to_string())
@@ -114,35 +130,50 @@ mod tests {
 
     #[test]
     fn display_messages_are_informative() {
-        let e = GraphError::VertexOutOfRange { vertex: 7, n: 3 };
-        assert!(e.to_string().contains('7'));
-        assert!(e.to_string().contains('3'));
-
-        let e = GraphError::SelfLoop(2);
-        assert!(e.to_string().contains('2'));
-
-        let e = GraphError::invalid("beta must be positive");
-        assert!(e.to_string().contains("beta"));
-
-        let e = GraphError::structure("graph must be d-regular");
-        assert!(e.to_string().contains("regular"));
-
-        let e = GraphError::Parse {
-            line: 12,
-            msg: "expected two integers".to_string(),
-        };
-        assert!(e.to_string().contains("line 12"));
-
-        let e: GraphError = std::io::Error::new(std::io::ErrorKind::NotFound, "nope").into();
-        assert!(matches!(e, GraphError::Io(_)));
-        assert!(e.to_string().contains("nope"));
-
-        let e = GraphError::Format {
-            defect: WxgDefect::ChecksumMismatch,
-            msg: "expected 1 got 2".to_string(),
-        };
-        assert!(e.to_string().contains("checksum mismatch"));
-        assert!(e.to_string().contains("expected 1 got 2"));
+        // These messages reach CLI stderr and serve error envelopes, so each
+        // variant's text is pinned exactly.
+        let io: GraphError = std::io::Error::new(std::io::ErrorKind::NotFound, "nope").into();
+        assert!(matches!(io, GraphError::Io(_)));
+        let cases = [
+            (
+                GraphError::VertexOutOfRange { vertex: 7, n: 3 },
+                "vertex 7 out of range for graph with 3 vertices",
+            ),
+            (
+                GraphError::SelfLoop(2),
+                "self-loop on vertex 2 is not allowed here",
+            ),
+            (
+                GraphError::invalid("beta must be positive"),
+                "invalid parameter: beta must be positive",
+            ),
+            (
+                GraphError::structure("graph must be d-regular"),
+                "structural requirement violated: graph must be d-regular",
+            ),
+            (
+                GraphError::DidNotConverge("100 attempts".to_string()),
+                "randomized construction did not converge: 100 attempts",
+            ),
+            (
+                GraphError::Parse {
+                    line: 12,
+                    msg: "expected two integers".to_string(),
+                },
+                "parse error at line 12: expected two integers",
+            ),
+            (
+                GraphError::Format {
+                    defect: WxgDefect::ChecksumMismatch,
+                    msg: "expected 1 got 2".to_string(),
+                },
+                "invalid .wxg file (checksum mismatch): expected 1 got 2",
+            ),
+            (io, "I/O error: nope"),
+        ];
+        for (error, message) in cases {
+            assert_eq!(error.to_string(), message);
+        }
     }
 
     #[test]

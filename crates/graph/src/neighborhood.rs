@@ -40,21 +40,9 @@ pub fn external_neighborhood<G: GraphView + ?Sized>(g: &G, s: &VertexSet) -> Ver
     with_thread_scratch(g.num_vertices(), |scr| scr.external_neighborhood(g, s))
 }
 
-/// `|Γ⁻(S)|` without materializing the set.
-pub fn external_neighborhood_size<G: GraphView + ?Sized>(g: &G, s: &VertexSet) -> usize {
-    with_thread_scratch(g.num_vertices(), |scr| {
-        scr.count_external_neighborhood(g, s)
-    })
-}
-
 /// `Γ¹(S)`: vertices outside `S` adjacent to exactly one vertex of `S`.
 pub fn unique_neighborhood<G: GraphView + ?Sized>(g: &G, s: &VertexSet) -> VertexSet {
     with_thread_scratch(g.num_vertices(), |scr| scr.unique_neighborhood(g, s))
-}
-
-/// `|Γ¹(S)|` without materializing the set.
-pub fn unique_neighborhood_size<G: GraphView + ?Sized>(g: &G, s: &VertexSet) -> usize {
-    with_thread_scratch(g.num_vertices(), |scr| scr.count_unique_neighborhood(g, s))
 }
 
 /// `Γ_S(S')`: vertices outside `S` adjacent to at least one vertex of `S'`.

@@ -1,22 +1,18 @@
 //! Error type for the scenario lab.
 
-use thiserror::Error;
 use wx_core::graph::GraphError;
 
 /// Everything that can go wrong between a scenario file and its report.
-#[derive(Debug, Error, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LabError {
     /// Building or loading a graph failed.
-    #[error("graph error: {0}")]
     Graph(GraphError),
 
     /// The scenario itself is inconsistent (e.g. a set size larger than the
     /// graph, zero trials, an unknown built-in name).
-    #[error("invalid scenario: {0}")]
     InvalidSpec(String),
 
     /// A JSON document failed to parse or deserialize.
-    #[error("JSON error in {context}: {message}")]
     Json {
         /// What was being parsed (a file path or "inline spec").
         context: String,
@@ -25,9 +21,21 @@ pub enum LabError {
     },
 
     /// A filesystem operation failed.
-    #[error("I/O error: {0}")]
     Io(String),
 }
+
+impl std::fmt::Display for LabError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LabError::Graph(e) => write!(f, "graph error: {e}"),
+            LabError::InvalidSpec(msg) => write!(f, "invalid scenario: {msg}"),
+            LabError::Json { context, message } => write!(f, "JSON error in {context}: {message}"),
+            LabError::Io(msg) => write!(f, "I/O error: {msg}"),
+        }
+    }
+}
+
+impl std::error::Error for LabError {}
 
 impl From<GraphError> for LabError {
     fn from(e: GraphError) -> Self {
@@ -65,13 +73,28 @@ mod tests {
 
     #[test]
     fn messages_are_informative() {
-        let e: LabError = GraphError::SelfLoop(3).into();
-        assert!(e.to_string().contains('3'));
-        let e = LabError::invalid("trials must be positive");
-        assert!(e.to_string().contains("trials"));
-        let e = LabError::json("scenario.json", "expected map");
-        assert!(e.to_string().contains("scenario.json"));
-        let e: LabError = std::io::Error::new(std::io::ErrorKind::NotFound, "gone").into();
-        assert!(e.to_string().contains("gone"));
+        // These messages reach CLI stderr and serve error envelopes, so each
+        // variant's text is pinned exactly.
+        let cases = [
+            (
+                GraphError::SelfLoop(3).into(),
+                "graph error: self-loop on vertex 3 is not allowed here",
+            ),
+            (
+                LabError::invalid("trials must be positive"),
+                "invalid scenario: trials must be positive",
+            ),
+            (
+                LabError::json("scenario.json", "expected map"),
+                "JSON error in scenario.json: expected map",
+            ),
+            (
+                std::io::Error::new(std::io::ErrorKind::NotFound, "gone").into(),
+                "I/O error: gone",
+            ),
+        ];
+        for (error, message) in cases {
+            assert_eq!(error.to_string(), message);
+        }
     }
 }

@@ -118,8 +118,8 @@ pub struct ScenarioReport {
     /// collected whether or not tracing is enabled, so this section is
     /// byte-identical across thread counts and with `--trace` on or off.
     pub telemetry: BTreeMap<String, u64>,
-    /// The first raw per-trial records (in trial order), up to the runner's
-    /// [`Runner::keep_per_trial`] cap.
+    /// The first raw per-trial records (in trial order), up to
+    /// [`DEFAULT_PER_TRIAL_CAP`] of them.
     pub per_trial: Vec<TrialRecord>,
     /// `true` if more trials ran than `per_trial` retains (the aggregates in
     /// `metrics` always cover every trial).
@@ -162,8 +162,9 @@ impl ScenarioReport {
     }
 }
 
-/// Default number of raw per-trial records a report retains
-/// (see [`Runner::keep_per_trial`]).
+/// Number of raw per-trial records a report retains. Aggregated metrics
+/// always cover every trial; the cap only bounds the verbatim `per_trial`
+/// echo so reports for million-trial runs stay small.
 pub const DEFAULT_PER_TRIAL_CAP: usize = 1024;
 
 /// Number of trials executed per parallel batch. Trials stream into the
@@ -175,7 +176,6 @@ const TRIAL_CHUNK: usize = 256;
 #[derive(Clone, Copy, Debug)]
 pub struct Runner {
     parallel: bool,
-    per_trial_cap: usize,
 }
 
 impl Default for Runner {
@@ -187,25 +187,13 @@ impl Default for Runner {
 impl Runner {
     /// A runner with rayon-parallel trial execution (the default).
     pub fn new() -> Runner {
-        Runner {
-            parallel: true,
-            per_trial_cap: DEFAULT_PER_TRIAL_CAP,
-        }
+        Runner { parallel: true }
     }
 
     /// Disables parallel trial execution (useful for debugging; results are
     /// identical either way).
     pub fn sequential(mut self) -> Runner {
         self.parallel = false;
-        self
-    }
-
-    /// Caps how many raw per-trial records the report keeps (default
-    /// [`DEFAULT_PER_TRIAL_CAP`]). Aggregated metrics always cover every
-    /// trial; the cap only bounds the verbatim `per_trial` echo so reports
-    /// for million-trial runs stay small.
-    pub fn keep_per_trial(mut self, cap: usize) -> Runner {
-        self.per_trial_cap = cap;
         self
     }
 
@@ -306,7 +294,7 @@ impl Runner {
                             }
                         }
                     }
-                    if per_trial.len() < self.per_trial_cap {
+                    if per_trial.len() < DEFAULT_PER_TRIAL_CAP {
                         per_trial.push(record);
                     } else {
                         per_trial_truncated = true;
@@ -1077,19 +1065,34 @@ mod tests {
 
     #[test]
     fn per_trial_records_are_capped_but_aggregates_cover_every_trial() {
-        let spec = measure_spec(6);
-        let capped = Runner::new().keep_per_trial(2).run(&spec).unwrap();
-        assert_eq!(capped.trials, 6);
-        assert_eq!(capped.per_trial.len(), 2);
+        // one trial past the cap, on a shared 16-vertex graph the lane
+        // engine runs in 17 batches
+        let trials = DEFAULT_PER_TRIAL_CAP + 1;
+        let spec = ScenarioSpec {
+            name: "radio-capped".to_string(),
+            description: String::new(),
+            source: GraphSource::Hypercube { dim: 4 },
+            task: Task::Radio {
+                protocol: ProtocolKind::Decay,
+                source_vertex: None,
+                max_rounds: None,
+            },
+            trials,
+            seed: 3,
+        };
+        let capped = Runner::new().run(&spec).unwrap();
+        assert_eq!(capped.trials, trials);
+        assert_eq!(capped.per_trial.len(), DEFAULT_PER_TRIAL_CAP);
         assert!(capped.per_trial_truncated);
-        assert_eq!(capped.metrics["value"].count, 6);
+        assert_eq!(capped.metrics["reachable"].count, trials);
         // records kept are the first ones, in trial order
-        assert_eq!(capped.per_trial[0].trial, 0);
-        assert_eq!(capped.per_trial[1].trial, 1);
-        // an uncapped run agrees on every aggregate
-        let full = Runner::new().run(&spec).unwrap();
+        for (i, record) in capped.per_trial.iter().enumerate() {
+            assert_eq!(record.trial, i);
+        }
+        // a run within the cap keeps every record
+        let full = Runner::new().run(&measure_spec(6)).unwrap();
         assert!(!full.per_trial_truncated);
-        assert_eq!(full.metrics, capped.metrics);
+        assert_eq!(full.per_trial.len(), 6);
     }
 
     #[test]

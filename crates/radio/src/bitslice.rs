@@ -40,14 +40,16 @@
 //! Bernoulli decisions in bulk from its own stream
 //! (`fill_masked_decision_bits` on the workspace RNG — stream-identical to
 //! per-vertex `gen_bool`). Deterministic protocols ride along for free:
-//! [`LaneMirror`] runs the scalar protocol once per round on a mirrored
-//! scalar state and broadcasts the transmitter mask to every live lane.
+//! [`LaneMirror`] advances a scalar [`TrialWorkspace`] by its one round step
+//! per lane round and broadcasts that round's transmitters to every live
+//! lane.
 
 use crate::protocols::BroadcastProtocol;
-use crate::simulator::{RadioSimulator, RoundView, TrialOutcome};
+use crate::simulator::{RadioSimulator, TrialOutcome};
+use crate::workspace::TrialWorkspace;
 use std::cell::RefCell;
 use wx_graph::random::{rng_from_seed, WxRng};
-use wx_graph::{Graph, GraphView, NeighborhoodScratch, Vertex, VertexSet};
+use wx_graph::{Graph, GraphView, Vertex};
 
 /// Maximum number of trials per bit-sliced batch (the lanes of a `u64`).
 pub const MAX_LANES: usize = 64;
@@ -101,7 +103,7 @@ impl<G: GraphView + ?Sized, P: LaneProtocol<G> + ?Sized> LaneProtocol<G> for Box
 
 /// Reusable lane-major state for one bit-sliced batch of up to 64 trials.
 ///
-/// Like [`crate::TrialWorkspace`], a lane workspace is tied to no particular
+/// Like [`TrialWorkspace`], a lane workspace is tied to no particular
 /// graph — [`run_lanes_in`] grows it on demand, so one workspace serves
 /// batch after batch without reallocating. After a run it retains every
 /// per-lane trajectory (per-round informed counts, per-vertex first-informed
@@ -242,18 +244,19 @@ impl LaneWorkspace {
     }
 
     /// The number of rounds lane `lane` needed to inform at least `fraction`
-    /// of `reachable` vertices (mirrors
-    /// [`crate::TrialWorkspace::rounds_to_reach_fraction`]).
+    /// of `reachable` vertices, or `None` if that never happened (the
+    /// definition [`TrialWorkspace::rounds_to_reach_fraction`] uses).
     pub fn lane_rounds_to_reach_fraction(
         &self,
         lane: usize,
         fraction: f64,
         reachable: usize,
     ) -> Option<usize> {
-        let target = (fraction * reachable as f64).ceil() as usize;
-        self.informed_per_round[lane]
-            .iter()
-            .position(|&c| c >= target)
+        crate::metrics::rounds_to_reach_fraction(
+            &self.informed_per_round[lane],
+            fraction,
+            reachable,
+        )
     }
 }
 
@@ -546,26 +549,23 @@ impl<G: GraphView + ?Sized> LaneProtocol<G> for LaneDecay {
     }
 }
 
-/// Adapts any scalar [`BroadcastProtocol`] to the lane engine by mirroring
-/// the scalar simulation state.
+/// Adapts any scalar [`BroadcastProtocol`] to the lane engine by running
+/// the scalar simulation alongside it.
 ///
 /// Deterministic protocols (flooding, round-robin, the spokesman schedule)
-/// produce the same trajectory in every lane, so the adapter runs the scalar
-/// protocol **once** per round against a mirrored informed/newly-informed
-/// state and broadcasts the resulting transmitter mask to all live lanes —
-/// 64 trials for the price of one scalar round plus O(words) broadcasting.
-/// Do not use it for randomized protocols: all lanes would replay one stream
-/// instead of running independent trials (use a native [`LaneProtocol`] like
-/// [`LaneDecay`] instead).
+/// produce the same trajectory in every lane, so the adapter advances one
+/// scalar [`TrialWorkspace`] by its round step (the same step
+/// [`RadioSimulator::run_in`] loops) once per lane round and broadcasts that
+/// round's transmitters to all live lanes — 64 trials for the price of one
+/// scalar round plus O(words) broadcasting. Its rng is seeded from lane 0,
+/// so a 1-lane batch reproduces `run_in` for any protocol. Do not use it for
+/// randomized protocols in wider batches: all lanes would replay lane 0's
+/// stream instead of running independent trials (use a native
+/// [`LaneProtocol`] like [`LaneDecay`] instead).
 pub struct LaneMirror<P> {
     inner: P,
-    informed: VertexSet,
-    newly: VertexSet,
-    fresh: VertexSet,
-    transmitters: VertexSet,
-    scratch: NeighborhoodScratch,
+    ws: TrialWorkspace,
     rng: WxRng,
-    source: Vertex,
 }
 
 impl<P> LaneMirror<P> {
@@ -573,13 +573,8 @@ impl<P> LaneMirror<P> {
     pub fn new(inner: P) -> Self {
         LaneMirror {
             inner,
-            informed: VertexSet::empty(0),
-            newly: VertexSet::empty(0),
-            fresh: VertexSet::empty(0),
-            transmitters: VertexSet::empty(0),
-            scratch: NeighborhoodScratch::new(0),
+            ws: TrialWorkspace::new(0),
             rng: rng_from_seed(0),
-            source: 0,
         }
     }
 }
@@ -590,60 +585,28 @@ impl<G: GraphView + ?Sized, P: BroadcastProtocol<G>> LaneProtocol<G> for LaneMir
     }
 
     fn reset(&mut self, graph: &G, source: Vertex, seeds: &[u64]) {
-        let n = graph.num_vertices();
-        self.source = source;
-        if self.informed.universe() != n {
-            self.informed = VertexSet::empty(n);
-            self.newly = VertexSet::empty(n);
-            self.fresh = VertexSet::empty(n);
-            self.transmitters = VertexSet::empty(n);
-        } else {
-            self.informed.clear();
-            self.newly.clear();
-            self.fresh.clear();
-            self.transmitters.clear();
-        }
-        self.informed.insert(source);
-        self.newly.insert(source);
-        // Deterministic protocols ignore the RNG; seed from lane 0 so even a
-        // (misused) randomized inner protocol stays reproducible.
         self.rng = rng_from_seed(seeds[0]);
+        self.ws.reset(graph.num_vertices(), source);
         self.inner.reset(graph, source);
     }
 
     fn fill_transmitters(&mut self, view: &LaneView<'_, G>, transmit: &mut [u64]) {
         // Last round's transmitters stop transmitting…
-        for v in self.transmitters.iter() {
+        for v in self.ws.transmitters.iter() {
             transmit[v] = 0;
         }
-        // …one scalar protocol invocation against the mirrored state…
-        self.transmitters.clear();
-        let rv = RoundView {
-            graph: view.graph,
-            round: view.round,
-            source: self.source,
-            informed: &self.informed,
-            newly_informed: &self.newly,
-        };
-        self.inner
-            .transmitters_into(&rv, &mut self.rng, &mut self.transmitters);
-
-        // …broadcast to every live lane…
-        for v in self.transmitters.iter() {
+        // …the scalar round picks this round's and advances the mirror…
+        self.ws.step(
+            view.graph,
+            view.source,
+            view.round,
+            &mut self.inner,
+            &mut self.rng,
+        );
+        // …and every live lane transmits from the same vertices.
+        for v in self.ws.transmitters.iter() {
             transmit[v] = view.live;
         }
-
-        // …and advance the mirror one round (the scalar engine's update).
-        let receivers = self
-            .scratch
-            .unique_neighborhood_sorted(view.graph, &self.transmitters);
-        self.fresh.clear();
-        for &v in receivers {
-            if self.informed.insert(v) {
-                self.fresh.insert(v);
-            }
-        }
-        std::mem::swap(&mut self.newly, &mut self.fresh);
     }
 }
 
@@ -767,6 +730,23 @@ mod tests {
         run_lanes_in(&sim, &mut rr, &seeds, &mut ws);
         for (lane, &seed) in seeds.iter().enumerate() {
             assert_lane_matches_scalar(&sim, &ws, lane, seed, RoundRobin);
+        }
+    }
+
+    #[test]
+    fn one_lane_mirror_of_a_randomized_protocol_matches_run_in() {
+        // A 1-lane mirror runs the scalar round step under lane 0's seed, so
+        // even a randomized protocol must reproduce `run_in` exactly: same
+        // rng seeding, same draw order, same trajectory.
+        for graph_seed in [1u64, 2, 3] {
+            let g = wx_constructions::families::random_regular_graph(72, 4, graph_seed).unwrap();
+            let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
+            let mut ws = LaneWorkspace::new(0);
+            for t in 0..4 {
+                let seed = derive_seed(graph_seed, t);
+                run_lanes_in(&sim, &mut LaneMirror::new(DecayProtocol), &[seed], &mut ws);
+                assert_lane_matches_scalar(&sim, &ws, 0, seed, DecayProtocol);
+            }
         }
     }
 

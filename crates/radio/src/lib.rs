@@ -27,7 +27,13 @@
 //! [`RadioSimulator::run_in`] simulates one trial in a [`TrialWorkspace`]
 //! ([`workspace`]), which owns every n-sized buffer a trial needs and is
 //! reset in time proportional to the previous trial's work;
-//! [`with_thread_workspace`] keeps one per thread. The scalar engine is the
+//! [`with_thread_workspace`] keeps one per thread. A trial's record is the
+//! constant-size [`TrialOutcome`] `run_in` returns plus the trajectory the
+//! workspace keeps ([`TrialWorkspace::informed_per_round`],
+//! [`TrialWorkspace::first_informed_round`]). Each round is one workspace
+//! step — transmitters, `Γ¹` receivers, informed update — the only scalar
+//! round in the crate: `run_in` loops it, and [`LaneMirror`] calls it to
+//! run a scalar protocol inside the lane engine. The scalar engine is the
 //! reference the lane engine is tested against bit for bit.
 //!
 //! # The bit-sliced lane engine
@@ -46,9 +52,13 @@
 //! natively with one RNG stream per lane ([`LaneDecay`] draws its
 //! transmission coins through a transpose-to-lane-major bulk path);
 //! deterministic protocols wrap their scalar form in [`LaneMirror`], which
-//! runs the protocol once per round and broadcasts the transmitter mask to
-//! all live lanes. Lanes retire individually on completion, so a batch
-//! costs rounds proportional to its slowest lane, not 64× the mean.
+//! advances one scalar workspace by the scalar round step per lane round
+//! and broadcasts its transmitters to all live lanes (seeded from lane 0, so
+//! a 1-lane mirror reproduces `run_in` even for a randomized protocol).
+//! A lane's record is [`LaneWorkspace::lane_outcome`] (the same
+//! [`TrialOutcome`]) plus the workspace's per-lane trajectory accessors.
+//! Lanes retire individually on completion, so a batch costs rounds
+//! proportional to its slowest lane, not 64× the mean.
 //!
 //! **Tradeoffs.** Bit-slicing pays off most when trials on one shared
 //! graph are plentiful (Monte-Carlo ensembles), but a 1-lane batch is
@@ -68,7 +78,7 @@
 
 pub mod bitslice;
 pub mod lower_bound;
-pub mod metrics;
+mod metrics;
 pub mod protocols;
 pub mod simulator;
 pub mod workspace;
@@ -77,7 +87,6 @@ pub use bitslice::{
     run_lanes, run_lanes_in, with_thread_lane_workspace, LaneDecay, LaneMirror, LaneProtocol,
     LaneView, LaneWorkspace, MAX_LANES,
 };
-pub use metrics::BroadcastOutcome;
 pub use protocols::{BroadcastProtocol, ProtocolKind};
 pub use simulator::{reachable_from, RadioSimulator, RoundView, SimulatorConfig, TrialOutcome};
 pub use workspace::{with_thread_workspace, TrialWorkspace};

@@ -86,7 +86,7 @@ impl ProtocolKind {
     /// [`crate::bitslice`]: decay runs natively over lanes
     /// ([`crate::bitslice::LaneDecay`], per-lane RNG streams bit-exact
     /// against the scalar protocol); the deterministic protocols are wrapped
-    /// in [`crate::bitslice::LaneMirror`], which runs the scalar protocol
+    /// in [`crate::bitslice::LaneMirror`], which runs the scalar round step
     /// once per round and broadcasts the transmitter mask to every lane.
     pub fn build_lanes<'g, G: GraphView + ?Sized + 'g>(
         self,
@@ -126,15 +126,6 @@ pub trait BroadcastProtocol<G: GraphView + ?Sized = Graph> {
     /// [`crate::TrialWorkspace`] for every round of every trial, so the
     /// classical protocols allocate nothing per round.
     fn transmitters_into(&mut self, view: &RoundView<'_, G>, rng: &mut WxRng, out: &mut VertexSet);
-
-    /// Allocating convenience wrapper over
-    /// [`BroadcastProtocol::transmitters_into`] (used by tests and one-off
-    /// callers; the simulator's hot loop uses the buffer-filling form).
-    fn transmitters(&mut self, view: &RoundView<'_, G>, rng: &mut WxRng) -> VertexSet {
-        let mut out = VertexSet::empty(view.graph.num_vertices());
-        self.transmitters_into(view, rng, &mut out);
-        out
-    }
 }
 
 // A boxed protocol is a protocol, so by-name factories ([`ProtocolKind::build`])
@@ -148,9 +139,6 @@ impl<G: GraphView + ?Sized, P: BroadcastProtocol<G> + ?Sized> BroadcastProtocol<
     }
     fn transmitters_into(&mut self, view: &RoundView<'_, G>, rng: &mut WxRng, out: &mut VertexSet) {
         (**self).transmitters_into(view, rng, out);
-    }
-    fn transmitters(&mut self, view: &RoundView<'_, G>, rng: &mut WxRng) -> VertexSet {
-        (**self).transmitters(view, rng)
     }
 }
 
@@ -172,6 +160,7 @@ pub fn useful_transmitters<G: GraphView + ?Sized>(view: &RoundView<'_, G>) -> Ve
 mod tests {
     use super::*;
     use crate::simulator::{RadioSimulator, SimulatorConfig};
+    use crate::workspace::TrialWorkspace;
 
     #[test]
     fn useful_transmitters_excludes_interior_vertices() {
@@ -193,9 +182,10 @@ mod tests {
     fn all_protocols_complete_on_a_small_tree() {
         let g = wx_constructions::families::complete_k_ary_tree(2, 4).unwrap();
         let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
+        let mut ws = TrialWorkspace::new(0);
         for kind in ProtocolKind::ALL {
             let mut p = kind.build();
-            let outcome = sim.run(&mut p, 42);
+            let outcome = sim.run_in(&mut p, 42, &mut ws);
             assert!(
                 outcome.completed_at.is_some(),
                 "{} did not complete on the binary tree",

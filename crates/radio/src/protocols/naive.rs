@@ -32,6 +32,7 @@ impl<G: GraphView + ?Sized> BroadcastProtocol<G> for NaiveFlooding {
 mod tests {
     use super::*;
     use crate::simulator::{RadioSimulator, SimulatorConfig};
+    use crate::workspace::TrialWorkspace;
     use wx_graph::Graph;
 
     #[test]
@@ -47,10 +48,9 @@ mod tests {
             newly_informed: &newly,
         };
         let mut rng = wx_graph::random::rng_from_seed(0);
-        assert_eq!(
-            NaiveFlooding.transmitters(&view, &mut rng).to_vec(),
-            vec![0, 1]
-        );
+        let mut t = VertexSet::empty(4);
+        NaiveFlooding.transmitters_into(&view, &mut rng, &mut t);
+        assert_eq!(t.to_vec(), vec![0, 1]);
     }
 
     #[test]
@@ -58,7 +58,11 @@ mod tests {
         // star: the center is the source; all leaves get the message round 1.
         let star = Graph::from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)]).unwrap();
         let sim = RadioSimulator::new(&star, 0, SimulatorConfig::default());
-        assert_eq!(sim.run(&mut NaiveFlooding, 0).completed_at, Some(1));
+        let mut ws = TrialWorkspace::new(0);
+        assert_eq!(
+            sim.run_in(&mut NaiveFlooding, 0, &mut ws).completed_at,
+            Some(1)
+        );
 
         // two centers adjacent to the same leaves: starting from an extra
         // vertex attached to both centers, the leaves always hear collisions.
@@ -76,6 +80,9 @@ mod tests {
                 stop_when_complete: true,
             },
         );
-        assert_eq!(sim.run(&mut NaiveFlooding, 0).completed_at, None);
+        assert_eq!(
+            sim.run_in(&mut NaiveFlooding, 0, &mut ws).completed_at,
+            None
+        );
     }
 }

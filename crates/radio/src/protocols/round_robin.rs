@@ -41,6 +41,7 @@ impl<G: GraphView + ?Sized> BroadcastProtocol<G> for RoundRobin {
 mod tests {
     use super::*;
     use crate::simulator::{RadioSimulator, SimulatorConfig};
+    use crate::workspace::TrialWorkspace;
     use wx_graph::Graph;
 
     #[test]
@@ -57,7 +58,9 @@ mod tests {
                 informed: &informed,
                 newly_informed: &newly,
             };
-            assert!(RoundRobin.transmitters(&view, &mut rng).len() <= 1);
+            let mut t = VertexSet::empty(6);
+            RoundRobin.transmitters_into(&view, &mut rng, &mut t);
+            assert!(t.len() <= 1);
         }
     }
 
@@ -65,7 +68,7 @@ mod tests {
     fn completes_on_collision_heavy_graphs() {
         let (g, src) = wx_constructions::families::complete_plus_graph(8).unwrap();
         let sim = RadioSimulator::new(&g, src, SimulatorConfig::default());
-        let outcome = sim.run(&mut RoundRobin, 0);
+        let outcome = sim.run_in(&mut RoundRobin, 0, &mut TrialWorkspace::new(0));
         assert!(outcome.completed_at.is_some());
         // the bound is at most n rounds per BFS layer
         assert!(outcome.completed_at.unwrap() <= g.num_vertices() * 3);

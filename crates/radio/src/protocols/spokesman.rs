@@ -78,15 +78,16 @@ impl<G: GraphView + ?Sized> BroadcastProtocol<G> for SpokesmanBroadcast {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::EnsembleStats;
     use crate::protocols::naive::NaiveFlooding;
     use crate::simulator::{RadioSimulator, SimulatorConfig};
+    use crate::workspace::TrialWorkspace;
 
     #[test]
     fn completes_on_c_plus_in_a_few_rounds() {
         let (g, src) = wx_constructions::families::complete_plus_graph(12).unwrap();
         let sim = RadioSimulator::new(&g, src, SimulatorConfig::default());
-        let outcome = sim.run(&mut SpokesmanBroadcast, 1);
+        let mut ws = TrialWorkspace::new(0);
+        let outcome = sim.run_in(&mut SpokesmanBroadcast, 1, &mut ws);
         assert!(outcome.completed_at.is_some());
         assert!(
             outcome.completed_at.unwrap() <= 4,
@@ -94,25 +95,32 @@ mod tests {
             outcome.completed_at.unwrap()
         );
         // while naive flooding never completes
-        assert_eq!(sim.run(&mut NaiveFlooding, 1).completed_at, None);
+        assert_eq!(
+            sim.run_in(&mut NaiveFlooding, 1, &mut ws).completed_at,
+            None
+        );
     }
 
     #[test]
     fn beats_decay_on_expanders() {
         let g = wx_constructions::families::random_regular_graph(128, 6, 11).unwrap();
         let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
-        let spokesman = sim.run(&mut SpokesmanBroadcast, 3);
-        let decay_outcomes: Vec<_> = (0..5)
-            .map(|s| sim.run(&mut crate::protocols::decay::DecayProtocol, s))
+        let mut ws = TrialWorkspace::new(0);
+        let spokesman = sim.run_in(&mut SpokesmanBroadcast, 3, &mut ws);
+        let decay_rounds: Vec<usize> = (0..5)
+            .filter_map(|s| {
+                sim.run_in(&mut crate::protocols::decay::DecayProtocol, s, &mut ws)
+                    .completed_at
+            })
             .collect();
-        let decay_stats = EnsembleStats::from_outcomes(&decay_outcomes);
         assert!(spokesman.completed_at.is_some());
-        assert!(decay_stats.completed > 0);
+        assert!(!decay_rounds.is_empty());
+        let decay_mean = decay_rounds.iter().sum::<usize>() as f64 / decay_rounds.len() as f64;
         assert!(
-            (spokesman.completed_at.unwrap() as f64) <= decay_stats.mean_rounds.unwrap(),
+            (spokesman.completed_at.unwrap() as f64) <= decay_mean,
             "spokesman {} vs decay mean {}",
             spokesman.completed_at.unwrap(),
-            decay_stats.mean_rounds.unwrap()
+            decay_mean
         );
     }
 
@@ -129,7 +137,8 @@ mod tests {
             newly_informed: &newly,
         };
         let mut rng = wx_graph::random::rng_from_seed(0);
-        let t = SpokesmanBroadcast.transmitters(&view, &mut rng);
+        let mut t = VertexSet::empty(g.num_vertices());
+        SpokesmanBroadcast.transmitters_into(&view, &mut rng, &mut t);
         assert!(!t.is_empty());
         assert!(t.is_subset_of(&informed));
         // on C⁺ the chosen subset must be a single clique vertex ({x} or {y})

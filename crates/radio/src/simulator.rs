@@ -1,6 +1,5 @@
 //! The synchronous collision-model simulator.
 
-use crate::metrics::BroadcastOutcome;
 use crate::protocols::BroadcastProtocol;
 use crate::workspace::TrialWorkspace;
 use wx_graph::random::{rng_from_seed, WxRng};
@@ -50,9 +49,8 @@ impl Default for SimulatorConfig {
 /// Graph and source are fixed per simulator, so the completion target (the
 /// number of vertices reachable from the source) is computed **once** at
 /// construction and cached — a 10k-trial ensemble on one simulator performs
-/// one BFS, not 10k. Use [`RadioSimulator::run`] for a one-off simulation or
-/// [`RadioSimulator::run_in`] with a reused [`TrialWorkspace`] for
-/// allocation-free ensembles.
+/// one BFS, not 10k. [`RadioSimulator::run_in`] runs one trial in a
+/// [`TrialWorkspace`], which ensembles reuse so that trials allocate nothing.
 pub struct RadioSimulator<'a, G: GraphView + ?Sized = Graph> {
     graph: &'a G,
     source: Vertex,
@@ -120,54 +118,6 @@ impl<'a, G: GraphView + ?Sized> RadioSimulator<'a, G> {
         &self.config
     }
 
-    /// Executes one round given the set of transmitters; returns the set of
-    /// vertices that receive the message this round (whether or not they
-    /// were already informed).
-    ///
-    /// The collision rule is applied literally: a vertex receives iff it is
-    /// not itself transmitting and exactly one neighbor transmits — which is
-    /// precisely the unique neighborhood `Γ¹(T)` of the transmitter set, so
-    /// this is a thin wrapper over the `wx_graph` neighborhood kernel.
-    /// [`RadioSimulator::run`] resolves receivers through a scratch it reuses
-    /// across rounds instead of calling this materializing form.
-    pub fn step(graph: &G, transmitters: &VertexSet) -> VertexSet {
-        wx_graph::neighborhood::unique_neighborhood(graph, transmitters)
-    }
-
-    /// Runs the protocol until completion or the round cap, returning the
-    /// full outcome. `seed` drives both the protocol's randomness and nothing
-    /// else (the simulator itself is deterministic).
-    ///
-    /// Allocates a fresh [`TrialWorkspace`] per call; ensembles should use
-    /// [`RadioSimulator::run_in`] to reuse one workspace across trials.
-    pub fn run(&self, protocol: &mut dyn BroadcastProtocol<G>, seed: u64) -> BroadcastOutcome {
-        let mut ws = TrialWorkspace::new(self.graph.num_vertices());
-        let trial = self.run_in(protocol, seed, &mut ws);
-        self.outcome_from(protocol.name(), &trial, &ws)
-    }
-
-    /// Materializes a full [`BroadcastOutcome`] (per-round trajectory plus
-    /// per-vertex first-informed rounds) from the state a
-    /// [`RadioSimulator::run_in`] call left in `ws`. `protocol_name` is the
-    /// [`BroadcastProtocol::name`] of the protocol that ran.
-    pub fn outcome_from(
-        &self,
-        protocol_name: &str,
-        trial: &TrialOutcome,
-        ws: &TrialWorkspace,
-    ) -> BroadcastOutcome {
-        let n = self.graph.num_vertices();
-        BroadcastOutcome {
-            protocol: protocol_name.to_string(),
-            num_vertices: n,
-            reachable: trial.reachable,
-            completed_at: trial.completed_at,
-            rounds_simulated: trial.rounds_simulated,
-            informed_per_round: ws.informed_per_round().to_vec(),
-            first_informed_round: ws.first_informed_round()[..n].to_vec(),
-        }
-    }
-
     /// Runs the protocol until completion or the round cap, reusing the
     /// buffers in `ws` — the streaming trial engine's inner loop.
     ///
@@ -179,9 +129,12 @@ impl<'a, G: GraphView + ?Sized> RadioSimulator<'a, G> {
     /// setup is a targeted reset proportional to the previous trial's
     /// informed count, plus reseeding the protocol rng.
     ///
-    /// The returned [`TrialOutcome`] is a constant-size summary; the full
-    /// trajectory remains readable from `ws` (and can be materialized with
-    /// [`RadioSimulator::outcome_from`]) until the next run overwrites it.
+    /// `seed` drives the protocol's randomness and nothing else (the
+    /// simulator itself is deterministic). The returned [`TrialOutcome`] is
+    /// a constant-size summary; the full trajectory
+    /// ([`TrialWorkspace::informed_per_round`],
+    /// [`TrialWorkspace::first_informed_round`]) remains readable from `ws`
+    /// until the next run overwrites it.
     pub fn run_in(
         &self,
         protocol: &mut dyn BroadcastProtocol<G>,
@@ -189,42 +142,16 @@ impl<'a, G: GraphView + ?Sized> RadioSimulator<'a, G> {
         ws: &mut TrialWorkspace,
     ) -> TrialOutcome {
         let _span = wx_trace::span("radio.trial");
-        let n = self.graph.num_vertices();
         let mut rng: WxRng = rng_from_seed(seed);
-        ws.reset(n, self.source);
+        ws.reset(self.graph.num_vertices(), self.source);
         let target = self.reachable;
         let mut completed_at = None;
 
         protocol.reset(self.graph, self.source);
 
         for round in 0..self.config.max_rounds {
-            ws.transmitters.clear();
-            let view = RoundView {
-                graph: self.graph,
-                round,
-                source: self.source,
-                informed: &ws.informed,
-                newly_informed: &ws.newly,
-            };
-            protocol.transmitters_into(&view, &mut rng, &mut ws.transmitters);
-            debug_assert!(
-                ws.transmitters.is_subset_of(&ws.informed),
-                "protocol {} transmitted from uninformed vertices",
-                protocol.name()
-            );
-            let receivers = ws
-                .scratch
-                .unique_neighborhood_sorted(self.graph, &ws.transmitters);
-            ws.fresh.clear();
-            for &v in receivers {
-                if ws.informed.insert(v) {
-                    ws.fresh.insert(v);
-                    ws.first_informed_round[v] = Some(round + 1);
-                }
-            }
-            std::mem::swap(&mut ws.newly, &mut ws.fresh);
+            ws.step(self.graph, self.source, round, protocol, &mut rng);
             wx_trace::event_value("radio.newly_informed", ws.newly.len() as u64);
-            ws.informed_per_round.push(ws.informed.len());
             if ws.informed.len() == target && completed_at.is_none() {
                 // record the *first* completion round; with
                 // stop_when_complete = false the simulation keeps running but
@@ -270,8 +197,8 @@ pub fn reachable_from<G: GraphView + ?Sized>(graph: &G, source: Vertex) -> usize
 }
 
 /// Constant-size summary of one [`RadioSimulator::run_in`] trial — everything
-/// an online aggregator needs without materializing the n-sized trajectory
-/// vectors of [`BroadcastOutcome`].
+/// an online aggregator needs; the n-sized trajectory stays in the
+/// [`TrialWorkspace`] (or, for a lane, the [`crate::LaneWorkspace`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TrialOutcome {
     /// Number of vertices reachable from the source (the completion target).
@@ -302,21 +229,33 @@ mod tests {
         Graph::from_edges(n, (0..n - 1).map(|i| (i, i + 1))).unwrap()
     }
 
+    /// One trial in a fresh workspace, which keeps the trajectory.
+    fn run(
+        sim: &RadioSimulator<'_>,
+        protocol: &mut dyn BroadcastProtocol,
+        seed: u64,
+    ) -> (TrialOutcome, TrialWorkspace) {
+        let mut ws = TrialWorkspace::new(0);
+        let outcome = sim.run_in(protocol, seed, &mut ws);
+        (outcome, ws)
+    }
+
     #[test]
     fn step_applies_collision_rule() {
+        use wx_graph::neighborhood::unique_neighborhood;
         // star: center 0 with leaves 1..=3
         let g = Graph::from_edges(4, [(0, 1), (0, 2), (0, 3)]).unwrap();
         // single transmitter: all neighbors receive
-        let recv = RadioSimulator::step(&g, &g.vertex_set([0]));
+        let recv = unique_neighborhood(&g, &g.vertex_set([0]));
         assert_eq!(recv.to_vec(), vec![1, 2, 3]);
         // two leaves transmit: the center hears a collision, nothing received
-        let recv = RadioSimulator::step(&g, &g.vertex_set([1, 2]));
+        let recv = unique_neighborhood(&g, &g.vertex_set([1, 2]));
         assert!(recv.is_empty());
         // one leaf transmits: only the center receives
-        let recv = RadioSimulator::step(&g, &g.vertex_set([1]));
+        let recv = unique_neighborhood(&g, &g.vertex_set([1]));
         assert_eq!(recv.to_vec(), vec![0]);
         // a transmitter does not receive even if a neighbor transmits
-        let recv = RadioSimulator::step(&g, &g.vertex_set([0, 1]));
+        let recv = unique_neighborhood(&g, &g.vertex_set([0, 1]));
         assert_eq!(recv.to_vec(), vec![2, 3]);
     }
 
@@ -326,9 +265,9 @@ mod tests {
         // vertex, so naive flooding advances one hop per round.
         let g = path(6);
         let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
-        let outcome = sim.run(&mut NaiveFlooding, 1);
+        let (outcome, ws) = run(&sim, &mut NaiveFlooding, 1);
         assert_eq!(outcome.completed_at, Some(5));
-        assert_eq!(outcome.first_informed_round[5], Some(5));
+        assert_eq!(ws.first_informed_round()[5], Some(5));
     }
 
     #[test]
@@ -345,18 +284,18 @@ mod tests {
                 stop_when_complete: true,
             },
         );
-        let outcome = sim.run(&mut NaiveFlooding, 1);
+        let (outcome, ws) = run(&sim, &mut NaiveFlooding, 1);
         assert_eq!(outcome.completed_at, None);
-        assert_eq!(outcome.informed_per_round.last().copied(), Some(3));
+        assert_eq!(ws.informed_per_round().last().copied(), Some(3));
     }
 
     #[test]
     fn round_robin_always_completes() {
         let (g, src) = wx_constructions::families::complete_plus_graph(6).unwrap();
         let sim = RadioSimulator::new(&g, src, SimulatorConfig::default());
-        let outcome = sim.run(&mut RoundRobin, 1);
+        let (outcome, ws) = run(&sim, &mut RoundRobin, 1);
         assert!(outcome.completed_at.is_some());
-        assert_eq!(outcome.informed_per_round.last().copied(), Some(7));
+        assert_eq!(ws.informed_per_round().last().copied(), Some(7));
     }
 
     #[test]
@@ -364,9 +303,9 @@ mod tests {
         let g = Graph::from_edges(5, [(0, 1), (1, 2), (3, 4)]).unwrap();
         let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
         assert_eq!(sim.reachable_count(), 3);
-        let outcome = sim.run(&mut NaiveFlooding, 0);
+        let (outcome, ws) = run(&sim, &mut NaiveFlooding, 0);
         assert_eq!(outcome.completed_at, Some(2));
-        assert!(outcome.first_informed_round[3].is_none());
+        assert!(ws.first_informed_round()[3].is_none());
     }
 
     #[test]
@@ -377,25 +316,24 @@ mod tests {
     }
 
     #[test]
-    fn run_in_matches_run_across_reused_workspace() {
+    fn run_in_is_identical_in_fresh_and_reused_workspaces() {
         use crate::protocols::decay::DecayProtocol;
-        use crate::workspace::TrialWorkspace;
         let g = wx_constructions::families::random_regular_graph(48, 4, 7).unwrap();
         let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
         let mut ws = TrialWorkspace::new(0);
         for seed in 0..6u64 {
-            let mut p1 = DecayProtocol;
-            let mut p2 = DecayProtocol;
-            let fresh = sim.run(&mut p1, seed);
-            let trial = sim.run_in(&mut p2, seed, &mut ws);
-            let reused = sim.outcome_from(BroadcastProtocol::<Graph>::name(&p2), &trial, &ws);
+            let (fresh, fresh_ws) = run(&sim, &mut DecayProtocol, seed);
+            let reused = sim.run_in(&mut DecayProtocol, seed, &mut ws);
             assert_eq!(fresh.completed_at, reused.completed_at);
             assert_eq!(fresh.rounds_simulated, reused.rounds_simulated);
-            assert_eq!(fresh.informed_per_round, reused.informed_per_round);
-            assert_eq!(fresh.first_informed_round, reused.first_informed_round);
+            assert_eq!(fresh_ws.informed_per_round(), ws.informed_per_round());
             assert_eq!(
-                trial.informed,
-                reused.informed_per_round.last().copied().unwrap()
+                fresh_ws.first_informed_round()[..48],
+                ws.first_informed_round()[..48]
+            );
+            assert_eq!(
+                reused.informed,
+                ws.informed_per_round().last().copied().unwrap()
             );
         }
         // the workspace never regrew past the graph size
@@ -416,7 +354,7 @@ mod tests {
                 stop_when_complete: false,
             },
         );
-        let outcome = sim.run(&mut NaiveFlooding, 0);
+        let (outcome, _) = run(&sim, &mut NaiveFlooding, 0);
         assert_eq!(outcome.completed_at, Some(3));
         assert_eq!(outcome.rounds_simulated, 50);
     }
@@ -427,9 +365,9 @@ mod tests {
         let plain = RadioSimulator::new(&g, 0, SimulatorConfig::default());
         let hinted = RadioSimulator::with_reachable(&g, 0, SimulatorConfig::default(), 6);
         assert_eq!(plain.reachable_count(), hinted.reachable_count());
-        let a = plain.run(&mut NaiveFlooding, 1);
-        let b = hinted.run(&mut NaiveFlooding, 1);
+        let (a, a_ws) = run(&plain, &mut NaiveFlooding, 1);
+        let (b, b_ws) = run(&hinted, &mut NaiveFlooding, 1);
         assert_eq!(a.completed_at, b.completed_at);
-        assert_eq!(a.informed_per_round, b.informed_per_round);
+        assert_eq!(a_ws.informed_per_round(), b_ws.informed_per_round());
     }
 }

@@ -6,7 +6,6 @@
 
 use crate::bitslice::{run_lanes_in, with_thread_lane_workspace, LaneProtocol, LaneWorkspace};
 use crate::bitslice::{LaneDecay, LaneMirror, MAX_LANES};
-use crate::metrics::{BroadcastOutcome, EnsembleStats};
 use crate::protocols::decay::DecayProtocol;
 use crate::protocols::naive::NaiveFlooding;
 use crate::protocols::BroadcastProtocol;
@@ -59,15 +58,21 @@ fn lane_trials<P: LaneProtocol<Graph>, T>(
     out
 }
 
-/// Full scalar outcomes of the ensemble, trajectories included.
-fn scalar_outcomes<P: BroadcastProtocol<Graph>>(
+/// Each scalar trial of the ensemble run alone in a fresh workspace: its
+/// outcome and its per-round informed counts.
+fn fresh_scalar_trials<P: BroadcastProtocol<Graph>>(
     sim: &RadioSimulator<'_>,
     trials: usize,
     base_seed: u64,
     make_protocol: impl Fn() -> P,
-) -> Vec<BroadcastOutcome> {
+) -> Vec<(TrialOutcome, Vec<usize>)> {
     (0..trials)
-        .map(|t| sim.run(&mut make_protocol(), derive_seed(base_seed, t as u64)))
+        .map(|t| {
+            let mut ws = TrialWorkspace::new(0);
+            let seed = derive_seed(base_seed, t as u64);
+            let outcome = sim.run_in(&mut make_protocol(), seed, &mut ws);
+            (outcome, ws.informed_per_round().to_vec())
+        })
         .collect()
 }
 
@@ -83,11 +88,11 @@ fn trials_are_reproducible() {
     let (a, b) = (run(), run());
     assert_eq!(a.len(), 6);
     assert_eq!(a, b);
-    let scalar = scalar_outcomes(&sim, 6, 9, DecayProtocol::default);
-    let again = scalar_outcomes(&sim, 6, 9, DecayProtocol::default);
-    for (x, y) in scalar.iter().zip(again.iter()) {
+    let scalar = fresh_scalar_trials(&sim, 6, 9, DecayProtocol::default);
+    let again = fresh_scalar_trials(&sim, 6, 9, DecayProtocol::default);
+    for ((x, x_rounds), (y, y_rounds)) in scalar.iter().zip(again.iter()) {
         assert_eq!(x.completed_at, y.completed_at);
-        assert_eq!(x.informed_per_round, y.informed_per_round);
+        assert_eq!(x_rounds, y_rounds);
     }
 }
 
@@ -95,8 +100,10 @@ fn trials_are_reproducible() {
 fn stats_wrapper_matches_manual_aggregation() {
     let g = wx_constructions::families::grid_graph(5, 5).unwrap();
     let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
-    let outcomes = scalar_outcomes(&sim, 4, 3, DecayProtocol::default);
-    let stats = EnsembleStats::from_outcomes(&outcomes);
+    let outcomes = scalar_trials(&sim, 4, 3, DecayProtocol::default, |_, o, _| *o);
+    // the scalar ensemble's completion statistics, aggregated inline
+    let mut scalar_rounds: Vec<usize> = outcomes.iter().filter_map(|o| o.completed_at).collect();
+    scalar_rounds.sort_unstable();
     // aggregate the lane engine's completion rounds by hand
     let mut rounds: Vec<usize> =
         lane_trials(&sim, 4, 3, MAX_LANES, LaneDecay::default, |_, ws, l| {
@@ -106,18 +113,19 @@ fn stats_wrapper_matches_manual_aggregation() {
         .flatten()
         .collect();
     rounds.sort_unstable();
-    assert_eq!(stats.trials, 4);
+    assert_eq!(outcomes.len(), 4);
     assert_eq!(
-        stats.completed,
+        scalar_rounds.len(),
         outcomes.iter().filter(|o| o.completed()).count()
     );
-    assert_eq!(stats.completed, rounds.len());
-    assert_eq!(stats.min_rounds, rounds.first().copied());
-    assert_eq!(stats.max_rounds, rounds.last().copied());
+    assert_eq!(scalar_rounds.len(), rounds.len());
+    assert_eq!(scalar_rounds.first(), rounds.first());
+    assert_eq!(scalar_rounds.last(), rounds.last());
     if !rounds.is_empty() {
-        assert_eq!(stats.median_rounds, Some(rounds[(rounds.len() - 1) / 2]));
-        let mean = rounds.iter().sum::<usize>() as f64 / rounds.len() as f64;
-        assert_eq!(stats.mean_rounds, Some(mean));
+        let median = |r: &[usize]| r[(r.len() - 1) / 2];
+        assert_eq!(median(&scalar_rounds), median(&rounds));
+        let mean = |r: &[usize]| r.iter().sum::<usize>() as f64 / r.len() as f64;
+        assert_eq!(mean(&scalar_rounds), mean(&rounds));
     }
 }
 
@@ -125,7 +133,7 @@ fn stats_wrapper_matches_manual_aggregation() {
 fn deterministic_protocols_give_identical_trials() {
     let g = wx_constructions::families::complete_k_ary_tree(2, 5).unwrap();
     let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
-    let outcomes = scalar_outcomes(&sim, 3, 1, || NaiveFlooding);
+    let outcomes = scalar_trials(&sim, 3, 1, || NaiveFlooding, |_, o, _| *o);
     let first = outcomes[0].completed_at;
     assert!(outcomes.iter().all(|o| o.completed_at == first));
     // a deterministic protocol ignores its seed on lanes too
@@ -153,13 +161,17 @@ fn map_trials_summaries_match_full_outcomes() {
             ws.rounds_to_reach_fraction(0.5, outcome.reachable),
         )
     });
-    let full = scalar_outcomes(&sim, 5, 17, DecayProtocol::default);
+    let full = fresh_scalar_trials(&sim, 5, 17, DecayProtocol::default);
     assert_eq!(summaries.len(), 5);
     for (i, (t, completed_at, rounds, half)) in summaries.iter().enumerate() {
+        let (outcome, informed_per_round) = &full[i];
         assert_eq!(*t, i);
-        assert_eq!(*completed_at, full[i].completed_at);
-        assert_eq!(*rounds, full[i].rounds_simulated);
-        assert_eq!(*half, full[i].rounds_to_reach_fraction(0.5));
+        assert_eq!(*completed_at, outcome.completed_at);
+        assert_eq!(*rounds, outcome.rounds_simulated);
+        assert_eq!(
+            *half,
+            crate::metrics::rounds_to_reach_fraction(informed_per_round, 0.5, outcome.reachable)
+        );
     }
 }
 

@@ -14,12 +14,20 @@
 //! clears only the `first_informed_round` entries the previous trial wrote:
 //! the informed set records exactly which ones those are.
 //!
+//! One collision-model round is one [`TrialWorkspace`] step, and it is the
+//! only scalar round in the crate: [`crate::RadioSimulator::run_in`] loops
+//! it over one trial, and [`crate::LaneMirror`] calls it once per lane round
+//! to drive a scalar protocol inside the lane engine.
+//!
 //! Use [`crate::RadioSimulator::run_in`] with an explicit workspace, or
 //! borrow the thread-local one via [`with_thread_workspace`] (mirroring the
 //! `with_thread_scratch` pool in `wx_graph`).
 
+use crate::protocols::BroadcastProtocol;
+use crate::simulator::RoundView;
 use std::cell::RefCell;
-use wx_graph::{NeighborhoodScratch, Vertex, VertexSet};
+use wx_graph::random::WxRng;
+use wx_graph::{GraphView, NeighborhoodScratch, Vertex, VertexSet};
 
 /// Reusable buffers for one broadcast trial.
 ///
@@ -107,6 +115,53 @@ impl TrialWorkspace {
         self.informed_per_round.push(1);
     }
 
+    /// Runs round `round` of the collision model: `protocol` picks this
+    /// round's transmitters from the current state, every silent vertex
+    /// with exactly one transmitting neighbor receives (`Γ¹(T)`, resolved
+    /// through the workspace's scratch), the receivers not yet informed
+    /// become informed at round `round + 1` and form the next
+    /// newly-informed frontier, and the informed count is appended to the
+    /// trajectory. Allocates nothing once the workspace is sized; this
+    /// round's transmitters stay readable until the next step.
+    pub(crate) fn step<G, P>(
+        &mut self,
+        graph: &G,
+        source: Vertex,
+        round: usize,
+        protocol: &mut P,
+        rng: &mut WxRng,
+    ) where
+        G: GraphView + ?Sized,
+        P: BroadcastProtocol<G> + ?Sized,
+    {
+        self.transmitters.clear();
+        let view = RoundView {
+            graph,
+            round,
+            source,
+            informed: &self.informed,
+            newly_informed: &self.newly,
+        };
+        protocol.transmitters_into(&view, rng, &mut self.transmitters);
+        debug_assert!(
+            self.transmitters.is_subset_of(&self.informed),
+            "protocol {} transmitted from uninformed vertices",
+            protocol.name()
+        );
+        let receivers = self
+            .scratch
+            .unique_neighborhood_sorted(graph, &self.transmitters);
+        self.fresh.clear();
+        for &v in receivers {
+            if self.informed.insert(v) {
+                self.fresh.insert(v);
+                self.first_informed_round[v] = Some(round + 1);
+            }
+        }
+        std::mem::swap(&mut self.newly, &mut self.fresh);
+        self.informed_per_round.push(self.informed.len());
+    }
+
     /// The informed set left behind by the last run.
     pub fn informed(&self) -> &VertexSet {
         &self.informed
@@ -126,12 +181,9 @@ impl TrialWorkspace {
     }
 
     /// The number of rounds the last run needed to inform at least
-    /// `fraction` of `reachable` vertices, or `None` if that never happened
-    /// (mirrors [`crate::BroadcastOutcome::rounds_to_reach_fraction`] without
-    /// materializing an outcome).
+    /// `fraction` of `reachable` vertices, or `None` if that never happened.
     pub fn rounds_to_reach_fraction(&self, fraction: f64, reachable: usize) -> Option<usize> {
-        let target = (fraction * reachable as f64).ceil() as usize;
-        self.informed_per_round.iter().position(|&c| c >= target)
+        crate::metrics::rounds_to_reach_fraction(&self.informed_per_round, fraction, reachable)
     }
 }
 

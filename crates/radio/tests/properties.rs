@@ -7,7 +7,19 @@ use wx_graph::{Graph, VertexSet};
 use wx_radio::protocols::decay::DecayProtocol;
 use wx_radio::protocols::naive::NaiveFlooding;
 use wx_radio::protocols::round_robin::RoundRobin;
-use wx_radio::{BroadcastProtocol, RadioSimulator, SimulatorConfig};
+use wx_radio::protocols::spokesman::SpokesmanBroadcast;
+use wx_radio::{BroadcastProtocol, RadioSimulator, SimulatorConfig, TrialOutcome, TrialWorkspace};
+
+/// One trial in a fresh workspace, which keeps the trajectory.
+fn run<G: wx_graph::GraphView + ?Sized>(
+    sim: &RadioSimulator<'_, G>,
+    protocol: &mut dyn BroadcastProtocol<G>,
+    seed: u64,
+) -> (TrialOutcome, TrialWorkspace) {
+    let mut ws = TrialWorkspace::new(0);
+    let outcome = sim.run_in(protocol, seed, &mut ws);
+    (outcome, ws)
+}
 
 fn edge_list(n: usize) -> impl Strategy<Value = Vec<(usize, usize)>> {
     prop::collection::vec((0..n, 0..n), 0..(n * 3).max(1)).prop_map(move |pairs| {
@@ -28,7 +40,7 @@ proptest! {
                                    tx in prop::collection::btree_set(0usize..14, 0..10)) {
         let g = Graph::from_edges(14, edges).unwrap();
         let transmitters = VertexSet::from_iter(14, tx.iter().copied());
-        let received = RadioSimulator::step(&g, &transmitters);
+        let received = wx_graph::neighborhood::unique_neighborhood(&g, &transmitters);
         for v in 0..14 {
             let transmitting_neighbors = g
                 .neighbors(v)
@@ -56,16 +68,18 @@ proptest! {
             1 => Box::new(RoundRobin),
             _ => Box::new(DecayProtocol),
         };
-        let outcome = sim.run(protocol.as_mut(), seed);
+        let (outcome, ws) = run(&sim, protocol.as_mut(), seed);
+        let informed_per_round = ws.informed_per_round();
+        let first_informed_round = &ws.first_informed_round()[..12];
 
-        prop_assert_eq!(outcome.first_informed_round[0], Some(0));
-        prop_assert!(outcome.informed_per_round.windows(2).all(|w| w[1] >= w[0]));
-        prop_assert!(outcome.informed_per_round.iter().all(|&c| c <= outcome.reachable));
-        let informed_total = outcome.first_informed_round.iter().filter(|r| r.is_some()).count();
-        prop_assert_eq!(informed_total, *outcome.informed_per_round.last().unwrap());
+        prop_assert_eq!(first_informed_round[0], Some(0));
+        prop_assert!(informed_per_round.windows(2).all(|w| w[1] >= w[0]));
+        prop_assert!(informed_per_round.iter().all(|&c| c <= outcome.reachable));
+        let informed_total = first_informed_round.iter().filter(|r| r.is_some()).count();
+        prop_assert_eq!(informed_total, *informed_per_round.last().unwrap());
         // every informed vertex (other than the source) is reachable and has
         // an informed-round no larger than the number of simulated rounds
-        for (v, round) in outcome.first_informed_round.iter().enumerate() {
+        for (v, round) in first_informed_round.iter().enumerate() {
             if let Some(r) = round {
                 prop_assert!(*r <= outcome.rounds_simulated);
                 if v != 0 {
@@ -76,7 +90,7 @@ proptest! {
             }
         }
         if let Some(done) = outcome.completed_at {
-            prop_assert_eq!(*outcome.informed_per_round.last().unwrap(), outcome.reachable);
+            prop_assert_eq!(*informed_per_round.last().unwrap(), outcome.reachable);
             prop_assert!(done <= outcome.rounds_simulated);
         }
     }
@@ -90,9 +104,9 @@ proptest! {
             max_rounds: 400,
             stop_when_complete: true,
         });
-        let outcome = sim.run(&mut RoundRobin, seed);
+        let (outcome, ws) = run(&sim, &mut RoundRobin, seed);
         let delta = g.max_degree();
-        for w in outcome.informed_per_round.windows(2) {
+        for w in ws.informed_per_round().windows(2) {
             prop_assert!(w[1] - w[0] <= delta.max(1));
         }
         // round-robin always completes on the source's component within n
@@ -118,14 +132,14 @@ proptest! {
         let sim_view = RadioSimulator::new(&view, 0, config.clone());
         let sim_mat = RadioSimulator::new(&mat, 0, config);
         prop_assert_eq!(sim_view.reachable_count(), sim_mat.reachable_count());
-        let a = sim_view.run(&mut DecayProtocol, seed);
-        let b = sim_mat.run(&mut DecayProtocol, seed);
+        let (a, a_ws) = run(&sim_view, &mut DecayProtocol, seed);
+        let (b, b_ws) = run(&sim_mat, &mut DecayProtocol, seed);
         prop_assert_eq!(a.completed_at, b.completed_at);
-        prop_assert_eq!(a.informed_per_round, b.informed_per_round);
-        prop_assert_eq!(a.first_informed_round, b.first_informed_round);
-        let a = sim_view.run(&mut NaiveFlooding, seed);
-        let b = sim_mat.run(&mut NaiveFlooding, seed);
-        prop_assert_eq!(a.informed_per_round, b.informed_per_round);
+        prop_assert_eq!(a_ws.informed_per_round(), b_ws.informed_per_round());
+        prop_assert_eq!(a_ws.first_informed_round(), b_ws.first_informed_round());
+        let (_, a_ws) = run(&sim_view, &mut NaiveFlooding, seed);
+        let (_, b_ws) = run(&sim_mat, &mut NaiveFlooding, seed);
+        prop_assert_eq!(a_ws.informed_per_round(), b_ws.informed_per_round());
     }
 
     /// Backend equivalence: a full decay trial on an `ImplicitGraph` equals
@@ -141,16 +155,16 @@ proptest! {
         let sim_implicit = RadioSimulator::new(&implicit, 0, config.clone());
         let sim_mat = RadioSimulator::new(&mat, 0, config);
         prop_assert_eq!(sim_implicit.reachable_count(), sim_mat.reachable_count());
-        let a = sim_implicit.run(&mut DecayProtocol, seed);
-        let b = sim_mat.run(&mut DecayProtocol, seed);
+        let (a, a_ws) = run(&sim_implicit, &mut DecayProtocol, seed);
+        let (b, b_ws) = run(&sim_mat, &mut DecayProtocol, seed);
         prop_assert_eq!(a.completed_at, b.completed_at);
-        prop_assert_eq!(a.informed_per_round, b.informed_per_round);
-        prop_assert_eq!(a.first_informed_round, b.first_informed_round);
+        prop_assert_eq!(a_ws.informed_per_round(), b_ws.informed_per_round());
+        prop_assert_eq!(a_ws.first_informed_round(), b_ws.first_informed_round());
         // the centralized spokesman schedule exercises the bipartite-view
         // extraction on both backends
-        let a = sim_implicit.run(&mut wx_radio::protocols::spokesman::SpokesmanBroadcast, seed);
-        let b = sim_mat.run(&mut wx_radio::protocols::spokesman::SpokesmanBroadcast, seed);
+        let (a, a_ws) = run(&sim_implicit, &mut SpokesmanBroadcast, seed);
+        let (b, b_ws) = run(&sim_mat, &mut SpokesmanBroadcast, seed);
         prop_assert_eq!(a.completed_at, b.completed_at);
-        prop_assert_eq!(a.informed_per_round, b.informed_per_round);
+        prop_assert_eq!(a_ws.informed_per_round(), b_ws.informed_per_round());
     }
 }

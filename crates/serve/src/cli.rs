@@ -73,7 +73,8 @@ Identical in-flight requests coalesce into one execution. `--http ADDR`
 serves the same engine over HTTP/1.1: POST /run (body = spec, response
 = report bytes, telemetry in X-Wx-* headers), GET /healthz, GET /stats.
 `--persist DIR` writes solution artifacts to disk so a restarted server
-warms from it."
+warms from it; DIR is created if missing, and one that cannot be created
+is an error."
 }
 
 fn parse_serve_config(flags: &mut Flags) -> Result<ServeConfig> {
@@ -85,10 +86,17 @@ fn parse_serve_config(flags: &mut Flags) -> Result<ServeConfig> {
         config.workers = workers;
     }
     config.sequential = flags.take_flag("--sequential");
+    let persist_dir = flags.take_value("--persist")?.map(PathBuf::from);
+    // The cache writes artifacts best-effort, so a directory it cannot use
+    // must be refused here rather than silently turn persistence off.
+    if let Some(dir) = &persist_dir {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| LabError::Io(format!("creating {}: {e}", dir.display())))?;
+    }
     config.cache = CacheConfig {
         graph_budget_bytes: flags.take_parsed::<u64>("--graph-cache-bytes")?,
         solution_budget_bytes: flags.take_parsed::<u64>("--solution-cache-bytes")?,
-        persist_dir: flags.take_value("--persist")?.map(PathBuf::from),
+        persist_dir,
     };
     Ok(config)
 }

@@ -193,6 +193,63 @@ fn jsonl_session_answers_in_order_and_writes_raw_reports() {
 }
 
 #[test]
+fn persist_dir_is_created_and_an_unusable_one_is_refused() {
+    use std::process::{Command, Stdio};
+    let wx = env!("CARGO_BIN_EXE_wx");
+    let root = std::env::temp_dir().join("wx_serve_persist_test");
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).unwrap();
+
+    // A directory that does not exist yet is created and receives the
+    // solution artifacts of a Spokesman request.
+    let dir = root.join("fresh").join("persist");
+    let mut child = Command::new(wx)
+        .args(["serve", "--stdin", "--workers", "1", "--persist"])
+        .arg(&dir)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawning wx");
+    let request = serde_json::to_string(&spokesman_spec("persist", 48, 5)).unwrap();
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(format!("{request}\n").as_bytes())
+        .unwrap();
+    let output = child.wait_with_output().unwrap();
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let artifacts = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter(|e| {
+            let name = e.as_ref().unwrap().file_name();
+            name.to_string_lossy().ends_with(".wxsol.json")
+        })
+        .count();
+    assert!(artifacts > 0, "no .wxsol.json written to {}", dir.display());
+
+    // A regular file where the directory should be fails the command, and
+    // the error names the path.
+    let file = root.join("not-a-dir");
+    std::fs::write(&file, "x").unwrap();
+    let output = Command::new(wx)
+        .args(["serve", "--stdin", "--persist"])
+        .arg(&file)
+        .stdin(Stdio::null())
+        .output()
+        .expect("spawning wx");
+    assert_eq!(output.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains(&file.display().to_string()), "{stderr}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn jsonl_rejects_an_oversized_exact_solve_and_serves_the_next_line() {
     // `Exact` on |S| = 30 used to trip the solver's MAX_LEFT assertion
     // inside a worker, which never answered; validation now rejects it.

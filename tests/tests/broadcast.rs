@@ -7,15 +7,19 @@ use wx_radio::protocols::decay::DecayProtocol;
 use wx_radio::protocols::naive::NaiveFlooding;
 use wx_radio::protocols::round_robin::RoundRobin;
 use wx_radio::protocols::spokesman::SpokesmanBroadcast;
-use wx_radio::{BroadcastProtocol, ProtocolKind, RadioSimulator, SimulatorConfig};
+use wx_radio::{
+    BroadcastProtocol, ProtocolKind, RadioSimulator, SimulatorConfig, TrialOutcome, TrialWorkspace,
+};
 
+/// One trial in a fresh workspace, which keeps the trajectory.
 fn run(
-    graph: &wx_graph::Graph,
-    source: usize,
+    sim: &RadioSimulator<'_>,
     proto: &mut dyn BroadcastProtocol,
     seed: u64,
-) -> wx_radio::BroadcastOutcome {
-    RadioSimulator::new(graph, source, SimulatorConfig::default()).run(proto, seed)
+) -> (TrialOutcome, TrialWorkspace) {
+    let mut ws = TrialWorkspace::new(0);
+    let outcome = sim.run_in(proto, seed, &mut ws);
+    (outcome, ws)
 }
 
 #[test]
@@ -46,13 +50,14 @@ fn collision_free_protocols_complete_everywhere() {
             ("decay", Box::new(DecayProtocol)),
             ("spokesman", Box::new(SpokesmanBroadcast)),
         ] {
-            let outcome = run(&g, 0, proto.as_mut(), 3);
+            let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
+            let (outcome, ws) = run(&sim, proto.as_mut(), 3);
             assert!(
                 outcome.completed_at.is_some(),
                 "{pname} failed to complete on {name}"
             );
             // monotone coverage curve
-            assert!(outcome.informed_per_round.windows(2).all(|w| w[1] >= w[0]));
+            assert!(ws.informed_per_round().windows(2).all(|w| w[1] >= w[0]));
         }
     }
 }
@@ -62,15 +67,18 @@ fn informed_counts_never_exceed_reachable() {
     let g = wx_constructions::families::random_regular_graph(64, 4, 9).unwrap();
     let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
     for seed in 0..3 {
-        let o = sim.run(&mut DecayProtocol, seed);
-        assert!(o.informed_per_round.iter().all(|&c| c <= o.reachable));
+        let (o, ws) = run(&sim, &mut DecayProtocol, seed);
+        assert!(ws.informed_per_round().iter().all(|&c| c <= o.reachable));
         // first-informed rounds are consistent with the coverage curve
-        let informed_from_rounds = o
-            .first_informed_round
+        let informed_from_rounds = ws
+            .first_informed_round()
             .iter()
             .filter(|r| r.is_some())
             .count();
-        assert_eq!(informed_from_rounds, *o.informed_per_round.last().unwrap());
+        assert_eq!(
+            informed_from_rounds,
+            *ws.informed_per_round().last().unwrap()
+        );
     }
 }
 
@@ -90,8 +98,8 @@ fn corollary_5_1_per_round_coverage_on_the_first_stage() {
         ("decay", Box::new(DecayProtocol)),
         ("naive", Box::new(NaiveFlooding)),
     ] {
-        let outcome = sim.run(proto.as_mut(), 7);
-        for w in outcome.informed_per_round.windows(2) {
+        let (_, ws) = run(&sim, proto.as_mut(), 7);
+        for w in ws.informed_per_round().windows(2) {
             let increment = w[1] - w[0];
             // per round at most: the whole S side (s, informed by the root)
             // plus 2s uniquely-coverable N vertices.
