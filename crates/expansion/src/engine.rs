@@ -14,11 +14,11 @@
 //! [`max_set_size`] that exact enumeration and sampling share) and the
 //! candidate-set pool, decides between exhaustive enumeration and sampling
 //! by one threshold, `exact_up_to`, fans the per-set evaluations out over
-//! `rayon` (on by default — see [`MeasurementEngineBuilder::parallel`]), and
-//! returns a unified [`Measurement`]. The per-notion modules keep only
-//! *per-set* primitives (`ordinary::of_set`, `unique::of_set`,
-//! `wireless::of_set_exact`, `wireless::of_set_lower_bound`) for callers that
-//! need set-level quantities (e.g. the Observation 2.1 per-set sandwich).
+//! threads with [`wx_trace::par_map`], and returns a unified
+//! [`Measurement`]. The per-notion modules keep only *per-set* primitives
+//! (`ordinary::of_set`, `unique::of_set`, `wireless::of_set_exact`,
+//! `wireless::of_set_lower_bound`) for callers that need set-level
+//! quantities (e.g. the Observation 2.1 per-set sandwich).
 //!
 //! # Exact or sampled
 //!
@@ -47,7 +47,7 @@
 //!
 //! Determinism: every randomized component is derived from the engine's
 //! `seed` via `derive_seed`, so measurements are reproducible regardless of
-//! the rayon thread schedule.
+//! the thread count (`RAYON_NUM_THREADS`) and schedule.
 //!
 //! # Performance: epoch-stamped scratch spaces
 //!
@@ -55,7 +55,7 @@
 //! set under the size cap and `measure_all` evaluates three measures over a
 //! shared pool — so the per-set cost must be pure graph traversal. Each
 //! [`ExpansionMeasure::evaluate`] call receives a borrowed
-//! [`NeighborhoodScratch`]: the engine draws it from a per-rayon-worker pool
+//! [`NeighborhoodScratch`]: the engine draws it from a per-thread pool
 //! ([`with_thread_scratch`]), and the measures run their neighborhood
 //! counting through its `count_*` kernels, which tag vertices with an epoch
 //! stamp instead of allocating fresh sets and reset in O(1) by bumping the
@@ -83,7 +83,6 @@
 use crate::sampling::{
     all_small_sets, exact_enumeration_fits, max_set_size, CandidateSets, SamplerConfig,
 };
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use wx_graph::random::derive_seed;
 use wx_graph::scratch::with_thread_scratch;
@@ -152,7 +151,7 @@ pub trait ExpansionMeasure<G: GraphView + ?Sized = Graph>: Sync {
     ///
     /// `scratch` is a borrowed [`NeighborhoodScratch`] the implementation
     /// should run its neighborhood counting through; the engine hands each
-    /// rayon worker its per-thread scratch, which is what makes the candidate
+    /// worker thread its own scratch, which is what makes the candidate
     /// loop allocation-free in steady state. Implementations must not call
     /// [`with_thread_scratch`] themselves (the pool is already borrowed).
     fn evaluate(
@@ -357,12 +356,6 @@ impl MeasurementEngineBuilder {
         self
     }
 
-    /// Enables or disables rayon-parallel candidate evaluation (default on).
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.engine.parallel = parallel;
-        self
-    }
-
     /// Sets the base seed for all randomized components.
     pub fn seed(mut self, seed: u64) -> Self {
         self.engine.seed = seed;
@@ -382,7 +375,6 @@ pub struct MeasurementEngine {
     alpha: f64,
     exact_up_to: usize,
     sampler: SamplerConfig,
-    parallel: bool,
     seed: u64,
 }
 
@@ -428,14 +420,13 @@ pub struct ExpansionTriple {
 
 impl MeasurementEngine {
     /// Starts a builder with the defaults (`α = 0.5`, `exact_up_to = 14`,
-    /// the default sampler, parallel evaluation on, seed `0xC0FFEE`).
+    /// the default sampler, seed `0xC0FFEE`).
     pub fn builder() -> MeasurementEngineBuilder {
         MeasurementEngineBuilder {
             engine: MeasurementEngine {
                 alpha: 0.5,
                 exact_up_to: 14,
                 sampler: SamplerConfig::default(),
-                parallel: true,
                 seed: 0xC0FFEE,
             },
         }
@@ -444,11 +435,6 @@ impl MeasurementEngine {
     /// The `α` size bound.
     pub fn alpha(&self) -> f64 {
         self.alpha
-    }
-
-    /// Whether candidate evaluation fans out over rayon.
-    pub fn parallel(&self) -> bool {
-        self.parallel
     }
 
     /// The base seed.
@@ -523,7 +509,7 @@ impl MeasurementEngine {
     }
 
     /// The measure's value on every set of `pool`, in flat order (see
-    /// [`CandidateSets`]), evaluated in parallel when enabled. A singleton
+    /// [`CandidateSets`]), evaluated over [`wx_trace::par_map`]. A singleton
     /// `{v}` scores `deg(v)`. This is the escape hatch for experiment
     /// harnesses that need per-set statistics beyond the minimum.
     pub fn evaluate_pool<G, M>(&self, g: &G, measure: &M, pool: &CandidateSets) -> Vec<f64>
@@ -532,7 +518,7 @@ impl MeasurementEngine {
         M: ExpansionMeasure<G> + ?Sized,
     {
         let seed = self.seed;
-        let eval_one = |(j, s): (usize, &VertexSet)| {
+        let eval_one = |j: usize, s: &VertexSet| {
             let i = pool.flat_index(j);
             with_thread_scratch(g.num_vertices(), |scratch| {
                 measure.evaluate(g, s, false, derive_seed(seed, i as u64), scratch)
@@ -541,17 +527,11 @@ impl MeasurementEngine {
         };
         let _span = wx_trace::span("engine.evaluate_pool");
         wx_trace::count(CounterId::EngineSetsEvaluated, pool.len() as u64);
-        // Shielded: rayon may run the evaluations on worker threads *or* on
-        // this thread (one-thread pools), so per-set counts inside the
-        // measures must be dropped consistently to keep telemetry identical
-        // across thread counts.
-        let stored: Vec<f64> = wx_trace::shield(|| {
-            if self.parallel {
-                pool.sets.par_iter().enumerate().map(eval_one).collect()
-            } else {
-                pool.sets.iter().enumerate().map(eval_one).collect()
-            }
-        });
+        // Shielded: `par_map` runs the evaluations on worker threads *or* on
+        // this thread (one thread, or fewer than two sets), so per-set
+        // counts inside the measures must be dropped consistently to keep
+        // telemetry identical across thread counts.
+        let stored = wx_trace::shield(|| wx_trace::par_map(&pool.sets, eval_one));
         let mut values = vec![0.0; pool.len()];
         for v in 0..pool.num_vertices() {
             values[pool.singleton_index(v)] = g.degree(v) as f64;
@@ -598,10 +578,11 @@ impl MeasurementEngine {
         })
     }
 
-    /// The core minimization: evaluate every stored set (in parallel when
-    /// enabled) and, for a sampled pool, take the singleton block's minimum
-    /// by degree; keep the smallest value, ties breaking toward the smaller
-    /// flat index, so results are independent of the thread schedule.
+    /// The core minimization: evaluate every stored set (over
+    /// [`wx_trace::par_map`]) and, for a sampled pool, take the singleton
+    /// block's minimum by degree; keep the smallest value, ties breaking
+    /// toward the smaller flat index, so results are independent of the
+    /// thread schedule.
     fn minimize<G, M>(&self, g: &G, measure: &M, candidates: &Candidates) -> Option<Measurement>
     where
         G: GraphView + Sync + ?Sized,
@@ -616,14 +597,14 @@ impl MeasurementEngine {
         let evaluated = pool.map_or(sets.len(), CandidateSets::len);
         wx_trace::count(CounterId::EngineSetsEvaluated, evaluated as u64);
         let (seed, n) = (self.seed, g.num_vertices());
-        // one scratch per rayon worker: candidate evaluation allocates
+        // one scratch per thread: candidate evaluation allocates
         // nothing for the counting measures in steady state
         let evaluate = |i: usize, s: &VertexSet| {
             with_thread_scratch(n, |scratch| {
                 measure.evaluate(g, s, exact, derive_seed(seed, i as u64), scratch)
             })
         };
-        let eval_one = |(j, s): (usize, &VertexSet)| {
+        let eval_one = |j: usize, s: &VertexSet| {
             let i = pool.map_or(j, |pool| pool.flat_index(j));
             (i, evaluate(i, s), j)
         };
@@ -633,19 +614,15 @@ impl MeasurementEngine {
             let v = (0..n).min_by_key(|&v| g.degree(v))?;
             Some((pool.singleton_index(v), VertexSet::from_iter(n, [v])))
         });
-        // Shielded: the evaluations run on rayon workers or (one-thread
-        // pools) right here; counts from inside the measures — e.g. the
-        // spokesman solves driving a wireless evaluation — must be dropped
-        // consistently so telemetry is identical at every thread count.
+        // Shielded: `par_map` runs the evaluations on worker threads or (one
+        // thread, or fewer than two sets) right here; counts from inside the
+        // measures — e.g. the spokesman solves driving a wireless evaluation
+        // — must be dropped consistently so telemetry is identical at every
+        // thread count.
         let (stored, singleton) = wx_trace::shield(|| {
-            let stored = if self.parallel {
-                sets.par_iter()
-                    .enumerate()
-                    .map(eval_one)
-                    .reduce_with(keep_min)
-            } else {
-                sets.iter().enumerate().map(eval_one).reduce(keep_min)
-            };
+            let stored = wx_trace::par_map(sets, eval_one)
+                .into_iter()
+                .reduce(keep_min);
             let singleton = singleton.map(|(i, s)| (i, evaluate(i, &s), s));
             (stored, singleton)
         });
@@ -762,48 +739,6 @@ pub(crate) mod tests {
         assert!(sampled.value >= exact.value - 1e-12);
         // the adversarial samplers find the true minimum on a cycle
         assert!((sampled.value - exact.value).abs() < 1e-9);
-    }
-
-    #[test]
-    fn parallel_and_sequential_agree() {
-        let g = cycle(30);
-        let base = MeasurementEngine::builder()
-            .alpha(0.5)
-            .exact_up_to(0)
-            .seed(11);
-        for measure in [&Ordinary as &dyn ExpansionMeasure, &UniqueNeighbor] {
-            let par = base
-                .clone()
-                .parallel(true)
-                .build()
-                .measure(&g, measure)
-                .unwrap();
-            let seq = base
-                .clone()
-                .parallel(false)
-                .build()
-                .measure(&g, measure)
-                .unwrap();
-            assert_eq!(par.value, seq.value);
-            assert_eq!(par.witness.to_vec(), seq.witness.to_vec());
-        }
-        // wireless, and all three notions over one shared pool
-        // (`measure_all`)
-        let w = Wireless::default();
-        let par = base.clone().parallel(true).build();
-        let seq = base.parallel(false).build();
-        let (par, seq) = (
-            par.measure_all(&g, &w).unwrap(),
-            seq.measure_all(&g, &w).unwrap(),
-        );
-        for (p, s) in [
-            (&par.ordinary, &seq.ordinary),
-            (&par.unique, &seq.unique),
-            (&par.wireless, &seq.wireless),
-        ] {
-            assert_eq!(p.value, s.value);
-            assert_eq!(p.witness.to_vec(), s.witness.to_vec());
-        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! [`engine::ExpansionMeasure`] ([`engine::Ordinary`],
 //! [`engine::UniqueNeighbor`], [`engine::Wireless`]) over either an
 //! exhaustive enumeration or the shared [`sampling`] candidate pool,
-//! evaluates candidates in parallel via rayon (on by default), and returns a
+//! evaluates candidates on [`wx_trace::par_map`] threads, and returns a
 //! unified [`engine::Measurement`] with value, witness, exactness flag and —
 //! for the wireless measure — the certifying transmitter subset. The
 //! per-notion modules keep only per-set primitives; see the [`engine`] module

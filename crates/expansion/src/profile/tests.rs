@@ -40,26 +40,6 @@ fn sampled_profile_of_larger_graph() {
 }
 
 #[test]
-fn sequential_profile_matches_parallel() {
-    // the engine evaluates candidates in parallel by default; a sequential
-    // engine with the same configuration finds the same three minima
-    let g = cycle(24);
-    let base = MeasurementEngine::builder().exact_up_to(10);
-    let par = base.clone().build();
-    assert!(par.parallel());
-    let par = par.measure_all(&g, &Wireless::default()).unwrap();
-    let seq = base
-        .parallel(false)
-        .build()
-        .measure_all(&g, &Wireless::default())
-        .unwrap();
-    assert_eq!(par.ordinary.value, seq.ordinary.value);
-    assert_eq!(par.unique.value, seq.unique.value);
-    assert_eq!(par.wireless.value, seq.wireless.value);
-    assert_eq!(par.wireless.witness.len(), seq.wireless.witness.len());
-}
-
-#[test]
 fn profile_detects_regular_graph_spectrum() {
     let l2 = second_eigenvalue(&cycle(12), 0xC0FFEE);
     assert!((l2 - 2.0 * (2.0 * std::f64::consts::PI / 12.0).cos()).abs() < 1e-6);

@@ -2,8 +2,8 @@
 //!
 //! Every randomized routine in the reproduction takes an explicit `u64` seed
 //! and derives a [`rand_chacha::ChaCha8Rng`] from it, so all experiments are
-//! bit-for-bit reproducible and Monte-Carlo trials can be farmed out to rayon
-//! workers with independent, deterministic streams.
+//! bit-for-bit reproducible and Monte-Carlo trials can be farmed out to
+//! worker threads with independent, deterministic streams.
 
 use crate::{Vertex, VertexSet};
 use rand::seq::SliceRandom;

@@ -394,7 +394,7 @@ thread_local! {
 ///
 /// This is the pool behind the compatibility wrappers in
 /// [`crate::neighborhood`] and the candidate-evaluation loop of the
-/// `wx-expansion` measurement engine: each rayon worker thread gets its own
+/// `wx-expansion` measurement engine: each worker thread gets its own
 /// scratch, so parallel evaluation reuses one allocation per worker instead
 /// of allocating per candidate set.
 ///

@@ -1,7 +1,7 @@
 //! The `wx` command-line interface.
 //!
 //! ```text
-//! wx run <scenario.json> [--out PATH] [--sequential] [--trace PATH]
+//! wx run <scenario.json> [--out PATH] [--trace PATH]
 //! wx measure   --source SRC --notion ordinary|unique|wireless [--alpha F]
 //!              [--exact-up-to N] [--fast] [--trials N] [--seed N] [--out PATH]
 //! wx profile   --source SRC [--alpha F] [--exact-up-to N] [--fast]
@@ -33,6 +33,11 @@
 //! prints a wall-clock phase-time table and, with `--folded PATH`, emits
 //! folded stacks for `flamegraph.pl`. Tracing never changes report bytes —
 //! the deterministic `telemetry` section is always present.
+//!
+//! Threads: trials and candidate evaluations fan out over
+//! `RAYON_NUM_THREADS` threads (default: every available core), and the
+//! bytes are the same at any count; `RAYON_NUM_THREADS=1` runs everything
+//! on the calling thread.
 
 use crate::error::{LabError, Result};
 use crate::registry;
@@ -85,7 +90,7 @@ pub fn usage() -> &'static str {
     "wx — declarative scenario lab for the wireless-expanders reproduction
 
 USAGE:
-  wx run <scenario.json> [--out PATH] [--sequential] [--trace PATH]
+  wx run <scenario.json> [--out PATH] [--trace PATH]
   wx measure   --source SRC --notion ordinary|unique|wireless [--alpha F]
                [--exact-up-to N] [--fast] [--trials N] [--seed N] [--out PATH]
   wx profile   --source SRC [--alpha F] [--exact-up-to N] [--fast]
@@ -108,7 +113,9 @@ edges). `wx sweep --all` reproduces every registered paper experiment
 (e1..e11) plus the demo scenarios; `wx list` shows everything available. `--trace PATH` writes a Chrome
 trace-event JSON (load in Perfetto); `wx profile` prints a phase-time
 table and `--folded PATH` emits folded stacks for flamegraphs. Tracing
-never changes report bytes. `wx validate` checks reports and traces."
+never changes report bytes. `wx validate` checks reports and traces.
+Work fans out over RAYON_NUM_THREADS threads (default: all cores);
+RAYON_NUM_THREADS=1 runs on one thread, with the same report bytes."
 }
 
 /// A tiny flag parser: consumes `--flag value` pairs and boolean flags from
@@ -129,7 +136,7 @@ impl Flags {
 
     /// Removes `--name <value>` and returns the value. A following token
     /// that is itself a `--flag` counts as a missing value, not a value, so
-    /// `--out --sequential` errors instead of writing to `--sequential`.
+    /// `--out --quick` errors instead of writing to `--quick`.
     pub fn take_value(&mut self, name: &str) -> Result<Option<String>> {
         if let Some(i) = self.rest.iter().position(|a| a == name) {
             match self.rest.get(i + 1) {
@@ -220,7 +227,6 @@ fn emit_report(report: &ScenarioReport, out: Option<&str>) -> Result<()> {
 /// phase-time table to stderr. The report itself is unaffected —
 /// tracing never changes report bytes.
 fn run_traced(
-    runner: &Runner,
     spec: &ScenarioSpec,
     chrome_out: Option<&str>,
     folded_out: Option<&str>,
@@ -230,7 +236,7 @@ fn run_traced(
     let _session = wx_core::trace::exclusive();
     wx_core::trace::enable();
     let _ = wx_core::trace::take_trace();
-    let run_result = runner.run(spec);
+    let run_result = Runner::new().run(spec);
     wx_core::trace::disable();
     let trace = wx_core::trace::take_trace();
     let report = run_result?;
@@ -272,7 +278,6 @@ fn cmd_run(args: &[String]) -> Result<i32> {
     let mut flags = Flags::new(args);
     let out = flags.take_value("--out")?;
     let trace_out = flags.take_value("--trace")?;
-    let sequential = flags.take_flag("--sequential");
     let positional = flags.finish()?;
     let [path] = positional.as_slice() else {
         return Err(LabError::invalid(
@@ -280,14 +285,9 @@ fn cmd_run(args: &[String]) -> Result<i32> {
         ));
     };
     let spec = ScenarioSpec::from_file(path)?;
-    let runner = if sequential {
-        Runner::new().sequential()
-    } else {
-        Runner::new()
-    };
     let report = match trace_out.as_deref() {
-        Some(trace_path) => run_traced(&runner, &spec, Some(trace_path), None, false)?,
-        None => runner.run(&spec)?,
+        Some(trace_path) => run_traced(&spec, Some(trace_path), None, false)?,
+        None => Runner::new().run(&spec)?,
     };
     emit_report(&report, out.as_deref())?;
     Ok(0)
@@ -304,7 +304,6 @@ fn cmd_adhoc(command: &str, args: &[String]) -> Result<i32> {
     let seed = flags.take_parsed::<u64>("--seed")?.unwrap_or(0);
     let out = flags.take_value("--out")?;
     let trace_out = flags.take_value("--trace")?;
-    let sequential = flags.take_flag("--sequential");
     let name = flags
         .take_value("--name")?
         .unwrap_or_else(|| format!("adhoc-{command}"));
@@ -377,23 +376,17 @@ fn cmd_adhoc(command: &str, args: &[String]) -> Result<i32> {
         trials,
         seed,
     };
-    let runner = if sequential {
-        Runner::new().sequential()
-    } else {
-        Runner::new()
-    };
     // `wx profile` always traces (it exists to show where time goes);
     // the other ad-hoc commands trace only when `--trace` asks for it.
     let report = if command == "profile" || trace_out.is_some() {
         run_traced(
-            &runner,
             &spec,
             trace_out.as_deref(),
             folded_out.as_deref(),
             command == "profile",
         )?
     } else {
-        runner.run(&spec)?
+        Runner::new().run(&spec)?
     };
     emit_report(&report, out.as_deref())?;
     Ok(0)
@@ -417,11 +410,7 @@ fn cmd_sweep(args: &[String]) -> Result<i32> {
         ));
     }
     let selection = names;
-    let report = registry::run_sweep(
-        &selection,
-        &Runner::new(),
-        registry::SweepOptions { quick, seed },
-    )?;
+    let report = registry::run_sweep(&selection, registry::SweepOptions { quick, seed })?;
 
     for entry in &report.entries {
         eprintln!(
@@ -636,9 +625,9 @@ mod tests {
         assert!(f.take_value("--seed").is_err());
 
         // a flag where a value belongs is a missing value, not a value
-        let mut f = Flags::new(&strs(&["--out", "--sequential"]));
+        let mut f = Flags::new(&strs(&["--out", "--quick"]));
         let err = f.take_value("--out").unwrap_err();
-        assert!(err.to_string().contains("--sequential"), "{err}");
+        assert!(err.to_string().contains("--quick"), "{err}");
 
         let f = Flags::new(&strs(&["--bogus"]));
         assert!(f.finish().is_err());

@@ -12,13 +12,13 @@
 //!   `wx_constructions::families`, the seeded random generators, and the
 //!   `wx_graph::io` edge-list/DIMACS file loaders behind one enum.
 //! * [`runner`] — expands a spec into a deterministic
-//!   [`runner::TrialPlan`] (per-trial seeds via `derive_seed`),
-//!   executes trials rayon-parallel through the `MeasurementEngine`,
-//!   spokesman solvers and radio protocols (reusing the workspace's
-//!   per-thread `NeighborhoodScratch` pools), and aggregates every metric
-//!   into mean/median/min/max/p95 — emitting a JSON
-//!   [`runner::ScenarioReport`] that is byte-identical
-//!   across runs of the same spec.
+//!   [`runner::TrialPlan`] (per-trial seeds via `derive_seed`), fans the
+//!   trials out over [`wx_trace::par_map`] threads through the
+//!   `MeasurementEngine`, spokesman solvers and radio protocols (reusing
+//!   the workspace's per-thread `NeighborhoodScratch` pools), and
+//!   aggregates every metric into mean/median/min/max/p95 — emitting a
+//!   JSON [`runner::ScenarioReport`] that is byte-identical across runs
+//!   of the same spec, at any thread count.
 //! * [`canon`] — canonical JSON serialization and the FNV-1a content
 //!   addresses (spec keys, graph-instance keys, solution keys) the
 //!   artifact cache and `wx serve` coalescing are keyed by.

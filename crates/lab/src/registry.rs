@@ -253,8 +253,8 @@ impl SweepReport {
 }
 
 /// Executes one built-in entry.
-pub fn run_builtin(entry: &BuiltinScenario, runner: &Runner, opts: SweepOptions) -> SweepEntry {
-    run_builtin_ctx(entry, runner, opts, &RunContext::default())
+pub fn run_builtin(entry: &BuiltinScenario, opts: SweepOptions) -> SweepEntry {
+    run_builtin_ctx(entry, opts, &RunContext::default())
 }
 
 /// [`run_builtin`] against a shared artifact cache: sweep cells whose
@@ -262,14 +262,13 @@ pub fn run_builtin(entry: &BuiltinScenario, runner: &Runner, opts: SweepOptions)
 /// graphs and spokesman solutions instead of regenerating them per cell.
 pub fn run_builtin_ctx(
     entry: &BuiltinScenario,
-    runner: &Runner,
     opts: SweepOptions,
     ctx: &RunContext<'_>,
 ) -> SweepEntry {
     match entry.kind {
         BuiltinKind::Scenario(build) => {
             let spec = build(opts.quick, opts.seed);
-            match runner.run_ctx(&spec, ctx) {
+            match Runner::new().run_ctx(&spec, ctx) {
                 Ok(report) => SweepEntry {
                     name: entry.name.to_string(),
                     title: entry.title.to_string(),
@@ -311,7 +310,7 @@ pub fn run_builtin_ctx(
 
 /// Runs the named entries (every registry entry when `names` is empty) and
 /// aggregates pass/fail. Unknown names fail the whole sweep up front.
-pub fn run_sweep(names: &[String], runner: &Runner, opts: SweepOptions) -> Result<SweepReport> {
+pub fn run_sweep(names: &[String], opts: SweepOptions) -> Result<SweepReport> {
     let selected: Vec<BuiltinScenario> = if names.is_empty() {
         builtins()
     } else {
@@ -338,7 +337,7 @@ pub fn run_sweep(names: &[String], runner: &Runner, opts: SweepOptions) -> Resul
     };
     let entries: Vec<SweepEntry> = selected
         .iter()
-        .map(|entry| run_builtin_ctx(entry, runner, opts, &ctx))
+        .map(|entry| run_builtin_ctx(entry, opts, &ctx))
         .collect();
     let passed = entries.iter().filter(|e| e.passed).count();
     Ok(SweepReport {
@@ -385,12 +384,7 @@ mod tests {
             quick: true,
             seed: 0xE0,
         };
-        let report = run_sweep(
-            &["c-plus-profile".to_string(), "e3".to_string()],
-            &Runner::new(),
-            opts,
-        )
-        .unwrap();
+        let report = run_sweep(&["c-plus-profile".to_string(), "e3".to_string()], opts).unwrap();
         assert_eq!(report.entries.len(), 2);
         assert!(report.all_passed(), "{:?}", report.entries);
         assert!(report.entries[0].scenario.is_some());
@@ -408,7 +402,7 @@ mod tests {
             quick: true,
             seed: 0xE0,
         };
-        let sweep = || run_sweep(&[], &Runner::new(), opts).unwrap().to_json();
+        let sweep = || run_sweep(&[], opts).unwrap().to_json();
         let first = sweep();
         assert!(first.contains("\"e7\""), "{first}");
         assert_eq!(first, sweep());
@@ -416,12 +410,8 @@ mod tests {
 
     #[test]
     fn sweep_rejects_unknown_names() {
-        let err = run_sweep(
-            &["no-such-scenario".to_string()],
-            &Runner::new(),
-            SweepOptions::default(),
-        )
-        .unwrap_err();
+        let err =
+            run_sweep(&["no-such-scenario".to_string()], SweepOptions::default()).unwrap_err();
         assert!(err.to_string().contains("no-such-scenario"));
     }
 }

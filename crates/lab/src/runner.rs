@@ -5,11 +5,13 @@
 //!
 //! [`Runner::plan`] expands a [`ScenarioSpec`] into a [`TrialPlan`] whose
 //! per-trial seeds are derived from the spec's base seed with
-//! [`derive_seed`], never from global state. Trials execute rayon-parallel
-//! but collect **in trial order**, every randomized component inside a trial
-//! is seeded from that trial's seed, and aggregated metrics are stored in
-//! `BTreeMap`s — so two runs of the same spec produce byte-identical JSON
-//! reports regardless of thread scheduling.
+//! [`derive_seed`], never from global state. Trial groups fan out over
+//! threads with [`wx_trace::par_map`] (as many as `RAYON_NUM_THREADS`
+//! allows) but collect **in trial order**, every randomized component
+//! inside a trial is seeded from that trial's seed, and aggregated metrics
+//! are stored in `BTreeMap`s — so two runs of the same spec produce
+//! byte-identical JSON reports regardless of the thread count and
+//! schedule.
 //!
 //! # Execution
 //!
@@ -33,7 +35,7 @@
 //!   other task runs in groups of one.
 //!
 //! The executor reuses the workspace's fast inner loops: expansion tasks
-//! run through the [`MeasurementEngine`]'s per-rayon-worker
+//! run through the [`MeasurementEngine`]'s per-thread
 //! `NeighborhoodScratch` pool, the spokesman task extracts its bipartite
 //! views through [`with_thread_scratch`], and radio batches run in the
 //! per-thread lane workspace. Backends stay in their native form: implicit
@@ -45,7 +47,6 @@ use crate::canon;
 use crate::error::{LabError, Result};
 use crate::source::{with_graph_view, BuiltGraph, GraphSource};
 use crate::spec::{ScenarioSpec, Task};
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use wx_core::expansion::engine::{MeasurementEngine, Wireless};
@@ -167,34 +168,19 @@ impl ScenarioReport {
 /// echo so reports for million-trial runs stay small.
 pub const DEFAULT_PER_TRIAL_CAP: usize = 1024;
 
-/// Number of trials executed per parallel batch. Trials stream into the
+/// Number of trials executed per fan-out batch. Trials stream into the
 /// aggregators batch by batch, so peak memory is O(chunk + per-trial cap)
 /// records instead of O(trials).
 const TRIAL_CHUNK: usize = 256;
 
 /// Executes scenarios. See the module docs for the determinism contract.
-#[derive(Clone, Copy, Debug)]
-pub struct Runner {
-    parallel: bool,
-}
-
-impl Default for Runner {
-    fn default() -> Self {
-        Runner::new()
-    }
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Runner;
 
 impl Runner {
-    /// A runner with rayon-parallel trial execution (the default).
+    /// A runner; its trial groups fan out over [`wx_trace::par_map`].
     pub fn new() -> Runner {
-        Runner { parallel: true }
-    }
-
-    /// Disables parallel trial execution (useful for debugging; results are
-    /// identical either way).
-    pub fn sequential(mut self) -> Runner {
-        self.parallel = false;
-        self
+        Runner
     }
 
     /// Expands a spec into its deterministic trial plan.
@@ -240,7 +226,7 @@ impl Runner {
             _ => 1,
         };
         // The counter scope lives *inside* the closure, so counts land on
-        // whichever thread rayon runs the group on and are summed in
+        // whichever thread `par_map` runs the group on and are summed in
         // deterministic group order by `aggregate`.
         let run_group = |trials: &[TrialSpec]| -> WorkUnit {
             let (records, counters) = wx_trace::with_counters(|| {
@@ -255,11 +241,7 @@ impl Runner {
         };
         let chunks = plan.trials.chunks(TRIAL_CHUNK).map(|chunk| {
             let groups: Vec<&[TrialSpec]> = chunk.chunks(group).collect();
-            if self.parallel {
-                groups.par_iter().map(|g| run_group(g)).collect()
-            } else {
-                groups.iter().map(|g| run_group(g)).collect()
-            }
+            wx_trace::par_map(&groups, |_, g| run_group(g))
         });
 
         self.aggregate(spec, chunks)
@@ -914,23 +896,23 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_reports_are_identical() {
+    fn reruns_of_a_randomized_source_are_identical() {
         let spec = ScenarioSpec {
             source: GraphSource::RandomRegular { n: 20, d: 3 },
             trials: 4,
             ..measure_spec(4)
         };
-        let par = Runner::new().run(&spec).unwrap();
-        let seq = Runner::new().sequential().run(&spec).unwrap();
-        assert_eq!(par.to_json(), seq.to_json());
+        let first = Runner::new().run(&spec).unwrap();
+        let second = Runner::new().run(&spec).unwrap();
+        assert_eq!(first.to_json(), second.to_json());
     }
 
     #[test]
     fn cached_reports_are_byte_identical_cold_and_warm() {
         // The cache seam must be invisible in report bytes: batch path,
-        // cold cache, warm cache (graphs + solutions resident), and a
-        // sequential runner against the warm cache all agree — for both a
-        // shared deterministic source and a per-trial randomized one.
+        // cold cache and two warm runs (graphs + solutions resident) all
+        // agree — for both a shared deterministic source and a per-trial
+        // randomized one.
         use crate::cache::{ArtifactCache, CacheConfig, RunContext};
         for source in [
             GraphSource::Hypercube { dim: 4 },
@@ -953,10 +935,10 @@ mod tests {
             };
             let cold = Runner::new().run_ctx(&spec, &ctx).unwrap();
             let warm = Runner::new().run_ctx(&spec, &ctx).unwrap();
-            let warm_seq = Runner::new().sequential().run_ctx(&spec, &ctx).unwrap();
+            let warm_again = Runner::new().run_ctx(&spec, &ctx).unwrap();
             assert_eq!(batch.to_json(), cold.to_json());
             assert_eq!(batch.to_json(), warm.to_json());
-            assert_eq!(batch.to_json(), warm_seq.to_json());
+            assert_eq!(batch.to_json(), warm_again.to_json());
             let stats = cache.stats();
             assert!(
                 stats.solution_hits > 0,
@@ -1238,8 +1220,8 @@ mod tests {
             t
         };
         assert_eq!(strip(&on_mmap.telemetry), strip(&on_text.telemetry));
-        // byte-identical across reruns and across thread counts
-        let again = Runner::new().sequential().run(&spec(mmap_source)).unwrap();
+        // byte-identical across reruns
+        let again = Runner::new().run(&spec(mmap_source)).unwrap();
         assert_eq!(on_mmap.to_json(), again.to_json());
     }
 

@@ -86,8 +86,6 @@ fn reports_match_the_golden_fixtures() {
                 "{name}: radio report lacks radio.lane_rounds"
             );
         }
-        let sequential = Runner::new().sequential().run(&spec).unwrap().to_json();
-        assert_eq!(json, sequential, "{name}: sequential run differs");
     }
 }
 
@@ -116,7 +114,7 @@ fn quick_sweep_matches_its_golden_report() {
         quick: true,
         ..SweepOptions::default()
     };
-    let json = run_sweep(&[], &Runner::new(), opts).unwrap().to_json();
+    let json = run_sweep(&[], opts).unwrap().to_json();
     assert_eq!(
         json, expected,
         "`wx sweep --all --quick` differs from its golden report"

@@ -6,11 +6,12 @@
 //! wx serve --http ADDR [serve options]
 //! ```
 //!
-//! Serve options: `--workers N` (default 2), `--sequential`,
-//! `--graph-cache-bytes N`, `--solution-cache-bytes N`,
-//! `--persist DIR`. Exit codes match the batch CLI: 0 success, 1
-//! runtime failure (including any failed request in a stdin-jsonl
-//! session), 2 usage error.
+//! Serve options: `--workers N` (default 2), `--graph-cache-bytes N`,
+//! `--solution-cache-bytes N`, `--persist DIR`. Each request's trials fan
+//! out over `RAYON_NUM_THREADS` threads; `RAYON_NUM_THREADS=1` keeps each
+//! request on its worker thread. Exit codes match the batch CLI: 0
+//! success, 1 runtime failure (including any failed request in a
+//! stdin-jsonl session), 2 usage error.
 
 use std::path::PathBuf;
 
@@ -60,7 +61,7 @@ fn exit_code(result: Result<i32>) -> i32 {
 /// [`wx_lab::cli::usage`]).
 pub fn usage() -> &'static str {
     "SERVING:
-  wx serve --stdin [--out-dir DIR] [--workers N] [--sequential]
+  wx serve --stdin [--out-dir DIR] [--workers N]
            [--graph-cache-bytes N] [--solution-cache-bytes N] [--persist DIR]
   wx serve --http ADDR [same options]
 
@@ -74,7 +75,9 @@ serves the same engine over HTTP/1.1: POST /run (body = spec, response
 = report bytes, telemetry in X-Wx-* headers), GET /healthz, GET /stats.
 `--persist DIR` writes solution artifacts to disk so a restarted server
 warms from it; DIR is created if missing, and one that cannot be created
-is an error."
+is an error. Each request's trials fan out over RAYON_NUM_THREADS threads
+(default: all cores); RAYON_NUM_THREADS=1 keeps a request on its worker,
+with the same report bytes."
 }
 
 fn parse_serve_config(flags: &mut Flags) -> Result<ServeConfig> {
@@ -85,20 +88,24 @@ fn parse_serve_config(flags: &mut Flags) -> Result<ServeConfig> {
         }
         config.workers = workers;
     }
-    config.sequential = flags.take_flag("--sequential");
-    let persist_dir = flags.take_value("--persist")?.map(PathBuf::from);
-    // The cache writes artifacts best-effort, so a directory it cannot use
-    // must be refused here rather than silently turn persistence off.
-    if let Some(dir) = &persist_dir {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| LabError::Io(format!("creating {}: {e}", dir.display())))?;
-    }
     config.cache = CacheConfig {
         graph_budget_bytes: flags.take_parsed::<u64>("--graph-cache-bytes")?,
         solution_budget_bytes: flags.take_parsed::<u64>("--solution-cache-bytes")?,
-        persist_dir,
+        persist_dir: flags.take_value("--persist")?.map(PathBuf::from),
     };
     Ok(config)
+}
+
+/// Starts the service once every flag has been accepted. The cache writes
+/// artifacts best-effort, so a persist directory it cannot use is refused
+/// here rather than silently turn persistence off; creating it only now
+/// leaves nothing behind after a usage error.
+fn start(config: &ServeConfig) -> Result<Service> {
+    if let Some(dir) = &config.cache.persist_dir {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| LabError::Io(format!("creating {}: {e}", dir.display())))?;
+    }
+    Ok(Service::start(config))
 }
 
 fn cmd_serve(args: &[String]) -> Result<i32> {
@@ -116,7 +123,7 @@ fn cmd_serve(args: &[String]) -> Result<i32> {
             "wx serve needs a transport: --stdin or --http ADDR",
         )),
         (true, None) => {
-            let service = Service::start(&config);
+            let service = start(&config)?;
             let stdin = std::io::stdin();
             let stdout = std::io::stdout();
             let failures = jsonl::run_session(
@@ -142,7 +149,7 @@ fn cmd_serve(args: &[String]) -> Result<i32> {
             if out_dir.is_some() {
                 return Err(LabError::invalid("--out-dir only applies to --stdin"));
             }
-            let service = Service::start(&config);
+            let service = start(&config)?;
             let server = HttpServer::bind(service, &addr)?;
             eprintln!("wx serve: listening on http://{}", server.local_addr()?);
             server.serve_forever()?;

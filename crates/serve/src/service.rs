@@ -47,10 +47,6 @@ use wx_trace::Clock;
 pub struct ServeConfig {
     /// Worker threads executing requests ([`Service::start`] spawns them).
     pub workers: usize,
-    /// Run each request's trials sequentially instead of rayon-parallel
-    /// (report bytes are identical either way; this only trades intra-
-    /// request parallelism for lower per-request memory).
-    pub sequential: bool,
     /// Artifact-cache budgets and persistence.
     pub cache: CacheConfig,
 }
@@ -59,7 +55,6 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             workers: 2,
-            sequential: false,
             cache: CacheConfig::default(),
         }
     }
@@ -102,7 +97,6 @@ impl Job {
 
 struct ServiceInner {
     cache: ArtifactCache,
-    sequential: bool,
     queue: Mutex<VecDeque<Arc<Job>>>,
     queue_ready: Condvar,
     inflight: Mutex<BTreeMap<u64, Arc<Job>>>,
@@ -133,17 +127,12 @@ impl ServiceInner {
         let queue_us = job.queued.elapsed().as_micros() as u64;
         let before = self.cache.stats();
         let run = Clock::start();
-        let runner = if self.sequential {
-            Runner::new().sequential()
-        } else {
-            Runner::new()
-        };
         let ctx = RunContext {
             graphs: Some(&self.cache),
             solutions: Some(&self.cache),
         };
         let outcome = catch_panic(|| {
-            runner
+            Runner::new()
                 .run_ctx(&job.spec, &ctx)
                 .map(|report| report.to_json())
                 .map_err(|e| e.to_string())
@@ -207,7 +196,6 @@ impl Service {
         Service {
             inner: Arc::new(ServiceInner {
                 cache: ArtifactCache::new(config.cache.clone()),
-                sequential: config.sequential,
                 queue: Mutex::new(VecDeque::new()),
                 queue_ready: Condvar::new(),
                 inflight: Mutex::new(BTreeMap::new()),

@@ -117,7 +117,6 @@ fn eviction_pressure_does_not_change_report_bytes() {
     let batch = Runner::new().run(&spec).unwrap().to_json();
     let service = Service::start(&ServeConfig {
         workers: 2,
-        sequential: false,
         cache: CacheConfig {
             graph_budget_bytes: Some(64),
             solution_budget_bytes: Some(64),
@@ -246,6 +245,33 @@ fn persist_dir_is_created_and_an_unusable_one_is_refused() {
     assert_eq!(output.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains(&file.display().to_string()), "{stderr}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_usage_error_leaves_no_persist_dir_behind() {
+    let wx = env!("CARGO_BIN_EXE_wx");
+    let root = std::env::temp_dir().join("wx_serve_persist_usage_test");
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).unwrap();
+    let dir = root.join("fresh");
+    for flags in [
+        &[][..],
+        &["--stdin", "--http", "127.0.0.1:0"],
+        &["--stdin", "--graph-cache-bytes", "lots"],
+        &["--stdin", "stray-positional"],
+    ] {
+        let output = std::process::Command::new(wx)
+            .arg("serve")
+            .args(flags)
+            .arg("--persist")
+            .arg(&dir)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("spawning wx");
+        assert_eq!(output.status.code(), Some(2), "{flags:?}");
+        assert!(!dir.exists(), "{flags:?} left {} behind", dir.display());
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
 

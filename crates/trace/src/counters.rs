@@ -8,19 +8,19 @@
 //!
 //! Collection is *scoped*: [`count`] is a no-op unless the calling
 //! thread has an active scope installed by [`with_counters`]. The lab
-//! runner installs one scope per trial, inside the closure that rayon
-//! executes, so counts land on whichever thread runs the trial and are
-//! summed in trial order afterwards.
+//! runner installs one scope per trial, inside the closure that
+//! [`par_map`](crate::par_map) executes, so counts land on whichever
+//! thread runs the trial and are summed in trial order afterwards.
 //!
-//! The subtlety is the rayon shim: `parallel_map_vec` runs items on the
-//! *calling* thread when the pool has one thread (or there is a single
-//! item), and on fresh worker threads otherwise. A counter incremented
-//! inside a parallel region would therefore be captured at one thread
-//! count and silently dropped at another. [`shield`] closes that hole:
-//! it pushes a blocking scope so nested counts are dropped *on the
-//! calling thread too*, making the outcome identical everywhere. Every
-//! parallel fan-out in the measurement engine is shielded; counters it
-//! wants recorded are tallied at entry, before the shield.
+//! The subtlety is [`par_map`](crate::par_map)'s rule: it runs items
+//! inline on the *calling* thread when the process has one thread or
+//! there are fewer than two items, and on fresh worker threads otherwise.
+//! A counter incremented inside a fan-out would therefore be captured at
+//! one thread count and silently dropped at another. [`shield`] closes
+//! that hole: it pushes a blocking scope so nested counts are dropped *on
+//! the calling thread too*, making the outcome identical everywhere.
+//! Every fan-out in the measurement engine is shielded; counters it wants
+//! recorded are tallied at entry, before the shield.
 //!
 //! [`ScenarioReport`]: https://docs.rs/wx-lab
 
@@ -212,11 +212,12 @@ pub fn with_counters<R>(f: impl FnOnce() -> R) -> (R, CounterSet) {
 
 /// Runs `f` with counting blocked on this thread.
 ///
-/// Wrap every parallel fan-out whose workers call [`count`]: worker
-/// threads never see the trial's scope, but the rayon shim runs work
-/// on the *calling* thread at one-thread pools — shielding makes the
-/// nested counts drop consistently at every thread count, which is
-/// what keeps telemetry byte-identical across `RAYON_NUM_THREADS`.
+/// Wrap every [`par_map`](crate::par_map) whose items call [`count`]:
+/// worker threads never see the trial's scope, but `par_map` runs the
+/// items inline on the *calling* thread at one thread or with fewer than
+/// two items — shielding makes the nested counts drop consistently at
+/// every thread count, which is what keeps telemetry byte-identical
+/// across `RAYON_NUM_THREADS`.
 pub fn shield<R>(f: impl FnOnce() -> R) -> R {
     SCOPES.with(|scopes| scopes.borrow_mut().push(ScopeEntry::Blocked));
     let result = f();

@@ -22,6 +22,9 @@
 //!   the lab runner folds into a `ScenarioReport`'s `telemetry`
 //!   section. [`shield`] keeps them identical across thread counts by
 //!   dropping counts from inside parallel fan-outs consistently.
+//! * **The fan-out** ([`par_map`]) is the workspace's one data-parallel
+//!   map over threads, kept here because the counter scopes depend on
+//!   which thread runs each item.
 //!
 //! [`Clock`] is the only place the workspace may read wall-clock time
 //! outside this crate's internals; the analyzer enforces that too.
@@ -56,11 +59,13 @@
 pub mod clock;
 mod counters;
 mod export;
+mod par;
 mod ring;
 
 pub use clock::Clock;
 pub use counters::{count, shield, with_counters, CounterId, CounterSet, NUM_COUNTERS};
 pub use export::Trace;
+pub use par::par_map;
 pub use ring::{
     disable, enable, event_value, is_enabled, set_thread_buffer_capacity, span, EventRecord,
     PhaseTotal, SpanGuard, SpanRecord, DEFAULT_CAPACITY,
