@@ -5,10 +5,12 @@
 //! hot paths, panic-free library crates) were enforced by convention and
 //! after-the-fact proptests. This crate machine-checks them on every PR: a
 //! dependency-free Rust [lexer] feeds a [rule engine](rules) that
-//! walks every workspace `.rs` file under `crates/` and emits structured
-//! diagnostics, with inline `// wx-allow(rule-id): reason` suppressions and
-//! a committed [baseline ratchet](baseline) so pre-existing violations stand
-//! while new ones fail CI.
+//! walks every workspace `.rs` file under `crates/` (plus one
+//! workspace-wide pass that keeps the `pub` surface to what non-test code
+//! calls) and emits structured diagnostics, with inline
+//! `// wx-allow(rule-id): reason` suppressions and a committed
+//! [baseline ratchet](baseline) so pre-existing violations stand while new
+//! ones fail CI.
 //!
 //! See `RULES.md` for the rule catalog and the motivating bug behind each
 //! rule, and the `wx-analyze` binary for the CLI (`--check`, `--bless`,
@@ -32,22 +34,34 @@ pub use rules::analyze_source;
 use std::path::{Path, PathBuf};
 
 /// Analyzes every `.rs` file under `<root>/crates/`, in deterministic
-/// (sorted-path) order. Returns the combined sorted diagnostics.
+/// (sorted-path) order, then runs the workspace-wide
+/// [`test-only-pub`](rules::test_only_pub) pass, which also reads
+/// `<root>/examples/` and `<root>/wxbench/src/` for uses. Returns the
+/// combined sorted diagnostics.
 ///
 /// IO failures surface as `Err` with the offending path in the message.
 pub fn analyze_workspace(root: &Path, cfg: &Config) -> Result<Vec<Diagnostic>, String> {
-    let crates_dir = root.join("crates");
     let mut files = Vec::new();
-    collect_rs_files(&crates_dir, &mut files)
-        .map_err(|e| format!("walking {}: {e}", crates_dir.display()))?;
+    for dir in ["crates", "examples", "wxbench/src"] {
+        let dir = root.join(dir);
+        // `crates/` must exist; the two trees read only for uses may not
+        if dir.is_dir() || dir.ends_with("crates") {
+            collect_rs_files(&dir, &mut files)
+                .map_err(|e| format!("walking {}: {e}", dir.display()))?;
+        }
+    }
     files.sort();
-    let mut diags = Vec::new();
+    let mut sources = Vec::with_capacity(files.len());
     for path in files {
         let src = std::fs::read_to_string(&path)
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        let rel = rel_path(root, &path);
-        diags.extend(analyze_source(&rel, &src, cfg));
+        sources.push((rel_path(root, &path), src));
     }
+    let mut diags: Vec<Diagnostic> = sources
+        .iter()
+        .flat_map(|(rel, src)| analyze_source(rel, src, cfg))
+        .collect();
+    diags.extend(rules::test_only_pub(&sources));
     diagnostics::sort(&mut diags);
     Ok(diags)
 }

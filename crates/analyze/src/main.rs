@@ -250,6 +250,8 @@ fn print_rule_catalog() {
     println!("  panic-freedom     unwrap/expect/panic!/unreachable!/todo! in library code");
     println!("  hot-path-alloc    allocation in the allocation-free hot-path modules");
     println!("  hygiene           dbg!/println!/eprintln! in library code");
+    println!("  test-only-pub     pub item in crates/*/src that no non-test code names");
+    println!("                    (workspace pass; uses from examples/ and wxbench/src count)");
     println!("  bad-allow         malformed wx-allow comment (meta, not suppressible)");
     println!("  unused-allow      wx-allow that suppresses nothing (meta, not suppressible)");
     println!();

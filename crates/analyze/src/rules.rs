@@ -10,6 +10,7 @@ use crate::config::{classify, matches_any_prefix, Config, FileClass};
 use crate::diagnostics::{self, Diagnostic};
 use crate::lexer::{lex, Token, TokenKind};
 use crate::scope::{self, FileScopes};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Rule: arithmetic on seed values outside `derive_seed`.
 pub const SEED_DISCIPLINE: &str = "seed-discipline";
@@ -21,21 +22,12 @@ pub const PANIC_FREEDOM: &str = "panic-freedom";
 pub const HOT_PATH_ALLOC: &str = "hot-path-alloc";
 /// Rule: debug/print output in library code.
 pub const HYGIENE: &str = "hygiene";
+/// Workspace rule: a `pub` item that no non-test code names.
+pub const TEST_ONLY_PUB: &str = "test-only-pub";
 /// Meta rule: malformed `wx-allow` comment.
 pub const BAD_ALLOW: &str = "bad-allow";
 /// Meta rule: a `wx-allow` that suppresses nothing.
 pub const UNUSED_ALLOW: &str = "unused-allow";
-
-/// Every rule id, in catalog order.
-pub const ALL_RULES: &[&str] = &[
-    SEED_DISCIPLINE,
-    DETERMINISM,
-    PANIC_FREEDOM,
-    HOT_PATH_ALLOC,
-    HYGIENE,
-    BAD_ALLOW,
-    UNUSED_ALLOW,
-];
 
 /// The rule ids a `wx-allow` may name (the meta rules are not suppressible).
 const SUPPRESSIBLE: &[&str] = &[
@@ -470,6 +462,211 @@ fn hygiene(ctx: &RuleCtx<'_>, diags: &mut Vec<Diagnostic>) {
                  presentation into the CLI layer"
             ),
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// test-only-pub: the one workspace-wide rule
+// ---------------------------------------------------------------------------
+
+/// One `pub` item definition found by [`test_only_pub`].
+struct PubDef<'a> {
+    file: usize,
+    /// Code-token index of the name; the item spans `span.0..=span.1`.
+    name_tok: usize,
+    span: (usize, usize),
+    keyword: &'a str,
+    name: &'a str,
+}
+
+/// One lexed workspace file, as [`test_only_pub`] sees it.
+struct LexedFile<'a> {
+    path: &'a str,
+    src: &'a str,
+    tokens: Vec<Token>,
+    scopes: FileScopes,
+    /// Indices into `tokens` of the non-comment tokens.
+    code: Vec<usize>,
+    /// `crates/<name>/src/…` outside a test target: defines the API.
+    is_lib: bool,
+    /// Every token is test code (a `tests.rs` module file).
+    all_test: bool,
+}
+
+impl<'a> LexedFile<'a> {
+    fn text(&self, i: usize) -> &'a str {
+        self.tokens[self.code[i]].text(self.src)
+    }
+
+    fn is_ident(&self, i: usize) -> bool {
+        self.tokens[self.code[i]].kind == TokenKind::Ident
+    }
+
+    fn in_test(&self, i: usize) -> bool {
+        self.all_test || self.scopes.in_test(self.tokens[self.code[i]].line)
+    }
+}
+
+/// **test-only-pub** — a `pub fn|struct|enum|trait|type|const|static` in
+/// `crates/*/src` whose name no non-test code names.
+///
+/// Unlike the per-file rules this is one pass over the whole workspace:
+/// `files` holds `(workspace-relative path, source)` pairs. Names are
+/// collected from the non-test tokens of `crates/*/src` (a `#[cfg(test)]`/
+/// `#[test]` span or a `tests.rs` file is test code), `examples/` and
+/// `wxbench/src`; every other path (integration tests, shims) is ignored.
+/// An item's own span and `impl` headers are not uses, and comments (doc
+/// links included) are not tokens, so they are not uses either. A `pub use`
+/// re-export is a use. The match is by name, so it undercounts on name
+/// collisions. Not suppressible inline: its sites are baselined.
+pub fn test_only_pub(files: &[(String, String)]) -> Vec<Diagnostic> {
+    let lexed: Vec<LexedFile<'_>> = files
+        .iter()
+        .filter_map(|(path, src)| {
+            let is_lib = classify(path).is_some_and(|c| !c.is_test_target)
+                && path.split('/').nth(2) == Some("src");
+            if !is_lib && !path.starts_with("examples/") && !path.starts_with("wxbench/src/") {
+                return None;
+            }
+            let tokens = lex(src);
+            let scopes = scope::compute(&tokens, src);
+            let code = (0..tokens.len())
+                .filter(|&i| !tokens[i].kind.is_trivia())
+                .collect();
+            Some(LexedFile {
+                path,
+                src,
+                tokens,
+                scopes,
+                code,
+                is_lib,
+                all_test: path.ends_with("/tests.rs"),
+            })
+        })
+        .collect();
+
+    let mut defs = Vec::new();
+    for (fi, f) in lexed.iter().enumerate() {
+        if f.is_lib {
+            pub_defs(fi, f, &mut defs);
+        }
+    }
+    let def_names: BTreeSet<&str> = defs.iter().map(|d| d.name).collect();
+    let def_toks: BTreeSet<(usize, usize)> = defs.iter().map(|d| (d.file, d.name_tok)).collect();
+
+    // Every counted occurrence of a defined name: (file, code index).
+    let mut uses: BTreeMap<&str, Vec<(usize, usize)>> = BTreeMap::new();
+    for (fi, f) in lexed.iter().enumerate() {
+        let mut header_until = None;
+        for i in 0..f.code.len() {
+            if !f.is_ident(i) {
+                continue;
+            }
+            let text = f.text(i);
+            if text == "impl" && is_item_impl(f, i) {
+                header_until = (i..f.code.len()).find(|&j| f.text(j) == "{");
+            }
+            if header_until.is_some_and(|end| i < end)
+                || !def_names.contains(text)
+                || def_toks.contains(&(fi, i))
+                || f.in_test(i)
+            {
+                continue;
+            }
+            uses.entry(text).or_default().push((fi, i));
+        }
+    }
+
+    let mut diags: Vec<Diagnostic> = defs
+        .iter()
+        .filter(|d| {
+            !uses.get(d.name).is_some_and(|occ| {
+                occ.iter()
+                    .any(|&(fi, i)| fi != d.file || i < d.span.0 || i > d.span.1)
+            })
+        })
+        .map(|d| {
+            let f = &lexed[d.file];
+            let t = &f.tokens[f.code[d.name_tok]];
+            Diagnostic {
+                rule: TEST_ONLY_PUB,
+                file: f.path.to_string(),
+                line: t.line,
+                col: t.col,
+                message: format!(
+                    "`pub {} {}` is named by no non-test code: delete it, move it \
+                     under #[cfg(test)], or baseline it as a paper statement or test seam",
+                    d.keyword, d.name
+                ),
+            }
+        })
+        .collect();
+    diagnostics::sort(&mut diags);
+    diags
+}
+
+/// `true` when the `impl` at code index `i` starts an item, not an
+/// `impl Trait` type (`-> impl Fn()`, `x: impl Iterator`).
+fn is_item_impl(f: &LexedFile<'_>, i: usize) -> bool {
+    i == 0 || matches!(f.text(i - 1), "}" | ";" | "]" | "{" | "unsafe")
+}
+
+/// Collects the non-test `pub` item definitions of one library file.
+fn pub_defs<'a>(fi: usize, f: &LexedFile<'a>, defs: &mut Vec<PubDef<'a>>) {
+    const KEYWORDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const", "static"];
+    let n = f.code.len();
+    for start in 0..n {
+        // Plain `pub` only: `pub(crate)` is not public API.
+        if f.text(start) != "pub" || !f.is_ident(start) || f.in_test(start) {
+            continue;
+        }
+        let mut i = start + 1;
+        while i < n && matches!(f.text(i), "unsafe" | "async" | "extern" | "mut")
+            || i + 1 < n && f.text(i) == "const" && matches!(f.text(i + 1), "fn" | "unsafe")
+            || i < n && f.tokens[f.code[i]].kind == TokenKind::StrLit
+        {
+            i += 1;
+        }
+        if i + 1 >= n || !KEYWORDS.contains(&f.text(i)) {
+            continue;
+        }
+        let keyword = f.text(i);
+        let mut name_tok = i + 1;
+        if keyword == "static" && f.text(name_tok) == "mut" {
+            name_tok += 1;
+        }
+        if name_tok >= n || !f.is_ident(name_tok) {
+            continue;
+        }
+        // The item ends at its `;` or, for braced kinds, at the `}` that
+        // closes its first top-level brace.
+        let braced = matches!(keyword, "fn" | "struct" | "enum" | "trait");
+        let mut depth = 0i32;
+        let mut end = n - 1;
+        for j in name_tok + 1..n {
+            match f.text(j) {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => {
+                    depth -= 1;
+                    if depth == 0 && braced && f.text(j) == "}" {
+                        end = j;
+                        break;
+                    }
+                }
+                ";" if depth == 0 => {
+                    end = j;
+                    break;
+                }
+                _ => {}
+            }
+        }
+        defs.push(PubDef {
+            file: fi,
+            name_tok,
+            span: (start, end),
+            keyword,
+            name: f.text(name_tok).trim_start_matches("r#"),
+        });
     }
 }
 

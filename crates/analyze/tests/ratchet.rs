@@ -54,15 +54,18 @@ impl Drop for TempWs {
     }
 }
 
-const CLEAN: &str = "pub fn ok(x: u32) -> u32 {\n    x + 1\n}\n";
+// The demo functions are private: a `pub fn` no code names would itself
+// be a `test-only-pub` finding in these one-file workspaces.
+const CLEAN: &str = "fn ok(x: u32) -> u32 {\n    x + 1\n}\n";
 
 /// One seed-discipline violation on line 2 column 5.
-const SEEDY: &str = "pub fn bad(seed: u64) -> u64 {\n    seed + 1\n}\n";
+const SEEDY: &str = "fn bad(seed: u64) -> u64 {\n    seed + 1\n}\n";
 
 /// Two violations: seed arithmetic (line 2) and a hot-path `.to_vec()`
 /// is not in play here (demo is not a hot-path module), so use a
 /// panic-freedom hit (line 3) instead.
-const SEEDY_AND_PANICKY: &str = "pub fn bad(seed: u64, x: Option<u64>) -> u64 {\n    let s = seed + 1;\n    s + x.unwrap()\n}\n";
+const SEEDY_AND_PANICKY: &str =
+    "fn bad(seed: u64, x: Option<u64>) -> u64 {\n    let s = seed + 1;\n    s + x.unwrap()\n}\n";
 
 #[test]
 fn report_mode_exits_nonzero_with_correct_location() {
@@ -198,7 +201,7 @@ fn hot_path_to_vec_is_caught_end_to_end() {
 
     ws.write(
         "crates/graph/src/scratch.rs",
-        "pub fn kernel(xs: &[u32]) -> usize {\n    xs.to_vec().len()\n}\n",
+        "fn kernel(xs: &[u32]) -> usize {\n    xs.to_vec().len()\n}\n",
     );
     let (code, stdout, _) = ws.run(&["--check"]);
     assert_eq!(code, 1, "hot-path allocation must fail check: {stdout}");
@@ -206,6 +209,30 @@ fn hot_path_to_vec_is_caught_end_to_end() {
         stdout.contains("crates/graph/src/scratch.rs:2:8: [hot-path-alloc]"),
         "wrong location in: {stdout}"
     );
+}
+
+#[test]
+fn test_only_pub_reads_uses_from_examples_and_wxbench() {
+    let ws = TempWs::new("testonlypub");
+    ws.write(
+        "crates/demo/src/lib.rs",
+        "pub fn api() -> u32 {\n    1\n}\npub fn bench_hook() -> u32 {\n    2\n}\n",
+    );
+    let (code, stdout, _) = ws.run(&[]);
+    assert_eq!(code, 1, "unnamed pub items must be reported: {stdout}");
+    assert!(
+        stdout.contains("crates/demo/src/lib.rs:1:8: [test-only-pub] `pub fn api`"),
+        "wrong location in: {stdout}"
+    );
+    assert!(stdout.contains("crates/demo/src/lib.rs:4:8: [test-only-pub] `pub fn bench_hook`"));
+
+    ws.write("examples/src/main.rs", "fn main() {\n    demo::api();\n}\n");
+    ws.write(
+        "wxbench/src/main.rs",
+        "fn main() {\n    demo::bench_hook();\n}\n",
+    );
+    let (code, stdout, _) = ws.run(&[]);
+    assert_eq!(code, 0, "uses in examples/ and wxbench/src count: {stdout}");
 }
 
 // ---------------------------------------------------------------------

@@ -131,3 +131,58 @@ fn test_targets_are_fully_exempt() {
     let diags = analyze_source("crates/core/tests/fixture.rs", src, &cfg);
     assert!(diags.is_empty(), "got: {diags:?}");
 }
+
+/// `test-only-pub` is one pass over the whole workspace: an item named only
+/// by `#[cfg(test)]` code, a `tests.rs` module, an integration test or a doc
+/// comment is flagged; a use from `examples/` or a `pub use` re-export is
+/// not.
+#[test]
+fn test_only_pub_flags_items_only_tests_and_docs_name() {
+    let lib = "\
+pub mod api;
+/// Only this doc names [`doc_only`].
+pub fn doc_only() {}
+pub fn test_only() {}
+pub const TESTS_RS_ONLY: u32 = 1;
+pub fn example_used() {}
+pub fn reexported() {}
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {
+        super::test_only();
+    }
+}
+";
+    let files: Vec<(String, String)> = [
+        ("crates/demo/src/lib.rs", lib),
+        ("crates/demo/src/api.rs", "pub use crate::reexported;\n"),
+        (
+            "crates/demo/src/tests.rs",
+            "fn t() -> u32 {\n    crate::TESTS_RS_ONLY\n}\n",
+        ),
+        (
+            "crates/demo/tests/it.rs",
+            "fn it() {\n    demo::doc_only();\n}\n",
+        ),
+        (
+            "examples/src/bin/demo.rs",
+            "fn main() {\n    demo::example_used();\n}\n",
+        ),
+    ]
+    .iter()
+    .map(|(p, s)| (p.to_string(), s.to_string()))
+    .collect();
+    let flagged: Vec<String> = wx_analyze::rules::test_only_pub(&files)
+        .iter()
+        .map(|d| format!("{}:{}:{} {}", d.file, d.line, d.col, d.rule))
+        .collect();
+    assert_eq!(
+        flagged,
+        [
+            "crates/demo/src/lib.rs:3:8 test-only-pub",
+            "crates/demo/src/lib.rs:4:8 test-only-pub",
+            "crates/demo/src/lib.rs:5:11 test-only-pub",
+        ]
+    );
+}

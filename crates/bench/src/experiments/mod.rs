@@ -37,15 +37,6 @@ pub const ALL: &[ExperimentEntry] = &[
     ("e11", "E11 (C+ example)", e11::run),
 ];
 
-/// Runs every experiment and returns `(name, report)` pairs in order.
-/// Panics propagate; use [`run_checked`] per entry for a harness that must
-/// keep going and report failures.
-pub fn run_all(opts: &ExperimentOptions) -> Vec<(&'static str, String)> {
-    ALL.iter()
-        .map(|&(_, title, run)| (title, run(opts)))
-        .collect()
-}
-
 /// The outcome of one pass/fail-checked experiment run.
 #[derive(Clone, Debug)]
 pub struct ExperimentOutcome {

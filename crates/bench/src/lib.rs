@@ -62,9 +62,9 @@ mod tests {
             quick: true,
             seed: 0xE0,
         };
-        let reports = experiments::run_all(&opts);
-        assert_eq!(reports.len(), 11);
-        for (name, report) in &reports {
+        assert_eq!(experiments::ALL.len(), 11);
+        for &(name, _, run) in experiments::ALL {
+            let report = run(&opts);
             assert!(
                 report.contains("##"),
                 "experiment {name} produced no table:\n{report}"

@@ -15,11 +15,10 @@
 //! Concretely we lay `N` out as `s·β` vertices on a cycle of `β`-blocks and
 //! give `v_i` the window of `Δ` consecutive vertices starting at `i·β`.
 
-use serde::{Deserialize, Serialize};
 use wx_graph::{BipartiteGraph, GraphError, Result, VertexSet};
 
 /// The Lemma 3.3 gadget together with its parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BadUniqueExpander {
     /// Number of left (set-side) vertices `s`.
     pub s: usize,
@@ -71,12 +70,6 @@ impl BadUniqueExpander {
             beta,
             graph: b.build(),
         })
-    }
-
-    /// The private (uniquely covered) neighbor count per left vertex,
-    /// `2β − Δ`.
-    pub fn private_neighbors_per_vertex(&self) -> usize {
-        2 * self.beta - self.delta
     }
 
     /// The unique-neighbor expansion of the full set `S`, which Lemma 3.3
@@ -146,7 +139,6 @@ mod tests {
                 "(s={s}, Δ={delta}, β={beta}): got {}",
                 g.unique_expansion_of_full_set()
             );
-            assert_eq!(g.private_neighbors_per_vertex(), 2 * beta - delta);
         }
     }
 

@@ -21,11 +21,10 @@
 //! which subset of `S` transmits, at most `2s` vertices of `N` hear the
 //! message in any single round.
 
-use serde::{Deserialize, Serialize};
 use wx_graph::{BipartiteBuilder, BipartiteGraph, GraphError, Result, VertexSet};
 
 /// A node of the implicit perfect binary tree, with its block of `N`.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TreeBlock {
     /// Level of the node in the tree (root = 0, leaves = `log₂ s`).
     pub level: usize,
@@ -36,7 +35,7 @@ pub struct TreeBlock {
 }
 
 /// The Lemma 4.4 core graph.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CoreGraph {
     /// Number of leaves `s` (a power of two).
     pub s: usize,
@@ -127,11 +126,6 @@ impl CoreGraph {
     /// The block (level, range) of a heap-indexed tree node.
     pub fn block(&self, node: usize) -> TreeBlock {
         self.blocks[node]
-    }
-
-    /// The heap index of the tree leaf identified with left vertex `leaf`.
-    pub fn leaf_node(&self, leaf: usize) -> usize {
-        self.s + leaf
     }
 
     /// Verifies the five structural assertions of Lemma 4.4 that are
@@ -237,9 +231,9 @@ mod tests {
         for w in root.start..root.start + root.len {
             assert_eq!(cg.graph.right_degree(w), 8);
         }
-        // leaf blocks are private
+        // leaf blocks are private; leaf `i` is heap node `s + i`
         for leaf in 0..8 {
-            let blk = cg.block(cg.leaf_node(leaf));
+            let blk = cg.block(cg.s + leaf);
             assert_eq!(blk.len, 1);
             assert_eq!(cg.graph.right_degree(blk.start), 1);
         }

@@ -55,7 +55,9 @@ mod tests {
     fn hypercube_is_connected_and_bipartite() {
         let g = hypercube_graph(6).unwrap();
         assert!(wx_graph::traversal::is_connected(&g));
-        assert!(wx_graph::traversal::bipartition(&g).is_some());
+        // bipartite: every edge flips exactly one bit, so joins the two
+        // popcount parities
+        assert!(g.edges().all(|(u, v)| (u ^ v).count_ones() == 1));
     }
 
     #[test]

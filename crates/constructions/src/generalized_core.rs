@@ -18,11 +18,10 @@
 //!   `4/log(min{Δ*/β*, Δ*·β*})` fraction of `N*`.
 
 use crate::core_graph::CoreGraph;
-use serde::{Deserialize, Serialize};
 use wx_graph::{BipartiteBuilder, BipartiteGraph, GraphError, Result, VertexSet};
 
 /// Which rescaling produced a [`GeneralizedCoreGraph`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CoreScaling {
     /// Lemma 4.7: right vertices duplicated (`β > log 2s`).
     DuplicateRight {
@@ -37,7 +36,7 @@ pub enum CoreScaling {
 }
 
 /// A generalized core graph (Lemma 4.6) with its construction parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GeneralizedCoreGraph {
     /// The underlying core size `s` (number of leaves before duplication).
     pub s: usize,

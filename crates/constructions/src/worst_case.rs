@@ -16,12 +16,11 @@
 //! lose the full logarithmic factor of Theorem 1.1.
 
 use crate::generalized_core::GeneralizedCoreGraph;
-use serde::{Deserialize, Serialize};
 use wx_graph::{Graph, GraphBuilder, GraphError, Result, VertexSet};
 use wx_spokesman::SpokesmanSolver;
 
 /// The worst-case expander `G̃` with its construction data.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct WorstCaseExpander {
     /// The blow-up parameter `ε`.
     pub epsilon: f64,

@@ -231,13 +231,6 @@ impl StatsAccumulator {
         }
     }
 
-    /// Feeds every sample of a slice, in order.
-    pub fn extend_from(&mut self, samples: &[f64]) {
-        for &x in samples {
-            self.push(x);
-        }
-    }
-
     fn next_u64(&mut self) -> u64 {
         // SplitMix64 step (same finalizer as `wx_graph::random::derive_seed`).
         self.rng_state = self.rng_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -366,7 +359,9 @@ mod tests {
         assert!(StatsAccumulator::new().finish().is_none());
         // all-non-finite stream
         let mut acc = StatsAccumulator::new();
-        acc.extend_from(&[f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
+        [f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+            .iter()
+            .for_each(|&x| acc.push(x));
         assert_eq!(acc.count(), 0);
         assert!(acc.finish().is_none());
         // single sample: every statistic collapses onto it
@@ -392,7 +387,7 @@ mod tests {
             })
             .collect();
         let mut acc = StatsAccumulator::new();
-        acc.extend_from(&samples);
+        samples.iter().for_each(|&x| acc.push(x));
         let online = acc.finish().unwrap();
         let batch = AggregateStats::from_samples(&samples).unwrap();
         assert_eq!(online.count, batch.count);
@@ -410,8 +405,8 @@ mod tests {
         let samples: Vec<f64> = (0..n).map(|i| ((i * 337) % n) as f64).collect();
         let mut a = StatsAccumulator::new();
         let mut b = StatsAccumulator::new();
-        a.extend_from(&samples);
-        b.extend_from(&samples);
+        samples.iter().for_each(|&x| a.push(x));
+        samples.iter().for_each(|&x| b.push(x));
         let sa = a.finish().unwrap();
         let sb = b.finish().unwrap();
         // deterministic: two accumulators over the same stream agree exactly
@@ -455,7 +450,7 @@ mod tests {
             )
         ) {
             let mut acc = StatsAccumulator::new();
-            acc.extend_from(&samples);
+            samples.iter().for_each(|&x| acc.push(x));
             let online = acc.finish();
             let batch = AggregateStats::from_samples(&samples);
             match (online, batch) {

@@ -34,11 +34,6 @@ impl RelationCheck {
             holds: lhs + tolerance >= rhs,
         }
     }
-
-    /// Slack `lhs − rhs` (positive when the inequality holds strictly).
-    pub fn slack(&self) -> f64 {
-        self.lhs - self.rhs
-    }
 }
 
 /// Observation 2.1 for a single set: `β(S) ≥ βw(S) ≥ βu(S)`.
@@ -206,7 +201,7 @@ mod tests {
         assert!(checks.iter().all(|c| c.holds));
         let bad = observation_2_1_graph(1.0, 1.5, 0.5);
         assert!(!bad[0].holds);
-        assert!((bad[0].slack() + 0.5).abs() < 1e-12);
+        assert!((bad[0].lhs - bad[0].rhs + 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -436,7 +436,7 @@ pub fn all_small_sets(n: usize, max_size: usize) -> Vec<VertexSet> {
 pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
-    use wx_graph::{Graph, ImplicitGraph};
+    use wx_graph::{Graph, ImplicitFamily, ImplicitGraph};
 
     fn cycle(n: usize) -> Graph {
         Graph::from_edges(n, (0..n).map(|i| (i, (i + 1) % n))).unwrap()
@@ -560,8 +560,8 @@ pub(crate) mod tests {
         // Regular families tie often, so the id tie-break decides many
         // steps.
         for g in [
-            ImplicitGraph::torus(3, 50).unwrap(),
-            ImplicitGraph::cycle_power(150, 3).unwrap(),
+            ImplicitGraph::new(ImplicitFamily::Torus { rows: 3, cols: 50 }).unwrap(),
+            ImplicitGraph::new(ImplicitFamily::CyclePower { n: 150, power: 3 }).unwrap(),
             ImplicitGraph::hypercube(7).unwrap(),
         ] {
             let (heap, scan) = heap_and_scan_pools(&g, 1.0, 11);
@@ -671,7 +671,11 @@ pub(crate) mod tests {
         // radius would store about n/4 sets per center. The pool keeps the
         // balls that first reach each power of two and the largest one,
         // 2r + 1 = 9999 ≤ ⌊n/2⌋ (the size-1 ball is an implicit singleton).
-        let g = ImplicitGraph::cycle_power(20_000, 1).unwrap();
+        let g = ImplicitGraph::new(ImplicitFamily::CyclePower {
+            n: 20_000,
+            power: 1,
+        })
+        .unwrap();
         let cfg = SamplerConfig {
             random_sets_per_size: 0,
             size_fractions: vec![],

@@ -238,16 +238,6 @@ fn project_out(x: &mut [f64], u: Option<&[f64]>) {
     }
 }
 
-/// The spectral gap `d − λ₂` of a `d`-regular graph; `None` if the graph is
-/// not regular.
-pub fn spectral_gap_regular(g: &Graph, seed: u64) -> Option<f64> {
-    let d = g.max_degree();
-    if !g.is_regular(d) {
-        return None;
-    }
-    Some(d as f64 - second_eigenvalue(g, seed))
-}
-
 /// Evaluates the Lemma 3.1 lower bound on the ordinary expansion of a
 /// `d`-regular `(αu, βu)`-unique expander:
 /// `β ≥ (1 − 1/d)·βu + (d − λ₂)(1 − αu)/d`.
@@ -449,14 +439,13 @@ mod tests {
     #[test]
     fn spectral_gap_of_complete_graph() {
         let g = complete(8);
-        let gap = spectral_gap_regular(&g, 0).unwrap();
+        let gap = 7.0 - second_eigenvalue(&g, 0);
         assert!((gap - 8.0).abs() < 1e-6); // d - λ₂ = 7 - (-1) = 8
     }
 
     #[test]
     fn spectral_gap_requires_regularity() {
         let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
-        assert!(spectral_gap_regular(&g, 0).is_none());
         assert!(lemma_3_1_bound(&g, 0.1, 1.0, 0).is_none());
     }
 

@@ -35,8 +35,9 @@ proptest! {
         prop_assert!((beta_u - unique / s.len() as f64).abs() < 1e-12);
         prop_assert!(beta + 1e-12 >= beta_w && beta_w + 1e-12 >= beta_u);
         // the wireless witness really achieves the claimed value
-        let achieved = wx_graph::neighborhood::s_excluding_unique_coverage(&g, &s, &witness) as f64
-            / s.len() as f64;
+        let achieved =
+            wx_graph::neighborhood::s_excluding_unique_neighborhood(&g, &s, &witness).len() as f64
+                / s.len() as f64;
         prop_assert!((achieved - beta_w).abs() < 1e-12);
     }
 

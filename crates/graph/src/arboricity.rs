@@ -22,10 +22,9 @@
 //!   validate the estimators).
 
 use crate::{Graph, VertexSet};
-use serde::{Deserialize, Serialize};
 
 /// Lower/upper bounds on the arboricity, plus the quantities they came from.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ArboricityBounds {
     /// The graph degeneracy (upper bound on arboricity).
     pub degeneracy: usize,

@@ -10,16 +10,6 @@
 
 use crate::scratch::NeighborhoodScratch;
 use crate::{Graph, GraphError, GraphView, Result, Vertex, VertexSet};
-use serde::{Deserialize, Serialize};
-
-/// Which side of a [`BipartiteGraph`] a vertex belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Side {
-    /// The left side `S` (the transmitting candidates / the expanding set).
-    Left,
-    /// The right side `N` (the external neighborhood / the receivers).
-    Right,
-}
 
 /// An undirected bipartite graph with explicitly separated sides.
 ///
@@ -27,7 +17,7 @@ pub enum Side {
 /// — the two index spaces are independent. Adjacency is stored in CSR form
 /// for both directions so that both `Γ(u)` for `u ∈ S` and `Γ(w, S)` for
 /// `w ∈ N` are contiguous slices.
-#[derive(Clone, Debug, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BipartiteGraph {
     left_offsets: Vec<usize>,
     left_neighbors: Vec<Vertex>,
@@ -140,13 +130,6 @@ impl BipartiteGraph {
         }
     }
 
-    /// `true` if no vertex (on either side) is isolated — the standing
-    /// assumption of Section 4.1.
-    pub fn has_no_isolated_vertices(&self) -> bool {
-        (0..self.num_left()).all(|u| self.left_degree(u) >= 1)
-            && (0..self.num_right()).all(|w| self.right_degree(w) >= 1)
-    }
-
     /// Iterates over all edges as `(left, right)` pairs.
     pub fn edges(&self) -> impl Iterator<Item = (Vertex, Vertex)> + '_ {
         (0..self.num_left())
@@ -165,29 +148,9 @@ impl BipartiteGraph {
         out
     }
 
-    /// The set of right-side vertices adjacent to *exactly one* vertex of the
-    /// left subset `s_prime` — the `S`-excluding unique neighborhood
-    /// `Γ¹_S(S')` of Section 2.1.
-    pub fn unique_neighborhood_of_left_subset(&self, s_prime: &VertexSet) -> VertexSet {
-        let mut count = vec![0u32; self.num_right()];
-        for u in s_prime.iter() {
-            for &w in self.left_neighbors(u) {
-                count[w] = count[w].saturating_add(1);
-            }
-        }
-        VertexSet::from_iter(
-            self.num_right(),
-            count
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c == 1)
-                .map(|(w, _)| w),
-        )
-    }
-
-    /// Number of right vertices with exactly one neighbor in `s_prime`;
-    /// equivalent to `self.unique_neighborhood_of_left_subset(s_prime).len()`
-    /// but without materializing the set.
+    /// Number of right vertices with exactly one neighbor in `s_prime`: the
+    /// size of the `S`-excluding unique neighborhood `Γ¹_S(S')` of
+    /// Section 2.1.
     pub fn unique_coverage(&self, s_prime: &VertexSet) -> usize {
         let mut count = vec![0u32; self.num_right()];
         for u in s_prime.iter() {
@@ -371,7 +334,6 @@ mod tests {
         assert_eq!(g.max_degree(), 2);
         assert!((g.average_left_degree() - 2.0).abs() < 1e-12);
         assert!((g.average_right_degree() - 4.0 / 3.0).abs() < 1e-12);
-        assert!(g.has_no_isolated_vertices());
     }
 
     #[test]
@@ -391,15 +353,9 @@ mod tests {
         let g = small();
         let both = VertexSet::from_iter(2, [0, 1]);
         // right vertex 0 covered once (by 0), 1 covered twice, 2 covered once
-        let uniq = g.unique_neighborhood_of_left_subset(&both);
-        assert_eq!(uniq.to_vec(), vec![0, 2]);
         assert_eq!(g.unique_coverage(&both), 2);
 
         let only0 = VertexSet::from_iter(2, [0]);
-        assert_eq!(
-            g.unique_neighborhood_of_left_subset(&only0).to_vec(),
-            vec![0, 1]
-        );
         assert_eq!(g.unique_coverage(&only0), 2);
 
         let nothing = VertexSet::empty(2);
@@ -411,12 +367,6 @@ mod tests {
         let g = small();
         let only1 = VertexSet::from_iter(2, [1]);
         assert_eq!(g.neighborhood_of_left_subset(&only1).to_vec(), vec![1, 2]);
-    }
-
-    #[test]
-    fn isolated_right_vertex_detected() {
-        let g = BipartiteGraph::from_edges(2, 3, [(0, 0), (1, 1)]).unwrap();
-        assert!(!g.has_no_isolated_vertices());
     }
 
     #[test]

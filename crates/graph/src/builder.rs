@@ -52,28 +52,6 @@ impl GraphBuilder {
         Ok(())
     }
 
-    /// Adds every edge from an iterator, stopping at the first error.
-    pub fn add_edges(&mut self, edges: impl IntoIterator<Item = (Vertex, Vertex)>) -> Result<()> {
-        for (u, v) in edges {
-            self.add_edge(u, v)?;
-        }
-        Ok(())
-    }
-
-    /// Connects `u` to every vertex in `vs` (skipping `u` itself is *not*
-    /// done automatically; a self-loop is an error).
-    pub fn add_star(&mut self, u: Vertex, vs: impl IntoIterator<Item = Vertex>) -> Result<()> {
-        for v in vs {
-            self.add_edge(u, v)?;
-        }
-        Ok(())
-    }
-
-    /// Number of edge insertions so far (before deduplication).
-    pub fn raw_edge_insertions(&self) -> usize {
-        self.adj.iter().map(Vec::len).sum::<usize>() / 2
-    }
-
     /// Finalizes the builder into an immutable CSR [`Graph`], sorting and
     /// deduplicating every adjacency list.
     pub fn build(mut self) -> Graph {
@@ -88,6 +66,13 @@ impl GraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl GraphBuilder {
+        /// Number of edge insertions so far (before deduplication).
+        fn raw_edge_insertions(&self) -> usize {
+            self.adj.iter().map(Vec::len).sum::<usize>() / 2
+        }
+    }
 
     #[test]
     fn duplicates_are_collapsed() {
@@ -119,16 +104,6 @@ mod tests {
             b.add_edge(9, 0),
             Err(GraphError::VertexOutOfRange { vertex: 9, n: 3 })
         ));
-    }
-
-    #[test]
-    fn add_star_and_add_edges() {
-        let mut b = GraphBuilder::new(6);
-        b.add_star(0, [1, 2, 3]).unwrap();
-        b.add_edges([(4, 5), (3, 4)]).unwrap();
-        let g = b.build();
-        assert_eq!(g.degree(0), 3);
-        assert_eq!(g.num_edges(), 5);
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! The core immutable undirected graph type in compressed-sparse-row form.
 
-use crate::{GraphError, Result, Vertex, VertexSet};
-use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
+use crate::{Result, Vertex, VertexSet};
 
 /// An immutable undirected graph on vertices `0..n`, stored in compressed
 /// sparse row (CSR) form.
@@ -11,7 +9,7 @@ use std::sync::OnceLock;
 /// and `v`. Adjacency lists are sorted, enabling `O(log deg)` membership
 /// tests via [`Graph::has_edge`]. Self-loops are not permitted; parallel
 /// edges are collapsed at construction time by [`crate::GraphBuilder`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Graph {
     /// `offsets[v]..offsets[v+1]` indexes `neighbors` for vertex `v`.
     offsets: Vec<usize>,
@@ -19,25 +17,13 @@ pub struct Graph {
     neighbors: Vec<Vertex>,
     /// Number of undirected edges.
     num_edges: usize,
-    /// Cached `(min_degree, max_degree)`. Filled eagerly by every
-    /// constructor; deserialized graphs fill it lazily on first query. The
-    /// simulator and solver hot paths consult the degree extremes per call,
-    /// so they must never rescan all vertices.
-    #[serde(skip)]
-    degree_extremes: OnceLock<(usize, usize)>,
+    /// Minimum degree, computed once at construction. The simulator and
+    /// solver hot paths consult the degree extremes per call, so they must
+    /// never rescan all vertices.
+    min_degree: usize,
+    /// Maximum degree `Δ`, computed once at construction.
+    max_degree: usize,
 }
-
-// Equality ignores the degree-extremes cache: a freshly deserialized graph
-// (empty cache) equals the graph it was serialized from (filled cache).
-impl PartialEq for Graph {
-    fn eq(&self, other: &Self) -> bool {
-        self.offsets == other.offsets
-            && self.neighbors == other.neighbors
-            && self.num_edges == other.num_edges
-    }
-}
-
-impl Eq for Graph {}
 
 impl Graph {
     /// Constructs a graph directly from an edge list over `n` vertices.
@@ -64,26 +50,25 @@ impl Graph {
             offsets.push(neighbors.len());
         }
         let num_edges = neighbors.len() / 2;
-        let g = Graph {
+        let degrees = adj.iter().map(Vec::len);
+        Graph {
             offsets,
             neighbors,
             num_edges,
-            degree_extremes: OnceLock::new(),
-        };
-        g.degree_extremes(); // cache the extremes at construction
-        g
+            min_degree: degrees.clone().min().unwrap_or(0),
+            max_degree: degrees.max().unwrap_or(0),
+        }
     }
 
     /// An empty graph with `n` isolated vertices.
     pub fn empty(n: usize) -> Self {
-        let g = Graph {
+        Graph {
             offsets: vec![0; n + 1],
             neighbors: Vec::new(),
             num_edges: 0,
-            degree_extremes: OnceLock::new(),
-        };
-        g.degree_extremes();
-        g
+            min_degree: 0,
+            max_degree: 0,
+        }
     }
 
     /// Number of vertices.
@@ -94,18 +79,6 @@ impl Graph {
     /// Number of undirected edges.
     pub fn num_edges(&self) -> usize {
         self.num_edges
-    }
-
-    /// Checks that `v` is a valid vertex of this graph.
-    pub fn check_vertex(&self, v: Vertex) -> Result<()> {
-        if v < self.num_vertices() {
-            Ok(())
-        } else {
-            Err(GraphError::VertexOutOfRange {
-                vertex: v,
-                n: self.num_vertices(),
-            })
-        }
     }
 
     /// The sorted adjacency list of `v`.
@@ -123,37 +96,17 @@ impl Graph {
         self.offsets[v + 1] - self.offsets[v]
     }
 
-    /// Cached `(min_degree, max_degree)`: computed once per graph (at
-    /// construction; lazily after deserialization) instead of rescanning all
-    /// vertices on every call.
-    fn degree_extremes(&self) -> (usize, usize) {
-        *self.degree_extremes.get_or_init(|| {
-            let mut min = usize::MAX;
-            let mut max = 0usize;
-            for v in 0..self.num_vertices() {
-                let d = self.degree(v);
-                min = min.min(d);
-                max = max.max(d);
-            }
-            if min == usize::MAX {
-                (0, 0)
-            } else {
-                (min, max)
-            }
-        })
-    }
-
     /// The maximum degree `Δ(G)` (0 for the empty graph). O(1): the value is
-    /// cached at construction, because the radio simulator and the spokesman
+    /// computed at construction, because the radio simulator and the spokesman
     /// solvers consult it on their hot paths.
     pub fn max_degree(&self) -> usize {
-        self.degree_extremes().1
+        self.max_degree
     }
 
-    /// The minimum degree (0 for the empty graph). O(1), cached at
+    /// The minimum degree (0 for the empty graph). O(1), computed at
     /// construction like [`Graph::max_degree`].
     pub fn min_degree(&self) -> usize {
-        self.degree_extremes().0
+        self.min_degree
     }
 
     /// The average degree `2|E|/|V|` (0.0 for the empty graph).
@@ -214,16 +167,6 @@ impl Graph {
             .sum()
     }
 
-    /// The number of edges between the disjoint sets `S` and `T`, i.e.
-    /// `|e(S, T)|` from Section 2.1. Edges with both endpoints in the
-    /// intersection (if the sets are not disjoint) are counted once per
-    /// ordered crossing, matching the paper's use for disjoint sets.
-    pub fn edges_between(&self, s: &VertexSet, t: &VertexSet) -> usize {
-        s.iter()
-            .map(|v| self.neighbors(v).iter().filter(|&&w| t.contains(w)).count())
-            .sum()
-    }
-
     /// The induced subgraph on `U`, together with the mapping from new vertex
     /// indices `0..|U|` back to the original vertex ids.
     pub fn induced_subgraph(&self, u: &VertexSet) -> (Graph, Vec<Vertex>) {
@@ -243,22 +186,6 @@ impl Graph {
             adj[i].dedup();
         }
         (Graph::from_sorted_adjacency(adj), vertices)
-    }
-
-    /// Returns a new graph that is the disjoint union of `self` and `other`;
-    /// vertices of `other` are shifted by `self.num_vertices()`.
-    pub fn disjoint_union(&self, other: &Graph) -> Graph {
-        let shift = self.num_vertices();
-        let n = shift + other.num_vertices();
-        let mut b = crate::GraphBuilder::new(n);
-        for (u, v) in self.edges() {
-            b.add_edge(u, v).expect("edges of a valid graph are valid");
-        }
-        for (u, v) in other.edges() {
-            b.add_edge(u + shift, v + shift)
-                .expect("shifted edges remain valid");
-        }
-        b.build()
     }
 
     /// The raw CSR arrays `(offsets, neighbors)` — the exact layout the
@@ -290,6 +217,14 @@ mod tests {
     fn path4() -> Graph {
         // 0 - 1 - 2 - 3
         Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap()
+    }
+
+    /// The disjoint union of `a` and `b`; vertices of `b` are shifted by
+    /// `a.num_vertices()`.
+    fn disjoint_union(a: &Graph, b: &Graph) -> Graph {
+        let shift = a.num_vertices();
+        let shifted = b.edges().map(|(u, v)| (u + shift, v + shift));
+        Graph::from_edges(shift + b.num_vertices(), a.edges().chain(shifted)).unwrap()
     }
 
     #[test]
@@ -331,8 +266,6 @@ mod tests {
         assert_eq!(g.degree_in(0, &t), 1);
         assert_eq!(g.edges_within(&s), 3); // triangle 0-1, 0-2, 1-2
         assert_eq!(g.edges_within(&t), 2);
-        assert_eq!(g.edges_between(&s, &t), 1); // only 0-3
-        assert_eq!(g.edges_between(&t, &s), 1);
     }
 
     #[test]
@@ -348,7 +281,7 @@ mod tests {
     fn disjoint_union_shifts_labels() {
         let a = path4();
         let b = Graph::from_edges(2, [(0, 1)]).unwrap();
-        let u = a.disjoint_union(&b);
+        let u = disjoint_union(&a, &b);
         assert_eq!(u.num_vertices(), 6);
         assert_eq!(u.num_edges(), 4);
         assert!(u.has_edge(4, 5));
@@ -368,26 +301,14 @@ mod tests {
 
     #[test]
     fn check_vertex_errors() {
-        let g = path4();
-        assert!(g.check_vertex(3).is_ok());
+        assert!(Graph::from_edges(4, [(0, 3)]).is_ok());
         assert!(matches!(
-            g.check_vertex(4),
-            Err(GraphError::VertexOutOfRange { vertex: 4, n: 4 })
+            Graph::from_edges(4, [(0, 4)]),
+            Err(crate::GraphError::VertexOutOfRange { vertex: 4, n: 4 })
         ));
     }
 
-    #[test]
-    fn serde_roundtrip() {
-        let g = path4();
-        let json = serde_json::to_string(&g).unwrap();
-        let g2: Graph = serde_json::from_str(&json).unwrap();
-        assert_eq!(g, g2);
-        // the skipped degree cache refills lazily after deserialization
-        assert_eq!(g2.max_degree(), g.max_degree());
-        assert_eq!(g2.min_degree(), g.min_degree());
-    }
-
-    /// Scans the degrees afresh, bypassing the construction-time cache.
+    /// Scans the degrees afresh, bypassing the construction-time fields.
     fn fresh_extremes(g: &Graph) -> (usize, usize) {
         let degs: Vec<usize> = (0..g.num_vertices()).map(|v| g.degree(v)).collect();
         (
@@ -398,20 +319,20 @@ mod tests {
 
     #[test]
     fn cached_degree_extremes_match_fresh_scan_after_disjoint_union() {
-        // Regression: the extremes are cached per graph, so a derived graph
+        // Regression: the extremes are stored per graph, so a derived graph
         // (disjoint_union rebuilds through the builder) must carry its own
-        // correct cache, not a stale copy of an operand's.
+        // correct extremes, not a stale copy of an operand's.
         let a = path4(); // degrees 1..2
         let b = Graph::from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)]).unwrap(); // star, Δ = 4
-        let u = a.disjoint_union(&b);
+        let u = disjoint_union(&a, &b);
         assert_eq!((u.min_degree(), u.max_degree()), fresh_extremes(&u));
         assert_eq!(u.max_degree(), 4);
         assert_eq!(u.min_degree(), 1);
-        // and the operands' caches are untouched
+        // and the operands' extremes are untouched
         assert_eq!((a.min_degree(), a.max_degree()), fresh_extremes(&a));
         assert_eq!((b.min_degree(), b.max_degree()), fresh_extremes(&b));
         // union with an isolated-vertex graph drops the minimum to zero
-        let with_isolated = u.disjoint_union(&Graph::empty(2));
+        let with_isolated = disjoint_union(&u, &Graph::empty(2));
         assert_eq!(with_isolated.min_degree(), 0);
         assert_eq!(
             (with_isolated.min_degree(), with_isolated.max_degree()),

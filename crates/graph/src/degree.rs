@@ -1,108 +1,12 @@
-//! Degree statistics.
+//! Degree classes.
 //!
 //! Theorem 1.1's key refinement over the classic decay argument is that the
 //! gap between ordinary and wireless expansion is governed by *average*
 //! degrees (`δ_S`, `δ_N` of Section 4.2) rather than the maximum degree `Δ`.
-//! This module provides the degree summaries used to evaluate both sides of
-//! that comparison.
+//! The degree-class solvers get there by bucketing the right side by degree,
+//! which this module provides.
 
-use crate::{BipartiteGraph, Graph, VertexSet};
-use serde::{Deserialize, Serialize};
-
-/// Summary statistics of a degree sequence.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct DegreeStats {
-    /// Number of vertices considered.
-    pub count: usize,
-    /// Minimum degree.
-    pub min: usize,
-    /// Maximum degree.
-    pub max: usize,
-    /// Mean degree.
-    pub mean: f64,
-    /// Median degree (lower median for even counts).
-    pub median: usize,
-    /// Number of isolated (degree-zero) vertices.
-    pub isolated: usize,
-}
-
-impl DegreeStats {
-    /// Computes statistics from an explicit degree sequence.
-    pub fn from_degrees(mut degrees: Vec<usize>) -> Self {
-        if degrees.is_empty() {
-            return DegreeStats {
-                count: 0,
-                min: 0,
-                max: 0,
-                mean: 0.0,
-                median: 0,
-                isolated: 0,
-            };
-        }
-        degrees.sort_unstable();
-        let count = degrees.len();
-        let sum: usize = degrees.iter().sum();
-        DegreeStats {
-            count,
-            min: degrees[0],
-            max: degrees[count - 1],
-            mean: sum as f64 / count as f64,
-            median: degrees[(count - 1) / 2],
-            isolated: degrees.iter().take_while(|&&d| d == 0).count(),
-        }
-    }
-
-    /// Degree statistics of all vertices of a graph.
-    pub fn of_graph(g: &Graph) -> Self {
-        Self::from_degrees(g.vertices().map(|v| g.degree(v)).collect())
-    }
-
-    /// Degree statistics of the left side of a bipartite graph.
-    pub fn of_left_side(g: &BipartiteGraph) -> Self {
-        Self::from_degrees((0..g.num_left()).map(|u| g.left_degree(u)).collect())
-    }
-
-    /// Degree statistics of the right side of a bipartite graph.
-    pub fn of_right_side(g: &BipartiteGraph) -> Self {
-        Self::from_degrees((0..g.num_right()).map(|w| g.right_degree(w)).collect())
-    }
-}
-
-/// The average degree `δ_S` of the set `S` towards its external neighborhood
-/// `N = Γ⁻(S)` in `G`, i.e. `(1/|S|)·Σ_{u∈S} deg(u, N)` (Section 4.2).
-/// Returns 0.0 for an empty set.
-pub fn average_degree_into_neighborhood(g: &Graph, s: &VertexSet) -> f64 {
-    if s.is_empty() {
-        return 0.0;
-    }
-    let total: usize = s
-        .iter()
-        .map(|v| g.neighbors(v).iter().filter(|&&u| !s.contains(u)).count())
-        .sum();
-    total as f64 / s.len() as f64
-}
-
-/// The average degree `δ_N` of the external neighborhood `N = Γ⁻(S)` back
-/// towards `S`, i.e. `(1/|N|)·Σ_{w∈N} deg(w, S)` (Section 4.2).
-/// Returns 0.0 when `Γ⁻(S)` is empty.
-pub fn average_degree_of_neighborhood(g: &Graph, s: &VertexSet) -> f64 {
-    let n = crate::neighborhood::external_neighborhood(g, s);
-    if n.is_empty() {
-        return 0.0;
-    }
-    let total: usize = n.iter().map(|w| g.degree_in(w, s)).sum();
-    total as f64 / n.len() as f64
-}
-
-/// The degree histogram of a graph: entry `h[d]` counts vertices of degree
-/// `d`.
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
-    let mut h = vec![0usize; g.max_degree() + 1];
-    for v in g.vertices() {
-        h[g.degree(v)] += 1;
-    }
-    h
-}
+use crate::BipartiteGraph;
 
 /// Buckets the right-side vertices of a bipartite graph by degree class
 /// `[c^{i-1}, c^i)` for `i = 1, 2, …` — the partition used in Lemma A.5 and
@@ -126,88 +30,9 @@ pub fn degree_class_buckets(g: &BipartiteGraph, c: f64) -> Vec<Vec<usize>> {
     buckets
 }
 
-/// Returns the index (0-based) and contents of the largest degree-class
-/// bucket, or `None` if every right vertex is isolated.
-pub fn largest_degree_class(g: &BipartiteGraph, c: f64) -> Option<(usize, Vec<usize>)> {
-    degree_class_buckets(g, c)
-        .into_iter()
-        .enumerate()
-        .max_by_key(|(_, b)| b.len())
-        .filter(|(_, b)| !b.is_empty())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Graph;
-
-    #[test]
-    fn stats_of_star() {
-        let g = Graph::from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)]).unwrap();
-        let st = DegreeStats::of_graph(&g);
-        assert_eq!(st.count, 5);
-        assert_eq!(st.min, 1);
-        assert_eq!(st.max, 4);
-        assert!((st.mean - 8.0 / 5.0).abs() < 1e-12);
-        assert_eq!(st.median, 1);
-        assert_eq!(st.isolated, 0);
-    }
-
-    #[test]
-    fn stats_of_empty_sequence() {
-        let st = DegreeStats::from_degrees(vec![]);
-        assert_eq!(st.count, 0);
-        assert_eq!(st.mean, 0.0);
-    }
-
-    #[test]
-    fn isolated_vertices_counted() {
-        let g = Graph::from_edges(4, [(0, 1)]).unwrap();
-        let st = DegreeStats::of_graph(&g);
-        assert_eq!(st.isolated, 2);
-    }
-
-    #[test]
-    fn bipartite_side_stats() {
-        let g = BipartiteGraph::from_edges(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)]).unwrap();
-        let l = DegreeStats::of_left_side(&g);
-        let r = DegreeStats::of_right_side(&g);
-        assert_eq!(l.max, 2);
-        assert_eq!(r.max, 2);
-        assert_eq!(r.min, 1);
-        assert!((l.mean - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn average_degrees_delta_s_and_delta_n() {
-        // star: center 0, leaves 1..=3; S = {0}
-        let g = Graph::from_edges(4, [(0, 1), (0, 2), (0, 3)]).unwrap();
-        let s = g.vertex_set([0]);
-        assert!((average_degree_into_neighborhood(&g, &s) - 3.0).abs() < 1e-12);
-        assert!((average_degree_of_neighborhood(&g, &s) - 1.0).abs() < 1e-12);
-
-        // S = {1, 2}: δ_S = 1 (each leaf sees only the center outside S),
-        // N = {0}, δ_N = 2.
-        let s = g.vertex_set([1, 2]);
-        assert!((average_degree_into_neighborhood(&g, &s) - 1.0).abs() < 1e-12);
-        assert!((average_degree_of_neighborhood(&g, &s) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn average_degree_of_empty_set() {
-        let g = Graph::from_edges(3, [(0, 1)]).unwrap();
-        let e = g.empty_vertex_set();
-        assert_eq!(average_degree_into_neighborhood(&g, &e), 0.0);
-        assert_eq!(average_degree_of_neighborhood(&g, &e), 0.0);
-    }
-
-    #[test]
-    fn histogram_sums_to_n() {
-        let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]).unwrap();
-        let h = degree_histogram(&g);
-        assert_eq!(h.iter().sum::<usize>(), 5);
-        assert_eq!(h[2], 5);
-    }
 
     #[test]
     fn degree_class_buckets_dyadic() {
@@ -226,9 +51,6 @@ mod tests {
         assert_eq!(buckets[1], vec![1, 2]);
         assert_eq!(buckets[2], vec![3]);
         assert_eq!(buckets[3], vec![4]);
-        let (idx, largest) = largest_degree_class(&g, 2.0).unwrap();
-        assert_eq!(idx, 1);
-        assert_eq!(largest.len(), 2);
     }
 
     #[test]

@@ -17,10 +17,6 @@ pub enum GraphError {
     /// A parameter combination was invalid (message explains the constraint).
     InvalidParameter(String),
 
-    /// A construction that requires a particular structural property
-    /// (e.g. bipartiteness, regularity) was given a graph without it.
-    StructureViolation(String),
-
     /// A randomized construction failed to converge within its retry budget.
     DidNotConverge(String),
 
@@ -90,9 +86,6 @@ impl std::fmt::Display for GraphError {
             }
             GraphError::SelfLoop(v) => write!(f, "self-loop on vertex {v} is not allowed here"),
             GraphError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
-            GraphError::StructureViolation(msg) => {
-                write!(f, "structural requirement violated: {msg}")
-            }
             GraphError::DidNotConverge(msg) => {
                 write!(f, "randomized construction did not converge: {msg}")
             }
@@ -116,11 +109,6 @@ impl GraphError {
     /// displayable.
     pub fn invalid(msg: impl std::fmt::Display) -> Self {
         GraphError::InvalidParameter(msg.to_string())
-    }
-
-    /// Helper for building [`GraphError::StructureViolation`].
-    pub fn structure(msg: impl std::fmt::Display) -> Self {
-        GraphError::StructureViolation(msg.to_string())
     }
 }
 
@@ -146,10 +134,6 @@ mod tests {
             (
                 GraphError::invalid("beta must be positive"),
                 "invalid parameter: beta must be positive",
-            ),
-            (
-                GraphError::structure("graph must be d-regular"),
-                "structural requirement violated: graph must be d-regular",
             ),
             (
                 GraphError::DidNotConverge("100 attempts".to_string()),

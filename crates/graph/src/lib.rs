@@ -28,8 +28,8 @@
 //! * [`scratch`] — the epoch-stamped [`NeighborhoodScratch`] counting kernel
 //!   behind those operators: allocation-free set-size evaluation for the
 //!   expansion engine's hot loop, with a per-thread scratch pool.
-//! * [`degree`] — degree statistics (maximum degree `Δ`, average degrees
-//!   `δ_S`, `δ_N`, degree histograms).
+//! * [`degree`] — degree classes `[c^{i-1}, c^i)` of a bipartite graph's
+//!   right side (Lemmas 4.2 and A.5).
 //! * [`arboricity`] — arboricity / maximum-average-degree estimation
 //!   (Section 2.1), used for the low-arboricity corollary.
 //! * [`traversal`] — BFS, connected components, distances, diameter.
@@ -64,7 +64,7 @@ pub mod traversal;
 pub mod vertex_set;
 pub mod view;
 
-pub use bipartite::{BipartiteBuilder, BipartiteGraph, Side};
+pub use bipartite::{BipartiteBuilder, BipartiteGraph};
 pub use builder::GraphBuilder;
 pub use csr::Graph;
 pub use disk::{convert_to_wxg, ConvertOptions, ConvertStats, Fnv1a};

@@ -5,8 +5,6 @@
 //! * `Γ(S)`   — all neighbors of vertices of `S` (may intersect `S`);
 //! * `Γ⁻(S)`  — external neighbors, `Γ(S) \ S`;
 //! * `Γ¹(S)`  — vertices outside `S` with *exactly one* neighbor in `S`;
-//! * `Γ_S(S')` — vertices outside `S` with at least one neighbor in `S'`
-//!   (the `S`-excluding neighborhood);
 //! * `Γ¹_S(S')` — vertices outside `S` with exactly one neighbor in `S'`
 //!   (the `S`-excluding unique neighborhood). Note `Γ¹(S) = Γ¹_S(S)`.
 //!
@@ -45,19 +43,6 @@ pub fn unique_neighborhood<G: GraphView + ?Sized>(g: &G, s: &VertexSet) -> Verte
     with_thread_scratch(g.num_vertices(), |scr| scr.unique_neighborhood(g, s))
 }
 
-/// `Γ_S(S')`: vertices outside `S` adjacent to at least one vertex of `S'`.
-///
-/// `s_prime` must be a subset of `s`; this is debug-asserted.
-pub fn s_excluding_neighborhood<G: GraphView + ?Sized>(
-    g: &G,
-    s: &VertexSet,
-    s_prime: &VertexSet,
-) -> VertexSet {
-    with_thread_scratch(g.num_vertices(), |scr| {
-        scr.s_excluding_neighborhood(g, s, s_prime)
-    })
-}
-
 /// `Γ¹_S(S')`: vertices outside `S` adjacent to exactly one vertex of `S'`.
 ///
 /// `s_prime` must be a subset of `s`; this is debug-asserted.
@@ -68,17 +53,6 @@ pub fn s_excluding_unique_neighborhood<G: GraphView + ?Sized>(
 ) -> VertexSet {
     with_thread_scratch(g.num_vertices(), |scr| {
         scr.s_excluding_unique_neighborhood(g, s, s_prime)
-    })
-}
-
-/// `|Γ¹_S(S')|` without materializing the set.
-pub fn s_excluding_unique_coverage<G: GraphView + ?Sized>(
-    g: &G,
-    s: &VertexSet,
-    s_prime: &VertexSet,
-) -> usize {
-    with_thread_scratch(g.num_vertices(), |scr| {
-        scr.count_s_excluding_unique(g, s, s_prime)
     })
 }
 
@@ -155,12 +129,10 @@ mod tests {
         let s = g.vertex_set([0, 1, 2]);
         let s_prime = g.vertex_set([2]);
         // vertex 3 is the only vertex outside S; it neighbors 2 exactly once.
-        assert_eq!(s_excluding_neighborhood(&g, &s, &s_prime).to_vec(), vec![3]);
         assert_eq!(
             s_excluding_unique_neighborhood(&g, &s, &s_prime).to_vec(),
             vec![3]
         );
-        assert_eq!(s_excluding_unique_coverage(&g, &s, &s_prime), 1);
     }
 
     #[test]

@@ -65,25 +65,6 @@ pub fn random_subset_of_size_sparse(rng: &mut impl Rng, universe: usize, k: usiz
     chosen
 }
 
-/// Samples each element of `{0..universe}` independently with probability
-/// `p` — the sampling step at the heart of the decay argument (Lemma 4.2).
-pub fn bernoulli_subset(rng: &mut impl Rng, universe: usize, p: f64) -> VertexSet {
-    let p = p.clamp(0.0, 1.0);
-    VertexSet::from_iter(universe, (0..universe).filter(|_| rng.gen_bool(p)))
-}
-
-/// Samples each element of `base` independently with probability `p`,
-/// returning a subset of `base` over the same universe.
-pub fn bernoulli_subset_of(rng: &mut impl Rng, base: &VertexSet, p: f64) -> VertexSet {
-    let p = p.clamp(0.0, 1.0);
-    VertexSet::from_iter(base.universe(), base.iter().filter(|_| rng.gen_bool(p)))
-}
-
-/// Chooses a uniformly random element of a non-empty slice.
-pub fn choose<'a, T>(rng: &mut impl Rng, items: &'a [T]) -> &'a T {
-    &items[rng.gen_range(0..items.len())]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,41 +111,5 @@ mod tests {
     fn random_subset_too_large_panics() {
         let mut rng = rng_from_seed(3);
         random_subset_of_size(&mut rng, 3, 4);
-    }
-
-    #[test]
-    fn bernoulli_subset_extremes() {
-        let mut rng = rng_from_seed(9);
-        assert_eq!(bernoulli_subset(&mut rng, 20, 0.0).len(), 0);
-        assert_eq!(bernoulli_subset(&mut rng, 20, 1.0).len(), 20);
-        // out-of-range probabilities are clamped rather than panicking
-        assert_eq!(bernoulli_subset(&mut rng, 20, 2.0).len(), 20);
-        assert_eq!(bernoulli_subset(&mut rng, 20, -1.0).len(), 0);
-    }
-
-    #[test]
-    fn bernoulli_subset_of_respects_base() {
-        let mut rng = rng_from_seed(11);
-        let base = VertexSet::from_iter(50, (0..50).step_by(2));
-        let sub = bernoulli_subset_of(&mut rng, &base, 0.5);
-        assert!(sub.is_subset_of(&base));
-    }
-
-    #[test]
-    fn bernoulli_probability_roughly_respected() {
-        let mut rng = rng_from_seed(123);
-        let n = 20_000;
-        let s = bernoulli_subset(&mut rng, n, 0.25);
-        let frac = s.len() as f64 / n as f64;
-        assert!((frac - 0.25).abs() < 0.02, "got fraction {frac}");
-    }
-
-    #[test]
-    fn choose_returns_member() {
-        let mut rng = rng_from_seed(5);
-        let items = [10, 20, 30];
-        for _ in 0..20 {
-            assert!(items.contains(choose(&mut rng, &items)));
-        }
     }
 }

@@ -18,7 +18,7 @@
 //! written this epoch, so producing counts — and materializing witness sets
 //! when a caller asks for one — costs O(work done), never O(n).
 //!
-//! All five neighborhood primitives of Section 2.1 are exposed in two forms:
+//! The neighborhood primitives of Section 2.1 are exposed in two forms:
 //!
 //! * **counting kernels** (`count_*`) returning only sizes — these are the
 //!   zero-allocation fast path the `wx_expansion::engine::MeasurementEngine`
@@ -174,13 +174,6 @@ impl NeighborhoodScratch {
         }
     }
 
-    /// `|Γ(S)|`: number of vertices with at least one neighbor in `s`
-    /// (members of `s` included when they have internal neighbors).
-    pub fn count_neighborhood<G: GraphView + ?Sized>(&mut self, g: &G, s: &VertexSet) -> usize {
-        self.accumulate_marks(g, s, None);
-        self.touched.len()
-    }
-
     /// `|Γ⁻(S)|`: number of vertices outside `s` with a neighbor in `s`.
     pub fn count_external_neighborhood<G: GraphView + ?Sized>(
         &mut self,
@@ -199,19 +192,6 @@ impl NeighborhoodScratch {
         s: &VertexSet,
     ) -> usize {
         self.count_s_excluding_unique(g, s, s)
-    }
-
-    /// `|Γ_S(S')|`: number of vertices outside `s` with a neighbor in
-    /// `s_prime` (which must be a subset of `s`; debug-asserted).
-    pub fn count_s_excluding<G: GraphView + ?Sized>(
-        &mut self,
-        g: &G,
-        s: &VertexSet,
-        s_prime: &VertexSet,
-    ) -> usize {
-        debug_assert!(s_prime.is_subset_of(s), "S' must be a subset of S");
-        self.accumulate_marks(g, s_prime, Some(s));
-        self.touched.len()
     }
 
     /// `|Γ¹_S(S')|`: number of vertices outside `s` with exactly one neighbor
@@ -252,33 +232,9 @@ impl NeighborhoodScratch {
         self.count_unique_neighborhood(g, s) as f64 / s.len() as f64
     }
 
-    /// Sorts the touched list in place, optionally keeping only vertices with
-    /// exactly one recorded neighbor, and returns it as a borrowed slice —
-    /// the allocation-free alternative to materializing a [`VertexSet`].
-    fn touched_sorted(&mut self, unique_only: bool) -> &[usize] {
-        if unique_only {
-            let (touched, count) = (&mut self.touched, &self.count);
-            touched.retain(|&u| count[u] == 1);
-        }
-        self.touched.sort_unstable();
-        &self.touched
-    }
-
     /// The members of `Γ⁻(S)`, sorted, borrowed from the scratch (valid until
-    /// the next kernel call). Used by
-    /// [`crate::BipartiteGraph::from_set_in_graph_with`] to build the
-    /// bipartite view of a set without intermediate set allocations.
-    pub fn external_neighborhood_sorted<G: GraphView + ?Sized>(
-        &mut self,
-        g: &G,
-        s: &VertexSet,
-    ) -> &[usize] {
-        self.accumulate_marks(g, s, Some(s));
-        self.touched_sorted(false)
-    }
-
-    /// Like [`NeighborhoodScratch::external_neighborhood_sorted`], but also
-    /// records each member's rank in the sorted order so that
+    /// the next kernel call). Also records each member's rank in the sorted
+    /// order so that
     /// [`NeighborhoodScratch::rank_of`] answers "which index is vertex `u`"
     /// in O(1) — the dense-index map behind the bipartite view extraction,
     /// stored in the scratch's own counter array instead of a fresh O(n)
@@ -317,7 +273,12 @@ impl NeighborhoodScratch {
         s: &VertexSet,
     ) -> &[usize] {
         self.accumulate(g, s, Some(s));
-        self.touched_sorted(true)
+        // keep the vertices with exactly one recorded neighbor, sorted in
+        // place: the allocation-free alternative to a `VertexSet`
+        let (touched, count) = (&mut self.touched, &self.count);
+        touched.retain(|&u| count[u] == 1);
+        touched.sort_unstable();
+        &self.touched
     }
 
     /// Materializes the touched vertices satisfying `keep(count)` as a
@@ -332,8 +293,7 @@ impl NeighborhoodScratch {
         )
     }
 
-    /// `Γ(S)` as a set (materializing variant of
-    /// [`NeighborhoodScratch::count_neighborhood`]).
+    /// `Γ(S)` as a set.
     pub fn neighborhood<G: GraphView + ?Sized>(&mut self, g: &G, s: &VertexSet) -> VertexSet {
         self.accumulate_marks(g, s, None);
         self.materialize(g.num_vertices(), |_| true)
@@ -356,18 +316,6 @@ impl NeighborhoodScratch {
         s: &VertexSet,
     ) -> VertexSet {
         self.s_excluding_unique_neighborhood(g, s, s)
-    }
-
-    /// `Γ_S(S')` as a set (`s_prime ⊆ s` debug-asserted).
-    pub fn s_excluding_neighborhood<G: GraphView + ?Sized>(
-        &mut self,
-        g: &G,
-        s: &VertexSet,
-        s_prime: &VertexSet,
-    ) -> VertexSet {
-        debug_assert!(s_prime.is_subset_of(s), "S' must be a subset of S");
-        self.accumulate_marks(g, s_prime, Some(s));
-        self.materialize(g.num_vertices(), |_| true)
     }
 
     /// `Γ¹_S(S')` as a set (`s_prime ⊆ s` debug-asserted).
@@ -426,10 +374,6 @@ mod tests {
         let s = g.vertex_set([1, 3]);
         let mut scr = NeighborhoodScratch::new(0);
         assert_eq!(
-            scr.count_neighborhood(&g, &s),
-            scr.neighborhood(&g, &s).len()
-        );
-        assert_eq!(
             scr.count_external_neighborhood(&g, &s),
             scr.external_neighborhood(&g, &s).len()
         );
@@ -438,10 +382,6 @@ mod tests {
             scr.unique_neighborhood(&g, &s).len()
         );
         let sp = g.vertex_set([1]);
-        assert_eq!(
-            scr.count_s_excluding(&g, &s, &sp),
-            scr.s_excluding_neighborhood(&g, &s, &sp).len()
-        );
         assert_eq!(
             scr.count_s_excluding_unique(&g, &s, &sp),
             scr.s_excluding_unique_neighborhood(&g, &s, &sp).len()
@@ -491,7 +431,7 @@ mod tests {
             Graph::from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 4)]).unwrap();
         let s = g.vertex_set([1, 3]);
         let mut scr = NeighborhoodScratch::default();
-        let ext: Vec<usize> = scr.external_neighborhood_sorted(&g, &s).to_vec();
+        let ext: Vec<usize> = scr.external_neighborhood_ranked(&g, &s).to_vec();
         assert_eq!(ext, scr.external_neighborhood(&g, &s).to_vec());
         let uniq: Vec<usize> = scr.unique_neighborhood_sorted(&g, &s).to_vec();
         assert_eq!(uniq, scr.unique_neighborhood(&g, &s).to_vec());

@@ -21,11 +21,6 @@ pub struct BfsResult {
 }
 
 impl BfsResult {
-    /// `true` if `v` was reached from the source.
-    pub fn reached(&self, v: Vertex) -> bool {
-        self.dist[v] != usize::MAX
-    }
-
     /// Vertices at exactly distance `d` from the source.
     pub fn layer(&self, d: usize) -> Vec<Vertex> {
         self.dist
@@ -111,12 +106,6 @@ pub fn is_connected<G: GraphView + ?Sized>(g: &G) -> bool {
     connected_components(g).1 == 1
 }
 
-/// The hop distance between two vertices, or `None` if disconnected.
-pub fn distance<G: GraphView + ?Sized>(g: &G, u: Vertex, v: Vertex) -> Option<usize> {
-    let d = bfs(g, u).dist[v];
-    (d != usize::MAX).then_some(d)
-}
-
 /// The exact diameter, computed by running BFS from every vertex
 /// (`O(n·(n+m))`). Returns `None` for a disconnected or empty graph.
 pub fn diameter<G: GraphView + ?Sized>(g: &G) -> Option<usize> {
@@ -131,51 +120,6 @@ pub fn diameter<G: GraphView + ?Sized>(g: &G) -> Option<usize> {
     )
 }
 
-/// A lower bound on the diameter obtained with a double-sweep heuristic
-/// (BFS from `start`, then BFS from the farthest vertex found). Exact on
-/// trees; cheap (`O(n+m)`) and usually tight in practice, used for the large
-/// broadcast-chain instances where the exact all-pairs diameter is too slow.
-pub fn diameter_lower_bound<G: GraphView + ?Sized>(g: &G, start: Vertex) -> usize {
-    let first = bfs(g, start);
-    let far = first
-        .dist
-        .iter()
-        .enumerate()
-        .filter(|(_, &d)| d != usize::MAX)
-        .max_by_key(|(_, &d)| d)
-        .map(|(v, _)| v)
-        .unwrap_or(start);
-    bfs(g, far).eccentricity
-}
-
-/// `true` if the graph is bipartite (2-colorable); also returns a witness
-/// coloring when it is.
-pub fn bipartition<G: GraphView + ?Sized>(g: &G) -> Option<Vec<bool>> {
-    let n = g.num_vertices();
-    let mut color: Vec<Option<bool>> = vec![None; n];
-    for s in 0..n {
-        if color[s].is_some() {
-            continue;
-        }
-        color[s] = Some(false);
-        let mut queue = VecDeque::from([s]);
-        while let Some(v) = queue.pop_front() {
-            let cv = color[v].expect("queued vertices are colored");
-            for u in g.neighbors_iter(v) {
-                match color[u] {
-                    None => {
-                        color[u] = Some(!cv);
-                        queue.push_back(u);
-                    }
-                    Some(cu) if cu == cv => return None,
-                    Some(_) => {}
-                }
-            }
-        }
-    }
-    Some(color.into_iter().map(|c| c.unwrap_or(false)).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,6 +129,34 @@ mod tests {
         Graph::from_edges(n, (0..n).map(|i| (i, (i + 1) % n))).unwrap()
     }
 
+    /// `true` if the graph is bipartite (2-colorable); also returns a witness
+    /// coloring when it is.
+    fn bipartition<G: GraphView + ?Sized>(g: &G) -> Option<Vec<bool>> {
+        let n = g.num_vertices();
+        let mut color: Vec<Option<bool>> = vec![None; n];
+        for s in 0..n {
+            if color[s].is_some() {
+                continue;
+            }
+            color[s] = Some(false);
+            let mut queue = VecDeque::from([s]);
+            while let Some(v) = queue.pop_front() {
+                let cv = color[v].expect("queued vertices are colored");
+                for u in g.neighbors_iter(v) {
+                    match color[u] {
+                        None => {
+                            color[u] = Some(!cv);
+                            queue.push_back(u);
+                        }
+                        Some(cu) if cu == cv => return None,
+                        Some(_) => {}
+                    }
+                }
+            }
+        }
+        Some(color.into_iter().map(|c| c.unwrap_or(false)).collect())
+    }
+
     #[test]
     fn bfs_on_path() {
         let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
@@ -192,14 +164,13 @@ mod tests {
         assert_eq!(r.dist, vec![0, 1, 2, 3]);
         assert_eq!(r.eccentricity, 3);
         assert_eq!(r.layer(2), vec![2]);
-        assert!(r.reached(3));
     }
 
     #[test]
     fn bfs_unreachable() {
         let g = Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
         let r = bfs(&g, 0);
-        assert!(!r.reached(2));
+        assert_eq!(r.dist[2], usize::MAX);
         assert_eq!(r.dist[3], usize::MAX);
         assert_eq!(r.eccentricity, 1);
     }
@@ -228,14 +199,13 @@ mod tests {
     #[test]
     fn distances_and_diameter() {
         let g = cycle(6);
-        assert_eq!(distance(&g, 0, 3), Some(3));
+        assert_eq!(bfs(&g, 0).dist[3], 3);
         assert_eq!(diameter(&g), Some(3));
         let path = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap();
         assert_eq!(diameter(&path), Some(4));
-        assert_eq!(diameter_lower_bound(&path, 2), 4);
         let disconnected = Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
         assert_eq!(diameter(&disconnected), None);
-        assert_eq!(distance(&disconnected, 0, 3), None);
+        assert_eq!(bfs(&disconnected, 0).dist[3], usize::MAX);
     }
 
     #[test]

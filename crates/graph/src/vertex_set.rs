@@ -175,17 +175,6 @@ impl VertexSet {
         &self.words
     }
 
-    /// Grants mutable word-level access to the bitset via a guard.
-    ///
-    /// The guard dereferences to `&mut [u64]`; callers may rewrite whole
-    /// words (bulk union from a lane mask, scatter from a kernel, …). When
-    /// the guard drops it restores the set's invariants: bits beyond
-    /// `universe` in the final word are masked off and the member count is
-    /// recomputed in O(n/64).
-    pub fn as_words_mut(&mut self) -> WordsMut<'_> {
-        WordsMut { set: self }
-    }
-
     /// The set over `self`'s universe whose words are `op` applied to the
     /// word pairs of `self` and `other`.
     fn zip_words(&self, other: &VertexSet, op: impl Fn(u64, u64) -> u64) -> VertexSet {
@@ -237,36 +226,6 @@ impl VertexSet {
             .zip(&other.words)
             .all(|(&a, &b)| a & b == 0)
     }
-
-    /// Enumerates all `2^|S|` subsets of this set, invoking `f` on each.
-    ///
-    /// Intended for exact (small-instance) expansion computations; the caller
-    /// is responsible for keeping `|S|` small (≲ 20). The empty subset is
-    /// included.
-    pub fn for_each_subset(&self, mut f: impl FnMut(&VertexSet)) {
-        let k = self.len();
-        assert!(
-            k <= 25,
-            "subset enumeration limited to 25 elements, got {k}"
-        );
-        let members = self.to_vec();
-        for mask in 0u64..(1u64 << k) {
-            let subset = VertexSet::from_iter(
-                self.universe,
-                (0..k).filter(|i| (mask >> i) & 1 == 1).map(|i| members[i]),
-            );
-            f(&subset);
-        }
-    }
-
-    /// Enumerates the non-empty subsets only.
-    pub fn for_each_nonempty_subset(&self, mut f: impl FnMut(&VertexSet)) {
-        self.for_each_subset(|s| {
-            if !s.is_empty() {
-                f(s)
-            }
-        });
-    }
 }
 
 /// Iterator over the members of a [`VertexSet`] in increasing order,
@@ -314,76 +273,6 @@ impl Iterator for Iter<'_> {
             self.base = self.base.wrapping_add(WORD_BITS);
             self.bits = word;
         }
-    }
-}
-
-/// Mutable word-level view of a [`VertexSet`], returned by
-/// [`VertexSet::as_words_mut`].
-///
-/// On drop, tail bits beyond the universe are cleared and the member count
-/// is recomputed from the (possibly rewritten) words.
-pub struct WordsMut<'a> {
-    set: &'a mut VertexSet,
-}
-
-impl std::ops::Deref for WordsMut<'_> {
-    type Target = [u64];
-    fn deref(&self) -> &[u64] {
-        &self.set.words
-    }
-}
-
-impl std::ops::DerefMut for WordsMut<'_> {
-    fn deref_mut(&mut self) -> &mut [u64] {
-        &mut self.set.words
-    }
-}
-
-impl Drop for WordsMut<'_> {
-    fn drop(&mut self) {
-        self.set.mask_tail();
-        self.set.recount();
-    }
-}
-
-impl serde::Serialize for VertexSet {
-    fn serialize<S: serde::Serializer>(
-        &self,
-        serializer: S,
-    ) -> std::result::Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct;
-        let mut st = serializer.serialize_struct("VertexSet", 2)?;
-        st.serialize_field("universe", &self.universe)?;
-        st.serialize_field("members", &self.to_vec())?;
-        st.end()
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for VertexSet {
-    fn deserialize<D: serde::Deserializer<'de>>(
-        deserializer: D,
-    ) -> std::result::Result<Self, D::Error> {
-        #[derive(serde::Deserialize)]
-        struct Raw {
-            universe: usize,
-            members: Vec<usize>,
-        }
-        let raw = Raw::deserialize(deserializer)?;
-        if let Some(&bad) = raw.members.iter().find(|&&v| v >= raw.universe) {
-            return Err(serde::de::Error::custom(format!(
-                "member {bad} out of range for universe {}",
-                raw.universe
-            )));
-        }
-        Ok(VertexSet::from_iter(raw.universe, raw.members))
-    }
-}
-
-impl Default for VertexSet {
-    /// The empty set over the empty universe. Mainly useful for
-    /// `#[serde(skip)]` fields and placeholder values.
-    fn default() -> Self {
-        VertexSet::empty(0)
     }
 }
 
@@ -484,21 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn subset_enumeration_counts() {
-        let s = VertexSet::from_iter(10, [2, 5, 7]);
-        let mut count = 0usize;
-        let mut nonempty = 0usize;
-        s.for_each_subset(|_| count += 1);
-        s.for_each_nonempty_subset(|x| {
-            nonempty += 1;
-            assert!(x.is_subset_of(&s));
-            assert!(!x.is_empty());
-        });
-        assert_eq!(count, 8);
-        assert_eq!(nonempty, 7);
-    }
-
-    #[test]
     fn contains_out_of_universe_is_false() {
         let s = VertexSet::from_iter(4, [0, 1]);
         assert!(!s.contains(100));
@@ -518,30 +392,5 @@ mod tests {
         assert_eq!(words[0], 1 | (1u64 << 63));
         assert_eq!(words[1], 1);
         assert_eq!(words[2], 1u64 << 1);
-    }
-
-    #[test]
-    fn as_words_mut_rebuilds_members() {
-        let mut s = VertexSet::from_iter(100, [1, 2, 3]);
-        {
-            let mut words = s.as_words_mut();
-            words[0] = 1u64 << 40;
-            words[1] = 1u64 << 5; // vertex 69
-        }
-        assert_eq!(s.to_vec(), vec![40, 69]);
-        assert_eq!(s.len(), 2);
-        assert!(s.contains(40));
-        assert!(!s.contains(1));
-    }
-
-    #[test]
-    fn as_words_mut_masks_tail_bits() {
-        let mut s = VertexSet::empty(70);
-        {
-            let mut words = s.as_words_mut();
-            words[1] = !0u64; // bits 64..128, only 64..70 are in-universe
-        }
-        assert_eq!(s.to_vec(), vec![64, 65, 66, 67, 68, 69]);
-        assert_eq!(s.as_words()[1], (1u64 << 6) - 1);
     }
 }

@@ -185,8 +185,9 @@ pub trait GraphView {
     /// struct itself plus any storage it owns (CSR arrays, a memory
     /// mapping). Borrowed data — the base graph behind a [`SubgraphView`] —
     /// is not counted here; it is owned, and therefore reported, elsewhere.
-    /// O(1) for every backend (exact for the CSR and mmap backends, struct
-    /// size for views and implicit families).
+    /// O(1) for every backend (exact arrays plus a fixed header for the
+    /// CSR backend, exact for the mmap backend, struct size for views and
+    /// implicit families).
     fn memory_bytes(&self) -> usize {
         std::mem::size_of_val(self)
     }
@@ -272,11 +273,15 @@ impl GraphView for Graph {
     }
     fn memory_bytes(&self) -> usize {
         let (offsets, neighbors) = self.csr_parts();
-        std::mem::size_of::<Graph>()
-            + std::mem::size_of_val(offsets)
-            + std::mem::size_of_val(neighbors)
+        CSR_HEADER_BYTES + std::mem::size_of_val(offsets) + std::mem::size_of_val(neighbors)
     }
 }
+
+/// Bytes a CSR [`Graph`] is charged on top of its two arrays. Reports carry
+/// `graph.memory_bytes`, so this is a fixed figure rather than
+/// `size_of::<Graph>()`, which moves with the struct layout; 80 bytes was
+/// that size when the figure was first pinned.
+const CSR_HEADER_BYTES: usize = 80;
 
 /// A vertex set together with its sorted member list: the rank/select index
 /// a [`SubgraphView`] translates ids through.
@@ -521,7 +526,7 @@ impl ImplicitFamily {
 /// For small instances, [`materialize`] turns any view (including this one)
 /// into a CSR [`Graph`]; the equivalence of the two representations is
 /// property-tested in `tests/view_equivalence.rs`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ImplicitGraph {
     family: ImplicitFamily,
 }
@@ -536,16 +541,6 @@ impl ImplicitGraph {
     /// The Boolean hypercube `Q_dim`.
     pub fn hypercube(dim: usize) -> Result<Self> {
         ImplicitGraph::new(ImplicitFamily::Hypercube { dim })
-    }
-
-    /// The cycle power `C_n^k`.
-    pub fn cycle_power(n: usize, power: usize) -> Result<Self> {
-        ImplicitGraph::new(ImplicitFamily::CyclePower { n, power })
-    }
-
-    /// The 2-D torus `Z_rows × Z_cols`.
-    pub fn torus(rows: usize, cols: usize) -> Result<Self> {
-        ImplicitGraph::new(ImplicitFamily::Torus { rows, cols })
     }
 
     /// The family rule behind this backend.
@@ -786,7 +781,7 @@ mod tests {
 
     #[test]
     fn implicit_cycle_power_matches_definition() {
-        let c = ImplicitGraph::cycle_power(10, 2).unwrap();
+        let c = ImplicitGraph::new(ImplicitFamily::CyclePower { n: 10, power: 2 }).unwrap();
         assert_eq!(c.num_vertices(), 10);
         assert!(c.is_regular(4));
         let mut ns: Vec<Vertex> = c.neighbors_iter(0).collect();
@@ -798,7 +793,7 @@ mod tests {
 
     #[test]
     fn implicit_torus_matches_materialized_neighbors() {
-        let t = ImplicitGraph::torus(3, 4).unwrap();
+        let t = ImplicitGraph::new(ImplicitFamily::Torus { rows: 3, cols: 4 }).unwrap();
         assert_eq!(t.num_vertices(), 12);
         assert!(t.is_regular(4));
         let mut ns: Vec<Vertex> = t.neighbors_iter(0).collect();
@@ -812,10 +807,10 @@ mod tests {
     fn family_validation_rejects_bad_parameters() {
         assert!(ImplicitGraph::hypercube(0).is_err());
         assert!(ImplicitGraph::hypercube(33).is_err());
-        assert!(ImplicitGraph::cycle_power(6, 3).is_err());
-        assert!(ImplicitGraph::cycle_power(6, 0).is_err());
-        assert!(ImplicitGraph::torus(2, 5).is_err());
-        assert!(ImplicitGraph::torus(3, 3).is_ok());
+        assert!(ImplicitGraph::new(ImplicitFamily::CyclePower { n: 6, power: 3 }).is_err());
+        assert!(ImplicitGraph::new(ImplicitFamily::CyclePower { n: 6, power: 0 }).is_err());
+        assert!(ImplicitGraph::new(ImplicitFamily::Torus { rows: 2, cols: 5 }).is_err());
+        assert!(ImplicitGraph::new(ImplicitFamily::Torus { rows: 3, cols: 3 }).is_ok());
     }
 
     #[test]
@@ -846,8 +841,8 @@ mod tests {
     #[test]
     fn memory_bytes_is_exact_for_csr_and_o1_for_views() {
         let g = cycle(9);
-        // CSR: struct + offsets (n + 1 usizes) + neighbors (2m Vertex)
-        let expected = std::mem::size_of::<Graph>()
+        // CSR: fixed header + offsets (n + 1 usizes) + neighbors (2m Vertex)
+        let expected = CSR_HEADER_BYTES
             + 10 * std::mem::size_of::<usize>()
             + 18 * std::mem::size_of::<Vertex>();
         assert_eq!(g.memory_bytes(), expected);

@@ -44,14 +44,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// VertexSet behaves exactly like a BTreeSet: built from unsorted input
-    /// with duplicates, under insert/remove, after word rewrites through
-    /// `as_words_mut`, and across a serde JSON round trip, on universes that
-    /// end inside, at and just past a word boundary.
+    /// with duplicates and under insert/remove, on universes that end
+    /// inside, at and just past a word boundary.
     #[test]
     fn vertex_set_models_a_btreeset(universe in 0usize..UNIVERSES.len(),
                                     init in prop::collection::vec(0usize..400, 0..80),
-                                    ops in prop::collection::vec((0usize..400, prop::bool::ANY), 0..120),
-                                    flips in prop::collection::vec(any::<u64>(), 4)) {
+                                    ops in prop::collection::vec((0usize..400, prop::bool::ANY), 0..120)) {
         let n = UNIVERSES[universe];
         let mut vs = VertexSet::from_iter(n, init.iter().map(|v| v % n));
         let mut model: BTreeSet<usize> = init.iter().map(|v| v % n).collect();
@@ -65,16 +63,6 @@ proptest! {
             }
         }
         assert_models(&vs, &model)?;
-        for (word, flip) in vs.as_words_mut().iter_mut().zip(&flips) {
-            *word ^= flip;
-        }
-        let flipped = |v: usize| (flips[v / 64] >> (v % 64)) & 1 == 1;
-        model = (0..n).filter(|&v| model.contains(&v) != flipped(v)).collect();
-        assert_models(&vs, &model)?;
-        let json = serde_json::to_string(&vs).unwrap();
-        let back: VertexSet = serde_json::from_str(&json).unwrap();
-        prop_assert_eq!(&back, &vs);
-        assert_models(&back, &model)?;
     }
 
     /// Set algebra agrees with BTreeSet member for member, and complement is
@@ -120,9 +108,6 @@ proptest! {
             prop_assert!(nbrs.windows(2).all(|w| w[0] < w[1]), "sorted & deduped");
             prop_assert!(!nbrs.contains(&v), "no self-loops");
         }
-        // serde round-trip preserves equality
-        let json = serde_json::to_string(&g).unwrap();
-        prop_assert_eq!(serde_json::from_str::<Graph>(&json).unwrap(), g);
     }
 
     /// Neighborhood operators match their set-theoretic definitions.
@@ -150,17 +135,15 @@ proptest! {
             let nbrs_in_sp = g.neighbors(v).iter().filter(|&&u| s_prime.contains(u)).count();
             prop_assert_eq!(ex.contains(v), nbrs_in_sp == 1 && !s.contains(v));
         }
-        prop_assert_eq!(
-            wx_graph::neighborhood::s_excluding_unique_coverage(&g, &s, &s_prime),
-            ex.len()
-        );
+        let mut scr = NeighborhoodScratch::default();
+        prop_assert_eq!(scr.count_s_excluding_unique(&g, &s, &s_prime), ex.len());
     }
 
     /// The epoch-stamped scratch kernel agrees with naive set-materializing
-    /// recomputation from the definitions, for all five neighborhood
-    /// primitives (`Γ`, `Γ⁻`, `Γ¹`, `Γ_S(S')`, `Γ¹_S(S')`), in both its
-    /// counting and materializing forms — including when one scratch is
-    /// reused across consecutive evaluations (epoch isolation).
+    /// recomputation from the definitions, for the neighborhood primitives
+    /// (`Γ`, `Γ⁻`, `Γ¹`, `Γ¹_S(S')`), in their counting and materializing
+    /// forms — including when one scratch is reused across consecutive
+    /// evaluations (epoch isolation).
     #[test]
     fn kernel_counts_match_naive_operators(edges in edge_list(14),
                                            members in prop::collection::btree_set(0usize..14, 1..9),
@@ -178,22 +161,17 @@ proptest! {
             (0..14).filter(|&v| nbrs_in(&s, v) > 0 && !s.contains(v)).collect();
         let naive_gamma_one: Vec<usize> =
             (0..14).filter(|&v| nbrs_in(&s, v) == 1 && !s.contains(v)).collect();
-        let naive_s_excl: Vec<usize> =
-            (0..14).filter(|&v| nbrs_in(&s_prime, v) > 0 && !s.contains(v)).collect();
         let naive_s_excl_one: Vec<usize> =
             (0..14).filter(|&v| nbrs_in(&s_prime, v) == 1 && !s.contains(v)).collect();
 
-        // one scratch reused across all ten kernel calls
+        // one scratch reused across all seven kernel calls
         let mut scr = NeighborhoodScratch::default();
-        prop_assert_eq!(scr.count_neighborhood(&g, &s), naive_gamma.len());
         prop_assert_eq!(scr.count_external_neighborhood(&g, &s), naive_gamma_minus.len());
         prop_assert_eq!(scr.count_unique_neighborhood(&g, &s), naive_gamma_one.len());
-        prop_assert_eq!(scr.count_s_excluding(&g, &s, &s_prime), naive_s_excl.len());
         prop_assert_eq!(scr.count_s_excluding_unique(&g, &s, &s_prime), naive_s_excl_one.len());
         prop_assert_eq!(scr.neighborhood(&g, &s).to_vec(), naive_gamma);
         prop_assert_eq!(scr.external_neighborhood(&g, &s).to_vec(), naive_gamma_minus.clone());
         prop_assert_eq!(scr.unique_neighborhood(&g, &s).to_vec(), naive_gamma_one.clone());
-        prop_assert_eq!(scr.s_excluding_neighborhood(&g, &s, &s_prime).to_vec(), naive_s_excl);
         prop_assert_eq!(
             scr.s_excluding_unique_neighborhood(&g, &s, &s_prime).to_vec(),
             naive_s_excl_one
@@ -287,7 +265,6 @@ proptest! {
                 builder.add_edge(v, u).unwrap();
             }
         }
-        prop_assert_eq!(builder.raw_edge_insertions(), 2 * dup_rounds * edges.len());
         let g = builder.build();
 
         // sorted, strictly increasing (deduped), self-loop-free adjacency
@@ -320,14 +297,14 @@ proptest! {
     }
 
     /// Builder rejection behavior: self-loops and out-of-range endpoints are
-    /// errors and leave the builder unchanged (insertion count stable).
+    /// errors and leave the builder unchanged (the built graph holds only the
+    /// one valid edge).
     #[test]
     fn csr_builder_rejects_bad_edges(v in 0usize..10, w in 0usize..10) {
         let mut builder = wx_graph::GraphBuilder::new(10);
         if v != w {
             builder.add_edge(v, w).unwrap();
         }
-        let before = builder.raw_edge_insertions();
         prop_assert_eq!(
             builder.add_edge(v, v),
             Err(wx_graph::GraphError::SelfLoop(v))
@@ -340,14 +317,14 @@ proptest! {
             builder.add_edge(17, w),
             Err(wx_graph::GraphError::VertexOutOfRange { vertex: 17, n: 10 })
         );
-        prop_assert_eq!(builder.raw_edge_insertions(), before);
+        prop_assert_eq!(builder.build().num_edges(), usize::from(v != w));
         // from_edges surfaces the same rejections
         prop_assert!(Graph::from_edges(10, [(v, v)]).is_err());
         prop_assert!(Graph::from_edges(10, [(v, 12usize)]).is_err());
     }
 
-    /// Structural ops preserve CSR invariants: induced subgraphs and disjoint
-    /// unions keep adjacency sorted/symmetric and edge counts consistent.
+    /// Induced subgraphs preserve CSR invariants: adjacency stays sorted and
+    /// edge counts consistent.
     #[test]
     fn csr_invariants_survive_structural_ops(edges in edge_list(10),
                                              members in prop::collection::btree_set(0usize..10, 1..8)) {
@@ -361,12 +338,6 @@ proptest! {
             for &u in sub.neighbors(v) {
                 prop_assert!(g.has_edge(ids[u], ids[v]), "subgraph edge not in parent");
             }
-        }
-        let both = g.disjoint_union(&sub);
-        prop_assert_eq!(both.num_vertices(), g.num_vertices() + sub.num_vertices());
-        prop_assert_eq!(both.num_edges(), g.num_edges() + sub.num_edges());
-        for v in both.vertices() {
-            prop_assert!(both.neighbors(v).windows(2).all(|w| w[0] < w[1]));
         }
     }
 }

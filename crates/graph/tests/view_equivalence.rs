@@ -13,7 +13,9 @@
 //! crates (`wx-expansion/tests/properties.rs`, `wx-radio/tests/properties.rs`).
 
 use proptest::prelude::*;
-use wx_graph::view::{materialize, GraphView, ImplicitGraph, SubgraphView, SubsetIndex};
+use wx_graph::view::{
+    materialize, GraphView, ImplicitFamily, ImplicitGraph, SubgraphView, SubsetIndex,
+};
 use wx_graph::{Graph, NeighborhoodScratch, VertexSet};
 
 /// Strategy: a small random edge list over `n` vertices.
@@ -32,8 +34,16 @@ fn implicit_family() -> impl Strategy<Value = ImplicitGraph> {
     (0usize..3, 1usize..=6, 3usize..=7).prop_map(|(kind, a, b)| match kind {
         0 => ImplicitGraph::hypercube(a).unwrap(),
         // n = 5·b ∈ [15, 35], k = min(a, 2) keeps 2k < n
-        1 => ImplicitGraph::cycle_power(5 * b, a.min(2)).unwrap(),
-        _ => ImplicitGraph::torus(b, a.max(3)).unwrap(),
+        1 => ImplicitGraph::new(ImplicitFamily::CyclePower {
+            n: 5 * b,
+            power: a.min(2),
+        })
+        .unwrap(),
+        _ => ImplicitGraph::new(ImplicitFamily::Torus {
+            rows: b,
+            cols: a.max(3),
+        })
+        .unwrap(),
     })
 }
 
@@ -84,11 +94,6 @@ fn assert_views_equivalent<A: GraphView, B: GraphView>(
             scr_b.count_unique_neighborhood(b, s)
         );
         assert_eq!(
-            scr_a.s_excluding_neighborhood(a, s, s_prime).to_vec(),
-            scr_b.s_excluding_neighborhood(b, s, s_prime).to_vec(),
-            "Γ_S(S')"
-        );
-        assert_eq!(
             scr_a
                 .s_excluding_unique_neighborhood(a, s, s_prime)
                 .to_vec(),
@@ -96,10 +101,6 @@ fn assert_views_equivalent<A: GraphView, B: GraphView>(
                 .s_excluding_unique_neighborhood(b, s, s_prime)
                 .to_vec(),
             "Γ¹_S(S')"
-        );
-        assert_eq!(
-            scr_a.count_s_excluding(a, s, s_prime),
-            scr_b.count_s_excluding(b, s, s_prime)
         );
         assert_eq!(
             scr_a.count_s_excluding_unique(a, s, s_prime),

@@ -270,22 +270,6 @@ impl ArtifactCache {
         self.lock().stats
     }
 
-    /// The keys currently resident, in ascending key order
-    /// `(graph keys, solution keys)` — the observable surface the
-    /// eviction-determinism tests assert on.
-    #[must_use]
-    pub fn resident_keys(&self) -> (Vec<u64>, Vec<u64>) {
-        let inner = self.lock();
-        let graphs = inner
-            .graphs
-            .iter()
-            .filter(|(_, slot)| matches!(slot, GraphSlot::Ready { .. }))
-            .map(|(k, _)| *k)
-            .collect();
-        let solutions = inner.solutions.keys().copied().collect();
-        (graphs, solutions)
-    }
-
     fn persist_path(&self, key: u64) -> Option<PathBuf> {
         self.config
             .persist_dir
@@ -466,6 +450,23 @@ impl SolutionStore for ArtifactCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ArtifactCache {
+        /// The keys currently resident, in ascending key order
+        /// `(graph keys, solution keys)` — the observable surface the
+        /// eviction-determinism tests assert on.
+        fn resident_keys(&self) -> (Vec<u64>, Vec<u64>) {
+            let inner = self.lock();
+            let graphs = inner
+                .graphs
+                .iter()
+                .filter(|(_, slot)| matches!(slot, GraphSlot::Ready { .. }))
+                .map(|(k, _)| *k)
+                .collect();
+            let solutions = inner.solutions.keys().copied().collect();
+            (graphs, solutions)
+        }
+    }
     use crate::source::GraphSource;
     use std::sync::atomic::{AtomicUsize, Ordering};
 

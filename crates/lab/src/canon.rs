@@ -121,12 +121,6 @@ fn canonical_value_of<T: serde::Serialize>(what: &'static str, value: &T) -> Res
     serde::to_value(value).map_err(|e| LabError::json(what, e))
 }
 
-/// FNV-1a 64 over the canonical serialization of `value`.
-#[must_use]
-pub fn hash_value(value: &Value) -> u64 {
-    fnv1a(&[canonical_json(value).as_bytes()])
-}
-
 /// The coalescing key of a whole request: every field of the spec
 /// participates (two requests coalesce only when their reports would be
 /// byte-identical, which includes `name` and `description`).
@@ -184,7 +178,6 @@ mod tests {
             canonical_json(&a),
             r#"{"a":true,"b":[1,2.5,{"x":"s","y":null}]}"#
         );
-        assert_eq!(hash_value(&a), hash_value(&b));
     }
 
     #[test]

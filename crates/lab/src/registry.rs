@@ -252,13 +252,8 @@ impl SweepReport {
     }
 }
 
-/// Executes one built-in entry.
-pub fn run_builtin(entry: &BuiltinScenario, opts: SweepOptions) -> SweepEntry {
-    run_builtin_ctx(entry, opts, &RunContext::default())
-}
-
-/// [`run_builtin`] against a shared artifact cache: sweep cells whose
-/// sources coincide (same family, same derived build seeds) reuse built
+/// Executes one built-in entry against a shared artifact cache: sweep cells
+/// whose sources coincide (same family, same derived build seeds) reuse built
 /// graphs and spokesman solutions instead of regenerating them per cell.
 pub fn run_builtin_ctx(
     entry: &BuiltinScenario,

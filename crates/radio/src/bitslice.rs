@@ -230,7 +230,8 @@ impl LaneWorkspace {
     }
 
     /// Lane `lane`'s per-round informed counts (`[0] == 1`).
-    pub fn lane_informed_per_round(&self, lane: usize) -> &[usize] {
+    #[cfg(test)]
+    pub(crate) fn lane_informed_per_round(&self, lane: usize) -> &[usize] {
         assert!(lane < self.lanes, "lane {lane} out of range");
         &self.informed_per_round[lane]
     }

@@ -18,11 +18,10 @@
 use crate::bitslice::{run_lanes_in, with_thread_lane_workspace};
 use crate::protocols::ProtocolKind;
 use crate::simulator::{RadioSimulator, SimulatorConfig};
-use serde::{Deserialize, Serialize};
 use wx_constructions::BroadcastChain;
 
 /// Per-run measurements of the chain experiment.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ChainRun {
     /// Protocol name.
     pub protocol: String,
@@ -44,17 +43,6 @@ pub struct ChainRun {
 }
 
 impl ChainRun {
-    /// Round at which the *last* relay was informed (a lower bound on the
-    /// completion time), if all relays were informed.
-    pub fn last_relay_round(&self) -> Option<usize> {
-        self.relay_rounds
-            .iter()
-            .copied()
-            .collect::<Option<Vec<_>>>()?
-            .last()
-            .copied()
-    }
-
     /// The mean per-stage gap (over informed relays).
     pub fn mean_gap(&self) -> Option<f64> {
         if self.relay_gaps.is_empty() {
@@ -139,7 +127,6 @@ mod tests {
         }
         assert_eq!(run.relay_gaps.len(), 3);
         assert!(run.mean_gap().unwrap() >= 1.0);
-        assert_eq!(run.last_relay_round(), Some(*rounds.last().unwrap()));
     }
 
     #[test]

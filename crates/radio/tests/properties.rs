@@ -79,12 +79,13 @@ proptest! {
         prop_assert_eq!(informed_total, *informed_per_round.last().unwrap());
         // every informed vertex (other than the source) is reachable and has
         // an informed-round no larger than the number of simulated rounds
+        let dist = wx_graph::traversal::bfs(&g, 0).dist;
         for (v, round) in first_informed_round.iter().enumerate() {
             if let Some(r) = round {
                 prop_assert!(*r <= outcome.rounds_simulated);
                 if v != 0 {
-                    prop_assert!(wx_graph::traversal::distance(&g, 0, v).is_some());
-                    prop_assert!(*r >= wx_graph::traversal::distance(&g, 0, v).unwrap(),
+                    prop_assert!(dist[v] != usize::MAX);
+                    prop_assert!(*r >= dist[v],
                         "vertex {} informed at round {} faster than its distance", v, r);
                 }
             }
@@ -149,7 +150,7 @@ proptest! {
         n in 8usize..40,
         seed in 0u64..50,
     ) {
-        let implicit = wx_graph::ImplicitGraph::cycle_power(n, 2).unwrap();
+        let implicit = wx_graph::ImplicitGraph::new(wx_graph::ImplicitFamily::CyclePower { n, power: 2 }).unwrap();
         let mat = wx_graph::view::materialize(&implicit);
         let config = SimulatorConfig { max_rounds: 500, stop_when_complete: true };
         let sim_implicit = RadioSimulator::new(&implicit, 0, config.clone());

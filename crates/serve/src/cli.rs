@@ -13,6 +13,7 @@
 //! success, 1 runtime failure (including any failed request in a
 //! stdin-jsonl session), 2 usage error.
 
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 
 use wx_lab::cache::CacheConfig;
@@ -108,10 +109,26 @@ fn start(config: &ServeConfig) -> Result<Service> {
     Ok(Service::start(config))
 }
 
+/// Resolves `--http ADDR`; an address that names no socket is a usage
+/// error.
+fn resolve_http_addr(addr: &str) -> Result<Vec<SocketAddr>> {
+    let addrs: Vec<SocketAddr> = addr
+        .to_socket_addrs()
+        .map_err(|e| LabError::invalid(format!("--http {addr}: {e}")))?
+        .collect();
+    if addrs.is_empty() {
+        return Err(LabError::invalid(format!("--http {addr} names no address")));
+    }
+    Ok(addrs)
+}
+
 fn cmd_serve(args: &[String]) -> Result<i32> {
     let mut flags = Flags::new(args);
     let stdin_mode = flags.take_flag("--stdin");
-    let http_addr = flags.take_value("--http")?;
+    let http_addr = match flags.take_value("--http")? {
+        Some(addr) => Some((resolve_http_addr(&addr)?, addr)),
+        None => None,
+    };
     let out_dir = flags.take_value("--out-dir")?.map(PathBuf::from);
     let config = parse_serve_config(&mut flags)?;
     flags.finish_no_positionals()?;
@@ -145,12 +162,15 @@ fn cmd_serve(args: &[String]) -> Result<i32> {
             service.stop();
             Ok(if failures > 0 { 1 } else { 0 })
         }
-        (false, Some(addr)) => {
+        (false, Some((addrs, addr))) => {
             if out_dir.is_some() {
                 return Err(LabError::invalid("--out-dir only applies to --stdin"));
             }
-            let service = start(&config)?;
-            let server = HttpServer::bind(service, &addr)?;
+            // bound before `start` creates the persist dir, so a taken
+            // address leaves nothing behind either
+            let listener = TcpListener::bind(&addrs[..])
+                .map_err(|e| LabError::Io(format!("binding {addr}: {e}")))?;
+            let server = HttpServer::new(listener, start(&config)?);
             eprintln!("wx serve: listening on http://{}", server.local_addr()?);
             server.serve_forever()?;
             Ok(0)

@@ -278,12 +278,10 @@ fn handle_connection(service: &Service, stream: &mut TcpStream) -> std::io::Resu
 }
 
 impl HttpServer {
-    /// Binds `addr` (e.g. `127.0.0.1:8080`, or port `0` for an
-    /// OS-assigned port in tests) in front of `service`.
-    pub fn bind(service: Service, addr: &str) -> Result<HttpServer> {
-        let listener =
-            TcpListener::bind(addr).map_err(|e| LabError::Io(format!("binding {addr}: {e}")))?;
-        Ok(HttpServer { listener, service })
+    /// Serves `service` on an already bound `listener`. Binding first lets
+    /// the caller fail on a taken address before the service exists.
+    pub fn new(listener: TcpListener, service: Service) -> HttpServer {
+        HttpServer { listener, service }
     }
 
     /// The locally bound address (useful with port `0`).

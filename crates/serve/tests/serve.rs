@@ -4,7 +4,7 @@
 //! stdin-jsonl session protocol, and the HTTP front end.
 
 use std::io::{Cursor, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 
 use wx_core::spokesman::SolverKind;
 use wx_lab::runner::Runner;
@@ -255,11 +255,17 @@ fn a_usage_error_leaves_no_persist_dir_behind() {
     let _ = std::fs::remove_dir_all(&root);
     std::fs::create_dir_all(&root).unwrap();
     let dir = root.join("fresh");
-    for flags in [
-        &[][..],
-        &["--stdin", "--http", "127.0.0.1:0"],
-        &["--stdin", "--graph-cache-bytes", "lots"],
-        &["--stdin", "stray-positional"],
+    // a listener on an address `wx` then fails to bind: a runtime error
+    // (exit 1), which must leave nothing behind either
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let taken = listener.local_addr().unwrap().to_string();
+    for (flags, code) in [
+        (&[][..], 2),
+        (&["--stdin", "--http", "127.0.0.1:0"], 2),
+        (&["--stdin", "--graph-cache-bytes", "lots"], 2),
+        (&["--stdin", "stray-positional"], 2),
+        (&["--http", "not-an-addr"], 2),
+        (&["--http", taken.as_str()], 1),
     ] {
         let output = std::process::Command::new(wx)
             .arg("serve")
@@ -269,7 +275,7 @@ fn a_usage_error_leaves_no_persist_dir_behind() {
             .stdin(std::process::Stdio::null())
             .output()
             .expect("spawning wx");
-        assert_eq!(output.status.code(), Some(2), "{flags:?}");
+        assert_eq!(output.status.code(), Some(code), "{flags:?}");
         assert!(!dir.exists(), "{flags:?} left {} behind", dir.display());
     }
     let _ = std::fs::remove_dir_all(&root);
@@ -326,7 +332,7 @@ fn http_round_trip_serves_batch_bytes_and_telemetry_headers() {
     let batch = Runner::new().run(&spec).unwrap().to_json();
 
     let service = Service::start(&ServeConfig::default());
-    let server = HttpServer::bind(service, "127.0.0.1:0").unwrap();
+    let server = HttpServer::new(TcpListener::bind("127.0.0.1:0").unwrap(), service);
     let addr = server.local_addr().unwrap();
     let handle = std::thread::spawn(move || server.serve_n(4).unwrap());
 
@@ -371,7 +377,7 @@ fn http_round_trip_serves_batch_bytes_and_telemetry_headers() {
 #[test]
 fn http_rejects_bad_routes_and_bodies() {
     let service = Service::start(&ServeConfig::default());
-    let server = HttpServer::bind(service, "127.0.0.1:0").unwrap();
+    let server = HttpServer::new(TcpListener::bind("127.0.0.1:0").unwrap(), service);
     let addr = server.local_addr().unwrap();
     let handle = std::thread::spawn(move || server.serve_n(3).unwrap());
 
@@ -402,7 +408,7 @@ fn http_rejects_bad_routes_and_bodies() {
 #[test]
 fn http_answers_bad_content_lengths_from_the_head() {
     let service = Service::start(&ServeConfig::default());
-    let server = HttpServer::bind(service, "127.0.0.1:0").unwrap();
+    let server = HttpServer::new(TcpListener::bind("127.0.0.1:0").unwrap(), service);
     let addr = server.local_addr().unwrap();
     let handle = std::thread::spawn(move || server.serve_n(5).unwrap());
 
@@ -444,7 +450,7 @@ fn http_answers_bad_content_lengths_from_the_head() {
 #[test]
 fn http_413_reaches_a_client_that_is_still_sending() {
     let service = Service::start(&ServeConfig::default());
-    let server = HttpServer::bind(service, "127.0.0.1:0").unwrap();
+    let server = HttpServer::new(TcpListener::bind("127.0.0.1:0").unwrap(), service);
     let addr = server.local_addr().unwrap();
     let handle = std::thread::spawn(move || server.serve_n(1).unwrap());
 

@@ -86,12 +86,11 @@ impl std::fmt::Display for SolverKind {
 
 /// The outcome of a spokesman-election solve: a subset `S' ⊆ S` and the size
 /// of its `S`-excluding unique neighborhood `|Γ¹_S(S')|`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SpokesmanResult {
     /// Which solver produced this result.
     pub solver: SolverKind,
     /// The chosen subset of the left side (indices into `0..g.num_left()`).
-    #[serde(skip)]
     pub subset: VertexSet,
     /// `|Γ¹_S(S')|`: number of right vertices with exactly one neighbor in
     /// the subset.
@@ -365,12 +364,14 @@ mod tests {
 
     #[test]
     fn solve_in_graph_accepts_any_backend() {
-        use wx_graph::view::{materialize, ImplicitGraph, SubgraphView, SubsetIndex};
+        use wx_graph::view::{
+            materialize, ImplicitFamily, ImplicitGraph, SubgraphView, SubsetIndex,
+        };
         use wx_graph::{Graph, GraphView};
 
         // C_12^2 as an implicit backend vs its CSR materialization: greedy
         // and local-search must certify the same unique coverage on both.
-        let implicit = ImplicitGraph::cycle_power(12, 2).unwrap();
+        let implicit = ImplicitGraph::new(ImplicitFamily::CyclePower { n: 12, power: 2 }).unwrap();
         let csr: Graph = materialize(&implicit);
         let s = VertexSet::from_iter(12, [0, 1, 2, 3]);
         let greedy = crate::greedy::GreedyMinDegreeSolver;
@@ -384,7 +385,9 @@ mod tests {
         assert_eq!(a.unique_coverage, b.unique_coverage);
 
         // and on a zero-copy induced view of a larger graph
-        let big = materialize(&ImplicitGraph::cycle_power(30, 2).unwrap());
+        let big = materialize(
+            &ImplicitGraph::new(ImplicitFamily::CyclePower { n: 30, power: 2 }).unwrap(),
+        );
         let keep = SubsetIndex::new(VertexSet::from_iter(30, 0..15));
         let view = SubgraphView::new(&big, &keep);
         let s_local = VertexSet::from_iter(view.num_vertices(), [2, 3, 4]);

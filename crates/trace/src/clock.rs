@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 ///
 /// ```
 /// let clock = wx_trace::Clock::start();
-/// let secs = clock.elapsed_seconds();
+/// let secs = clock.elapsed().as_secs_f64();
 /// assert!(secs >= 0.0);
 /// ```
 #[derive(Debug, Clone, Copy)]
@@ -38,12 +38,6 @@ impl Clock {
     #[must_use]
     pub fn elapsed(&self) -> Duration {
         self.start.elapsed()
-    }
-
-    /// Time elapsed since [`Clock::start`], in seconds.
-    #[must_use]
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.elapsed().as_secs_f64()
     }
 }
 

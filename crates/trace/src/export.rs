@@ -51,17 +51,6 @@ fn push_escaped(out: &mut String, s: &str) {
 }
 
 impl Trace {
-    /// Total wall-clock seconds recorded under `name`, from the
-    /// overflow-immune phase totals.
-    #[must_use]
-    pub fn phase_seconds(&self, name: &str) -> f64 {
-        self.phases
-            .iter()
-            .filter(|p| p.name == name)
-            .map(|p| p.total_nanos as f64 * 1e-9)
-            .sum()
-    }
-
     /// Number of spans recorded under `name` (including any whose ring
     /// entries were overwritten).
     #[must_use]

@@ -67,8 +67,8 @@ pub use counters::{count, shield, with_counters, CounterId, CounterSet, NUM_COUN
 pub use export::Trace;
 pub use par::par_map;
 pub use ring::{
-    disable, enable, event_value, is_enabled, set_thread_buffer_capacity, span, EventRecord,
-    PhaseTotal, SpanGuard, SpanRecord, DEFAULT_CAPACITY,
+    disable, enable, event_value, is_enabled, span, EventRecord, PhaseTotal, SpanGuard, SpanRecord,
+    DEFAULT_CAPACITY,
 };
 
 /// Drains every thread's buffers into a [`Trace`] and resets them.
@@ -99,6 +99,7 @@ pub fn exclusive() -> std::sync::MutexGuard<'static, ()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ring::set_thread_buffer_capacity;
 
     /// Tests in this module share the process-global trace state, so
     /// they serialize on the session lock and drain before starting.
@@ -159,7 +160,11 @@ mod tests {
             );
         }
         assert_eq!(trace.phase_count("test.inner"), 2);
-        assert!(trace.phase_seconds("test.outer") >= trace.phase_seconds("test.inner"));
+        let nanos = |name: &str| -> u64 {
+            let phase = trace.phases.iter().filter(|p| p.name == name);
+            phase.map(|p| p.total_nanos).sum()
+        };
+        assert!(nanos("test.outer") >= nanos("test.inner"));
 
         let folded = trace.folded();
         assert!(folded.contains("test.outer;test.inner "));

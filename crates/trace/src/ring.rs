@@ -132,7 +132,8 @@ pub fn is_enabled() -> bool {
 /// anything. Existing per-thread buffers keep their capacity — tests
 /// exercising overflow should set this, then record from a fresh
 /// thread.
-pub fn set_thread_buffer_capacity(capacity: usize) {
+#[cfg(test)]
+pub(crate) fn set_thread_buffer_capacity(capacity: usize) {
     CAPACITY.store(capacity.max(1), Ordering::Relaxed);
 }
 
