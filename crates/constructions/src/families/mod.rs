@@ -35,71 +35,3 @@ pub use margulis::margulis_graph;
 pub use random_bipartite::random_left_regular_bipartite;
 pub use random_regular::random_regular_graph;
 pub use tree::{complete_k_ary_tree, random_tree};
-
-/// One entry of the family catalog: a machine-readable descriptor of a
-/// generator in this module, used by declarative front-ends (the `wx-lab`
-/// scenario registry, `wx list`) to enumerate what they can build.
-#[derive(Clone, Copy, Debug)]
-pub struct FamilyInfo {
-    /// The scenario-spec variant name (`GraphSource` in `wx-lab`).
-    pub name: &'static str,
-    /// Human-readable parameter list.
-    pub params: &'static str,
-    /// One-line description.
-    pub summary: &'static str,
-    /// `true` when instances depend on the seed.
-    pub randomized: bool,
-}
-
-/// The catalog of every general-graph family in this module, in the module
-/// docs' order.
-pub const CATALOG: &[FamilyInfo] = &[
-    FamilyInfo {
-        name: "RandomRegular",
-        params: "n, d",
-        summary: "random d-regular graph (near-Ramanujan expander w.h.p.)",
-        randomized: true,
-    },
-    FamilyInfo {
-        name: "Hypercube",
-        params: "dim",
-        summary: "Boolean hypercube Q_dim on 2^dim vertices",
-        randomized: false,
-    },
-    FamilyInfo {
-        name: "Margulis",
-        params: "m",
-        summary: "Margulis-Gabber-Galil expander on Z_m x Z_m",
-        randomized: false,
-    },
-    FamilyInfo {
-        name: "CompletePlus",
-        params: "k",
-        summary: "the paper's C+ example: k-clique plus a pendant source (vertex k)",
-        randomized: false,
-    },
-    FamilyInfo {
-        name: "Grid",
-        params: "rows, cols",
-        summary: "2-D grid (planar, arboricity <= 3)",
-        randomized: false,
-    },
-    FamilyInfo {
-        name: "Torus",
-        params: "rows, cols",
-        summary: "2-D torus (wrap-around grid)",
-        randomized: false,
-    },
-    FamilyInfo {
-        name: "KAryTree",
-        params: "arity, levels",
-        summary: "complete k-ary tree (arboricity 1)",
-        randomized: false,
-    },
-    FamilyInfo {
-        name: "RandomTree",
-        params: "n",
-        summary: "uniformly random labelled tree on n vertices",
-        randomized: true,
-    },
-];

@@ -33,19 +33,20 @@ use wx_graph::random::{derive_seed, rng_from_seed};
 use wx_graph::traversal::bfs;
 use wx_graph::{GraphView, VertexSet};
 
-/// Configuration for the candidate-set sampler. The size bound `α` is not
-/// part of it: the engine owns `α` and passes it to
+/// Configuration for the candidate-set sampler: one of two presets,
+/// [`SamplerConfig::default`] and [`SamplerConfig::light`]. The size bound
+/// `α` is not part of it: the engine owns `α` and passes it to
 /// [`CandidateSets::generate`].
 #[derive(Clone, Debug)]
 pub struct SamplerConfig {
     /// Number of uniform random sets per target size.
-    pub random_sets_per_size: usize,
+    random_sets_per_size: usize,
     /// Target sizes as fractions of `α·n` (e.g. `[0.25, 0.5, 1.0]`).
-    pub size_fractions: Vec<f64>,
+    size_fractions: Vec<f64>,
     /// Number of BFS-ball centers to sample.
-    pub ball_centers: usize,
+    ball_centers: usize,
     /// Number of adversarial greedy growths to run.
-    pub greedy_growths: usize,
+    greedy_growths: usize,
 }
 
 impl Default for SamplerConfig {

@@ -209,7 +209,8 @@ pub struct ConvertStats {
 }
 
 /// Streams a text graph file (edge list or DIMACS, chosen by extension as
-/// in [`GraphFileFormat::from_path`]) into a `.wxg` file at `output`,
+/// in [`GraphFileFormat::from_path`]; a `.wxg` input is an
+/// [`GraphError::InvalidParameter`]) into a `.wxg` file at `output`,
 /// using external-sort runs so memory stays bounded by
 /// [`ConvertOptions::chunk_capacity`] plus one `u64` per vertex — the
 /// input's edge set is never resident.
@@ -225,6 +226,11 @@ pub fn convert_to_wxg(
     match GraphFileFormat::from_path(input) {
         GraphFileFormat::EdgeList => from_text(EdgeListParser::new(), input, output, options),
         GraphFileFormat::Dimacs => from_text(DimacsParser::new(), input, output, options),
+        // wx-allow(hot-path-alloc): cold error path, before any conversion
+        GraphFileFormat::Wxg => Err(GraphError::invalid(format!(
+            "{} is already a .wxg image; convert reads an edge-list or DIMACS file",
+            input.display()
+        ))),
     }
 }
 
@@ -611,6 +617,19 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, GraphError::InvalidParameter(_)), "{err}");
+    }
+
+    #[test]
+    fn convert_rejects_a_wxg_input() {
+        // the image is binary: reading it as text used to fail on UTF-8
+        let dir = test_dir("wxg-input");
+        let input = dir.join("g.wxg");
+        sample_graph().write_wxg(&input).unwrap();
+        let err =
+            convert_to_wxg(&input, dir.join("out.wxg"), &ConvertOptions::default()).unwrap_err();
+        assert!(matches!(err, GraphError::InvalidParameter(_)), "{err}");
+        assert!(err.to_string().contains("g.wxg"), "{err}");
+        assert!(!dir.join("out.wxg").exists());
     }
 
     #[test]

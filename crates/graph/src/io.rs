@@ -1,53 +1,60 @@
-//! Graph file I/O: plain edge lists and DIMACS.
+//! Graph file I/O: plain edge lists, DIMACS and the `.wxg` image.
 //!
-//! Two line-oriented text formats, each with a parser and a writer that
-//! round-trip exactly (write → read reproduces the original CSR graph,
-//! including isolated vertices):
+//! A file's extension picks its format ([`GraphFileFormat::from_path`]).
+//! [`load_graph`] / [`save_graph`] round-trip both text formats exactly
+//! (write → read reproduces the original CSR graph, including isolated
+//! vertices):
 //!
-//! * **Edge list** ([`parse_edge_list`] / [`format_edge_list`]): `#`/`%`
-//!   comment lines, a mandatory `<n> <m>` header line, then one `u v` pair
-//!   per line with 0-based vertex ids.
-//! * **DIMACS** ([`parse_dimacs`] / [`format_dimacs`]): the classic
-//!   `c` (comment) / `p edge <n> <m>` (problem) / `e <u> <v>` (edge, 1-based)
-//!   format used by graph-coloring and clique benchmarks.
+//! * **Edge list** (any extension not named below): `#`/`%` comment
+//!   lines, a mandatory `<n> <m>` header line, then one `u v` pair per line
+//!   with 0-based vertex ids. Exactly `m` edge lines must follow the header.
+//! * **DIMACS** (`.col`, `.dimacs`, `.clq`): the classic `c` (comment) /
+//!   `p edge <n> <m>` (problem) / `e <u> <v>` (edge, 1-based) format used by
+//!   graph-coloring and clique benchmarks.
+//! * **`.wxg`**: the binary CSR image of [`crate::disk`], written by
+//!   [`Graph::write_wxg`] and served zero-copy by
+//!   [`MmapGraph`](crate::MmapGraph).
 //!
-//! Both grammars are implemented as push-based line state machines
+//! Both text grammars are implemented as push-based line state machines
 //! (`EdgeListParser` / `DimacsParser`): feed raw lines in order, get fully
 //! validated 0-based edges out. One grammar implementation therefore serves
-//! three consumers — the in-memory string entry points here, the streaming
-//! [`load_graph`] (which reads through a [`BufRead`] line by line into one
-//! reused buffer and never slurps the file), and the bounded-memory `.wxg`
-//! converter in [`crate::disk`] — and they reject exactly the same inputs
-//! with exactly the same errors.
+//! both consumers — the streaming [`load_graph`] (which reads through a
+//! [`BufRead`] line by line into one reused buffer and never slurps the
+//! file) and the bounded-memory `.wxg` converter in [`crate::disk`] — and
+//! they reject exactly the same inputs with exactly the same errors.
 //!
 //! Malformed input never panics: every defect maps to a precise
 //! [`GraphError`] variant — [`GraphError::Parse`] with the 1-based line
 //! number for syntax problems, [`GraphError::VertexOutOfRange`] /
 //! [`GraphError::SelfLoop`] (wrapped with the line number) for semantic
-//! ones, and [`GraphError::Io`] for filesystem failures in the path-based
-//! helpers [`load_graph`] / [`save_graph`].
+//! ones, and [`GraphError::Io`] for filesystem failures.
 //!
 //! Duplicate edges are collapsed (the underlying [`GraphBuilder`] dedupes at
 //! build time) but the declared edge count must match the number of edge
 //! *lines*, so truncated files are detected.
 
 use crate::{Graph, GraphBuilder, GraphError, Result, Vertex};
+use std::fmt::Write as _;
 use std::io::BufRead;
 use std::path::Path;
 
-/// The on-disk formats [`load_graph`] / [`save_graph`] understand.
+/// The on-disk graph formats, one per file extension.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GraphFileFormat {
     /// `#` comments, `n m` header, `u v` edges (0-based).
     EdgeList,
     /// DIMACS `c` / `p edge` / `e` lines (1-based).
     Dimacs,
+    /// The binary `.wxg` CSR image, served through
+    /// [`MmapGraph`](crate::MmapGraph).
+    Wxg,
 }
 
 impl GraphFileFormat {
-    /// Picks a format from a file extension: `.col`, `.dimacs` and `.clq`
-    /// mean DIMACS, anything else (`.edges`, `.txt`, no extension, …) is an
-    /// edge list.
+    /// Picks a format from a file extension, ignoring case: `.col`,
+    /// `.dimacs` and `.clq` mean DIMACS, `.wxg` is the CSR image, anything
+    /// else (`.edges`, `.txt`, no extension, …) is an edge list. Every
+    /// reader and writer of graph files decides through this one function.
     pub fn from_path(path: &Path) -> GraphFileFormat {
         match path
             .extension()
@@ -56,6 +63,7 @@ impl GraphFileFormat {
             .as_deref()
         {
             Some("col") | Some("dimacs") | Some("clq") => GraphFileFormat::Dimacs,
+            Some("wxg") => GraphFileFormat::Wxg,
             _ => GraphFileFormat::EdgeList,
         }
     }
@@ -118,7 +126,7 @@ pub(crate) trait LineParser {
     fn finish(&self) -> Result<(usize, usize)>;
 }
 
-/// Line state machine for the edge-list grammar (see [`parse_edge_list`]).
+/// Line state machine for the edge-list grammar (see the module docs).
 #[derive(Debug, Default)]
 pub(crate) struct EdgeListParser {
     header: Option<(usize, usize)>,
@@ -184,7 +192,7 @@ impl LineParser for EdgeListParser {
     }
 }
 
-/// Line state machine for the DIMACS grammar (see [`parse_dimacs`]).
+/// Line state machine for the DIMACS grammar (see the module docs).
 #[derive(Debug, Default)]
 pub(crate) struct DimacsParser {
     header: Option<(usize, usize)>,
@@ -297,7 +305,7 @@ pub(crate) fn stream_lines<R: BufRead, P: LineParser>(
 }
 
 /// Streams a parser's edges into a [`GraphBuilder`] and finalizes the CSR
-/// graph — the shared body of every parse entry point.
+/// graph.
 fn build_graph<R: BufRead, P: LineParser>(reader: R, mut parser: P) -> Result<Graph> {
     let mut builder: Option<GraphBuilder> = None;
     let (n, _m) = stream_lines(reader, &mut parser, |lineno, n, u, v| {
@@ -322,82 +330,47 @@ pub(crate) fn attach_path(e: GraphError, path: &Path) -> GraphError {
     }
 }
 
-/// Parses the edge-list format.
-///
-/// Grammar (line-oriented): blank lines and lines starting with `#` or `%`
-/// are ignored; the first significant line must be the header `<n> <m>`;
-/// each following significant line is one edge `<u> <v>` with
-/// `0 ≤ u, v < n`. Exactly `m` edge lines must follow the header.
-pub fn parse_edge_list(text: &str) -> Result<Graph> {
-    build_graph(text.as_bytes(), EdgeListParser::new())
-}
-
-/// Writes the edge-list format (round-trips through [`parse_edge_list`]).
-pub fn format_edge_list(g: &Graph) -> String {
-    let mut out = String::new();
-    out.push_str("# wireless-expanders edge list: `n m` header, then `u v` per edge (0-based)\n");
-    out.push_str(&format!("{} {}\n", g.num_vertices(), g.num_edges()));
-    for (u, v) in g.edges() {
-        out.push_str(&format!("{u} {v}\n"));
-    }
-    out
-}
-
-/// Parses the DIMACS format: `c` comment lines, one `p edge <n> <m>` problem
-/// line, then `e <u> <v>` edge lines with **1-based** endpoints.
-pub fn parse_dimacs(text: &str) -> Result<Graph> {
-    build_graph(text.as_bytes(), DimacsParser::new())
-}
-
-/// Writes the DIMACS format (round-trips through [`parse_dimacs`]).
-pub fn format_dimacs(g: &Graph) -> String {
-    let mut out = String::new();
-    out.push_str("c wireless-expanders DIMACS export\n");
-    out.push_str(&format!("p edge {} {}\n", g.num_vertices(), g.num_edges()));
-    for (u, v) in g.edges() {
-        out.push_str(&format!("e {} {}\n", u + 1, v + 1));
-    }
-    out
-}
-
-/// Parses `text` in the given format.
-pub fn parse_graph(text: &str, format: GraphFileFormat) -> Result<Graph> {
-    match format {
-        GraphFileFormat::EdgeList => parse_edge_list(text),
-        GraphFileFormat::Dimacs => parse_dimacs(text),
-    }
-}
-
-/// Formats `g` in the given format.
-pub fn format_graph(g: &Graph, format: GraphFileFormat) -> String {
-    match format {
-        GraphFileFormat::EdgeList => format_edge_list(g),
-        GraphFileFormat::Dimacs => format_dimacs(g),
-    }
-}
-
-/// Loads a graph from `path`, picking the format from the extension
-/// ([`GraphFileFormat::from_path`]).
+/// Loads a text graph from `path`, picking the format from the extension
+/// ([`GraphFileFormat::from_path`]). A `.wxg` path is an
+/// [`GraphError::InvalidParameter`]:
+/// [`MmapGraph::open`](crate::MmapGraph::open) reads images.
 ///
 /// The file is read **line by line** through a [`std::io::BufReader`] into
 /// one reused buffer — peak memory is the graph under construction plus a
 /// single line, never the whole file, so multi-gigabyte inputs stream.
 pub fn load_graph(path: impl AsRef<Path>) -> Result<Graph> {
     let path = path.as_ref();
+    let format = GraphFileFormat::from_path(path);
+    if format == GraphFileFormat::Wxg {
+        return Err(GraphError::invalid("MmapGraph::open reads .wxg images"));
+    }
     let file = std::fs::File::open(path)
         .map_err(|e| GraphError::Io(format!("reading {}: {e}", path.display())))?;
     let reader = std::io::BufReader::new(file);
-    let result = match GraphFileFormat::from_path(path) {
-        GraphFileFormat::EdgeList => build_graph(reader, EdgeListParser::new()),
-        GraphFileFormat::Dimacs => build_graph(reader, DimacsParser::new()),
+    let result = if format == GraphFileFormat::Dimacs {
+        build_graph(reader, DimacsParser::new())
+    } else {
+        build_graph(reader, EdgeListParser::new())
     };
     result.map_err(|e| attach_path(e, path))
 }
 
-/// Saves a graph to `path`, picking the format from the extension.
+/// Saves a graph as text to `path`, picking the format from the extension;
+/// the output round-trips through [`load_graph`]. A `.wxg` path is an
+/// [`GraphError::InvalidParameter`]: [`Graph::write_wxg`] writes images.
 pub fn save_graph(g: &Graph, path: impl AsRef<Path>) -> Result<()> {
     let path = path.as_ref();
-    let text = format_graph(g, GraphFileFormat::from_path(path));
+    let (n, m) = (g.num_vertices(), g.num_edges());
+    let (mut text, edge_tag, base) = match GraphFileFormat::from_path(path) {
+        GraphFileFormat::EdgeList => (format!("{n} {m}\n"), "", 0),
+        GraphFileFormat::Dimacs => (format!("p edge {n} {m}\n"), "e ", 1),
+        GraphFileFormat::Wxg => {
+            return Err(GraphError::invalid("Graph::write_wxg writes .wxg images"))
+        }
+    };
+    for (u, v) in g.edges() {
+        let _ = writeln!(text, "{edge_tag}{} {}", u + base, v + base);
+    }
     std::fs::write(path, text)
         .map_err(|e| GraphError::Io(format!("writing {}: {e}", path.display())))
 }
@@ -412,20 +385,33 @@ mod tests {
         Graph::from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]).unwrap()
     }
 
+    fn parse_edge_list(text: &str) -> Result<Graph> {
+        build_graph(text.as_bytes(), EdgeListParser::new())
+    }
+
+    fn parse_dimacs(text: &str) -> Result<Graph> {
+        build_graph(text.as_bytes(), DimacsParser::new())
+    }
+
+    /// `save_graph` → `load_graph` through a file named `name`.
+    fn round_trip(g: &Graph, name: &str) -> Graph {
+        let dir = std::env::temp_dir().join("wx-graph-io-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        save_graph(g, &path).unwrap();
+        load_graph(&path).unwrap()
+    }
+
     #[test]
     fn edge_list_round_trip() {
         let g = petersen_outer();
-        let text = format_edge_list(&g);
-        let h = parse_edge_list(&text).unwrap();
-        assert_eq!(g, h);
+        assert_eq!(round_trip(&g, "petersen.edges"), g);
     }
 
     #[test]
     fn dimacs_round_trip() {
         let g = petersen_outer();
-        let text = format_dimacs(&g);
-        let h = parse_dimacs(&text).unwrap();
-        assert_eq!(g, h);
+        assert_eq!(round_trip(&g, "petersen.col"), g);
     }
 
     #[test]
@@ -549,18 +535,26 @@ mod tests {
             GraphFileFormat::from_path(Path::new("noext")),
             GraphFileFormat::EdgeList
         );
+        assert_eq!(
+            GraphFileFormat::from_path(Path::new("g.WXG")),
+            GraphFileFormat::Wxg
+        );
     }
 
     #[test]
     fn load_and_save_round_trip_via_files() {
+        // text round-trips above; `.wxg` images are not text
         let g = petersen_outer();
         let dir = std::env::temp_dir().join("wx-graph-io-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        for name in ["roundtrip.edges", "roundtrip.col"] {
-            let path = dir.join(name);
-            save_graph(&g, &path).unwrap();
-            assert_eq!(load_graph(&path).unwrap(), g);
-        }
+        let wxg = dir.join("roundtrip.wxg");
+        assert!(matches!(
+            save_graph(&g, &wxg),
+            Err(GraphError::InvalidParameter(_))
+        ));
+        assert!(matches!(
+            load_graph(&wxg),
+            Err(GraphError::InvalidParameter(_))
+        ));
         let err = load_graph(dir.join("does-not-exist.edges")).unwrap_err();
         assert!(matches!(err, GraphError::Io(_)), "{err}");
     }

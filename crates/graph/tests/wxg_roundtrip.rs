@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
-use wx_graph::io::format_edge_list;
+use wx_graph::io::save_graph;
 use wx_graph::view::{materialize, GraphView};
 use wx_graph::{convert_to_wxg, ConvertOptions, Graph, MmapGraph, NeighborhoodScratch, VertexSet};
 
@@ -123,7 +123,7 @@ proptest! {
         let text_path = scratch_path("convert-in", "edges");
         let via_convert = scratch_path("convert-out", "wxg");
         let via_writer = scratch_path("writer-out", "wxg");
-        std::fs::write(&text_path, format_edge_list(&g)).unwrap();
+        save_graph(&g, &text_path).unwrap();
         let stats =
             convert_to_wxg(&text_path, &via_convert, &ConvertOptions { chunk_capacity }).unwrap();
         g.write_wxg(&via_writer).unwrap();

@@ -202,7 +202,9 @@ fn parse_source(raw: &str) -> Result<GraphSource> {
     if raw.trim_start().starts_with('{') {
         serde_json::from_str(raw).map_err(|e| LabError::json("inline --source", e))
     } else {
-        Ok(GraphSource::from_file_path(raw))
+        Ok(GraphSource::File {
+            path: raw.to_string(),
+        })
     }
 }
 
@@ -396,7 +398,9 @@ fn cmd_sweep(args: &[String]) -> Result<i32> {
     let mut flags = Flags::new(args);
     let all = flags.take_flag("--all");
     let quick = flags.take_flag("--quick");
-    let seed = flags.take_parsed::<u64>("--seed")?.unwrap_or(0xE0);
+    let seed = flags
+        .take_parsed::<u64>("--seed")?
+        .unwrap_or(registry::SweepOptions::default().seed);
     let out = flags.take_value("--out")?;
     let names = flags.finish()?;
     if all && !names.is_empty() {
@@ -437,8 +441,9 @@ fn cmd_sweep(args: &[String]) -> Result<i32> {
 /// `wx convert`: streams a text graph file into the `.wxg` on-disk CSR
 /// format through the bounded-memory external-sort builder, printing the
 /// conversion statistics. The output is ready for mmap-served scenarios
-/// (`wx measure --source out.wxg`, or `{"EdgeListFile": {"path": ...,
-/// "mmap": true}}` in a spec).
+/// (`wx measure --source out.wxg`, or `{"File": {"path": "out.wxg"}}` in
+/// a spec): the extension picks the format, so `.wxg` is the mmap image,
+/// `.col`, `.dimacs` or `.clq` is DIMACS and anything else an edge list.
 fn cmd_convert(args: &[String]) -> Result<i32> {
     let mut flags = Flags::new(args);
     let chunk = flags.take_parsed::<usize>("--chunk-capacity")?;
@@ -470,45 +475,16 @@ fn cmd_list() -> Result<i32> {
         };
         println!("  {:<22} [{kind}] {}", entry.name, entry.title);
     }
-    println!("\ngraph families (usable as --source / scenario `source`):");
-    for family in wx_core::constructions::families::CATALOG {
-        println!(
-            "  {:<16} ({:<14}) {}{}",
-            family.name,
-            family.params,
-            family.summary,
-            if family.randomized {
-                " [randomized]"
-            } else {
-                ""
-            }
-        );
+    println!("\ngraph sources (a scenario `source`, or --source as inline JSON or a file path):");
+    for (source, summary) in crate::source::catalog() {
+        let json = serde_json::to_string(&source).map_err(|e| LabError::json("wx list", e))?;
+        let tag = if source.is_randomized() {
+            " [randomized]"
+        } else {
+            ""
+        };
+        println!("  {json}\n      {summary}{tag}");
     }
-    println!(
-        "  {:<16} ({:<14}) graph loaded from an edge-list file",
-        "EdgeListFile", "path"
-    );
-    println!(
-        "  {:<16} ({:<14}) graph loaded from a DIMACS file",
-        "DimacsFile", "path"
-    );
-    println!("\nview backends (zero-copy / implicit sources):");
-    println!(
-        "  {:<16} ({:<14}) out-of-core .wxg CSR image served through a \
-         read-only memory map (build with `wx convert`; any *File source \
-         with \"mmap\": true, or just pass a .wxg path)",
-        "MmapGraph", "path, mmap"
-    );
-    println!(
-        "  {:<16} ({:<14}) unmaterialized family backend: Hypercube(dim), \
-         CyclePower(n, power), Torus(rows, cols)",
-        "Implicit", "family"
-    );
-    println!(
-        "  {:<16} ({:<14}) zero-copy induced subgraph of any base source \
-         (seeded random subset or explicit vertex list)",
-        "Induced", "base, size|vertices"
-    );
     Ok(0)
 }
 
@@ -641,10 +617,8 @@ mod tests {
     fn source_parses_inline_json_and_paths() {
         let inline = parse_source(r#"{"Hypercube": {"dim": 4}}"#).unwrap();
         assert_eq!(inline, GraphSource::Hypercube { dim: 4 });
-        assert!(matches!(
-            parse_source("graphs/karate.col").unwrap(),
-            GraphSource::DimacsFile { .. }
-        ));
+        let file = parse_source("graphs/karate.col").unwrap();
+        assert_eq!(file.label(), "dimacs(graphs/karate.col)");
         assert!(parse_source(r#"{"Hypercube": }"#).is_err());
     }
 

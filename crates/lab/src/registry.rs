@@ -143,7 +143,7 @@ fn grid_broadcast_decay(quick: bool, seed: u64) -> ScenarioSpec {
     }
 }
 
-/// The full registry: the four declarative demo scenarios followed by the
+/// The full registry: the five declarative demo scenarios followed by the
 /// eleven paper experiments (in E1..E11 order).
 pub fn builtins() -> Vec<BuiltinScenario> {
     let mut entries = vec![
@@ -188,23 +188,9 @@ pub fn find(name: &str) -> Option<BuiltinScenario> {
     builtins().into_iter().find(|b| b.name == name)
 }
 
-/// Options for [`run_sweep`].
-#[derive(Clone, Copy, Debug)]
-pub struct SweepOptions {
-    /// Smaller instances / fewer trials (CI-friendly).
-    pub quick: bool,
-    /// Base seed shared by every entry.
-    pub seed: u64,
-}
-
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions {
-            quick: false,
-            seed: 0xE0,
-        }
-    }
-}
+/// Options for [`run_sweep`]: the paper experiments' options, shared by
+/// every entry.
+pub use wx_bench::ExperimentOptions as SweepOptions;
 
 /// One executed sweep entry.
 #[derive(Clone, Debug, Serialize)]
@@ -285,11 +271,7 @@ pub fn run_builtin_ctx(
             }
         }
         BuiltinKind::Paper(run) => {
-            let experiment_opts = ExperimentOptions {
-                quick: opts.quick,
-                seed: opts.seed,
-            };
-            let outcome = experiments::run_checked(entry.name, entry.title, run, &experiment_opts);
+            let outcome = experiments::run_checked(entry.name, entry.title, run, &opts);
             SweepEntry {
                 name: entry.name.to_string(),
                 title: entry.title.to_string(),

@@ -1193,8 +1193,11 @@ mod tests {
             trials: 2,
             seed: 17,
         };
-        let mmap_source = GraphSource::from_file_path(wxg.to_str().unwrap());
-        let text_source = GraphSource::from_file_path(edges.to_str().unwrap());
+        let file = |path: &std::path::Path| GraphSource::File {
+            path: path.to_str().unwrap().to_string(),
+        };
+        let mmap_source = file(&wxg);
+        let text_source = file(&edges);
         let on_mmap = Runner::new().run(&spec(mmap_source.clone())).unwrap();
         let on_text = Runner::new().run(&spec(text_source)).unwrap();
         // identical measurement content: aggregates and raw trial records

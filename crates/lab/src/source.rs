@@ -11,7 +11,11 @@
 //!
 //! The JSON shape is the serde external tag:
 //! `{"RandomRegular": {"n": 64, "d": 4}}`, `{"Hypercube": {"dim": 6}}`,
-//! `{"EdgeListFile": {"path": "graphs/foo.edges"}}`, …
+//! `{"File": {"path": "graphs/foo.edges"}}`, …; [`catalog`] holds one
+//! example of every kind. A `File` source's extension picks its format
+//! ([`GraphFileFormat::from_path`]): `.col`, `.dimacs` or `.clq` is DIMACS,
+//! `.wxg` is the out-of-core image served through a memory map
+//! ([`MmapGraph`], built by `wx convert`), and anything else an edge list.
 //!
 //! Two source kinds go beyond materialized CSR graphs (see
 //! [`GraphSource::build_backend`] and the [`BuiltGraph`] enum):
@@ -24,13 +28,14 @@
 //!   source, replacing the `O(n + m)` induced-subgraph materialization.
 
 use serde::{Deserialize, Serialize};
+use std::path::Path;
 use std::sync::Arc;
 use wx_core::constructions::families;
+use wx_core::graph::io::{load_graph, GraphFileFormat};
 use wx_core::graph::random::{random_subset_of_size_sparse, rng_from_seed};
 use wx_core::graph::view::materialize;
 use wx_core::graph::{
-    io as graph_io, Graph, GraphError, ImplicitFamily, ImplicitGraph, MmapGraph, SubsetIndex,
-    VertexSet,
+    Graph, GraphError, ImplicitFamily, ImplicitGraph, MmapGraph, SubsetIndex, VertexSet,
 };
 
 /// A declarative graph source: family generators, random generators and
@@ -86,27 +91,13 @@ pub enum GraphSource {
         /// Number of vertices.
         n: usize,
     },
-    /// Edge-list file (`#` comments, `n m` header, `u v` lines, 0-based).
-    EdgeListFile {
+    /// A graph file whose extension picks the format: DIMACS for `.col`,
+    /// `.dimacs` and `.clq`; a `.wxg` image (from `wx convert` or
+    /// [`Graph::write_wxg`]) served zero-copy on the [`MmapGraph`] backend,
+    /// never materialized in RAM; an edge list otherwise.
+    File {
         /// Path, relative to the working directory.
         path: String,
-        /// Serve the file as a memory-mapped `.wxg` CSR image instead of
-        /// parsing text: the path must be a `.wxg` built by `wx convert`
-        /// (or [`Graph::write_wxg`]); trials then run on the zero-copy
-        /// [`MmapGraph`] backend and never
-        /// materialize the graph in RAM. Defaults to `false`.
-        #[serde(default)]
-        mmap: bool,
-    },
-    /// DIMACS file (`c` / `p edge n m` / `e u v`, 1-based).
-    DimacsFile {
-        /// Path, relative to the working directory.
-        path: String,
-        /// Serve the file as a memory-mapped `.wxg` CSR image instead of
-        /// parsing text (see [`GraphSource::EdgeListFile`]). Defaults to
-        /// `false`.
-        #[serde(default)]
-        mmap: bool,
     },
     /// An implicit graph backend: neighborhoods computed on the fly from a
     /// closed-form family rule, never materialized. Tasks run directly on
@@ -283,13 +274,12 @@ impl GraphSource {
                 csr(families::complete_k_ary_tree(*arity, *levels))
             }
             GraphSource::RandomTree { n } => csr(families::random_tree(*n, seed)),
-            GraphSource::EdgeListFile { path, mmap } | GraphSource::DimacsFile { path, mmap } => {
-                if *mmap {
+            GraphSource::File { path } => match GraphFileFormat::from_path(Path::new(path)) {
+                GraphFileFormat::Wxg => {
                     MmapGraph::open(path).map(|g| BuiltGraph::Mmap(Arc::new(g)))
-                } else {
-                    csr(graph_io::load_graph(path))
                 }
-            }
+                GraphFileFormat::EdgeList | GraphFileFormat::Dimacs => csr(load_graph(path)),
+            },
             GraphSource::Implicit { family } => {
                 ImplicitGraph::new(*family).map(BuiltGraph::Implicit)
             }
@@ -369,10 +359,11 @@ impl GraphSource {
                 format!("k-ary-tree(arity={arity}, levels={levels})")
             }
             GraphSource::RandomTree { n } => format!("random-tree(n={n})"),
-            GraphSource::EdgeListFile { path, mmap: false } => format!("edge-list({path})"),
-            GraphSource::DimacsFile { path, mmap: false } => format!("dimacs({path})"),
-            GraphSource::EdgeListFile { path, mmap: true }
-            | GraphSource::DimacsFile { path, mmap: true } => format!("wxg-mmap({path})"),
+            GraphSource::File { path } => match GraphFileFormat::from_path(Path::new(path)) {
+                GraphFileFormat::EdgeList => format!("edge-list({path})"),
+                GraphFileFormat::Dimacs => format!("dimacs({path})"),
+                GraphFileFormat::Wxg => format!("wxg-mmap({path})"),
+            },
             GraphSource::Implicit { family } => format!("implicit:{}", family.label()),
             GraphSource::Induced {
                 base,
@@ -418,31 +409,69 @@ impl GraphSource {
             _ => Ok(()),
         }
     }
+}
 
-    /// Builds a file source from a path: `.wxg` paths become a memory-mapped
-    /// out-of-core source (`mmap: true`), everything else dispatches on the
-    /// extension the same way [`graph_io::GraphFileFormat::from_path`] does.
-    pub fn from_file_path(path: &str) -> GraphSource {
-        if std::path::Path::new(path)
-            .extension()
-            .is_some_and(|ext| ext.eq_ignore_ascii_case("wxg"))
-        {
-            return GraphSource::EdgeListFile {
-                path: path.to_string(),
-                mmap: true,
-            };
-        }
-        match graph_io::GraphFileFormat::from_path(std::path::Path::new(path)) {
-            graph_io::GraphFileFormat::Dimacs => GraphSource::DimacsFile {
-                path: path.to_string(),
-                mmap: false,
+/// The one list of source kinds: an example [`GraphSource`] of every
+/// variant with a one-line summary, in declaration order. `wx list` prints
+/// it.
+pub fn catalog() -> Vec<(GraphSource, &'static str)> {
+    vec![
+        (
+            GraphSource::RandomRegular { n: 64, d: 4 },
+            "random d-regular graph (near-Ramanujan expander w.h.p.)",
+        ),
+        (
+            GraphSource::Hypercube { dim: 6 },
+            "Boolean hypercube Q_dim on 2^dim vertices",
+        ),
+        (
+            GraphSource::Margulis { m: 8 },
+            "Margulis-Gabber-Galil expander on Z_m x Z_m",
+        ),
+        (
+            GraphSource::CompletePlus { k: 8 },
+            "the paper's C+ example: k-clique plus a pendant source (vertex k)",
+        ),
+        (
+            GraphSource::Grid { rows: 8, cols: 8 },
+            "2-D grid (planar, arboricity <= 3)",
+        ),
+        (
+            GraphSource::Torus { rows: 8, cols: 8 },
+            "2-D torus (wrap-around grid)",
+        ),
+        (
+            GraphSource::KAryTree {
+                arity: 2,
+                levels: 6,
             },
-            graph_io::GraphFileFormat::EdgeList => GraphSource::EdgeListFile {
-                path: path.to_string(),
-                mmap: false,
+            "complete k-ary tree (arboricity 1)",
+        ),
+        (
+            GraphSource::RandomTree { n: 64 },
+            "uniformly random labelled tree on n vertices",
+        ),
+        (
+            GraphSource::File {
+                path: "graphs/g.edges".to_string(),
             },
-        }
-    }
+            "graph file: .col/.dimacs/.clq DIMACS, .wxg mmap image, else edge list",
+        ),
+        (
+            GraphSource::Implicit {
+                family: ImplicitFamily::Hypercube { dim: 20 },
+            },
+            "unmaterialized Hypercube, CyclePower or Torus family backend",
+        ),
+        (
+            GraphSource::Induced {
+                base: Box::new(GraphSource::Hypercube { dim: 6 }),
+                size: Some(16),
+                vertices: None,
+            },
+            "zero-copy induced subgraph: seeded random `size` or explicit `vertices`",
+        ),
+    ]
 }
 
 #[cfg(test)]
@@ -634,21 +663,42 @@ mod tests {
 
     #[test]
     fn file_sources_load_and_dispatch() {
+        // the extension alone picks the format, the label and the backend
         let g = GraphSource::Hypercube { dim: 3 }.build(0).unwrap();
         let dir = std::env::temp_dir().join("wx-lab-source-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let edges = dir.join("g.edges");
-        let dimacs = dir.join("g.col");
-        wx_core::graph::io::save_graph(&g, &edges).unwrap();
-        wx_core::graph::io::save_graph(&g, &dimacs).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        wx_core::graph::io::save_graph(&g, path("g.edges")).unwrap();
+        wx_core::graph::io::save_graph(&g, path("g.col")).unwrap();
+        g.write_wxg(path("g.wxg")).unwrap();
+        for (name, label) in [
+            ("g.edges", "edge-list"),
+            ("g.col", "dimacs"),
+            ("g.wxg", "wxg-mmap"),
+        ] {
+            let src = GraphSource::File { path: path(name) };
+            assert_eq!(src.label(), format!("{label}({})", path(name)));
+            assert_eq!(src.build(0).unwrap(), g, "{name}");
+            let mapped = matches!(src.build_backend(0).unwrap(), BuiltGraph::Mmap(_));
+            assert_eq!(mapped, name == "g.wxg", "{name}");
+        }
 
-        let from_edges = GraphSource::from_file_path(edges.to_str().unwrap());
-        assert!(matches!(from_edges, GraphSource::EdgeListFile { .. }));
-        assert_eq!(from_edges.build(0).unwrap(), g);
+        // DIMACS text under an edge-list name fails on line 1, naming the file
+        std::fs::copy(path("g.col"), path("dimacs-text.edges")).unwrap();
+        let misnamed = GraphSource::File {
+            path: path("dimacs-text.edges"),
+        };
+        let err = misnamed.build(0).unwrap_err();
+        assert!(matches!(err, GraphError::Parse { line: 1, .. }), "{err}");
+        assert!(err.to_string().contains("dimacs-text.edges"), "{err}");
 
-        let from_dimacs = GraphSource::from_file_path(dimacs.to_str().unwrap());
-        assert!(matches!(from_dimacs, GraphSource::DimacsFile { .. }));
-        assert_eq!(from_dimacs.build(0).unwrap(), g);
+        // the per-format tags, which could contradict the extension, are gone
+        for old in [
+            r#"{"EdgeListFile": {"path": "g.edges"}}"#,
+            r#"{"DimacsFile": {"path": "g.col"}}"#,
+        ] {
+            assert!(serde_json::from_str::<GraphSource>(old).is_err(), "{old}");
+        }
     }
 
     #[test]
@@ -661,11 +711,9 @@ mod tests {
         let path = wxg.to_str().unwrap();
 
         // `.wxg` paths dispatch to the out-of-core mmap backend
-        let src = GraphSource::from_file_path(path);
-        assert!(
-            matches!(&src, GraphSource::EdgeListFile { mmap: true, .. }),
-            "{src:?}"
-        );
+        let src = GraphSource::File {
+            path: path.to_string(),
+        };
         assert!(!src.is_randomized());
         assert_eq!(src.label(), format!("wxg-mmap({path})"));
         let BuiltGraph::Mmap(backend) = src.build_backend(0).unwrap() else {
@@ -695,26 +743,42 @@ mod tests {
             g.induced_subgraph(&g.vertex_set(vec![0, 1, 2, 3, 4, 5])).0
         );
 
-        // specs that predate the flag still parse (serde default = false)
-        let legacy: GraphSource =
-            serde_json::from_str(r#"{"EdgeListFile": {"path": "g.edges"}}"#).unwrap();
-        assert!(matches!(
-            legacy,
-            GraphSource::EdgeListFile { mmap: false, .. }
-        ));
-        // an mmap source round-trips through JSON
+        // a file source round-trips through JSON
         let json = serde_json::to_string(&src).unwrap();
         let back: GraphSource = serde_json::from_str(&json).unwrap();
         assert_eq!(back, src);
 
-        // a text file behind `mmap: true` is rejected by the open-time
+        // text behind a `.wxg` name is rejected by the open-time
         // validation (bad magic), never parsed as garbage
-        let edges = dir.join("g.edges");
-        wx_core::graph::io::save_graph(&g, &edges).unwrap();
-        let bogus = GraphSource::EdgeListFile {
-            path: edges.to_str().unwrap().to_string(),
-            mmap: true,
+        let bogus = dir.join("text.wxg");
+        std::fs::write(&bogus, "2 1\n0 1\n").unwrap();
+        let bogus = GraphSource::File {
+            path: bogus.to_str().unwrap().to_string(),
         };
         assert!(bogus.build_backend(0).is_err());
+    }
+
+    #[test]
+    fn catalog_lists_every_variant_once() {
+        // an exhaustive match with no `_` arm: a new variant needs an index
+        // here to compile and a catalog row to pass
+        let mut rows = [0; 11];
+        for (source, _) in catalog() {
+            rows[match source {
+                GraphSource::RandomRegular { .. } => 0,
+                GraphSource::Hypercube { .. } => 1,
+                GraphSource::Margulis { .. } => 2,
+                GraphSource::CompletePlus { .. } => 3,
+                GraphSource::Grid { .. } => 4,
+                GraphSource::Torus { .. } => 5,
+                GraphSource::KAryTree { .. } => 6,
+                GraphSource::RandomTree { .. } => 7,
+                GraphSource::File { .. } => 8,
+                GraphSource::Implicit { .. } => 9,
+                GraphSource::Induced { .. } => 10,
+            }] += 1;
+            assert!(source.validate().is_ok(), "{source:?}");
+        }
+        assert_eq!(rows, [1; 11]);
     }
 }

@@ -61,14 +61,6 @@ impl ProtocolKind {
         }
     }
 
-    /// `true` if the protocol's behavior depends on the trial seed. Running
-    /// multiple Monte-Carlo trials of a non-randomized protocol on a fixed
-    /// graph reproduces the same run; batch drivers use this to avoid
-    /// simulating identical trials.
-    pub fn randomized(self) -> bool {
-        matches!(self, ProtocolKind::Decay)
-    }
-
     /// Builds a fresh default-configured instance of this protocol — the
     /// by-name factory declarative callers (scenario specs, CLI flags) use.
     /// Generic over the graph backend the protocol will run on (inferred
