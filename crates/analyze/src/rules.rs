@@ -513,11 +513,15 @@ impl<'a> LexedFile<'a> {
 /// Unlike the per-file rules this is one pass over the whole workspace:
 /// `files` holds `(workspace-relative path, source)` pairs. Names are
 /// collected from the non-test tokens of `crates/*/src` (a `#[cfg(test)]`/
-/// `#[test]` span or a `tests.rs` file is test code), `examples/` and
+/// `#[test]` span, a `tests.rs` file or a file that opens with
+/// `#![cfg(test)]` is test code), `examples/` and
 /// `wxbench/src`; every other path (integration tests, shims) is ignored.
 /// An item's own span and `impl` headers are not uses, and comments (doc
 /// links included) are not tokens, so they are not uses either. A `pub use`
-/// re-export is a use. The match is by name, so it undercounts on name
+/// re-export is a use. For a `pub fn`, three same-named shapes are not
+/// uses either: a field access (`.name` not followed by `(` or `::<`), a
+/// field or struct-literal key (`name:`), and a binding after `let`, `mut`
+/// or `for`. The match is otherwise by name, so it undercounts on name
 /// collisions. Not suppressible inline: its sites are baselined.
 pub fn test_only_pub(files: &[(String, String)]) -> Vec<Diagnostic> {
     let lexed: Vec<LexedFile<'_>> = files
@@ -554,8 +558,9 @@ pub fn test_only_pub(files: &[(String, String)]) -> Vec<Diagnostic> {
     let def_names: BTreeSet<&str> = defs.iter().map(|d| d.name).collect();
     let def_toks: BTreeSet<(usize, usize)> = defs.iter().map(|d| (d.file, d.name_tok)).collect();
 
-    // Every counted occurrence of a defined name: (file, code index).
-    let mut uses: BTreeMap<&str, Vec<(usize, usize)>> = BTreeMap::new();
+    // Every counted occurrence of a defined name: (file, code index, and
+    // whether the shape rules out a function).
+    let mut uses: BTreeMap<&str, Vec<(usize, usize, bool)>> = BTreeMap::new();
     for (fi, f) in lexed.iter().enumerate() {
         let mut header_until = None;
         for i in 0..f.code.len() {
@@ -573,7 +578,9 @@ pub fn test_only_pub(files: &[(String, String)]) -> Vec<Diagnostic> {
             {
                 continue;
             }
-            uses.entry(text).or_default().push((fi, i));
+            uses.entry(text)
+                .or_default()
+                .push((fi, i, not_a_fn_use(f, i)));
         }
     }
 
@@ -581,8 +588,9 @@ pub fn test_only_pub(files: &[(String, String)]) -> Vec<Diagnostic> {
         .iter()
         .filter(|d| {
             !uses.get(d.name).is_some_and(|occ| {
-                occ.iter()
-                    .any(|&(fi, i)| fi != d.file || i < d.span.0 || i > d.span.1)
+                occ.iter().any(|&(fi, i, not_fn)| {
+                    !(not_fn && d.keyword == "fn") && (fi != d.file || i < d.span.0 || i > d.span.1)
+                })
             })
         })
         .map(|d| {
@@ -603,6 +611,18 @@ pub fn test_only_pub(files: &[(String, String)]) -> Vec<Diagnostic> {
         .collect();
     diagnostics::sort(&mut diags);
     diags
+}
+
+/// `true` when the identifier at code index `i` is a field access
+/// (`.name` not followed by `(` or `::<`), a field or struct-literal key
+/// (`name:`) or a binding (`let name`, `mut name`, `for name`): shapes that
+/// cannot name a function.
+fn not_a_fn_use(f: &LexedFile<'_>, i: usize) -> bool {
+    let at = |j: usize| (j < f.code.len()).then(|| f.text(j));
+    let prev = i.checked_sub(1).and_then(at);
+    let next = at(i + 1);
+    let called = next == Some("(") || next == Some("::") && at(i + 2) == Some("<");
+    prev == Some(".") && !called || next == Some(":") || matches!(prev, Some("let" | "mut" | "for"))
 }
 
 /// `true` when the `impl` at code index `i` starts an item, not an

@@ -4,7 +4,8 @@
 //! them directly:
 //!
 //! 1. **Test spans** — the line ranges of items annotated `#[cfg(test)]` /
-//!    `#[test]` (most rules skip test code);
+//!    `#[test]`, or the whole file when it opens with `#![cfg(test)]` (most
+//!    rules skip test code);
 //! 2. **Function spans** — which `fn` body a line belongs to, so the
 //!    hot-path allocation rule can exempt constructors and the seed rule can
 //!    exempt the body of `derive_seed` itself;
@@ -71,13 +72,30 @@ pub fn compute(tokens: &[Token], src: &str) -> FileScopes {
     let code: Vec<&Token> = tokens.iter().filter(|t| !t.kind.is_trivia()).collect();
     let mut scopes = FileScopes::default();
 
+    // A file that opens with an inner `#![cfg(test)]` is a module compiled
+    // only under test: test code throughout.
+    let text = |j: usize| code.get(j).map(|t| t.text(src));
+    let mut i = 0usize;
+    while text(i) == Some("#") && text(i + 1) == Some("!") {
+        let Some((attr_is_test, after)) = scan_attribute(&code, src, i) else {
+            break;
+        };
+        if attr_is_test && text(i + 3) == Some("cfg") {
+            let end = code.last().map_or(0, |t| t.line);
+            scopes.test_spans.push((code[i].line, end));
+        }
+        i = after;
+    }
+
     let mut i = 0usize;
     while i < code.len() {
         let t = code[i];
         match t.kind {
             TokenKind::Punct if t.text(src) == "#" => {
                 if let Some((attr_is_test, after)) = scan_attribute(&code, src, i) {
-                    if attr_is_test {
+                    // An inner `#![…]` annotates its enclosing module (the
+                    // file, handled above), not the next item.
+                    if attr_is_test && text(i + 1) != Some("!") {
                         if let Some((start, end)) = item_body_span(&code, src, after) {
                             scopes.test_spans.push((t.line, end));
                             let _ = start;
@@ -268,6 +286,17 @@ mod tests {
         assert!(s.in_test(2));
         assert!(s.in_test(3));
         assert!(!s.in_test(5));
+    }
+
+    #[test]
+    fn inner_cfg_test_makes_the_whole_file_test_code() {
+        let src =
+            "//! A test-only module.\n#![cfg(test)]\nuse x::y;\nfn helper() {}\npub fn run() {}\n";
+        let s = scopes_of(src);
+        assert!((2..=5).all(|line| s.in_test(line)));
+        // `cfg_attr(test, …)` only mentions test: the file stays library code
+        let src = "#![cfg_attr(test, allow(dead_code))]\nfn real() {}\n";
+        assert!(!scopes_of(src).in_test(2));
     }
 
     #[test]

@@ -186,3 +186,53 @@ mod tests {
         ]
     );
 }
+
+/// A `pub fn` is not kept alive by a same-named field access, field or
+/// struct-literal key, or `let`/`mut`/`for` binding: an enum method with no
+/// caller stays flagged while a catalog struct's same-named field is read
+/// everywhere. A method call, also through a turbofish, still counts.
+#[test]
+fn test_only_pub_ignores_same_named_fields_keys_and_bindings() {
+    let lib = "\
+pub enum Kind { Fixed, Random }
+impl Kind {
+    pub fn randomized(self) -> bool {
+        matches!(self, Kind::Random)
+    }
+    pub fn label(self) -> &'static str {
+        \"kind\"
+    }
+    pub fn parse<T>(self) -> Option<T> {
+        None
+    }
+}
+pub struct Info {
+    pub randomized: bool,
+}
+pub const CATALOG: [Info; 1] = [Info { randomized: true }];
+pub fn random_count() -> usize {
+    let random = CATALOG.iter().filter(|info| info.randomized).count();
+    random + Kind::Fixed.label().len() + Kind::Random.parse::<usize>().unwrap_or(0)
+}
+pub fn bindings(flags: &[bool]) {
+    let randomized = flags.len();
+    let mut randomized = flags.is_empty();
+    for randomized in flags {}
+}
+";
+    let files: Vec<(String, String)> = [
+        ("crates/demo/src/lib.rs", lib),
+        (
+            "examples/src/bin/demo.rs",
+            "fn main() {\n    demo::random_count();\n    demo::bindings(&[]);\n}\n",
+        ),
+    ]
+    .iter()
+    .map(|(p, s)| (p.to_string(), s.to_string()))
+    .collect();
+    let flagged: Vec<String> = wx_analyze::rules::test_only_pub(&files)
+        .iter()
+        .map(|d| format!("{}:{}:{} {}", d.file, d.line, d.col, d.rule))
+        .collect();
+    assert_eq!(flagged, ["crates/demo/src/lib.rs:3:12 test-only-pub"]);
+}

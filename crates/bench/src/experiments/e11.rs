@@ -42,7 +42,7 @@ pub fn run(opts: &ExperimentOptions) -> String {
             },
         );
         let race = |kind: ProtocolKind, seeds: &[u64]| -> Vec<Option<usize>> {
-            run_lanes(&sim, &mut *kind.build_lanes(), seeds)
+            run_lanes(&sim, &mut *kind.build(), seeds)
                 .iter()
                 .map(|o| o.completed_at)
                 .collect()

@@ -34,7 +34,7 @@ pub use wx_radio::{
         decay::DecayProtocol, naive::NaiveFlooding, round_robin::RoundRobin,
         spokesman::SpokesmanBroadcast,
     },
-    BroadcastProtocol, RadioSimulator, SimulatorConfig,
+    LaneProtocol, RadioSimulator, SimulatorConfig,
 };
 
 #[cfg(test)]
@@ -47,7 +47,7 @@ mod tests {
         assert_eq!(g.num_edges(), 2);
         let _engine = MeasurementEngine::builder().sampler(SamplerConfig::light());
         let _solver = PortfolioSolver::default();
-        let _proto = DecayProtocol;
+        let _proto = DecayProtocol::default();
         let core = CoreGraph::new(4).unwrap();
         assert_eq!(core.graph.num_left(), 4);
     }

@@ -168,9 +168,9 @@ impl CandidateSets {
         for &c in centers.iter() {
             let res = bfs(g, c);
             // Bucket the reachable vertices by distance in one O(n) pass
-            // (each bucket stays in vertex-index order, exactly like
-            // `BfsResult::layer`); the per-radius `layer(r)` re-scan was an
-            // O(n·diameter) hotspot on high-diameter large-n families.
+            // (each bucket in vertex-index order); a per-radius re-scan of
+            // the distances was an O(n·diameter) hotspot on high-diameter
+            // large-n families.
             let mut layers: Vec<Vec<usize>> = vec![Vec::new(); res.eccentricity + 1];
             for (v, &d) in res.dist.iter().enumerate() {
                 if d != usize::MAX {

@@ -262,25 +262,6 @@ impl NeighborhoodScratch {
         self.count[u] as usize
     }
 
-    /// The members of `Γ¹(S)`, sorted, borrowed from the scratch (valid until
-    /// the next kernel call). This is the radio simulator's per-round receiver
-    /// resolution: under the collision rule a vertex receives iff it is not
-    /// itself transmitting and hears exactly one transmitter, i.e. the
-    /// receiver set of transmitter set `T` is exactly `Γ¹(T)`.
-    pub fn unique_neighborhood_sorted<G: GraphView + ?Sized>(
-        &mut self,
-        g: &G,
-        s: &VertexSet,
-    ) -> &[usize] {
-        self.accumulate(g, s, Some(s));
-        // keep the vertices with exactly one recorded neighbor, sorted in
-        // place: the allocation-free alternative to a `VertexSet`
-        let (touched, count) = (&mut self.touched, &self.count);
-        touched.retain(|&u| count[u] == 1);
-        touched.sort_unstable();
-        &self.touched
-    }
-
     /// Materializes the touched vertices satisfying `keep(count)` as a
     /// [`VertexSet`] over `universe`.
     fn materialize(&self, universe: usize, keep: impl Fn(u32) -> bool) -> VertexSet {
@@ -433,8 +414,6 @@ mod tests {
         let mut scr = NeighborhoodScratch::default();
         let ext: Vec<usize> = scr.external_neighborhood_ranked(&g, &s).to_vec();
         assert_eq!(ext, scr.external_neighborhood(&g, &s).to_vec());
-        let uniq: Vec<usize> = scr.unique_neighborhood_sorted(&g, &s).to_vec();
-        assert_eq!(uniq, scr.unique_neighborhood(&g, &s).to_vec());
     }
 
     #[test]

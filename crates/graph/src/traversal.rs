@@ -5,7 +5,7 @@
 //! round in the best case), and the adversarial set samplers in
 //! `wx-expansion` use BFS balls as candidate low-expansion sets.
 
-use crate::{GraphView, Vertex, VertexSet};
+use crate::{GraphView, Vertex};
 use std::collections::VecDeque;
 
 /// The result of a single-source BFS.
@@ -18,18 +18,6 @@ pub struct BfsResult {
     pub order: Vec<Vertex>,
     /// The eccentricity of the source within its component.
     pub eccentricity: usize,
-}
-
-impl BfsResult {
-    /// Vertices at exactly distance `d` from the source.
-    pub fn layer(&self, d: usize) -> Vec<Vertex> {
-        self.dist
-            .iter()
-            .enumerate()
-            .filter(|(_, &x)| x == d)
-            .map(|(v, _)| v)
-            .collect()
-    }
 }
 
 /// Breadth-first search from a single source.
@@ -56,20 +44,6 @@ pub fn bfs<G: GraphView + ?Sized>(g: &G, source: Vertex) -> BfsResult {
         order,
         eccentricity: ecc,
     }
-}
-
-/// The ball of radius `r` around `center` (all vertices within distance `r`,
-/// including the center).
-pub fn ball<G: GraphView + ?Sized>(g: &G, center: Vertex, r: usize) -> VertexSet {
-    let res = bfs(g, center);
-    VertexSet::from_iter(
-        g.num_vertices(),
-        res.dist
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d <= r)
-            .map(|(v, _)| v),
-    )
 }
 
 /// Connected components; returns a component id per vertex and the number of
@@ -123,7 +97,7 @@ pub fn diameter<G: GraphView + ?Sized>(g: &G) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Graph;
+    use crate::{Graph, VertexSet};
 
     fn cycle(n: usize) -> Graph {
         Graph::from_edges(n, (0..n).map(|i| (i, (i + 1) % n))).unwrap()
@@ -157,13 +131,28 @@ mod tests {
         Some(color.into_iter().map(|c| c.unwrap_or(false)).collect())
     }
 
+    /// The ball of radius `r` around `center` (all vertices within distance
+    /// `r`, including the center) — the BFS-ball notion the expansion
+    /// sampler's candidates follow.
+    fn ball<G: GraphView + ?Sized>(g: &G, center: Vertex, r: usize) -> VertexSet {
+        let res = bfs(g, center);
+        VertexSet::from_iter(
+            g.num_vertices(),
+            res.dist
+                .iter()
+                .enumerate()
+                .filter(|(_, &d)| d <= r)
+                .map(|(v, _)| v),
+        )
+    }
+
     #[test]
     fn bfs_on_path() {
         let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
         let r = bfs(&g, 0);
         assert_eq!(r.dist, vec![0, 1, 2, 3]);
         assert_eq!(r.eccentricity, 3);
-        assert_eq!(r.layer(2), vec![2]);
+        assert_eq!(r.order, vec![0, 1, 2, 3]);
     }
 
     #[test]

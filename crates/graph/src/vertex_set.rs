@@ -139,16 +139,6 @@ impl VertexSet {
         self.len = 0;
     }
 
-    /// Makes `self` an exact copy of `other`, reusing `self`'s existing
-    /// allocation where possible (the buffer-reuse path behind
-    /// allocation-free protocol loops, e.g. naive flooding transmitting the
-    /// whole informed set each round).
-    pub fn copy_from(&mut self, other: &VertexSet) {
-        self.universe = other.universe;
-        self.words.clone_from(&other.words);
-        self.len = other.len;
-    }
-
     /// Iterates over the members in increasing order.
     pub fn iter(&self) -> Iter<'_> {
         Iter {

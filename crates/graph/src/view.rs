@@ -367,12 +367,6 @@ impl<'g, G: GraphView + ?Sized> SubgraphView<'g, G> {
     pub fn original(&self, i: Vertex) -> Vertex {
         self.index.members[i]
     }
-
-    /// The local id of original vertex `v`, if `v` is in the set.
-    #[inline]
-    pub fn local(&self, v: Vertex) -> Option<Vertex> {
-        self.index.members.binary_search(&v).ok()
-    }
 }
 
 impl<G: GraphView + ?Sized> GraphView for SubgraphView<'_, G> {
@@ -736,10 +730,9 @@ mod tests {
         }
         assert_eq!(view.num_edges(), mat.num_edges());
         assert_eq!(materialize(&view), mat);
-        // id translation round-trips
+        // local ids translate back to the original members
         assert_eq!(view.original(0), 1);
-        assert_eq!(view.local(4), Some(2));
-        assert_eq!(view.local(3), None);
+        assert_eq!(view.original(2), 4);
         assert!(!view.has_edge(0, 99));
     }
 

@@ -30,9 +30,9 @@
 //!   the graph metadata (and for radio the completion-target BFS) are
 //!   computed once per group. Radio groups hold up to [`MAX_LANES`] trials
 //!   on a shared instance and one trial otherwise, and every radio trial
-//!   simulates as a lane of the bit-sliced engine (`run_lanes_in`), lane
-//!   `l` bit-exact with a scalar run under its trial's task seed. Every
-//!   other task runs in groups of one.
+//!   simulates as a lane of the bit-sliced engine (`run_lanes_in`), each
+//!   lane's trial a function of its trial's task seed alone. Every other
+//!   task runs in groups of one.
 //!
 //! The executor reuses the workspace's fast inner loops: expansion tasks
 //! run through the [`MeasurementEngine`]'s per-thread
@@ -498,8 +498,8 @@ fn solve_spokesman(
 
 /// Simulates one radio trial per lane of one bit-sliced batch (at most
 /// [`MAX_LANES`] trials) through the lane engine; lane `l` runs with
-/// `derive_seed(trials[l].seed, 1)` and is bit-exact with the scalar
-/// engine under that seed.
+/// `derive_seed(trials[l].seed, 1)`, and its trial depends on that seed
+/// alone.
 fn simulate_radio<G: GraphView + Sync + ?Sized>(
     g: &G,
     protocol: ProtocolKind,
@@ -523,7 +523,7 @@ fn simulate_radio<G: GraphView + Sync + ?Sized>(
     for (seed, trial) in seeds.iter_mut().zip(trials) {
         *seed = derive_seed(trial.seed, 1);
     }
-    let mut lanes = protocol.build_lanes();
+    let mut lanes = protocol.build();
     Ok(with_thread_lane_workspace(|ws| {
         run_lanes_in(&sim, &mut *lanes, &seeds[..trials.len()], ws);
         (0..trials.len())
@@ -1117,12 +1117,14 @@ mod tests {
     }
 
     #[test]
-    fn shared_radio_lane_reports_match_scalar_simulation() {
+    fn shared_radio_lane_reports_match_run_lanes() {
         // A shared-graph radio scenario goes through the bit-sliced lane
-        // engine; every per-trial metric must equal what a scalar `run_in`
-        // with the same derived seed produces. 70 trials crosses a lane
-        // batch boundary (64 + a partial batch of 6).
-        use wx_core::radio::with_thread_workspace;
+        // engine; every per-trial metric must equal what a direct
+        // `run_lanes_in` batch with the same derived seeds produces. 70
+        // trials cross a lane batch boundary (64 + a partial batch of 6),
+        // and the direct batches are cut differently (32 + 32 + 6), which
+        // a lane's trial must not notice.
+        use wx_core::radio::{run_lanes_in, LaneWorkspace};
         let spec = ScenarioSpec {
             name: "radio-lanes".to_string(),
             description: String::new(),
@@ -1144,27 +1146,23 @@ mod tests {
             stop_when_complete: true,
         };
         let sim = RadioSimulator::new(&g, 3, config);
-        for record in &report.per_trial {
-            assert_eq!(record.seed, derive_seed(77, record.trial as u64));
-            let mut proto = ProtocolKind::Decay.build();
-            let (outcome, half) = with_thread_workspace(|ws| {
-                let outcome = sim.run_in(&mut proto, derive_seed(record.seed, 1), ws);
-                (outcome, ws.rounds_to_reach_fraction(0.5, outcome.reachable))
-            });
-            assert_eq!(
-                record.metrics.get("rounds").copied(),
-                outcome.completed_at.map(|r| r as f64),
-                "trial {}",
-                record.trial
-            );
-            assert_eq!(
-                record.metrics.get("rounds_to_half").copied(),
-                half.map(|r| r as f64),
-                "trial {}",
-                record.trial
-            );
-            assert_eq!(record.metrics["reachable"], outcome.reachable as f64);
-            assert_eq!(record.metrics["graph_n"], 64.0);
+        let mut ws = LaneWorkspace::new(0);
+        for batch in report.per_trial.chunks(32) {
+            let seeds: Vec<u64> = batch.iter().map(|r| derive_seed(r.seed, 1)).collect();
+            run_lanes_in(&sim, &mut *ProtocolKind::Decay.build(), &seeds, &mut ws);
+            for (lane, record) in batch.iter().enumerate() {
+                assert_eq!(record.seed, derive_seed(77, record.trial as u64));
+                let expected = lane_metrics(&ws, lane);
+                for key in ["completed", "reachable", "rounds", "rounds_to_half"] {
+                    assert_eq!(
+                        record.metrics.get(key),
+                        expected.get(key),
+                        "trial {} {key}",
+                        record.trial
+                    );
+                }
+                assert_eq!(record.metrics["graph_n"], 64.0);
+            }
         }
         // distinct lanes draw distinct RNG streams: across 70 trials the
         // round counts must not all collapse to one value

@@ -23,8 +23,6 @@ use wx_constructions::BroadcastChain;
 /// Per-run measurements of the chain experiment.
 #[derive(Clone, Debug)]
 pub struct ChainRun {
-    /// Protocol name.
-    pub protocol: String,
     /// Core size `s` per stage.
     pub s: usize,
     /// Number of stages.
@@ -69,7 +67,7 @@ impl<'a> ChainExperiment<'a> {
     /// engine, and extracts the relay timings.
     pub fn run(&self, protocol: ProtocolKind, seed: u64) -> ChainRun {
         let sim = RadioSimulator::new(&self.chain.graph, self.chain.root, self.config.clone());
-        let mut lanes = protocol.build_lanes();
+        let mut lanes = protocol.build();
         let (relay_rounds, completed_at) = with_thread_lane_workspace(|ws| {
             run_lanes_in(&sim, &mut *lanes, &[seed], ws);
             let relay_rounds: Vec<Option<usize>> = self
@@ -87,7 +85,6 @@ impl<'a> ChainExperiment<'a> {
             prev = *r;
         }
         ChainRun {
-            protocol: lanes.name().to_string(),
             s: self.chain.s,
             num_stages: self.chain.num_stages,
             num_vertices: self.chain.num_vertices(),

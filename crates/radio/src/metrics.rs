@@ -1,11 +1,9 @@
-//! Trial metrics shared by the scalar and the lane engine.
+//! Trial metrics read off a lane's trajectory.
 
 /// The number of rounds a trial with per-round informed counts
 /// `informed_per_round` needed to inform at least `fraction` of `reachable`
-/// vertices, or `None` if that never happened. Both
-/// [`crate::TrialWorkspace::rounds_to_reach_fraction`] and
-/// [`crate::LaneWorkspace::lane_rounds_to_reach_fraction`] read their
-/// trajectories through this one definition.
+/// vertices, or `None` if that never happened — the definition behind
+/// [`crate::LaneWorkspace::lane_rounds_to_reach_fraction`].
 pub(crate) fn rounds_to_reach_fraction(
     informed_per_round: &[usize],
     fraction: f64,

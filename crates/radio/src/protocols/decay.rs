@@ -9,37 +9,108 @@
 //! the classical randomized broadcast that the paper's decay-style argument
 //! (Lemma 4.2) is an offline, existential analogue of.
 
-use crate::protocols::BroadcastProtocol;
-use crate::simulator::RoundView;
-use rand::Rng;
-use wx_graph::random::WxRng;
-use wx_graph::{GraphView, VertexSet};
+use crate::bitslice::{transpose64, LaneProtocol, LaneView};
+use wx_graph::random::{rng_from_seed, WxRng};
+use wx_graph::GraphView;
 
 /// The number of rounds per decay phase on an `n`-vertex graph,
-/// `⌈log₂ n⌉ + 1` (the standard choice when only `n` is known). Shared by
-/// the scalar protocol and [`crate::bitslice::LaneDecay`].
+/// `⌈log₂ n⌉ + 1` (the standard choice when only `n` is known).
 pub(crate) fn phase_length(n: usize) -> usize {
     (n.max(2) as f64).log2().ceil() as usize + 1
 }
 
-/// The decay protocol.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DecayProtocol;
+/// The decay protocol, one RNG stream per lane.
+///
+/// Per round it builds the eligibility matrix (informed ∧ live), transposes
+/// it 64×64-tile by tile into per-lane vertex masks, and asks each lane's
+/// RNG for its Bernoulli decisions in one bulk call that deposits straight
+/// into the mask positions — consuming exactly one draw per eligible vertex
+/// in ascending vertex order, the stream of one `gen_bool(2^{-i})` per
+/// informed vertex.
+#[derive(Debug, Default)]
+pub struct DecayProtocol {
+    rngs: Vec<WxRng>,
+    lanes: usize,
+    tiles: usize,
+    /// Per-lane eligibility masks, `[lane][tile]` flattened.
+    lane_masks: Vec<u64>,
+    /// Per-lane decision words aligned with `lane_masks`.
+    lane_out: Vec<u64>,
+    /// Packed decision stream scratch for the bulk RNG call.
+    scratch: Vec<u64>,
+}
 
-impl<G: GraphView + ?Sized> BroadcastProtocol<G> for DecayProtocol {
-    fn name(&self) -> &'static str {
-        "decay"
+impl<G: GraphView + ?Sized> LaneProtocol<G> for DecayProtocol {
+    fn reset(&mut self, graph: &G, seeds: &[u64]) {
+        self.lanes = seeds.len();
+        self.tiles = graph.num_vertices().div_ceil(64);
+        self.rngs.clear();
+        for &s in seeds {
+            self.rngs.push(rng_from_seed(s));
+        }
+        self.lane_masks.resize(self.lanes * self.tiles, 0);
+        self.lane_out.resize(self.lanes * self.tiles, 0);
     }
 
-    fn transmitters_into(&mut self, view: &RoundView<'_, G>, rng: &mut WxRng, out: &mut VertexSet) {
-        let i = view.round % phase_length(view.graph.num_vertices());
+    fn fill_transmitters(&mut self, view: &LaneView<'_, G>, transmit: &mut [u64]) {
+        let n = view.graph.num_vertices();
+        let i = view.round % phase_length(n);
         let p = 0.5f64.powi(i as i32);
-        // Iterate the informed bitset directly (members are sorted, so the
-        // inserts below append in order) — no boxed iterator, no `to_vec`,
-        // no per-round allocation.
-        for v in view.informed.iter() {
-            if rng.gen_bool(p) {
-                out.insert(v);
+        let tiles = self.tiles;
+
+        // Eligibility matrix → per-lane vertex masks, one 64×64 bit
+        // transpose per vertex tile.
+        for t in 0..tiles {
+            let base = t * 64;
+            let height = (n - base).min(64);
+            let mut tile = [0u64; 64];
+            let mut any = 0u64;
+            for (word, &informed) in tile.iter_mut().zip(&view.informed[base..base + height]) {
+                *word = informed & view.live;
+                any |= *word;
+            }
+            if any == 0 {
+                for l in 0..self.lanes {
+                    self.lane_masks[l * tiles + t] = 0;
+                }
+            } else {
+                transpose64(&mut tile);
+                for (l, &word) in tile.iter().enumerate().take(self.lanes) {
+                    self.lane_masks[l * tiles + t] = word;
+                }
+            }
+        }
+
+        // One bulk Bernoulli call per lane: deposits each decision onto its
+        // eligible vertex, consuming exactly one draw per set mask bit in
+        // ascending vertex order.
+        for l in 0..self.lanes {
+            self.rngs[l].fill_masked_decision_bits(
+                p,
+                &self.lane_masks[l * tiles..(l + 1) * tiles],
+                &mut self.scratch,
+                &mut self.lane_out[l * tiles..(l + 1) * tiles],
+            );
+        }
+
+        // Per-lane decisions → lane-major transmitter words (the inverse
+        // transpose).
+        for t in 0..tiles {
+            let base = t * 64;
+            let height = (n - base).min(64);
+            let mut tile = [0u64; 64];
+            let mut any = 0u64;
+            for (l, word) in tile.iter_mut().enumerate().take(self.lanes) {
+                *word = self.lane_out[l * tiles + t];
+                any |= *word;
+            }
+            if any == 0 {
+                transmit[base..base + height]
+                    .iter_mut()
+                    .for_each(|w| *w = 0);
+            } else {
+                transpose64(&mut tile);
+                transmit[base..base + height].copy_from_slice(&tile[..height]);
             }
         }
     }
@@ -48,17 +119,15 @@ impl<G: GraphView + ?Sized> BroadcastProtocol<G> for DecayProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitslice::run_lanes;
     use crate::simulator::{RadioSimulator, SimulatorConfig};
-    use crate::workspace::TrialWorkspace;
 
     #[test]
     fn completes_on_c_plus_where_flooding_stalls() {
         let (g, src) = wx_constructions::families::complete_plus_graph(10).unwrap();
         let sim = RadioSimulator::new(&g, src, SimulatorConfig::default());
-        let mut ws = TrialWorkspace::new(0);
-        let outcomes: Vec<_> = (0..10)
-            .map(|seed| sim.run_in(&mut DecayProtocol, seed, &mut ws))
-            .collect();
+        let seeds: Vec<u64> = (0..10).collect();
+        let outcomes = run_lanes(&sim, &mut DecayProtocol::default(), &seeds);
         let completed = outcomes.iter().filter(|o| o.completed()).count();
         assert_eq!(completed, 10, "decay failed on C⁺: {outcomes:?}");
     }
@@ -71,31 +140,32 @@ mod tests {
 
     #[test]
     fn first_round_of_each_phase_transmits_everything() {
-        // with probability 2^0 = 1, every informed vertex transmits in the
-        // first round of a phase regardless of the rng
+        // with probability 2^0 = 1, every informed vertex of every live lane
+        // transmits in the first round of a phase regardless of the rng;
+        // retired lanes stay silent
         let g = wx_graph::Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
-        let informed = g.vertex_set([0, 1]);
-        let newly = g.vertex_set([1]);
-        let view = RoundView {
+        let informed = [0b111, 0b011, 0b100, 0];
+        let mut protocol = DecayProtocol::default();
+        LaneProtocol::reset(&mut protocol, &g, &[5, 6, 7]);
+        let view = LaneView {
             graph: &g,
             round: 0,
-            source: 0,
+            live: 0b101,
             informed: &informed,
-            newly_informed: &newly,
         };
-        let mut rng = wx_graph::random::rng_from_seed(5);
-        let mut t = VertexSet::empty(4);
-        DecayProtocol.transmitters_into(&view, &mut rng, &mut t);
-        assert_eq!(t.to_vec(), vec![0, 1]);
+        let mut transmit = [u64::MAX; 4];
+        protocol.fill_transmitters(&view, &mut transmit);
+        assert_eq!(transmit, [0b101, 0b001, 0b100, 0]);
     }
 
     #[test]
     fn completes_reasonably_fast_on_random_regular_graphs() {
         let g = wx_constructions::families::random_regular_graph(128, 6, 3).unwrap();
         let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
-        let mut ws = TrialWorkspace::new(0);
-        let rounds: Vec<_> = (0..5)
-            .filter_map(|seed| sim.run_in(&mut DecayProtocol, seed, &mut ws).completed_at)
+        let seeds: Vec<u64> = (0..5).collect();
+        let rounds: Vec<_> = run_lanes(&sim, &mut DecayProtocol::default(), &seeds)
+            .iter()
+            .filter_map(|o| o.completed_at)
             .collect();
         assert_eq!(rounds.len(), 5);
         // D = O(log n) here; decay should finish well within a few hundred rounds

@@ -4,53 +4,41 @@
 //! wireless expansion: on the `C⁺` example it deadlocks after the first
 //! round because every uninformed vertex always hears a collision.
 
-use crate::protocols::BroadcastProtocol;
-use crate::simulator::RoundView;
-use wx_graph::random::WxRng;
-use wx_graph::{GraphView, VertexSet};
+use crate::bitslice::{LaneProtocol, LaneView};
+use wx_graph::GraphView;
 
 /// Every informed vertex transmits in every round.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NaiveFlooding;
 
-impl<G: GraphView + ?Sized> BroadcastProtocol<G> for NaiveFlooding {
-    fn name(&self) -> &'static str {
-        "naive-flooding"
-    }
-
-    fn transmitters_into(
-        &mut self,
-        view: &RoundView<'_, G>,
-        _rng: &mut WxRng,
-        out: &mut VertexSet,
-    ) {
-        out.copy_from(view.informed);
+impl<G: GraphView + ?Sized> LaneProtocol<G> for NaiveFlooding {
+    fn fill_transmitters(&mut self, view: &LaneView<'_, G>, transmit: &mut [u64]) {
+        for (word, &informed) in transmit.iter_mut().zip(view.informed) {
+            *word = informed & view.live;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitslice::run_lanes;
     use crate::simulator::{RadioSimulator, SimulatorConfig};
-    use crate::workspace::TrialWorkspace;
     use wx_graph::Graph;
 
     #[test]
     fn transmits_exactly_the_informed_set() {
         let g = Graph::from_edges(3, [(0, 1), (1, 2)]).unwrap();
-        let informed = g.vertex_set([0, 1]);
-        let newly = g.vertex_set([1]);
-        let view = RoundView {
+        let informed = [0b11, 0b10, 0b01];
+        let view = LaneView {
             graph: &g,
             round: 0,
-            source: 0,
+            live: 0b10,
             informed: &informed,
-            newly_informed: &newly,
         };
-        let mut rng = wx_graph::random::rng_from_seed(0);
-        let mut t = VertexSet::empty(4);
-        NaiveFlooding.transmitters_into(&view, &mut rng, &mut t);
-        assert_eq!(t.to_vec(), vec![0, 1]);
+        let mut transmit = [u64::MAX; 3];
+        NaiveFlooding.fill_transmitters(&view, &mut transmit);
+        assert_eq!(transmit, [0b10, 0b10, 0]);
     }
 
     #[test]
@@ -58,9 +46,8 @@ mod tests {
         // star: the center is the source; all leaves get the message round 1.
         let star = Graph::from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)]).unwrap();
         let sim = RadioSimulator::new(&star, 0, SimulatorConfig::default());
-        let mut ws = TrialWorkspace::new(0);
         assert_eq!(
-            sim.run_in(&mut NaiveFlooding, 0, &mut ws).completed_at,
+            run_lanes(&sim, &mut NaiveFlooding, &[0])[0].completed_at,
             Some(1)
         );
 
@@ -81,7 +68,7 @@ mod tests {
             },
         );
         assert_eq!(
-            sim.run_in(&mut NaiveFlooding, 0, &mut ws).completed_at,
+            run_lanes(&sim, &mut NaiveFlooding, &[0])[0].completed_at,
             None
         );
     }

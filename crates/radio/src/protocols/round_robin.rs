@@ -6,61 +6,49 @@
 //! trivially correct but slow deterministic baseline against which the decay
 //! and spokesman protocols are compared.
 
-use crate::protocols::BroadcastProtocol;
-use crate::simulator::RoundView;
-use wx_graph::random::WxRng;
-use wx_graph::{GraphView, VertexSet};
+use crate::bitslice::{LaneProtocol, LaneView};
+use wx_graph::GraphView;
 
 /// Round-robin single-transmitter schedule.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RoundRobin;
 
-impl<G: GraphView + ?Sized> BroadcastProtocol<G> for RoundRobin {
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-
-    fn transmitters_into(
-        &mut self,
-        view: &RoundView<'_, G>,
-        _rng: &mut WxRng,
-        out: &mut VertexSet,
-    ) {
+impl<G: GraphView + ?Sized> LaneProtocol<G> for RoundRobin {
+    fn fill_transmitters(&mut self, view: &LaneView<'_, G>, transmit: &mut [u64]) {
         let n = view.graph.num_vertices();
-        if n == 0 {
-            return;
-        }
         let turn = view.round % n;
-        if view.informed.contains(turn) {
-            out.insert(turn);
-        }
+        // Last round's turn stops transmitting (before round 0 every word is
+        // zero), then this round's turn transmits where it is informed.
+        transmit[(turn + n - 1) % n] = 0;
+        transmit[turn] = view.informed[turn] & view.live;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitslice::run_lanes;
     use crate::simulator::{RadioSimulator, SimulatorConfig};
-    use crate::workspace::TrialWorkspace;
     use wx_graph::Graph;
 
     #[test]
     fn at_most_one_transmitter_per_round() {
         let g = Graph::from_edges(6, (0..5).map(|i| (i, i + 1))).unwrap();
-        let informed = g.vertex_set(0..6);
-        let newly = g.vertex_set([5]);
-        let mut rng = wx_graph::random::rng_from_seed(0);
+        let informed = [0b11, 0b01, 0b11, 0, 0b10, 0b11];
+        let mut transmit = [0u64; 6];
         for round in 0..12 {
-            let view = RoundView {
+            let view = LaneView {
                 graph: &g,
                 round,
-                source: 0,
+                live: 0b11,
                 informed: &informed,
-                newly_informed: &newly,
             };
-            let mut t = VertexSet::empty(6);
-            RoundRobin.transmitters_into(&view, &mut rng, &mut t);
-            assert!(t.len() <= 1);
+            RoundRobin.fill_transmitters(&view, &mut transmit);
+            // only this round's turn may transmit, in its informed lanes
+            let turn = round % 6;
+            for (v, &word) in transmit.iter().enumerate() {
+                assert_eq!(word, if v == turn { informed[v] } else { 0 });
+            }
         }
     }
 
@@ -68,7 +56,7 @@ mod tests {
     fn completes_on_collision_heavy_graphs() {
         let (g, src) = wx_constructions::families::complete_plus_graph(8).unwrap();
         let sim = RadioSimulator::new(&g, src, SimulatorConfig::default());
-        let outcome = sim.run_in(&mut RoundRobin, 0, &mut TrialWorkspace::new(0));
+        let outcome = run_lanes(&sim, &mut RoundRobin, &[0])[0];
         assert!(outcome.completed_at.is_some());
         // the bound is at most n rounds per BFS layer
         assert!(outcome.completed_at.unwrap() <= g.num_vertices() * 3);

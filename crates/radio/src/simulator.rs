@@ -1,30 +1,6 @@
 //! The synchronous collision-model simulator.
 
-use crate::protocols::BroadcastProtocol;
-use crate::workspace::TrialWorkspace;
-use wx_graph::random::{rng_from_seed, WxRng};
-use wx_graph::{Graph, GraphView, Vertex, VertexSet};
-
-/// Read-only view of the simulation state handed to protocols each round.
-///
-/// Distributed protocols should only consult fields a real processor would
-/// know (its own informed status, the round number, global parameters `n`
-/// and `D`); centralized schedules (the spokesman broadcast) may use the
-/// whole view. The simulator does not police this — the distinction is
-/// documented per protocol.
-#[derive(Debug)]
-pub struct RoundView<'a, G: GraphView + ?Sized = Graph> {
-    /// The underlying network (any [`GraphView`] backend).
-    pub graph: &'a G,
-    /// The current round number (the first round is 0).
-    pub round: usize,
-    /// The broadcast source.
-    pub source: Vertex,
-    /// Vertices that currently hold the message.
-    pub informed: &'a VertexSet,
-    /// Vertices that first received the message in the previous round.
-    pub newly_informed: &'a VertexSet,
-}
+use wx_graph::{Graph, GraphView, Vertex};
 
 /// Simulator configuration.
 #[derive(Clone, Debug)]
@@ -44,13 +20,13 @@ impl Default for SimulatorConfig {
     }
 }
 
-/// The radio-network simulator.
+/// The radio-network simulator: a graph, a broadcast source and a
+/// configuration, which [`crate::run_lanes_in`] runs trials on.
 ///
 /// Graph and source are fixed per simulator, so the completion target (the
 /// number of vertices reachable from the source) is computed **once** at
 /// construction and cached — a 10k-trial ensemble on one simulator performs
-/// one BFS, not 10k. [`RadioSimulator::run_in`] runs one trial in a
-/// [`TrialWorkspace`], which ensembles reuse so that trials allocate nothing.
+/// one BFS, not 10k.
 pub struct RadioSimulator<'a, G: GraphView + ?Sized = Graph> {
     graph: &'a G,
     source: Vertex,
@@ -112,74 +88,9 @@ impl<'a, G: GraphView + ?Sized> RadioSimulator<'a, G> {
         self.source
     }
 
-    /// The simulator configuration (round cap and stopping rule) — shared by
-    /// the scalar loop and the bit-sliced lane engine in [`crate::bitslice`].
+    /// The simulator configuration (round cap and stopping rule).
     pub fn config(&self) -> &SimulatorConfig {
         &self.config
-    }
-
-    /// Runs the protocol until completion or the round cap, reusing the
-    /// buffers in `ws` — the streaming trial engine's inner loop.
-    ///
-    /// After the first call on a given graph size, subsequent calls perform
-    /// **no** n-sized allocations: the informed/newly-informed bitsets, the
-    /// transmitter buffer, the first-informed array, the per-round counts and
-    /// the receiver-resolution scratch all live in the workspace, and the
-    /// completion target comes from the BFS cached at construction. Per-trial
-    /// setup is a targeted reset proportional to the previous trial's
-    /// informed count, plus reseeding the protocol rng.
-    ///
-    /// `seed` drives the protocol's randomness and nothing else (the
-    /// simulator itself is deterministic). The returned [`TrialOutcome`] is
-    /// a constant-size summary; the full trajectory
-    /// ([`TrialWorkspace::informed_per_round`],
-    /// [`TrialWorkspace::first_informed_round`]) remains readable from `ws`
-    /// until the next run overwrites it.
-    pub fn run_in(
-        &self,
-        protocol: &mut dyn BroadcastProtocol<G>,
-        seed: u64,
-        ws: &mut TrialWorkspace,
-    ) -> TrialOutcome {
-        let _span = wx_trace::span("radio.trial");
-        let mut rng: WxRng = rng_from_seed(seed);
-        ws.reset(self.graph.num_vertices(), self.source);
-        let target = self.reachable;
-        let mut completed_at = None;
-
-        protocol.reset(self.graph, self.source);
-
-        for round in 0..self.config.max_rounds {
-            ws.step(self.graph, self.source, round, protocol, &mut rng);
-            wx_trace::event_value("radio.newly_informed", ws.newly.len() as u64);
-            if ws.informed.len() == target && completed_at.is_none() {
-                // record the *first* completion round; with
-                // stop_when_complete = false the simulation keeps running but
-                // the completion round must not advance with it
-                completed_at = Some(round + 1);
-                if self.config.stop_when_complete {
-                    break;
-                }
-            }
-        }
-
-        // Scheduling-independent work counts: identical values whether the
-        // trial ran here or as a bit-lane of the sliced engine.
-        let rounds_simulated = ws.informed_per_round.len() - 1;
-        wx_trace::count(
-            wx_trace::CounterId::RadioRoundsSimulated,
-            rounds_simulated as u64,
-        );
-        wx_trace::count(
-            wx_trace::CounterId::RadioInformedFinal,
-            ws.informed.len() as u64,
-        );
-        TrialOutcome {
-            reachable: target,
-            informed: ws.informed.len(),
-            completed_at,
-            rounds_simulated,
-        }
     }
 }
 
@@ -196,9 +107,9 @@ pub fn reachable_from<G: GraphView + ?Sized>(graph: &G, source: Vertex) -> usize
         .count()
 }
 
-/// Constant-size summary of one [`RadioSimulator::run_in`] trial — everything
-/// an online aggregator needs; the n-sized trajectory stays in the
-/// [`TrialWorkspace`] (or, for a lane, the [`crate::LaneWorkspace`]).
+/// Constant-size summary of one trial (one lane of a
+/// [`crate::run_lanes_in`] batch) — everything an online aggregator needs;
+/// the n-sized trajectory stays in the [`crate::LaneWorkspace`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TrialOutcome {
     /// Number of vertices reachable from the source (the completion target).
@@ -222,22 +133,11 @@ impl TrialOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocols::naive::NaiveFlooding;
-    use crate::protocols::round_robin::RoundRobin;
+    use crate::oracle::one_lane;
+    use crate::protocols::ProtocolKind;
 
     fn path(n: usize) -> Graph {
         Graph::from_edges(n, (0..n - 1).map(|i| (i, i + 1))).unwrap()
-    }
-
-    /// One trial in a fresh workspace, which keeps the trajectory.
-    fn run(
-        sim: &RadioSimulator<'_>,
-        protocol: &mut dyn BroadcastProtocol,
-        seed: u64,
-    ) -> (TrialOutcome, TrialWorkspace) {
-        let mut ws = TrialWorkspace::new(0);
-        let outcome = sim.run_in(protocol, seed, &mut ws);
-        (outcome, ws)
     }
 
     #[test]
@@ -257,6 +157,14 @@ mod tests {
         // a transmitter does not receive even if a neighbor transmits
         let recv = unique_neighborhood(&g, &g.vertex_set([0, 1]));
         assert_eq!(recv.to_vec(), vec![2, 3]);
+        // the lane engine applies the same rule: flooding from the center
+        // informs every leaf in round 1
+        let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
+        let trial = one_lane(&sim, ProtocolKind::NaiveFlooding, 0);
+        assert_eq!(
+            trial.first_informed_round,
+            vec![Some(0), Some(1), Some(1), Some(1)]
+        );
     }
 
     #[test]
@@ -265,9 +173,9 @@ mod tests {
         // vertex, so naive flooding advances one hop per round.
         let g = path(6);
         let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
-        let (outcome, ws) = run(&sim, &mut NaiveFlooding, 1);
-        assert_eq!(outcome.completed_at, Some(5));
-        assert_eq!(ws.first_informed_round()[5], Some(5));
+        let trial = one_lane(&sim, ProtocolKind::NaiveFlooding, 1);
+        assert_eq!(trial.outcome.completed_at, Some(5));
+        assert_eq!(trial.first_informed_round[5], Some(5));
     }
 
     #[test]
@@ -284,18 +192,18 @@ mod tests {
                 stop_when_complete: true,
             },
         );
-        let (outcome, ws) = run(&sim, &mut NaiveFlooding, 1);
-        assert_eq!(outcome.completed_at, None);
-        assert_eq!(ws.informed_per_round().last().copied(), Some(3));
+        let trial = one_lane(&sim, ProtocolKind::NaiveFlooding, 1);
+        assert_eq!(trial.outcome.completed_at, None);
+        assert_eq!(trial.informed_per_round.last().copied(), Some(3));
     }
 
     #[test]
     fn round_robin_always_completes() {
         let (g, src) = wx_constructions::families::complete_plus_graph(6).unwrap();
         let sim = RadioSimulator::new(&g, src, SimulatorConfig::default());
-        let (outcome, ws) = run(&sim, &mut RoundRobin, 1);
-        assert!(outcome.completed_at.is_some());
-        assert_eq!(ws.informed_per_round().last().copied(), Some(7));
+        let trial = one_lane(&sim, ProtocolKind::RoundRobin, 1);
+        assert!(trial.outcome.completed_at.is_some());
+        assert_eq!(trial.informed_per_round.last().copied(), Some(7));
     }
 
     #[test]
@@ -303,9 +211,9 @@ mod tests {
         let g = Graph::from_edges(5, [(0, 1), (1, 2), (3, 4)]).unwrap();
         let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
         assert_eq!(sim.reachable_count(), 3);
-        let (outcome, ws) = run(&sim, &mut NaiveFlooding, 0);
-        assert_eq!(outcome.completed_at, Some(2));
-        assert!(ws.first_informed_round()[3].is_none());
+        let trial = one_lane(&sim, ProtocolKind::NaiveFlooding, 0);
+        assert_eq!(trial.outcome.completed_at, Some(2));
+        assert!(trial.first_informed_round[3].is_none());
     }
 
     #[test]
@@ -317,27 +225,19 @@ mod tests {
 
     #[test]
     fn run_in_is_identical_in_fresh_and_reused_workspaces() {
-        use crate::protocols::decay::DecayProtocol;
+        use crate::bitslice::LaneWorkspace;
         let g = wx_constructions::families::random_regular_graph(48, 4, 7).unwrap();
         let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
-        let mut ws = TrialWorkspace::new(0);
+        let mut ws = LaneWorkspace::new(0);
         for seed in 0..6u64 {
-            let (fresh, fresh_ws) = run(&sim, &mut DecayProtocol, seed);
-            let reused = sim.run_in(&mut DecayProtocol, seed, &mut ws);
-            assert_eq!(fresh.completed_at, reused.completed_at);
-            assert_eq!(fresh.rounds_simulated, reused.rounds_simulated);
-            assert_eq!(fresh_ws.informed_per_round(), ws.informed_per_round());
+            let fresh = one_lane(&sim, ProtocolKind::Decay, seed);
+            let reused = sim.run_in(&mut *ProtocolKind::Decay.build(), seed, &mut ws);
+            assert_eq!(fresh.outcome, reused);
             assert_eq!(
-                fresh_ws.first_informed_round()[..48],
-                ws.first_informed_round()[..48]
-            );
-            assert_eq!(
-                reused.informed,
-                ws.informed_per_round().last().copied().unwrap()
+                fresh,
+                crate::oracle::Trial::of_lane(&ws, 0, g.num_vertices())
             );
         }
-        // the workspace never regrew past the graph size
-        assert_eq!(ws.capacity(), 48);
     }
 
     #[test]
@@ -354,7 +254,7 @@ mod tests {
                 stop_when_complete: false,
             },
         );
-        let (outcome, _) = run(&sim, &mut NaiveFlooding, 0);
+        let outcome = one_lane(&sim, ProtocolKind::NaiveFlooding, 0).outcome;
         assert_eq!(outcome.completed_at, Some(3));
         assert_eq!(outcome.rounds_simulated, 50);
     }
@@ -365,9 +265,9 @@ mod tests {
         let plain = RadioSimulator::new(&g, 0, SimulatorConfig::default());
         let hinted = RadioSimulator::with_reachable(&g, 0, SimulatorConfig::default(), 6);
         assert_eq!(plain.reachable_count(), hinted.reachable_count());
-        let (a, a_ws) = run(&plain, &mut NaiveFlooding, 1);
-        let (b, b_ws) = run(&hinted, &mut NaiveFlooding, 1);
-        assert_eq!(a.completed_at, b.completed_at);
-        assert_eq!(a_ws.informed_per_round(), b_ws.informed_per_round());
+        assert_eq!(
+            one_lane(&plain, ProtocolKind::NaiveFlooding, 1),
+            one_lane(&hinted, ProtocolKind::NaiveFlooding, 1)
+        );
     }
 }

@@ -3,22 +3,41 @@
 //! and random transmitter sets.
 
 use proptest::prelude::*;
-use wx_graph::{Graph, VertexSet};
-use wx_radio::protocols::decay::DecayProtocol;
-use wx_radio::protocols::naive::NaiveFlooding;
-use wx_radio::protocols::round_robin::RoundRobin;
-use wx_radio::protocols::spokesman::SpokesmanBroadcast;
-use wx_radio::{BroadcastProtocol, RadioSimulator, SimulatorConfig, TrialOutcome, TrialWorkspace};
+use wx_graph::{Graph, GraphView, VertexSet};
+use wx_radio::{
+    run_lanes_in, LaneWorkspace, ProtocolKind, RadioSimulator, SimulatorConfig, TrialOutcome,
+};
 
-/// One trial in a fresh workspace, which keeps the trajectory.
-fn run<G: wx_graph::GraphView + ?Sized>(
-    sim: &RadioSimulator<'_, G>,
-    protocol: &mut dyn BroadcastProtocol<G>,
-    seed: u64,
-) -> (TrialOutcome, TrialWorkspace) {
-    let mut ws = TrialWorkspace::new(0);
-    let outcome = sim.run_in(protocol, seed, &mut ws);
-    (outcome, ws)
+/// One trial's record, read through the lane workspace's public accessors.
+#[derive(Debug, PartialEq)]
+struct Run {
+    outcome: TrialOutcome,
+    /// Per vertex, the round it was first informed.
+    first_informed_round: Vec<Option<usize>>,
+    /// Informed count after each round, counted from `first_informed_round`.
+    informed_per_round: Vec<usize>,
+}
+
+/// One trial of `kind` under `seed`, as a 1-lane batch.
+fn run<G: GraphView + ?Sized>(sim: &RadioSimulator<'_, G>, kind: ProtocolKind, seed: u64) -> Run {
+    let mut ws = LaneWorkspace::new(0);
+    run_lanes_in(sim, &mut *kind.build(), &[seed], &mut ws);
+    let outcome = ws.lane_outcome(0);
+    let first_informed_round: Vec<Option<usize>> = (0..sim.graph().num_vertices())
+        .map(|v| ws.lane_first_informed_round(0, v))
+        .collect();
+    let mut informed_per_round = vec![0; outcome.rounds_simulated + 1];
+    for &r in first_informed_round.iter().flatten() {
+        informed_per_round[r] += 1;
+    }
+    for r in 1..informed_per_round.len() {
+        informed_per_round[r] += informed_per_round[r - 1];
+    }
+    Run {
+        outcome,
+        first_informed_round,
+        informed_per_round,
+    }
 }
 
 fn edge_list(n: usize) -> impl Strategy<Value = Vec<(usize, usize)>> {
@@ -63,20 +82,13 @@ proptest! {
             max_rounds: 200,
             stop_when_complete: true,
         });
-        let mut protocol: Box<dyn BroadcastProtocol> = match proto_id {
-            0 => Box::new(NaiveFlooding),
-            1 => Box::new(RoundRobin),
-            _ => Box::new(DecayProtocol),
-        };
-        let (outcome, ws) = run(&sim, protocol.as_mut(), seed);
-        let informed_per_round = ws.informed_per_round();
-        let first_informed_round = &ws.first_informed_round()[..12];
+        let kind = [ProtocolKind::NaiveFlooding, ProtocolKind::RoundRobin, ProtocolKind::Decay][proto_id];
+        let Run { outcome, first_informed_round, informed_per_round } = run(&sim, kind, seed);
 
         prop_assert_eq!(first_informed_round[0], Some(0));
         prop_assert!(informed_per_round.windows(2).all(|w| w[1] >= w[0]));
         prop_assert!(informed_per_round.iter().all(|&c| c <= outcome.reachable));
-        let informed_total = first_informed_round.iter().filter(|r| r.is_some()).count();
-        prop_assert_eq!(informed_total, *informed_per_round.last().unwrap());
+        prop_assert_eq!(outcome.informed, *informed_per_round.last().unwrap());
         // every informed vertex (other than the source) is reachable and has
         // an informed-round no larger than the number of simulated rounds
         let dist = wx_graph::traversal::bfs(&g, 0).dist;
@@ -105,9 +117,9 @@ proptest! {
             max_rounds: 400,
             stop_when_complete: true,
         });
-        let (outcome, ws) = run(&sim, &mut RoundRobin, seed);
+        let Run { outcome, informed_per_round, .. } = run(&sim, ProtocolKind::RoundRobin, seed);
         let delta = g.max_degree();
-        for w in ws.informed_per_round().windows(2) {
+        for w in informed_per_round.windows(2) {
             prop_assert!(w[1] - w[0] <= delta.max(1));
         }
         // round-robin always completes on the source's component within n
@@ -133,14 +145,9 @@ proptest! {
         let sim_view = RadioSimulator::new(&view, 0, config.clone());
         let sim_mat = RadioSimulator::new(&mat, 0, config);
         prop_assert_eq!(sim_view.reachable_count(), sim_mat.reachable_count());
-        let (a, a_ws) = run(&sim_view, &mut DecayProtocol, seed);
-        let (b, b_ws) = run(&sim_mat, &mut DecayProtocol, seed);
-        prop_assert_eq!(a.completed_at, b.completed_at);
-        prop_assert_eq!(a_ws.informed_per_round(), b_ws.informed_per_round());
-        prop_assert_eq!(a_ws.first_informed_round(), b_ws.first_informed_round());
-        let (_, a_ws) = run(&sim_view, &mut NaiveFlooding, seed);
-        let (_, b_ws) = run(&sim_mat, &mut NaiveFlooding, seed);
-        prop_assert_eq!(a_ws.informed_per_round(), b_ws.informed_per_round());
+        for kind in [ProtocolKind::Decay, ProtocolKind::NaiveFlooding] {
+            prop_assert_eq!(run(&sim_view, kind, seed), run(&sim_mat, kind, seed));
+        }
     }
 
     /// Backend equivalence: a full decay trial on an `ImplicitGraph` equals
@@ -156,16 +163,10 @@ proptest! {
         let sim_implicit = RadioSimulator::new(&implicit, 0, config.clone());
         let sim_mat = RadioSimulator::new(&mat, 0, config);
         prop_assert_eq!(sim_implicit.reachable_count(), sim_mat.reachable_count());
-        let (a, a_ws) = run(&sim_implicit, &mut DecayProtocol, seed);
-        let (b, b_ws) = run(&sim_mat, &mut DecayProtocol, seed);
-        prop_assert_eq!(a.completed_at, b.completed_at);
-        prop_assert_eq!(a_ws.informed_per_round(), b_ws.informed_per_round());
-        prop_assert_eq!(a_ws.first_informed_round(), b_ws.first_informed_round());
         // the centralized spokesman schedule exercises the bipartite-view
         // extraction on both backends
-        let (a, a_ws) = run(&sim_implicit, &mut SpokesmanBroadcast, seed);
-        let (b, b_ws) = run(&sim_mat, &mut SpokesmanBroadcast, seed);
-        prop_assert_eq!(a.completed_at, b.completed_at);
-        prop_assert_eq!(a_ws.informed_per_round(), b_ws.informed_per_round());
+        for kind in [ProtocolKind::Decay, ProtocolKind::Spokesman] {
+            prop_assert_eq!(run(&sim_implicit, kind, seed), run(&sim_mat, kind, seed));
+        }
     }
 }

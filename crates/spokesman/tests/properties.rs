@@ -110,6 +110,8 @@ proptest! {
         let start_set = VertexSet::from_iter(g.num_left(), start.iter().copied());
         let mut tracker = CoverageTracker::new(&g, &start_set);
         prop_assert_eq!(tracker.coverage(), g.unique_coverage(&start_set));
+        // the subset the moves describe, kept independently of the tracker
+        let mut chosen = start_set.clone();
         for &u in &moves {
             let was_chosen = tracker.contains(u);
             let before = tracker.coverage() as i64;
@@ -117,8 +119,11 @@ proptest! {
             let applied = tracker.flip(u);
             prop_assert_eq!(predicted, applied);
             prop_assert_eq!(tracker.contains(u), !was_chosen);
+            if !chosen.insert(u) {
+                chosen.remove(u);
+            }
             // the maintained coverage matches a from-scratch re-measurement
-            let full = g.unique_coverage(tracker.chosen());
+            let full = g.unique_coverage(&chosen);
             prop_assert_eq!(tracker.coverage(), full,
                 "delta path drifted from full re-measurement after flipping {u}");
             prop_assert_eq!(before + applied, full as i64);

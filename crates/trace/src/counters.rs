@@ -47,9 +47,9 @@ pub enum CounterId {
     SpokesmanFlipsAccepted,
     /// Local-search flips probed and declined (delta ≤ 0).
     SpokesmanFlipsRejected,
-    /// Rounds simulated by the scalar radio engine (per-trial sum).
+    /// Rounds simulated by the radio engine (per-trial sum).
     RadioRoundsSimulated,
-    /// Vertices informed when each scalar/lane trial ended (summed).
+    /// Vertices informed when each trial ended (summed).
     RadioInformedFinal,
     /// Lane-rounds of occupancy in the bit-sliced engine: each lane
     /// pays for every round its word simulates until it retires.

@@ -81,7 +81,7 @@ fn main() {
         ("decay protocol    ", ProtocolKind::Decay),
         ("spokesman schedule", ProtocolKind::Spokesman),
     ] {
-        let outcome = run_lanes(&sim, &mut *kind.build_lanes(), &[seed])[0];
+        let outcome = run_lanes(&sim, &mut *kind.build(), &[seed])[0];
         println!("{label} : {}", fmt_opt(outcome.completed_at));
     }
     println!();

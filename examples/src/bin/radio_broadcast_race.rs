@@ -22,7 +22,7 @@ fn race(name: &str, graph: &Graph, source: Vertex, seed: u64, rows: &mut Vec<Tab
     let mut cells = vec![graph.num_vertices().to_string()];
     // each protocol runs as a one-lane batch of the bit-sliced lane engine
     for kind in ProtocolKind::ALL {
-        let outcome = run_lanes(&sim, &mut *kind.build_lanes(), &[seed])[0];
+        let outcome = run_lanes(&sim, &mut *kind.build(), &[seed])[0];
         cells.push(fmt_opt(outcome.completed_at));
     }
     rows.push(TableRow::new(name, cells));

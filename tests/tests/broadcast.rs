@@ -3,23 +3,27 @@
 
 use wx_constructions::BroadcastChain;
 use wx_radio::lower_bound::ChainExperiment;
-use wx_radio::protocols::decay::DecayProtocol;
-use wx_radio::protocols::naive::NaiveFlooding;
-use wx_radio::protocols::round_robin::RoundRobin;
-use wx_radio::protocols::spokesman::SpokesmanBroadcast;
 use wx_radio::{
-    BroadcastProtocol, ProtocolKind, RadioSimulator, SimulatorConfig, TrialOutcome, TrialWorkspace,
+    run_lanes_in, LaneWorkspace, ProtocolKind, RadioSimulator, SimulatorConfig, TrialOutcome,
 };
 
-/// One trial in a fresh workspace, which keeps the trajectory.
-fn run(
-    sim: &RadioSimulator<'_>,
-    proto: &mut dyn BroadcastProtocol,
-    seed: u64,
-) -> (TrialOutcome, TrialWorkspace) {
-    let mut ws = TrialWorkspace::new(0);
-    let outcome = sim.run_in(proto, seed, &mut ws);
-    (outcome, ws)
+/// One trial of `kind` under `seed` as a 1-lane batch: its outcome and its
+/// per-round informed counts, counted from the per-vertex first-informed
+/// rounds.
+fn run(sim: &RadioSimulator<'_>, kind: ProtocolKind, seed: u64) -> (TrialOutcome, Vec<usize>) {
+    let mut ws = LaneWorkspace::new(0);
+    run_lanes_in(sim, &mut *kind.build(), &[seed], &mut ws);
+    let outcome = ws.lane_outcome(0);
+    let mut informed_per_round = vec![0; outcome.rounds_simulated + 1];
+    for v in 0..sim.graph().num_vertices() {
+        if let Some(r) = ws.lane_first_informed_round(0, v) {
+            informed_per_round[r] += 1;
+        }
+    }
+    for r in 1..informed_per_round.len() {
+        informed_per_round[r] += informed_per_round[r - 1];
+    }
+    (outcome, informed_per_round)
 }
 
 #[test]
@@ -42,22 +46,19 @@ fn collision_free_protocols_complete_everywhere() {
         ("chain", BroadcastChain::new(8, 2, 1).unwrap().graph),
     ];
     for (name, g) in graphs {
-        for (pname, mut proto) in [
-            (
-                "round-robin",
-                Box::new(RoundRobin) as Box<dyn BroadcastProtocol>,
-            ),
-            ("decay", Box::new(DecayProtocol)),
-            ("spokesman", Box::new(SpokesmanBroadcast)),
+        for kind in [
+            ProtocolKind::RoundRobin,
+            ProtocolKind::Decay,
+            ProtocolKind::Spokesman,
         ] {
             let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
-            let (outcome, ws) = run(&sim, proto.as_mut(), 3);
+            let (outcome, informed_per_round) = run(&sim, kind, 3);
             assert!(
                 outcome.completed_at.is_some(),
-                "{pname} failed to complete on {name}"
+                "{kind} failed to complete on {name}"
             );
             // monotone coverage curve
-            assert!(ws.informed_per_round().windows(2).all(|w| w[1] >= w[0]));
+            assert!(informed_per_round.windows(2).all(|w| w[1] >= w[0]));
         }
     }
 }
@@ -67,18 +68,10 @@ fn informed_counts_never_exceed_reachable() {
     let g = wx_constructions::families::random_regular_graph(64, 4, 9).unwrap();
     let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
     for seed in 0..3 {
-        let (o, ws) = run(&sim, &mut DecayProtocol, seed);
-        assert!(ws.informed_per_round().iter().all(|&c| c <= o.reachable));
-        // first-informed rounds are consistent with the coverage curve
-        let informed_from_rounds = ws
-            .first_informed_round()
-            .iter()
-            .filter(|r| r.is_some())
-            .count();
-        assert_eq!(
-            informed_from_rounds,
-            *ws.informed_per_round().last().unwrap()
-        );
+        let (o, informed_per_round) = run(&sim, ProtocolKind::Decay, seed);
+        assert!(informed_per_round.iter().all(|&c| c <= o.reachable));
+        // first-informed rounds are consistent with the informed count
+        assert_eq!(o.informed, *informed_per_round.last().unwrap());
     }
 }
 
@@ -90,22 +83,19 @@ fn corollary_5_1_per_round_coverage_on_the_first_stage() {
     let s = 32usize;
     let chain = BroadcastChain::new(s, 1, 5).unwrap();
     let sim = RadioSimulator::new(&chain.graph, chain.root, SimulatorConfig::default());
-    for (label, mut proto) in [
-        (
-            "spokesman",
-            Box::new(SpokesmanBroadcast) as Box<dyn BroadcastProtocol>,
-        ),
-        ("decay", Box::new(DecayProtocol)),
-        ("naive", Box::new(NaiveFlooding)),
+    for kind in [
+        ProtocolKind::Spokesman,
+        ProtocolKind::Decay,
+        ProtocolKind::NaiveFlooding,
     ] {
-        let (_, ws) = run(&sim, proto.as_mut(), 7);
-        for w in ws.informed_per_round().windows(2) {
+        let (_, informed_per_round) = run(&sim, kind, 7);
+        for w in informed_per_round.windows(2) {
             let increment = w[1] - w[0];
             // per round at most: the whole S side (s, informed by the root)
             // plus 2s uniquely-coverable N vertices.
             assert!(
                 increment <= 3 * s,
-                "{label}: informed {increment} new vertices in one round, above the 2s cap (+s for the S side)"
+                "{kind}: informed {increment} new vertices in one round, above the 2s cap (+s for the S side)"
             );
         }
     }

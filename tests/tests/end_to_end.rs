@@ -95,7 +95,7 @@ fn analysis_of_c_plus_shows_the_headline_phenomenon() {
     assert!(t.wireless.value > 0.0);
     // from a clique vertex the spokesman schedule completes
     let sim = RadioSimulator::new(&g, 0, SimulatorConfig::default());
-    let outcome = run_lanes(&sim, &mut *ProtocolKind::Spokesman.build_lanes(), &[0xABCD])[0];
+    let outcome = run_lanes(&sim, &mut *ProtocolKind::Spokesman.build(), &[0xABCD])[0];
     assert!(outcome.completed());
 }
 
