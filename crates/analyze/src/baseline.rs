@@ -8,8 +8,8 @@
 //! ever moves down.
 
 use crate::diagnostics::Diagnostic;
-use crate::json::{self, JsonValue};
-use std::collections::BTreeMap;
+use serde::{Deserialize, Serialize};
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// Per-(rule, file) violation counts, deterministically ordered.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -125,61 +125,60 @@ impl Baseline {
 
     /// Serializes to the committed JSON format (byte-deterministic).
     pub fn to_json(&self) -> String {
-        let entries: Vec<JsonValue> = self
-            .entries
-            .iter()
-            .map(|((rule, file), count)| {
-                JsonValue::Object(vec![
-                    ("rule".to_string(), JsonValue::String(rule.clone())),
-                    ("file".to_string(), JsonValue::String(file.clone())),
-                    ("count".to_string(), JsonValue::Number(*count as f64)),
-                ])
-            })
-            .collect();
-        JsonValue::Object(vec![
-            ("version".to_string(), JsonValue::Number(1.0)),
-            ("entries".to_string(), JsonValue::Array(entries)),
-        ])
-        .pretty()
+        let file = BaselineFile {
+            version: 1,
+            entries: self
+                .entries
+                .iter()
+                .map(|((rule, file), &count)| Record {
+                    rule: rule.clone(),
+                    file: file.clone(),
+                    count,
+                })
+                .collect(),
+        };
+        let mut text = serde_json::to_string_pretty(&file).unwrap_or_default();
+        text.push('\n');
+        text
     }
 
     /// Parses the committed JSON format.
     pub fn parse(text: &str) -> Result<Baseline, String> {
-        let v = json::parse(text)?;
-        match v.get("version").and_then(JsonValue::as_u64) {
-            Some(1) => {}
-            other => return Err(format!("unsupported baseline version {other:?}")),
+        let file: BaselineFile = serde_json::from_str(text).map_err(|e| e.to_string())?;
+        if file.version != 1 {
+            return Err(format!("unsupported baseline version {}", file.version));
         }
         let mut entries = BTreeMap::new();
-        for e in v
-            .get("entries")
-            .and_then(JsonValue::as_array)
-            .ok_or("baseline missing `entries` array")?
-        {
-            let rule = e
-                .get("rule")
-                .and_then(JsonValue::as_str)
-                .ok_or("entry missing `rule`")?;
-            let file = e
-                .get("file")
-                .and_then(JsonValue::as_str)
-                .ok_or("entry missing `file`")?;
-            let count = e
-                .get("count")
-                .and_then(JsonValue::as_u64)
-                .ok_or("entry missing `count`")?;
+        for Record { rule, file, count } in file.entries {
             if count == 0 {
                 return Err(format!("zero-count baseline entry for {file} [{rule}]"));
             }
-            if entries
-                .insert((rule.to_string(), file.to_string()), count)
-                .is_some()
-            {
-                return Err(format!("duplicate baseline entry for {file} [{rule}]"));
+            match entries.entry((rule, file)) {
+                Entry::Vacant(slot) => {
+                    slot.insert(count);
+                }
+                Entry::Occupied(slot) => {
+                    let (rule, file) = slot.key();
+                    return Err(format!("duplicate baseline entry for {file} [{rule}]"));
+                }
             }
         }
         Ok(Baseline { entries })
     }
+}
+
+/// The committed file: a format version and one entry per `(rule, file)`.
+#[derive(Serialize, Deserialize)]
+struct BaselineFile {
+    version: u64,
+    entries: Vec<Record>,
+}
+
+#[derive(Serialize, Deserialize)]
+struct Record {
+    rule: String,
+    file: String,
+    count: u64,
 }
 
 #[cfg(test)]

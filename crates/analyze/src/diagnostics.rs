@@ -1,9 +1,10 @@
 //! Structured diagnostics and their human / JSON renderings.
 
-use crate::json::JsonValue;
+use serde::Serialize;
 
-/// One violation: where it is, which rule fired, and why.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One violation: where it is, which rule fired, and why. Its serde form is
+/// the object `--format json` prints.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Diagnostic {
     /// Stable rule identifier (see `RULES.md`).
     pub rule: &'static str,
@@ -24,20 +25,6 @@ impl Diagnostic {
             "{}:{}:{}: [{}] {}",
             self.file, self.line, self.col, self.rule, self.message
         )
-    }
-
-    /// The JSON object rendering used by `--format json`.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("rule".to_string(), JsonValue::String(self.rule.to_string())),
-            ("file".to_string(), JsonValue::String(self.file.clone())),
-            ("line".to_string(), JsonValue::Number(f64::from(self.line))),
-            ("col".to_string(), JsonValue::Number(f64::from(self.col))),
-            (
-                "message".to_string(),
-                JsonValue::String(self.message.clone()),
-            ),
-        ])
     }
 }
 

@@ -4,7 +4,7 @@
 //! parallelism, the `derive_seed` stream discipline, allocation-free Γ/radio
 //! hot paths, panic-free library crates) were enforced by convention and
 //! after-the-fact proptests. This crate machine-checks them on every PR: a
-//! dependency-free Rust [lexer] feeds a [rule engine](rules) that
+//! Rust [lexer] of its own feeds a [rule engine](rules) that
 //! walks every workspace `.rs` file under `crates/` (plus one
 //! workspace-wide pass that keeps the `pub` surface to what non-test code
 //! calls) and emits structured diagnostics, with inline
@@ -21,7 +21,6 @@
 pub mod baseline;
 pub mod config;
 pub mod diagnostics;
-pub mod json;
 pub mod lexer;
 pub mod rules;
 pub mod scope;

@@ -13,9 +13,9 @@
 //! * `--bless` — regenerate the baseline from the current violations.
 //! * `--list-rules` — print the rule catalog.
 
+use serde::Serialize;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use wx_analyze::json::JsonValue;
 use wx_analyze::{analyze_workspace, Baseline, Config, Diagnostic};
 
 const DEFAULT_BASELINE: &str = "analyze-baseline.json";
@@ -221,24 +221,24 @@ fn exit_if(ok: bool) -> ExitCode {
     }
 }
 
+/// The `--format json` document.
+#[derive(Serialize)]
+struct JsonReport {
+    diagnostics: Vec<Diagnostic>,
+    ratchet_errors: Vec<String>,
+    total: usize,
+}
+
 fn print_json_report(diags: &[Diagnostic], ratchet: &[wx_analyze::RatchetError]) {
-    let obj = JsonValue::Object(vec![
-        (
-            "diagnostics".to_string(),
-            JsonValue::Array(diags.iter().map(Diagnostic::to_json).collect()),
-        ),
-        (
-            "ratchet_errors".to_string(),
-            JsonValue::Array(
-                ratchet
-                    .iter()
-                    .map(|e| JsonValue::String(e.render()))
-                    .collect(),
-            ),
-        ),
-        ("total".to_string(), JsonValue::Number(diags.len() as f64)),
-    ]);
-    print!("{}", obj.pretty());
+    let report = JsonReport {
+        diagnostics: diags.to_vec(),
+        ratchet_errors: ratchet.iter().map(|e| e.render()).collect(),
+        total: diags.len(),
+    };
+    match serde_json::to_string_pretty(&report) {
+        Ok(text) => println!("{text}"),
+        Err(e) => eprintln!("wx-analyze: {e}"),
+    }
 }
 
 fn print_rule_catalog() {

@@ -137,8 +137,8 @@ impl RuleCtx<'_> {
 ///
 /// Flags an identifier containing `seed` adjacent to an arithmetic operator
 /// (`seed + i`, `seed * 131`, `base - seed`, `seed ^= x`, and the
-/// `wrapping_*` method forms). PR 4's sampler bug — `1000 + fi*131 + t`
-/// collapsing seed streams — is the motivating instance.
+/// `wrapping_*` method forms). A sampler that derived trial seeds as
+/// `1000 + fi*131 + t`, collapsing seed streams, is the motivating instance.
 fn seed_discipline(ctx: &RuleCtx<'_>, diags: &mut Vec<Diagnostic>) {
     const OPS: &[&str] = &[
         "+", "-", "*", "/", "%", "^", "+=", "-=", "*=", "/=", "%=", "^=",
@@ -210,8 +210,8 @@ fn seed_discipline(ctx: &RuleCtx<'_>, diags: &mut Vec<Diagnostic>) {
                 i,
                 format!(
                     "arithmetic on seed value {how}: derive child seeds with \
-                     `derive_seed(parent, stream)` instead (ad-hoc offsets collide, \
-                     cf. the PR 4 sampler bug)"
+                     `derive_seed(parent, stream)` instead (ad-hoc offsets collide \
+                     across streams)"
                 ),
             );
         }
@@ -508,7 +508,8 @@ impl<'a> LexedFile<'a> {
 }
 
 /// **test-only-pub** — a `pub fn|struct|enum|trait|type|const|static` in
-/// `crates/*/src` whose name no non-test code names.
+/// `crates/*/src`, or a `fn` declared in a `pub trait` there, whose name no
+/// non-test code names.
 ///
 /// Unlike the per-file rules this is one pass over the whole workspace:
 /// `files` holds `(workspace-relative path, source)` pairs. Names are
@@ -516,13 +517,17 @@ impl<'a> LexedFile<'a> {
 /// `#[test]` span, a `tests.rs` file or a file that opens with
 /// `#![cfg(test)]` is test code), `examples/` and
 /// `wxbench/src`; every other path (integration tests, shims) is ignored.
-/// An item's own span and `impl` headers are not uses, and comments (doc
-/// links included) are not tokens, so they are not uses either. A `pub use`
-/// re-export is a use. For a `pub fn`, three same-named shapes are not
-/// uses either: a field access (`.name` not followed by `(` or `::<`), a
-/// field or struct-literal key (`name:`), and a binding after `let`, `mut`
-/// or `for`. The match is otherwise by name, so it undercounts on name
-/// collisions. Not suppressible inline: its sites are baselined.
+/// An item's own span, `impl` headers and `fn name` definitions (a trait's
+/// declaration, any impl of it, an unrelated function) are not uses, and
+/// comments (doc links included) are not tokens, so they are not uses
+/// either. A `pub use` re-export is a use. For a `fn`, more same-named
+/// shapes are not uses either: a field access (`.name` not followed by `(`
+/// or `::<`), a field or struct-literal key (`name:`), a module (`mod name`)
+/// or path segment (`name::` without a turbofish), and a local — a name a
+/// pattern binds (`let`, `for`, a `match` arm, a closure or `fn` parameter)
+/// or a read of it in that binding's scope. The match is otherwise by name,
+/// so it undercounts on name collisions.
+/// Not suppressible inline: its sites are baselined.
 pub fn test_only_pub(files: &[(String, String)]) -> Vec<Diagnostic> {
     let lexed: Vec<LexedFile<'_>> = files
         .iter()
@@ -563,7 +568,7 @@ pub fn test_only_pub(files: &[(String, String)]) -> Vec<Diagnostic> {
     let mut uses: BTreeMap<&str, Vec<(usize, usize, bool)>> = BTreeMap::new();
     for (fi, f) in lexed.iter().enumerate() {
         let mut header_until = None;
-        for i in 0..f.code.len() {
+        for (i, is_local) in locals(f).into_iter().enumerate() {
             if !f.is_ident(i) {
                 continue;
             }
@@ -574,13 +579,14 @@ pub fn test_only_pub(files: &[(String, String)]) -> Vec<Diagnostic> {
             if header_until.is_some_and(|end| i < end)
                 || !def_names.contains(text)
                 || def_toks.contains(&(fi, i))
+                || i > 0 && f.text(i - 1) == "fn"
                 || f.in_test(i)
             {
                 continue;
             }
             uses.entry(text)
                 .or_default()
-                .push((fi, i, not_a_fn_use(f, i)));
+                .push((fi, i, is_local || not_a_fn_use(f, i)));
         }
     }
 
@@ -615,14 +621,18 @@ pub fn test_only_pub(files: &[(String, String)]) -> Vec<Diagnostic> {
 
 /// `true` when the identifier at code index `i` is a field access
 /// (`.name` not followed by `(` or `::<`), a field or struct-literal key
-/// (`name:`) or a binding (`let name`, `mut name`, `for name`): shapes that
-/// cannot name a function.
+/// (`name:`), a module (`mod name`) or a path segment before `::` other
+/// than a turbofish: shapes that cannot name a function.
 fn not_a_fn_use(f: &LexedFile<'_>, i: usize) -> bool {
     let at = |j: usize| (j < f.code.len()).then(|| f.text(j));
     let prev = i.checked_sub(1).and_then(at);
     let next = at(i + 1);
-    let called = next == Some("(") || next == Some("::") && at(i + 2) == Some("<");
-    prev == Some(".") && !called || next == Some(":") || matches!(prev, Some("let" | "mut" | "for"))
+    let turbofish = next == Some("::") && at(i + 2) == Some("<");
+    let called = next == Some("(") || turbofish;
+    prev == Some(".") && !called
+        || next == Some(":")
+        || prev == Some("mod")
+        || next == Some("::") && !turbofish
 }
 
 /// `true` when the `impl` at code index `i` starts an item, not an
@@ -631,7 +641,8 @@ fn is_item_impl(f: &LexedFile<'_>, i: usize) -> bool {
     i == 0 || matches!(f.text(i - 1), "}" | ";" | "]" | "{" | "unsafe")
 }
 
-/// Collects the non-test `pub` item definitions of one library file.
+/// Collects the non-test `pub` item definitions of one library file, and
+/// the `fn`s declared in each `pub trait`.
 fn pub_defs<'a>(fi: usize, f: &LexedFile<'a>, defs: &mut Vec<PubDef<'a>>) {
     const KEYWORDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const", "static"];
     let n = f.code.len();
@@ -658,28 +669,8 @@ fn pub_defs<'a>(fi: usize, f: &LexedFile<'a>, defs: &mut Vec<PubDef<'a>>) {
         if name_tok >= n || !f.is_ident(name_tok) {
             continue;
         }
-        // The item ends at its `;` or, for braced kinds, at the `}` that
-        // closes its first top-level brace.
         let braced = matches!(keyword, "fn" | "struct" | "enum" | "trait");
-        let mut depth = 0i32;
-        let mut end = n - 1;
-        for j in name_tok + 1..n {
-            match f.text(j) {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => {
-                    depth -= 1;
-                    if depth == 0 && braced && f.text(j) == "}" {
-                        end = j;
-                        break;
-                    }
-                }
-                ";" if depth == 0 => {
-                    end = j;
-                    break;
-                }
-                _ => {}
-            }
-        }
+        let end = item_end(f, name_tok + 1, braced);
         defs.push(PubDef {
             file: fi,
             name_tok,
@@ -687,7 +678,246 @@ fn pub_defs<'a>(fi: usize, f: &LexedFile<'a>, defs: &mut Vec<PubDef<'a>>) {
             keyword,
             name: f.text(name_tok).trim_start_matches("r#"),
         });
+        if keyword == "trait" {
+            let mut depth = 0i32;
+            for j in name_tok + 1..end {
+                match f.text(j) {
+                    "(" | "[" | "{" => depth += 1,
+                    ")" | "]" | "}" => depth -= 1,
+                    "fn" if depth == 1 && f.is_ident(j + 1) && !f.in_test(j) => {
+                        defs.push(PubDef {
+                            file: fi,
+                            name_tok: j + 1,
+                            span: (j, item_end(f, j + 2, true)),
+                            keyword: "fn",
+                            name: f.text(j + 1).trim_start_matches("r#"),
+                        });
+                    }
+                    _ => {}
+                }
+            }
+        }
     }
+}
+
+/// The code index where an item whose body starts at or after `from` ends:
+/// its `;` or, for braced kinds, the `}` that closes its first top-level
+/// brace.
+fn item_end(f: &LexedFile<'_>, from: usize, braced: bool) -> usize {
+    let mut depth = 0i32;
+    for j in from..f.code.len() {
+        match f.text(j) {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => {
+                depth -= 1;
+                if depth == 0 && braced && f.text(j) == "}" {
+                    return j;
+                }
+            }
+            ";" if depth == 0 => return j,
+            _ => {}
+        }
+    }
+    f.code.len() - 1
+}
+
+/// Per code index, `true` for an identifier that is a local: a name bound
+/// by a pattern, or a bare read of that name (not `.name`, `name::`,
+/// `::name` or `name!`) inside the binding's scope. The patterns are those
+/// of `let` (scope: the rest of the enclosing block), `if let`/`while let`
+/// (the block they guard), `for` (the loop body), `match` arms (the arm),
+/// closure parameters (the closure body) and `fn` parameters (the body).
+fn locals(f: &LexedFile<'_>) -> Vec<bool> {
+    let n = f.code.len();
+    let text = |j: usize| if j < n { f.text(j) } else { "" };
+    // `close[j]`/`opener[j]`: the closer/opener matching the bracket at
+    // `j`; `open[j]`: the innermost opener enclosing `j`.
+    let mut close = vec![n; n];
+    let mut opener = vec![n; n];
+    let mut open = vec![None; n];
+    let mut stack = Vec::new();
+    for j in 0..n {
+        open[j] = stack.last().copied();
+        match text(j) {
+            "(" | "[" | "{" => stack.push(j),
+            ")" | "]" | "}" => {
+                if let Some(o) = stack.pop() {
+                    close[o] = j;
+                    opener[j] = o;
+                }
+            }
+            _ => {}
+        }
+    }
+    // The first index from `from` on, outside nested groups, whose token is
+    // in `stops`, or the unmatched closer (or `n`) that ends the search.
+    let find = |from: usize, stops: &[&str]| {
+        let mut j = from;
+        while j < n && !stops.contains(&text(j)) {
+            match text(j) {
+                "(" | "[" | "{" => j = close[j],
+                ")" | "]" | "}" => return j,
+                _ => {}
+            }
+            j += 1;
+        }
+        j
+    };
+    let block_end = |from: usize| {
+        let b = find(from, &["{", ";"]);
+        (text(b) == "{").then(|| close[b].min(n - 1))
+    };
+
+    let mut scopes: Vec<(&str, usize, usize)> = Vec::new();
+    let mut bind = |from: usize, to: usize, scope: (usize, usize)| {
+        for j in from..to {
+            let t = text(j);
+            let binds = f.is_ident(j)
+                && t.starts_with(|c: char| c.is_ascii_lowercase() || c == '_')
+                && !matches!(t, "mut" | "ref" | "box" | "self" | "true" | "false" | "_")
+                && !matches!(text(j.wrapping_sub(1)), "::" | "." | "$")
+                && !matches!(text(j + 1), "::" | "(" | "{" | "!")
+                && (text(j + 1) != ":" || j + 1 == to);
+            if binds {
+                scopes.push((t, scope.0, scope.1));
+            }
+        }
+    };
+    for i in 0..n {
+        match text(i) {
+            "let" => {
+                let pat_end = find(i + 1, &["=", ":", ";"]);
+                let scope_end = if matches!(text(i.wrapping_sub(1)), "if" | "while" | "&&") {
+                    block_end(pat_end)
+                } else {
+                    Some(open[i].map_or(n - 1, |o| close[o].min(n - 1)))
+                };
+                if let Some(end) = scope_end {
+                    bind(i + 1, pat_end, (i, end));
+                }
+            }
+            "for" => {
+                let in_tok = find(i + 1, &["in", "{", ";"]);
+                if text(in_tok) == "in" {
+                    if let Some(end) = block_end(in_tok) {
+                        bind(i + 1, in_tok, (i, end));
+                    }
+                }
+            }
+            "=>" => {
+                // Walk back over the pattern to the arm's start: the `,`
+                // or opener before it, or the `}` of a previous block arm.
+                let mut start = i;
+                while start > 0 {
+                    start -= 1;
+                    match text(start) {
+                        "," | "(" | "[" | "{" => break,
+                        ")" | "]" | "}" if text(opener[start].wrapping_sub(1)) == "=>" => break,
+                        ")" | "]" | "}" => start = opener[start],
+                        "=>" | ";" => {
+                            start = i;
+                            break;
+                        }
+                        _ => {}
+                    }
+                }
+                let end = if text(i + 1) == "{" {
+                    close[i + 1]
+                } else {
+                    find(i + 1, &[","])
+                };
+                let guard = find(start + 1, &["if", "=>"]);
+                bind(start + 1, guard, (start + 1, end.min(n - 1)));
+            }
+            "|" if matches!(
+                text(i.wrapping_sub(1)),
+                "(" | "," | "=" | "move" | "{" | ";" | "=>" | "return" | "["
+            ) =>
+            {
+                let bar = find(i + 1, &["|"]);
+                if text(bar) != "|" {
+                    continue;
+                }
+                let end = match text(bar + 1) {
+                    "->" => block_end(bar + 1),
+                    "{" => Some(close[bar + 1]),
+                    _ => Some(find(bar + 1, &[",", ";"]) - 1),
+                };
+                if let Some(end) = end {
+                    params(f, i + 1, bar, &mut |from, to| bind(from, to, (i, end)));
+                }
+            }
+            "fn" if f.is_ident(i + 1) => {
+                let Some(paren) = fn_params(f, i + 2) else {
+                    continue;
+                };
+                if let Some(end) = block_end(close[paren] + 1) {
+                    params(f, paren + 1, close[paren], &mut |from, to| {
+                        bind(from, to, (paren, end))
+                    });
+                }
+            }
+            _ => {}
+        }
+    }
+
+    let mut by_name: BTreeMap<&str, Vec<(usize, usize)>> = BTreeMap::new();
+    for (name, from, to) in scopes {
+        by_name.entry(name).or_default().push((from, to));
+    }
+    (0..n)
+        .map(|j| {
+            f.is_ident(j)
+                && !matches!(text(j.wrapping_sub(1)), "." | "::")
+                && !matches!(text(j + 1), "::" | "!")
+                && by_name
+                    .get(text(j))
+                    .is_some_and(|s| s.iter().any(|&(from, to)| from <= j && j <= to))
+        })
+        .collect()
+}
+
+/// Calls `each(from, to)` with the pattern range of every `pattern: Type`
+/// parameter between code indices `from` and `to`.
+fn params(f: &LexedFile<'_>, from: usize, to: usize, each: &mut dyn FnMut(usize, usize)) {
+    // brackets, and angle brackets once inside a type
+    let mut depth = 0i32;
+    let mut piece = from;
+    let mut colon = None;
+    for j in from..=to {
+        let t = if j < to { f.text(j) } else { "," };
+        match t {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => depth -= 1,
+            "<" if colon.is_some() => depth += 1,
+            ">" if colon.is_some() => depth -= 1,
+            ">>" if colon.is_some() => depth -= 2,
+            ":" if depth == 0 && colon.is_none() => colon = Some(j),
+            "," if depth == 0 => {
+                each(piece, colon.unwrap_or(j));
+                piece = j + 1;
+                colon = None;
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The `(` that opens the parameter list of a `fn` whose generics, if any,
+/// start at code index `from`.
+fn fn_params(f: &LexedFile<'_>, from: usize) -> Option<usize> {
+    let mut angle = 0i32;
+    for j in from..f.code.len() {
+        match f.text(j) {
+            "<" => angle += 1,
+            ">" => angle -= 1,
+            ">>" => angle -= 2,
+            "(" if angle == 0 => return Some(j),
+            _ if angle == 0 => return None,
+            _ => {}
+        }
+    }
+    None
 }
 
 // ---------------------------------------------------------------------------

@@ -169,11 +169,11 @@ fn json_format_is_parseable_and_carries_locations() {
     ws.write("crates/demo/src/lib.rs", SEEDY);
     let (code, stdout, _) = ws.run(&["--format", "json"]);
     assert_eq!(code, 1);
-    let parsed = wx_analyze::json::parse(&stdout).expect("valid JSON");
-    let diags = parsed
-        .get("diagnostics")
-        .and_then(|d| d.as_array())
-        .expect("diagnostics array");
+    let parsed: serde_json::Value = serde_json::from_str(&stdout).expect("valid JSON");
+    let diags = match parsed.get("diagnostics") {
+        Some(serde_json::Value::Seq(diags)) => diags,
+        other => panic!("diagnostics array expected, got {other:?}"),
+    };
     assert_eq!(diags.len(), 1);
     let d = &diags[0];
     assert_eq!(
@@ -186,6 +186,29 @@ fn json_format_is_parseable_and_carries_locations() {
     );
     assert_eq!(d.get("line").and_then(|v| v.as_u64()), Some(2));
     assert_eq!(d.get("col").and_then(|v| v.as_u64()), Some(5));
+}
+
+#[test]
+fn json_format_bytes_are_pinned() {
+    let ws = TempWs::new("jsonbytes");
+    ws.write("crates/demo/src/lib.rs", SEEDY);
+    let (code, stdout, _) = ws.run(&["--format", "json"]);
+    assert_eq!(code, 1);
+    let expected = r#"{
+  "diagnostics": [
+    {
+      "rule": "seed-discipline",
+      "file": "crates/demo/src/lib.rs",
+      "line": 2,
+      "col": 5,
+      "message": "arithmetic on seed value `seed +`: derive child seeds with `derive_seed(parent, stream)` instead (ad-hoc offsets collide across streams)"
+    }
+  ],
+  "ratchet_errors": [],
+  "total": 1
+}
+"#;
+    assert_eq!(stdout, expected);
 }
 
 #[test]
@@ -272,6 +295,14 @@ fn baseline_json_round_trips() {
     let base = Baseline::from_diagnostics(&diags_for(SEEDY_AND_PANICKY));
     let parsed = Baseline::parse(&base.to_json()).expect("round-trip");
     assert!(parsed.compare(&diags_for(SEEDY_AND_PANICKY)).is_empty());
+}
+
+#[test]
+fn committed_baseline_round_trips_byte_for_byte() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../analyze-baseline.json");
+    let text = fs::read_to_string(path).expect("read the committed baseline");
+    let parsed = Baseline::parse(&text).expect("the committed baseline parses");
+    assert_eq!(parsed.to_json(), text);
 }
 
 #[test]

@@ -236,3 +236,143 @@ pub fn bindings(flags: &[bool]) {
         .collect();
     assert_eq!(flagged, ["crates/demo/src/lib.rs:3:12 test-only-pub"]);
 }
+
+/// A `fn` declared in a `pub trait` is an item: neither its declaration nor
+/// an impl of it is a use, so a trait method that only tests call is flagged
+/// and one that non-test code calls is not.
+#[test]
+fn test_only_pub_covers_pub_trait_methods() {
+    let lib = "\
+pub trait Solver {
+    fn kind(&self) -> u32;
+    fn solve(&self) -> u32;
+    fn solve_twice(&self) -> u32 {
+        2 * self.solve()
+    }
+}
+pub struct Greedy;
+impl Solver for Greedy {
+    fn kind(&self) -> u32 {
+        1
+    }
+    fn solve(&self) -> u32 {
+        2
+    }
+}
+pub fn run(solver: &dyn Solver) -> u32 {
+    solver.solve()
+}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    #[test]
+    fn t() {
+        assert_eq!(Greedy.kind() + Greedy.solve_twice(), 5);
+    }
+}
+";
+    let files: Vec<(String, String)> = [
+        ("crates/demo/src/lib.rs", lib),
+        (
+            "examples/src/bin/demo.rs",
+            "fn main() {\n    demo::run(&demo::Greedy);\n}\n",
+        ),
+    ]
+    .iter()
+    .map(|(p, s)| (p.to_string(), s.to_string()))
+    .collect();
+    let flagged: Vec<String> = wx_analyze::rules::test_only_pub(&files)
+        .iter()
+        .map(|d| format!("{}:{}:{} {}", d.file, d.line, d.col, d.rule))
+        .collect();
+    assert_eq!(
+        flagged,
+        [
+            "crates/demo/src/lib.rs:2:8 test-only-pub",
+            "crates/demo/src/lib.rs:4:8 test-only-pub",
+        ]
+    );
+}
+
+/// A local that a pattern binds keeps no same-named `pub fn` alive, in the
+/// binding's scope: `let`, `for`, `if let`, `let … else`, `match` arms,
+/// closure and `fn` parameters. Past the scope, a bare call counts again.
+#[test]
+fn test_only_pub_ignores_reads_of_bound_locals() {
+    let lib = "\
+pub struct Job {
+    id: u64,
+}
+impl Job {
+    pub fn key(&self) -> u64 {
+        self.id
+    }
+}
+pub fn first() -> u64 {
+    1
+}
+pub fn second() -> u64 {
+    2
+}
+pub fn third() -> u64 {
+    3
+}
+pub fn fourth() -> u64 {
+    4
+}
+pub fn fifth() -> u64 {
+    5
+}
+pub fn width() -> u64 {
+    6
+}
+pub fn serve(jobs: &[Job], fifth: u64) -> u64 {
+    let mut total = fifth;
+    for job in jobs {
+        let key = job.id;
+        total += key;
+    }
+    if let Some(first) = jobs.get(0).map(|j| j.id) {
+        total += first;
+    }
+    match jobs.len() {
+        0 => {}
+        second => total += second as u64,
+    }
+    let Some(third) = jobs.last().map(|j| j.id) else {
+        return total;
+    };
+    total += jobs.iter().map(|fourth| fourth.id).sum::<u64>();
+    {
+        let width = 3;
+        total += width + third;
+    }
+    total + width()
+}
+";
+    let files: Vec<(String, String)> = [
+        ("crates/demo/src/lib.rs", lib),
+        (
+            "examples/src/bin/demo.rs",
+            "fn main() {\n    demo::serve(&[], 0);\n}\n",
+        ),
+    ]
+    .iter()
+    .map(|(p, s)| (p.to_string(), s.to_string()))
+    .collect();
+    let flagged: Vec<String> = wx_analyze::rules::test_only_pub(&files)
+        .iter()
+        .map(|d| format!("{}:{}:{} {}", d.file, d.line, d.col, d.rule))
+        .collect();
+    assert_eq!(
+        flagged,
+        [
+            "crates/demo/src/lib.rs:5:12 test-only-pub",
+            "crates/demo/src/lib.rs:9:8 test-only-pub",
+            "crates/demo/src/lib.rs:12:8 test-only-pub",
+            "crates/demo/src/lib.rs:15:8 test-only-pub",
+            "crates/demo/src/lib.rs:18:8 test-only-pub",
+            "crates/demo/src/lib.rs:21:8 test-only-pub",
+        ]
+    );
+}

@@ -174,6 +174,7 @@ impl BroadcastChain {
 mod tests {
     use super::*;
     use rand::Rng;
+    use wx_graph::GraphView;
 
     #[test]
     fn chain_shape() {

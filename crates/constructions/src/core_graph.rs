@@ -124,7 +124,8 @@ impl CoreGraph {
     }
 
     /// The block (level, range) of a heap-indexed tree node.
-    pub fn block(&self, node: usize) -> TreeBlock {
+    #[cfg(test)]
+    fn block(&self, node: usize) -> TreeBlock {
         self.blocks[node]
     }
 

@@ -33,6 +33,7 @@ pub fn complete_plus_graph(k: usize) -> Result<(Graph, Vertex)> {
 mod tests {
     use super::*;
     use wx_graph::neighborhood::{s_excluding_unique_neighborhood, unique_neighborhood};
+    use wx_graph::GraphView;
 
     #[test]
     fn shape() {

@@ -50,6 +50,7 @@ pub fn torus_graph(rows: usize, cols: usize) -> Result<Graph> {
 mod tests {
     use super::*;
     use wx_graph::arboricity::arboricity_bounds;
+    use wx_graph::GraphView;
 
     #[test]
     fn grid_shape() {

@@ -31,6 +31,7 @@ pub fn hypercube_graph(d: usize) -> Result<Graph> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wx_graph::GraphView;
 
     #[test]
     fn sizes_and_regularity() {

@@ -51,6 +51,7 @@ pub fn margulis_graph(m: usize) -> Result<Graph> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wx_graph::GraphView;
 
     #[test]
     fn sizes_and_degree_bound() {

@@ -12,7 +12,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::HashSet;
 use wx_graph::random::rng_from_seed;
-use wx_graph::{Graph, GraphBuilder, GraphError, Result};
+use wx_graph::{Graph, GraphBuilder, GraphError, GraphView, Result};
 
 /// Generates a random simple `d`-regular graph on `n` vertices.
 ///

@@ -54,6 +54,7 @@ mod tests {
     use super::*;
     use wx_graph::arboricity::exact_arboricity_small;
     use wx_graph::traversal::is_connected;
+    use wx_graph::GraphView;
 
     #[test]
     fn complete_binary_tree_shape() {

@@ -142,6 +142,7 @@ impl WorstCaseExpander {
 mod tests {
     use super::*;
     use crate::families::random_regular::random_regular_graph;
+    use wx_graph::GraphView;
 
     /// Base: random 32-regular graph on 512 vertices with a conservative
     /// certified expansion β = 0.5 for α = 1/2; ε = 0.35 keeps the Lemma 4.6

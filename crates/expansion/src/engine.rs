@@ -15,10 +15,10 @@
 //! candidate-set pool, decides between exhaustive enumeration and sampling
 //! by one threshold, `exact_up_to`, fans the per-set evaluations out over
 //! threads with [`wx_trace::par_map`], and returns a unified
-//! [`Measurement`]. The per-notion modules keep only *per-set* primitives
-//! (`ordinary::of_set`, `unique::of_set`, `wireless::of_set_exact`,
-//! `wireless::of_set_lower_bound`) for callers that need set-level
-//! quantities (e.g. the Observation 2.1 per-set sandwich).
+//! [`Measurement`]. Callers that need set-level quantities (e.g. the
+//! Observation 2.1 per-set sandwich) use the per-set primitives:
+//! `wx_graph::neighborhood::{expansion_of_set, unique_expansion_of_set}`
+//! for β and βu, `wireless::{of_set_exact, of_set_lower_bound}` for βw.
 //!
 //! # Exact or sampled
 //!
@@ -253,7 +253,7 @@ impl<G: GraphView + ?Sized> ExpansionMeasure<G> for Ordinary {
         _seed: u64,
         scratch: &mut NeighborhoodScratch,
     ) -> SetEvaluation {
-        SetEvaluation::plain(crate::ordinary::of_set_with(g, s, scratch))
+        SetEvaluation::plain(scratch.external_expansion(g, s))
     }
 }
 
@@ -273,7 +273,7 @@ impl<G: GraphView + ?Sized> ExpansionMeasure<G> for UniqueNeighbor {
         _seed: u64,
         scratch: &mut NeighborhoodScratch,
     ) -> SetEvaluation {
-        SetEvaluation::plain(crate::unique::of_set_with(g, s, scratch))
+        SetEvaluation::plain(scratch.unique_expansion(g, s))
     }
 }
 
@@ -789,7 +789,10 @@ pub(crate) mod tests {
         assert_eq!(values.len(), pool.len());
         // spot-check against the per-set primitive
         for (j, s) in pool.sets.iter().enumerate().take(10) {
-            assert_eq!(values[pool.flat_index(j)], crate::ordinary::of_set(&g, s));
+            assert_eq!(
+                values[pool.flat_index(j)],
+                wx_graph::neighborhood::expansion_of_set(&g, s)
+            );
         }
         assert!((0..20).all(|v| values[pool.singleton_index(v)] == 2.0));
     }

@@ -6,9 +6,9 @@
 //! size bound `α`:
 //!
 //! * **ordinary** expansion `β(G)` — the minimum of `|Γ⁻(S)|/|S|` over all
-//!   non-empty `S` with `|S| ≤ α·n` ([`ordinary`]);
+//!   non-empty `S` with `|S| ≤ α·n` ([`engine::Ordinary`]);
 //! * **unique-neighbor** expansion `βu(G)` — the minimum of `|Γ¹(S)|/|S|`
-//!   ([`unique`]);
+//!   ([`engine::UniqueNeighbor`]);
 //! * **wireless** expansion `βw(G)` — the minimum over `S` of the *maximum*
 //!   over `S' ⊆ S` of `|Γ¹_S(S')|/|S|` ([`wireless`]).
 //!
@@ -19,9 +19,11 @@
 //! exhaustive enumeration or the shared [`sampling`] candidate pool,
 //! evaluates candidates on [`wx_trace::par_map`] threads, and returns a
 //! unified [`engine::Measurement`] with value, witness, exactness flag and —
-//! for the wireless measure — the certifying transmitter subset. The
-//! per-notion modules keep only per-set primitives; see the [`engine`] module
-//! docs for the full contract and the exact-or-sampled rule.
+//! for the wireless measure — the certifying transmitter subset. Per set, β
+//! and βu are [`wx_graph::neighborhood::expansion_of_set`] and
+//! [`wx_graph::neighborhood::unique_expansion_of_set`], and βw is
+//! [`wireless::of_set_exact`]; see the [`engine`] module docs for the full
+//! contract and the exact-or-sampled rule.
 //!
 //! One engine is configured once: `α`, the exact-enumeration threshold, the
 //! [`SamplerConfig`] and the seed all live on [`MeasurementEngine`].
@@ -35,11 +37,9 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod ordinary;
 pub mod relations;
 pub mod sampling;
 pub mod spectral;
-pub mod unique;
 pub mod wireless;
 
 pub use engine::{
@@ -52,5 +52,17 @@ pub use sampling::{CandidateSets, SamplerConfig};
 /// spectral and Theorem 1.1 references.
 #[cfg(test)]
 mod profile {
+    mod tests;
+}
+
+/// The engine's [`Ordinary`] measure on small graphs.
+#[cfg(test)]
+mod ordinary {
+    mod tests;
+}
+
+/// The engine's [`UniqueNeighbor`] measure, and βu ≤ β per set.
+#[cfg(test)]
+mod unique {
     mod tests;
 }

@@ -7,6 +7,7 @@
 //! Lemma 3.2, Theorem 1.1).
 
 use serde::{Deserialize, Serialize};
+use wx_graph::neighborhood::{expansion_of_set, unique_expansion_of_set};
 use wx_graph::{Graph, VertexSet};
 
 /// The outcome of checking one inequality: `lhs ≥ rhs` (within `tolerance`).
@@ -39,9 +40,9 @@ impl RelationCheck {
 /// Observation 2.1 for a single set: `β(S) ≥ βw(S) ≥ βu(S)`.
 /// Returns the two chained checks.
 pub fn observation_2_1_for_set(g: &Graph, s: &VertexSet) -> Vec<RelationCheck> {
-    let beta = crate::ordinary::of_set(g, s);
+    let beta = expansion_of_set(g, s);
     let (beta_w, _) = crate::wireless::of_set_exact(g, s);
-    let beta_u = crate::unique::of_set(g, s);
+    let beta_u = unique_expansion_of_set(g, s);
     vec![
         RelationCheck::new("observation-2.1: β ≥ βw", beta, beta_w, 1e-9),
         RelationCheck::new("observation-2.1: βw ≥ βu", beta_w, beta_u, 1e-9),
@@ -50,8 +51,8 @@ pub fn observation_2_1_for_set(g: &Graph, s: &VertexSet) -> Vec<RelationCheck> {
 
 /// Lemma 3.2 for a single set: `βu(S) ≥ 2·β(S) − Δ`.
 pub fn lemma_3_2_for_set(g: &Graph, s: &VertexSet) -> RelationCheck {
-    let beta = crate::ordinary::of_set(g, s);
-    let beta_u = crate::unique::of_set(g, s);
+    let beta = expansion_of_set(g, s);
+    let beta_u = unique_expansion_of_set(g, s);
     let delta = g.max_degree() as f64;
     RelationCheck::new("lemma-3.2: βu ≥ 2β − Δ", beta_u, 2.0 * beta - delta, 1e-9)
 }
@@ -63,7 +64,7 @@ pub fn lemma_3_2_for_set(g: &Graph, s: &VertexSet) -> RelationCheck {
 /// default here is the paper-shaped constant 1 with the caller able to relax
 /// via `constant`.
 pub fn theorem_1_1_for_set(g: &Graph, s: &VertexSet, constant: f64) -> RelationCheck {
-    let beta = crate::ordinary::of_set(g, s);
+    let beta = expansion_of_set(g, s);
     let (beta_w, _) = crate::wireless::of_set_exact(g, s);
     let delta = g.max_degree();
     let bound = constant * wx_spokesman::bounds::theorem_1_1_lower_bound(delta, beta);
@@ -84,7 +85,7 @@ pub fn theorem_1_1_for_set_via_portfolio(
     constant: f64,
     seed: u64,
 ) -> RelationCheck {
-    let beta = crate::ordinary::of_set(g, s);
+    let beta = expansion_of_set(g, s);
     let portfolio = wx_spokesman::PortfolioSolver::default();
     let (beta_w_lb, _) = crate::wireless::of_set_lower_bound(g, s, &portfolio, seed);
     let delta = g.max_degree();
@@ -128,7 +129,7 @@ pub fn lemma_3_1_graph(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wx_graph::GraphBuilder;
+    use wx_graph::{GraphBuilder, GraphView};
 
     fn complete(n: usize) -> Graph {
         let mut b = GraphBuilder::new(n);

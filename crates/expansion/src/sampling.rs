@@ -566,7 +566,7 @@ pub(crate) mod tests {
             ImplicitGraph::hypercube(7).unwrap(),
         ] {
             let (heap, scan) = heap_and_scan_pools(&g, 1.0, 11);
-            assert_eq!(heap, scan, "{}", g.family().label());
+            assert_eq!(heap, scan, "{g:?}");
         }
         // Q_14 (16 384 vertices) at α = 1/32: growths run to 512 vertices,
         // which keeps the scan oracle cheap.

@@ -22,7 +22,7 @@
 
 use rand::Rng;
 use wx_graph::random::{derive_seed, rng_from_seed};
-use wx_graph::Graph;
+use wx_graph::{Graph, GraphView};
 
 /// Step cap of one Lanczos pass.
 const MAX_STEPS: usize = 1000;

@@ -118,7 +118,7 @@ mod tests {
         let k = 6;
         let g = complete_plus(k);
         let s = g.vertex_set([0, 1, k]);
-        assert_eq!(crate::unique::of_set(&g, &s), 0.0);
+        assert_eq!(wx_graph::neighborhood::unique_expansion_of_set(&g, &s), 0.0);
         let (w, subset) = of_set_exact(&g, &s);
         // choosing S' = {x} uniquely covers the k-2 other clique vertices
         assert!((w - (k - 2) as f64 / 3.0).abs() < 1e-12);
@@ -131,8 +131,8 @@ mod tests {
         let g = complete_plus(5);
         let pool = CandidateSets::generate(&g, &SamplerConfig::default(), 0.5, 1);
         for s in pool.sets.iter().filter(|s| s.len() <= 8) {
-            let ordinary = crate::ordinary::of_set(&g, s);
-            let unique = crate::unique::of_set(&g, s);
+            let ordinary = wx_graph::neighborhood::expansion_of_set(&g, s);
+            let unique = wx_graph::neighborhood::unique_expansion_of_set(&g, s);
             let (wireless, _) = of_set_exact(&g, s);
             assert!(
                 ordinary + 1e-12 >= wireless,

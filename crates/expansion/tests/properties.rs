@@ -2,7 +2,8 @@
 //! the Observation 2.1 sandwich, estimator soundness, and spectral bounds.
 
 use proptest::prelude::*;
-use wx_graph::{Graph, VertexSet};
+use wx_graph::neighborhood::{expansion_of_set, unique_expansion_of_set};
+use wx_graph::{Graph, GraphView, VertexSet};
 
 fn edge_list(n: usize) -> impl Strategy<Value = Vec<(usize, usize)>> {
     prop::collection::vec((0..n, 0..n), 0..(n * 3).max(1)).prop_map(move |pairs| {
@@ -25,8 +26,8 @@ proptest! {
         let g = Graph::from_edges(10, edges).unwrap();
         let s = VertexSet::from_iter(10, members.iter().copied());
 
-        let beta = wx_expansion::ordinary::of_set(&g, &s);
-        let beta_u = wx_expansion::unique::of_set(&g, &s);
+        let beta = expansion_of_set(&g, &s);
+        let beta_u = unique_expansion_of_set(&g, &s);
         let (beta_w, witness) = wx_expansion::wireless::of_set_exact(&g, &s);
 
         let boundary = wx_graph::neighborhood::external_neighborhood(&g, &s).len() as f64;
@@ -65,8 +66,8 @@ proptest! {
         );
         for s in &pool.sets {
             prop_assert!(s.len() <= max_size);
-            prop_assert!(wx_expansion::ordinary::of_set(&g, s) + 1e-12 >= exact.value);
-            prop_assert!(wx_expansion::unique::of_set(&g, s) + 1e-12 >= exact_u.value);
+            prop_assert!(expansion_of_set(&g, s) + 1e-12 >= exact.value);
+            prop_assert!(unique_expansion_of_set(&g, s) + 1e-12 >= exact_u.value);
             prop_assert!(wx_expansion::wireless::of_set_exact(&g, s).0 + 1e-12 >= exact_w.value);
         }
         // and the graph-level sandwich holds

@@ -21,7 +21,7 @@
 //!   subgraphs, for graphs with at most ~20 vertices (used in tests to
 //!   validate the estimators).
 
-use crate::{Graph, VertexSet};
+use crate::{Graph, GraphView, VertexSet};
 
 /// Lower/upper bounds on the arboricity, plus the quantities they came from.
 #[derive(Clone, Copy, Debug, PartialEq)]

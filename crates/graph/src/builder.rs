@@ -66,6 +66,7 @@ impl GraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GraphView;
 
     impl GraphBuilder {
         /// Number of edge insertions so far (before deduplication).

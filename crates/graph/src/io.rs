@@ -378,6 +378,7 @@ pub fn save_graph(g: &Graph, path: impl AsRef<Path>) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GraphView;
     use std::io::Write as _;
 
     fn petersen_outer() -> Graph {

@@ -11,14 +11,13 @@
 //! These are the primitives from which ordinary, unique-neighbor and wireless
 //! expansion are all defined.
 //!
-//! Since the zero-allocation refactor, every function here is a thin
-//! compatibility wrapper over the epoch-stamped counting kernel in
-//! [`crate::scratch`], run against the calling thread's shared
-//! [`crate::scratch::NeighborhoodScratch`]. Hot loops that evaluate many sets
-//! should hold a scratch themselves (or use
-//! [`crate::scratch::with_thread_scratch`] once around the whole loop's
-//! caller) and call the kernel's `count_*` methods, which return sizes
-//! without materializing sets at all.
+//! Every function here runs the epoch-stamped counting kernel of
+//! [`crate::scratch`] once, against the calling thread's shared
+//! [`crate::scratch::NeighborhoodScratch`]: the one-set form for callers
+//! that evaluate a few sets. Hot loops that evaluate many sets hold a
+//! scratch themselves (or use [`crate::scratch::with_thread_scratch`] once
+//! around the whole loop) and call the kernel directly, whose `count_*` and
+//! `*_expansion` methods return sizes without materializing sets at all.
 
 use crate::scratch::with_thread_scratch;
 use crate::{GraphView, VertexSet};
@@ -95,6 +94,10 @@ mod tests {
         // Γ(S) includes internal neighbors 1, 2 as well as 0 and 3.
         assert_eq!(neighborhood(&g, &s).to_vec(), vec![0, 1, 2, 3]);
         assert_eq!(external_neighborhood(&g, &s).to_vec(), vec![0, 3]);
+        // an arc of three vertices on C_10 has two external neighbors
+        let c10 = Graph::from_edges(10, (0..10).map(|i| (i, (i + 1) % 10))).unwrap();
+        let arc = c10.vertex_set([0, 1, 2]);
+        assert!((expansion_of_set(&c10, &arc) - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -26,9 +26,9 @@
 //! * **materializing variants** (without the `count_` prefix) returning a
 //!   [`VertexSet`] — used only where an actual witness set is required.
 //!
-//! The free functions in [`crate::neighborhood`] are thin compatibility
-//! wrappers over this kernel via the per-thread scratch of
-//! [`with_thread_scratch`].
+//! The free functions in [`crate::neighborhood`] run this kernel once on
+//! the per-thread scratch of [`with_thread_scratch`]: the one-set form of
+//! the same code, not a second implementation.
 
 use crate::{GraphView, VertexSet};
 use std::cell::RefCell;
@@ -70,7 +70,8 @@ impl NeighborhoodScratch {
     }
 
     /// The current capacity (largest universe served without reallocation).
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
         self.mark.len()
     }
 

@@ -82,8 +82,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// This is the abstraction every algorithm in the workspace consumes: the
 /// neighborhood kernels ([`crate::scratch`]), the `wx-expansion` measurement
-/// engine, the `wx-radio` simulator and the `wx-spokesman` in-graph solver
-/// entry points are all generic over `G: GraphView`. Implementations must be
+/// engine, the `wx-radio` simulator and the bipartite view the spokesman
+/// solvers run on ([`crate::BipartiteGraph::from_set_in_graph`]) are all
+/// generic over `G: GraphView`. Implementations must be
 /// consistent: `degree(v)` equals the length of `neighbors_iter(v)`,
 /// `has_edge(u, v)` is symmetric, and neighbor lists contain no self-loops or
 /// duplicates.
@@ -155,12 +156,6 @@ pub trait GraphView {
     /// Iterates over all vertices `0..n`.
     fn vertices(&self) -> std::ops::Range<Vertex> {
         0..self.num_vertices()
-    }
-
-    /// The number of neighbors of `v` inside the set `S`, i.e. `deg(v, S)`
-    /// from Section 2.1 of the paper.
-    fn degree_in(&self, v: Vertex, s: &VertexSet) -> usize {
-        self.neighbors_iter(v).filter(|&u| s.contains(u)).count()
     }
 
     /// A full vertex set over this view's universe.
@@ -235,54 +230,6 @@ impl<G: GraphView + ?Sized> GraphView for &G {
     }
 }
 
-impl GraphView for Graph {
-    type Neighbors<'a> = std::iter::Copied<std::slice::Iter<'a, Vertex>>;
-
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        Graph::num_vertices(self)
-    }
-    #[inline]
-    fn degree(&self, v: Vertex) -> usize {
-        Graph::degree(self, v)
-    }
-    #[inline]
-    fn neighbors_iter(&self, v: Vertex) -> Self::Neighbors<'_> {
-        self.neighbors(v).iter().copied()
-    }
-    fn has_edge(&self, u: Vertex, v: Vertex) -> bool {
-        Graph::has_edge(self, u, v)
-    }
-    fn degree_sum(&self) -> usize {
-        2 * Graph::num_edges(self)
-    }
-    fn num_edges(&self) -> usize {
-        Graph::num_edges(self)
-    }
-    fn max_degree(&self) -> usize {
-        Graph::max_degree(self)
-    }
-    fn min_degree(&self) -> usize {
-        Graph::min_degree(self)
-    }
-    fn average_degree(&self) -> f64 {
-        Graph::average_degree(self)
-    }
-    fn is_regular(&self, d: usize) -> bool {
-        Graph::is_regular(self, d)
-    }
-    fn memory_bytes(&self) -> usize {
-        let (offsets, neighbors) = self.csr_parts();
-        CSR_HEADER_BYTES + std::mem::size_of_val(offsets) + std::mem::size_of_val(neighbors)
-    }
-}
-
-/// Bytes a CSR [`Graph`] is charged on top of its two arrays. Reports carry
-/// `graph.memory_bytes`, so this is a fixed figure rather than
-/// `size_of::<Graph>()`, which moves with the struct layout; 80 bytes was
-/// that size when the figure was first pinned.
-const CSR_HEADER_BYTES: usize = 80;
-
 /// A vertex set together with its sorted member list: the rank/select index
 /// a [`SubgraphView`] translates ids through.
 ///
@@ -355,11 +302,6 @@ impl<'g, G: GraphView + ?Sized> SubgraphView<'g, G> {
             "vertex set universe must match the base graph"
         );
         SubgraphView { base, index }
-    }
-
-    /// The base view this subgraph is induced in.
-    pub fn base(&self) -> &'g G {
-        self.base
     }
 
     /// The original id of local vertex `i`.
@@ -537,11 +479,6 @@ impl ImplicitGraph {
         ImplicitGraph::new(ImplicitFamily::Hypercube { dim })
     }
 
-    /// The family rule behind this backend.
-    pub fn family(&self) -> ImplicitFamily {
-        self.family
-    }
-
     fn check(&self, v: Vertex) {
         assert!(
             v < self.num_vertices(),
@@ -686,6 +623,7 @@ pub fn materialize<G: GraphView + ?Sized>(g: &G) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::CSR_HEADER_BYTES;
 
     fn cycle(n: usize) -> Graph {
         Graph::from_edges(n, (0..n).map(|i| (i, (i + 1) % n))).unwrap()

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use wx_graph::{BipartiteGraph, Graph, NeighborhoodScratch, VertexSet};
+use wx_graph::{BipartiteGraph, Graph, GraphView, NeighborhoodScratch, VertexSet};
 
 /// Universe sizes for the `VertexSet` models: one word, a word boundary on
 /// either side, and multi-word sets with a partial tail word.

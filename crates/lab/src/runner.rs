@@ -677,11 +677,14 @@ fn engine_for(
     seed: u64,
     n: usize,
 ) -> Result<MeasurementEngine> {
-    let engine = MeasurementEngine::builder()
-        .alpha(alpha.unwrap_or(0.5))
-        .exact_up_to(exact_up_to.unwrap_or(14))
-        .seed(seed)
-        .build();
+    let mut builder = MeasurementEngine::builder().seed(seed);
+    if let Some(alpha) = alpha {
+        builder = builder.alpha(alpha);
+    }
+    if let Some(exact_up_to) = exact_up_to {
+        builder = builder.exact_up_to(exact_up_to);
+    }
+    let engine = builder.build();
     if !engine.exact_within_budget(n) {
         return Err(LabError::invalid(format!(
             "exact enumeration over {n} vertices exceeds the budget of \

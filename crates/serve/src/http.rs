@@ -11,9 +11,12 @@
 //! | `GET /healthz`  | `200 ok`                                           |
 //! | `GET /stats`    | Cumulative service counters as JSON                |
 //!
+//! A body is read into a buffer that grows as its bytes arrive, never
+//! allocated up front from the declared `Content-Length`; a connection that
+//! closes before its body is complete ends with an I/O error and no answer.
 //! A `Content-Length` that does not parse gets `400 Bad Request`, and one
 //! over 16 MiB gets `413 Payload Too Large`, both answered from the head
-//! without allocating the body. After such an answer the server shuts down
+//! without reading the body. After such an answer the server shuts down
 //! its write side and reads and discards what the client still sends (at
 //! most 64 MiB, for at most 2 s), so a client that is still sending its
 //! body reads the whole answer instead of a connection reset.
@@ -103,8 +106,18 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Request> {
             message: b"request body exceeds 16 MiB\n",
         });
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
+    // The buffer grows as bytes arrive: a head alone pins no body memory.
+    let mut body = Vec::new();
+    reader
+        .by_ref()
+        .take(content_length as u64)
+        .read_to_end(&mut body)?;
+    if body.len() < content_length {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "request body shorter than its Content-Length",
+        ));
+    }
     Ok(Request::Parsed { method, path, body })
 }
 
@@ -244,6 +257,16 @@ fn drain(stream: &mut TcpStream) {
     }
 }
 
+/// Serves one connection. An I/O error (a client that closes before its
+/// body is complete, a reset) ends that connection only: it is reported
+/// to stderr and the server goes on.
+fn serve_connection(service: &Service, stream: &mut TcpStream) {
+    if let Err(e) = handle_connection(service, stream) {
+        // wx-allow(hygiene): a dead connection has nowhere else to report
+        eprintln!("wx serve: connection error: {e}");
+    }
+}
+
 fn handle_connection(service: &Service, stream: &mut TcpStream) -> std::io::Result<()> {
     let (method, path, body) = match read_request(stream)? {
         Request::Closed => return Ok(()),
@@ -301,26 +324,20 @@ impl HttpServer {
                 .accept()
                 .map_err(|e| LabError::Io(format!("accepting connection: {e}")))?;
             let service = self.service.clone();
-            std::thread::spawn(move || {
-                if let Err(e) = handle_connection(&service, &mut stream) {
-                    // wx-allow(hygiene): a dead connection has nowhere else to report
-                    eprintln!("wx serve: connection error: {e}");
-                }
-            });
+            std::thread::spawn(move || serve_connection(&service, &mut stream));
         }
     }
 
-    /// Handles exactly `n` connections on the calling thread, then
-    /// returns — the deterministic accept loop the integration tests
-    /// drive.
+    /// Handles exactly `n` connections on the calling thread, each as
+    /// [`HttpServer::serve_forever`] does, then returns — the deterministic
+    /// accept loop the integration tests drive.
     pub fn serve_n(&self, n: usize) -> Result<()> {
         for _ in 0..n {
             let (mut stream, _peer) = self
                 .listener
                 .accept()
                 .map_err(|e| LabError::Io(format!("accepting connection: {e}")))?;
-            handle_connection(&self.service, &mut stream)
-                .map_err(|e| LabError::Io(format!("handling connection: {e}")))?;
+            serve_connection(&self.service, &mut stream);
         }
         Ok(())
     }

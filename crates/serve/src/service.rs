@@ -87,14 +87,6 @@ pub struct Job {
     done: Condvar,
 }
 
-impl Job {
-    /// The canonical content address this job coalesces under.
-    #[must_use]
-    pub fn key(&self) -> u64 {
-        self.key
-    }
-}
-
 struct ServiceInner {
     cache: ArtifactCache,
     queue: Mutex<VecDeque<Arc<Job>>>,

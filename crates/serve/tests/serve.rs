@@ -476,3 +476,36 @@ fn http_413_reaches_a_client_that_is_still_sending() {
 
     handle.join().unwrap();
 }
+
+#[test]
+fn http_short_body_ends_only_its_own_connection() {
+    let service = Service::start(&ServeConfig::default());
+    let server = HttpServer::new(TcpListener::bind("127.0.0.1:0").unwrap(), service);
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.serve_n(2).unwrap());
+
+    // The head declares the 16 MiB cap, 10 bytes follow, and the client
+    // stops sending: the body is never complete, so no 200 comes back.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    write!(
+        stream,
+        "POST /run HTTP/1.1\r\nContent-Length: {}\r\n\r\n0123456789",
+        16 << 20
+    )
+    .unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut raw = String::new();
+    let _ = stream.read_to_string(&mut raw);
+    assert!(!raw.starts_with("HTTP/1.1 200"), "got: {raw}");
+    drop(stream);
+
+    // The next well-formed request is still answered.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    write!(stream, "GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).unwrap();
+    assert!(raw.starts_with("HTTP/1.1 200"), "got: {raw}");
+    assert!(raw.ends_with("ok\n"), "got: {raw}");
+
+    handle.join().unwrap();
+}

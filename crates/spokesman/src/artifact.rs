@@ -84,7 +84,6 @@ mod tests {
         let warm = back.rehydrate(&g).expect("artifact fits its own instance");
         assert_eq!(warm.solver, cold.solver);
         assert_eq!(warm.unique_coverage, cold.unique_coverage);
-        assert_eq!(warm.subset_size, cold.subset_size);
         assert_eq!(warm.subset.to_vec(), cold.subset.to_vec());
     }
 

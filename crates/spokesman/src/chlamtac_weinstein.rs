@@ -38,10 +38,6 @@ impl ChlamtacWeinsteinSolver {
 }
 
 impl SpokesmanSolver for ChlamtacWeinsteinSolver {
-    fn kind(&self) -> SolverKind {
-        SolverKind::ChlamtacWeinstein
-    }
-
     fn solve(&self, g: &BipartiteGraph, seed: u64) -> SpokesmanResult {
         let _span = wx_trace::span("spokesman.chlamtac_weinstein");
         if g.num_left() == 0 || g.num_edges() == 0 {

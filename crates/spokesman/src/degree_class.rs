@@ -36,10 +36,6 @@ const RANDOM_TRIALS_PER_CLASS: usize = 2;
 pub struct DegreeClassSolver;
 
 impl SpokesmanSolver for DegreeClassSolver {
-    fn kind(&self) -> SolverKind {
-        SolverKind::DegreeClass
-    }
-
     fn solve(&self, g: &BipartiteGraph, seed: u64) -> SpokesmanResult {
         let _span = wx_trace::span("spokesman.degree_class");
         if g.num_edges() == 0 {

@@ -57,10 +57,6 @@ impl ExactSolver {
 }
 
 impl SpokesmanSolver for ExactSolver {
-    fn kind(&self) -> SolverKind {
-        SolverKind::Exact
-    }
-
     fn solve(&self, g: &BipartiteGraph, _seed: u64) -> SpokesmanResult {
         let (_, subset) = Self::optimum(g);
         SpokesmanResult::from_subset(SolverKind::Exact, g, subset)

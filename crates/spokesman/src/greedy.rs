@@ -225,10 +225,6 @@ impl GreedyMinDegreeSolver {
 }
 
 impl SpokesmanSolver for GreedyMinDegreeSolver {
-    fn kind(&self) -> SolverKind {
-        SolverKind::GreedyMinDegree
-    }
-
     fn solve(&self, g: &BipartiteGraph, _seed: u64) -> SpokesmanResult {
         let outcome = Self::run(g);
         SpokesmanResult::from_subset(SolverKind::GreedyMinDegree, g, outcome.s_uni)

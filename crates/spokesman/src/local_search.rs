@@ -102,12 +102,6 @@ impl LocalSearchSolver {
 }
 
 impl SpokesmanSolver for LocalSearchSolver {
-    fn kind(&self) -> SolverKind {
-        // Reported under the kind of the inner solver's family would be
-        // confusing; local search is its own portfolio member.
-        SolverKind::Portfolio
-    }
-
     fn solve(&self, g: &BipartiteGraph, seed: u64) -> SpokesmanResult {
         let mut best: Option<SpokesmanResult> = None;
         for (i, inner) in self.starts.iter().enumerate() {

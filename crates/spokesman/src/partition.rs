@@ -350,10 +350,6 @@ impl PartitionSolver {
 }
 
 impl SpokesmanSolver for PartitionSolver {
-    fn kind(&self) -> SolverKind {
-        SolverKind::Partition
-    }
-
     fn solve(&self, g: &BipartiteGraph, _seed: u64) -> SpokesmanResult {
         let _span = wx_trace::span("spokesman.partition");
         let subset = match self.mode {

@@ -101,10 +101,6 @@ pub(crate) fn dyadic_sweep(
 }
 
 impl SpokesmanSolver for RandomDecaySolver {
-    fn kind(&self) -> SolverKind {
-        SolverKind::RandomDecay
-    }
-
     fn solve(&self, g: &BipartiteGraph, seed: u64) -> SpokesmanResult {
         let _span = wx_trace::span("spokesman.random_decay");
         if g.num_left() == 0 || g.num_right() == 0 || g.num_edges() == 0 {
@@ -212,6 +208,10 @@ mod tests {
 
     #[test]
     fn solver_reports_its_kind() {
-        assert_eq!(RandomDecaySolver.kind(), SolverKind::RandomDecay);
+        let g = BipartiteGraph::from_edges(2, 3, [(0, 0), (0, 1), (1, 2)]).unwrap();
+        assert_eq!(
+            RandomDecaySolver.solve(&g, 1).solver,
+            SolverKind::RandomDecay
+        );
     }
 }

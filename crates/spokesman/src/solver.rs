@@ -1,7 +1,7 @@
 //! The common solver interface, result type and the best-of portfolio.
 
 use serde::{Deserialize, Serialize};
-use wx_graph::{BipartiteGraph, GraphView, VertexSet};
+use wx_graph::{BipartiteGraph, VertexSet};
 
 /// Identifies which algorithm produced a [`SpokesmanResult`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -95,20 +95,16 @@ pub struct SpokesmanResult {
     /// `|Γ¹_S(S')|`: number of right vertices with exactly one neighbor in
     /// the subset.
     pub unique_coverage: usize,
-    /// The size of the chosen subset.
-    pub subset_size: usize,
 }
 
 impl SpokesmanResult {
     /// Builds a result from a subset, computing its unique coverage.
     pub fn from_subset(solver: SolverKind, g: &BipartiteGraph, subset: VertexSet) -> Self {
         let unique_coverage = g.unique_coverage(&subset);
-        let subset_size = subset.len();
         SpokesmanResult {
             solver,
             subset,
             unique_coverage,
-            subset_size,
         }
     }
 
@@ -145,39 +141,10 @@ impl SpokesmanResult {
 
 /// The common interface implemented by every spokesman-election algorithm.
 pub trait SpokesmanSolver {
-    /// A short human-readable name for reports.
-    fn kind(&self) -> SolverKind;
-
     /// Computes a subset `S' ⊆ S` of the left side of `g` together with its
     /// unique coverage. `seed` drives any internal randomness; deterministic
     /// solvers ignore it.
     fn solve(&self, g: &BipartiteGraph, seed: u64) -> SpokesmanResult;
-
-    /// Solves the Spokesman Election problem for a set `S` living in **any**
-    /// graph backend `G: GraphView` — CSR graphs, zero-copy
-    /// [`wx_graph::SubgraphView`]s or unmaterialized
-    /// [`wx_graph::ImplicitGraph`] families alike.
-    ///
-    /// The bipartite view `G_S = (S, Γ⁻(S))` is extracted through the
-    /// epoch-stamped neighborhood kernel and handed to
-    /// [`SpokesmanSolver::solve`]; the returned subset is translated back to
-    /// the original vertex ids of `g` (its `unique_coverage` refers to
-    /// `Γ¹_S(S')` in `g`, unchanged by the translation).
-    fn solve_in_graph<G: GraphView + ?Sized>(
-        &self,
-        g: &G,
-        s: &VertexSet,
-        seed: u64,
-    ) -> SpokesmanResult
-    where
-        Self: Sized,
-    {
-        let (bip, left_ids, _right_ids) = BipartiteGraph::from_set_in_graph(g, s);
-        let mut result = self.solve(&bip, seed);
-        result.subset =
-            VertexSet::from_iter(g.num_vertices(), result.subset.iter().map(|i| left_ids[i]));
-        result
-    }
 }
 
 /// Runs several solvers and keeps the best result.
@@ -243,10 +210,6 @@ impl PortfolioSolver {
 }
 
 impl SpokesmanSolver for PortfolioSolver {
-    fn kind(&self) -> SolverKind {
-        SolverKind::Portfolio
-    }
-
     fn solve(&self, g: &BipartiteGraph, seed: u64) -> SpokesmanResult {
         let _span = wx_trace::span("spokesman.portfolio");
         let mut best: Option<SpokesmanResult> = None;
@@ -267,6 +230,22 @@ impl SpokesmanSolver for PortfolioSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wx_graph::GraphView;
+
+    /// Solves for `s` inside `g` through the bipartite view `G_S`, with the
+    /// subset translated back to `g`'s vertex ids.
+    fn solve_in<G: GraphView + ?Sized>(
+        solver: &dyn SpokesmanSolver,
+        g: &G,
+        s: &VertexSet,
+        seed: u64,
+    ) -> SpokesmanResult {
+        let (bip, left_ids, _) = BipartiteGraph::from_set_in_graph(g, s);
+        let mut result = solver.solve(&bip, seed);
+        result.subset =
+            VertexSet::from_iter(g.num_vertices(), result.subset.iter().map(|i| left_ids[i]));
+        result
+    }
 
     fn star_instance() -> BipartiteGraph {
         // one left vertex connected to 4 right vertices
@@ -278,7 +257,6 @@ mod tests {
         let g = star_instance();
         let r = SpokesmanResult::from_subset(SolverKind::Exact, &g, VertexSet::from_iter(1, [0]));
         assert_eq!(r.unique_coverage, 4);
-        assert_eq!(r.subset_size, 1);
         assert!((r.coverage_fraction(&g) - 1.0).abs() < 1e-12);
         assert!((r.expansion_certificate(&g) - 4.0).abs() < 1e-12);
     }
@@ -343,7 +321,7 @@ mod tests {
         }
         let s = VertexSet::from_iter(4, [0, 1]);
         let path = wx_graph::Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
-        crate::greedy::GreedyMinDegreeSolver.solve_in_graph(&path, &s, 5);
+        solve_in(&crate::greedy::GreedyMinDegreeSolver, &path, &s, 5);
         wx_trace::disable();
         let trace = wx_trace::take_trace();
         for (kind, span) in [
@@ -367,7 +345,7 @@ mod tests {
         use wx_graph::view::{
             materialize, ImplicitFamily, ImplicitGraph, SubgraphView, SubsetIndex,
         };
-        use wx_graph::{Graph, GraphView};
+        use wx_graph::Graph;
 
         // C_12^2 as an implicit backend vs its CSR materialization: greedy
         // and local-search must certify the same unique coverage on both.
@@ -376,12 +354,12 @@ mod tests {
         let s = VertexSet::from_iter(12, [0, 1, 2, 3]);
         let greedy = crate::greedy::GreedyMinDegreeSolver;
         let polish = crate::local_search::LocalSearchSolver::default();
-        let a = greedy.solve_in_graph(&implicit, &s, 3);
-        let b = greedy.solve_in_graph(&csr, &s, 3);
+        let a = solve_in(&greedy, &implicit, &s, 3);
+        let b = solve_in(&greedy, &csr, &s, 3);
         assert_eq!(a.unique_coverage, b.unique_coverage);
         assert!(a.subset.iter().all(|v| s.contains(v)), "original-id subset");
-        let a = polish.solve_in_graph(&implicit, &s, 3);
-        let b = polish.solve_in_graph(&csr, &s, 3);
+        let a = solve_in(&polish, &implicit, &s, 3);
+        let b = solve_in(&polish, &csr, &s, 3);
         assert_eq!(a.unique_coverage, b.unique_coverage);
 
         // and on a zero-copy induced view of a larger graph
@@ -392,8 +370,8 @@ mod tests {
         let view = SubgraphView::new(&big, &keep);
         let s_local = VertexSet::from_iter(view.num_vertices(), [2, 3, 4]);
         let (mat, _) = big.induced_subgraph(keep.set());
-        let on_view = greedy.solve_in_graph(&view, &s_local, 9);
-        let on_mat = greedy.solve_in_graph(&mat, &s_local, 9);
+        let on_view = solve_in(&greedy, &view, &s_local, 9);
+        let on_mat = solve_in(&greedy, &mat, &s_local, 9);
         assert_eq!(on_view.unique_coverage, on_mat.unique_coverage);
         assert_eq!(on_view.subset.to_vec(), on_mat.subset.to_vec());
     }

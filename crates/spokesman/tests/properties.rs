@@ -46,7 +46,7 @@ proptest! {
             prop_assert!(r.subset.iter().all(|u| u < g.num_left()));
             prop_assert_eq!(r.unique_coverage, g.unique_coverage(&r.subset));
             prop_assert!(r.unique_coverage <= opt,
-                "{} exceeded the optimum", solver.kind());
+                "{} exceeded the optimum", r.solver);
         }
     }
 
@@ -61,7 +61,7 @@ proptest! {
             let a = solver.solve(&g, seed);
             let b = solver.solve(&g, seed.wrapping_add(17));
             prop_assert_eq!(a.subset.to_vec(), b.subset.to_vec(),
-                "{} is supposed to ignore the seed", solver.kind());
+                "{} is supposed to ignore the seed", a.solver);
         }
         for kind in SolverKind::POLYNOMIAL {
             let solver = kind.build();

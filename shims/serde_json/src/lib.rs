@@ -421,6 +421,9 @@ mod tests {
         assert!(from_str::<Value>("{oops}").is_err());
         assert!(from_str::<Value>("[1,]").is_err());
         assert!(from_str::<Value>("1 2").is_err());
+        assert!(from_str::<Value>("{} x").is_err());
+        assert!(from_str::<Value>("").is_err());
+        assert!(from_str::<Value>("{\"a\":}").is_err());
     }
 
     #[test]

@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 use wx_expansion::sampling::{CandidateSets, SamplerConfig};
-use wx_graph::VertexSet;
+use wx_graph::neighborhood::{expansion_of_set, unique_expansion_of_set};
+use wx_graph::{GraphView, VertexSet};
 use wx_integration_tests::{random_graph, small_test_graphs};
 
 #[test]
@@ -11,9 +12,9 @@ fn sandwich_holds_per_set_on_the_small_battery() {
     for (name, g) in small_test_graphs() {
         let pool = CandidateSets::generate(&g, &SamplerConfig::default(), 0.5, 1);
         for s in pool.sets.iter().filter(|s| s.len() <= 10) {
-            let beta = wx_expansion::ordinary::of_set(&g, s);
+            let beta = expansion_of_set(&g, s);
             let (beta_w, _) = wx_expansion::wireless::of_set_exact(&g, s);
-            let beta_u = wx_expansion::unique::of_set(&g, s);
+            let beta_u = unique_expansion_of_set(&g, s);
             assert!(
                 beta + 1e-9 >= beta_w && beta_w + 1e-9 >= beta_u,
                 "{name}: sandwich violated on {s:?}: β={beta} βw={beta_w} βu={beta_u}"
@@ -58,9 +59,9 @@ proptest! {
         let mut rng = wx_graph::random::rng_from_seed(seed ^ 0xFFFF);
         for k in 1..=(n / 2).max(1) {
             let s = wx_graph::random::random_subset_of_size(&mut rng, n, k);
-            let beta = wx_expansion::ordinary::of_set(&g, &s);
+            let beta = expansion_of_set(&g, &s);
             let (beta_w, witness) = wx_expansion::wireless::of_set_exact(&g, &s);
-            let beta_u = wx_expansion::unique::of_set(&g, &s);
+            let beta_u = unique_expansion_of_set(&g, &s);
             prop_assert!(beta + 1e-9 >= beta_w);
             prop_assert!(beta_w + 1e-9 >= beta_u);
             // the witness transmitter set is a subset of S
