@@ -7,6 +7,7 @@
 //! `--bless` so the violation cannot come back). The ratchet therefore only
 //! ever moves down.
 
+use crate::config::{classify, Config};
 use crate::diagnostics::Diagnostic;
 use serde::{Deserialize, Serialize};
 use std::collections::btree_map::{BTreeMap, Entry};
@@ -43,6 +44,16 @@ pub enum RatchetError {
         /// Baselined count.
         baselined: u64,
     },
+    /// A `panic-freedom` entry for a file in one of the configured
+    /// panic-free crates: such violations are fixed, never baselined.
+    Refused {
+        /// Rule id.
+        rule: String,
+        /// The file in a panic-free crate.
+        file: String,
+        /// Recorded count.
+        count: u64,
+    },
 }
 
 impl RatchetError {
@@ -66,6 +77,10 @@ impl RatchetError {
             } => format!(
                 "STALE: {file}: [{rule}] baseline records {baselined} but only {current} \
                  fire — run `wx-analyze --bless` to ratchet the baseline down"
+            ),
+            RatchetError::Refused { rule, file, count } => format!(
+                "REFUSED: {file}: [{rule}] {count} violation(s) in a panic-free crate — \
+                 fix them; they cannot be baselined"
             ),
         }
     }
@@ -121,6 +136,23 @@ impl Baseline {
             }
         }
         errors
+    }
+
+    /// The entries this baseline may not hold: `panic-freedom` counts for
+    /// files in `cfg.panic_free_crates`.
+    pub fn refused(&self, cfg: &Config) -> Vec<RatchetError> {
+        self.entries
+            .iter()
+            .filter(|((rule, file), _)| {
+                rule == crate::rules::PANIC_FREEDOM
+                    && classify(file).is_some_and(|c| cfg.panic_free_crates.contains(&c.crate_name))
+            })
+            .map(|((rule, file), &count)| RatchetError::Refused {
+                rule: rule.clone(),
+                file: file.clone(),
+                count,
+            })
+            .collect()
     }
 
     /// Serializes to the committed JSON format (byte-deterministic).

@@ -25,8 +25,10 @@ pub struct Config {
     /// Function names treated as constructors by the hot-path rule
     /// (exact match, or any name starting with `new_`/`with_`/`from_`).
     pub constructor_names: Vec<String>,
-    /// Crates whose non-test library code must be entirely panic-free
-    /// (violations elsewhere are ratcheted via the baseline).
+    /// Crates whose non-test library code must be entirely panic-free:
+    /// `--bless` refuses to write, and `--check` rejects, a
+    /// `panic-freedom` baseline entry for their files (violations
+    /// elsewhere are ratcheted via the baseline).
     pub panic_free_crates: Vec<String>,
 }
 
@@ -41,7 +43,6 @@ impl Config {
             hash_container_crates: s(&[
                 "core",
                 "lab",
-                "bench",
                 "expansion",
                 "graph",
                 "constructions",
@@ -51,8 +52,8 @@ impl Config {
                 "serve",
             ]),
             // The sanctioned clock lives in wx-trace; everything else —
-            // including the bench harnesses, which used to carry a
-            // carve-out here — must go through `wx_trace::Clock` or spans.
+            // including the paper experiments, whose text is report
+            // bytes — must go through `wx_trace::Clock` or spans.
             timing_allowed: s(&["crates/trace/src/clock.rs"]),
             hot_path_modules: s(&[
                 "crates/graph/src/scratch.rs",

@@ -9,8 +9,10 @@
 //!   exit 1 if any.
 //! * `--check` — compare against the committed baseline; exit 1 on any
 //!   *new* violation, any *stale* baseline entry (forced ratchet-down),
-//!   or any malformed/unused `wx-allow`.
-//! * `--bless` — regenerate the baseline from the current violations.
+//!   any `panic-freedom` entry for a panic-free crate, or any
+//!   malformed/unused `wx-allow`.
+//! * `--bless` — regenerate the baseline from the current violations;
+//!   refused while a panic-free crate has a `panic-freedom` violation.
 //! * `--list-rules` — print the rule catalog.
 
 use serde::Serialize;
@@ -138,6 +140,16 @@ fn run(args: &Args) -> Result<ExitCode, String> {
                 ));
             }
             let baseline = Baseline::from_diagnostics(&diags);
+            let refused = baseline.refused(&cfg);
+            if !refused.is_empty() {
+                for e in &refused {
+                    eprintln!("{}", e.render());
+                }
+                return Err(format!(
+                    "{} file(s) of a panic-free crate panic — fix them before blessing",
+                    refused.len()
+                ));
+            }
             std::fs::write(&args.baseline, baseline.to_json())
                 .map_err(|e| format!("writing {}: {e}", args.baseline.display()))?;
             println!(
@@ -158,7 +170,8 @@ fn run(args: &Args) -> Result<ExitCode, String> {
             })?;
             let baseline = Baseline::parse(&text)
                 .map_err(|e| format!("parsing {}: {e}", args.baseline.display()))?;
-            let ratchet = baseline.compare(&diags);
+            let mut ratchet = baseline.compare(&diags);
+            ratchet.extend(baseline.refused(&cfg));
             let meta: Vec<&Diagnostic> = diags.iter().filter(|d| is_meta(d)).collect();
             let failing = !ratchet.is_empty() || !meta.is_empty();
             match args.format {

@@ -1112,7 +1112,7 @@ mod tests {
         assert!(run("crates/trace/src/clock.rs", src).is_empty());
         // no carve-out for the experiment harnesses: their text is report
         // bytes, so wall-clock may not reach it
-        let d = run("crates/bench/src/experiments/e7.rs", src);
+        let d = run("crates/lab/src/experiments/e7.rs", src);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].rule, DETERMINISM);
         let d = run("crates/radio/src/simulator.rs", src);

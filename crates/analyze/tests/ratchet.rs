@@ -164,6 +164,40 @@ fn bless_refuses_meta_violations() {
 }
 
 #[test]
+fn panic_free_crates_cannot_baseline_a_panic() {
+    let ws = TempWs::new("panicfree");
+    let panicky = "fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
+    ws.write("crates/lab/src/lib.rs", panicky);
+    let (code, stdout, stderr) = ws.run(&["--bless"]);
+    assert_eq!(code, 2, "bless must refuse: {stdout} {stderr}");
+    assert!(
+        stderr.contains("REFUSED: crates/lab/src/lib.rs: [panic-freedom] 1 violation(s)"),
+        "should name the refused entry: {stderr}"
+    );
+    assert!(!ws.root.join("analyze-baseline.json").exists());
+
+    // A hand-written entry for the hit is rejected by --check too.
+    ws.write(
+        "analyze-baseline.json",
+        r#"{"version": 1, "entries": [{"rule": "panic-freedom", "file": "crates/lab/src/lib.rs", "count": 1}]}"#,
+    );
+    let (code, stdout, _) = ws.run(&["--check"]);
+    assert_eq!(code, 1, "a refused entry must fail check: {stdout}");
+    assert!(
+        stdout.contains("REFUSED: crates/lab/src/lib.rs: [panic-freedom]"),
+        "should name the refused entry: {stdout}"
+    );
+
+    // Outside the panic-free crates the same hit is baselined as before.
+    ws.write("crates/lab/src/lib.rs", CLEAN);
+    ws.write("crates/demo/src/lib.rs", panicky);
+    let (code, _, stderr) = ws.run(&["--bless"]);
+    assert_eq!(code, 0, "{stderr}");
+    let (code, stdout, _) = ws.run(&["--check"]);
+    assert_eq!(code, 0, "{stdout}");
+}
+
+#[test]
 fn json_format_is_parseable_and_carries_locations() {
     let ws = TempWs::new("json");
     ws.write("crates/demo/src/lib.rs", SEEDY);

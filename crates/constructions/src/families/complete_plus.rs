@@ -18,7 +18,10 @@ pub fn complete_plus_graph(k: usize) -> Result<(Graph, Vertex)> {
             "C⁺ needs a clique of at least 3 vertices",
         ));
     }
-    let mut b = GraphBuilder::new(k + 1);
+    let n = k
+        .checked_add(1)
+        .ok_or_else(|| GraphError::invalid(format!("C⁺ with a {k}-clique is too large")))?;
+    let mut b = GraphBuilder::new(n);
     for i in 0..k {
         for j in (i + 1)..k {
             b.add_edge(i, j)?;
@@ -34,6 +37,12 @@ mod tests {
     use super::*;
     use wx_graph::neighborhood::{s_excluding_unique_neighborhood, unique_neighborhood};
     use wx_graph::GraphView;
+
+    #[test]
+    fn a_clique_size_that_overflows_is_rejected() {
+        let err = complete_plus_graph(usize::MAX).unwrap_err();
+        assert!(matches!(err, GraphError::InvalidParameter(_)), "{err}");
+    }
 
     #[test]
     fn shape() {

@@ -15,7 +15,7 @@ pub fn grid_graph(rows: usize, cols: usize) -> Result<Graph> {
         return Err(GraphError::invalid("grid dimensions must be positive"));
     }
     let idx = |r: usize, c: usize| r * cols + c;
-    let mut b = GraphBuilder::new(rows * cols);
+    let mut b = GraphBuilder::new(num_cells(rows, cols)?);
     for r in 0..rows {
         for c in 0..cols {
             if c + 1 < cols {
@@ -36,7 +36,7 @@ pub fn torus_graph(rows: usize, cols: usize) -> Result<Graph> {
         return Err(GraphError::invalid("torus dimensions must be at least 3"));
     }
     let idx = |r: usize, c: usize| r * cols + c;
-    let mut b = GraphBuilder::new(rows * cols);
+    let mut b = GraphBuilder::new(num_cells(rows, cols)?);
     for r in 0..rows {
         for c in 0..cols {
             b.add_edge(idx(r, c), idx(r, (c + 1) % cols))?;
@@ -46,11 +46,31 @@ pub fn torus_graph(rows: usize, cols: usize) -> Result<Graph> {
     Ok(b.build())
 }
 
+/// `rows · cols`, or an error when the product does not fit in a `usize`.
+fn num_cells(rows: usize, cols: usize) -> Result<usize> {
+    rows.checked_mul(cols).ok_or_else(|| {
+        GraphError::invalid(format!(
+            "a {rows}x{cols} grid has more vertices than a usize holds"
+        ))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use wx_graph::arboricity::arboricity_bounds;
     use wx_graph::GraphView;
+
+    #[test]
+    fn a_cell_count_that_overflows_is_rejected() {
+        let side = 1usize << 32;
+        for err in [
+            grid_graph(side, side).unwrap_err(),
+            torus_graph(side, side).unwrap_err(),
+        ] {
+            assert!(matches!(err, GraphError::InvalidParameter(_)), "{err}");
+        }
+    }
 
     #[test]
     fn grid_shape() {

@@ -25,7 +25,10 @@ pub fn random_regular_graph(n: usize, d: usize, seed: u64) -> Result<Graph> {
             "degree {d} must be smaller than the number of vertices {n}"
         )));
     }
-    if !(n * d).is_multiple_of(2) {
+    let half_edges = n.checked_mul(d).ok_or_else(|| {
+        GraphError::invalid(format!("n·d does not fit in a usize, got n = {n}, d = {d}"))
+    })?;
+    if !half_edges.is_multiple_of(2) {
         return Err(GraphError::invalid(format!(
             "n·d must be even, got n = {n}, d = {d}"
         )));
@@ -36,7 +39,7 @@ pub fn random_regular_graph(n: usize, d: usize, seed: u64) -> Result<Graph> {
     let mut rng = rng_from_seed(seed);
 
     // Half-edge pairing.
-    let mut stubs: Vec<usize> = (0..n * d).map(|i| i / d).collect();
+    let mut stubs: Vec<usize> = (0..half_edges).map(|i| i / d).collect();
     stubs.shuffle(&mut rng);
     // edges[i] = (u, v) for stub pair (2i, 2i+1)
     let mut edges: Vec<(usize, usize)> = stubs.chunks_exact(2).map(|c| (c[0], c[1])).collect();
@@ -58,7 +61,7 @@ pub fn random_regular_graph(n: usize, d: usize, seed: u64) -> Result<Graph> {
         }
     }
 
-    let max_rounds = 200 * n * d + 10_000;
+    let max_rounds = half_edges.saturating_mul(200).saturating_add(10_000);
     let mut rounds = 0usize;
     while let Some(&i) = defective.last() {
         rounds += 1;
@@ -116,6 +119,13 @@ pub fn random_regular_graph(n: usize, d: usize, seed: u64) -> Result<Graph> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_half_edge_count_that_overflows_is_rejected() {
+        // n·d = 2^64 once wrapped to 0, which is even
+        let err = random_regular_graph(1 << 63, 2, 0).unwrap_err();
+        assert!(matches!(err, GraphError::InvalidParameter(_)), "{err}");
+    }
 
     #[test]
     fn produces_regular_simple_graphs() {

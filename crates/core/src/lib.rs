@@ -7,7 +7,7 @@
 //!   common types (graphs, the measurement engine, solvers, protocols,
 //!   constructions) into scope;
 //! * [`report`] — plain-text table rendering and JSON export for experiment
-//!   harnesses.
+//!   reports.
 //!
 //! ## Quick start
 //!

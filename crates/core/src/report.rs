@@ -1,9 +1,10 @@
-//! Plain-text tables and JSON export for experiment harnesses.
+//! Plain-text tables and JSON export for experiment reports.
 //!
-//! The experiment binaries in `wx-bench` print the same kind of rows the
+//! The paper experiments in `wx-lab` print the same kind of rows the
 //! paper's statements describe (per-instance measured quantities next to the
-//! theoretical references). This module keeps that formatting in one place so
-//! every harness produces consistently aligned, diffable output.
+//! theoretical references), and scenario reports print summary tables. This
+//! module keeps that formatting in one place so every report is consistently
+//! aligned and diffable.
 
 use serde::{Deserialize, Serialize};
 
@@ -88,8 +89,8 @@ pub fn render_table(title: &str, header: &[&str], rows: &[TableRow]) -> String {
     out
 }
 
-/// Serializes any serializable record collection to pretty JSON (used by the
-/// harnesses' `--json` output paths).
+/// Serializes any serializable record collection to pretty JSON (scenario
+/// and sweep reports).
 pub fn to_json_pretty<T: Serialize>(records: &T) -> String {
     // wx-allow(panic-freedom): report records are plain data; serialization cannot fail
     serde_json::to_string_pretty(records).expect("records serialize")

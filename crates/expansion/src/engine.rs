@@ -542,25 +542,6 @@ impl MeasurementEngine {
         values
     }
 
-    /// Measures several notions over one shared candidate enumeration/pool,
-    /// returning measurements in `measures` order. `None` for the empty
-    /// graph. This is the general form of [`MeasurementEngine::measure_all`]
-    /// for callers that need an arbitrary subset of measures.
-    pub fn measure_many<G: GraphView + Sync + ?Sized>(
-        &self,
-        g: &G,
-        measures: &[&dyn ExpansionMeasure<G>],
-    ) -> Option<Vec<Measurement>> {
-        for m in measures {
-            self.check_exact_feasible(g, *m);
-        }
-        let candidates = self.candidate_sets(g)?;
-        measures
-            .iter()
-            .map(|m| self.minimize(g, *m, &candidates))
-            .collect()
-    }
-
     /// Measures all three notions over one shared pool (or one shared exact
     /// enumeration) — the candidate sets are generated once, so the three
     /// results are comparable set-by-set. `None` for the empty graph.

@@ -417,7 +417,8 @@ impl ImplicitFamily {
         }
     }
 
-    /// Checks the family's parameter constraints.
+    /// Checks the family's parameter constraints, including that its vertex
+    /// count and degree sum fit in a `usize`.
     pub fn validate(&self) -> Result<()> {
         match *self {
             ImplicitFamily::Hypercube { dim } => {
@@ -428,7 +429,7 @@ impl ImplicitFamily {
                 }
             }
             ImplicitFamily::CyclePower { n, power } => {
-                if power == 0 || 2 * power >= n {
+                if power == 0 || power.checked_mul(2).is_none_or(|degree| degree >= n) {
                     return Err(GraphError::invalid(format!(
                         "cycle power requires 0 < 2k < n, got n={n}, k={power}"
                     )));
@@ -440,7 +441,22 @@ impl ImplicitFamily {
                         "implicit torus requires rows, cols ≥ 3, got {rows}x{cols}"
                     )));
                 }
+                if rows.checked_mul(cols).is_none() {
+                    return Err(GraphError::invalid(format!(
+                        "implicit torus {rows}x{cols} has more vertices than a usize holds"
+                    )));
+                }
             }
+        }
+        if self
+            .num_vertices()
+            .checked_mul(self.regular_degree())
+            .is_none()
+        {
+            return Err(GraphError::invalid(format!(
+                "{} has a degree sum larger than a usize holds",
+                self.label()
+            )));
         }
         Ok(())
     }
@@ -742,6 +758,40 @@ mod tests {
         assert!(ImplicitGraph::new(ImplicitFamily::CyclePower { n: 6, power: 0 }).is_err());
         assert!(ImplicitGraph::new(ImplicitFamily::Torus { rows: 2, cols: 5 }).is_err());
         assert!(ImplicitGraph::new(ImplicitFamily::Torus { rows: 3, cols: 3 }).is_ok());
+    }
+
+    fn rejected(family: ImplicitFamily) -> bool {
+        matches!(
+            ImplicitGraph::new(family),
+            Err(GraphError::InvalidParameter(_))
+        )
+    }
+
+    #[test]
+    fn a_cycle_power_whose_degree_overflows_is_rejected() {
+        // `2k` wraps to 0 for k = 2^63, which once passed `2k < n`
+        assert!(rejected(ImplicitFamily::CyclePower {
+            n: 10,
+            power: 1 << 63,
+        }));
+        // `2k < n` holds but the degree sum n·2k does not fit
+        assert!(rejected(ImplicitFamily::CyclePower {
+            n: usize::MAX,
+            power: 1 << 62,
+        }));
+    }
+
+    #[test]
+    fn a_torus_whose_vertex_count_overflows_is_rejected() {
+        assert!(rejected(ImplicitFamily::Torus {
+            rows: 4_294_967_297,
+            cols: 4_294_967_296,
+        }));
+        // rows·cols fits but the degree sum 4·rows·cols does not
+        assert!(rejected(ImplicitFamily::Torus {
+            rows: 1 << 31,
+            cols: 1 << 31,
+        }));
     }
 
     #[test]

@@ -469,11 +469,12 @@ fn cmd_convert(args: &[String]) -> Result<i32> {
 fn cmd_list() -> Result<i32> {
     println!("built-in scenarios (run with `wx sweep NAME` or `wx sweep --all`):");
     for entry in registry::builtins() {
-        let kind = match entry.kind {
-            registry::BuiltinKind::Scenario(_) => "scenario",
-            registry::BuiltinKind::Paper(_) => "paper",
-        };
-        println!("  {:<22} [{kind}] {}", entry.name, entry.title);
+        println!(
+            "  {:<22} [{}] {}",
+            entry.name,
+            entry.kind.label(),
+            entry.title
+        );
     }
     println!("\ngraph sources (a scenario `source`, or --source as inline JSON or a file path):");
     for (source, summary) in crate::source::catalog() {

@@ -22,6 +22,10 @@ pub enum LabError {
 
     /// A filesystem operation failed.
     Io(String),
+
+    /// A paper experiment found one of the statement's structural
+    /// assertions violated (e.g. a Lemma 4.4 size or degree bound).
+    Experiment(String),
 }
 
 impl std::fmt::Display for LabError {
@@ -31,6 +35,7 @@ impl std::fmt::Display for LabError {
             LabError::InvalidSpec(msg) => write!(f, "invalid scenario: {msg}"),
             LabError::Json { context, message } => write!(f, "JSON error in {context}: {message}"),
             LabError::Io(msg) => write!(f, "I/O error: {msg}"),
+            LabError::Experiment(msg) => write!(f, "experiment check failed: {msg}"),
         }
     }
 }
@@ -67,6 +72,19 @@ impl LabError {
 /// Convenience result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, LabError>;
 
+/// Runs `f`, turning a panic into `Err` carrying the panic message. The one
+/// panic-payload decoder: the sweep's entry runner and `wx serve`'s job
+/// capture both go through it.
+pub fn catch_panic<T>(f: impl FnOnce() -> T) -> std::result::Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string())
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,6 +109,10 @@ mod tests {
             (
                 std::io::Error::new(std::io::ErrorKind::NotFound, "gone").into(),
                 "I/O error: gone",
+            ),
+            (
+                LabError::Experiment("Lemma 4.4 (2) fails".to_string()),
+                "experiment check failed: Lemma 4.4 (2) fails",
             ),
         ];
         for (error, message) in cases {

@@ -8,16 +8,12 @@
 //! Theorem 1.1 asserts this constant is bounded below by an absolute
 //! constant; the paper's probabilistic proof gives roughly `e⁻³`.
 
-use crate::ExperimentOptions;
+use crate::error::Result;
+use crate::registry::SweepOptions;
 use wx_core::prelude::*;
 use wx_core::report::{fmt_f64, render_table, TableRow};
 
-fn measure<G: GraphView + Sync>(
-    name: &str,
-    g: &G,
-    opts: &ExperimentOptions,
-    rows: &mut Vec<TableRow>,
-) {
+fn measure<G: GraphView + Sync>(name: &str, g: &G, opts: &SweepOptions, rows: &mut Vec<TableRow>) {
     let sampler = if opts.quick {
         SamplerConfig::light()
     } else {
@@ -83,7 +79,7 @@ fn measure<G: GraphView + Sync>(
 /// the unmaterialized [`ImplicitGraph`] backend — the equivalence proptests
 /// guarantee (and the historical report text confirms) identical numbers to
 /// the old materialized path.
-pub fn run(opts: &ExperimentOptions) -> String {
+pub fn run(opts: &SweepOptions) -> Result<String> {
     let mut rows = Vec::new();
     let sizes: &[usize] = if opts.quick { &[64] } else { &[64, 256, 1024] };
     for &n in sizes {
@@ -92,36 +88,26 @@ pub fn run(opts: &ExperimentOptions) -> String {
         } else {
             &[4usize, 8, 16][..]
         } {
-            let g = random_regular_graph(n, d, opts.seed ^ (n as u64) ^ (d as u64)).expect("valid");
+            let g = random_regular_graph(n, d, opts.seed ^ (n as u64) ^ (d as u64))?;
             measure(&format!("random-regular n={n} d={d}"), &g, opts, &mut rows);
         }
     }
     measure(
         "hypercube d=6",
-        &ImplicitGraph::hypercube(6).expect("valid"),
+        &ImplicitGraph::hypercube(6)?,
         opts,
         &mut rows,
     );
     if !opts.quick {
         measure(
             "hypercube d=9",
-            &ImplicitGraph::hypercube(9).expect("valid"),
+            &ImplicitGraph::hypercube(9)?,
             opts,
             &mut rows,
         );
-        measure(
-            "margulis m=16",
-            &margulis_graph(16).expect("valid"),
-            opts,
-            &mut rows,
-        );
+        measure("margulis m=16", &margulis_graph(16)?, opts, &mut rows);
     }
-    measure(
-        "margulis m=8",
-        &margulis_graph(8).expect("valid"),
-        opts,
-        &mut rows,
-    );
+    measure("margulis m=8", &margulis_graph(8)?, opts, &mut rows);
 
     let mut out = render_table(
         "E1: wireless expansion of ordinary expanders (Theorem 1.1)",
@@ -143,5 +129,5 @@ pub fn run(opts: &ExperimentOptions) -> String {
          (the paper's probabilistic argument gives ≈ e⁻³ ≈ 0.05; measured values\n\
          are far above that).\n",
     );
-    out
+    Ok(out)
 }

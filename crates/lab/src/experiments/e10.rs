@@ -5,30 +5,31 @@
 //! achieved coverage next to every Appendix-A guarantee evaluated on that
 //! instance. Part 2 tabulates the `MG(δ)` profile itself.
 
-use crate::ExperimentOptions;
+use crate::error::Result;
+use crate::registry::SweepOptions;
 use wx_core::prelude::*;
 use wx_core::report::{fmt_f64, render_table, TableRow};
 use wx_core::spokesman::bounds;
 
 /// Runs the experiment and returns the report text.
-pub fn run(opts: &ExperimentOptions) -> String {
+pub fn run(opts: &SweepOptions) -> Result<String> {
     let mut instances: Vec<(String, BipartiteGraph)> = vec![
         (
             "random d=3 24x48".to_string(),
-            random_left_regular_bipartite(24, 48, 3, opts.seed).unwrap(),
+            random_left_regular_bipartite(24, 48, 3, opts.seed)?,
         ),
-        ("core s=32".to_string(), CoreGraph::new(32).unwrap().graph),
+        ("core s=32".to_string(), CoreGraph::new(32)?.graph),
         (
             "gadget Δ=8 β=6".to_string(),
-            BadUniqueExpander::new(20, 8, 6).unwrap().graph,
+            BadUniqueExpander::new(20, 8, 6)?.graph,
         ),
     ];
     if !opts.quick {
         instances.push((
             "random d=6 100x300".to_string(),
-            random_left_regular_bipartite(100, 300, 6, opts.seed ^ 9).unwrap(),
+            random_left_regular_bipartite(100, 300, 6, opts.seed ^ 9)?,
         ));
-        instances.push(("core s=256".to_string(), CoreGraph::new(256).unwrap().graph));
+        instances.push(("core s=256".to_string(), CoreGraph::new(256)?.graph));
     }
 
     let mut rows = Vec::new();
@@ -119,5 +120,5 @@ pub fn run(opts: &ExperimentOptions) -> String {
          is dominated by the A.15 1/20 floor in the middle band, matching\n\
          Observation A.17.\n",
     );
-    out
+    Ok(out)
 }

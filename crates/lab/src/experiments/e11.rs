@@ -6,14 +6,15 @@
 //! expansion, healthy wireless expansion — and correspondingly, flooding
 //! stalls while a spokesman schedule finishes immediately.
 
-use crate::ExperimentOptions;
+use crate::error::Result;
+use crate::registry::SweepOptions;
 use wx_core::graph::random::derive_seed;
 use wx_core::prelude::*;
 use wx_core::radio::{run_lanes, ProtocolKind};
 use wx_core::report::{fmt_f64, fmt_opt, render_table, TableRow};
 
 /// Runs the experiment and returns the report text.
-pub fn run(opts: &ExperimentOptions) -> String {
+pub fn run(opts: &SweepOptions) -> Result<String> {
     let sizes: &[usize] = if opts.quick {
         &[6, 10]
     } else {
@@ -21,7 +22,7 @@ pub fn run(opts: &ExperimentOptions) -> String {
     };
     let mut rows = Vec::new();
     for &k in sizes {
-        let (g, source) = complete_plus_graph(k).expect("valid");
+        let (g, source) = complete_plus_graph(k)?;
         let engine = if g.num_vertices() <= 14 {
             MeasurementEngine::default()
         } else {
@@ -77,5 +78,5 @@ pub fn run(opts: &ExperimentOptions) -> String {
          ('-') whereas decay completes in O(log n) rounds and the spokesman\n\
          schedule in 2–3 rounds.\n",
     );
-    out
+    Ok(out)
 }

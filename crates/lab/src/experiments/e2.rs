@@ -5,12 +5,13 @@
 //! (Lemma 3.3 tightness of Lemma 3.2), plus the wireless certificate from the
 //! alternating subset, which Remark 1 predicts to be `max{2β − Δ, Δ/2}`.
 
-use crate::ExperimentOptions;
+use crate::error::Result;
+use crate::registry::SweepOptions;
 use wx_core::prelude::*;
 use wx_core::report::{fmt_f64, render_table, TableRow};
 
 /// Runs the experiment and returns the report text.
-pub fn run(opts: &ExperimentOptions) -> String {
+pub fn run(opts: &SweepOptions) -> Result<String> {
     let mut rows = Vec::new();
     let deltas: &[usize] = if opts.quick { &[8] } else { &[8, 16, 32] };
     for &delta in deltas {
@@ -20,7 +21,7 @@ pub fn run(opts: &ExperimentOptions) -> String {
             if !opts.quick && delta >= 16 && (beta - delta / 2) % (delta / 8) != 0 {
                 continue;
             }
-            let gadget = BadUniqueExpander::new(s, delta, beta).expect("valid parameters");
+            let gadget = BadUniqueExpander::new(s, delta, beta)?;
             let measured_unique = gadget.unique_expansion_of_full_set();
             let predicted_unique = (2 * beta) as f64 - delta as f64;
             let alternating = gadget.alternating_certificate();
@@ -59,5 +60,5 @@ pub fn run(opts: &ExperimentOptions) -> String {
          Remark-1 bound max{2β−Δ, Δ/2} — wireless expansion never collapses even\n\
          when unique expansion hits 0 at β = Δ/2.\n",
     );
-    out
+    Ok(out)
 }

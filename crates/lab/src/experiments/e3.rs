@@ -7,11 +7,12 @@
 //! `(1 − 1/d)·β̂u + (d − λ₂)(1 − α)/d`, and report the slack `β̂ − rhs`
 //! (which the lemma says is non-negative).
 
-use crate::ExperimentOptions;
+use crate::error::{LabError, Result};
+use crate::registry::SweepOptions;
 use wx_core::prelude::*;
 use wx_core::report::{fmt_f64, render_table, TableRow};
 
-fn petersen() -> Graph {
+fn petersen() -> wx_core::graph::Result<Graph> {
     Graph::from_edges(
         10,
         [
@@ -32,28 +33,27 @@ fn petersen() -> Graph {
             (8, 5),
         ],
     )
-    .unwrap()
 }
 
 /// Runs the experiment and returns the report text.
-pub fn run(opts: &ExperimentOptions) -> String {
+pub fn run(opts: &SweepOptions) -> Result<String> {
     let alpha = 0.2;
     let mut graphs: Vec<(String, Graph)> = vec![
-        ("petersen".to_string(), petersen()),
-        ("hypercube d=4".to_string(), hypercube_graph(4).unwrap()),
+        ("petersen".to_string(), petersen()?),
+        ("hypercube d=4".to_string(), hypercube_graph(4)?),
         (
             "cycle n=12".to_string(),
-            Graph::from_edges(12, (0..12).map(|i| (i, (i + 1) % 12))).unwrap(),
+            Graph::from_edges(12, (0..12).map(|i| (i, (i + 1) % 12)))?,
         ),
     ];
     if !opts.quick {
         for &(n, d) in &[(64usize, 4usize), (128, 6), (256, 8)] {
             graphs.push((
                 format!("random-regular n={n} d={d}"),
-                random_regular_graph(n, d, opts.seed ^ n as u64).unwrap(),
+                random_regular_graph(n, d, opts.seed ^ n as u64)?,
             ));
         }
-        graphs.push(("hypercube d=7".to_string(), hypercube_graph(7).unwrap()));
+        graphs.push(("hypercube d=7".to_string(), hypercube_graph(7)?));
     }
 
     let mut rows = Vec::new();
@@ -68,10 +68,14 @@ pub fn run(opts: &ExperimentOptions) -> String {
             .sampler(SamplerConfig::light())
             .seed(opts.seed)
             .build();
-        let results = engine
-            .measure_many(g, &[&UniqueNeighbor, &Ordinary])
-            .unwrap();
-        let (beta_u, beta, exact) = (results[0].value, results[1].value, results[1].exact);
+        let measure = |m: &dyn ExpansionMeasure<Graph>| {
+            engine
+                .measure(g, m)
+                .ok_or_else(|| LabError::Experiment(format!("{name} has no vertices")))
+        };
+        let beta_u = measure(&UniqueNeighbor)?.value;
+        let ordinary = measure(&Ordinary)?;
+        let (beta, exact) = (ordinary.value, ordinary.exact);
         let rhs = wx_core::spokesman::bounds::lemma_3_1_expansion_bound(d, lambda2, alpha, beta_u);
         rows.push(TableRow::new(
             name.clone(),
@@ -107,5 +111,5 @@ pub fn run(opts: &ExperimentOptions) -> String {
          report an upper-bound estimate of β, so slack could in principle dip\n\
          slightly negative there; exact rows cannot.)\n",
     );
-    out
+    Ok(out)
 }

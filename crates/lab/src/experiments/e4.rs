@@ -6,12 +6,13 @@
 //! the coverable fraction `2/log₂(2s)` of `N` — the logarithmic gap that
 //! drives Theorem 1.2 and the Section-5 lower bound.
 
-use crate::ExperimentOptions;
+use crate::error::{LabError, Result};
+use crate::registry::SweepOptions;
 use wx_core::prelude::*;
 use wx_core::report::{fmt_f64, render_table, TableRow};
 
 /// Runs the experiment and returns the report text.
-pub fn run(opts: &ExperimentOptions) -> String {
+pub fn run(opts: &SweepOptions) -> Result<String> {
     let sizes: &[usize] = if opts.quick {
         &[4, 8, 16]
     } else {
@@ -19,7 +20,7 @@ pub fn run(opts: &ExperimentOptions) -> String {
     };
     let mut rows = Vec::new();
     for &s in sizes {
-        let core = CoreGraph::new(s).expect("power of two");
+        let core = CoreGraph::new(s)?;
         // structural verification on random subsets
         let mut subsets = vec![VertexSet::full(s)];
         let mut rng = wx_core::graph::random::rng_from_seed(opts.seed);
@@ -31,7 +32,7 @@ pub fn run(opts: &ExperimentOptions) -> String {
             ));
         }
         core.verify_lemma_4_4(&subsets)
-            .expect("Lemma 4.4 assertions hold");
+            .map_err(LabError::Experiment)?;
 
         let log2s = (core.levels + 1) as f64;
         let best_cov = if s <= 16 {
@@ -74,5 +75,5 @@ pub fn run(opts: &ExperimentOptions) -> String {
          of N decays like 2/log₂(2s) while the ordinary expansion grows like\n\
          log₂(2s) — the wireless loss of this family is genuinely logarithmic.\n",
     );
-    out
+    Ok(out)
 }

@@ -5,12 +5,13 @@
 //! the realized sizes, the structural coverage bound, and the Lemma 4.6(3)
 //! fraction `4/log₂(min{Δ*/β*, Δ*·β*})`.
 
-use crate::ExperimentOptions;
+use crate::error::{LabError, Result};
+use crate::registry::SweepOptions;
 use wx_core::prelude::*;
 use wx_core::report::{fmt_f64, render_table, TableRow};
 
 /// Runs the experiment and returns the report text.
-pub fn run(opts: &ExperimentOptions) -> String {
+pub fn run(opts: &SweepOptions) -> Result<String> {
     let targets: &[(usize, f64)] = if opts.quick {
         &[(32, 2.0), (64, 0.5)]
     } else {
@@ -55,7 +56,7 @@ pub fn run(opts: &ExperimentOptions) -> String {
                 k,
             ));
         }
-        g.verify(&subsets).expect("Lemma 4.6 assertions hold");
+        g.verify(&subsets).map_err(LabError::Experiment)?;
 
         let frac_bound = g.unique_coverage_upper_bound() as f64 / g.graph.num_right() as f64;
         let lemma_frac = 4.0
@@ -95,5 +96,5 @@ pub fn run(opts: &ExperimentOptions) -> String {
          cap, and the cap fraction of N* is at most the Lemma 4.6(3) value\n\
          4/log₂(min{Δ*/β*, Δ*·β*}).\n",
     );
-    out
+    Ok(out)
 }

@@ -7,12 +7,13 @@
 //! upper bound, and — for contrast — the certified wireless expansion of a
 //! random base set of the same size.
 
-use crate::ExperimentOptions;
+use crate::error::Result;
+use crate::registry::SweepOptions;
 use wx_core::prelude::*;
 use wx_core::report::{fmt_f64, render_table, TableRow};
 
 /// Runs the experiment and returns the report text.
-pub fn run(opts: &ExperimentOptions) -> String {
+pub fn run(opts: &SweepOptions) -> Result<String> {
     // The Lemma 4.6 parameter window needs ε² ≥ 2e·β/Δ, so with β = 1 and
     // Δ = 64 any ε ≥ 0.3 is admissible.
     let (n, d) = if opts.quick {
@@ -20,7 +21,7 @@ pub fn run(opts: &ExperimentOptions) -> String {
     } else {
         (1024, 64)
     };
-    let base = random_regular_graph(n, d, opts.seed).expect("valid");
+    let base = random_regular_graph(n, d, opts.seed)?;
     let base_beta = 1.0;
     let epsilons: &[f64] = if opts.quick {
         &[0.3]
@@ -88,5 +89,5 @@ pub fn run(opts: &ExperimentOptions) -> String {
          certified wireless expansion — only the planted set is bad, which is all\n\
          Theorem 1.2 needs.\n",
     );
-    out
+    Ok(out)
 }

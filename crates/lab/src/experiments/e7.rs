@@ -6,45 +6,46 @@
 //! is small enough — the exact optimum. Per-solver time is a benchmark
 //! metric (`spokesman.<solver>_s` in `wxbench`), never report bytes.
 
-use crate::ExperimentOptions;
+use crate::error::Result;
+use crate::registry::SweepOptions;
 use wx_core::prelude::*;
 use wx_core::report::{fmt_f64, render_table, TableRow};
 
-fn skewed_instance(s: usize, seed: u64) -> BipartiteGraph {
+fn skewed_instance(s: usize, seed: u64) -> Result<BipartiteGraph> {
     // one hub right vertex adjacent to everything plus private neighbors
     let mut b = BipartiteBuilder::new(s, s + 1);
     for u in 0..s {
-        b.add_edge(u, 0).unwrap();
-        b.add_edge(u, 1 + u).unwrap();
+        b.add_edge(u, 0)?;
+        b.add_edge(u, 1 + u)?;
     }
     let _ = seed;
-    b.build()
+    Ok(b.build())
 }
 
 /// Runs the experiment and returns the report text.
-pub fn run(opts: &ExperimentOptions) -> String {
+pub fn run(opts: &SweepOptions) -> Result<String> {
     let mut instances: Vec<(String, BipartiteGraph)> = vec![
         (
             "random d=3 20x60".to_string(),
-            random_left_regular_bipartite(20, 60, 3, opts.seed).unwrap(),
+            random_left_regular_bipartite(20, 60, 3, opts.seed)?,
         ),
-        ("skewed s=16".to_string(), skewed_instance(16, opts.seed)),
+        ("skewed s=16".to_string(), skewed_instance(16, opts.seed)?),
         (
             "gadget Δ=8 β=5".to_string(),
-            BadUniqueExpander::new(16, 8, 5).unwrap().graph,
+            BadUniqueExpander::new(16, 8, 5)?.graph,
         ),
-        ("core s=16".to_string(), CoreGraph::new(16).unwrap().graph),
+        ("core s=16".to_string(), CoreGraph::new(16)?.graph),
     ];
     if !opts.quick {
         instances.push((
             "random d=4 200x400".to_string(),
-            random_left_regular_bipartite(200, 400, 4, opts.seed ^ 1).unwrap(),
+            random_left_regular_bipartite(200, 400, 4, opts.seed ^ 1)?,
         ));
         instances.push((
             "random d=8 500x500".to_string(),
-            random_left_regular_bipartite(500, 500, 8, opts.seed ^ 2).unwrap(),
+            random_left_regular_bipartite(500, 500, 8, opts.seed ^ 2)?,
         ));
-        instances.push(("core s=128".to_string(), CoreGraph::new(128).unwrap().graph));
+        instances.push(("core s=128".to_string(), CoreGraph::new(128)?.graph));
     }
 
     let mut rows = Vec::new();
@@ -90,5 +91,5 @@ pub fn run(opts: &ExperimentOptions) -> String {
          largest margins on wide low-degree instances; on the core graph every\n\
          solver is capped at a 2/log(2s) fraction (that is the point of E4).\n",
     );
-    out
+    Ok(out)
 }

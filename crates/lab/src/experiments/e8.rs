@@ -5,14 +5,15 @@
 //! centralized spokesman schedule, and reports completion rounds against the
 //! reference curve `D·log₂(n/D)` plus the per-relay gap against `log₂(2s)`.
 
-use crate::ExperimentOptions;
+use crate::error::Result;
+use crate::registry::SweepOptions;
 use wx_core::prelude::*;
 use wx_core::radio::lower_bound::{reference_curve, ChainExperiment};
 use wx_core::radio::ProtocolKind;
 use wx_core::report::{fmt_f64, fmt_opt, render_table, TableRow};
 
 /// Runs the experiment and returns the report text.
-pub fn run(opts: &ExperimentOptions) -> String {
+pub fn run(opts: &SweepOptions) -> Result<String> {
     let configs: &[(usize, usize)] = if opts.quick {
         &[(8, 2), (8, 4), (32, 2)]
     } else {
@@ -33,8 +34,7 @@ pub fn run(opts: &ExperimentOptions) -> String {
     };
     let mut rows = Vec::new();
     for &(s, stages) in configs {
-        let chain = BroadcastChain::new(s, stages, opts.seed ^ (s as u64) ^ (stages as u64))
-            .expect("valid");
+        let chain = BroadcastChain::new(s, stages, opts.seed ^ (s as u64) ^ (stages as u64))?;
         let exp = ChainExperiment::new(&chain, sim_cfg.clone());
         let decay_run = exp.run(ProtocolKind::Decay, opts.seed);
         let spokesman_run = exp.run(ProtocolKind::Spokesman, opts.seed);
@@ -79,5 +79,5 @@ pub fn run(opts: &ExperimentOptions) -> String {
          most a 2/log(2s) fraction of each stage's N side can hear a collision-free\n\
          transmission per round (Corollary 5.1).\n",
     );
-    out
+    Ok(out)
 }

@@ -7,11 +7,12 @@
 //! and the paper's arboricity lower bound `min{Δ/β̂, Δ·β̂}` whose logarithm
 //! controls the loss.
 
-use crate::ExperimentOptions;
+use crate::error::Result;
+use crate::registry::SweepOptions;
 use wx_core::prelude::*;
 use wx_core::report::{fmt_f64, render_table, TableRow};
 
-fn profile_row(name: &str, g: &Graph, opts: &ExperimentOptions, rows: &mut Vec<TableRow>) {
+fn profile_row(name: &str, g: &Graph, opts: &SweepOptions, rows: &mut Vec<TableRow>) {
     let engine = if opts.quick {
         MeasurementEngine::builder()
             .exact_up_to(10)
@@ -22,34 +23,11 @@ fn profile_row(name: &str, g: &Graph, opts: &ExperimentOptions, rows: &mut Vec<T
     let Some(t) = engine.build().measure_all(g, &Wireless::default()) else {
         return; // only the empty graph measures nothing
     };
-    let (beta, beta_w) = (t.ordinary.value, t.wireless.value);
-    let arb = wx_core::graph::arboricity::arboricity_bounds(g);
-    let min_ratio = wx_core::spokesman::bounds::min_degree_ratio(g.max_degree(), beta);
-    rows.push(TableRow::new(
-        name,
-        vec![
-            g.num_vertices().to_string(),
-            arb.upper.to_string(),
-            fmt_f64(beta),
-            fmt_f64(beta_w),
-            fmt_f64(wireless_loss(beta, beta_w)),
-            fmt_f64(min_ratio),
-            fmt_f64((2.0 * min_ratio).max(2.0).log2()),
-        ],
-    ));
+    rows.push(loss_row(name, g, t.ordinary.value, t.wireless.value));
 }
 
-/// The loss `β/βw`, infinite when `βw = 0`.
-fn wireless_loss(beta: f64, beta_w: f64) -> f64 {
-    if beta_w > 0.0 {
-        beta / beta_w
-    } else {
-        f64::INFINITY
-    }
-}
-
-fn core_planted_row(s: usize, rows: &mut Vec<TableRow>, seed: u64) {
-    let core = CoreGraph::new(s).expect("power of two");
+fn core_planted_row(s: usize, rows: &mut Vec<TableRow>, seed: u64) -> Result<()> {
+    let core = CoreGraph::new(s)?;
     let g = core.graph.to_graph();
     let s_set = VertexSet::from_iter(g.num_vertices(), 0..s);
     let beta = wx_core::graph::neighborhood::expansion_of_set(&g, &s_set);
@@ -58,55 +36,63 @@ fn core_planted_row(s: usize, rows: &mut Vec<TableRow>, seed: u64) {
         wx_core::expansion::wireless::of_set_lower_bound(&g, &s_set, &portfolio, seed);
     // the structural cap gives the true wireless expansion of the planted set
     // up to a factor ≤ 2; use the certified value for the loss column.
-    let arb = wx_core::graph::arboricity::arboricity_bounds(&g);
+    let name = format!("core-graph s={s} (planted set)");
+    rows.push(loss_row(&name, &g, beta, beta_w));
+    Ok(())
+}
+
+/// One table row: the graph's size and arboricity bound, `β̂`, `β̂w`, the
+/// loss `β̂/β̂w` (infinite when `β̂w = 0`) and the min-ratio columns.
+fn loss_row(name: &str, g: &Graph, beta: f64, beta_w: f64) -> TableRow {
+    let loss = if beta_w > 0.0 {
+        beta / beta_w
+    } else {
+        f64::INFINITY
+    };
+    let arb = wx_core::graph::arboricity::arboricity_bounds(g);
     let min_ratio = wx_core::spokesman::bounds::min_degree_ratio(g.max_degree(), beta);
-    rows.push(TableRow::new(
-        format!("core-graph s={s} (planted set)"),
+    TableRow::new(
+        name,
         vec![
             g.num_vertices().to_string(),
             arb.upper.to_string(),
             fmt_f64(beta),
             fmt_f64(beta_w),
-            fmt_f64(wireless_loss(beta, beta_w)),
+            fmt_f64(loss),
             fmt_f64(min_ratio),
             fmt_f64((2.0 * min_ratio).max(2.0).log2()),
         ],
-    ));
+    )
 }
 
 /// Runs the experiment and returns the report text.
-pub fn run(opts: &ExperimentOptions) -> String {
+pub fn run(opts: &SweepOptions) -> Result<String> {
     let mut rows = Vec::new();
-    profile_row("grid 12x12", &grid_graph(12, 12).unwrap(), opts, &mut rows);
-    profile_row(
-        "torus 10x10",
-        &torus_graph(10, 10).unwrap(),
-        opts,
-        &mut rows,
-    );
+    profile_row("grid 12x12", &grid_graph(12, 12)?, opts, &mut rows);
+    profile_row("torus 10x10", &torus_graph(10, 10)?, opts, &mut rows);
     profile_row(
         "binary tree (7 levels)",
-        &complete_k_ary_tree(2, 7).unwrap(),
+        &complete_k_ary_tree(2, 7)?,
         opts,
         &mut rows,
     );
     profile_row(
         "random tree n=100",
-        &random_tree(100, opts.seed).unwrap(),
+        &random_tree(100, opts.seed)?,
         opts,
         &mut rows,
     );
     if !opts.quick {
-        profile_row("grid 24x24", &grid_graph(24, 24).unwrap(), opts, &mut rows);
+        profile_row("grid 24x24", &grid_graph(24, 24)?, opts, &mut rows);
         profile_row(
             "ternary tree (6 levels)",
-            &complete_k_ary_tree(3, 6).unwrap(),
+            &complete_k_ary_tree(3, 6)?,
             opts,
             &mut rows,
         );
         profile_row(
             "hypercube d=8 (log-degree contrast)",
-            &hypercube_graph(8).unwrap(),
+            &hypercube_graph(8)?,
             opts,
             &mut rows,
         );
@@ -117,7 +103,7 @@ pub fn run(opts: &ExperimentOptions) -> String {
         &[16, 64, 256]
     };
     for &s in core_sizes {
-        core_planted_row(s, &mut rows, opts.seed);
+        core_planted_row(s, &mut rows, opts.seed)?;
     }
 
     let mut out = render_table(
@@ -140,5 +126,5 @@ pub fn run(opts: &ExperimentOptions) -> String {
          core-graph rows the loss grows with log₂(2·min{Δ/β, Δβ}) ≈ log₂(2s)/2,\n\
          exactly the Theorem 1.1 / Theorem 1.2 dichotomy.\n",
     );
-    out
+    Ok(out)
 }

@@ -26,8 +26,10 @@
 //!   [`runner::Runner::run_ctx`] threads through trial execution, plus
 //!   [`cache::ArtifactCache`], the byte-budgeted LRU implementation with
 //!   in-flight build coalescing and optional on-disk solution artifacts.
-//! * [`registry`] — named built-in scenarios, including the eleven
-//!   `e1`..`e11` paper experiments, so `wx sweep --all` reproduces the
+//! * [`experiments`] — the eleven `e1`..`e11` paper experiments, one
+//!   text report per reproduced statement.
+//! * [`registry`] — one table of the named built-in scenarios and paper
+//!   experiments, and one entry runner, so `wx sweep --all` reproduces the
 //!   whole paper in one command.
 //! * [`cli`] — the `wx` binary's subcommands
 //!   (`run`/`measure`/`profile`/`spokesman`/`radio`/`sweep`/`list`/
@@ -63,6 +65,7 @@ pub mod cache;
 pub mod canon;
 pub mod cli;
 pub mod error;
+pub mod experiments;
 pub mod registry;
 pub mod runner;
 pub mod source;
@@ -73,3 +76,103 @@ pub use error::{LabError, Result};
 pub use runner::{Runner, ScenarioReport, TrialPlan};
 pub use source::GraphSource;
 pub use spec::{ScenarioSpec, Task};
+
+#[cfg(test)]
+mod tests {
+    use crate::registry::{
+        builtins, find, run_entries, BuiltinKind, BuiltinScenario, SweepOptions,
+    };
+    use crate::{LabError, Result, ScenarioSpec};
+
+    const QUICK: SweepOptions = SweepOptions {
+        quick: true,
+        seed: 0xE0,
+    };
+
+    /// Smoke-run every experiment in quick mode; this keeps the harnesses
+    /// from bit-rotting and pins their qualitative claims.
+    #[test]
+    fn all_experiments_run_in_quick_mode() {
+        let papers: Vec<_> = builtins()
+            .iter()
+            .filter_map(|b| match b.kind {
+                BuiltinKind::Paper(run) => Some((b.name, run)),
+                BuiltinKind::Scenario(_) => None,
+            })
+            .collect();
+        assert_eq!(papers.len(), 11);
+        for (name, run) in papers {
+            let report = run(&QUICK).unwrap();
+            assert!(
+                report.contains("##"),
+                "experiment {name} produced no table:\n{report}"
+            );
+        }
+    }
+
+    /// The registry's one entry runner turns a panicking scenario builder,
+    /// a panicking paper entry, a paper `Err` and an empty paper report into
+    /// failed entries carrying their messages, and the entry after them
+    /// still runs and passes.
+    #[test]
+    fn checked_runner_reports_pass_fail() {
+        fn panicking_build(_: bool, _: u64) -> ScenarioSpec {
+            panic!("builder boom")
+        }
+        fn panicking(_: &SweepOptions) -> Result<String> {
+            panic!("synthetic failure")
+        }
+        fn failing(_: &SweepOptions) -> Result<String> {
+            Err(LabError::Experiment("paper error".to_string()))
+        }
+        fn empty(_: &SweepOptions) -> Result<String> {
+            Ok(" \n".to_string())
+        }
+        let entry = |name, kind| BuiltinScenario {
+            name,
+            title: "synthetic",
+            kind,
+        };
+        let entries = [
+            entry("s-panic", BuiltinKind::Scenario(panicking_build)),
+            entry("p-panic", BuiltinKind::Paper(panicking)),
+            entry("p-err", BuiltinKind::Paper(failing)),
+            entry("p-empty", BuiltinKind::Paper(empty)),
+            find("e3").unwrap(),
+        ];
+        // panics are captured, not propagated
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let report = run_entries(&entries, QUICK);
+        std::panic::set_hook(prev);
+
+        let failures: Vec<(&str, &str, &str)> = report.entries[..4]
+            .iter()
+            .map(|e| {
+                assert!(!e.passed && e.scenario.is_none() && e.text_report.is_none());
+                (
+                    e.name.as_str(),
+                    e.kind.as_str(),
+                    e.error.as_deref().unwrap(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            failures,
+            [
+                ("s-panic", "scenario", "builder boom"),
+                ("p-panic", "paper", "synthetic failure"),
+                ("p-err", "paper", "experiment check failed: paper error"),
+                (
+                    "p-empty",
+                    "paper",
+                    "experiment check failed: the experiment produced an empty report"
+                ),
+            ]
+        );
+        let e3 = &report.entries[4];
+        assert!(e3.passed, "{:?}", e3.error);
+        assert!(e3.text_report.as_deref().unwrap().contains("## E3"));
+        assert_eq!((report.passed, report.failed), (1, 4));
+    }
+}

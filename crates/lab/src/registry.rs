@@ -1,30 +1,48 @@
 //! Named built-in scenarios and the sweep driver.
 //!
-//! Two kinds of entries live in the registry:
+//! [`builtins`] is one table of two kinds of entries:
 //!
 //! * **Declarative scenarios** — ordinary [`ScenarioSpec`]s built in code
 //!   (parameterized by `quick`/`seed`), indistinguishable from a spec loaded
 //!   from a JSON file.
-//! * **Paper experiments** — the eleven `e1`..`e11` harnesses from
-//!   `wx-bench`, re-registered here so `wx sweep --all` reproduces the whole
-//!   paper through one command. They run through
-//!   [`wx_bench::experiments::run_checked`] (panics become failed entries,
-//!   never aborts).
+//! * **Paper experiments** — the eleven `e1`..`e11` reproductions in
+//!   [`experiments`], each a function from [`SweepOptions`] to its text
+//!   report, so `wx sweep --all` reproduces the whole paper through one
+//!   command.
 //!
-//! [`run_sweep`] executes any selection of entries and produces one
-//! serializable [`SweepReport`] whose exit status callers can trust: an
-//! entry passes only if it ran to completion and produced a report.
+//! [`run_sweep`] executes any selection of entries through one entry
+//! runner and produces one serializable [`SweepReport`] whose exit status
+//! callers can trust: an entry passes only if it ran to completion and
+//! produced a report. A panic, an error or an empty paper report becomes a
+//! failed entry, never an abort.
 
 use crate::cache::{ArtifactCache, CacheConfig, RunContext};
-use crate::error::{LabError, Result};
+use crate::error::{catch_panic, LabError, Result};
+use crate::experiments;
 use crate::runner::{Runner, ScenarioReport};
 use crate::source::GraphSource;
 use crate::spec::{ScenarioSpec, Task};
 use serde::Serialize;
-use wx_bench::experiments;
-use wx_bench::ExperimentOptions;
 use wx_core::expansion::engine::NotionKind;
 use wx_core::radio::protocols::ProtocolKind;
+
+/// Options shared by every sweep entry.
+#[derive(Clone, Copy, Debug)]
+pub struct SweepOptions {
+    /// Smaller sweeps for smoke tests and CI.
+    pub quick: bool,
+    /// Base seed for all randomized components.
+    pub seed: u64,
+}
+
+impl Default for SweepOptions {
+    fn default() -> Self {
+        SweepOptions {
+            quick: false,
+            seed: 0xE0,
+        }
+    }
+}
 
 /// How a built-in entry is executed.
 #[derive(Clone, Copy)]
@@ -32,8 +50,19 @@ pub enum BuiltinKind {
     /// A declarative scenario: the function builds the spec for the given
     /// `(quick, seed)` and the [`Runner`] executes it.
     Scenario(fn(quick: bool, seed: u64) -> ScenarioSpec),
-    /// A `wx-bench` paper experiment entry point.
-    Paper(fn(&ExperimentOptions) -> String),
+    /// A paper experiment: the function renders its text report.
+    Paper(fn(&SweepOptions) -> Result<String>),
+}
+
+impl BuiltinKind {
+    /// `"scenario"` or `"paper"`, as `wx list` and [`SweepEntry::kind`]
+    /// spell it.
+    pub fn label(&self) -> &'static str {
+        match self {
+            BuiltinKind::Scenario(_) => "scenario",
+            BuiltinKind::Paper(_) => "paper",
+        }
+    }
 }
 
 /// One named entry of the built-in registry.
@@ -143,54 +172,68 @@ fn grid_broadcast_decay(quick: bool, seed: u64) -> ScenarioSpec {
     }
 }
 
-/// The full registry: the five declarative demo scenarios followed by the
-/// eleven paper experiments (in E1..E11 order).
-pub fn builtins() -> Vec<BuiltinScenario> {
-    let mut entries = vec![
-        BuiltinScenario {
-            name: "c-plus-profile",
-            title: "C+ profile (introduction example)",
-            kind: BuiltinKind::Scenario(c_plus_profile),
-        },
-        BuiltinScenario {
-            name: "expander-wireless",
-            title: "Wireless expansion of random expanders",
-            kind: BuiltinKind::Scenario(expander_wireless),
-        },
-        BuiltinScenario {
-            name: "expander-spokesman",
-            title: "Spokesman solvers on expander sets",
-            kind: BuiltinKind::Scenario(expander_spokesman),
-        },
-        BuiltinScenario {
-            name: "implicit-hypercube",
-            title: "Expansion of an unmaterialized hypercube",
-            kind: BuiltinKind::Scenario(implicit_hypercube),
-        },
-        BuiltinScenario {
-            name: "grid-broadcast-decay",
-            title: "Decay broadcast on a grid",
-            kind: BuiltinKind::Scenario(grid_broadcast_decay),
-        },
-    ];
-    for &(id, title, run) in experiments::ALL {
-        entries.push(BuiltinScenario {
-            name: id,
-            title,
-            kind: BuiltinKind::Paper(run),
-        });
+const fn paper(
+    name: &'static str,
+    title: &'static str,
+    run: fn(&SweepOptions) -> Result<String>,
+) -> BuiltinScenario {
+    BuiltinScenario {
+        name,
+        title,
+        kind: BuiltinKind::Paper(run),
     }
-    entries
+}
+
+/// The registry: the five declarative demo scenarios followed by the
+/// eleven paper experiments (in E1..E11 order).
+const BUILTINS: &[BuiltinScenario] = &[
+    BuiltinScenario {
+        name: "c-plus-profile",
+        title: "C+ profile (introduction example)",
+        kind: BuiltinKind::Scenario(c_plus_profile),
+    },
+    BuiltinScenario {
+        name: "expander-wireless",
+        title: "Wireless expansion of random expanders",
+        kind: BuiltinKind::Scenario(expander_wireless),
+    },
+    BuiltinScenario {
+        name: "expander-spokesman",
+        title: "Spokesman solvers on expander sets",
+        kind: BuiltinKind::Scenario(expander_spokesman),
+    },
+    BuiltinScenario {
+        name: "implicit-hypercube",
+        title: "Expansion of an unmaterialized hypercube",
+        kind: BuiltinKind::Scenario(implicit_hypercube),
+    },
+    BuiltinScenario {
+        name: "grid-broadcast-decay",
+        title: "Decay broadcast on a grid",
+        kind: BuiltinKind::Scenario(grid_broadcast_decay),
+    },
+    paper("e1", "E1 (Theorem 1.1)", experiments::e1::run),
+    paper("e2", "E2 (Lemmas 3.2-3.3)", experiments::e2::run),
+    paper("e3", "E3 (Lemma 3.1)", experiments::e3::run),
+    paper("e4", "E4 (Lemma 4.4)", experiments::e4::run),
+    paper("e5", "E5 (Lemmas 4.6-4.8)", experiments::e5::run),
+    paper("e6", "E6 (Theorem 1.2)", experiments::e6::run),
+    paper("e7", "E7 (Section 4.2.1)", experiments::e7::run),
+    paper("e8", "E8 (Section 5)", experiments::e8::run),
+    paper("e9", "E9 (arboricity corollary)", experiments::e9::run),
+    paper("e10", "E10 (Appendix A)", experiments::e10::run),
+    paper("e11", "E11 (C+ example)", experiments::e11::run),
+];
+
+/// Every registry entry, in `wx list` and `wx sweep --all` order.
+pub fn builtins() -> &'static [BuiltinScenario] {
+    BUILTINS
 }
 
 /// Looks up a built-in by name.
 pub fn find(name: &str) -> Option<BuiltinScenario> {
-    builtins().into_iter().find(|b| b.name == name)
+    BUILTINS.iter().find(|b| b.name == name).copied()
 }
-
-/// Options for [`run_sweep`]: the paper experiments' options, shared by
-/// every entry.
-pub use wx_bench::ExperimentOptions as SweepOptions;
 
 /// One executed sweep entry.
 #[derive(Clone, Debug, Serialize)]
@@ -238,50 +281,63 @@ impl SweepReport {
     }
 }
 
-/// Executes one built-in entry against a shared artifact cache: sweep cells
-/// whose sources coincide (same family, same derived build seeds) reuse built
-/// graphs and spokesman solutions instead of regenerating them per cell.
-pub fn run_builtin_ctx(
-    entry: &BuiltinScenario,
-    opts: SweepOptions,
-    ctx: &RunContext<'_>,
-) -> SweepEntry {
-    match entry.kind {
+/// The one entry runner: executes a built-in entry of either kind against
+/// a shared artifact cache. A panic, an `Err` or an empty paper report
+/// becomes a failed [`SweepEntry`] carrying its message.
+fn run_entry(entry: &BuiltinScenario, opts: SweepOptions, ctx: &RunContext<'_>) -> SweepEntry {
+    let outcome = catch_panic(|| match entry.kind {
         BuiltinKind::Scenario(build) => {
-            let spec = build(opts.quick, opts.seed);
-            match Runner::new().run_ctx(&spec, ctx) {
-                Ok(report) => SweepEntry {
-                    name: entry.name.to_string(),
-                    title: entry.title.to_string(),
-                    kind: "scenario".to_string(),
-                    passed: true,
-                    error: None,
-                    scenario: Some(report),
-                    text_report: None,
-                },
-                Err(e) => SweepEntry {
-                    name: entry.name.to_string(),
-                    title: entry.title.to_string(),
-                    kind: "scenario".to_string(),
-                    passed: false,
-                    error: Some(e.to_string()),
-                    scenario: None,
-                    text_report: None,
-                },
-            }
+            let report = Runner::new().run_ctx(&build(opts.quick, opts.seed), ctx)?;
+            Ok((Some(report), None))
         }
-        BuiltinKind::Paper(run) => {
-            let outcome = experiments::run_checked(entry.name, entry.title, run, &opts);
-            SweepEntry {
-                name: entry.name.to_string(),
-                title: entry.title.to_string(),
-                kind: "paper".to_string(),
-                passed: outcome.passed,
-                error: outcome.error,
-                scenario: None,
-                text_report: outcome.passed.then_some(outcome.report),
-            }
-        }
+        BuiltinKind::Paper(run) => match run(&opts)? {
+            // the only structural requirement on a report is that it says
+            // something; table formatting is pinned by the golden sweeps
+            text if text.trim().is_empty() => Err(LabError::Experiment(
+                "the experiment produced an empty report".to_string(),
+            )),
+            text => Ok((None, Some(text))),
+        },
+    })
+    .and_then(|result| result.map_err(|e| e.to_string()));
+    let (passed, error, (scenario, text_report)) = match outcome {
+        Ok(reports) => (true, None, reports),
+        Err(message) => (false, Some(message), (None, None)),
+    };
+    SweepEntry {
+        name: entry.name.to_string(),
+        title: entry.title.to_string(),
+        kind: entry.kind.label().to_string(),
+        passed,
+        error,
+        scenario,
+        text_report,
+    }
+}
+
+/// Runs the given entries in order against one shared artifact cache and
+/// aggregates pass/fail: sweep cells whose sources coincide (same family,
+/// same derived build seeds) reuse built graphs and spokesman solutions
+/// instead of regenerating them per cell.
+pub(crate) fn run_entries(entries: &[BuiltinScenario], opts: SweepOptions) -> SweepReport {
+    // e.g. the expander wireless and spokesman demos both sample
+    // random_regular(32, 4) from the sweep seed, and build it once
+    let cache = ArtifactCache::new(CacheConfig::default());
+    let ctx = RunContext {
+        graphs: Some(&cache),
+        solutions: Some(&cache),
+    };
+    let entries: Vec<SweepEntry> = entries
+        .iter()
+        .map(|entry| run_entry(entry, opts, &ctx))
+        .collect();
+    let passed = entries.iter().filter(|e| e.passed).count();
+    SweepReport {
+        quick: opts.quick,
+        seed: opts.seed,
+        passed,
+        failed: entries.len() - passed,
+        entries,
     }
 }
 
@@ -289,7 +345,7 @@ pub fn run_builtin_ctx(
 /// aggregates pass/fail. Unknown names fail the whole sweep up front.
 pub fn run_sweep(names: &[String], opts: SweepOptions) -> Result<SweepReport> {
     let selected: Vec<BuiltinScenario> = if names.is_empty() {
-        builtins()
+        BUILTINS.to_vec()
     } else {
         names
             .iter()
@@ -302,28 +358,7 @@ pub fn run_sweep(names: &[String], opts: SweepOptions) -> Result<SweepReport> {
             })
             .collect::<Result<_>>()?
     };
-    // One artifact cache spans the whole sweep: cells that draw the same
-    // (source, seed) instances — e.g. the expander wireless and spokesman
-    // demos both sample random_regular(32, 4) from the sweep seed — build
-    // each graph once and share it via `Arc` instead of rebuilding per
-    // cell, the redundant-rebuild fix `wx serve` generalizes.
-    let cache = ArtifactCache::new(CacheConfig::default());
-    let ctx = RunContext {
-        graphs: Some(&cache),
-        solutions: Some(&cache),
-    };
-    let entries: Vec<SweepEntry> = selected
-        .iter()
-        .map(|entry| run_builtin_ctx(entry, opts, &ctx))
-        .collect();
-    let passed = entries.iter().filter(|e| e.passed).count();
-    Ok(SweepReport {
-        quick: opts.quick,
-        seed: opts.seed,
-        passed,
-        failed: entries.len() - passed,
-        entries,
-    })
+    Ok(run_entries(&selected, opts))
 }
 
 #[cfg(test)]

@@ -187,22 +187,18 @@ impl Runner {
     pub fn plan(&self, spec: &ScenarioSpec) -> TrialPlan {
         TrialPlan {
             spec: spec.clone(),
-            trials: (0..spec.trials)
-                .map(|index| TrialSpec {
-                    index,
-                    seed: derive_seed(spec.seed, index as u64),
-                })
-                .collect(),
+            trials: trial_specs(spec, 0..spec.trials),
         }
     }
 
     /// Runs a scenario end to end: plan, execute every trial, aggregate.
     ///
-    /// Trials execute in fixed-size batches and their metrics stream
-    /// into per-key [`StatsAccumulator`]s **in trial order** (preserving the
+    /// Trials execute in fixed-size batches, each batch's [`TrialSpec`]s
+    /// derived when the batch is reached, and their metrics stream into
+    /// per-key [`StatsAccumulator`]s **in trial order** (preserving the
     /// determinism contract), so runner memory is bounded by the batch size
-    /// plus the per-trial record cap — it no longer grows linearly with the
-    /// trial count.
+    /// plus the per-trial record cap — it does not grow with the trial
+    /// count.
     pub fn run(&self, spec: &ScenarioSpec) -> Result<ScenarioReport> {
         self.run_ctx(spec, &RunContext::default())
     }
@@ -217,7 +213,6 @@ impl Runner {
     /// [`ArtifactCache`](crate::cache::ArtifactCache) through here.
     pub fn run_ctx(&self, spec: &ScenarioSpec, ctx: &RunContext<'_>) -> Result<ScenarioReport> {
         spec.validate()?;
-        let plan = self.plan(spec);
         let instances = Instances::new(&spec.source, ctx)?;
         // Radio trials on one shared instance batch into the lanes of one
         // word; every other group is a single trial.
@@ -239,7 +234,9 @@ impl Runner {
             };
             (results, counters)
         };
-        let chunks = plan.trials.chunks(TRIAL_CHUNK).map(|chunk| {
+        let chunks = (0..spec.trials).step_by(TRIAL_CHUNK).map(|start| {
+            let end = spec.trials.min(start.saturating_add(TRIAL_CHUNK));
+            let chunk = trial_specs(spec, start..end);
             let groups: Vec<&[TrialSpec]> = chunk.chunks(group).collect();
             wx_trace::par_map(&groups, |_, g| run_group(g))
         });
@@ -306,6 +303,17 @@ impl Runner {
             per_trial_truncated,
         })
     }
+}
+
+/// The planned trials `indices` of `spec`: each trial's seed is
+/// `derive_seed(spec.seed, index)`.
+fn trial_specs(spec: &ScenarioSpec, indices: std::ops::Range<usize>) -> Vec<TrialSpec> {
+    indices
+        .map(|index| TrialSpec {
+            index,
+            seed: derive_seed(spec.seed, index as u64),
+        })
+        .collect()
 }
 
 /// One unit of executed work: a group's trial records plus the
@@ -1009,6 +1017,25 @@ mod tests {
         assert_eq!(report.metrics["completed"].mean, 1.0);
         assert!(report.metrics["rounds"].min >= 1.0);
         assert_eq!(report.metrics["rounds"].count, 5);
+    }
+
+    #[test]
+    fn a_huge_trial_count_plans_nothing_up_front() {
+        // 2^40 trials would be a 16 TiB plan; each chunk's trials are
+        // derived when it is reached, so the first chunk's typed error
+        // returns at once.
+        let spec = ScenarioSpec {
+            source: GraphSource::Hypercube { dim: 3 },
+            trials: 1 << 40,
+            task: Task::Radio {
+                protocol: ProtocolKind::RoundRobin,
+                source_vertex: Some(99),
+                max_rounds: None,
+            },
+            ..measure_spec(1)
+        };
+        let err = Runner::new().run(&spec).unwrap_err();
+        assert!(err.to_string().contains("out of range"), "{err}");
     }
 
     #[test]

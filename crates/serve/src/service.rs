@@ -104,14 +104,8 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 
 /// Runs `f`, turning a panic into `Err` carrying the panic message.
 fn catch_panic<T>(f: impl FnOnce() -> T) -> std::result::Result<T, String> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
-        let message = payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        format!("internal error: the request panicked: {message}")
-    })
+    wx_lab::error::catch_panic(f)
+        .map_err(|message| format!("internal error: the request panicked: {message}"))
 }
 
 impl ServiceInner {

@@ -509,3 +509,18 @@ fn http_short_body_ends_only_its_own_connection() {
 
     handle.join().unwrap();
 }
+
+#[test]
+fn wx_list_output_is_pinned() {
+    // The registry's 16 entries in order, with kinds and titles, then the
+    // source catalog: `wx list` is a user-facing surface, so its bytes are
+    // pinned like report bytes.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_wx"))
+        .arg("list")
+        .output()
+        .expect("spawning wx");
+    assert!(out.status.success(), "{out:?}");
+    let expected = include_str!("golden/wx_list.stdout");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), expected);
+    assert_eq!(expected.lines().count(), 41);
+}

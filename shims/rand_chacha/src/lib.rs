@@ -4,8 +4,7 @@
 //! `rand_chacha` (the workspace only relies on determinism).
 //!
 //! Besides the word-at-a-time [`RngCore`] interface, the generator exposes
-//! bulk producers — [`ChaCha8Rng::fill_u64`],
-//! [`ChaCha8Rng::fill_decision_bits`] and
+//! bulk producers — [`ChaCha8Rng::fill_decision_bits`] and
 //! [`ChaCha8Rng::fill_masked_decision_bits`] — that emit **exactly** the stream the
 //! scalar interface would (counter-mode blocks are independent, so many can
 //! be produced at once and serialized in order). On x86-64 with AVX-512F the
@@ -62,7 +61,11 @@ impl SeedableRng for ChaCha8Rng {
 
 /// One ChaCha8 block (4 double rounds plus the feed-forward addition) for
 /// the given state; the counter in `state[12..14]` is **not** advanced.
-#[inline]
+///
+/// Always inlined: the scalar stream refills one block per 8 draws, and
+/// left to itself LLVM calls it out of line, which made the lane engine's
+/// Decay rounds about 4% slower on an AVX-512 x86-64 host.
+#[inline(always)]
 fn raw_block(state: &[u32; 16]) -> [u32; 16] {
     #[inline]
     fn quarter_round(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
@@ -144,34 +147,6 @@ impl ChaCha8Rng {
         let w = self.block[self.word_idx];
         self.word_idx += 1;
         w
-    }
-
-    /// Fills `out` with the next `out.len()` values of the [`RngCore::next_u64`]
-    /// stream — bit-identical to calling `next_u64` in a loop, but served in
-    /// bulk (16 counter-mode blocks at a time, AVX-512 when available).
-    pub fn fill_u64(&mut self, out: &mut [u64]) {
-        let mut i = 0;
-        // Serve any partially consumed block through the scalar path first so
-        // the stream position is preserved exactly.
-        while i < out.len() && self.word_idx != 16 {
-            out[i] = self.next_u64();
-            i += 1;
-        }
-        if out.len() - i >= BULK_U64 {
-            let use_avx512 = simd::avx512_available();
-            while out.len() - i >= BULK_U64 {
-                let chunk: &mut [u64; BULK_U64] = (&mut out[i..i + BULK_U64])
-                    .try_into()
-                    .expect("chunk is exactly BULK_U64 long");
-                simd::blocks16_u64(&self.state, chunk, use_avx512);
-                self.advance_counter(BULK_BLOCKS as u64);
-                i += BULK_U64;
-            }
-        }
-        while i < out.len() {
-            out[i] = self.next_u64();
-            i += 1;
-        }
     }
 
     /// Packs the next `count` `gen_bool(p)` decisions of this generator into
@@ -264,8 +239,8 @@ impl ChaCha8Rng {
     }
 }
 
-/// Bulk block production: 16 consecutive counter-mode blocks serialized in
-/// stream order. The AVX-512 path computes all 16 blocks in the lanes of
+/// Bulk block production: decisions over 16 consecutive counter-mode
+/// blocks in stream order, and their deposit into masks. The AVX-512 path computes all 16 blocks in the lanes of
 /// 512-bit vectors and transposes in-register; the portable path loops the
 /// scalar block function. Both produce identical bytes.
 mod simd {
@@ -285,20 +260,6 @@ mod simd {
         }
     }
 
-    /// The next 16 blocks of the stream starting at `state`'s counter,
-    /// packed little-endian into 128 `u64`s.
-    #[inline]
-    pub fn blocks16_u64(state: &[u32; 16], out: &mut [u64; BULK_U64], use_avx512: bool) {
-        #[cfg(target_arch = "x86_64")]
-        if use_avx512 {
-            // SAFETY: gated on runtime AVX-512F detection.
-            unsafe { avx512::blocks16_u64(state, out) };
-            return;
-        }
-        let _ = use_avx512;
-        scalar_blocks16_u64(state, out);
-    }
-
     /// `gen_bool`-threshold decisions for the next 128 draws, in stream
     /// order (draw `i` in bit `i % 64` of the `(lo, hi)` pair).
     #[inline]
@@ -310,7 +271,7 @@ mod simd {
         }
         let _ = use_avx512;
         let mut buf = [0u64; BULK_U64];
-        scalar_blocks16_u64(state, &mut buf);
+        scalar_blocks16(state, &mut buf);
         let mut lo = 0u64;
         let mut hi = 0u64;
         for (i, &x) in buf.iter().enumerate() {
@@ -391,7 +352,7 @@ mod simd {
         }
     }
 
-    fn scalar_blocks16_u64(state: &[u32; 16], out: &mut [u64; BULK_U64]) {
+    fn scalar_blocks16(state: &[u32; 16], out: &mut [u64; BULK_U64]) {
         let mut st = *state;
         for b in 0..BULK_BLOCKS {
             let block = raw_block(&st);
@@ -409,15 +370,19 @@ mod simd {
 
     #[cfg(target_arch = "x86_64")]
     mod avx512 {
-        use super::BULK_U64;
         use std::arch::x86_64::*;
 
         /// 16 blocks, one per 32-bit lane, then an in-register 16×16 `u32`
         /// transpose so register `j` holds block `j` in stream order.
         ///
+        /// Kept out of line: inlined into its one caller,
+        /// `blocks16_decisions`, it made the bulk decision path slower on
+        /// an AVX-512 x86-64 host.
+        ///
         /// # Safety
         /// Requires AVX-512F at runtime.
         #[target_feature(enable = "avx512f")]
+        #[inline(never)]
         unsafe fn blocks16(state: &[u32; 16]) -> [__m512i; 16] {
             unsafe {
                 let mut v: [__m512i; 16] = [_mm512_setzero_si512(); 16];
@@ -497,18 +462,6 @@ mod simd {
         /// # Safety
         /// Requires AVX-512F at runtime.
         #[target_feature(enable = "avx512f")]
-        pub unsafe fn blocks16_u64(state: &[u32; 16], out: &mut [u64; BULK_U64]) {
-            unsafe {
-                let blocks = blocks16(state);
-                for (j, blk) in blocks.iter().enumerate() {
-                    _mm512_storeu_si512(out.as_mut_ptr().add(8 * j) as *mut __m512i, *blk);
-                }
-            }
-        }
-
-        /// # Safety
-        /// Requires AVX-512F at runtime.
-        #[target_feature(enable = "avx512f")]
         pub unsafe fn blocks16_decisions(state: &[u32; 16], t53: u64) -> (u64, u64) {
             unsafe {
                 let blocks = blocks16(state);
@@ -543,10 +496,6 @@ impl RngCore for ChaCha8Rng {
         self.next_word()
     }
 }
-
-/// 12-round variant (same core, more double rounds); provided because some
-/// code spells the type `ChaCha12Rng`.
-pub type ChaCha12Rng = ChaCha8Rng;
 
 #[cfg(test)]
 mod tests {
@@ -583,38 +532,6 @@ mod tests {
         let _ = a.next_u64();
         let mut b = a.clone();
         assert_eq!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn fill_u64_matches_the_scalar_stream() {
-        for len in [0usize, 1, 7, 63, 127, 128, 129, 300, 1000] {
-            for warmup in [0usize, 1, 5, 8] {
-                let mut bulk = ChaCha8Rng::seed_from_u64(7);
-                let mut scalar = ChaCha8Rng::seed_from_u64(7);
-                for _ in 0..warmup {
-                    assert_eq!(bulk.next_u64(), scalar.next_u64());
-                }
-                let mut out = vec![0u64; len];
-                bulk.fill_u64(&mut out);
-                let expect: Vec<u64> = (0..len).map(|_| scalar.next_u64()).collect();
-                assert_eq!(out, expect, "len={len} warmup={warmup}");
-                // positions stay in lockstep afterwards
-                assert_eq!(bulk.next_u64(), scalar.next_u64());
-            }
-        }
-    }
-
-    #[test]
-    fn fill_u64_handles_misaligned_word_positions() {
-        // After a lone next_u32 the word index is odd; the bulk path must
-        // still reproduce the scalar stream (it simply stays scalar).
-        let mut bulk = ChaCha8Rng::seed_from_u64(3);
-        let mut scalar = ChaCha8Rng::seed_from_u64(3);
-        assert_eq!(bulk.next_u32(), scalar.next_u32());
-        let mut out = vec![0u64; 200];
-        bulk.fill_u64(&mut out);
-        let expect: Vec<u64> = (0..200).map(|_| scalar.next_u64()).collect();
-        assert_eq!(out, expect);
     }
 
     #[test]
