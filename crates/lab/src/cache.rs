@@ -33,7 +33,6 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
-use serde_json::Value;
 use wx_core::spokesman::SolutionArtifact;
 use wx_trace::{CounterId, CounterSet};
 
@@ -55,7 +54,7 @@ pub trait GraphStore: Sync {
 /// A cached spokesman solve: the portable solution plus the deterministic
 /// work counters the cold solve recorded (replayed on hits so telemetry
 /// is byte-identical either way).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SolutionEntry {
     /// The solution, detached from its graph.
     pub artifact: SolutionArtifact,
@@ -283,41 +282,15 @@ impl ArtifactCache {
         let Some(path) = self.persist_path(key) else {
             return;
         };
-        let Ok(artifact) = serde::to_value(&entry.artifact) else {
-            return;
-        };
-        let counters = Value::Map(
-            entry
-                .counters
-                .iter()
-                .map(|(name, value)| (name.clone(), Value::Num(serde::Number::U64(*value))))
-                .collect(),
-        );
-        let doc = Value::Map(vec![
-            ("artifact".to_string(), artifact),
-            ("counters".to_string(), counters),
-        ]);
-        if let Ok(text) = serde_json::to_string_pretty(&doc) {
+        if let Ok(text) = serde_json::to_string_pretty(entry) {
             let _ = std::fs::write(path, text);
         }
     }
 
+    /// Reads a persisted entry; a missing or unreadable file is a miss.
     fn load_persisted(&self, key: u64) -> Option<SolutionEntry> {
-        let path = self.persist_path(key)?;
-        let text = std::fs::read_to_string(path).ok()?;
-        let doc: Value = serde_json::from_str(&text).ok()?;
-        let artifact: SolutionArtifact = serde::from_value(doc.get("artifact")?.clone()).ok()?;
-        let counters = doc
-            .get("counters")
-            .and_then(Value::as_map)
-            .map(|entries| {
-                entries
-                    .iter()
-                    .filter_map(|(name, v)| Some((name.clone(), v.as_u64()?)))
-                    .collect()
-            })
-            .unwrap_or_default();
-        Some(SolutionEntry { artifact, counters })
+        let text = std::fs::read_to_string(self.persist_path(key)?).ok()?;
+        serde_json::from_str(&text).ok()
     }
 
     fn insert_solution(

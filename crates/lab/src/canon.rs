@@ -1,32 +1,26 @@
-//! Canonical JSON serialization and content-address hashing.
+//! Content-address hashing of specs, graph sources and solutions.
 //!
 //! The artifact cache keys built graphs by *(GraphSource, build seed)* and
 //! spokesman solutions by *(graph key, task shape, solver)*. Two requests
 //! that mean the same thing must map to the same key even when their JSON
-//! spellings differ, so keys are computed over a **canonical form**, not
-//! over raw request bytes.
+//! spellings differ, so keys hash the parsed value, not the request bytes.
 //!
-//! # Canonical form
+//! # What is hashed
 //!
-//! The canonical serialization of a [`Value`] tree is defined as:
+//! A spec or source key hashes the compact JSON that `serde_json::to_string`
+//! writes for the typed value. Derived `Serialize` emits fields in
+//! declaration order, and a spec holds no hash maps (every map in it is a
+//! typed struct or enum), so two spellings of one spec (field order,
+//! whitespace, number formatting) parse to one value and serialize to one
+//! text. Any *semantic* change (a different seed, size, solver, family…)
+//! changes that text and therefore the hash. Hashes are FNV-1a 64
+//! ([`wx_core::graph::Fnv1a`], the `.wxg` container's payload checksum),
+//! which is ample for cache addressing (keys identify cache slots;
+//! artifacts are still validated on rehydration).
 //!
-//! * maps have their entries sorted by key (lexicographic byte order,
-//!   recursively), discarding the insertion order of the source text;
-//! * no whitespace: `","` between items, `":"` between key and value;
-//! * strings escape `"` and `\`, the two-character forms `\n` `\r` `\t`,
-//!   and all other control characters as `\u00XX`;
-//! * numbers print as unsigned/signed decimal integers, and
-//!   floating-point values via Rust's shortest round-trip `Display`.
-//!
-//! Because canonicalization happens on the parsed value tree, the result
-//! is independent of field order and whitespace in the request text by
-//! construction; any *semantic* change (a different seed, size, solver,
-//! family…) changes the canonical text and therefore the hash. Hashes are
-//! FNV-1a 64 ([`wx_core::graph::Fnv1a`], the `.wxg` container's payload
-//! checksum), which is ample for cache addressing (keys identify cache
-//! slots; artifacts are still validated on rehydration).
-
-use serde_json::Value;
+//! The spec and graph tags are at `v2` because `v1` keys hashed another
+//! serialization of the same values: a `--persist` directory written with
+//! `v1` keys is not read.
 
 use crate::error::{LabError, Result};
 use crate::source::GraphSource;
@@ -36,8 +30,8 @@ use wx_core::spokesman::SolverKind;
 
 /// Domain-separation tags so the different key spaces (specs, graph
 /// instances, solutions) cannot collide even on identical payloads.
-const TAG_SPEC: &[u8] = b"wx:spec:v1";
-const TAG_GRAPH: &[u8] = b"wx:graph:v1";
+const TAG_SPEC: &[u8] = b"wx:spec:v2";
+const TAG_GRAPH: &[u8] = b"wx:graph:v2";
 const TAG_SOLUTION: &[u8] = b"wx:solution:v1";
 
 /// FNV-1a 64 over the concatenation of `parts`.
@@ -49,92 +43,20 @@ fn fnv1a(parts: &[&[u8]]) -> u64 {
     h.finish()
 }
 
-/// Renders a value tree in the canonical form documented at module level.
-#[must_use]
-pub fn canonical_json(value: &Value) -> String {
-    let mut out = String::new();
-    write_canonical(value, &mut out);
-    out
-}
-
-fn write_canonical(value: &Value, out: &mut String) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Num(n) => {
-            use serde::Number;
-            match n {
-                Number::U64(u) => out.push_str(&u.to_string()),
-                Number::I64(i) => out.push_str(&i.to_string()),
-                Number::F64(f) => out.push_str(&f.to_string()),
-            }
-        }
-        Value::Str(s) => write_escaped(s, out),
-        Value::Seq(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_canonical(item, out);
-            }
-            out.push(']');
-        }
-        Value::Map(entries) => {
-            let mut order: Vec<usize> = (0..entries.len()).collect();
-            order.sort_by(|&a, &b| entries[a].0.cmp(&entries[b].0));
-            out.push('{');
-            for (i, &idx) in order.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let (key, val) = &entries[idx];
-                write_escaped(key, out);
-                out.push(':');
-                write_canonical(val, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn canonical_value_of<T: serde::Serialize>(what: &'static str, value: &T) -> Result<Value> {
-    serde::to_value(value).map_err(|e| LabError::json(what, e))
-}
-
 /// The coalescing key of a whole request: every field of the spec
 /// participates (two requests coalesce only when their reports would be
 /// byte-identical, which includes `name` and `description`).
 pub fn spec_key(spec: &ScenarioSpec) -> Result<u64> {
-    let value = canonical_value_of("canonical spec", spec)?;
-    Ok(fnv1a(&[TAG_SPEC, canonical_json(&value).as_bytes()]))
+    let json = serde_json::to_string(spec).map_err(|e| LabError::json("spec key", e))?;
+    Ok(fnv1a(&[TAG_SPEC, json.as_bytes()]))
 }
 
-/// The source half of a graph-instance key: a hash of the canonical
+/// The source half of a graph-instance key: a hash of the compact
 /// serialization of the [`GraphSource`] alone. Combine with the build
 /// seed via [`graph_instance_key`].
 pub fn source_fingerprint(source: &GraphSource) -> Result<u64> {
-    let value = canonical_value_of("canonical source", source)?;
-    Ok(fnv1a(&[TAG_GRAPH, canonical_json(&value).as_bytes()]))
+    let json = serde_json::to_string(source).map_err(|e| LabError::json("source key", e))?;
+    Ok(fnv1a(&[TAG_GRAPH, json.as_bytes()]))
 }
 
 /// The content address of one built graph instance: *(GraphSource, build
@@ -164,27 +86,6 @@ pub fn solution_key(graph_key: u64, set_size: usize, task_seed: u64, solver: Sol
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn parse(text: &str) -> Value {
-        serde_json::from_str(text).expect("test JSON parses")
-    }
-
-    #[test]
-    fn canonical_form_ignores_field_order_and_whitespace() {
-        let a = parse(r#"{"b": [1, 2.5, {"y": null, "x": "s"}], "a": true}"#);
-        let b = parse("{\n  \"a\": true,\n  \"b\": [1,\t2.5, {\"x\": \"s\", \"y\": null}]\n}");
-        assert_eq!(canonical_json(&a), canonical_json(&b));
-        assert_eq!(
-            canonical_json(&a),
-            r#"{"a":true,"b":[1,2.5,{"x":"s","y":null}]}"#
-        );
-    }
-
-    #[test]
-    fn canonical_form_escapes_strings() {
-        let v = parse(r#"{"k": "a\"b\\c\nd"}"#);
-        assert_eq!(canonical_json(&v), "{\"k\":\"a\\\"b\\\\c\\nd\"}");
-    }
 
     fn spec_from(text: &str) -> ScenarioSpec {
         ScenarioSpec::from_json(text, "canon test").expect("spec parses")

@@ -19,9 +19,9 @@
 //!   aggregates every metric into mean/median/min/max/p95 — emitting a
 //!   JSON [`runner::ScenarioReport`] that is byte-identical across runs
 //!   of the same spec, at any thread count.
-//! * [`canon`] — canonical JSON serialization and the FNV-1a content
-//!   addresses (spec keys, graph-instance keys, solution keys) the
-//!   artifact cache and `wx serve` coalescing are keyed by.
+//! * [`canon`] — the FNV-1a content addresses (spec keys over the derived
+//!   compact spec JSON, graph-instance keys, solution keys) the artifact
+//!   cache and `wx serve` coalescing are keyed by.
 //! * [`cache`] — the [`cache::GraphStore`]/[`cache::SolutionStore`] seam
 //!   [`runner::Runner::run_ctx`] threads through trial execution, plus
 //!   [`cache::ArtifactCache`], the byte-budgeted LRU implementation with

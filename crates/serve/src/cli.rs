@@ -34,7 +34,7 @@ pub fn main_with_args(args: &[String]) -> i32 {
         return 2;
     };
     match command.as_str() {
-        "serve" => exit_code(cmd_serve(rest)),
+        "serve" => wx_lab::cli::exit_code(cmd_serve(rest)),
         "help" | "--help" | "-h" => {
             println!("{}", wx_lab::cli::usage());
             println!();
@@ -42,19 +42,6 @@ pub fn main_with_args(args: &[String]) -> i32 {
             0
         }
         _ => wx_lab::cli::main_with_args(args),
-    }
-}
-
-fn exit_code(result: Result<i32>) -> i32 {
-    match result {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("wx: {e}");
-            match e {
-                LabError::InvalidSpec(_) | LabError::Json { .. } => 2,
-                _ => 1,
-            }
-        }
     }
 }
 
@@ -149,15 +136,15 @@ fn cmd_serve(args: &[String]) -> Result<i32> {
                 &mut stdout.lock(),
                 out_dir.as_deref(),
             )?;
-            let stats = service.cache_stats();
+            let stats = service.stats();
             eprintln!(
                 "wx serve: {} executed, {} coalesced, {} panicked, graph hits {}, solution hits {} ({} from disk)",
-                service.executed(),
-                service.coalesced(),
-                service.panics(),
-                stats.graph_hits,
-                stats.solution_hits,
-                stats.solution_disk_hits,
+                stats.executed,
+                stats.coalesced,
+                stats.panics,
+                stats.cache.graph_hits,
+                stats.cache.solution_hits,
+                stats.cache.solution_disk_hits,
             );
             service.stop();
             Ok(if failures > 0 { 1 } else { 0 })

@@ -29,16 +29,12 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::time::Duration;
 
-use serde::Value;
 use wx_lab::spec::ScenarioSpec;
 use wx_lab::{LabError, Result};
 use wx_trace::Clock;
 
 use crate::service::Service;
-
-/// Hard cap on request bodies (16 MiB) — a local-tooling guard, not a
-/// security boundary.
-const MAX_BODY_BYTES: usize = 16 << 20;
+use crate::MAX_REQUEST_BYTES;
 
 /// Most bytes read and discarded after a rejection (see [`drain`]).
 const DRAIN_MAX_BYTES: usize = 64 << 20;
@@ -100,7 +96,7 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Request> {
             }
         }
     }
-    if content_length > MAX_BODY_BYTES {
+    if content_length > MAX_REQUEST_BYTES {
         return Ok(Request::Rejected {
             status: "413 Payload Too Large",
             message: b"request body exceeds 16 MiB\n",
@@ -145,15 +141,7 @@ fn write_response(
 }
 
 fn stats_body(service: &Service) -> Vec<u8> {
-    let num = |n: u64| Value::Num(serde::Number::U64(n));
-    let cache = serde::to_value(&service.cache_stats()).unwrap_or(Value::Null);
-    let doc = Value::Map(vec![
-        ("executed".to_string(), num(service.executed())),
-        ("coalesced".to_string(), num(service.coalesced())),
-        ("panics".to_string(), num(service.panics())),
-        ("cache".to_string(), cache),
-    ]);
-    let mut body = serde_json::to_string_pretty(&doc).unwrap_or_default();
+    let mut body = serde_json::to_string_pretty(&service.stats()).unwrap_or_default();
     body.push('\n');
     body.into_bytes()
 }
@@ -340,5 +328,68 @@ impl HttpServer {
             serve_connection(&self.service, &mut stream);
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::ServeConfig;
+
+    #[test]
+    fn stats_bytes_are_pinned() {
+        let service = Service::start(&ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let fresh = String::from_utf8(stats_body(&service)).unwrap();
+        assert_eq!(
+            fresh,
+            r#"{
+  "executed": 0,
+  "coalesced": 0,
+  "panics": 0,
+  "cache": {
+    "graph_hits": 0,
+    "graph_misses": 0,
+    "graph_coalesced": 0,
+    "graph_evictions": 0,
+    "solution_hits": 0,
+    "solution_misses": 0,
+    "solution_disk_hits": 0,
+    "solution_evictions": 0
+  }
+}
+"#
+        );
+        let spec = ScenarioSpec::from_json(
+            r#"{"name":"stats","source":{"Hypercube":{"dim":3}},
+                "task":{"Measure":{"notion":"Wireless","fast":true}},"trials":1,"seed":7}"#,
+            "stats test",
+        )
+        .unwrap();
+        let (response, _) = service.run(spec).unwrap();
+        assert!(response.outcome.is_ok());
+        service.stop();
+        let after = String::from_utf8(stats_body(&service)).unwrap();
+        assert_eq!(
+            after,
+            r#"{
+  "executed": 1,
+  "coalesced": 0,
+  "panics": 0,
+  "cache": {
+    "graph_hits": 0,
+    "graph_misses": 1,
+    "graph_coalesced": 0,
+    "graph_evictions": 0,
+    "solution_hits": 0,
+    "solution_misses": 0,
+    "solution_disk_hits": 0,
+    "solution_evictions": 0
+  }
+}
+"#
+        );
     }
 }

@@ -8,6 +8,11 @@
 //! line number as their id. Blank lines and lines starting with `#` are
 //! skipped (so request files can carry comments).
 //!
+//! A line is read only up to 16 MiB, the cap an HTTP body has too. A
+//! longer line, or one that is not UTF-8, answers an error envelope under
+//! its line number; the rest of the line is discarded unbuffered and the
+//! session goes on with the next line.
+//!
 //! # Response envelopes
 //!
 //! One compact-JSON line per request, in request order:
@@ -20,19 +25,21 @@
 //! The `report` field holds the *exact* bytes `wx run` would print,
 //! JSON-escaped into a string; `--out-dir DIR` additionally writes those
 //! raw bytes to `DIR/<id>.json` so they can be compared with `cmp`.
-//! Failures produce `{"id":N,"ok":false,"error":"..."}`. Everything
+//! Failures, of a job or of a line that never became one, produce
+//! `{"id":N,"ok":false,"error":"..."}`. Everything
 //! wall-clock-dependent stays in the envelope; the report bytes are
 //! byte-deterministic.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
 use serde::Value;
 use wx_lab::spec::ScenarioSpec;
-use wx_lab::{LabError, Result};
+use wx_lab::{CacheStats, LabError, Result};
 
 use crate::service::{Job, Response, Service};
+use crate::MAX_REQUEST_BYTES;
 
 /// A parsed request line: the id it will answer under plus its spec.
 #[derive(Clone, Debug)]
@@ -66,44 +73,57 @@ pub fn parse_request(line: &str, line_no: u64) -> Result<Request> {
     Ok(Request { id, spec })
 }
 
-fn stats_value(stats: &wx_lab::CacheStats) -> Value {
-    serde::to_value(stats).unwrap_or(Value::Null)
+/// The envelope of a completed request.
+#[derive(serde::Serialize)]
+struct OkEnvelope {
+    id: u64,
+    ok: bool,
+    name: String,
+    coalesced: bool,
+    queue_us: u64,
+    run_us: u64,
+    cache: CacheStats,
+    report: String,
+}
+
+/// The envelope of a failed request, whether it failed to parse or to run.
+#[derive(serde::Serialize)]
+struct ErrorEnvelope {
+    id: u64,
+    ok: bool,
+    error: String,
+}
+
+impl ErrorEnvelope {
+    /// The compact JSON line answering request `id` with `error`.
+    fn line(id: u64, error: String) -> String {
+        serde_json::to_string(&ErrorEnvelope {
+            id,
+            ok: false,
+            error,
+        })
+        .unwrap_or_default()
+    }
 }
 
 /// Renders the response envelope for one completed request (compact
 /// JSON, no trailing newline).
 #[must_use]
 pub fn envelope(id: u64, coalesced: bool, response: &Response) -> String {
-    let num = |n: u64| Value::Num(serde::Number::U64(n));
-    let mut fields = vec![("id".to_string(), num(id))];
     match &response.outcome {
-        Ok(report) => {
-            fields.push(("ok".to_string(), Value::Bool(true)));
-            fields.push(("name".to_string(), Value::Str(response.name.clone())));
-            fields.push(("coalesced".to_string(), Value::Bool(coalesced)));
-            fields.push(("queue_us".to_string(), num(response.queue_us)));
-            fields.push(("run_us".to_string(), num(response.run_us)));
-            fields.push(("cache".to_string(), stats_value(&response.cache)));
-            fields.push(("report".to_string(), Value::Str(report.clone())));
-        }
-        Err(error) => {
-            fields.push(("ok".to_string(), Value::Bool(false)));
-            fields.push(("error".to_string(), Value::Str(error.clone())));
-        }
+        Ok(report) => serde_json::to_string(&OkEnvelope {
+            id,
+            ok: true,
+            name: response.name.clone(),
+            coalesced,
+            queue_us: response.queue_us,
+            run_us: response.run_us,
+            cache: response.cache,
+            report: report.clone(),
+        })
+        .unwrap_or_default(),
+        Err(error) => ErrorEnvelope::line(id, error.clone()),
     }
-    serde_json::to_string(&Value::Map(fields)).unwrap_or_default()
-}
-
-/// The error envelope for a line that never became a job (parse or
-/// validation failure).
-#[must_use]
-pub fn error_envelope(id: u64, error: &LabError) -> String {
-    let fields = vec![
-        ("id".to_string(), Value::Num(serde::Number::U64(id))),
-        ("ok".to_string(), Value::Bool(false)),
-        ("error".to_string(), Value::Str(error.to_string())),
-    ];
-    serde_json::to_string(&Value::Map(fields)).unwrap_or_default()
 }
 
 enum Pending {
@@ -136,18 +156,36 @@ pub fn run_session(
             .map_err(|e| LabError::Io(format!("creating {}: {e}", dir.display())))?;
     }
     let mut pending = Vec::new();
-    let mut line = String::new();
+    let mut line = Vec::new();
     let mut line_no = 0u64;
+    let read_error = |e: std::io::Error| LabError::Io(format!("reading request line: {e}"));
     loop {
         line.clear();
-        let read = input
-            .read_line(&mut line)
-            .map_err(|e| LabError::Io(format!("reading request line: {e}")))?;
+        // One byte past the cap tells an overlong line from one that fits.
+        let read = Read::take(&mut *input, MAX_REQUEST_BYTES as u64 + 1)
+            .read_until(b'\n', &mut line)
+            .map_err(read_error)?;
         if read == 0 {
             break;
         }
         line_no += 1;
-        let trimmed = line.trim();
+        let context = || format!("request line {line_no}");
+        let content = line.strip_suffix(b"\n").unwrap_or(&line);
+        if content.len() > MAX_REQUEST_BYTES {
+            input.skip_until(b'\n').map_err(read_error)?;
+            let error = LabError::json(
+                context(),
+                format!("longer than {} MiB", MAX_REQUEST_BYTES >> 20),
+            );
+            pending.push(Pending::Failed { id: line_no, error });
+            continue;
+        }
+        let Ok(text) = std::str::from_utf8(content) else {
+            let error = LabError::json(context(), "not UTF-8");
+            pending.push(Pending::Failed { id: line_no, error });
+            continue;
+        };
+        let trimmed = text.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
@@ -183,7 +221,7 @@ pub fn run_session(
             }
             Pending::Failed { id, error } => {
                 failures += 1;
-                error_envelope(id, &error)
+                ErrorEnvelope::line(id, error.to_string())
             }
         };
         writeln!(output, "{envelope_line}")
@@ -223,6 +261,39 @@ mod tests {
         let request = parse_request(&line, 1).unwrap();
         assert_eq!(request.id, 42);
         assert_eq!(request.spec.name, "b");
+    }
+
+    fn response(outcome: std::result::Result<String, String>) -> Response {
+        Response {
+            name: "pin".to_string(),
+            outcome,
+            queue_us: 12,
+            run_us: 3456,
+            cache: wx_lab::CacheStats {
+                graph_hits: 1,
+                solution_misses: 2,
+                ..wx_lab::CacheStats::default()
+            },
+        }
+    }
+
+    #[test]
+    fn envelope_bytes_are_pinned() {
+        let ok = response(Ok("{\n  \"a\": \"q\\\"\"\n}\n".to_string()));
+        assert_eq!(
+            envelope(7, true, &ok),
+            concat!(
+                r#"{"id":7,"ok":true,"name":"pin","coalesced":true,"queue_us":12,"run_us":3456,"#,
+                r#""cache":{"graph_hits":1,"graph_misses":0,"graph_coalesced":0,"graph_evictions":0,"#,
+                r#""solution_hits":0,"solution_misses":2,"solution_disk_hits":0,"solution_evictions":0},"#,
+                r#""report":"{\n  \"a\": \"q\\\"\"\n}\n"}"#
+            )
+        );
+        let failed = response(Err("boom \"x\"".to_string()));
+        assert_eq!(
+            envelope(8, false, &failed),
+            r#"{"id":8,"ok":false,"error":"boom \"x\""}"#
+        );
     }
 
     #[test]

@@ -21,6 +21,10 @@
 //! trial parallelism. Everything wall-clock-dependent (queue/run time,
 //! hit counts) travels in envelopes or headers, never in reports.
 
+/// The cap on one request: an HTTP body or a stdin-jsonl line (16 MiB,
+/// a local-tooling guard, not a security boundary).
+pub(crate) const MAX_REQUEST_BYTES: usize = 16 << 20;
+
 pub mod cli;
 pub mod http;
 pub mod jsonl;

@@ -3,8 +3,8 @@
 //!
 //! # Coalescing
 //!
-//! Requests are keyed by [`canon::spec_key`] — the canonical content
-//! address of the whole spec. Submission consults the in-flight table
+//! Requests are keyed by [`canon::spec_key`] — the content address of the
+//! whole parsed spec. Submission consults the in-flight table
 //! first: if an identical request is queued or executing, the new
 //! submission *attaches* to it instead of enqueuing, so N identical
 //! concurrent requests cost one execution and produce N identical
@@ -28,7 +28,7 @@
 //!
 //! A job that panics answers with an error response like any failed
 //! request: the panic is caught around the job's execution, counted in
-//! [`Service::panics`], and its key leaves the in-flight table, so neither
+//! [`ServiceStats::panics`], and its key leaves the in-flight table, so neither
 //! its waiters nor later identical requests hang on it.
 
 use std::collections::{BTreeMap, VecDeque};
@@ -75,6 +75,19 @@ pub struct Response {
     /// Cache activity observed while this request executed (a delta of
     /// the service-wide stats; concurrent requests' activity can bleed
     /// into each other's deltas, the cumulative totals are exact).
+    pub cache: CacheStats,
+}
+
+/// Cumulative service counters at one instant.
+#[derive(Clone, Copy, Debug, serde::Serialize)]
+pub struct ServiceStats {
+    /// Requests actually executed (coalesced attachments excluded).
+    pub executed: u64,
+    /// Submissions that attached to an in-flight identical request.
+    pub coalesced: u64,
+    /// Executed requests that panicked (each answered with an error).
+    pub panics: u64,
+    /// Cumulative cache activity.
     pub cache: CacheStats,
 }
 
@@ -220,8 +233,8 @@ impl Service {
 
     /// Submits a request. Returns the job plus whether it *coalesced*
     /// onto an identical in-flight request (true = no new execution was
-    /// scheduled). The job key is the canonical spec hash, so field
-    /// order and whitespace in the original JSON never split executions.
+    /// scheduled). The job key hashes the parsed spec, so field order
+    /// and whitespace in the original JSON never split executions.
     pub fn submit(&self, spec: ScenarioSpec) -> Result<(Arc<Job>, bool)> {
         let key = canon::spec_key(&spec)?;
         let mut inflight = lock(&self.inner.inflight);
@@ -261,28 +274,15 @@ impl Service {
         Ok((self.wait(&job), coalesced))
     }
 
-    /// Cumulative cache activity.
+    /// A snapshot of the cumulative counters (what `GET /stats` serves).
     #[must_use]
-    pub fn cache_stats(&self) -> CacheStats {
-        self.inner.cache.stats()
-    }
-
-    /// Requests actually executed (coalesced attachments excluded).
-    #[must_use]
-    pub fn executed(&self) -> u64 {
-        self.inner.executed.load(Ordering::SeqCst)
-    }
-
-    /// Submissions that attached to an in-flight identical request.
-    #[must_use]
-    pub fn coalesced(&self) -> u64 {
-        self.inner.coalesced.load(Ordering::SeqCst)
-    }
-
-    /// Executed requests that panicked (each answered with an error).
-    #[must_use]
-    pub fn panics(&self) -> u64 {
-        self.inner.panics.load(Ordering::SeqCst)
+    pub fn stats(&self) -> ServiceStats {
+        ServiceStats {
+            executed: self.inner.executed.load(Ordering::SeqCst),
+            coalesced: self.inner.coalesced.load(Ordering::SeqCst),
+            panics: self.inner.panics.load(Ordering::SeqCst),
+            cache: self.inner.cache.stats(),
+        }
     }
 }
 

@@ -63,7 +63,7 @@ fn serve_bytes_match_batch_cold_and_warm_across_worker_counts() {
         service.stop();
         assert_eq!(cold, batch, "cold serve bytes diverged (workers={workers})");
         assert_eq!(warm, batch, "warm serve bytes diverged (workers={workers})");
-        let stats = service.cache_stats();
+        let stats = service.stats().cache;
         assert!(stats.graph_hits > 0, "warm run should hit the graph cache");
         assert!(
             stats.solution_hits > 0,
@@ -92,8 +92,9 @@ fn identical_inflight_requests_coalesce_to_one_execution() {
         .map(|(job, _)| service.wait(job).outcome.clone().unwrap())
         .collect();
     service.stop();
-    assert_eq!(service.executed(), 1, "one execution serves all requests");
-    assert_eq!(service.coalesced(), 5);
+    let stats = service.stats();
+    assert_eq!(stats.executed, 1, "one execution serves all requests");
+    assert_eq!(stats.coalesced, 5);
     assert!(reports.iter().all(|r| r == &reports[0]));
     assert_eq!(reports[0], Runner::new().run(&spec).unwrap().to_json());
 }
@@ -128,7 +129,7 @@ fn eviction_pressure_does_not_change_report_bytes() {
     service.stop();
     assert_eq!(first, batch);
     assert_eq!(second, batch);
-    let stats = service.cache_stats();
+    let stats = service.stats().cache;
     assert!(
         stats.graph_evictions > 0 || stats.solution_evictions > 0,
         "tiny budgets should force evictions (got {stats:?})"
@@ -179,7 +180,10 @@ fn jsonl_session_answers_in_order_and_writes_raw_reports() {
         envelope.get("ok").and_then(|v| v.as_bool()).unwrap()
     };
     assert!(ok_of(lines[0]) && ok_of(lines[1]) && ok_of(lines[2]));
-    assert!(!ok_of(lines[3]));
+    assert_eq!(
+        lines[3],
+        r#"{"id":5,"ok":false,"error":"JSON error in request line 5: invalid literal at byte 0"}"#
+    );
 
     // Raw report files carry the exact batch bytes.
     let raw_1 = std::fs::read_to_string(out_dir.join("1.json")).unwrap();
@@ -291,39 +295,59 @@ fn jsonl_rejects_an_oversized_exact_solve_and_serves_the_next_line() {
         solvers: Some(vec![SolverKind::Exact]),
     };
     let next = measure_spec("jsonl-after-exact", 4);
-    let input = format!(
-        "{{\"id\": 1, \"spec\": {}}}\n{{\"id\": 2, \"spec\": {}}}\n",
-        serde_json::to_string(&oversized).unwrap(),
-        serde_json::to_string(&next).unwrap(),
+    // Between them, a line one byte over the 16 MiB cap and a line that is
+    // not UTF-8: each answers an error envelope under its line number, and
+    // the session goes on.
+    let mut input = format!(
+        "{{\"id\": 1, \"spec\": {}}}\n",
+        serde_json::to_string(&oversized).unwrap()
+    )
+    .into_bytes();
+    input.extend(std::iter::repeat_n(b'x', (16 << 20) + 1));
+    input.extend_from_slice(b"\n\xff\n");
+    input.extend_from_slice(
+        format!(
+            "{{\"id\": 4, \"spec\": {}}}\n",
+            serde_json::to_string(&next).unwrap()
+        )
+        .as_bytes(),
     );
     let service = Service::start(&ServeConfig {
         workers: 1,
         ..ServeConfig::default()
     });
     let mut output = Vec::new();
-    let failures = jsonl::run_session(
-        &service,
-        &mut Cursor::new(input.into_bytes()),
-        &mut output,
-        None,
-    )
-    .unwrap();
+    let failures =
+        jsonl::run_session(&service, &mut Cursor::new(input), &mut output, None).unwrap();
     service.stop();
-    assert_eq!(failures, 1);
+    assert_eq!(failures, 3);
 
     let text = String::from_utf8(output).unwrap();
     let envelopes: Vec<serde::Value> = text
         .lines()
         .map(|line| serde_json::from_str(line).unwrap())
         .collect();
-    assert_eq!(envelopes.len(), 2);
+    assert_eq!(envelopes.len(), 4);
     let rejected = &envelopes[0];
     assert_eq!(rejected.get("id").and_then(|v| v.as_u64()), Some(1));
     assert_eq!(rejected.get("ok").and_then(|v| v.as_bool()), Some(false));
     let error = rejected.get("error").and_then(|v| v.as_str()).unwrap();
     assert!(error.contains("ExactSolver::MAX_LEFT"), "{error}");
-    assert_eq!(envelopes[1].get("id").and_then(|v| v.as_u64()), Some(2));
-    assert_eq!(envelopes[1].get("ok").and_then(|v| v.as_bool()), Some(true));
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(
+        lines[1..3],
+        [
+            r#"{"id":2,"ok":false,"error":"JSON error in request line 2: longer than 16 MiB"}"#,
+            r#"{"id":3,"ok":false,"error":"JSON error in request line 3: not UTF-8"}"#,
+        ]
+    );
+    assert_eq!(envelopes[3].get("id").and_then(|v| v.as_u64()), Some(4));
+    assert_eq!(envelopes[3].get("ok").and_then(|v| v.as_bool()), Some(true));
+    let batch = Runner::new().run(&next).unwrap().to_json();
+    assert_eq!(
+        envelopes[3].get("report").and_then(|v| v.as_str()),
+        Some(batch.as_str())
+    );
 }
 
 #[test]
