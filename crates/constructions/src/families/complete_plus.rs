@@ -10,17 +10,22 @@
 
 use wx_graph::{Graph, GraphBuilder, GraphError, Result, Vertex};
 
-/// Builds `C⁺` with a `k`-clique (`k ≥ 3`) and the source as vertex `k`.
-/// Returns the graph and the source vertex id.
-pub fn complete_plus_graph(k: usize) -> Result<(Graph, Vertex)> {
+/// Checks the clique size [`complete_plus_graph`] accepts (`k ≥ 3`) and
+/// returns the vertex count `k + 1`.
+pub fn check_complete_plus(k: usize) -> Result<usize> {
     if k < 3 {
         return Err(GraphError::invalid(
             "C⁺ needs a clique of at least 3 vertices",
         ));
     }
-    let n = k
-        .checked_add(1)
-        .ok_or_else(|| GraphError::invalid(format!("C⁺ with a {k}-clique is too large")))?;
+    k.checked_add(1)
+        .ok_or_else(|| GraphError::invalid(format!("C⁺ with a {k}-clique is too large")))
+}
+
+/// Builds `C⁺` with a `k`-clique and the source as vertex `k`.
+/// Returns the graph and the source vertex id.
+pub fn complete_plus_graph(k: usize) -> Result<(Graph, Vertex)> {
+    let n = check_complete_plus(k)?;
     let mut b = GraphBuilder::new(n);
     for i in 0..k {
         for j in (i + 1)..k {

@@ -7,15 +7,26 @@
 //! demonstrate that, in contrast with the core-graph family where the loss is
 //! genuinely logarithmic.
 
-use wx_graph::{Graph, GraphBuilder, GraphError, Result};
+use wx_graph::view::materialize;
+use wx_graph::{Graph, GraphBuilder, GraphError, ImplicitFamily, ImplicitGraph, Result};
 
-/// Builds the `rows × cols` grid graph (4-neighbor, no wraparound).
-pub fn grid_graph(rows: usize, cols: usize) -> Result<Graph> {
+/// Checks the parameters [`grid_graph`] accepts and returns the grid's
+/// vertex count `rows · cols`.
+pub fn check_grid(rows: usize, cols: usize) -> Result<usize> {
     if rows == 0 || cols == 0 {
         return Err(GraphError::invalid("grid dimensions must be positive"));
     }
+    rows.checked_mul(cols).ok_or_else(|| {
+        GraphError::invalid(format!(
+            "a {rows}x{cols} grid has more vertices than a usize holds"
+        ))
+    })
+}
+
+/// Builds the `rows × cols` grid graph (4-neighbor, no wraparound).
+pub fn grid_graph(rows: usize, cols: usize) -> Result<Graph> {
     let idx = |r: usize, c: usize| r * cols + c;
-    let mut b = GraphBuilder::new(num_cells(rows, cols)?);
+    let mut b = GraphBuilder::new(check_grid(rows, cols)?);
     for r in 0..rows {
         for c in 0..cols {
             if c + 1 < cols {
@@ -29,30 +40,11 @@ pub fn grid_graph(rows: usize, cols: usize) -> Result<Graph> {
     Ok(b.build())
 }
 
-/// Builds the `rows × cols` torus (grid with wraparound). Requires both
-/// dimensions at least 3 so the wraparound does not create parallel edges.
+/// Builds the `rows × cols` torus (grid with wraparound) by materializing
+/// the [`ImplicitFamily::Torus`] rule, whose check it shares: both sides at
+/// least 3, so the wraparound does not create parallel edges.
 pub fn torus_graph(rows: usize, cols: usize) -> Result<Graph> {
-    if rows < 3 || cols < 3 {
-        return Err(GraphError::invalid("torus dimensions must be at least 3"));
-    }
-    let idx = |r: usize, c: usize| r * cols + c;
-    let mut b = GraphBuilder::new(num_cells(rows, cols)?);
-    for r in 0..rows {
-        for c in 0..cols {
-            b.add_edge(idx(r, c), idx(r, (c + 1) % cols))?;
-            b.add_edge(idx(r, c), idx((r + 1) % rows, c))?;
-        }
-    }
-    Ok(b.build())
-}
-
-/// `rows · cols`, or an error when the product does not fit in a `usize`.
-fn num_cells(rows: usize, cols: usize) -> Result<usize> {
-    rows.checked_mul(cols).ok_or_else(|| {
-        GraphError::invalid(format!(
-            "a {rows}x{cols} grid has more vertices than a usize holds"
-        ))
-    })
+    ImplicitGraph::new(ImplicitFamily::Torus { rows, cols }).map(|g| materialize(&g))
 }
 
 #[cfg(test)]

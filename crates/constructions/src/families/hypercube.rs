@@ -8,14 +8,20 @@
 
 use wx_graph::{Graph, GraphBuilder, GraphError, Result};
 
-/// Builds the `d`-dimensional hypercube (for `d ≤ 26` to keep sizes sane).
-pub fn hypercube_graph(d: usize) -> Result<Graph> {
+/// Checks the dimension [`hypercube_graph`] accepts (`d ≤ 26`, to keep the
+/// materialized CSR's memory sane) and returns the vertex count `2^d`.
+pub fn check_hypercube(d: usize) -> Result<usize> {
     if d > 26 {
         return Err(GraphError::invalid(format!(
             "hypercube dimension {d} too large (max 26)"
         )));
     }
-    let n = 1usize << d;
+    Ok(1usize << d)
+}
+
+/// Builds the `d`-dimensional hypercube.
+pub fn hypercube_graph(d: usize) -> Result<Graph> {
+    let n = check_hypercube(d)?;
     let mut b = GraphBuilder::new(n);
     for v in 0..n {
         for bit in 0..d {

@@ -12,8 +12,9 @@
 
 use wx_graph::{Graph, GraphBuilder, GraphError, Result};
 
-/// Builds the Margulis–Gabber–Galil graph on `m²` vertices.
-pub fn margulis_graph(m: usize) -> Result<Graph> {
+/// Checks the side [`margulis_graph`] accepts (`2 ≤ m ≤ 4096`) and returns
+/// the vertex count `m²`.
+pub fn check_margulis(m: usize) -> Result<usize> {
     if m < 2 {
         return Err(GraphError::invalid("Margulis construction needs m ≥ 2"));
     }
@@ -22,7 +23,12 @@ pub fn margulis_graph(m: usize) -> Result<Graph> {
             "Margulis grid side {m} too large (max 4096)"
         )));
     }
-    let n = m * m;
+    Ok(m * m)
+}
+
+/// Builds the Margulis–Gabber–Galil graph on `m²` vertices.
+pub fn margulis_graph(m: usize) -> Result<Graph> {
+    let n = check_margulis(m)?;
     let idx = |x: usize, y: usize| -> usize { x * m + y };
     let mut b = GraphBuilder::new(n);
     for x in 0..m {

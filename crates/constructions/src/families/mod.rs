@@ -28,10 +28,10 @@ pub mod random_bipartite;
 pub mod random_regular;
 pub mod tree;
 
-pub use complete_plus::complete_plus_graph;
-pub use grid::{grid_graph, torus_graph};
-pub use hypercube::hypercube_graph;
-pub use margulis::margulis_graph;
+pub use complete_plus::{check_complete_plus, complete_plus_graph};
+pub use grid::{check_grid, grid_graph, torus_graph};
+pub use hypercube::{check_hypercube, hypercube_graph};
+pub use margulis::{check_margulis, margulis_graph};
 pub use random_bipartite::random_left_regular_bipartite;
-pub use random_regular::random_regular_graph;
-pub use tree::{complete_k_ary_tree, random_tree};
+pub use random_regular::{check_random_regular, random_regular_graph};
+pub use tree::{check_k_ary_tree, check_random_tree, complete_k_ary_tree, random_tree};

@@ -14,12 +14,9 @@ use std::collections::HashSet;
 use wx_graph::random::rng_from_seed;
 use wx_graph::{Graph, GraphBuilder, GraphError, GraphView, Result};
 
-/// Generates a random simple `d`-regular graph on `n` vertices.
-///
-/// Requirements: `n·d` even, `d < n`. Fails with
-/// [`GraphError::DidNotConverge`] if the switching repair cannot eliminate
-/// all defects (practically impossible for `d ≤ n/4` and `n ≥ 8`).
-pub fn random_regular_graph(n: usize, d: usize, seed: u64) -> Result<Graph> {
+/// Checks the parameters [`random_regular_graph`] accepts (`d < n`, `n·d`
+/// even and within a `usize`) and returns the vertex count `n`.
+pub fn check_random_regular(n: usize, d: usize) -> Result<usize> {
     if d >= n {
         return Err(GraphError::invalid(format!(
             "degree {d} must be smaller than the number of vertices {n}"
@@ -33,6 +30,17 @@ pub fn random_regular_graph(n: usize, d: usize, seed: u64) -> Result<Graph> {
             "n·d must be even, got n = {n}, d = {d}"
         )));
     }
+    Ok(n)
+}
+
+/// Generates a random simple `d`-regular graph on `n` vertices.
+///
+/// Fails on the parameters [`check_random_regular`] rejects, and with
+/// [`GraphError::DidNotConverge`] if the switching repair cannot eliminate
+/// all defects (practically impossible for `d ≤ n/4` and `n ≥ 8`).
+pub fn random_regular_graph(n: usize, d: usize, seed: u64) -> Result<Graph> {
+    check_random_regular(n, d)?;
+    let half_edges = n * d;
     if d == 0 {
         return Ok(Graph::empty(n));
     }

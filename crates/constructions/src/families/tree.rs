@@ -4,9 +4,10 @@ use rand::Rng;
 use wx_graph::random::rng_from_seed;
 use wx_graph::{Graph, GraphBuilder, GraphError, Result};
 
-/// Builds the complete `k`-ary tree with the given number of levels
-/// (`levels = 1` is a single root). Vertices are numbered in BFS order.
-pub fn complete_k_ary_tree(k: usize, levels: usize) -> Result<Graph> {
+/// Checks the parameters [`complete_k_ary_tree`] accepts (both positive, at
+/// most 4M vertices) and returns the vertex count
+/// `1 + k + k² + … + k^{levels−1}`.
+pub fn check_k_ary_tree(k: usize, levels: usize) -> Result<usize> {
     if k == 0 || levels == 0 {
         return Err(GraphError::invalid(
             "arity and level count must be positive",
@@ -26,6 +27,13 @@ pub fn complete_k_ary_tree(k: usize, levels: usize) -> Result<Graph> {
             return Err(GraphError::invalid("tree too large (over 4M vertices)"));
         }
     }
+    Ok(n)
+}
+
+/// Builds the complete `k`-ary tree with the given number of levels
+/// (`levels = 1` is a single root). Vertices are numbered in BFS order.
+pub fn complete_k_ary_tree(k: usize, levels: usize) -> Result<Graph> {
+    let n = check_k_ary_tree(k, levels)?;
     let mut b = GraphBuilder::new(n);
     for v in 1..n {
         let parent = (v - 1) / k;
@@ -34,12 +42,19 @@ pub fn complete_k_ary_tree(k: usize, levels: usize) -> Result<Graph> {
     Ok(b.build())
 }
 
-/// Builds a random tree on `n` vertices: vertex `v ≥ 1` attaches to a
-/// uniformly random earlier vertex (a random recursive tree).
-pub fn random_tree(n: usize, seed: u64) -> Result<Graph> {
+/// Checks the vertex count [`random_tree`] accepts (at least one) and
+/// returns it.
+pub fn check_random_tree(n: usize) -> Result<usize> {
     if n == 0 {
         return Err(GraphError::invalid("tree needs at least one vertex"));
     }
+    Ok(n)
+}
+
+/// Builds a random tree on `n` vertices: vertex `v ≥ 1` attaches to a
+/// uniformly random earlier vertex (a random recursive tree).
+pub fn random_tree(n: usize, seed: u64) -> Result<Graph> {
+    check_random_tree(n)?;
     let mut rng = rng_from_seed(seed);
     let mut b = GraphBuilder::new(n);
     for v in 1..n {

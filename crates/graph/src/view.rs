@@ -418,8 +418,8 @@ impl ImplicitFamily {
     }
 
     /// Checks the family's parameter constraints, including that its vertex
-    /// count and degree sum fit in a `usize`.
-    pub fn validate(&self) -> Result<()> {
+    /// count and degree sum fit in a `usize`, and returns the vertex count.
+    pub fn validate(&self) -> Result<usize> {
         match *self {
             ImplicitFamily::Hypercube { dim } => {
                 if dim == 0 || dim > 32 {
@@ -438,27 +438,24 @@ impl ImplicitFamily {
             ImplicitFamily::Torus { rows, cols } => {
                 if rows < 3 || cols < 3 {
                     return Err(GraphError::invalid(format!(
-                        "implicit torus requires rows, cols ≥ 3, got {rows}x{cols}"
+                        "torus requires rows, cols ≥ 3, got {rows}x{cols}"
                     )));
                 }
                 if rows.checked_mul(cols).is_none() {
                     return Err(GraphError::invalid(format!(
-                        "implicit torus {rows}x{cols} has more vertices than a usize holds"
+                        "torus {rows}x{cols} has more vertices than a usize holds"
                     )));
                 }
             }
         }
-        if self
-            .num_vertices()
-            .checked_mul(self.regular_degree())
-            .is_none()
-        {
+        let n = self.num_vertices();
+        if n.checked_mul(self.regular_degree()).is_none() {
             return Err(GraphError::invalid(format!(
                 "{} has a degree sum larger than a usize holds",
                 self.label()
             )));
         }
-        Ok(())
+        Ok(n)
     }
 
     /// A compact human-readable label, e.g. `hypercube(dim=20)`.

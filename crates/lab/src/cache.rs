@@ -29,7 +29,7 @@
 //! order is last-used order with a strictly monotonic tick, so a given
 //! sequence of operations always leaves the same keys resident.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
@@ -172,28 +172,62 @@ impl CacheStats {
     }
 }
 
-enum GraphSlot {
-    /// Some thread is building this graph; waiters block on the condvar.
-    Building,
-    Ready {
-        graph: Arc<BuiltGraph>,
-        bytes: u64,
-        last_used: u64,
-    },
+/// One byte-budgeted LRU table: key → (value, bytes, last-used tick).
+/// Both artifact classes keep one.
+struct Lru<V> {
+    entries: BTreeMap<u64, (V, u64, u64)>,
+    bytes: u64,
 }
 
-struct SolutionSlot {
-    entry: Arc<SolutionEntry>,
-    bytes: u64,
-    last_used: u64,
+impl<V> Default for Lru<V> {
+    fn default() -> Self {
+        Lru {
+            entries: BTreeMap::new(),
+            bytes: 0,
+        }
+    }
+}
+
+impl<V: Clone> Lru<V> {
+    /// The value under `key`, marked used at `tick`.
+    fn touch(&mut self, key: u64, tick: u64) -> Option<V> {
+        let (value, _, last_used) = self.entries.get_mut(&key)?;
+        *last_used = tick;
+        Some(value.clone())
+    }
+
+    /// Stores `value` under `key` as used at `tick`, then evicts the least
+    /// `(last_used, key)` entries other than `key` until the table fits
+    /// `budget`. Returns how many it evicted.
+    fn insert(&mut self, key: u64, value: V, bytes: u64, tick: u64, budget: Option<u64>) -> u64 {
+        if let Some((_, old, _)) = self.entries.insert(key, (value, bytes, tick)) {
+            self.bytes = self.bytes.saturating_sub(old);
+        }
+        self.bytes += bytes;
+        let mut evicted = 0;
+        while self.bytes > budget.unwrap_or(u64::MAX) {
+            let victim = self
+                .entries
+                .iter()
+                .filter(|(k, _)| **k != key)
+                .map(|(k, (_, _, last_used))| (*last_used, *k))
+                .min();
+            let Some((_, victim)) = victim else { break };
+            if let Some((_, bytes, _)) = self.entries.remove(&victim) {
+                self.bytes = self.bytes.saturating_sub(bytes);
+                evicted += 1;
+            }
+        }
+        evicted
+    }
 }
 
 #[derive(Default)]
 struct CacheInner {
-    graphs: BTreeMap<u64, GraphSlot>,
-    solutions: BTreeMap<u64, SolutionSlot>,
-    graph_bytes: u64,
-    solution_bytes: u64,
+    graphs: Lru<Arc<BuiltGraph>>,
+    /// Graph keys some thread is building; waiters block on the condvar.
+    building: BTreeSet<u64>,
+    solutions: Lru<Arc<SolutionEntry>>,
     tick: u64,
     stats: CacheStats,
 }
@@ -202,42 +236,6 @@ impl CacheInner {
     fn next_tick(&mut self) -> u64 {
         self.tick += 1;
         self.tick
-    }
-
-    fn evict_graphs(&mut self, budget: Option<u64>, protect: u64) {
-        let Some(budget) = budget else { return };
-        while self.graph_bytes > budget {
-            let victim = self
-                .graphs
-                .iter()
-                .filter_map(|(k, slot)| match slot {
-                    GraphSlot::Ready { last_used, .. } if *k != protect => Some((*last_used, *k)),
-                    _ => None,
-                })
-                .min();
-            let Some((_, key)) = victim else { return };
-            if let Some(GraphSlot::Ready { bytes, .. }) = self.graphs.remove(&key) {
-                self.graph_bytes = self.graph_bytes.saturating_sub(bytes);
-                self.stats.graph_evictions += 1;
-            }
-        }
-    }
-
-    fn evict_solutions(&mut self, budget: Option<u64>, protect: u64) {
-        let Some(budget) = budget else { return };
-        while self.solution_bytes > budget {
-            let victim = self
-                .solutions
-                .iter()
-                .filter(|(k, _)| **k != protect)
-                .map(|(k, slot)| (slot.last_used, *k))
-                .min();
-            let Some((_, key)) = victim else { return };
-            if let Some(slot) = self.solutions.remove(&key) {
-                self.solution_bytes = self.solution_bytes.saturating_sub(slot.bytes);
-                self.stats.solution_evictions += 1;
-            }
-        }
     }
 }
 
@@ -299,20 +297,12 @@ impl ArtifactCache {
         key: u64,
         entry: Arc<SolutionEntry>,
     ) -> Arc<SolutionEntry> {
-        let bytes = entry.approx_bytes();
-        let last_used = inner.next_tick();
-        if let Some(old) = inner.solutions.insert(
-            key,
-            SolutionSlot {
-                entry: Arc::clone(&entry),
-                bytes,
-                last_used,
-            },
-        ) {
-            inner.solution_bytes = inner.solution_bytes.saturating_sub(old.bytes);
-        }
-        inner.solution_bytes += bytes;
-        inner.evict_solutions(self.config.solution_budget_bytes, key);
+        let (tick, bytes) = (inner.next_tick(), entry.approx_bytes());
+        let budget = self.config.solution_budget_bytes;
+        let evicted = inner
+            .solutions
+            .insert(key, Arc::clone(&entry), bytes, tick, budget);
+        inner.stats.solution_evictions += evicted;
         entry
     }
 }
@@ -325,80 +315,58 @@ impl GraphStore for ArtifactCache {
     ) -> Result<Arc<BuiltGraph>> {
         let mut inner = self.lock();
         loop {
-            match inner.graphs.get(&key) {
-                Some(GraphSlot::Ready { graph, .. }) => {
-                    let graph = Arc::clone(graph);
-                    let tick = inner.next_tick();
-                    if let Some(GraphSlot::Ready { last_used, .. }) = inner.graphs.get_mut(&key) {
-                        *last_used = tick;
-                    }
-                    inner.stats.graph_hits += 1;
-                    return Ok(graph);
-                }
-                Some(GraphSlot::Building) => {
-                    inner.stats.graph_coalesced += 1;
-                    inner = self
-                        .build_done
-                        .wait(inner)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                None => break,
+            let tick = inner.next_tick();
+            if let Some(graph) = inner.graphs.touch(key, tick) {
+                inner.stats.graph_hits += 1;
+                return Ok(graph);
             }
+            if !inner.building.contains(&key) {
+                break;
+            }
+            inner.stats.graph_coalesced += 1;
+            inner = self
+                .build_done
+                .wait(inner)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         inner.stats.graph_misses += 1;
-        inner.graphs.insert(key, GraphSlot::Building);
+        inner.building.insert(key);
         drop(inner);
 
         let built = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(build)) {
             Ok(built) => built,
             Err(panic) => {
                 // Withdraw the claim, so waiters retry rather than hang.
-                self.lock().graphs.remove(&key);
+                self.lock().building.remove(&key);
                 self.build_done.notify_all();
                 std::panic::resume_unwind(panic);
             }
         };
 
         let mut inner = self.lock();
-        match built {
-            Ok(graph) => {
-                let graph = Arc::new(graph);
-                let bytes = graph.memory_bytes() as u64;
-                let last_used = inner.next_tick();
-                inner.graphs.insert(
-                    key,
-                    GraphSlot::Ready {
-                        graph: Arc::clone(&graph),
-                        bytes,
-                        last_used,
-                    },
-                );
-                inner.graph_bytes += bytes;
-                inner.evict_graphs(self.config.graph_budget_bytes, key);
-                drop(inner);
-                self.build_done.notify_all();
-                Ok(graph)
-            }
-            Err(e) => {
-                // Withdraw the claim so a waiter can retry the build.
-                inner.graphs.remove(&key);
-                drop(inner);
-                self.build_done.notify_all();
-                Err(e)
-            }
-        }
+        // Withdraw the claim: waiters find the graph, or retry the build.
+        inner.building.remove(&key);
+        let built = built.map(|graph| {
+            let graph = Arc::new(graph);
+            let (tick, bytes) = (inner.next_tick(), graph.memory_bytes() as u64);
+            let budget = self.config.graph_budget_bytes;
+            let evicted = inner
+                .graphs
+                .insert(key, Arc::clone(&graph), bytes, tick, budget);
+            inner.stats.graph_evictions += evicted;
+            graph
+        });
+        drop(inner);
+        self.build_done.notify_all();
+        built
     }
 }
 
 impl SolutionStore for ArtifactCache {
     fn get(&self, key: u64) -> Option<Arc<SolutionEntry>> {
         let mut inner = self.lock();
-        if let Some(slot) = inner.solutions.get(&key) {
-            let entry = Arc::clone(&slot.entry);
-            let tick = inner.next_tick();
-            if let Some(slot) = inner.solutions.get_mut(&key) {
-                slot.last_used = tick;
-            }
+        let tick = inner.next_tick();
+        if let Some(entry) = inner.solutions.touch(key, tick) {
             inner.stats.solution_hits += 1;
             return Some(entry);
         }
@@ -412,7 +380,7 @@ impl SolutionStore for ArtifactCache {
     fn put(&self, key: u64, entry: SolutionEntry) {
         self.persist_solution(key, &entry);
         let mut inner = self.lock();
-        if inner.solutions.contains_key(&key) {
+        if inner.solutions.entries.contains_key(&key) {
             return;
         }
         inner.stats.solution_misses += 1;
@@ -430,13 +398,8 @@ mod tests {
         /// eviction-determinism tests assert on.
         fn resident_keys(&self) -> (Vec<u64>, Vec<u64>) {
             let inner = self.lock();
-            let graphs = inner
-                .graphs
-                .iter()
-                .filter(|(_, slot)| matches!(slot, GraphSlot::Ready { .. }))
-                .map(|(k, _)| *k)
-                .collect();
-            let solutions = inner.solutions.keys().copied().collect();
+            let graphs = inner.graphs.entries.keys().copied().collect();
+            let solutions = inner.solutions.entries.keys().copied().collect();
             (graphs, solutions)
         }
     }

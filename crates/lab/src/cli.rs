@@ -678,6 +678,17 @@ mod tests {
     }
 
     #[test]
+    fn bad_source_parameters_are_usage_errors() {
+        for source in [
+            r#"{"Grid": {"rows": 0, "cols": 5}}"#,
+            r#"{"Induced": {"base": {"Hypercube": {"dim": 3}}, "size": 99}}"#,
+        ] {
+            let args = strs(&["measure", "--source", source, "--notion", "unique"]);
+            assert_eq!(main_with_args(&args), 2, "{source}");
+        }
+    }
+
+    #[test]
     fn end_to_end_run_from_scenario_file() {
         let dir = std::env::temp_dir().join("wx-lab-cli-run-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -854,7 +865,7 @@ mod tests {
     fn convert_then_mmap_measure_matches_the_in_memory_path() {
         let dir = std::env::temp_dir().join("wx-lab-cli-convert-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let g = GraphSource::Margulis { m: 4 }.build(0).unwrap();
+        let g = crate::source::build_csr(&GraphSource::Margulis { m: 4 }, 0).unwrap();
         let edges = dir.join("g.edges");
         wx_core::graph::io::save_graph(&g, &edges).unwrap();
         let wxg = dir.join("g.wxg");

@@ -803,7 +803,7 @@ mod tests {
         assert!(on_view.metrics["graph_n"].mean == 16.0);
         // the materialized path: build the same base per trial and cut it
         // by hand; graph_m must agree with the zero-copy view's edge count
-        let g = base.build(derive_seed(derive_seed(21, 0), 0)).unwrap();
+        let g = crate::source::build_csr(&base, derive_seed(derive_seed(21, 0), 0)).unwrap();
         let (mat, _) = g.induced_subgraph(&g.vertex_set(vertices));
         assert_eq!(on_view.metrics["graph_m"].mean, mat.num_edges() as f64);
     }
@@ -1170,7 +1170,7 @@ mod tests {
         let report = Runner::new().run(&spec).unwrap();
         assert_eq!(report.per_trial.len(), 70);
 
-        let g = GraphSource::Hypercube { dim: 6 }.build(0).unwrap();
+        let g = crate::source::build_csr(&GraphSource::Hypercube { dim: 6 }, 0).unwrap();
         let config = SimulatorConfig {
             max_rounds: 10 * g.num_vertices() + 100,
             stop_when_complete: true,
@@ -1205,7 +1205,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let edges = dir.join("g.edges");
         let wxg = dir.join("g.wxg");
-        let g = GraphSource::Margulis { m: 4 }.build(0).unwrap();
+        let g = crate::source::build_csr(&GraphSource::Margulis { m: 4 }, 0).unwrap();
         wx_core::graph::io::save_graph(&g, &edges).unwrap();
         g.write_wxg(&wxg).unwrap();
         let spec = |source: GraphSource| ScenarioSpec {

@@ -5,9 +5,11 @@
 //! [`wx_constructions::families`](wx_core::constructions::families) (with
 //! its parameters), a random generator, or a file loader backed by
 //! [`wx_graph::io`](wx_core::graph::io). Scenario specs embed one, the
-//! runner calls [`GraphSource::build`] once per trial with a derived seed,
-//! and randomized sources ([`GraphSource::is_randomized`]) draw a fresh
-//! instance per trial while deterministic ones are built once and shared.
+//! runner calls [`GraphSource::build_backend`] once per trial with a derived
+//! seed, and randomized sources ([`GraphSource::is_randomized`]) draw a
+//! fresh instance per trial while deterministic ones are built once and
+//! shared. Each source's parameter rule is one check next to its generator,
+//! which [`GraphSource::validate`] runs before anything is built.
 //!
 //! The JSON shape is the serde external tag:
 //! `{"RandomRegular": {"n": 64, "d": 4}}`, `{"Hypercube": {"dim": 6}}`,
@@ -28,12 +30,12 @@
 //!   source, replacing the `O(n + m)` induced-subgraph materialization.
 
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Arc;
 use wx_core::constructions::families;
 use wx_core::graph::io::{load_graph, GraphFileFormat};
 use wx_core::graph::random::{random_subset_of_size_sparse, rng_from_seed};
-use wx_core::graph::view::materialize;
 use wx_core::graph::{
     Graph, GraphError, ImplicitFamily, ImplicitGraph, MmapGraph, SubsetIndex, VertexSet,
 };
@@ -125,18 +127,29 @@ pub enum GraphSource {
 /// The seeded random subset an `Induced { size }` source draws for a given
 /// build seed: Floyd's O(size) sampler, so redrawing over a million-vertex
 /// implicit base never touches O(n) state.
-fn induced_subset_for_seed(
+fn induced_subset_for_seed(n: usize, size: usize, build_seed: u64) -> VertexSet {
+    let mut rng = rng_from_seed(wx_core::graph::random::derive_seed(build_seed, 0x1D0CED));
+    random_subset_of_size_sparse(&mut rng, n, size)
+}
+
+/// The range rule of an `Induced` source over a base of `n` vertices: the
+/// subset `size`, and every listed vertex, must fall within the base.
+fn check_induced_range(
     n: usize,
-    size: usize,
-    build_seed: u64,
-) -> wx_core::graph::Result<VertexSet> {
-    if size == 0 || size > n {
+    size: Option<usize>,
+    vertices: Option<&[usize]>,
+) -> wx_core::graph::Result<()> {
+    if let Some(size) = size.filter(|&size| size > n) {
         return Err(GraphError::invalid(format!(
             "induced subset size {size} out of range for base with {n} vertices"
         )));
     }
-    let mut rng = rng_from_seed(wx_core::graph::random::derive_seed(build_seed, 0x1D0CED));
-    Ok(random_subset_of_size_sparse(&mut rng, n, size))
+    if let Some(v) = vertices.into_iter().flatten().find(|&&v| v >= n) {
+        return Err(GraphError::invalid(format!(
+            "induced vertex {v} out of range for base with {n} vertices"
+        )));
+    }
+    Ok(())
 }
 
 /// The typed error for an `Induced` source over another `Induced` source.
@@ -215,6 +228,14 @@ macro_rules! with_base_view {
 }
 pub(crate) use with_base_view;
 
+/// Builds `source` at `seed` and materializes it as a CSR [`Graph`], so
+/// tests can compare any backend with a hand-built graph.
+#[cfg(test)]
+pub(crate) fn build_csr(source: &GraphSource, seed: u64) -> wx_core::graph::Result<Graph> {
+    let built = source.build_backend(seed)?;
+    with_graph_view!(&built, g => Ok(wx_core::graph::view::materialize(g)))
+}
+
 impl BuiltGraph {
     /// The number of vertices of the graph this backend presents (the
     /// subset size for `Induced`).
@@ -241,23 +262,15 @@ impl BuiltGraph {
 }
 
 impl GraphSource {
-    /// Builds the graph as a materialized CSR [`Graph`]. Deterministic
-    /// sources ignore `seed`; randomized ones derive their instance from it,
-    /// so equal seeds give equal graphs. `Implicit` and `Induced` sources are
-    /// materialized here — use [`GraphSource::build_backend`] (as the runner
-    /// does) to keep them implicit / zero-copy.
-    pub fn build(&self, seed: u64) -> wx_core::graph::Result<Graph> {
-        match self.build_backend(seed)? {
-            BuiltGraph::Csr(g) => Ok(g),
-            other => with_graph_view!(&other, g => Ok(materialize(g))),
-        }
-    }
-
     /// Builds the graph in its native backend: CSR for the materialized
     /// sources, [`ImplicitGraph`] for `Implicit`, and a base-plus-subset
     /// pair for `Induced` (the runner wraps it in a zero-copy
     /// [`SubgraphView`](wx_core::graph::SubgraphView) at task time).
+    /// Deterministic sources ignore `seed`; randomized ones derive their
+    /// instance from it, so equal seeds give equal graphs. The parameters
+    /// are checked first, by [`GraphSource::validate`].
     pub fn build_backend(&self, seed: u64) -> wx_core::graph::Result<BuiltGraph> {
+        self.validate()?;
         let csr = |g: wx_core::graph::Result<Graph>| g.map(BuiltGraph::Csr);
         match self {
             GraphSource::RandomRegular { n, d } => {
@@ -289,11 +302,12 @@ impl GraphSource {
         }
     }
 
-    /// Cuts this `Induced` source's subset out of an already built `base`:
-    /// the seeded random subset for `size` (drawn from `seed`, the build
-    /// seed), or the explicit `vertices`. [`GraphSource::build_backend`]
-    /// and the runner's shared-base instances both draw through here, so a
-    /// shared base yields exactly the subsets a full per-trial build would.
+    /// Cuts this validated `Induced` source's subset, within the range rule,
+    /// out of an already built `base`: the seeded random subset for `size`
+    /// (drawn from `seed`, the build seed), or the explicit `vertices`.
+    /// [`GraphSource::build_backend`] and the runner's shared-base instances
+    /// both draw through here, so a shared base yields exactly the subsets a
+    /// full per-trial build would.
     pub(crate) fn induce(
         &self,
         base: Arc<BuiltGraph>,
@@ -305,29 +319,13 @@ impl GraphSource {
                 self.label()
             )));
         };
-        if matches!(*base, BuiltGraph::Induced { .. }) {
-            return Err(nested_induced());
-        }
         let n = base.num_vertices();
-        let set = match (size, vertices) {
-            (Some(k), None) => induced_subset_for_seed(n, *k, seed)?,
-            (None, Some(vs)) => {
-                if let Some(v) = vs.iter().find(|&&v| v >= n) {
-                    return Err(GraphError::invalid(format!(
-                        "induced vertex {v} out of range for base with {n} vertices"
-                    )));
-                }
-                VertexSet::from_iter(n, vs.iter().copied())
-            }
-            _ => {
-                return Err(GraphError::invalid(
-                    "induced source needs exactly one of `size` or `vertices`",
-                ))
-            }
+        check_induced_range(n, *size, vertices.as_deref())?;
+        // `validate` admits exactly one of `size` and `vertices`
+        let set = match vertices {
+            Some(vs) => VertexSet::from_iter(n, vs.iter().copied()),
+            None => induced_subset_for_seed(n, size.unwrap_or(0), seed),
         };
-        if set.is_empty() {
-            return Err(GraphError::invalid("induced subset must be non-empty"));
-        }
         Ok(BuiltGraph::Induced {
             base,
             index: SubsetIndex::new(set),
@@ -377,13 +375,28 @@ impl GraphSource {
         }
     }
 
-    /// Validates what the type system cannot: implicit family parameters and
-    /// the induced subset specification (exactly one of `size`/`vertices`,
-    /// non-nested base). Called by `ScenarioSpec::validate`, so `wx validate`
-    /// and `wx run` reject malformed sources before any trial runs.
-    pub fn validate(&self) -> wx_core::graph::Result<()> {
-        match self {
-            GraphSource::Implicit { family } => family.validate(),
+    /// Checks the parameters by the one rule their generator applies and
+    /// returns the vertex count they fix (`None` for a `File` source, whose
+    /// size is known once it is opened, or an `Induced` source over one).
+    /// Called by `ScenarioSpec::validate` and first by
+    /// [`GraphSource::build_backend`], so every path rejects a bad parameter
+    /// with the same error before any trial runs.
+    pub fn validate(&self) -> wx_core::graph::Result<Option<usize>> {
+        let n = match self {
+            GraphSource::RandomRegular { n, d } => families::check_random_regular(*n, *d)?,
+            GraphSource::Hypercube { dim } => families::check_hypercube(*dim)?,
+            GraphSource::Margulis { m } => families::check_margulis(*m)?,
+            GraphSource::CompletePlus { k } => families::check_complete_plus(*k)?,
+            GraphSource::Grid { rows, cols } => families::check_grid(*rows, *cols)?,
+            GraphSource::Torus { rows, cols } => ImplicitFamily::Torus {
+                rows: *rows,
+                cols: *cols,
+            }
+            .validate()?,
+            GraphSource::KAryTree { arity, levels } => families::check_k_ary_tree(*arity, *levels)?,
+            GraphSource::RandomTree { n } => families::check_random_tree(*n)?,
+            GraphSource::File { .. } => return Ok(None),
+            GraphSource::Implicit { family } => family.validate()?,
             GraphSource::Induced {
                 base,
                 size,
@@ -392,22 +405,31 @@ impl GraphSource {
                 if matches!(**base, GraphSource::Induced { .. }) {
                     return Err(nested_induced());
                 }
-                match (size, vertices) {
-                    (Some(0), None) => Err(GraphError::invalid(
-                        "induced subset size must be at least 1",
-                    )),
-                    (Some(_), None) => base.validate(),
-                    (None, Some(vs)) if vs.is_empty() => {
-                        Err(GraphError::invalid("induced vertex list must be non-empty"))
+                let subset = match (size, vertices) {
+                    (Some(0), None) => {
+                        return Err(GraphError::invalid(
+                            "induced subset size must be at least 1",
+                        ))
                     }
-                    (None, Some(_)) => base.validate(),
-                    _ => Err(GraphError::invalid(
-                        "induced source needs exactly one of `size` or `vertices`",
-                    )),
-                }
+                    (Some(k), None) => *k,
+                    (None, Some(vs)) if vs.is_empty() => {
+                        return Err(GraphError::invalid("induced vertex list must be non-empty"))
+                    }
+                    (None, Some(vs)) => vs.iter().collect::<BTreeSet<_>>().len(),
+                    (Some(_), Some(_)) | (None, None) => {
+                        return Err(GraphError::invalid(
+                            "induced source needs exactly one of `size` or `vertices`",
+                        ))
+                    }
+                };
+                let Some(n) = base.validate()? else {
+                    return Ok(None);
+                };
+                check_induced_range(n, *size, vertices.as_deref())?;
+                subset
             }
-            _ => Ok(()),
-        }
+        };
+        Ok(Some(n))
     }
 }
 
@@ -477,6 +499,7 @@ pub fn catalog() -> Vec<(GraphSource, &'static str)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wx_core::graph::view::materialize;
 
     #[test]
     fn every_family_source_builds() {
@@ -497,10 +520,9 @@ mod tests {
             (GraphSource::RandomTree { n: 9 }, 9),
         ];
         for (source, expect_n) in cases {
-            let g = source
-                .build(5)
-                .unwrap_or_else(|e| panic!("{source:?}: {e}"));
+            let g = build_csr(&source, 5).unwrap_or_else(|e| panic!("{source:?}: {e}"));
             assert_eq!(g.num_vertices(), expect_n, "{source:?}");
+            assert_eq!(source.validate().unwrap(), Some(expect_n), "{source:?}");
             assert!(!source.label().is_empty());
         }
     }
@@ -509,12 +531,12 @@ mod tests {
     fn randomized_sources_vary_with_seed_deterministic_ones_do_not() {
         let rr = GraphSource::RandomRegular { n: 24, d: 3 };
         assert!(rr.is_randomized());
-        assert_eq!(rr.build(1).unwrap(), rr.build(1).unwrap());
-        assert_ne!(rr.build(1).unwrap(), rr.build(2).unwrap());
+        assert_eq!(build_csr(&rr, 1).unwrap(), build_csr(&rr, 1).unwrap());
+        assert_ne!(build_csr(&rr, 1).unwrap(), build_csr(&rr, 2).unwrap());
 
         let hc = GraphSource::Hypercube { dim: 4 };
         assert!(!hc.is_randomized());
-        assert_eq!(hc.build(1).unwrap(), hc.build(2).unwrap());
+        assert_eq!(build_csr(&hc, 1).unwrap(), build_csr(&hc, 2).unwrap());
     }
 
     #[test]
@@ -544,7 +566,10 @@ mod tests {
             panic!("implicit source must build an implicit backend");
         };
         // materialized fallback equals the families generator
-        assert_eq!(src.build(0).unwrap(), families::hypercube_graph(5).unwrap());
+        assert_eq!(
+            build_csr(&src, 0).unwrap(),
+            families::hypercube_graph(5).unwrap()
+        );
         assert_eq!(materialize(&backend), families::hypercube_graph(5).unwrap());
 
         let bad = GraphSource::Implicit {
@@ -596,7 +621,7 @@ mod tests {
         );
         assert_eq!(index.members(), [0, 1, 2, 3, 19]);
         // materialized fallback equals the classic induced_subgraph path
-        let mat = explicit.build(7).unwrap();
+        let mat = build_csr(&explicit, 7).unwrap();
         assert_eq!(mat.num_vertices(), 5);
 
         // validation failures
@@ -664,7 +689,7 @@ mod tests {
     #[test]
     fn file_sources_load_and_dispatch() {
         // the extension alone picks the format, the label and the backend
-        let g = GraphSource::Hypercube { dim: 3 }.build(0).unwrap();
+        let g = build_csr(&GraphSource::Hypercube { dim: 3 }, 0).unwrap();
         let dir = std::env::temp_dir().join("wx-lab-source-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
@@ -678,7 +703,7 @@ mod tests {
         ] {
             let src = GraphSource::File { path: path(name) };
             assert_eq!(src.label(), format!("{label}({})", path(name)));
-            assert_eq!(src.build(0).unwrap(), g, "{name}");
+            assert_eq!(build_csr(&src, 0).unwrap(), g, "{name}");
             let mapped = matches!(src.build_backend(0).unwrap(), BuiltGraph::Mmap(_));
             assert_eq!(mapped, name == "g.wxg", "{name}");
         }
@@ -688,7 +713,7 @@ mod tests {
         let misnamed = GraphSource::File {
             path: path("dimacs-text.edges"),
         };
-        let err = misnamed.build(0).unwrap_err();
+        let err = build_csr(&misnamed, 0).unwrap_err();
         assert!(matches!(err, GraphError::Parse { line: 1, .. }), "{err}");
         assert!(err.to_string().contains("dimacs-text.edges"), "{err}");
 
@@ -703,7 +728,7 @@ mod tests {
 
     #[test]
     fn wxg_paths_build_the_mmap_backend() {
-        let g = GraphSource::Hypercube { dim: 4 }.build(0).unwrap();
+        let g = build_csr(&GraphSource::Hypercube { dim: 4 }, 0).unwrap();
         let dir = std::env::temp_dir().join("wx-lab-source-wxg-test");
         std::fs::create_dir_all(&dir).unwrap();
         let wxg = dir.join("g.wxg");
@@ -722,7 +747,7 @@ mod tests {
         use wx_core::graph::GraphView;
         assert_eq!(backend.num_vertices(), 16);
         // the materialized fallback round-trips to the original graph
-        assert_eq!(src.build(0).unwrap(), g);
+        assert_eq!(build_csr(&src, 0).unwrap(), g);
 
         // induced sources run zero-copy over the mmap base
         let induced = GraphSource::Induced {
@@ -739,7 +764,7 @@ mod tests {
         );
         assert_eq!(index.set().len(), 6);
         assert_eq!(
-            induced.build(0).unwrap(),
+            build_csr(&induced, 0).unwrap(),
             g.induced_subgraph(&g.vertex_set(vec![0, 1, 2, 3, 4, 5])).0
         );
 
@@ -756,6 +781,36 @@ mod tests {
             path: bogus.to_str().unwrap().to_string(),
         };
         assert!(bogus.build_backend(0).is_err());
+    }
+
+    #[test]
+    fn a_bad_parameter_is_one_invalid_spec_on_every_path() {
+        // one bad parameter set per rule: the spec check rejects it as an
+        // invalid scenario, and a build stops at the same rule text
+        for source in [
+            r#"{"Grid": {"rows": 0, "cols": 5}}"#,
+            r#"{"Torus": {"rows": 2, "cols": 5}}"#,
+            r#"{"Hypercube": {"dim": 27}}"#,
+            r#"{"Margulis": {"m": 1}}"#,
+            r#"{"CompletePlus": {"k": 2}}"#,
+            r#"{"KAryTree": {"arity": 0, "levels": 3}}"#,
+            r#"{"RandomTree": {"n": 0}}"#,
+            r#"{"RandomRegular": {"n": 5, "d": 3}}"#,
+            r#"{"Implicit": {"family": {"Torus": {"rows": 2, "cols": 5}}}}"#,
+            r#"{"Induced": {"base": {"Hypercube": {"dim": 3}}, "size": 0}}"#,
+            r#"{"Induced": {"base": {"Hypercube": {"dim": 3}}, "size": 99}}"#,
+            r#"{"Induced": {"base": {"Hypercube": {"dim": 3}}, "vertices": [0, 99]}}"#,
+        ] {
+            let spec: crate::spec::ScenarioSpec = serde_json::from_str(&format!(
+                r#"{{"name": "bad", "source": {source}, "task": {{"Profile": {{}}}}}}"#
+            ))
+            .unwrap();
+            let Err(crate::LabError::InvalidSpec(message)) = spec.validate() else {
+                panic!("{source} must be an invalid spec");
+            };
+            let built = spec.source.build_backend(0).unwrap_err();
+            assert_eq!(message, format!("source: {built}"), "{source}");
+        }
     }
 
     #[test]

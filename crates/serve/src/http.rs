@@ -146,77 +146,56 @@ fn stats_body(service: &Service) -> Vec<u8> {
     body.into_bytes()
 }
 
+/// Answers `400 Bad Request` with `error` as the plain-text body.
+fn bad_request(
+    stream: &mut TcpStream,
+    headers: &[(String, String)],
+    error: impl std::fmt::Display,
+) -> std::io::Result<()> {
+    let body = format!("{error}\n");
+    write_response(
+        stream,
+        "400 Bad Request",
+        "text/plain",
+        headers,
+        body.as_bytes(),
+    )
+}
+
 fn handle_run(service: &Service, stream: &mut TcpStream, body: &[u8]) -> std::io::Result<()> {
-    let text = match std::str::from_utf8(body) {
-        Ok(text) => text,
-        Err(_) => {
-            return write_response(
-                stream,
-                "400 Bad Request",
-                "text/plain",
-                &[],
-                b"request body is not UTF-8\n",
-            );
-        }
+    let Ok(text) = std::str::from_utf8(body) else {
+        return bad_request(stream, &[], "request body is not UTF-8");
     };
     let spec = match ScenarioSpec::from_json(text, "http request body") {
         Ok(spec) => spec,
-        Err(error) => {
-            let message = format!("{error}\n");
-            return write_response(
-                stream,
-                "400 Bad Request",
-                "text/plain",
-                &[],
-                message.as_bytes(),
-            );
-        }
+        Err(error) => return bad_request(stream, &[], error),
     };
-    match service.run(spec) {
-        Ok((response, coalesced)) => {
-            let headers = vec![
-                ("X-Wx-Queue-Us".to_string(), response.queue_us.to_string()),
-                ("X-Wx-Run-Us".to_string(), response.run_us.to_string()),
-                ("X-Wx-Coalesced".to_string(), coalesced.to_string()),
-                (
-                    "X-Wx-Graph-Hits".to_string(),
-                    response.cache.graph_hits.to_string(),
-                ),
-                (
-                    "X-Wx-Solution-Hits".to_string(),
-                    response.cache.solution_hits.to_string(),
-                ),
-            ];
-            match &response.outcome {
-                Ok(report) => write_response(
-                    stream,
-                    "200 OK",
-                    "application/json",
-                    &headers,
-                    report.as_bytes(),
-                ),
-                Err(error) => {
-                    let message = format!("{error}\n");
-                    write_response(
-                        stream,
-                        "400 Bad Request",
-                        "text/plain",
-                        &headers,
-                        message.as_bytes(),
-                    )
-                }
-            }
-        }
-        Err(error) => {
-            let message = format!("{error}\n");
-            write_response(
-                stream,
-                "400 Bad Request",
-                "text/plain",
-                &[],
-                message.as_bytes(),
-            )
-        }
+    let (response, coalesced) = match service.run(spec) {
+        Ok(answer) => answer,
+        Err(error) => return bad_request(stream, &[], error),
+    };
+    let headers = vec![
+        ("X-Wx-Queue-Us".to_string(), response.queue_us.to_string()),
+        ("X-Wx-Run-Us".to_string(), response.run_us.to_string()),
+        ("X-Wx-Coalesced".to_string(), coalesced.to_string()),
+        (
+            "X-Wx-Graph-Hits".to_string(),
+            response.cache.graph_hits.to_string(),
+        ),
+        (
+            "X-Wx-Solution-Hits".to_string(),
+            response.cache.solution_hits.to_string(),
+        ),
+    ];
+    match &response.outcome {
+        Ok(report) => write_response(
+            stream,
+            "200 OK",
+            "application/json",
+            &headers,
+            report.as_bytes(),
+        ),
+        Err(error) => bad_request(stream, &headers, error),
     }
 }
 

@@ -351,6 +351,40 @@ fn jsonl_rejects_an_oversized_exact_solve_and_serves_the_next_line() {
 }
 
 #[test]
+fn jsonl_rejects_bad_source_parameters_and_bad_bytes_before_queueing() {
+    let mut bad_grid = measure_spec("jsonl-bad-grid", 1);
+    bad_grid.source = GraphSource::Grid { rows: 0, cols: 5 };
+    let input = format!(
+        "{{\"id\": 1, \"spec\": {}}}\nxyz\n",
+        serde_json::to_string(&bad_grid).unwrap()
+    );
+    let service = Service::start(&ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let mut output = Vec::new();
+    let failures = jsonl::run_session(
+        &service,
+        &mut Cursor::new(input.into_bytes()),
+        &mut output,
+        None,
+    )
+    .unwrap();
+    assert_eq!(failures, 2);
+    assert_eq!(service.stats().executed, 0, "nothing was queued");
+    service.stop();
+    let text = String::from_utf8(output).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(
+        lines,
+        [
+            r#"{"id":1,"ok":false,"error":"invalid scenario: source: invalid parameter: grid dimensions must be positive"}"#,
+            r#"{"id":2,"ok":false,"error":"JSON error in request line 2: unexpected `x` at byte 0"}"#,
+        ]
+    );
+}
+
+#[test]
 fn http_round_trip_serves_batch_bytes_and_telemetry_headers() {
     let spec = measure_spec("http", 21);
     let batch = Runner::new().run(&spec).unwrap().to_json();

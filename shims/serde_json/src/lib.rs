@@ -209,10 +209,17 @@ impl<'a> Parser<'a> {
             Some(b'[') => self.nested(Self::parse_seq),
             Some(b'{') => self.nested(Self::parse_map),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            other => Err(Error::custom(format!(
-                "unexpected input {other:?} at byte {}",
-                self.pos
-            ))),
+            other => {
+                let found = match other {
+                    Some(c) if c.is_ascii_graphic() => format!("`{}`", c as char),
+                    Some(c) => format!("0x{c:02X}"),
+                    None => "end of input".to_string(),
+                };
+                Err(Error::custom(format!(
+                    "unexpected {found} at byte {}",
+                    self.pos
+                )))
+            }
         }
     }
 
@@ -424,6 +431,18 @@ mod tests {
         assert!(from_str::<Value>("{} x").is_err());
         assert!(from_str::<Value>("").is_err());
         assert!(from_str::<Value>("{\"a\":}").is_err());
+    }
+
+    #[test]
+    fn an_unexpected_byte_is_named() {
+        for (text, message) in [
+            ("xyz", "unexpected `x` at byte 0"),
+            ("[\u{1}]", "unexpected 0x01 at byte 1"),
+            ("[1,", "unexpected end of input at byte 3"),
+        ] {
+            let err = from_str::<Value>(text).unwrap_err();
+            assert_eq!(err.to_string(), message, "{text:?}");
+        }
     }
 
     #[test]
