@@ -152,13 +152,41 @@ impl BipartiteGraph {
     /// size of the `S`-excluding unique neighborhood `Γ¹_S(S')` of
     /// Section 2.1.
     pub fn unique_coverage(&self, s_prime: &VertexSet) -> usize {
-        let mut count = vec![0u32; self.num_right()];
-        for u in s_prime.iter() {
+        self.unique_coverage_of_words(s_prime.as_words(), &mut vec![0; self.num_right()])
+    }
+
+    /// [`BipartiteGraph::unique_coverage`] of the left subset whose bitset
+    /// words are `words` (laid out as [`VertexSet::as_words`] returns them),
+    /// counted on a caller-provided array of one counter per right vertex,
+    /// so that repeated scoring (the spokesman samplers score dozens of
+    /// samples per solve) allocates nothing.
+    ///
+    /// The coverage is kept as the counters move: a right vertex going from
+    /// 0 to 1 sampled neighbors adds one, going from 1 to 2 removes one.
+    /// `count` must be all zero on entry and is all zero again on return.
+    /// It is cleared by one sweep of the right side: on the bipartite view
+    /// of a 2250-vertex set in random_regular(4500, 8) (|N| ≈ 2240) that
+    /// sweep is cheaper than a second pass over the subset's edges, at every
+    /// sampling probability the spokesman solvers use.
+    ///
+    /// # Panics
+    /// Panics if `count` is shorter than the right side or `words` names a
+    /// vertex outside the left side.
+    pub fn unique_coverage_of_words(&self, words: &[u64], count: &mut [u32]) -> usize {
+        let count = &mut count[..self.num_right()];
+        let mut coverage = 0usize;
+        for_each_member(words, |u| {
             for &w in self.left_neighbors(u) {
+                match count[w] {
+                    0 => coverage += 1,
+                    1 => coverage -= 1,
+                    _ => {}
+                }
                 count[w] = count[w].saturating_add(1);
             }
-        }
-        count.iter().filter(|&&c| c == 1).count()
+        });
+        count.fill(0);
+        coverage
     }
 
     /// Restricts the graph to a subset of the left side and the subset of the
@@ -233,6 +261,18 @@ impl BipartiteGraph {
             }
         }
         (b.build(), left_vertices, right_vertices)
+    }
+}
+
+/// Calls `visit` on the members of a bitset, in increasing order.
+#[inline]
+fn for_each_member(words: &[u64], mut visit: impl FnMut(Vertex)) {
+    for (i, &word) in words.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            visit(i * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
     }
 }
 

@@ -61,6 +61,29 @@ impl VertexSet {
         s
     }
 
+    /// Creates a set from its bitset words, laid out as
+    /// [`VertexSet::as_words`] returns them, in O(n/64). Bits at positions
+    /// `>= universe` in the final word are cleared.
+    ///
+    /// # Panics
+    /// Panics if `words` does not hold exactly `universe.div_ceil(64)` words.
+    pub fn from_words(universe: usize, words: Vec<u64>) -> Self {
+        assert_eq!(
+            words.len(),
+            universe.div_ceil(WORD_BITS),
+            "{} words for universe {universe}",
+            words.len()
+        );
+        let mut set = VertexSet {
+            universe,
+            words,
+            len: 0,
+        };
+        set.mask_tail();
+        set.recount();
+        set
+    }
+
     /// Clears the bits at positions `>= universe` in the final word.
     fn mask_tail(&mut self) {
         let tail = self.universe % WORD_BITS;

@@ -54,6 +54,13 @@ proptest! {
         let mut vs = VertexSet::from_iter(n, init.iter().map(|v| v % n));
         let mut model: BTreeSet<usize> = init.iter().map(|v| v % n).collect();
         assert_models(&vs, &model)?;
+        // `from_words` rebuilds the set from its words, clearing bits past
+        // the universe in the tail word.
+        let mut words = vs.as_words().to_vec();
+        if let (Some(last), tail @ 1..) = (words.last_mut(), n % 64) {
+            *last |= !0u64 << tail;
+        }
+        prop_assert_eq!(VertexSet::from_words(n, words), vs.clone());
         for (v, insert) in ops {
             let v = v % n;
             if insert {
@@ -209,6 +216,32 @@ proptest! {
             bip.unique_coverage(&full),
             wx_graph::neighborhood::unique_neighborhood(&g, &s).len()
         );
+    }
+
+    /// The words kernel of unique coverage counts what a count-then-scan
+    /// over the right side counts, on left sides of one to three words, and
+    /// leaves its counters zeroed for the next call.
+    #[test]
+    fn unique_coverage_kernel_matches_count_then_scan(
+            left in 1usize..150,
+            edges in prop::collection::vec((0usize..150, 0usize..30), 0..300),
+            members in prop::collection::vec(0usize..150, 0..150)) {
+        let g = BipartiteGraph::from_edges(left, 30, edges.iter().map(|&(u, w)| (u % left, w)))
+            .unwrap();
+        let subset = VertexSet::from_iter(left, members.iter().map(|u| u % left));
+        let mut count_then_scan = [0u32; 30];
+        for u in subset.iter() {
+            for &w in g.left_neighbors(u) {
+                count_then_scan[w] += 1;
+            }
+        }
+        let expected = count_then_scan.iter().filter(|&&c| c == 1).count();
+        let mut count = vec![0u32; 30];
+        for _ in 0..2 {
+            prop_assert_eq!(g.unique_coverage_of_words(subset.as_words(), &mut count), expected);
+            prop_assert!(count.iter().all(|&c| c == 0));
+        }
+        prop_assert_eq!(g.unique_coverage(&subset), expected);
     }
 
     /// Degeneracy and arboricity bounds sandwich the exact arboricity.

@@ -9,7 +9,10 @@
 //! expected number of sampled vertices adjacent to a fixed right vertex is
 //! `Θ(1)`, giving the `|N|/log|S|` guarantee in expectation. The sweep is
 //! Random Decay's, over the whole left side, with the level count set by
-//! `|S|` instead of the degree.
+//! `|S|` instead of the degree: eight samples per level, each drawn in bulk
+//! by the ChaCha kernel (one `gen_bool(2^{-i})` per left vertex, in
+//! ascending order) and scored in place, with level 0, which keeps every
+//! vertex, scored once.
 //!
 //! This solver exists as the *comparison point* for experiment E7: the
 //! paper's refined solvers ([`crate::RandomDecaySolver`],
@@ -18,6 +21,7 @@
 //! low-average-degree instances with a large left side.
 
 use crate::random_decay::dyadic_sweep;
+use crate::sample::BernoulliSampler;
 use crate::solver::{SolverKind, SpokesmanResult, SpokesmanSolver};
 use wx_graph::{BipartiteGraph, VertexSet};
 
@@ -48,8 +52,9 @@ impl SpokesmanSolver for ChlamtacWeinsteinSolver {
             );
         }
         let levels = (2.0 * g.num_left() as f64).log2().ceil().max(1.0) as u32;
-        let (_, best_subset) = dyadic_sweep(g, 0..g.num_left(), levels, seed);
-        SpokesmanResult::from_subset(SolverKind::ChlamtacWeinstein, g, best_subset)
+        let mut sampler = BernoulliSampler::new(g);
+        dyadic_sweep(&mut sampler, &VertexSet::full(g.num_left()), levels, seed);
+        SpokesmanResult::from_subset(SolverKind::ChlamtacWeinstein, g, sampler.into_best())
     }
 }
 

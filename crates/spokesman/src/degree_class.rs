@@ -11,15 +11,19 @@
 //! with Procedure Partition (which inside a class — where degrees are within
 //! a factor `c` of one another — achieves the constant-fraction guarantee),
 //! then returns the best subset over all classes. Two Bernoulli samples per
-//! class (probability `≈ c^{-i+1/2}`) are mixed in as a tie-breaker,
-//! mirroring the probabilistic intuition behind the lemma. The guarantee
-//! itself is [`crate::bounds::corollary_a_7_guarantee`].
+//! class (probability `c^{-(i+1/2)}`) are mixed in as a tie-breaker,
+//! mirroring the probabilistic intuition behind the lemma. Each sample is
+//! drawn in bulk by the ChaCha kernel (one `gen_bool` per left vertex, in
+//! ascending order, the stream a scalar per-vertex filter consumes) and
+//! scored in place; the class's Partition subset and its samples compete in
+//! one first-best-wins order. The guarantee itself is
+//! [`crate::bounds::corollary_a_7_guarantee`].
 
 use crate::partition::procedure_partition;
+use crate::sample::BernoulliSampler;
 use crate::solver::{SolverKind, SpokesmanResult, SpokesmanSolver};
-use rand::Rng;
 use wx_graph::degree::degree_class_buckets;
-use wx_graph::random::{derive_seed, rng_from_seed};
+use wx_graph::random::derive_seed;
 use wx_graph::{BipartiteGraph, VertexSet};
 
 /// The base `c` maximizing `f(c) = log₂c / (2(1+c))` (Corollary A.7).
@@ -46,44 +50,31 @@ impl SpokesmanSolver for DegreeClassSolver {
             );
         }
         let buckets = degree_class_buckets(g, OPTIMAL_BASE);
-        let mut best_cov = 0usize;
-        let mut best_subset = VertexSet::empty(g.num_left());
-
+        let all = VertexSet::full(g.num_left());
+        let mut sampler = BernoulliSampler::new(g);
         for (i, bucket) in buckets.iter().enumerate() {
             if bucket.is_empty() {
                 continue;
             }
             let candidates = VertexSet::from_iter(g.num_right(), bucket.iter().copied());
             // Deterministic core: Procedure Partition restricted to the class.
-            let outcome = procedure_partition(g, &candidates);
-            let cov = g.unique_coverage(&outcome.s_uni);
-            if cov > best_cov {
-                best_cov = cov;
-                best_subset = outcome.s_uni.clone();
-            }
+            sampler.offer(&procedure_partition(g, &candidates).s_uni);
             // Randomized sweep: sample left vertices with probability close
             // to the reciprocal of the class's typical degree.
             let p = OPTIMAL_BASE.powf(-(i as f64 + 0.5)).clamp(1e-9, 1.0);
             for t in 0..RANDOM_TRIALS_PER_CLASS {
-                let mut rng = rng_from_seed(derive_seed(seed, ((i as u64) << 32) | t as u64));
-                let sample = VertexSet::from_iter(
-                    g.num_left(),
-                    (0..g.num_left()).filter(|_| rng.gen_bool(p)),
-                );
-                let cov = g.unique_coverage(&sample);
-                if cov > best_cov {
-                    best_cov = cov;
-                    best_subset = sample;
-                }
+                sampler.draw(&all, p, derive_seed(seed, ((i as u64) << 32) | t as u64));
             }
         }
-        SpokesmanResult::from_subset(SolverKind::DegreeClass, g, best_subset)
+        SpokesmanResult::from_subset(SolverKind::DegreeClass, g, sampler.into_best())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
+    use wx_graph::random::rng_from_seed;
 
     fn random_instance(seed: u64, s: usize, n: usize, p: f64) -> BipartiteGraph {
         let mut rng = rng_from_seed(seed);

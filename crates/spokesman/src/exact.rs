@@ -30,17 +30,8 @@ impl ExactSolver {
         let mut best_mask = 0u64;
         let mut count = vec![0u32; g.num_right()];
         for mask in 0u64..(1u64 << s) {
-            for c in count.iter_mut() {
-                *c = 0;
-            }
-            for u in 0..s {
-                if (mask >> u) & 1 == 1 {
-                    for &w in g.left_neighbors(u) {
-                        count[w] += 1;
-                    }
-                }
-            }
-            let cov = count.iter().filter(|&&c| c == 1).count();
+            // `mask` is the subset's one bitset word (`s ≤ 25 < 64`).
+            let cov = g.unique_coverage_of_words(&[mask], &mut count);
             if cov > best_cov {
                 best_cov = cov;
                 best_mask = mask;
@@ -58,6 +49,7 @@ impl ExactSolver {
 
 impl SpokesmanSolver for ExactSolver {
     fn solve(&self, g: &BipartiteGraph, _seed: u64) -> SpokesmanResult {
+        let _span = wx_trace::span("spokesman.exact");
         let (_, subset) = Self::optimum(g);
         SpokesmanResult::from_subset(SolverKind::Exact, g, subset)
     }

@@ -37,6 +37,7 @@ pub mod greedy;
 pub mod local_search;
 pub mod partition;
 pub mod random_decay;
+mod sample;
 pub mod solver;
 #[cfg(test)]
 mod test_instances;

@@ -18,10 +18,17 @@
 //! trials per level, and returns the best subset found. It is the direct
 //! implementation of the paper's "extremely simple" randomized solution to
 //! the Spokesman Election problem (Section 4.2.1).
+//!
+//! Every sample is drawn in bulk and scored in place by
+//! the crate's one Bernoulli sampler: the ChaCha kernel packs one
+//! `gen_bool(2^{-j})` per pool vertex, in ascending order, straight into a
+//! word buffer, the very stream the scalar per-vertex filter consumes. Level
+//! 0 (`p = 1`) keeps the whole pool in each of its trials, so it is scored
+//! once; the first of equal samples wins, so the result is the same.
 
+use crate::sample::BernoulliSampler;
 use crate::solver::{SolverKind, SpokesmanResult, SpokesmanSolver};
-use rand::Rng;
-use wx_graph::random::{derive_seed, rng_from_seed};
+use wx_graph::random::derive_seed;
 use wx_graph::{BipartiteGraph, VertexSet};
 
 /// Independent samples drawn per dyadic probability level, by Random Decay
@@ -71,33 +78,31 @@ impl RandomDecaySolver {
 
 /// The dyadic sampling sweep of Lemma 4.2, shared with
 /// [`crate::ChlamtacWeinsteinSolver`]: for each level `j ≤ max_level` draw
-/// `TRIALS_PER_LEVEL` samples that keep each vertex of `left_pool` (left
-/// vertices in ascending order) with probability `2^{-j}` (sample `t`
-/// seeded by `derive_seed(seed, j << 32 | t)`, one draw per pool vertex),
-/// and return the first sample with the best unique coverage over the
-/// *whole* graph, with that coverage.
+/// `TRIALS_PER_LEVEL` samples that keep each vertex of `pool` with
+/// probability `2^{-j}` (sample `t` seeded by `derive_seed(seed, j << 32 | t)`,
+/// one draw per pool vertex in ascending order), and offer each to
+/// `sampler`, which keeps the first sample with the best unique coverage over
+/// the *whole* graph.
+///
+/// The draws come in bulk through [`BernoulliSampler::draw`]. Level 0 is
+/// scored once, as the pool itself: at `p = 1` every draw keeps its vertex
+/// (`gen_bool(1.0)` is always true), so its eight samples all equal the pool,
+/// and ties keep the first, so the other seven could never win. Each sample
+/// has its own seeded generator, so skipping their draws leaves every other
+/// level's stream as it was.
 pub(crate) fn dyadic_sweep(
-    g: &BipartiteGraph,
-    left_pool: impl Iterator<Item = usize> + Clone,
+    sampler: &mut BernoulliSampler,
+    pool: &VertexSet,
     max_level: u32,
     seed: u64,
-) -> (usize, VertexSet) {
-    let mut best_cov = 0usize;
-    let mut best_subset = VertexSet::empty(g.num_left());
-    for j in 0..=max_level {
+) {
+    sampler.offer(pool);
+    for j in 1..=max_level {
         let p = 0.5f64.powi(j as i32);
         for t in 0..TRIALS_PER_LEVEL {
-            let mut rng = rng_from_seed(derive_seed(seed, (j as u64) << 32 | t as u64));
-            let sample =
-                VertexSet::from_iter(g.num_left(), left_pool.clone().filter(|_| rng.gen_bool(p)));
-            let cov = g.unique_coverage(&sample);
-            if cov > best_cov {
-                best_cov = cov;
-                best_subset = sample;
-            }
+            sampler.draw(pool, p, derive_seed(seed, (j as u64) << 32 | t as u64));
         }
     }
-    (best_cov, best_subset)
 }
 
 impl SpokesmanSolver for RandomDecaySolver {
@@ -111,25 +116,25 @@ impl SpokesmanSolver for RandomDecaySolver {
             );
         }
         let levels = Self::levels_for(g);
-
+        let mut sampler = BernoulliSampler::new(g);
         // Pipeline A (Lemma 4.2): all left vertices participate.
-        let (cov_a, sub_a) = dyadic_sweep(g, 0..g.num_left(), levels, derive_seed(seed, 0xA));
-        // Pipeline B (Lemma 4.3): restrict + thin the left side first.
+        let all = VertexSet::full(g.num_left());
+        dyadic_sweep(&mut sampler, &all, levels, derive_seed(seed, 0xA));
+        // Pipeline B (Lemma 4.3): restrict + thin the left side first. Its
+        // samples come after A's, so B wins only by beating A's best.
         let pool = Self::left_restriction_pool(g);
-        let mut best = sub_a;
         if !pool.is_empty() {
-            let (cov_b, sub_b) = dyadic_sweep(g, pool.iter(), levels, derive_seed(seed, 0xB));
-            if cov_b > cov_a {
-                best = sub_b;
-            }
+            dyadic_sweep(&mut sampler, &pool, levels, derive_seed(seed, 0xB));
         }
-        SpokesmanResult::from_subset(SolverKind::RandomDecay, g, best)
+        SpokesmanResult::from_subset(SolverKind::RandomDecay, g, sampler.into_best())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
+    use wx_graph::random::rng_from_seed;
 
     fn random_instance(seed: u64, s: usize, n: usize, p: f64) -> BipartiteGraph {
         let mut rng = rng_from_seed(seed);

@@ -319,6 +319,7 @@ mod tests {
         for kind in SolverKind::POLYNOMIAL {
             kind.build().solve(&g, 5);
         }
+        SolverKind::Exact.build().solve(&g, 5);
         let s = VertexSet::from_iter(4, [0, 1]);
         let path = wx_graph::Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
         solve_in(&crate::greedy::GreedyMinDegreeSolver, &path, &s, 5);
@@ -334,6 +335,7 @@ mod tests {
                 "spokesman.chlamtac_weinstein",
             ),
             (SolverKind::Portfolio, "spokesman.portfolio"),
+            (SolverKind::Exact, "spokesman.exact"),
         ] {
             assert!(trace.phase_count(span) >= 1, "{kind} recorded no `{span}`");
         }
