@@ -163,6 +163,9 @@ impl BipartiteGraph {
     ///
     /// The coverage is kept as the counters move: a right vertex going from
     /// 0 to 1 sampled neighbors adds one, going from 1 to 2 removes one.
+    /// The update is branch-free: which of the two moves (or neither) a
+    /// counter makes is unpredictable, and branching on it made the Random
+    /// Decay solve about 1.6× slower on random_regular(4500, 8).
     /// `count` must be all zero on entry and is all zero again on return.
     /// It is cleared by one sweep of the right side: on the bipartite view
     /// of a 2250-vertex set in random_regular(4500, 8) (|N| ≈ 2240) that
@@ -177,12 +180,9 @@ impl BipartiteGraph {
         let mut coverage = 0usize;
         for_each_member(words, |u| {
             for &w in self.left_neighbors(u) {
-                match count[w] {
-                    0 => coverage += 1,
-                    1 => coverage -= 1,
-                    _ => {}
-                }
-                count[w] = count[w].saturating_add(1);
+                let c = count[w];
+                coverage = coverage + usize::from(c == 0) - usize::from(c == 1);
+                count[w] = c.saturating_add(1);
             }
         });
         count.fill(0);

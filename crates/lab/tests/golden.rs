@@ -12,7 +12,11 @@
 //! trial completed. The `long_growth__*` fixtures pin sampled measurement
 //! where greedy growth runs long: `Measure` (ordinary and unique) on
 //! random_regular(2400, 8), whose growths reach n/2, and a sampled
-//! `Profile` on an irregular `Induced` source.
+//! `Profile` on an irregular `Induced` source. `multiword__spokesman` pins
+//! the spokesman solvers at |S| = 300 on random_regular(600, 8): the other
+//! spokesman fixtures sample five vertices, one bitset word, while its
+//! samples span five words and draw enough decisions to run the ChaCha
+//! generator's 128-draw bulk batches.
 //!
 //! The bundled `scenarios/*.json` and the `wx sweep --all --quick` report
 //! are pinned the same way: each scenario must reproduce
