@@ -16,7 +16,10 @@
 //! the spokesman solvers at |S| = 300 on random_regular(600, 8): the other
 //! spokesman fixtures sample five vertices, one bitset word, while its
 //! samples span five words and draw enough decisions to run the ChaCha
-//! generator's 128-draw bulk batches.
+//! generator's 128-draw bulk batches. `multiword__radio_decay` pins Decay
+//! on margulis(30): 900 vertices are 15 bit tiles, and its 70 trials run a
+//! 64-lane and a 6-lane batch whose per-lane draws fill whole 16-block
+//! batches of the ChaCha kernel.
 //!
 //! The bundled `scenarios/*.json` and the `wx sweep --all --quick` report
 //! are pinned the same way: each scenario must reproduce
