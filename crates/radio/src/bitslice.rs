@@ -30,13 +30,22 @@
 //! exactly one transmitter and was not itself transmitting, the unique
 //! neighborhood `Γ¹(T)` evaluated in 64 trials per word operation.
 //!
+//! Only transmissions that can still inform someone are accumulated: `t` is
+//! the protocol's word ANDed with `open[v]`, the lanes in which `v` has an
+//! uninformed neighbor ([`LaneView::open`]). A dropped transmission reaches
+//! only vertices informed in that lane, which cannot receive there anyway,
+//! so every receiver is unchanged. `open` only ever loses bits: each round,
+//! the neighbors of newly informed vertices that were open in the new
+//! lanes are recomputed, and nothing else.
+//!
 //! # Protocols
 //!
 //! Every protocol implements [`LaneProtocol`], filling one transmitter word
 //! per vertex each round. Decay
 //! ([`crate::protocols::decay::DecayProtocol`]) transposes 64×64 bit tiles
-//! of the eligibility matrix into per-lane vertex masks and draws each
-//! lane's Bernoulli decisions in bulk from its own stream. The
+//! of the eligibility matrix, and of its open part, into per-lane vertex
+//! masks and draws each lane's Bernoulli decisions in bulk from its own
+//! stream, computing only the draws of open vertices. The
 //! deterministic protocols behave identically in every lane: flooding and
 //! round-robin write their words straight from the informed masks, and the
 //! spokesman schedule reads the lowest live lane's informed set, solves
@@ -73,6 +82,11 @@ pub struct LaneView<'a, G: GraphView + ?Sized = Graph> {
     /// Lane-major informed state: bit `l` of `informed[v]` is set iff vertex
     /// `v` is informed in trial `l`.
     pub informed: &'a [u64],
+    /// Lane-major open state: bit `l` of `open[v]` is set iff vertex `v` has
+    /// a neighbor that is uninformed in trial `l` (for `l` below the batch
+    /// width). A transmission from `v` in a lane where it is not open
+    /// cannot inform anyone, so the engine drops it.
+    pub open: &'a [u64],
 }
 
 /// A broadcast protocol, generic over the graph backend it broadcasts on
@@ -89,7 +103,9 @@ pub trait LaneProtocol<G: GraphView + ?Sized = Graph> {
     /// `(v, l)` may be set only if vertex `v` is informed in lane `l` and
     /// lane `l` is live; **every** word of `transmit` must be consistent
     /// with this round (stale bits from the previous round must be cleared
-    /// by the implementation).
+    /// by the implementation). Bits outside `view.open` may be left clear:
+    /// the engine ignores them, since such a transmission reaches only
+    /// informed neighbors.
     fn fill_transmitters(&mut self, view: &LaneView<'_, G>, transmit: &mut [u64]);
 }
 
@@ -119,6 +135,12 @@ pub struct LaneWorkspace {
     target: usize,
     /// Lane-major informed bits, one word per vertex.
     informed: Vec<u64>,
+    /// Lane-major open bits ([`LaneView::open`]), one word per vertex.
+    open: Vec<u64>,
+    /// Vertices whose `open` word may have lost bits this round.
+    stale: Vec<usize>,
+    /// `is_stale[v]` iff `v` is in `stale`.
+    is_stale: Vec<bool>,
     /// This round's transmitter mask, filled by the protocol.
     transmit: Vec<u64>,
     /// Collision accumulator: lanes in which ≥ 1 neighbor transmitted.
@@ -153,6 +175,9 @@ impl LaneWorkspace {
             lanes: 0,
             target: 0,
             informed: vec![0; n],
+            open: vec![0; n],
+            stale: Vec::new(),
+            is_stale: vec![false; n],
             transmit: vec![0; n],
             once: vec![0; n],
             twice: vec![0; n],
@@ -164,7 +189,14 @@ impl LaneWorkspace {
         }
     }
 
-    fn reset(&mut self, n: usize, source: Vertex, lanes: usize, target: usize) {
+    fn reset<G: GraphView + ?Sized>(
+        &mut self,
+        graph: &G,
+        source: Vertex,
+        lanes: usize,
+        target: usize,
+    ) {
+        let n = graph.num_vertices();
         self.lanes = lanes;
         self.target = target;
         for buf in [
@@ -180,6 +212,15 @@ impl LaneWorkspace {
         self.first_informed.resize(n * lanes, u32::MAX);
         self.touched.clear();
         self.informed[source] = live_mask(lanes);
+        // Only the source is informed: a vertex is open in every lane iff
+        // it has a neighbor other than the source.
+        self.open.resize(n, 0);
+        for (v, word) in self.open[..n].iter_mut().enumerate() {
+            let open = graph.neighbors_iter(v).any(|u| u != source);
+            *word = if open { live_mask(lanes) } else { 0 };
+        }
+        self.is_stale.resize(n, false);
+        self.stale.clear();
         for l in 0..MAX_LANES {
             self.informed_count[l] = usize::from(l < lanes);
             self.informed_per_round[l].clear();
@@ -271,7 +312,7 @@ pub fn run_lanes_in<G: GraphView + ?Sized>(
     let config = sim.config();
     let n = graph.num_vertices();
     let target = sim.reachable_count();
-    ws.reset(n, sim.source(), lanes, target);
+    ws.reset(graph, sim.source(), lanes, target);
     protocol.reset(graph, seeds);
     let mut live = live_mask(lanes);
     let _span = wx_trace::span("radio.lanes");
@@ -285,24 +326,26 @@ pub fn run_lanes_in<G: GraphView + ?Sized>(
                 round,
                 live,
                 informed: &ws.informed,
+                open: &ws.open,
             };
             protocol.fill_transmitters(&view, &mut ws.transmit);
         }
 
         // Collision accumulation: for every transmitting vertex, every
         // neighbor records which lanes heard one (`once`) or more (`twice`)
-        // transmitters.
+        // transmitters. Only lanes where the transmitter is open count: in
+        // the others every neighbor is informed already.
         ws.touched.clear();
         for v in 0..n {
-            let t = ws.transmit[v];
-            if t == 0 {
-                continue;
-            }
             debug_assert_eq!(
-                t & !(ws.informed[v] & live),
+                ws.transmit[v] & !(ws.informed[v] & live),
                 0,
                 "a protocol transmitted from uninformed or retired lanes"
             );
+            let t = ws.transmit[v] & ws.open[v];
+            if t == 0 {
+                continue;
+            }
             for u in graph.neighbors_iter(v) {
                 if ws.once[u] == 0 {
                     ws.touched.push(u);
@@ -314,7 +357,8 @@ pub fn run_lanes_in<G: GraphView + ?Sized>(
 
         // Receivers: exactly one transmitting neighbor, not itself
         // transmitting (`Γ¹(T)` per lane); the newly informed among them
-        // update counts and first-informed rounds.
+        // update counts and first-informed rounds, and mark the neighbors
+        // that were open in their new lanes stale.
         for i in 0..ws.touched.len() {
             let u = ws.touched[i];
             let recv = ws.once[u] & !ws.twice[u] & !ws.transmit[u];
@@ -330,8 +374,25 @@ pub fn run_lanes_in<G: GraphView + ?Sized>(
                     ws.informed_count[l] += 1;
                     b &= b - 1;
                 }
+                for w in graph.neighbors_iter(u) {
+                    if ws.open[w] & new_bits != 0 && !ws.is_stale[w] {
+                        ws.is_stale[w] = true;
+                        ws.stale.push(w);
+                    }
+                }
             }
         }
+        // `open` only ever loses bits, and only at the stale vertices, so
+        // recomputing those equals recomputing every word.
+        let lanes_mask = live_mask(lanes);
+        for &w in &ws.stale {
+            ws.is_stale[w] = false;
+            ws.open[w] = graph
+                .neighbors_iter(w)
+                .fold(0, |open, u| open | !ws.informed[u])
+                & lanes_mask;
+        }
+        ws.stale.clear();
 
         // Per-lane bookkeeping: trajectories grow only for live lanes, and
         // the first completion round is pinned (with stop_when_complete =
@@ -435,6 +496,7 @@ mod tests {
     use crate::protocols::decay::DecayProtocol;
     use crate::protocols::ProtocolKind;
     use crate::simulator::SimulatorConfig;
+    use rand::Rng;
     use wx_graph::random::{derive_seed, rng_from_seed};
 
     #[test]
@@ -590,6 +652,94 @@ mod tests {
             outcomes.iter().any(|o| o.completed_at != first),
             "all 64 lanes completed at {first:?} — lane streams are not independent"
         );
+    }
+
+    #[test]
+    fn multi_tile_decay_lanes_match_the_oracle() {
+        // 700 vertices are 11 tiles, and 64 lanes of random_regular(700, 8)
+        // draw enough per lane-round to fill whole 16-block batches of the
+        // ChaCha kernel, with skipped blocks between them.
+        let g = wx_constructions::families::random_regular_graph(700, 8, 12).unwrap();
+        let seeds: Vec<u64> = (0..64).map(|t| derive_seed(700, t)).collect();
+        let mut ws = LaneWorkspace::new(0);
+        for config in [
+            SimulatorConfig::default(),
+            SimulatorConfig {
+                max_rounds: 90,
+                stop_when_complete: false,
+            },
+        ] {
+            let sim = RadioSimulator::new(&g, 3, config);
+            run_lanes_in(&sim, &mut DecayProtocol::default(), &seeds, &mut ws);
+            assert_decay_lanes_match_oracle(&sim, &ws, &seeds);
+        }
+    }
+
+    /// Wraps a protocol and asserts, every round, that each `open` word is
+    /// the brute-force OR of the neighbors' uninformed bits over the batch's
+    /// lanes.
+    struct CheckOpen<P> {
+        inner: P,
+        lanes: usize,
+        rounds: usize,
+    }
+
+    impl<G: GraphView + ?Sized, P: LaneProtocol<G>> LaneProtocol<G> for CheckOpen<P> {
+        fn reset(&mut self, graph: &G, seeds: &[u64]) {
+            self.lanes = seeds.len();
+            self.inner.reset(graph, seeds);
+        }
+
+        fn fill_transmitters(&mut self, view: &LaneView<'_, G>, transmit: &mut [u64]) {
+            for v in 0..view.graph.num_vertices() {
+                let open = view
+                    .graph
+                    .neighbors_iter(v)
+                    .fold(0, |open, u| open | !view.informed[u])
+                    & live_mask(self.lanes);
+                assert_eq!(view.open[v], open, "round {} vertex {v}", view.round);
+            }
+            self.rounds += 1;
+            self.inner.fill_transmitters(view, transmit);
+        }
+    }
+
+    #[test]
+    fn open_words_equal_the_brute_force_or_every_round() {
+        for seed in 0..12u64 {
+            // 30 vertices, of which only the first 24 carry edges: the
+            // last six, and any vertex no edge reaches, are isolated.
+            let mut rng = rng_from_seed(seed);
+            let edges: Vec<(usize, usize)> = (0..40)
+                .map(|_| (rng.gen_range(0..24), rng.gen_range(0..24)))
+                .filter(|(u, v)| u != v)
+                .collect();
+            let g = Graph::from_edges(30, edges).unwrap();
+            for stop_when_complete in [true, false] {
+                let config = SimulatorConfig {
+                    max_rounds: 30,
+                    stop_when_complete,
+                };
+                let sim = RadioSimulator::new(&g, 0, config);
+                let mut ws = LaneWorkspace::new(0);
+                for kind in [
+                    ProtocolKind::Decay,
+                    ProtocolKind::NaiveFlooding,
+                    ProtocolKind::Spokesman,
+                ] {
+                    for lanes in [1u64, 5, 64] {
+                        let seeds: Vec<u64> = (0..lanes).map(|t| derive_seed(seed, t)).collect();
+                        let mut protocol = CheckOpen {
+                            inner: kind.build(),
+                            lanes: 0,
+                            rounds: 0,
+                        };
+                        run_lanes_in(&sim, &mut protocol, &seeds, &mut ws);
+                        assert!(protocol.rounds > 0, "{kind} seed {seed}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

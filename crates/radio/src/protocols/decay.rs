@@ -21,12 +21,15 @@ pub(crate) fn phase_length(n: usize) -> usize {
 
 /// The decay protocol, one RNG stream per lane.
 ///
-/// Per round it builds the eligibility matrix (informed ∧ live), transposes
-/// it 64×64-tile by tile into per-lane vertex masks, and asks each lane's
-/// RNG for its Bernoulli decisions in one bulk call that deposits straight
-/// into the mask positions — consuming exactly one draw per eligible vertex
-/// in ascending vertex order, the stream of one `gen_bool(2^{-i})` per
-/// informed vertex.
+/// Per round it builds the eligibility matrix (informed ∧ live) and the
+/// wanted matrix (eligible ∧ open), transposes both 64×64-tile by tile into
+/// per-lane vertex masks, and asks each lane's RNG for its Bernoulli
+/// decisions in one bulk call that deposits straight into the mask
+/// positions. Each call consumes exactly one draw per eligible vertex in
+/// ascending vertex order, the stream of one `gen_bool(2^{-i})` per
+/// informed vertex, but computes only the draws of wanted vertices: an
+/// eligible vertex that is not open transmits to no effect, so its decision
+/// is left clear.
 #[derive(Debug, Default)]
 pub struct DecayProtocol {
     rngs: Vec<WxRng>,
@@ -34,6 +37,8 @@ pub struct DecayProtocol {
     tiles: usize,
     /// Per-lane eligibility masks, `[lane][tile]` flattened.
     lane_masks: Vec<u64>,
+    /// Per-lane wanted masks (eligible and open) aligned with `lane_masks`.
+    lane_wanted: Vec<u64>,
     /// Per-lane decision words aligned with `lane_masks`.
     lane_out: Vec<u64>,
     /// Packed decision stream scratch for the bulk RNG call.
@@ -49,6 +54,7 @@ impl<G: GraphView + ?Sized> LaneProtocol<G> for DecayProtocol {
             self.rngs.push(rng_from_seed(s));
         }
         self.lane_masks.resize(self.lanes * self.tiles, 0);
+        self.lane_wanted.resize(self.lanes * self.tiles, 0);
         self.lane_out.resize(self.lanes * self.tiles, 0);
     }
 
@@ -58,38 +64,35 @@ impl<G: GraphView + ?Sized> LaneProtocol<G> for DecayProtocol {
         let p = 0.5f64.powi(i as i32);
         let tiles = self.tiles;
 
-        // Eligibility matrix → per-lane vertex masks, one 64×64 bit
-        // transpose per vertex tile.
+        // Eligibility and wanted matrices → per-lane vertex masks, one
+        // transposed 64×64 bit tile each per vertex tile.
         for t in 0..tiles {
             let base = t * 64;
             let height = (n - base).min(64);
             let mut tile = [0u64; 64];
-            let mut any = 0u64;
-            for (word, &informed) in tile.iter_mut().zip(&view.informed[base..base + height]) {
+            let mut wanted = [0u64; 64];
+            let words = view.informed[base..base + height]
+                .iter()
+                .zip(&view.open[base..base + height]);
+            for ((word, want), (&informed, &open)) in tile.iter_mut().zip(&mut wanted).zip(words) {
                 *word = informed & view.live;
-                any |= *word;
+                *want = *word & open;
             }
-            if any == 0 {
-                for l in 0..self.lanes {
-                    self.lane_masks[l * tiles + t] = 0;
-                }
-            } else {
-                transpose64(&mut tile);
-                for (l, &word) in tile.iter().enumerate().take(self.lanes) {
-                    self.lane_masks[l * tiles + t] = word;
-                }
-            }
+            lane_rows(&mut tile, self.lanes, &mut self.lane_masks[t..], tiles);
+            lane_rows(&mut wanted, self.lanes, &mut self.lane_wanted[t..], tiles);
         }
 
-        // One bulk Bernoulli call per lane: deposits each decision onto its
-        // eligible vertex, consuming exactly one draw per set mask bit in
+        // One bulk Bernoulli call per lane: deposits each wanted decision
+        // onto its vertex, consuming exactly one draw per eligible vertex in
         // ascending vertex order.
         for l in 0..self.lanes {
+            let (from, to) = (l * tiles, (l + 1) * tiles);
             self.rngs[l].fill_masked_decision_bits(
                 p,
-                &self.lane_masks[l * tiles..(l + 1) * tiles],
+                &self.lane_masks[from..to],
+                &self.lane_wanted[from..to],
                 &mut self.scratch,
-                &mut self.lane_out[l * tiles..(l + 1) * tiles],
+                &mut self.lane_out[from..to],
             );
         }
 
@@ -98,21 +101,60 @@ impl<G: GraphView + ?Sized> LaneProtocol<G> for DecayProtocol {
         for t in 0..tiles {
             let base = t * 64;
             let height = (n - base).min(64);
-            let mut tile = [0u64; 64];
-            let mut any = 0u64;
-            for (l, word) in tile.iter_mut().enumerate().take(self.lanes) {
-                *word = self.lane_out[l * tiles + t];
-                any |= *word;
+            let mut rows = [0u64; 64];
+            for (l, row) in rows.iter_mut().enumerate().take(self.lanes) {
+                *row = self.lane_out[l * tiles + t];
             }
-            if any == 0 {
-                transmit[base..base + height]
-                    .iter_mut()
-                    .for_each(|w| *w = 0);
-            } else {
-                transpose64(&mut tile);
-                transmit[base..base + height].copy_from_slice(&tile[..height]);
-            }
+            vertex_words(&mut rows, self.lanes, &mut transmit[base..base + height]);
         }
+    }
+}
+
+/// Batches of at most this many lanes move single bits between a tile and
+/// its lane rows; wider ones run the whole 64×64 transpose.
+const NARROW_LANES: usize = 4;
+
+/// Writes row `l` of the transposed `tile` (bit `l` of each of its 64
+/// words, in word order) to `rows[l * stride]` for every lane `l < lanes`.
+/// An all-zero tile, or one whose words are all equal, needs no transpose.
+fn lane_rows(tile: &mut [u64; 64], lanes: usize, rows: &mut [u64], stride: usize) {
+    let (any, all) = tile
+        .iter()
+        .fold((0, u64::MAX), |(any, all), &w| (any | w, all & w));
+    if any == all {
+        for l in 0..lanes {
+            rows[l * stride] = 0u64.wrapping_sub(any >> l & 1);
+        }
+    } else if lanes <= NARROW_LANES {
+        for l in 0..lanes {
+            rows[l * stride] = tile
+                .iter()
+                .enumerate()
+                .fold(0, |row, (i, &w)| row | (w >> l & 1) << i);
+        }
+    } else {
+        transpose64(tile);
+        for l in 0..lanes {
+            rows[l * stride] = tile[l];
+        }
+    }
+}
+
+/// The inverse of [`lane_rows`]: word `i` of `words` gets bit `i` of each
+/// of the first `lanes` rows (the others are zero) as its lane bits.
+fn vertex_words(rows: &mut [u64; 64], lanes: usize, words: &mut [u64]) {
+    if rows[..lanes].iter().all(|&r| r == 0) {
+        words.iter_mut().for_each(|w| *w = 0);
+    } else if lanes <= NARROW_LANES {
+        for (i, word) in words.iter_mut().enumerate() {
+            *word = rows[..lanes]
+                .iter()
+                .enumerate()
+                .fold(0, |word, (l, &r)| word | (r >> i & 1) << l);
+        }
+    } else {
+        transpose64(rows);
+        words.copy_from_slice(&rows[..words.len()]);
     }
 }
 
@@ -152,6 +194,7 @@ mod tests {
             round: 0,
             live: 0b101,
             informed: &informed,
+            open: &[u64::MAX; 4],
         };
         let mut transmit = [u64::MAX; 4];
         protocol.fill_transmitters(&view, &mut transmit);

@@ -35,6 +35,7 @@ mod tests {
             round: 0,
             live: 0b10,
             informed: &informed,
+            open: &[u64::MAX; 3],
         };
         let mut transmit = [u64::MAX; 3];
         NaiveFlooding.fill_transmitters(&view, &mut transmit);

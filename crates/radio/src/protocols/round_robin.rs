@@ -42,6 +42,7 @@ mod tests {
                 round,
                 live: 0b11,
                 informed: &informed,
+                open: &[u64::MAX; 6],
             };
             RoundRobin.fill_transmitters(&view, &mut transmit);
             // only this round's turn may transmit, in its informed lanes

@@ -148,6 +148,7 @@ mod tests {
             round: 1,
             live: 0b110,
             informed: &informed,
+            open: &vec![u64::MAX; n],
         };
         let mut transmit = vec![u64::MAX; n];
         SpokesmanBroadcast.fill_transmitters(&view, &mut transmit);

@@ -60,6 +60,7 @@ impl<'g> BernoulliSampler<'g> {
         rng_from_seed(seed).fill_masked_decision_bits(
             p,
             pool.as_words(),
+            pool.as_words(),
             &mut self.decisions,
             &mut self.sample,
         );

@@ -5,14 +5,23 @@
 //!
 //! Besides the word-at-a-time [`RngCore`] interface, the generator exposes
 //! bulk producers — [`ChaCha8Rng::fill_decision_bits`] and
-//! [`ChaCha8Rng::fill_masked_decision_bits`] — that emit **exactly** the stream the
-//! scalar interface would (counter-mode blocks are independent, so many can
-//! be produced at once and serialized in order). On x86-64 with AVX-512F the
-//! bulk paths run 16 blocks in parallel and are roughly an order of
-//! magnitude faster per `u64` than the scalar path; elsewhere they fall back
-//! to the scalar block function. Consumers that drain millions of draws per
-//! trial (the bit-sliced radio engine) depend on this being a pure speedup
-//! with no stream divergence.
+//! [`ChaCha8Rng::fill_masked_decision_bits`] — that emit **exactly** the
+//! decisions the scalar interface would, one `gen_bool` per `next_u64`, and
+//! leave the generator where the scalar calls leave it. Counter-mode blocks
+//! are independent, so one kernel computes any 16 of them at once from a
+//! list of block counters: on x86-64 with AVX-512F in the lanes of 512-bit
+//! vectors, roughly an order of magnitude faster per `u64` than the scalar
+//! path; elsewhere by looping the scalar block function. The contiguous
+//! producer passes the list `c, c+1, …, c+15`.
+//!
+//! The masked producer also takes a `wanted` mask. It consumes one draw per
+//! set mask bit but computes only the 8-draw blocks that hold a wanted draw:
+//! the wanted bits are packed into stream order (BMI2 `pext`), the blocks
+//! whose byte of that stream is nonzero go through the kernel 16 at a time,
+//! and the decisions are spread back onto the masks (`pdep`). The skipped
+//! blocks are never computed, and for `p ∈ {0, 1}`, where every decision is
+//! known without its draw, no block is. The bit-sliced radio engine's Decay
+//! rounds depend on this being a pure speedup with no stream divergence.
 
 use rand::{RngCore, SeedableRng};
 
@@ -134,9 +143,7 @@ impl ChaCha8Rng {
     /// Advances the 64-bit block counter in words 12/13 by `n` blocks.
     #[inline]
     fn advance_counter(&mut self, n: u64) {
-        let counter = (self.state[12] as u64 | ((self.state[13] as u64) << 32)).wrapping_add(n);
-        self.state[12] = counter as u32;
-        self.state[13] = (counter >> 32) as u32;
+        self.set_counter(self.counter().wrapping_add(n));
     }
 
     #[inline]
@@ -175,7 +182,9 @@ impl ChaCha8Rng {
         if count - i >= BULK_U64 {
             let use_avx512 = simd::avx512_available();
             while count - i >= BULK_U64 {
-                let (lo, hi) = simd::blocks16_decisions(&self.state, t53, use_avx512);
+                let c0 = self.counter();
+                let counters = std::array::from_fn(|j| c0.wrapping_add(j as u64));
+                let (lo, hi) = simd::blocks16_decisions(&self.state, &counters, t53, use_avx512);
                 self.advance_counter(BULK_BLOCKS as u64);
                 // OR the 128 in-order decision bits into `out` at bit `i`.
                 let (w, s) = (i / 64, i % 64);
@@ -196,27 +205,38 @@ impl ChaCha8Rng {
         }
     }
 
-    /// Scatters `gen_bool(p)` decisions into the set-bit positions of `masks`.
+    /// Scatters the wanted `gen_bool(p)` decisions into the set-bit
+    /// positions of `masks`.
     ///
     /// One decision is consumed per set bit, in order: masks are scanned
     /// word by word and bits from least to most significant, so decision `j`
-    /// of the stream lands on the `j`-th set bit overall. `out[i]` receives
-    /// the decisions for `masks[i]` (its other bits are zero); words beyond
-    /// `masks.len()` are untouched. Bit-identical to walking the set bits and
-    /// calling `gen_bool(p)` on each — exactly `masks.count_ones()` draws are
-    /// consumed — but generated in bulk and deposited word-at-a-time (BMI2
-    /// `pdep` when available).
+    /// of the stream belongs to the `j`-th set bit overall. `out[i]`
+    /// receives the decisions for `masks[i] & wanted[i]` (its other bits are
+    /// zero); words beyond `masks.len()` are untouched. Bit-identical to
+    /// walking the set bits of `masks`, calling `gen_bool(p)` on each and
+    /// keeping the results where `wanted` is set: exactly
+    /// `masks.count_ones()` draws are consumed, wanted or not.
     ///
-    /// `scratch` is working storage for the packed decision stream; it is
-    /// resized as needed and its previous contents are ignored (callers keep
-    /// one buffer alive across calls to stay allocation-free).
+    /// Only the draws that are wanted are computed. ChaCha is counter-mode,
+    /// so the 8-draw blocks that hold no wanted draw are skipped, and the
+    /// blocks that do are computed 16 at a time by one kernel over a list
+    /// of block counters. For `p ∈ {0, 1}` every decision is known without
+    /// its draw and no block is computed at all. Either way the generator
+    /// is left exactly where the scalar stream would leave it.
+    ///
+    /// `scratch` is working storage for the packed wanted and decision
+    /// streams; it is resized as needed and its previous contents are
+    /// ignored (callers keep one buffer alive across calls to stay
+    /// allocation-free).
     ///
     /// # Panics
-    /// Panics if `p` is outside `[0, 1]` or `out` is shorter than `masks`.
+    /// Panics if `p` is outside `[0, 1]`, if `wanted` and `masks` differ in
+    /// length, or if `out` is shorter than `masks`.
     pub fn fill_masked_decision_bits(
         &mut self,
         p: f64,
         masks: &[u64],
+        wanted: &[u64],
         scratch: &mut Vec<u64>,
         out: &mut [u64],
     ) {
@@ -226,23 +246,137 @@ impl ChaCha8Rng {
             out.len(),
             masks.len()
         );
-        let total: usize = masks.iter().map(|m| m.count_ones() as usize).sum();
-        // One guard word past the end lets the deposit loop read bit windows
-        // that straddle the final word without bounds checks.
-        let words = total.div_ceil(64) + 1;
-        if scratch.len() < words {
-            scratch.resize(words, 0);
+        assert_eq!(
+            wanted.len(),
+            masks.len(),
+            "wanted and masks differ in length"
+        );
+        let t53 = gen_bool_threshold(p);
+        let out = &mut out[..masks.len()];
+        if self.word_idx % 2 == 1 {
+            // After an odd number of `next_u32` calls every draw straddles
+            // two blocks, so the scalar stream serves them one by one.
+            for ((o, &m), &w) in out.iter_mut().zip(masks).zip(wanted) {
+                let mut word = 0u64;
+                let mut rest = m;
+                while rest != 0 {
+                    let bit = rest & rest.wrapping_neg();
+                    if (self.next_u64() >> 11) < t53 {
+                        word |= bit;
+                    }
+                    rest ^= bit;
+                }
+                *o = word & w;
+            }
+            return;
         }
-        scratch[words - 1] = 0;
-        self.fill_decision_bits(p, total, scratch);
-        simd::deposit(masks, scratch, out);
+        // Stream bit `lead + j` holds draw `j`, so byte `k` of the packed
+        // streams is the block with counter `base + k`: the partly read
+        // block in `self.block` is byte 0 unless it is used up.
+        let lead = (self.word_idx % 16) / 2;
+        let base = self.counter() - u64::from(self.word_idx < 16);
+        let end = if t53 == 0 || t53 == 1 << 53 {
+            // Every decision is known without its draw.
+            for ((o, &m), &w) in out.iter_mut().zip(masks).zip(wanted) {
+                *o = if t53 == 0 { 0 } else { m & w };
+            }
+            lead + masks.iter().map(|m| m.count_ones() as usize).sum::<usize>()
+        } else {
+            // The packed stream needs at most `masks.len() + 1` words, and
+            // one guard word lets the deposit read bit windows that
+            // straddle the final word without bounds checks; the kernel's
+            // decision bytes follow it.
+            let words = masks.len() + 2;
+            scratch.resize(2 * words + 3, 0);
+            let (stream, decided) = scratch.split_at_mut(words);
+            stream.fill(0);
+            let end = simd::extract(masks, wanted, stream, lead);
+            self.decide_wanted(t53, base, &mut stream[..end.div_ceil(64)], decided);
+            simd::deposit(masks, stream, lead, out);
+            end
+        };
+        self.seek_draw_end(base, end);
+    }
+
+    /// The counter of the next block [`Self::refill`] computes.
+    #[inline]
+    fn counter(&self) -> u64 {
+        self.state[12] as u64 | ((self.state[13] as u64) << 32)
+    }
+
+    #[inline]
+    fn set_counter(&mut self, counter: u64) {
+        self.state[12] = counter as u32;
+        self.state[13] = (counter >> 32) as u32;
+    }
+
+    /// ANDs each wanted bit of the packed stream `stream` (byte `k` is the
+    /// block with counter `base + k`) with its `gen_bool` decision,
+    /// computing only the blocks whose byte is nonzero, 16 per kernel call.
+    /// The kernel's decision bytes are packed in block order into `decided`
+    /// (one word per 8 nonzero bytes, plus a guard word) and then spread
+    /// back onto the nonzero bytes.
+    fn decide_wanted(&self, t53: u64, base: u64, stream: &mut [u64], decided: &mut [u64]) {
+        let use_avx512 = simd::avx512_available();
+        let mut counters = [0u64; BULK_BLOCKS];
+        let mut len = 0;
+        let mut batches = 0;
+        for (w, &x) in stream.iter().enumerate() {
+            let mut nonzero = simd::nonzero_bytes(x);
+            while nonzero != 0 {
+                let k = w * 8 + nonzero.trailing_zeros() as usize / 8;
+                nonzero &= nonzero - 1;
+                counters[len] = base + k as u64;
+                len += 1;
+                if len == BULK_BLOCKS {
+                    (decided[2 * batches], decided[2 * batches + 1]) =
+                        simd::blocks16_decisions(&self.state, &counters, t53, use_avx512);
+                    batches += 1;
+                    len = 0;
+                }
+            }
+        }
+        if len > 0 {
+            // Pad the batch by repeating its last block; the padding's
+            // decisions are never read.
+            let last = counters[len - 1];
+            counters[len..].fill(last);
+            (decided[2 * batches], decided[2 * batches + 1]) =
+                simd::blocks16_decisions(&self.state, &counters, t53, use_avx512);
+        }
+        simd::spread_bytes(stream, decided);
+    }
+
+    /// Leaves the generator where the scalar stream leaves it once the
+    /// draw before stream bit `end` is consumed (see
+    /// [`Self::fill_masked_decision_bits`] for the bit layout from `base`).
+    fn seek_draw_end(&mut self, base: u64, end: usize) {
+        let lead = (self.word_idx % 16) / 2;
+        if end == lead {
+            return;
+        }
+        let block = base + ((end - 1) / 8) as u64;
+        let used = (end - 1) % 8 + 1;
+        if used == U64_PER_BLOCK {
+            // The block is used up: the next draw refills from the one after.
+            self.set_counter(block + 1);
+            self.word_idx = 16;
+            return;
+        }
+        if block + 1 != self.counter() || self.word_idx == 16 {
+            self.set_counter(block);
+            self.refill();
+        }
+        self.word_idx = 2 * used;
     }
 }
 
-/// Bulk block production: decisions over 16 consecutive counter-mode
-/// blocks in stream order, and their deposit into masks. The AVX-512 path computes all 16 blocks in the lanes of
-/// 512-bit vectors and transposes in-register; the portable path loops the
-/// scalar block function. Both produce identical bytes.
+/// Bulk block production: decisions over any 16 counter-mode blocks, the
+/// packing of wanted mask bits into stream order, and the deposit of
+/// stream-order decisions into masks. The AVX-512 path computes all 16
+/// blocks in the lanes of 512-bit vectors and transposes in-register; the
+/// portable path loops the scalar block function. Both produce identical
+/// bytes.
 mod simd {
     use super::{raw_block, BULK_BLOCKS, BULK_U64};
 
@@ -260,18 +394,25 @@ mod simd {
         }
     }
 
-    /// `gen_bool`-threshold decisions for the next 128 draws, in stream
-    /// order (draw `i` in bit `i % 64` of the `(lo, hi)` pair).
+    /// `gen_bool`-threshold decisions for the 8 draws of each of the 16
+    /// blocks with counters `counters` (the counter in `state` is ignored):
+    /// draw `d` of block `counters[j]` lands in bit `8 * j + d` of the
+    /// `(lo, hi)` pair. Consecutive counters give 128 draws in stream order.
     #[inline]
-    pub fn blocks16_decisions(state: &[u32; 16], t53: u64, use_avx512: bool) -> (u64, u64) {
+    pub fn blocks16_decisions(
+        state: &[u32; 16],
+        counters: &[u64; BULK_BLOCKS],
+        t53: u64,
+        use_avx512: bool,
+    ) -> (u64, u64) {
         #[cfg(target_arch = "x86_64")]
         if use_avx512 {
             // SAFETY: gated on runtime AVX-512F detection.
-            return unsafe { avx512::blocks16_decisions(state, t53) };
+            return unsafe { avx512::blocks16_decisions(state, counters, t53) };
         }
         let _ = use_avx512;
         let mut buf = [0u64; BULK_U64];
-        scalar_blocks16(state, &mut buf);
+        scalar_blocks16(state, counters, &mut buf);
         let mut lo = 0u64;
         let mut hi = 0u64;
         for (i, &x) in buf.iter().enumerate() {
@@ -285,18 +426,129 @@ mod simd {
         (lo, hi)
     }
 
-    /// Scatters the packed decision stream in `bits` into the set-bit
-    /// positions of each mask word (BMI2 `pdep` when available; a per-set-bit
-    /// loop otherwise). `bits` must hold at least `masks.count_ones()` bits
-    /// plus one guard word.
-    pub fn deposit(masks: &[u64], bits: &[u64], out: &mut [u64]) {
+    /// Packs the bits of each `wanted` word that lie in its mask word into
+    /// stream order, starting at bit `start` of the zeroed `bits`: the
+    /// `j`-th set mask bit overall lands on bit `start + j`, set iff it is
+    /// wanted (BMI2 `pext` when available; a per-set-bit loop otherwise).
+    /// Returns the bit after the last set mask bit. The inverse of
+    /// [`deposit`].
+    pub fn extract(masks: &[u64], wanted: &[u64], bits: &mut [u64], start: usize) -> usize {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("bmi2") {
             // SAFETY: gated on runtime BMI2 detection.
-            unsafe { deposit_bmi2(masks, bits, out) };
+            return unsafe { extract_bmi2(masks, wanted, bits, start) };
+        }
+        extract_generic(masks, wanted, bits, start)
+    }
+
+    /// The high bit of each nonzero byte of `x`.
+    #[inline]
+    pub fn nonzero_bytes(x: u64) -> u64 {
+        const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+        ((x & LOW7).wrapping_add(LOW7) | x) & !LOW7
+    }
+
+    /// ANDs the nonzero bytes of `stream`, in order, with the consecutive
+    /// bytes of `packed` (BMI2 `pdep` spreads each word's share at once
+    /// when available; a per-byte loop otherwise). `packed` must hold one
+    /// byte per nonzero byte of `stream` plus one guard word.
+    pub fn spread_bytes(stream: &mut [u64], packed: &[u64]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("bmi2") {
+            // SAFETY: gated on runtime BMI2 detection.
+            unsafe { spread_bytes_bmi2(stream, packed) };
             return;
         }
-        deposit_generic(masks, bits, out);
+        spread_bytes_generic(stream, packed);
+    }
+
+    fn spread_bytes_generic(stream: &mut [u64], packed: &[u64]) {
+        let mut pos = 0;
+        for x in stream.iter_mut() {
+            let mut nonzero = nonzero_bytes(*x);
+            while nonzero != 0 {
+                let shift = nonzero.trailing_zeros() & !7;
+                nonzero &= nonzero - 1;
+                *x &= ((read_bits(packed, pos) & 0xff) << shift) | !(0xff << shift);
+                pos += 8;
+            }
+        }
+    }
+
+    /// # Safety
+    /// Requires BMI2 at runtime.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "bmi2")]
+    unsafe fn spread_bytes_bmi2(stream: &mut [u64], packed: &[u64]) {
+        use std::arch::x86_64::_pdep_u64;
+        let mut pos = 0;
+        for x in stream.iter_mut() {
+            let nonzero = nonzero_bytes(*x);
+            if nonzero != 0 {
+                // 0xff on every nonzero byte.
+                let bytes = (nonzero >> 7) * 0xff;
+                *x &= _pdep_u64(read_bits(packed, pos), bytes);
+                pos += bytes.count_ones() as usize;
+            }
+        }
+    }
+
+    /// ORs the low `≤ 64` bits of `x` into `bits` at bit offset `pos`.
+    #[inline]
+    fn write_bits(bits: &mut [u64], pos: usize, x: u64) {
+        let (w, s) = (pos / 64, pos % 64);
+        bits[w] |= x << s;
+        if s != 0 {
+            bits[w + 1] |= x >> (64 - s);
+        }
+    }
+
+    fn extract_generic(masks: &[u64], wanted: &[u64], bits: &mut [u64], start: usize) -> usize {
+        let mut pos = start;
+        for (&m, &w) in masks.iter().zip(wanted) {
+            let mut packed = 0u64;
+            let mut rest = m;
+            let mut i = 0;
+            while rest != 0 {
+                let bit = rest & rest.wrapping_neg();
+                packed |= u64::from(w & bit != 0) << i;
+                rest ^= bit;
+                i += 1;
+            }
+            write_bits(bits, pos, packed);
+            pos += i;
+        }
+        pos
+    }
+
+    /// # Safety
+    /// Requires BMI2 at runtime.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "bmi2")]
+    unsafe fn extract_bmi2(masks: &[u64], wanted: &[u64], bits: &mut [u64], start: usize) -> usize {
+        use std::arch::x86_64::_pext_u64;
+        let mut pos = start;
+        for (&m, &w) in masks.iter().zip(wanted) {
+            if m != 0 {
+                write_bits(bits, pos, _pext_u64(w, m));
+                pos += m.count_ones() as usize;
+            }
+        }
+        pos
+    }
+
+    /// Scatters the packed decision stream in `bits`, starting at bit
+    /// `start`, into the set-bit positions of each mask word (BMI2 `pdep`
+    /// when available; a per-set-bit loop otherwise). `bits` must hold
+    /// `start + masks.count_ones()` bits plus one guard word.
+    pub fn deposit(masks: &[u64], bits: &[u64], start: usize, out: &mut [u64]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("bmi2") {
+            // SAFETY: gated on runtime BMI2 detection.
+            unsafe { deposit_bmi2(masks, bits, start, out) };
+            return;
+        }
+        deposit_generic(masks, bits, start, out);
     }
 
     /// The next `≤ 64` stream bits starting at bit offset `pos` (the caller
@@ -311,8 +563,8 @@ mod simd {
         }
     }
 
-    fn deposit_generic(masks: &[u64], bits: &[u64], out: &mut [u64]) {
-        let mut pos = 0usize;
+    fn deposit_generic(masks: &[u64], bits: &[u64], start: usize, out: &mut [u64]) {
+        let mut pos = start;
         for (o, &m) in out.iter_mut().zip(masks.iter()) {
             let c = m.count_ones() as usize;
             if c == 0 {
@@ -337,9 +589,9 @@ mod simd {
     /// Requires BMI2 at runtime.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "bmi2")]
-    unsafe fn deposit_bmi2(masks: &[u64], bits: &[u64], out: &mut [u64]) {
+    unsafe fn deposit_bmi2(masks: &[u64], bits: &[u64], start: usize, out: &mut [u64]) {
         use std::arch::x86_64::_pdep_u64;
-        let mut pos = 0usize;
+        let mut pos = start;
         for (o, &m) in out.iter_mut().zip(masks.iter()) {
             if m == 0 {
                 *o = 0;
@@ -352,13 +604,18 @@ mod simd {
         }
     }
 
-    fn scalar_blocks16(state: &[u32; 16], out: &mut [u64; BULK_U64]) {
+    /// The 16 blocks with counters `counters`, each as 8 `u64` draws in
+    /// stream order.
+    fn scalar_blocks16(
+        state: &[u32; 16],
+        counters: &[u64; BULK_BLOCKS],
+        out: &mut [u64; BULK_U64],
+    ) {
         let mut st = *state;
-        for b in 0..BULK_BLOCKS {
-            let block = raw_block(&st);
-            let counter = (st[12] as u64 | ((st[13] as u64) << 32)).wrapping_add(1);
+        for (b, &counter) in counters.iter().enumerate() {
             st[12] = counter as u32;
             st[13] = (counter >> 32) as u32;
+            let block = raw_block(&st);
             for (o, pair) in out[b * 8..(b + 1) * 8]
                 .iter_mut()
                 .zip(block.chunks_exact(2))
@@ -372,8 +629,9 @@ mod simd {
     mod avx512 {
         use std::arch::x86_64::*;
 
-        /// 16 blocks, one per 32-bit lane, then an in-register 16×16 `u32`
-        /// transpose so register `j` holds block `j` in stream order.
+        /// The 16 blocks with counters `counters`, one per 32-bit lane, then
+        /// an in-register 16×16 `u32` transpose so register `j` holds block
+        /// `counters[j]` in stream order.
         ///
         /// Kept out of line: inlined into its one caller,
         /// `blocks16_decisions`, it made the bulk decision path slower on
@@ -383,18 +641,16 @@ mod simd {
         /// Requires AVX-512F at runtime.
         #[target_feature(enable = "avx512f")]
         #[inline(never)]
-        unsafe fn blocks16(state: &[u32; 16]) -> [__m512i; 16] {
+        unsafe fn blocks16(state: &[u32; 16], counters: &[u64; 16]) -> [__m512i; 16] {
             unsafe {
                 let mut v: [__m512i; 16] = [_mm512_setzero_si512(); 16];
                 for (w, lane) in v.iter_mut().enumerate() {
                     *lane = _mm512_set1_epi32(state[w] as i32);
                 }
-                // Per-lane block counters: lane j simulates counter c + j.
-                let c0 = state[12] as u64 | ((state[13] as u64) << 32);
+                // Per-lane block counters: lane j computes block counters[j].
                 let mut c_lo = [0u32; 16];
                 let mut c_hi = [0u32; 16];
-                for j in 0..16 {
-                    let c = c0.wrapping_add(j as u64);
+                for (j, &c) in counters.iter().enumerate() {
                     c_lo[j] = c as u32;
                     c_hi[j] = (c >> 32) as u32;
                 }
@@ -462,9 +718,13 @@ mod simd {
         /// # Safety
         /// Requires AVX-512F at runtime.
         #[target_feature(enable = "avx512f")]
-        pub unsafe fn blocks16_decisions(state: &[u32; 16], t53: u64) -> (u64, u64) {
+        pub unsafe fn blocks16_decisions(
+            state: &[u32; 16],
+            counters: &[u64; 16],
+            t53: u64,
+        ) -> (u64, u64) {
             unsafe {
-                let blocks = blocks16(state);
+                let blocks = blocks16(state, counters);
                 let thr = _mm512_set1_epi64(t53 as i64);
                 let mut lo = 0u64;
                 let mut hi = 0u64;
@@ -500,7 +760,116 @@ impl RngCore for ChaCha8Rng {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::Rng;
+
+    /// `p = 0`, the dyadic probabilities `2^{-j}` for `j ≤ 13` (so `p = 1`
+    /// too) and `0.37`.
+    fn probability(index: usize) -> f64 {
+        match index {
+            0 => 0.0,
+            1..=14 => 0.5f64.powi(index as i32 - 1),
+            _ => 0.37,
+        }
+    }
+
+    /// `words` mask or wanted words of one of five shapes: empty, full,
+    /// sparse, half dense, or runs of full and empty words (so that whole
+    /// blocks are skipped between wanted ones).
+    fn words_of_kind(kind: usize, words: usize, rng: &mut ChaCha8Rng) -> Vec<u64> {
+        (0..words)
+            .map(|i| match kind {
+                0 => 0,
+                1 => u64::MAX,
+                2 => rng.next_u64() & rng.next_u64() & rng.next_u64() & rng.next_u64(),
+                3 => rng.next_u64(),
+                _ if (i / 3) % 2 == 0 => u64::MAX,
+                _ => 0,
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// The masked bulk call equals the scalar filter, one `gen_bool(p)`
+        /// per set mask bit ANDed with `wanted`, and leaves the stream where
+        /// the scalar filter leaves it. Warm-ups of `next_u64` and `next_u32`
+        /// start it at every block offset, odd word offsets included; up to
+        /// 40 full mask words hold 320 blocks, so full 16-block batches,
+        /// skipped blocks and a partial last batch all run.
+        #[test]
+        fn masked_decisions_equal_the_scalar_filter_on_wanted_bits(
+            p_and_warm_up in 0usize..16 * 60,
+            words in 0usize..41,
+            kinds in 0usize..25,
+            seed in any::<u64>(),
+        ) {
+            let (p, warm_up) = (probability(p_and_warm_up % 16), p_and_warm_up / 16);
+            let mut shape = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
+            let masks = words_of_kind(kinds / 5, words, &mut shape);
+            let wanted = words_of_kind(kinds % 5, words, &mut shape);
+            let mut bulk = ChaCha8Rng::seed_from_u64(seed);
+            let mut scalar = ChaCha8Rng::seed_from_u64(seed);
+            // Up to 19 `next_u64`s, then up to two `next_u32`s.
+            for _ in 0..warm_up / 3 {
+                prop_assert_eq!(bulk.next_u64(), scalar.next_u64());
+            }
+            for _ in 0..warm_up % 3 {
+                prop_assert_eq!(bulk.next_u32(), scalar.next_u32());
+            }
+            let mut scratch = vec![u64::MAX; 3];
+            let mut out = vec![u64::MAX; words + 1];
+            bulk.fill_masked_decision_bits(p, &masks, &wanted, &mut scratch, &mut out);
+            for (i, (&m, &w)) in masks.iter().zip(&wanted).enumerate() {
+                let mut expect = 0u64;
+                for b in 0..64 {
+                    if (m >> b) & 1 == 1 && scalar.gen_bool(p) {
+                        expect |= 1 << b;
+                    }
+                }
+                prop_assert_eq!(out[i], expect & w, "word {}", i);
+            }
+            prop_assert_eq!(out[words], u64::MAX, "the word past the masks is untouched");
+            // Exactly `masks.count_ones()` draws were consumed.
+            prop_assert_eq!(bulk.next_u64(), scalar.next_u64());
+            prop_assert_eq!(bulk.next_u64(), scalar.next_u64());
+        }
+    }
+
+    #[test]
+    fn block_kernels_agree_on_a_counter_list() {
+        if !simd::avx512_available() {
+            return;
+        }
+        let rng = ChaCha8Rng::seed_from_u64(3);
+        // Out of order, with gaps, repeats and a 64-bit wrap.
+        let counters = [
+            9,
+            2,
+            2,
+            40,
+            1 << 33,
+            0,
+            7,
+            7,
+            7,
+            u64::MAX,
+            5,
+            11,
+            3,
+            3,
+            100,
+            2,
+        ];
+        for t53 in [1u64, 1 << 52, 3 << 50, (1 << 53) - 1] {
+            assert_eq!(
+                simd::blocks16_decisions(&rng.state, &counters, t53, true),
+                simd::blocks16_decisions(&rng.state, &counters, t53, false),
+                "t53 = {t53}"
+            );
+        }
+    }
 
     #[test]
     fn deterministic_per_seed() {
@@ -596,7 +965,7 @@ mod tests {
                 let mut scalar = ChaCha8Rng::seed_from_u64(seed);
                 let mut scratch = Vec::new();
                 let mut out = vec![u64::MAX; masks.len()];
-                bulk.fill_masked_decision_bits(p, &masks, &mut scratch, &mut out);
+                bulk.fill_masked_decision_bits(p, &masks, &masks, &mut scratch, &mut out);
                 for (i, &m) in masks.iter().enumerate() {
                     assert_eq!(out[i] & !m, 0, "bits outside the mask must be zero");
                     for b in 0..64 {
@@ -619,7 +988,7 @@ mod tests {
         let mut scalar = ChaCha8Rng::seed_from_u64(11);
         let mut scratch = Vec::new();
         let mut out = [u64::MAX; 3];
-        bulk.fill_masked_decision_bits(0.5, &[0, 0, 0], &mut scratch, &mut out);
+        bulk.fill_masked_decision_bits(0.5, &[0, 0, 0], &[0, 0, 0], &mut scratch, &mut out);
         assert_eq!(out, [0, 0, 0]);
         assert_eq!(bulk.next_u64(), scalar.next_u64());
     }
