@@ -137,9 +137,11 @@ pub struct LaneWorkspace {
     informed: Vec<u64>,
     /// Lane-major open bits ([`LaneView::open`]), one word per vertex.
     open: Vec<u64>,
-    /// Vertices whose `open` word may have lost bits this round.
+    /// Vertices whose `open` word may have lost bits this round, in its
+    /// first entries; sized `n + 1`, so a branch-free append never
+    /// overflows.
     stale: Vec<usize>,
-    /// `is_stale[v]` iff `v` is in `stale`.
+    /// `is_stale[v]` iff `v` is among this round's stale vertices.
     is_stale: Vec<bool>,
     /// This round's transmitter mask, filled by the protocol.
     transmit: Vec<u64>,
@@ -220,7 +222,7 @@ impl LaneWorkspace {
             *word = if open { live_mask(lanes) } else { 0 };
         }
         self.is_stale.resize(n, false);
-        self.stale.clear();
+        self.stale.resize(n + 1, 0);
         for l in 0..MAX_LANES {
             self.informed_count[l] = usize::from(l < lanes);
             self.informed_per_round[l].clear();
@@ -357,8 +359,10 @@ pub fn run_lanes_in<G: GraphView + ?Sized>(
 
         // Receivers: exactly one transmitting neighbor, not itself
         // transmitting (`Γ¹(T)` per lane); the newly informed among them
-        // update counts and first-informed rounds, and mark the neighbors
-        // that were open in their new lanes stale.
+        // update counts and first-informed rounds, and mark their neighbors
+        // stale. Each neighbor was open in the new lanes (this vertex was
+        // its uninformed neighbor there), so the marking needs no test.
+        let mut stale = 0;
         for i in 0..ws.touched.len() {
             let u = ws.touched[i];
             let recv = ws.once[u] & !ws.twice[u] & !ws.transmit[u];
@@ -375,24 +379,23 @@ pub fn run_lanes_in<G: GraphView + ?Sized>(
                     b &= b - 1;
                 }
                 for w in graph.neighbors_iter(u) {
-                    if ws.open[w] & new_bits != 0 && !ws.is_stale[w] {
-                        ws.is_stale[w] = true;
-                        ws.stale.push(w);
-                    }
+                    debug_assert_ne!(ws.open[w] & new_bits, 0);
+                    ws.stale[stale] = w;
+                    stale += usize::from(!ws.is_stale[w]);
+                    ws.is_stale[w] = true;
                 }
             }
         }
         // `open` only ever loses bits, and only at the stale vertices, so
         // recomputing those equals recomputing every word.
         let lanes_mask = live_mask(lanes);
-        for &w in &ws.stale {
+        for &w in &ws.stale[..stale] {
             ws.is_stale[w] = false;
             ws.open[w] = graph
                 .neighbors_iter(w)
                 .fold(0, |open, u| open | !ws.informed[u])
                 & lanes_mask;
         }
-        ws.stale.clear();
 
         // Per-lane bookkeeping: trajectories grow only for live lanes, and
         // the first completion round is pinned (with stop_when_complete =

@@ -462,7 +462,7 @@ mod simd {
         spread_bytes_generic(stream, packed);
     }
 
-    fn spread_bytes_generic(stream: &mut [u64], packed: &[u64]) {
+    pub fn spread_bytes_generic(stream: &mut [u64], packed: &[u64]) {
         let mut pos = 0;
         for x in stream.iter_mut() {
             let mut nonzero = nonzero_bytes(*x);
@@ -503,7 +503,7 @@ mod simd {
         }
     }
 
-    fn extract_generic(masks: &[u64], wanted: &[u64], bits: &mut [u64], start: usize) -> usize {
+    pub fn extract_generic(masks: &[u64], wanted: &[u64], bits: &mut [u64], start: usize) -> usize {
         let mut pos = start;
         for (&m, &w) in masks.iter().zip(wanted) {
             let mut packed = 0u64;
@@ -563,7 +563,7 @@ mod simd {
         }
     }
 
-    fn deposit_generic(masks: &[u64], bits: &[u64], start: usize, out: &mut [u64]) {
+    pub fn deposit_generic(masks: &[u64], bits: &[u64], start: usize, out: &mut [u64]) {
         let mut pos = start;
         for (o, &m) in out.iter_mut().zip(masks.iter()) {
             let c = m.count_ones() as usize;
@@ -834,6 +834,35 @@ mod tests {
             // Exactly `masks.count_ones()` draws were consumed.
             prop_assert_eq!(bulk.next_u64(), scalar.next_u64());
             prop_assert_eq!(bulk.next_u64(), scalar.next_u64());
+        }
+    }
+
+    #[test]
+    fn portable_bit_moves_agree_with_the_dispatched_ones() {
+        // On a BMI2 host the dispatched paths use `pext`/`pdep`; elsewhere
+        // this compares the portable loops with themselves.
+        let mut rng = ChaCha8Rng::seed_from_u64(21);
+        for kinds in 0..25 {
+            let masks = words_of_kind(kinds / 5, 30, &mut rng);
+            let wanted = words_of_kind(kinds % 5, 30, &mut rng);
+            for start in [0, 3, 8] {
+                let (mut fast, mut slow) = (vec![0u64; 32], vec![0u64; 32]);
+                let end = simd::extract(&masks, &wanted, &mut fast, start);
+                assert_eq!(
+                    end,
+                    simd::extract_generic(&masks, &wanted, &mut slow, start)
+                );
+                assert_eq!(fast, slow, "extract, kinds {kinds} start {start}");
+                let packed: Vec<u64> = (0..33).map(|_| rng.next_u64()).collect();
+                let mut slow_stream = fast.clone();
+                simd::spread_bytes(&mut fast, &packed);
+                simd::spread_bytes_generic(&mut slow_stream, &packed);
+                assert_eq!(fast, slow_stream, "spread, kinds {kinds} start {start}");
+                let (mut out_fast, mut out_slow) = (vec![0u64; 30], vec![0u64; 30]);
+                simd::deposit(&masks, &packed, start, &mut out_fast);
+                simd::deposit_generic(&masks, &packed, start, &mut out_slow);
+                assert_eq!(out_fast, out_slow, "deposit, kinds {kinds} start {start}");
+            }
         }
     }
 
