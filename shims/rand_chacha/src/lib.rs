@@ -374,9 +374,9 @@ impl ChaCha8Rng {
 /// Bulk block production: decisions over any 16 counter-mode blocks, the
 /// packing of wanted mask bits into stream order, and the deposit of
 /// stream-order decisions into masks. The AVX-512 path computes all 16
-/// blocks in the lanes of 512-bit vectors and transposes in-register; the
-/// portable path loops the scalar block function. Both produce identical
-/// bytes.
+/// blocks in the lanes of 512-bit vectors and compares their draws in
+/// place; the portable path loops the scalar block function. Both produce
+/// identical bytes.
 mod simd {
     use super::{raw_block, BULK_BLOCKS, BULK_U64};
 
@@ -629,30 +629,37 @@ mod simd {
     mod avx512 {
         use std::arch::x86_64::*;
 
-        /// The 16 blocks with counters `counters`, one per 32-bit lane, then
-        /// an in-register 16×16 `u32` transpose so register `j` holds block
-        /// `counters[j]` in stream order.
+        /// `gen_bool`-threshold decisions for the blocks with counters
+        /// `counters`, laid out as [`super::blocks16_decisions`] describes.
         ///
-        /// Kept out of line: inlined into its one caller,
-        /// `blocks16_decisions`, it made the bulk decision path slower on
-        /// an AVX-512 x86-64 host.
+        /// The 16 blocks are computed one per 32-bit lane, and lane
+        /// `4q + 2h + e` computes `counters[8h + 2q + e]`. Draw `d` is words
+        /// `2d` (low half) and `2d + 1` (high half), and the 32-bit unpacks
+        /// pair them within each 128-bit lane, so the low unpack holds draw
+        /// `d` of blocks 0..8 in order and the high unpack that of blocks
+        /// 8..16: two comparisons give draw `d`'s 16 decisions, with no
+        /// block transpose.
         ///
         /// # Safety
         /// Requires AVX-512F at runtime.
         #[target_feature(enable = "avx512f")]
-        #[inline(never)]
-        unsafe fn blocks16(state: &[u32; 16], counters: &[u64; 16]) -> [__m512i; 16] {
+        pub unsafe fn blocks16_decisions(
+            state: &[u32; 16],
+            counters: &[u64; 16],
+            t53: u64,
+        ) -> (u64, u64) {
             unsafe {
                 let mut v: [__m512i; 16] = [_mm512_setzero_si512(); 16];
                 for (w, lane) in v.iter_mut().enumerate() {
                     *lane = _mm512_set1_epi32(state[w] as i32);
                 }
-                // Per-lane block counters: lane j computes block counters[j].
                 let mut c_lo = [0u32; 16];
                 let mut c_hi = [0u32; 16];
-                for (j, &c) in counters.iter().enumerate() {
-                    c_lo[j] = c as u32;
-                    c_hi[j] = (c >> 32) as u32;
+                for lane in 0..16 {
+                    let (q, h, e) = (lane / 4, lane / 2 % 2, lane % 2);
+                    let c = counters[8 * h + 2 * q + e];
+                    c_lo[lane] = c as u32;
+                    c_hi[lane] = (c >> 32) as u32;
                 }
                 v[12] = _mm512_loadu_si512(c_lo.as_ptr() as *const __m512i);
                 v[13] = _mm512_loadu_si512(c_hi.as_ptr() as *const __m512i);
@@ -684,64 +691,34 @@ mod simd {
                     *lane = _mm512_add_epi32(*lane, *st);
                 }
 
-                // 16×16 u32 transpose, element (word, block) → (block, word):
-                // 32-bit unpack, 64-bit unpack, then two 128-bit shuffle
-                // stages.
-                let mut t: [__m512i; 16] = [_mm512_setzero_si512(); 16];
-                for i in 0..8 {
-                    t[2 * i] = _mm512_unpacklo_epi32(v[2 * i], v[2 * i + 1]);
-                    t[2 * i + 1] = _mm512_unpackhi_epi32(v[2 * i], v[2 * i + 1]);
-                }
-                let mut u: [__m512i; 16] = [_mm512_setzero_si512(); 16];
-                for k in 0..4 {
-                    u[4 * k] = _mm512_unpacklo_epi64(t[4 * k], t[4 * k + 2]);
-                    u[4 * k + 1] = _mm512_unpackhi_epi64(t[4 * k], t[4 * k + 2]);
-                    u[4 * k + 2] = _mm512_unpacklo_epi64(t[4 * k + 1], t[4 * k + 3]);
-                    u[4 * k + 3] = _mm512_unpackhi_epi64(t[4 * k + 1], t[4 * k + 3]);
-                }
-                for i in 0..4 {
-                    t[i] = _mm512_shuffle_i32x4(u[i], u[i + 4], 0x88);
-                    t[i + 4] = _mm512_shuffle_i32x4(u[i + 8], u[i + 12], 0x88);
-                    t[i + 8] = _mm512_shuffle_i32x4(u[i], u[i + 4], 0xdd);
-                    t[i + 12] = _mm512_shuffle_i32x4(u[i + 8], u[i + 12], 0xdd);
-                }
-                for i in 0..4 {
-                    u[i] = _mm512_shuffle_i32x4(t[i], t[i + 4], 0x88);
-                    u[i + 8] = _mm512_shuffle_i32x4(t[i], t[i + 4], 0xdd);
-                    u[i + 4] = _mm512_shuffle_i32x4(t[i + 8], t[i + 12], 0x88);
-                    u[i + 12] = _mm512_shuffle_i32x4(t[i + 8], t[i + 12], 0xdd);
-                }
-                u
-            }
-        }
-
-        /// # Safety
-        /// Requires AVX-512F at runtime.
-        #[target_feature(enable = "avx512f")]
-        pub unsafe fn blocks16_decisions(
-            state: &[u32; 16],
-            counters: &[u64; 16],
-            t53: u64,
-        ) -> (u64, u64) {
-            unsafe {
-                let blocks = blocks16(state, counters);
+                // Byte `d` of `lo` (`hi`) collects draw `d` of blocks 0..8
+                // (8..16), one bit per block; transposing the 8×8 bit
+                // matrices makes byte `j` block `j`'s 8 draws.
                 let thr = _mm512_set1_epi64(t53 as i64);
                 let mut lo = 0u64;
                 let mut hi = 0u64;
-                for (j, blk) in blocks.iter().enumerate() {
-                    // Each register is 8 stream-order u64 draws; the mask of
-                    // `(x >> 11) < T` comparisons is 8 decision bits in order.
-                    let shifted = _mm512_srli_epi64::<11>(*blk);
-                    let m = _mm512_cmplt_epu64_mask(shifted, thr) as u64;
-                    if j < 8 {
-                        lo |= m << (8 * j);
-                    } else {
-                        hi |= m << (8 * (j - 8));
-                    }
+                for d in 0..8 {
+                    let low = _mm512_unpacklo_epi32(v[2 * d], v[2 * d + 1]);
+                    let high = _mm512_unpackhi_epi32(v[2 * d], v[2 * d + 1]);
+                    let accept = |x| _mm512_cmplt_epu64_mask(_mm512_srli_epi64::<11>(x), thr);
+                    lo |= u64::from(accept(low)) << (8 * d);
+                    hi |= u64::from(accept(high)) << (8 * d);
                 }
-                (lo, hi)
+                (super::transpose8(lo), super::transpose8(hi))
             }
         }
+    }
+
+    /// Transposes an 8×8 bit matrix stored one row per byte: bit `c` of
+    /// byte `r` moves to bit `r` of byte `c`.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    pub fn transpose8(mut x: u64) -> u64 {
+        let t = (x ^ (x >> 7)) & 0x00aa_00aa_00aa_00aa;
+        x ^= t ^ (t << 7);
+        let t = (x ^ (x >> 14)) & 0x0000_cccc_0000_cccc;
+        x ^= t ^ (t << 14);
+        let t = (x ^ (x >> 28)) & 0x0000_0000_f0f0_f0f0;
+        x ^ t ^ (t << 28)
     }
 }
 
@@ -862,6 +839,20 @@ mod tests {
                 simd::deposit(&masks, &packed, start, &mut out_fast);
                 simd::deposit_generic(&masks, &packed, start, &mut out_slow);
                 assert_eq!(out_fast, out_slow, "deposit, kinds {kinds} start {start}");
+            }
+        }
+    }
+
+    #[test]
+    fn transpose8_swaps_rows_and_columns() {
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        for _ in 0..100 {
+            let x = rng.next_u64();
+            let t = simd::transpose8(x);
+            for r in 0..8 {
+                for c in 0..8 {
+                    assert_eq!(t >> (8 * c + r) & 1, x >> (8 * r + c) & 1, "({r}, {c})");
+                }
             }
         }
     }
