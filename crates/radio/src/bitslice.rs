@@ -34,9 +34,9 @@
 //! the protocol's word ANDed with `open[v]`, the lanes in which `v` has an
 //! uninformed neighbor ([`LaneView::open`]). A dropped transmission reaches
 //! only vertices informed in that lane, which cannot receive there anyway,
-//! so every receiver is unchanged. `open` only ever loses bits: each round,
-//! the neighbors of newly informed vertices that were open in the new
-//! lanes are recomputed, and nothing else.
+//! so every receiver is unchanged. `open` only ever loses bits, and only
+//! next to a newly informed vertex: each round, the neighbors of newly
+//! informed vertices are recomputed, and nothing else.
 //!
 //! # Protocols
 //!
@@ -178,7 +178,7 @@ impl LaneWorkspace {
             target: 0,
             informed: vec![0; n],
             open: vec![0; n],
-            stale: Vec::new(),
+            stale: vec![0; n + 1],
             is_stale: vec![false; n],
             transmit: vec![0; n],
             once: vec![0; n],

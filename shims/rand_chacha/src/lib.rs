@@ -4,24 +4,24 @@
 //! `rand_chacha` (the workspace only relies on determinism).
 //!
 //! Besides the word-at-a-time [`RngCore`] interface, the generator exposes
-//! bulk producers — [`ChaCha8Rng::fill_decision_bits`] and
-//! [`ChaCha8Rng::fill_masked_decision_bits`] — that emit **exactly** the
-//! decisions the scalar interface would, one `gen_bool` per `next_u64`, and
-//! leave the generator where the scalar calls leave it. Counter-mode blocks
-//! are independent, so one kernel computes any 16 of them at once from a
-//! list of block counters: on x86-64 with AVX-512F in the lanes of 512-bit
-//! vectors, roughly an order of magnitude faster per `u64` than the scalar
-//! path; elsewhere by looping the scalar block function. The contiguous
-//! producer passes the list `c, c+1, …, c+15`.
+//! one bulk producer, [`ChaCha8Rng::fill_masked_decision_bits`], that emits
+//! **exactly** the decisions the scalar interface would, one `gen_bool` per
+//! `next_u64` and per set bit of a mask, and leaves the generator where the
+//! scalar calls leave it. It also takes a `wanted` mask, and computes only
+//! the 8-draw blocks that hold a wanted draw:
 //!
-//! The masked producer also takes a `wanted` mask. It consumes one draw per
-//! set mask bit but computes only the 8-draw blocks that hold a wanted draw:
-//! the wanted bits are packed into stream order (BMI2 `pext`), the blocks
-//! whose byte of that stream is nonzero go through the kernel 16 at a time,
-//! and the decisions are spread back onto the masks (`pdep`). The skipped
-//! blocks are never computed, and for `p ∈ {0, 1}`, where every decision is
-//! known without its draw, no block is. The bit-sliced radio engine's Decay
-//! rounds depend on this being a pure speedup with no stream divergence.
+//! - the wanted bits are packed into stream order (BMI2 `pext`);
+//! - counter-mode blocks are independent, so one kernel computes the blocks
+//!   whose byte of that stream is nonzero 16 at a time from a list of block
+//!   counters: on x86-64 with AVX-512F in the lanes of 512-bit vectors,
+//!   roughly an order of magnitude faster per `u64` than the scalar path;
+//!   elsewhere by looping the scalar block function;
+//! - the decisions are spread back onto the masks (`pdep`).
+//!
+//! The skipped blocks are never computed, and for `p ∈ {0, 1}`, where every
+//! decision is known without its draw, no block is. The bit-sliced radio
+//! engine's Decay rounds and the spokesman samplers depend on this being a
+//! pure speedup with no stream divergence.
 
 use rand::{RngCore, SeedableRng};
 
@@ -106,7 +106,7 @@ fn raw_block(state: &[u32; 16]) -> [u32; 16] {
     out
 }
 
-/// How many blocks the bulk paths produce per batch (128 `u64`s).
+/// How many blocks the bulk kernel produces per batch (128 `u64`s).
 const BULK_BLOCKS: usize = 16;
 /// `u64`s per ChaCha block.
 const U64_PER_BLOCK: usize = 8;
@@ -136,14 +136,8 @@ fn gen_bool_threshold(p: f64) -> u64 {
 impl ChaCha8Rng {
     fn refill(&mut self) {
         self.block = raw_block(&self.state);
-        self.advance_counter(1);
+        self.set_counter(self.counter().wrapping_add(1));
         self.word_idx = 0;
-    }
-
-    /// Advances the 64-bit block counter in words 12/13 by `n` blocks.
-    #[inline]
-    fn advance_counter(&mut self, n: u64) {
-        self.set_counter(self.counter().wrapping_add(n));
     }
 
     #[inline]
@@ -154,55 +148,6 @@ impl ChaCha8Rng {
         let w = self.block[self.word_idx];
         self.word_idx += 1;
         w
-    }
-
-    /// Packs the next `count` `gen_bool(p)` decisions of this generator into
-    /// the low `count` bits of `out` (decision `i` lands in bit `i % 64` of
-    /// `out[i / 64]`; the touched words are overwritten, tail bits above
-    /// `count` are zero). Bit-identical to calling `gen_bool(p)` `count`
-    /// times: one `next_u64` is consumed per decision, in order.
-    ///
-    /// # Panics
-    /// Panics if `p` is outside `[0, 1]` (matching `gen_bool`) or if `out`
-    /// holds fewer than `count` bits.
-    pub fn fill_decision_bits(&mut self, p: f64, count: usize, out: &mut [u64]) {
-        let words = count.div_ceil(64);
-        assert!(
-            words <= out.len(),
-            "decision buffer too small: {count} bits into {} words",
-            out.len()
-        );
-        let t53 = gen_bool_threshold(p);
-        out[..words].iter_mut().for_each(|w| *w = 0);
-        let mut i = 0;
-        while i < count && self.word_idx != 16 {
-            out[i / 64] |= u64::from((self.next_u64() >> 11) < t53) << (i % 64);
-            i += 1;
-        }
-        if count - i >= BULK_U64 {
-            let use_avx512 = simd::avx512_available();
-            while count - i >= BULK_U64 {
-                let c0 = self.counter();
-                let counters = std::array::from_fn(|j| c0.wrapping_add(j as u64));
-                let (lo, hi) = simd::blocks16_decisions(&self.state, &counters, t53, use_avx512);
-                self.advance_counter(BULK_BLOCKS as u64);
-                // OR the 128 in-order decision bits into `out` at bit `i`.
-                let (w, s) = (i / 64, i % 64);
-                if s == 0 {
-                    out[w] = lo;
-                    out[w + 1] = hi;
-                } else {
-                    out[w] |= lo << s;
-                    out[w + 1] = (lo >> (64 - s)) | (hi << s);
-                    out[w + 2] = hi >> (64 - s);
-                }
-                i += BULK_U64;
-            }
-        }
-        while i < count {
-            out[i / 64] |= u64::from((self.next_u64() >> 11) < t53) << (i % 64);
-            i += 1;
-        }
     }
 
     /// Scatters the wanted `gen_bool(p)` decisions into the set-bit
@@ -741,12 +686,15 @@ mod tests {
     use rand::Rng;
 
     /// `p = 0`, the dyadic probabilities `2^{-j}` for `j ≤ 13` (so `p = 1`
-    /// too) and `0.37`.
+    /// too), `0.37`, and thresholds near both ends.
     fn probability(index: usize) -> f64 {
         match index {
             0 => 0.0,
             1..=14 => 0.5f64.powi(index as i32 - 1),
-            _ => 0.37,
+            15 => 0.37,
+            16 => 1e-9,
+            17 => 0.999,
+            _ => 0.62584937,
         }
     }
 
@@ -777,12 +725,12 @@ mod tests {
         /// skipped blocks and a partial last batch all run.
         #[test]
         fn masked_decisions_equal_the_scalar_filter_on_wanted_bits(
-            p_and_warm_up in 0usize..16 * 60,
+            p_and_warm_up in 0usize..19 * 60,
             words in 0usize..41,
             kinds in 0usize..25,
             seed in any::<u64>(),
         ) {
-            let (p, warm_up) = (probability(p_and_warm_up % 16), p_and_warm_up / 16);
+            let (p, warm_up) = (probability(p_and_warm_up % 19), p_and_warm_up / 19);
             let mut shape = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
             let masks = words_of_kind(kinds / 5, words, &mut shape);
             let wanted = words_of_kind(kinds % 5, words, &mut shape);
@@ -924,46 +872,11 @@ mod tests {
     }
 
     #[test]
-    fn fill_decision_bits_matches_gen_bool() {
-        let ps = [0.0, 1.0, 0.5, 0.125, 0.3, 1e-9, 0.999, 0.62584937];
-        for (pi, &p) in ps.iter().enumerate() {
-            for count in [0usize, 1, 63, 64, 65, 127, 128, 129, 500] {
-                for warmup in [0usize, 3] {
-                    let seed = 1000 + pi as u64;
-                    let mut bulk = ChaCha8Rng::seed_from_u64(seed);
-                    let mut scalar = ChaCha8Rng::seed_from_u64(seed);
-                    for _ in 0..warmup {
-                        assert_eq!(bulk.gen_bool(p), scalar.gen_bool(p));
-                    }
-                    let mut out = vec![0u64; count.div_ceil(64) + 1];
-                    bulk.fill_decision_bits(p, count, &mut out);
-                    for i in 0..count {
-                        let got = (out[i / 64] >> (i % 64)) & 1 == 1;
-                        let expect = scalar.gen_bool(p);
-                        assert_eq!(got, expect, "p={p} count={count} warmup={warmup} i={i}");
-                    }
-                    // the generators consumed the same number of draws
-                    assert_eq!(bulk.next_u64(), scalar.next_u64());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn decision_bits_above_count_are_zero() {
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let mut out = [u64::MAX; 3];
-        rng.fill_decision_bits(0.5, 70, &mut out);
-        assert_eq!(out[1] >> 6, 0, "tail bits must be cleared");
-        assert_eq!(out[2], u64::MAX, "words beyond the count are untouched");
-    }
-
-    #[test]
     #[should_panic(expected = "outside [0,1]")]
-    fn fill_decision_bits_rejects_bad_probability() {
+    fn masked_decisions_reject_bad_probability() {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let mut out = [0u64; 1];
-        rng.fill_decision_bits(1.5, 10, &mut out);
+        rng.fill_masked_decision_bits(1.5, &[u64::MAX], &[u64::MAX], &mut Vec::new(), &mut out);
     }
 
     #[test]
